@@ -116,13 +116,6 @@ type Config struct {
 	// grows by O(BatchTraversals·|V|) per unit in the worst (SSSP)
 	// case.
 	BatchTraversals int
-
-	// Direction is the runtime's default push/pull policy for BFS/SSSP
-	// traversals: queries submitted with a zero-valued Dir inherit it.
-	// A query that sets its own Dir (any non-zero field) keeps it. The
-	// zero value means auto-switching with the Beamer defaults — the
-	// same behavior queries get with no runtime involved.
-	Direction traverse.DirectionConfig
 }
 
 func (c *Config) validate() error {
@@ -173,9 +166,6 @@ func (c *Config) validate() error {
 	}
 	if c.BatchTraversals < 0 || c.BatchTraversals > traverse.MaxBatch {
 		return fmt.Errorf("live: BatchTraversals = %d, want [0, %d]", c.BatchTraversals, traverse.MaxBatch)
-	}
-	if err := c.Direction.Validate(); err != nil {
-		return fmt.Errorf("live: %w", err)
 	}
 	zero := sim.CostModel{}
 	if c.Cost == zero {
@@ -526,9 +516,6 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 		// context to detach from, so a fresh root is the correct one.
 		//lint:allow ctxplumb nil-ctx fallback for the documented Submit contract
 		ctx = context.Background()
-	}
-	if q.Dir == (traverse.DirectionConfig{}) {
-		q.Dir = r.cfg.Direction
 	}
 	if err := q.Validate(r.g); err != nil {
 		return nil, err
@@ -952,12 +939,7 @@ func (r *Runtime) worker(u *liveUnit) {
 		if fault.Delay > 0 {
 			time.Sleep(fault.Delay)
 		}
-		if err := t.ctx.Err(); err != nil {
-			r.finish(t, Response{
-				Unit: u.id,
-				Err:  fmt.Errorf("live: dropped at dequeue: %w", err),
-				Wait: time.Since(t.submit),
-			}, outcomeTimedOut)
+		if r.dropAtDequeue(u, t) {
 			continue
 		}
 		if fault.Err != nil {
@@ -981,8 +963,29 @@ func (r *Runtime) worker(u *liveUnit) {
 	}
 }
 
-// runOne executes a single task and resolves it.
+// dropAtDequeue resolves t as timed out, without consuming execution,
+// if its context has already ended, and reports whether it did.
+func (r *Runtime) dropAtDequeue(u *liveUnit, t *task) bool {
+	err := t.ctx.Err()
+	if err == nil {
+		return false
+	}
+	r.finish(t, Response{
+		Unit: u.id,
+		Err:  fmt.Errorf("live: dropped at dequeue: %w", err),
+		Wait: time.Since(t.submit),
+	}, outcomeTimedOut)
+	return true
+}
+
+// runOne executes a single task and resolves it. It repeats the
+// dequeue expiry check because not every task reaches it straight off
+// the queue: the non-batchable task carried out of drainBatch waited
+// behind a whole batch execution first.
 func (r *Runtime) runOne(u *liveUnit, t *task) {
+	if r.dropAtDequeue(u, t) {
+		return
+	}
 	u.busy.Store(true)
 	t.started = time.Now()
 	if t.span != nil {
@@ -1044,15 +1047,9 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 	// Members already expired resolve without consuming execution.
 	live := members[:0]
 	for _, t := range members {
-		if err := t.ctx.Err(); err != nil {
-			r.finish(t, Response{
-				Unit: u.id,
-				Err:  fmt.Errorf("live: dropped at dequeue: %w", err),
-				Wait: time.Since(t.submit),
-			}, outcomeTimedOut)
-			continue
+		if !r.dropAtDequeue(u, t) {
+			live = append(live, t)
 		}
-		live = append(live, t)
 	}
 	if len(live) == 0 {
 		return
@@ -1091,6 +1088,17 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 	var fatal error
 	alive := len(live)
 	resolved := make([]bool, len(live))
+	// flushSpan records the batch's shared charge so far as t's
+	// execution detail — the disk work really done on its behalf —
+	// before t resolves, so expired and failed spans keep their counts.
+	flushSpan := func(t *task) {
+		if s := t.span; s != nil {
+			s.CacheHits = hits
+			s.CacheMisses = misses
+			s.BytesRead = bytesRead
+			s.DiskWaitNanos = diskWaitNanos
+		}
+	}
 	// dropExpired resolves members whose deadline passed mid-charge;
 	// the survivors keep the batch going.
 	dropExpired := func() {
@@ -1101,6 +1109,7 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 			if err := t.ctx.Err(); err != nil {
 				resolved[i] = true
 				alive--
+				flushSpan(t)
 				r.finish(t, Response{
 					Unit: u.id,
 					Err:  fmt.Errorf("live: cancelled mid-traversal: %w", err),
@@ -1142,14 +1151,7 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 		if resolved[i] {
 			continue
 		}
-		// The batch's shared charge is the execution detail of every
-		// member: the disk work really done on their behalf.
-		if s := t.span; s != nil {
-			s.CacheHits = hits
-			s.CacheMisses = misses
-			s.BytesRead = bytesRead
-			s.DiskWaitNanos = diskWaitNanos
-		}
+		flushSpan(t)
 		if fatal != nil {
 			r.resolve(u, t, Response{
 				Unit: u.id,

@@ -141,10 +141,10 @@ func TestRegistryExposesConservation(t *testing.T) {
 }
 
 // TestDirectionTelemetry pins the direction-optimizing traversal
-// surface: the runtime's default Direction knob reaches queries with a
-// zero-valued Dir, wave/switch counters land on /metrics, and spans
-// carry the per-query counts — through both the single-query and the
-// lockstep batched execution paths.
+// surface: queries with a zero-valued Dir switch direction per wave,
+// wave/switch counters land on /metrics, and spans carry the per-query
+// counts — through both the single-query and the lockstep batched
+// execution paths.
 func TestDirectionTelemetry(t *testing.T) {
 	t.Parallel()
 	// A clique with pendant leaves and a tail entry vertex forces the
@@ -207,14 +207,21 @@ func TestDirectionTelemetry(t *testing.T) {
 	}
 }
 
-// TestDirectionConfigValidated pins Config.Direction validation.
+// TestDirectionConfigValidated pins per-query direction validation:
+// Query.Dir is the only direction knob, checked at submission.
 func TestDirectionConfigValidated(t *testing.T) {
 	t.Parallel()
-	g := liveGraph(t)
-	cfg := fastLiveConfig(1)
-	cfg.Direction = traverse.DirectionConfig{Alpha: -3}
-	if _, err := New(g, cfg, sched.NewBaseline(1)); err == nil {
+	r, err := New(liveGraph(t), fastLiveConfig(1), sched.NewBaseline(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, Dir: traverse.DirectionConfig{Alpha: -3}}
+	if _, err := r.Submit(q); err == nil {
 		t.Error("negative direction threshold should fail validation")
+	}
+	if c := r.Metrics(); c.Submitted != 0 {
+		t.Errorf("rejected-at-validation query counted as submitted: %+v", c)
 	}
 }
 

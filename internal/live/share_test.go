@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -266,4 +267,145 @@ func TestShareConfigValidation(t *testing.T) {
 		t.Fatalf("valid sharing config rejected: %v", err)
 	}
 	r.Close()
+}
+
+// gatedUnit starts a one-unit runtime and parks its worker inside a
+// gate query's vertex predicate, so the test can line tasks up on the
+// unit queue in a known order before the worker sees any of them.
+// release lets the worker go; it drains the queue on its next wake.
+func gatedUnit(t *testing.T, g *graph.Graph, cfg Config) (r *Runtime, release func()) {
+	t.Helper()
+	r, err := New(g, cfg, sched.NewBaseline(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	pred := func(graph.Properties) bool {
+		once.Do(func() { close(entered) })
+		<-gate
+		return true
+	}
+	gateResp, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 0, VertexPred: pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	return r, func() {
+		close(gate)
+		if resp := <-gateResp; resp.Err != nil {
+			t.Errorf("gate query: %v", resp.Err)
+		}
+	}
+}
+
+// enqueueBehind submits q and waits until it sits on unit 0's queue
+// with queued tasks in total, so queue order equals submission order.
+func enqueueBehind(t *testing.T, r *Runtime, ctx context.Context, q traverse.Query, queued int32) <-chan Response {
+	t.Helper()
+	ch, err := r.SubmitCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); r.units[0].queued.Load() != queued; {
+		if time.Now().After(deadline) {
+			t.Fatalf("task never reached the unit queue (queued = %d, want %d)", r.units[0].queued.Load(), queued)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return ch
+}
+
+// TestCarriedTaskGetsDequeueDeadlineCheck: the non-batchable task that
+// ends a drained batch waits behind the whole batch execution, so it
+// must get the same expiry check as a task coming straight off the
+// queue — not run its kernel only to be cancelled at the first charge.
+func TestCarriedTaskGetsDequeueDeadlineCheck(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.BatchTraversals = 8
+	r, release := gatedUnit(t, g, cfg)
+	defer r.Close()
+
+	head := enqueueBehind(t, r, context.Background(),
+		traverse.Query{Op: traverse.OpBFS, Start: 1, Depth: 2, MaxVisits: 40}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	carried := enqueueBehind(t, r, ctx,
+		traverse.Query{Op: traverse.OpRWR, Start: 2, Steps: 200, RestartProb: 0.15, TopK: 5, Seed: 9}, 2)
+	cancel() // expired while queued; the worker finds it as drainBatch's carry
+	release()
+
+	if resp := <-head; resp.Err != nil {
+		t.Errorf("batchable head: %v", resp.Err)
+	}
+	resp := <-carried
+	if !errors.Is(resp.Err, context.Canceled) || !strings.Contains(resp.Err.Error(), "dropped at dequeue") {
+		t.Errorf("carried task error = %v, want dropped at dequeue: context canceled", resp.Err)
+	}
+	if resp.Exec != 0 {
+		t.Errorf("carried task consumed %v of execution, want 0", resp.Exec)
+	}
+	if m := r.Metrics(); m.Completed != 2 || m.TimedOut != 1 || !m.Conserved() {
+		t.Errorf("metrics = %v, want 2 completed + 1 timed out, conserved", m)
+	}
+}
+
+// TestBatchMemberExpiredMidChargeKeepsSpanCounts: a batch member whose
+// context ends while the shared trace is being charged resolves at
+// once, and its span must still carry the cache and disk work done on
+// its behalf up to that point, as a solo query's span does.
+func TestBatchMemberExpiredMidChargeKeepsSpanCounts(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.BatchTraversals = 2
+	cfg.TraceBuffer = 16
+	// Every miss takes 2 ms, so the two-member charge below lasts long
+	// enough to cancel one member in the middle of it.
+	cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: 1, Delay: 2 * time.Millisecond})
+	r, release := gatedUnit(t, g, cfg)
+	defer r.Close()
+
+	survivor := enqueueBehind(t, r, context.Background(),
+		traverse.Query{Op: traverse.OpBFS, Start: 1, Depth: 2, MaxVisits: 50}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const expiredStart = 2
+	expired := enqueueBehind(t, r, ctx,
+		traverse.Query{Op: traverse.OpBFS, Start: expiredStart, Depth: 2, MaxVisits: 50}, 2)
+	release()
+	// One read is the gate query's; the third begins once the batch's
+	// first miss has been paid in full.
+	for deadline := time.Now().Add(10 * time.Second); cfg.Faults.Fired(faultpoint.DiskRead) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("batch charge never reached its second miss")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	cancel()
+
+	resp := <-expired
+	if !errors.Is(resp.Err, context.Canceled) || !strings.Contains(resp.Err.Error(), "cancelled mid-traversal") {
+		t.Fatalf("expired member error = %v, want cancelled mid-traversal: context canceled", resp.Err)
+	}
+	if resp := <-survivor; resp.Err != nil {
+		t.Errorf("surviving member: %v", resp.Err)
+	}
+	found := false
+	for _, s := range r.Trace(16) {
+		if s.Start != expiredStart {
+			continue
+		}
+		found = true
+		if s.CacheHits+s.CacheMisses == 0 {
+			t.Errorf("expired member's span lost its counts: %+v", s)
+		}
+	}
+	if !found {
+		t.Error("no span for the expired member")
+	}
+	if m := r.Metrics(); m.Completed != 2 || m.TimedOut != 1 || !m.Conserved() {
+		t.Errorf("metrics = %v, want 2 completed + 1 timed out, conserved", m)
+	}
 }

@@ -150,9 +150,6 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 	c.sched = s
 	defer func() { c.sched = nil }()
 	for _, t := range tasks {
-		if t.Query.Dir == (traverse.DirectionConfig{}) {
-			t.Query.Dir = c.cfg.Direction
-		}
 		if err := t.Query.Validate(c.g); err != nil {
 			return Result{}, fmt.Errorf("sim: task %d: %w", t.ID, err)
 		}

@@ -98,14 +98,6 @@ type Config struct {
 	// independent execution. At most traverse.MaxBatch; 0 or 1
 	// disables.
 	BatchTraversals int
-
-	// Direction is the cluster's default push/pull policy for BFS/SSSP
-	// traversals: tasks whose query carries a zero-valued Dir inherit
-	// it at Run entry, mirroring the live runtime's knob. The zero
-	// value means auto-switching with the Beamer defaults. Direction
-	// choice never changes results or traces (see internal/traverse),
-	// so simulated timings stay deterministic per seed either way.
-	Direction traverse.DirectionConfig
 }
 
 // Validate checks the configuration, applying defaults for zero-valued
@@ -130,9 +122,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BatchTraversals < 0 || c.BatchTraversals > traverse.MaxBatch {
 		return fmt.Errorf("sim: BatchTraversals = %d, want [0, %d]", c.BatchTraversals, traverse.MaxBatch)
-	}
-	if err := c.Direction.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
 	}
 	zero := CostModel{}
 	if c.Cost == zero {

@@ -17,6 +17,8 @@ import (
 //     result scratch) is reused; nothing may escape per query.
 //   - maxAllocsRWR = 0: the RNG is a stack value (xrand.Reseed), the
 //     ranking is built in the pooled buffer.
+//   - maxAllocsBatch = 0: a warmed Batch reuses its slots, per-slot
+//     dense maps, traces and result buffers the same way.
 //
 // Budgets ≤ 3 are required by the PR acceptance criteria; we hold the
 // kernels to the stricter zero.
@@ -29,6 +31,7 @@ const (
 	maxAllocsSSSP   = 0
 	maxAllocsCollab = 0
 	maxAllocsRWR    = 0
+	maxAllocsBatch  = 0
 )
 
 func allocFixture(t testing.TB) (*graph.Graph, *graphgen.PurchaseGraph) {
@@ -90,6 +93,30 @@ func TestExecuteInAllocBudget(t *testing.T) {
 	q := Query{Op: OpBFS, Start: hub, Depth: 3}
 	checkAllocs(t, "ExecuteIn/BFS", maxAllocsBFS, func() {
 		if _, _, err := ExecuteIn(ws, pl, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The batched path runs the same wave routines over up to MaxBatch
+// slots; a warmed width-16 mixed BFS/SSSP Run must stay on the kernels'
+// zero budget.
+func TestBatchRunAllocBudget(t *testing.T) {
+	pl, _ := allocFixture(t)
+	hub := hubAndLeaf(pl)[0]
+	n := graph.VertexID(pl.NumVertices())
+	queries := make([]Query, 16)
+	for i := range queries {
+		start := (hub + graph.VertexID(i)*37) % n
+		if i%2 == 0 {
+			queries[i] = Query{Op: OpBFS, Start: start, Depth: 3}
+		} else {
+			queries[i] = Query{Op: OpSSSP, Start: start, Target: (start + 501) % n, Depth: 5}
+		}
+	}
+	b := NewBatch(pl.NumVertices())
+	checkAllocs(t, "Batch.Run/16", maxAllocsBatch, func() {
+		if _, _, _, err := b.Run(pl, queries); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,7 +2,6 @@ package traverse
 
 import (
 	"fmt"
-	"math"
 
 	"subtrav/internal/graph"
 )
@@ -20,20 +19,14 @@ import (
 // loaded (and therefore what the executor pays), never what a query
 // computes or touches. Two properties make this hold:
 //
-//   - BFS is level-synchronous already: the single-source kernel's
-//     FIFO ring pops depth-d vertices in the exact order they were
-//     enqueued at depth d-1, which is the order a wave-at-a-time loop
-//     reproduces. The bounded-SSSP kernel expands one side per loop
-//     iteration; running one iteration per wave replays the identical
-//     expansion sequence.
+//   - The kernels are wave-resumable by construction: BFS is
+//     level-synchronous, and bounded SSSP expands one side per
+//     iteration. A solo run is the same slot routines (engine.go)
+//     called back to back; a batch interleaves them across slots.
 //
-//   - Per-query visit state stays fully private. BFS enqueued-sets and
-//     touched-sets are packed as per-query bits in shared dense
-//     bitmask maps (epoch-stamped, O(1) clear — the same VertexMap
-//     discipline the Workspace kernels use); SSSP label/access maps
-//     are per-slot. No query can observe another's visit marks, so
-//     predicates, MaxVisits caps, and meet detection behave exactly as
-//     in isolation.
+//   - Per-query visit state stays fully private: each slot owns its
+//     trace and its dense maps (epoch-stamped, O(1) clear). That costs
+//     O(|V|) per slot, BFS or SSSP; see DESIGN.md §6.10 for the bill.
 //
 // The shared per-wave record-load pass is emitted as a separate
 // "shared" Trace: within one wave each distinct vertex record appears
@@ -45,37 +38,13 @@ import (
 // queries.
 
 // MaxBatch is the largest number of queries one Batch.Run can advance
-// together: per-query BFS visit state is one bit per query in an int32
-// dense map.
+// together. A policy bound: every slot carries O(|V|) private state.
 const MaxBatch = 32
 
 // Batchable reports whether op can run in a multi-source batch.
 // Collaborative filtering and RWR have data-dependent iteration
 // structure with no wave alignment to exploit, so they run solo.
 func Batchable(op Op) bool { return op == OpBFS || op == OpSSSP }
-
-// ssspSlotMaps is the per-slot dense state of one batched SSSP query:
-// the same two label maps and two access-index maps the single-source
-// kernel keeps in its Scratch. One set per concurrent SSSP query —
-// O(|V|) each — is the price of keeping per-query state private.
-type ssspSlotMaps struct {
-	distA, distB graph.VertexMap
-	accA, accB   graph.VertexMap
-}
-
-func (m *ssspSlotMaps) grow(n int) {
-	m.distA.Grow(n)
-	m.distB.Grow(n)
-	m.accA.Grow(n)
-	m.accB.Grow(n)
-}
-
-func (m *ssspSlotMaps) reset() {
-	m.distA.Clear()
-	m.distB.Clear()
-	m.accA.Clear()
-	m.accB.Clear()
-}
 
 // BatchScratch bundles the NumVertices-sized dense structures batched
 // runs share. Like traverse.Scratch it is reset per run (epoch bumps),
@@ -91,20 +60,11 @@ type BatchScratch struct {
 	sharedAcc graph.VertexMap
 	// sharedSeen dedups the shared trace's Touched across the run.
 	sharedSeen graph.VertexSet
-	// enqMask/seenMask hold per-query BFS enqueued and touched bits
-	// (bit i = query slot i), replacing K separate dense sets.
-	enqMask  graph.VertexMap
-	seenMask graph.VertexMap
-	// sssp holds per-slot SSSP maps, grown on demand to the number of
-	// SSSP queries in the largest batch seen.
-	sssp []*ssspSlotMaps
-	// levelPos is the dense frontier view of a pull wave (expanding
-	// vertex → frontier position). Used transiently within one slot's
-	// wave — Run advances slots sequentially — so one map serves every
-	// slot, rebuilt per pull wave by an epoch bump.
-	levelPos graph.VertexMap
+	// slots holds per-slot private maps, grown on demand to the widest
+	// batch seen.
+	slots []*slotMaps
 
-	numVertices int
+	posMap graph.VertexMap // engine.pos
 }
 
 // NewBatchScratch returns a BatchScratch sized for graphs of
@@ -116,63 +76,31 @@ func NewBatchScratch(numVertices int) *BatchScratch {
 }
 
 func (s *BatchScratch) grow(n int) {
-	if n > s.numVertices {
-		s.numVertices = n
-	}
 	s.waveLoaded.Grow(n)
 	s.sharedAcc.Grow(n)
 	s.sharedSeen.Grow(n)
-	s.enqMask.Grow(n)
-	s.seenMask.Grow(n)
-	s.levelPos.Grow(n)
-	for _, m := range s.sssp {
+	s.posMap.Grow(n)
+	for _, m := range s.slots {
 		m.grow(n)
 	}
 }
 
-// ssspMaps returns the j-th per-slot SSSP map set, allocating on first
-// use and resetting it for a fresh run.
-func (s *BatchScratch) ssspMaps(j int) *ssspSlotMaps {
-	for len(s.sssp) <= j {
-		m := &ssspSlotMaps{}
-		m.grow(s.numVertices)
-		s.sssp = append(s.sssp, m)
+// slotMaps returns the j-th slot's private maps, allocating on first
+// use and resetting them for a fresh run.
+func (s *BatchScratch) slotMaps(j int) *slotMaps {
+	for len(s.slots) <= j {
+		m := &slotMaps{}
+		m.grow(s.posMap.Cap())
+		s.slots = append(s.slots, m)
 	}
-	m := s.sssp[j]
+	m := s.slots[j]
 	m.reset()
 	return m
 }
 
-// batchRunner is the private per-slot state of one batched query.
-type batchRunner struct {
-	q       Query
-	done    bool
-	visited int
-	result  Result
-
-	// BFS: current wave depth (== wave index while active).
-	depth int32
-
-	// SSSP: the single-source kernel's loop state, advanced one
-	// iteration per wave.
-	st             ssspState
-	depthA, depthB int
-	limitA, limitB int
-	maps           *ssspSlotMaps
-
-	// Direction-optimization state (see direction.go): resolved config,
-	// per-frontier push/pull hysteresis, and Beamer unexplored-edge
-	// counters — int64 so synthetic max-degree graphs can't wrap them.
-	dir          DirectionConfig
-	pulling      bool // BFS
-	pullA, pullB bool // SSSP sides
-	unexplored   int64
-	unexA, unexB int64
-	stats        DirStats
-}
-
-// Batch runs multi-source lockstep traversals. It owns the per-query
-// and shared output buffers, reused across runs.
+// Batch runs multi-source lockstep traversals: the wave engine with one
+// slot per query and the BatchScratch as its shared-trace sink. It owns
+// the per-query and shared output buffers, reused across runs.
 //
 // Ownership contract (mirrors Workspace): the Results, Traces, and
 // shared Trace returned by Run are owned by the Batch and valid only
@@ -181,38 +109,25 @@ type batchRunner struct {
 //
 // Not safe for concurrent use.
 type Batch struct {
-	scratch *BatchScratch
+	engine
 
-	run     []batchRunner
+	slots   []slot // widest batch seen; a run uses the first len(queries)
 	traces  []Trace
 	ptrs    []*Trace
 	results []Result
-	shared  Trace
-
-	// Per-slot frontier double-buffers: BFS uses fA/nA as its
-	// current/next frontier; SSSP uses all four (one pair per side).
-	fA, fB, nA, nB [][]graph.VertexID
-
-	// Shared wave scratch for direction-optimized expansion: the
-	// expanding-vertex list and the pull-discovery buffer, reused by
-	// every slot (slots advance sequentially within a wave).
-	expand     []graph.VertexID
-	cands      []pullCand
-	candsOut   []pullCand
-	candCounts []int32
 }
 
 // NewBatch returns a Batch with a private BatchScratch sized for
 // graphs of numVertices.
 func NewBatch(numVertices int) *Batch {
-	return &Batch{scratch: NewBatchScratch(numVertices)}
+	return NewBatchWithScratch(NewBatchScratch(numVertices))
 }
 
 // NewBatchWithScratch returns a Batch borrowing a shared BatchScratch.
 // The caller must guarantee Run calls across all Batches sharing it
 // never overlap (e.g. a single-threaded event loop).
 func NewBatchWithScratch(s *BatchScratch) *Batch {
-	return &Batch{scratch: s}
+	return &Batch{engine: engine{pos: &s.posMap, sink: s}}
 }
 
 // Run advances all queries to completion in lockstep waves and returns
@@ -237,485 +152,98 @@ func (b *Batch) Run(g *graph.Graph, queries []Query) (results []Result, traces [
 	}
 
 	b.begin(g, queries)
-	active := len(queries)
+	slots := b.slots[:len(queries)]
+	active := len(slots)
+	// SSSP's wave 0 is its two endpoint touches; expansion starts at
+	// wave 1. BFS processes its start vertex in wave 0.
 	for wave := 0; active > 0; wave++ {
-		b.scratch.waveLoaded.Clear()
-		for i := range b.run {
-			r := &b.run[i]
-			if r.done {
+		b.sink.waveLoaded.Clear()
+		for i := range slots {
+			s := &slots[i]
+			if s.done {
 				continue
 			}
-			switch r.q.Op {
+			switch s.q.Op {
 			case OpBFS:
 				if wave == 0 {
-					b.bfsInit(g, i)
+					s.bfsInit(g)
 				}
-				b.bfsWave(g, i)
+				s.bfsWave(g)
 			case OpSSSP:
 				if wave == 0 {
-					b.ssspInit(g, i)
+					s.ssspInit(g)
 				} else {
-					b.ssspWave(g, i)
+					s.ssspWave(g)
 				}
 			}
-			if r.done {
+			s.mirror()
+			if s.done {
 				active--
 			}
 		}
 	}
 
-	for i := range b.run {
-		b.results[i] = b.run[i].result
-		b.ptrs[i] = &b.traces[i]
+	b.results, b.ptrs = b.results[:0], b.ptrs[:0]
+	for i := range slots {
+		b.results = append(b.results, slots[i].result)
+		b.ptrs = append(b.ptrs, &b.traces[i])
 	}
 	return b.results, b.ptrs, &b.shared, nil
 }
 
 // begin readies the batch for one run over g.
 func (b *Batch) begin(g *graph.Graph, queries []Query) {
-	s := b.scratch
-	s.grow(g.NumVertices())
-	s.sharedAcc.Clear()
-	s.sharedSeen.Clear()
-	s.enqMask.Clear()
-	s.seenMask.Clear()
-	b.shared.Accesses = b.shared.Accesses[:0]
-	b.shared.Touched = b.shared.Touched[:0]
-
-	k := len(queries)
-	for len(b.run) < k {
-		b.run = append(b.run, batchRunner{})
+	sc := b.sink
+	sc.grow(g.NumVertices())
+	sc.sharedAcc.Clear()
+	sc.sharedSeen.Clear()
+	b.shared.reset()
+	for len(b.slots) < len(queries) {
+		b.slots = append(b.slots, slot{})
 		b.traces = append(b.traces, Trace{})
-		b.ptrs = append(b.ptrs, nil)
-		b.results = append(b.results, Result{})
-		b.fA = append(b.fA, nil)
-		b.fB = append(b.fB, nil)
-		b.nA = append(b.nA, nil)
-		b.nB = append(b.nB, nil)
 	}
-	b.run = b.run[:k]
-	b.traces = b.traces[:k]
-	b.ptrs = b.ptrs[:k]
-	b.results = b.results[:k]
-	b.fA = b.fA[:k]
-	b.fB = b.fB[:k]
-	b.nA = b.nA[:k]
-	b.nB = b.nB[:k]
-
-	ssspSlots := 0
-	for i := range b.run {
-		tr := &b.traces[i]
-		tr.Accesses = tr.Accesses[:0]
-		tr.Touched = tr.Touched[:0]
-		b.run[i] = batchRunner{q: queries[i]}
-		if queries[i].Op == OpSSSP {
-			b.run[i].maps = s.ssspMaps(ssspSlots)
-			ssspSlots++
-		}
+	for i, q := range queries {
+		s := &b.slots[i]
+		// Rewired every run: growing slots or traces moves them.
+		s.e, s.tr, s.maps = &b.engine, &b.traces[i], sc.slotMaps(i)
+		s.tr.reset()
+		s.arm(q)
 	}
 }
 
-// touch records query i's access to v in both the per-query trace and
-// the shared wave trace, returning the per-query access index (the
-// exact analogue of Workspace.touch).
-func (b *Batch) touch(g *graph.Graph, i int, v graph.VertexID) int {
-	bytes := g.VertexBytes(v)
-	tr := &b.traces[i]
-	tr.Accesses = append(tr.Accesses, Access{Vertex: v, Bytes: bytes})
-	bit := uint32(1) << uint(i)
-	if m, _ := b.scratch.seenMask.Get(v); uint32(m)&bit == 0 {
-		b.scratch.seenMask.Put(v, int32(uint32(m)|bit))
-		tr.Touched = append(tr.Touched, v)
-	}
-
-	if b.scratch.waveLoaded.Add(v) {
-		b.scratch.sharedAcc.Put(v, int32(len(b.shared.Accesses)))
-		b.shared.Accesses = append(b.shared.Accesses, Access{Vertex: v, Bytes: bytes})
-		if b.scratch.sharedSeen.Add(v) {
-			b.shared.Touched = append(b.shared.Touched, v)
-		}
-	}
-	return len(tr.Accesses) - 1
-}
-
-// chargeScan attributes edge-scan work on v's record to query i's
-// access acc and, once, to the shared wave-load that brought the
-// record in (its most recent shared access).
-func (b *Batch) chargeScan(i, acc int, v graph.VertexID, edges int) {
-	b.traces[i].chargeScan(acc, edges)
-	if idx, ok := b.scratch.sharedAcc.Get(v); ok {
-		b.shared.chargeScan(int(idx), edges)
-	}
-}
-
-// bfsInit seeds slot i's frontier with its start vertex (the
-// single-source kernel's initial seed + enqueued.Put) and its
-// direction state.
-func (b *Batch) bfsInit(g *graph.Graph, i int) {
-	r := &b.run[i]
-	b.fA[i] = append(b.fA[i][:0], r.q.Start)
-	bit := uint32(1) << uint(i)
-	m, _ := b.scratch.enqMask.Get(r.q.Start)
-	b.scratch.enqMask.Put(r.q.Start, int32(uint32(m)|bit))
-	r.depth = 0
-	r.dir = r.q.Dir.withDefaults()
-	r.unexplored = g.NumSlots() - int64(g.Degree(r.q.Start))
-	r.pulling = false
-}
-
-// bfsWave processes slot i's entire depth-d frontier — the contiguous
-// run of depth-d pops in the single-source kernel — and builds the
-// depth-d+1 frontier, top-down or bottom-up per the direction
-// heuristic. Like the single-source kernel, the wave splits into a
-// process pass (touches, predicates, visit cap, scan charges — all
-// the trace-visible work) and an expansion pass that only builds the
-// next frontier, so push and pull waves leave identical traces.
-func (b *Batch) bfsWave(g *graph.Graph, i int) {
-	r := &b.run[i]
-	q := &r.q
-	cur := b.fA[i]
-	next := b.nA[i][:0]
-	bit := uint32(1) << uint(i)
-
-	exp := b.expand[:0]
-	var mF int64
-	for _, v := range cur {
-		acc := b.touch(g, i, v)
-		if q.VertexPred != nil && !q.VertexPred(g.VertexProps(v)) {
-			continue
-		}
-		r.visited++
-		if q.MaxVisits > 0 && r.visited >= q.MaxVisits {
-			// The single-source kernel breaks out of its pop loop here,
-			// dropping the rest of the queue — so the remainder of this
-			// frontier and the expansion pass are dropped too.
-			r.done = true
-			break
-		}
-		if int(r.depth) >= q.Depth {
-			continue
-		}
-		lo, hi := g.EdgeSlots(v)
-		b.chargeScan(i, acc, v, int(hi-lo))
-		exp = append(exp, v)
-		mF += hi - lo
-	}
-	b.expand = exp
-	if !r.done && len(exp) > 0 {
-		pull := r.dir.next(r.pulling, mF, r.unexplored, len(exp), g.NumVertices())
-		r.stats.record(pull, r.pulling, r.depth == 0)
-		r.pulling = pull
-		if pull {
-			next = b.bfsPullWave(g, i, exp, next, bit)
-		} else {
-			next = b.bfsPushWave(g, i, exp, next, bit)
-		}
-	}
-	b.fA[i], b.nA[i] = next, cur
-	r.depth++
-	if len(next) == 0 {
-		r.done = true
-	}
-	if r.done {
-		r.result = Result{Visited: r.visited}
-	}
-}
-
-// bfsPushWave is Workspace.bfsPush with the per-query enqueued set
-// packed as bit i of the shared mask map.
+// mirror copies the accesses the slot has appended since its last
+// mirror into the shared trace: the first toucher of a record in a
+// wave emits the shared access. Called before every shared scan charge
+// and after every slot's wave, so the shared trace sees touches and
+// charges in exactly the order the slots made them.
 //
 //vet:hotpath
-func (b *Batch) bfsPushWave(g *graph.Graph, i int, exp, next []graph.VertexID, bit uint32) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	for _, v := range exp {
-		lo, hi := g.EdgeSlots(v)
-		for s := lo; s < hi; s++ {
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(s))) {
-				continue
-			}
-			u := g.TargetAt(s)
-			m, _ := b.scratch.enqMask.Get(u)
-			if uint32(m)&bit != 0 {
-				continue
-			}
-			b.scratch.enqMask.Put(u, int32(uint32(m)|bit))
-			r.unexplored -= int64(g.Degree(u))
-			next = append(next, u)
-		}
-	}
-	return next
-}
-
-// bfsPullWave is Workspace.bfsPull against the bitmask enqueued set:
-// scan vertices whose slot-i bit is clear, keep the minimum (frontier
-// position, forward slot) qualifying in-edge, and sort discoveries
-// back into push order (see direction.go).
-//
-//vet:hotpath
-func (b *Batch) bfsPullWave(g *graph.Graph, i int, exp, next []graph.VertexID, bit uint32) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	in := g.In()
-	pos := &b.scratch.levelPos
-	pos.Clear()
-	for j, v := range exp {
-		pos.Put(v, int32(j))
-	}
-	cands := b.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if m, _ := b.scratch.enqMask.Get(u); uint32(m)&bit != 0 {
+func (s *slot) mirror() {
+	e, k := s.e, s.e.sink
+	for _, a := range s.tr.Accesses[s.mirrored:] {
+		if !k.waveLoaded.Add(a.Vertex) {
 			continue
 		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			j, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(j)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
+		k.sharedAcc.Put(a.Vertex, int32(len(e.shared.Accesses)))
+		e.shared.Accesses = append(e.shared.Accesses, Access{Vertex: a.Vertex, Bytes: a.Bytes})
+		if k.sharedSeen.Add(a.Vertex) {
+			e.shared.Touched = append(e.shared.Touched, a.Vertex)
 		}
 	}
-	b.cands = cands
-	for _, c := range orderPullCands(cands, len(exp), &b.candsOut, &b.candCounts) {
-		m, _ := b.scratch.enqMask.Get(c.u)
-		b.scratch.enqMask.Put(c.u, int32(uint32(m)|bit))
-		r.unexplored -= int64(g.Degree(c.u))
-		next = append(next, c.u)
-	}
-	return next
+	s.mirrored = len(s.tr.Accesses)
 }
 
-// ssspInit performs the single-source kernel's setup: the Start==Target
-// short-circuit, the two endpoint touches, and the initial frontiers.
-// Expansion starts at wave 1.
-func (b *Batch) ssspInit(g *graph.Graph, i int) {
-	r := &b.run[i]
-	q := &r.q
-	if q.Start == q.Target {
-		b.touch(g, i, q.Start)
-		r.result = Result{Visited: 1, Found: true, PathLen: 0}
-		r.done = true
-		return
-	}
-	m := r.maps
-	m.distA.Put(q.Start, 0)
-	m.distB.Put(q.Target, 0)
-	b.fA[i] = append(b.fA[i][:0], q.Start)
-	b.fB[i] = append(b.fB[i][:0], q.Target)
-	m.accA.Put(q.Start, int32(b.touch(g, i, q.Start)))
-	m.accB.Put(q.Target, int32(b.touch(g, i, q.Target)))
-	r.st = ssspState{visited: 2, best: -1}
-	r.limitA = (q.Depth + 1) / 2 // ceil(δ/2)
-	r.limitB = q.Depth / 2       // floor(δ/2); combined = δ
-	r.depthA, r.depthB = 0, 0
-	r.dir = q.Dir.withDefaults()
-	r.unexA = g.NumSlots() - int64(g.Degree(q.Start))
-	r.unexB = g.NumSlots() - int64(g.Degree(q.Target))
-	r.pullA, r.pullB = false, false
-}
-
-// ssspWave runs one iteration of the single-source kernel's main loop
-// for slot i: the loop-condition check, one side expansion, and the
-// best-length early exit.
-func (b *Batch) ssspWave(g *graph.Graph, i int) {
-	r := &b.run[i]
-	m := r.maps
-	fA, fB := b.fA[i], b.fB[i]
-	if r.st.capped || !((r.depthA < r.limitA && len(fA) > 0) || (r.depthB < r.limitB && len(fB) > 0)) {
-		b.ssspFinish(i)
-		return
-	}
-	// Alternate sides, smaller frontier first — the single-source
-	// kernel's bidirectional heuristic, verbatim.
-	expandA := r.depthA < r.limitA && len(fA) > 0 &&
-		(r.depthB >= r.limitB || len(fB) == 0 || len(fA) <= len(fB))
-	if expandA {
-		var mF int64
-		if r.dir.Mode == DirAuto && !r.pullA {
-			mF = frontierEdges(g, fA)
-		}
-		pull := r.dir.next(r.pullA, mF, r.unexA, len(fA), g.NumVertices())
-		r.stats.record(pull, r.pullA, r.depthA == 0)
-		r.pullA = pull
-		var out []graph.VertexID
-		if pull {
-			out = b.ssspExpandBatchPull(g, i, fA, b.nA[i][:0], &m.distA, &m.accA, &m.distB, r.depthA, &r.unexA)
-		} else {
-			out = b.ssspExpandBatch(g, i, fA, b.nA[i][:0], &m.distA, &m.accA, &m.distB, r.depthA, &r.unexA)
-		}
-		b.fA[i], b.nA[i] = out, fA
-		r.depthA++
-	} else {
-		var mF int64
-		if r.dir.Mode == DirAuto && !r.pullB {
-			mF = frontierEdges(g, fB)
-		}
-		pull := r.dir.next(r.pullB, mF, r.unexB, len(fB), g.NumVertices())
-		r.stats.record(pull, r.pullB, r.depthB == 0)
-		r.pullB = pull
-		var out []graph.VertexID
-		if pull {
-			out = b.ssspExpandBatchPull(g, i, fB, b.nB[i][:0], &m.distB, &m.accB, &m.distA, r.depthB, &r.unexB)
-		} else {
-			out = b.ssspExpandBatch(g, i, fB, b.nB[i][:0], &m.distB, &m.accB, &m.distA, r.depthB, &r.unexB)
-		}
-		b.fB[i], b.nB[i] = out, fB
-		r.depthB++
-	}
-	if r.st.best >= 0 && r.st.best <= r.depthA+r.depthB {
-		// No shorter meeting can appear once both processed depths
-		// cover the best found length.
-		b.ssspFinish(i)
-	}
-}
-
-func (b *Batch) ssspFinish(i int) {
-	r := &b.run[i]
-	r.done = true
-	if r.st.best >= 0 && r.st.best <= r.q.Depth {
-		r.result = Result{Visited: r.st.visited, Found: true, PathLen: r.st.best}
-		return
-	}
-	r.result = Result{Visited: r.st.visited, Found: false}
-}
-
-// ssspExpandBatch is ssspExpand with the touches and scan charges
-// routed through the batch's dual (per-query + shared) traces.
+// chargeShared lands scan work on v's record on the shared wave-load
+// that brought the record in (its most recent shared access).
 //
 //vet:hotpath
-func (b *Batch) ssspExpandBatch(g *graph.Graph, i int, frontier, next []graph.VertexID,
-	mine, accIdx, other *graph.VertexMap, depth int, unexplored *int64) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	st := &r.st
-	for _, v := range frontier {
-		if st.capped {
-			break
-		}
-		lo, hi := g.EdgeSlots(v)
-		vAcc, _ := accIdx.Get(v)
-		b.chargeScan(i, int(vAcc), v, int(hi-lo))
-		for s := lo; s < hi; s++ {
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(s))) {
-				continue
-			}
-			u := g.TargetAt(s)
-			if mine.Contains(u) {
-				continue
-			}
-			mine.Put(u, int32(depth+1))
-			accIdx.Put(u, int32(b.touch(g, i, u)))
-			st.visited++
-			*unexplored -= int64(g.Degree(u))
-			if d, ok := other.Get(u); ok {
-				total := depth + 1 + int(d)
-				if st.best < 0 || total < st.best {
-					st.best = total
-				}
-				continue
-			}
-			if q.MaxVisits > 0 && st.visited >= q.MaxVisits {
-				st.capped = true
-				break
-			}
-			next = append(next, u)
-		}
+func (s *slot) chargeShared(v graph.VertexID, edges int) {
+	s.mirror()
+	if idx, ok := s.e.sink.sharedAcc.Get(v); ok {
+		s.e.shared.chargeScan(int(idx), edges)
 	}
-	return next
-}
-
-// ssspExpandBatchPull is Workspace.ssspExpandPull routed through the
-// batch's dual traces: a discovery pass over this side's unlabeled
-// vertices, a counting scatter back into top-down order, then an
-// emission pass replaying ssspExpandBatch exactly (scan charges,
-// labeling, meet checks, the visit cap).
-//
-//vet:hotpath
-func (b *Batch) ssspExpandBatchPull(g *graph.Graph, i int, frontier, next []graph.VertexID,
-	mine, accIdx, other *graph.VertexMap, depth int, unexplored *int64) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	st := &r.st
-	in := g.In()
-	pos := &b.scratch.levelPos
-	pos.Clear()
-	for j, v := range frontier {
-		pos.Put(v, int32(j))
-	}
-	cands := b.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if mine.Contains(u) {
-			continue
-		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			j, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(j)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
-		}
-	}
-	b.cands = cands
-	cands = orderPullCands(cands, len(frontier), &b.candsOut, &b.candCounts)
-
-	ci := 0
-	for j, v := range frontier {
-		if st.capped {
-			break
-		}
-		lo, hi := g.EdgeSlots(v)
-		vAcc, _ := accIdx.Get(v)
-		b.chargeScan(i, int(vAcc), v, int(hi-lo))
-		for ci < len(cands) && int(cands[ci].key>>32) == j {
-			u := cands[ci].u
-			ci++
-			mine.Put(u, int32(depth+1))
-			accIdx.Put(u, int32(b.touch(g, i, u)))
-			st.visited++
-			*unexplored -= int64(g.Degree(u))
-			if d, ok := other.Get(u); ok {
-				total := depth + 1 + int(d)
-				if st.best < 0 || total < st.best {
-					st.best = total
-				}
-				continue
-			}
-			if q.MaxVisits > 0 && st.visited >= q.MaxVisits {
-				st.capped = true
-				break
-			}
-			next = append(next, u)
-		}
-	}
-	return next
 }
 
 // DirStats returns slot i's push/pull direction counters from the most
 // recent Run. Valid until the next Run.
-func (b *Batch) DirStats(i int) DirStats { return b.run[i].stats }
+func (b *Batch) DirStats(i int) DirStats { return b.slots[i].stats }

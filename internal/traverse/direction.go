@@ -93,10 +93,6 @@ func (c DirectionConfig) withDefaults() DirectionConfig {
 	return c
 }
 
-// Validate checks the config without running a query — executors
-// validate their configured default direction at construction.
-func (c DirectionConfig) Validate() error { return c.validate() }
-
 func (c DirectionConfig) validate() error {
 	if c.Mode > DirForcePull {
 		return fmt.Errorf("traverse: unknown direction mode %d", c.Mode)

@@ -14,11 +14,13 @@
 // The engines come in two forms. The Workspace kernels (Workspace.BFS
 // et al., dispatched by ExecuteIn) run against reusable epoch-stamped
 // dense scratch — O(1) reset, zero steady-state allocations — and are
-// what the executors drive. The *Reference kernels (reference.go) are
-// the original map-based implementations, retained as the executable
-// specification: differential tests pin the two bit-for-bit on every
-// Result and Trace. The package-level one-shot functions (BFS,
-// Execute, ...) allocate a private Workspace per call.
+// what the executors drive; BFS and SSSP are waves of one engine
+// (engine.go) that a Batch advances for several queries in lockstep.
+// The *Reference kernels (reference.go) are the original map-based
+// implementations, retained as the executable specification:
+// differential tests pin the two bit-for-bit on every Result and
+// Trace. The package-level one-shot functions (BFS, Execute, ...)
+// allocate a private Workspace per call.
 package traverse
 
 import (
@@ -157,6 +159,12 @@ type Trace struct {
 	Touched []graph.VertexID
 }
 
+// reset empties the trace, keeping its capacity for reuse.
+func (t *Trace) reset() {
+	t.Accesses = t.Accesses[:0]
+	t.Touched = t.Touched[:0]
+}
+
 // touchVertex appends a vertex record access, deduplicating Touched,
 // and returns the access index so the engine can attribute scanned
 // edges to it later.
@@ -172,9 +180,9 @@ func (t *Trace) touchVertex(g *graph.Graph, v graph.VertexID, seen map[graph.Ver
 // chargeScan attributes scanned-edge CPU work to access idx. The add
 // saturates at MaxInt32: a lockstep batch aggregates up to MaxBatch
 // queries' scans of one record into a single shared access, which can
-// exceed int32 on synthetic max-degree graphs. Both kernel generations
-// charge through this method, so saturation cannot break differential
-// equality.
+// exceed int32 on synthetic max-degree graphs. The engine and the
+// reference kernels all charge through this method, so saturation
+// cannot break differential equality.
 func (t *Trace) chargeScan(idx, edges int) {
 	sum := int64(t.Accesses[idx].ScannedEdges) + int64(edges)
 	if sum > math.MaxInt32 {

@@ -6,17 +6,11 @@ import (
 	"subtrav/internal/graph"
 )
 
-// Scratch bundles the NumVertices-sized dense structures the kernels
-// share: epoch-stamped sets and maps (see graph.VertexSet/VertexMap)
-// replacing the per-query visited/frontier/shared hash maps. A
-// Scratch is reset at the start of every traversal (an O(1) epoch
-// bump), so it can be shared by any number of Workspaces whose kernel
-// executions never overlap — the discrete-event simulator exploits
-// this: its event loop runs one kernel at a time, so P units share a
-// single Scratch instead of carrying P copies of O(|V|) arrays.
-//
-// Not safe for concurrent use.
-type Scratch struct {
+// slotMaps is the private NumVertices-sized dense state of one query:
+// epoch-stamped sets and maps (see graph.VertexSet/VertexMap) replacing
+// per-query visited/frontier/shared hash maps. Reset per traversal by
+// an O(1) epoch bump.
+type slotMaps struct {
 	// seen deduplicates Trace.Touched (first-visit order) — all ops.
 	seen graph.VertexSet
 	// mapA: BFS enqueued-set, SSSP side-A labels, RWR visit counts.
@@ -28,10 +22,36 @@ type Scratch struct {
 	// record access.
 	accA graph.VertexMap
 	accB graph.VertexMap
-	// posMap is the dense frontier view of a pull wave: expanding
-	// vertex → position in the wave's frontier order. Rebuilt (epoch
-	// bump + repopulate) per pull wave by BFS and SSSP.
-	posMap graph.VertexMap
+}
+
+func (m *slotMaps) grow(n int) {
+	m.seen.Grow(n)
+	m.mapA.Grow(n)
+	m.mapB.Grow(n)
+	m.accA.Grow(n)
+	m.accB.Grow(n)
+}
+
+func (m *slotMaps) reset() {
+	m.seen.Clear()
+	m.mapA.Clear()
+	m.mapB.Clear()
+	m.accA.Clear()
+	m.accB.Clear()
+}
+
+// Scratch bundles the NumVertices-sized dense structures of a
+// Workspace: its one slot's maps and the engine's pull-wave frontier
+// view. A Scratch is reset at the start of every traversal, so it can
+// be shared by any number of Workspaces whose kernel executions never
+// overlap — the discrete-event simulator exploits this: its event loop
+// runs one kernel at a time, so P units share a single Scratch instead
+// of carrying P copies of O(|V|) arrays.
+//
+// Not safe for concurrent use.
+type Scratch struct {
+	slotMaps
+	posMap graph.VertexMap // engine.pos
 }
 
 // NewScratch returns a Scratch sized for graphs of numVertices.
@@ -43,27 +63,15 @@ func NewScratch(numVertices int) *Scratch {
 }
 
 func (s *Scratch) grow(n int) {
-	s.seen.Grow(n)
-	s.mapA.Grow(n)
-	s.mapB.Grow(n)
-	s.accA.Grow(n)
-	s.accB.Grow(n)
+	s.slotMaps.grow(n)
 	s.posMap.Grow(n)
 }
 
-func (s *Scratch) reset() {
-	s.seen.Clear()
-	s.mapA.Clear()
-	s.mapB.Clear()
-	s.accA.Clear()
-	s.accB.Clear()
-	s.posMap.Clear()
-}
-
 // Workspace is the reusable per-execution state of the traversal
-// kernels: a dense Scratch, reusable BFS/SSSP frontier slices,
-// insertion-ordered side lists, and pooled Trace and Result scratch. A steady-state traversal through a warmed Workspace
-// performs zero heap allocations.
+// kernels: a dense Scratch, the BFS/SSSP wave engine with its one
+// slot, insertion-ordered side lists, and pooled Trace and Result
+// scratch. A steady-state traversal through a warmed Workspace performs
+// zero heap allocations.
 //
 // Ownership contract: the *Trace returned by a Workspace kernel, and
 // the Recommendations/Ranking slices inside its Result, are owned by
@@ -77,27 +85,10 @@ func (s *Scratch) reset() {
 type Workspace struct {
 	scratch *Scratch
 
-	// Frontier double-buffers: the level-synchronous BFS uses the A
-	// pair as its current/next frontier; SSSP uses both pairs (one per
-	// search side).
-	frontA, nextA []graph.VertexID
-	frontB, nextB []graph.VertexID
-
-	// expanders is the wave's expanding-vertex list (frontier members
-	// that passed predicates, the visit cap, and the depth bound), in
-	// pop order; the frontier the expansion pass — push or pull —
-	// actually walks.
-	expanders []graph.VertexID
-
-	// cands collects a pull wave's bottom-up discoveries; candsOut and
-	// candCounts are the counting-scatter scratch that reorders them
-	// into push discovery order (see orderPullCands).
-	cands      []pullCand
-	candsOut   []pullCand
-	candCounts []int32
-
-	// dirStats counts the last execution's direction decisions.
-	dirStats DirStats
+	// The BFS/SSSP wave engine at width one: a single slot, no sink.
+	// The slot is embedded so its touch serves every kernel.
+	eng engine
+	slot
 
 	// orderA/orderB are insertion-ordered compact side lists: the
 	// deterministic iteration substrate that replaces map-range order
@@ -118,7 +109,7 @@ type Workspace struct {
 // NewWorkspace returns a Workspace with a private Scratch sized for
 // graphs of numVertices.
 func NewWorkspace(numVertices int) *Workspace {
-	return &Workspace{scratch: NewScratch(numVertices)}
+	return NewWorkspaceWithScratch(NewScratch(numVertices))
 }
 
 // NewWorkspaceWithScratch returns a Workspace borrowing a shared
@@ -127,7 +118,10 @@ func NewWorkspace(numVertices int) *Workspace {
 // loop); each Workspace still keeps private frontier/trace/result
 // buffers, so outputs live independently of sibling executions.
 func NewWorkspaceWithScratch(s *Scratch) *Workspace {
-	return &Workspace{scratch: s}
+	ws := &Workspace{scratch: s}
+	ws.eng.pos = &s.posMap
+	ws.e, ws.tr, ws.maps = &ws.eng, &ws.trace, &s.slotMaps
+	return ws
 }
 
 // begin readies the workspace for one traversal over g.
@@ -136,32 +130,16 @@ func NewWorkspaceWithScratch(s *Scratch) *Workspace {
 func (ws *Workspace) begin(g *graph.Graph) {
 	ws.scratch.grow(g.NumVertices())
 	ws.scratch.reset()
-	ws.trace.Accesses = ws.trace.Accesses[:0]
-	ws.trace.Touched = ws.trace.Touched[:0]
+	ws.trace.reset()
 	ws.orderA = ws.orderA[:0]
 	ws.orderB = ws.orderB[:0]
-	ws.expanders = ws.expanders[:0]
-	ws.dirStats = DirStats{}
+	ws.stats = DirStats{}
 }
 
 // DirStats returns the push/pull direction counters of the most recent
 // kernel execution (zero for ops without direction choice). Valid
 // until the next kernel call.
-func (ws *Workspace) DirStats() DirStats { return ws.dirStats }
-
-// touch appends a vertex record access to the pooled trace,
-// deduplicating Touched through the dense seen-set, and returns the
-// access index (mirrors Trace.touchVertex on map state).
-//
-//vet:hotpath
-func (ws *Workspace) touch(g *graph.Graph, v graph.VertexID) int {
-	t := &ws.trace
-	t.Accesses = append(t.Accesses, Access{Vertex: v, Bytes: g.VertexBytes(v)})
-	if ws.scratch.seen.Add(v) {
-		t.Touched = append(t.Touched, v)
-	}
-	return len(t.Accesses) - 1
-}
+func (ws *Workspace) DirStats() DirStats { return ws.stats }
 
 // recSorter orders recommendations best-first, product ID tie-break —
 // the same total order CollabFilterReference sorts by, so any
