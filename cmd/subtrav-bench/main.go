@@ -15,9 +15,8 @@
 // baseline, "graphio" runs the snapshot-loading microbenchmarks
 // (internal/graphiobench, v1 gob vs v2 flat CSR) and writes the
 // tracked BENCH_graphio.json baseline, "share" runs the cross-query
-// sharing suite (internal/sharebench, coalescing + lockstep batching
-// under Zipfian overlap) and writes the tracked BENCH_share.json
-// baseline.
+// sharing suite (internal/sharebench, lockstep batching under Zipfian
+// overlap) and writes the tracked BENCH_share.json baseline.
 package main
 
 import (
@@ -252,13 +251,14 @@ func runGraphio(smoke, check bool, path string) {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d results, smoke=%v)\n", path, len(rep.Results), rep.Smoke)
 }
 
-// runShare executes the cross-query sharing suite (request coalescing
-// and lockstep multi-source batching under Zipfian-overlap load) and
-// writes the BENCH_share.json report. -quick maps to smoke mode
-// (reduced scenario set); -check enforces the acceptance floors —
-// bit-identical results across sharing modes and >= 2x fewer disk
-// reads/query on the gated high-concurrency cell — which hold in both
-// modes because the suite is virtual-time deterministic.
+// runShare executes the cross-query sharing suite (lockstep
+// multi-source batching under Zipfian-overlap load, against the
+// no-sharing baseline) and writes the BENCH_share.json report. -quick
+// maps to smoke mode (reduced scenario set); -check enforces the
+// acceptance floors — bit-identical results with batching off and on
+// and >= 2x fewer disk reads/query on the gated high-concurrency cell
+// — which hold in both modes because the suite is virtual-time
+// deterministic.
 func runShare(smoke, check bool, path string) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -235,30 +235,50 @@ func TestDiskFaultTransientErrorIsRetried(t *testing.T) {
 	}
 }
 
+// TestDiskFaultPersistentErrorFailsQuery: a disk read that fails past
+// its internal retry fails every query the charge was paying for,
+// exactly once each, at width one and for a drained batch alike.
 func TestDiskFaultPersistentErrorFailsQuery(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
-	cfg := fastLiveConfig(1)
-	injected := errors.New("dead disk")
-	cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: 1, Err: injected})
-	r, err := New(g, cfg, sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	resp, err := r.Do(traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, MaxVisits: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(resp.Err, injected) {
-		t.Fatalf("response error = %v, want injected disk error", resp.Err)
-	}
-	m := r.Metrics()
-	if m.Failed != 1 || m.Completed != 1 {
-		t.Errorf("metrics = %v, want the failure to count as a completion", m)
-	}
-	if !m.Conserved() {
-		t.Errorf("not conserved: %v", m)
+	for _, tc := range []struct {
+		name            string
+		batchTraversals int
+		queries         int
+	}{
+		{"solo", 0, 1},
+		{"batched", 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastLiveConfig(1)
+			cfg.BatchTraversals = tc.batchTraversals
+			// Wide enough that concurrent submissions queue together
+			// and the worker drains them as one batch.
+			cfg.BatchWindow = 2 * time.Millisecond
+			injected := errors.New("dead disk")
+			cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: 1, Err: injected})
+			r, err := New(g, cfg, sched.NewRoundRobin())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			queries := make([]traverse.Query, tc.queries)
+			for i := range queries {
+				queries[i] = traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 40}
+			}
+			for i, resp := range doAll(t, r, queries) {
+				if !errors.Is(resp.Err, injected) {
+					t.Fatalf("query %d error = %v, want injected disk error", i, resp.Err)
+				}
+			}
+			m := r.Metrics()
+			if n := int64(tc.queries); m.Failed != n || m.Completed != n {
+				t.Errorf("metrics = %v, want every failure to count as a completion", m)
+			}
+			if !m.Conserved() {
+				t.Errorf("not conserved: %v", m)
+			}
+		})
 	}
 }
 

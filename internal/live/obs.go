@@ -26,13 +26,6 @@ type runtimeObs struct {
 	diskWaitNanos  *obs.Histogram
 	diskSlotsInUse *obs.Gauge
 
-	// Cross-query sharing telemetry (Config.CoalesceReads): fetches
-	// avoided by joining another unit's in-flight read, and the number
-	// of goroutines currently waiting on someone else's fetch. Both
-	// stay flat when coalescing is off.
-	coalescedReads *obs.Counter
-	sfWaiters      *obs.Gauge
-
 	// Balance-affinity tradeoff telemetry: the load-imbalance factor
 	// (max/mean effective unit load, 1.0 = perfectly balanced, P =
 	// everything piled on one unit) as a live gauge plus a milli-unit
@@ -119,10 +112,6 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 		"Wall time spent waiting for a free disk channel, nanoseconds.")
 	o.diskSlotsInUse = reg.Gauge("subtrav_disk_slots_in_use",
 		"Disk channels currently held by executing queries.")
-	o.coalescedReads = reg.Counter("subtrav_disk_coalesced_reads_total",
-		"Buffer misses that joined another unit's in-flight fetch of the same record instead of issuing their own.")
-	o.sfWaiters = reg.Gauge("subtrav_cache_singleflight_waiters",
-		"Goroutines currently waiting on another unit's in-flight record fetch.")
 	o.imbalance = reg.FloatGauge("subtrav_sched_imbalance_factor",
 		"Load-imbalance factor of the latest scheduling round: max/mean effective unit load after placement (1.0 = perfectly balanced, NumUnits = fully piled).")
 	o.imbalanceMilli = reg.Histogram("subtrav_sched_imbalance_milli",
@@ -241,11 +230,7 @@ func (o *runtimeObs) wireUnit(u *liveUnit) cache.Sinks {
 		func() float64 { return float64(u.QueueLen()) }, label)
 	o.reg.CounterFunc("subtrav_unit_completed_total",
 		"Completed queries per processing unit.",
-		func() int64 {
-			u.mu.Lock()
-			defer u.mu.Unlock()
-			return int64(len(u.completions))
-		}, label)
+		u.completed.Load, label)
 	o.reg.GaugeFunc("subtrav_unit_cache_hit_ratio",
 		"Lifetime buffer hit ratio per processing unit (0 when idle).",
 		func() float64 {

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,33 +12,14 @@ import (
 	"subtrav/internal/faultpoint"
 	"subtrav/internal/graph"
 	"subtrav/internal/sched"
-	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
 )
 
 // The cross-query sharing layer must never change what a query
 // returns — only how much disk work a concurrent mix costs. These
 // tests pin live responses against direct single-source execution with
-// coalescing and batching on, and cover the failure semantics the
-// single-flight table promises: scoped waiter cancellation and
-// exactly-once error fan-out.
-
-// overlapConfig makes concurrent same-record misses overlap reliably:
-// multi-millisecond real fetches, plenty of channels, cold private
-// buffers on every unit.
-func overlapConfig(units int) Config {
-	cost := sim.DefaultCostModel()
-	cost.Disk.SeekNanos = 2_000_000 // 2 ms per miss at TimeScale 1
-	cost.Disk.Channels = units * 2
-	return Config{
-		NumUnits:      units,
-		MemoryPerUnit: 256 << 10,
-		Cost:          cost,
-		TimeScale:     1,
-		BatchWindow:   50 * time.Microsecond,
-		CoalesceReads: true,
-	}
-}
+// batching on, and cover the expiry handling of a drained batch: the
+// carried task's dequeue check and a member cancelled mid-charge.
 
 // doAll submits every query concurrently and returns the responses in
 // query order, failing the test on submission errors.
@@ -61,42 +41,6 @@ func doAll(t *testing.T, r *Runtime, queries []traverse.Query) []Response {
 	}
 	wg.Wait()
 	return out
-}
-
-func TestCoalescedReadsPreserveResults(t *testing.T) {
-	t.Parallel()
-	g := liveGraph(t)
-	r, err := New(g, overlapConfig(8), sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	// Eight units all running the same hub query: every unit's cold
-	// buffer misses on the same records at the same time.
-	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, MaxVisits: 60}
-	want, _, err := traverse.Execute(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]traverse.Query, 8)
-	for i := range queries {
-		queries[i] = q
-	}
-	for i, resp := range doAll(t, r, queries) {
-		if resp.Err != nil {
-			t.Fatalf("query %d failed: %v", i, resp.Err)
-		}
-		if !reflect.DeepEqual(resp.Result, want) {
-			t.Fatalf("query %d result = %+v, want %+v", i, resp.Result, want)
-		}
-	}
-	if got := r.obs.coalescedReads.Value(); got == 0 {
-		t.Error("8 concurrent identical cold queries coalesced nothing")
-	}
-	if got := r.obs.sfWaiters.Value(); got != 0 {
-		t.Errorf("singleflight waiters gauge = %d at quiescence, want 0", got)
-	}
 }
 
 func TestBatchTraversalsMatchDirectExecution(t *testing.T) {
@@ -151,104 +95,6 @@ func TestBatchTraversalsMatchDirectExecution(t *testing.T) {
 	}
 }
 
-// TestCoalescedWaiterCancellationDoesNotPoisonPeers is the chaos core
-// of the single-flight contract: a waiter whose deadline expires
-// mid-fetch gets its own context error while every peer joined to the
-// same fetch completes normally.
-func TestCoalescedWaiterCancellationDoesNotPoisonPeers(t *testing.T) {
-	t.Parallel()
-	g := liveGraph(t)
-	cfg := overlapConfig(4)
-	cfg.Cost.Disk.SeekNanos = 5_000_000 // 5 ms per miss: deadlines expire mid-fetch
-	r, err := New(g, cfg, sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, MaxVisits: 40}
-	want, _, err := traverse.Execute(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	peerErrs := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := r.Do(q)
-			if err != nil {
-				peerErrs <- err
-				return
-			}
-			if resp.Err != nil {
-				peerErrs <- fmt.Errorf("peer %d: %w", i, resp.Err)
-				return
-			}
-			if !reflect.DeepEqual(resp.Result, want) {
-				peerErrs <- fmt.Errorf("peer %d result = %+v, want %+v", i, resp.Result, want)
-			}
-		}(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
-		defer cancel()
-		ch, err := r.SubmitCtx(ctx, q)
-		if err != nil {
-			peerErrs <- err
-			return
-		}
-		resp := <-ch
-		if !errors.Is(resp.Err, context.DeadlineExceeded) {
-			peerErrs <- fmt.Errorf("cancelled waiter error = %v, want deadline exceeded", resp.Err)
-		}
-	}()
-	wg.Wait()
-	close(peerErrs)
-	for err := range peerErrs {
-		t.Error(err)
-	}
-	if m := r.Metrics(); m.TimedOut != 1 || m.Completed != 3 || !m.Conserved() {
-		t.Errorf("metrics = %v, want 3 completed + 1 timed out, conserved", m)
-	}
-}
-
-// TestCoalescedFaultFansOutToEveryWaiter injects a persistent disk
-// error under coalescing: the one shared fetch fails (after its single
-// internal retry) and the failure is delivered to every query joined
-// to it exactly once each — no waiter hangs, none double-resolves.
-func TestCoalescedFaultFansOutToEveryWaiter(t *testing.T) {
-	t.Parallel()
-	g := liveGraph(t)
-	cfg := overlapConfig(4)
-	injected := errors.New("dead disk")
-	cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: 1, Err: injected})
-	r, err := New(g, cfg, sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, MaxVisits: 40}
-	queries := make([]traverse.Query, 4)
-	for i := range queries {
-		queries[i] = q
-	}
-	for i, resp := range doAll(t, r, queries) {
-		if !errors.Is(resp.Err, injected) {
-			t.Errorf("query %d error = %v, want the injected disk error", i, resp.Err)
-		}
-	}
-	m := r.Metrics()
-	if m.Completed != 4 || m.Failed != 4 || !m.Conserved() {
-		t.Errorf("metrics = %v, want every waiter to fail exactly once", m)
-	}
-}
-
 func TestShareConfigValidation(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
@@ -261,7 +107,6 @@ func TestShareConfigValidation(t *testing.T) {
 	}
 	cfg := fastLiveConfig(1)
 	cfg.BatchTraversals = traverse.MaxBatch
-	cfg.CoalesceReads = true
 	r, err := New(g, cfg, sched.NewRoundRobin())
 	if err != nil {
 		t.Fatalf("valid sharing config rejected: %v", err)

@@ -22,20 +22,17 @@ func TestRunSmoke(t *testing.T) {
 		t.Error(err)
 	}
 	for _, sc := range rep.Scenarios {
-		if len(sc.Modes) != 4 {
-			t.Fatalf("%s: %d modes, want 4", sc.Name, len(sc.Modes))
+		if len(sc.Modes) != 2 {
+			t.Fatalf("%s: %d modes, want 2", sc.Name, len(sc.Modes))
 		}
 		if sc.Units*sc.QueueDepth < 8 {
 			t.Errorf("%s: units*queue_depth = %d, want >= 8 concurrent overlapping queries",
 				sc.Name, sc.Units*sc.QueueDepth)
 		}
-		base, share := sc.Modes[0], sc.Modes[3]
-		if base.CoalescedReads != 0 {
-			t.Errorf("%s: baseline coalesced %d reads with sharing off", sc.Name, base.CoalescedReads)
-		}
-		if sc.Gate && share.DiskRequests >= base.DiskRequests {
-			t.Errorf("%s: share mode issued %d disk reads, baseline %d; want strictly fewer",
-				sc.Name, share.DiskRequests, base.DiskRequests)
+		base, batch := sc.Modes[0], sc.Modes[1]
+		if sc.Gate && batch.DiskRequests >= base.DiskRequests {
+			t.Errorf("%s: batch mode issued %d disk reads, baseline %d; want strictly fewer",
+				sc.Name, batch.DiskRequests, base.DiskRequests)
 		}
 	}
 	var buf bytes.Buffer
@@ -76,7 +73,6 @@ func TestRunDeterministic(t *testing.T) {
 func TestCheckThresholds(t *testing.T) {
 	ok := &Report{Scenarios: []ScenarioReport{{
 		Name: "x", Gate: true, ReadsRatio: 2.5, ResultsIdentical: true,
-		Modes: []ModeStats{{Mode: "coalesce", CoalescedReads: 9}, {Mode: "share", CoalescedReads: 9}},
 	}}}
 	if err := ok.CheckThresholds(2); err != nil {
 		t.Errorf("healthy report rejected: %v", err)
@@ -86,10 +82,6 @@ func TestCheckThresholds(t *testing.T) {
 		{Scenarios: []ScenarioReport{{Name: "x", Gate: true, ReadsRatio: 1.2, ResultsIdentical: true}}},
 		{Scenarios: []ScenarioReport{{Name: "x", Gate: true, ReadsRatio: 3, ResultsIdentical: false}}},
 		{Scenarios: []ScenarioReport{{Name: "x", Gate: false, ReadsRatio: 3, ResultsIdentical: true}}},
-		{Scenarios: []ScenarioReport{{
-			Name: "x", Gate: true, ReadsRatio: 3, ResultsIdentical: true,
-			Modes: []ModeStats{{Mode: "share", CoalescedReads: 0}},
-		}}},
 	}
 	for i, rep := range cases {
 		if err := rep.CheckThresholds(2); err == nil {
@@ -98,8 +90,7 @@ func TestCheckThresholds(t *testing.T) {
 	}
 }
 
-// BenchmarkShareModes times one full smoke pass of the four-mode
-// matrix; -benchtime=1x in CI keeps it to a single iteration.
+// BenchmarkShareModes times one full smoke pass of both modes; -benchtime=1x in CI keeps it to a single iteration.
 func BenchmarkShareModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep, err := Run(true, nil)

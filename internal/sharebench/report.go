@@ -7,7 +7,7 @@ import (
 )
 
 // MinReadsRatio is the acceptance floor enforced by CheckThresholds on
-// gated scenarios: sharing must cut disk reads/query at least this
+// gated scenarios: batching must cut disk reads/query at least this
 // much versus the no-sharing baseline at high concurrency.
 const MinReadsRatio = 2.0
 
@@ -15,18 +15,15 @@ const MinReadsRatio = 2.0
 // scenario. Every value is virtual-time deterministic: regenerating
 // the report on any machine produces identical numbers.
 type ModeStats struct {
-	// Mode is "baseline", "coalesce", "batch" or "share".
+	// Mode is "baseline" or "batch".
 	Mode string `json:"mode"`
 	// QueriesPerSec is virtual throughput: completed queries over the
 	// run makespan.
 	QueriesPerSec float64 `json:"queries_per_sec"`
 	// MakespanMs is the virtual run length in milliseconds.
 	MakespanMs float64 `json:"makespan_ms"`
-	// DiskRequests counts actual shared-disk reads issued; a miss that
-	// joined another query's in-flight read appears in CoalescedReads
-	// instead.
-	DiskRequests   int64 `json:"disk_requests"`
-	CoalescedReads int64 `json:"coalesced_reads"`
+	// DiskRequests counts shared-disk reads issued.
+	DiskRequests int64 `json:"disk_requests"`
 	// DiskReadsPerQuery is DiskRequests over completed queries — the
 	// headline sharing metric.
 	DiskReadsPerQuery float64 `json:"disk_reads_per_query"`
@@ -34,7 +31,7 @@ type ModeStats struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
-// ScenarioReport is one workload cell measured across all four modes.
+// ScenarioReport is one workload cell measured in both modes.
 type ScenarioReport struct {
 	Name       string  `json:"name"`
 	Units      int     `json:"units"`
@@ -47,11 +44,11 @@ type ScenarioReport struct {
 
 	Modes []ModeStats `json:"modes"`
 
-	// ReadsRatio is baseline disk reads/query over share-mode disk
-	// reads/query: how many times fewer reads the sharing layer issues.
+	// ReadsRatio is baseline disk reads/query over batch-mode disk
+	// reads/query: how many times fewer reads lockstep batching issues.
 	ReadsRatio float64 `json:"reads_ratio"`
 	// ResultsIdentical reports whether every query returned a
-	// bit-identical semantic result in all four modes. Sharing that
+	// bit-identical semantic result in both modes. Sharing that
 	// changes any answer is a bug, and CheckThresholds fails on it.
 	ResultsIdentical bool `json:"results_identical"`
 }
@@ -65,7 +62,7 @@ type Report struct {
 	// Smoke marks a reduced run (CI); the tracked artifact is a full
 	// run with Smoke false.
 	Smoke bool `json:"smoke"`
-	// BatchK is the lockstep batch width of the batch and share modes.
+	// BatchK is the lockstep batch width of the batch mode.
 	BatchK    int              `json:"batch_k"`
 	Scenarios []ScenarioReport `json:"scenarios"`
 }
@@ -81,10 +78,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// CheckThresholds fails loudly when the sharing layer regresses:
-// any scenario with diverging results, a gated scenario whose reads
-// ratio falls below minRatio, or a gated coalescing run that never
-// coalesced anything.
+// CheckThresholds fails loudly when the sharing layer regresses: any
+// scenario with diverging results, or a gated scenario whose reads
+// ratio falls below minRatio.
 func (r *Report) CheckThresholds(minRatio float64) error {
 	if len(r.Scenarios) == 0 {
 		return fmt.Errorf("sharebench: report has no scenarios")
@@ -99,13 +95,8 @@ func (r *Report) CheckThresholds(minRatio float64) error {
 		}
 		gated++
 		if sc.ReadsRatio < minRatio {
-			return fmt.Errorf("sharebench: %s: sharing cut disk reads only %.2fx, want >= %.1fx",
+			return fmt.Errorf("sharebench: %s: batching cut disk reads only %.2fx, want >= %.1fx",
 				sc.Name, sc.ReadsRatio, minRatio)
-		}
-		for _, m := range sc.Modes {
-			if (m.Mode == "coalesce" || m.Mode == "share") && m.CoalescedReads == 0 {
-				return fmt.Errorf("sharebench: %s/%s: coalescing enabled but no reads coalesced", sc.Name, m.Mode)
-			}
 		}
 	}
 	if gated == 0 {

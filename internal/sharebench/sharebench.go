@@ -1,6 +1,5 @@
-// Package sharebench measures the cross-query sharing layer — request
-// coalescing (storage.Disk.ReadShared / storage.FetchGroup) and
-// lockstep multi-source batching (traverse.Batch) — under Zipfian
+// Package sharebench measures the cross-query sharing layer — lockstep
+// multi-source batching (traverse.Batch) — under Zipfian
 // high-concurrency workloads, and emits the tracked BENCH_share.json
 // artifact (see report.go).
 //
@@ -9,10 +8,9 @@
 // constants: queries/sec is virtual throughput, disk reads/query
 // counts actual shared-disk requests, and regenerating the report
 // anywhere produces byte-identical output (the CI drift gate relies on
-// this). Each scenario runs the same task stream four ways — sharing
-// off, coalescing only, batching only, both — and asserts that every
-// query's semantic result is identical across all four before
-// reporting the disk-traffic ratios.
+// this). Each scenario runs the same task stream with batching off and
+// on and asserts that every query's semantic result is identical in
+// both before reporting the disk-traffic ratio.
 package sharebench
 
 import (
@@ -31,9 +29,9 @@ import (
 // Seed pins the graph, the load plan, and the scheduler.
 const Seed = 0x5A4EB011
 
-// BatchK is the lockstep batch width used by the batch and share
-// modes: the full traverse.MaxBatch, since wave sharing scales with
-// how many overlapping frontiers advance together.
+// BatchK is the lockstep batch width of the batch mode: the full
+// traverse.MaxBatch, since wave sharing scales with how many
+// overlapping frontiers advance together.
 const BatchK = 32
 
 // Scenario is one reproducible workload cell.
@@ -173,32 +171,25 @@ func tasks(sc Scenario, g *graph.Graph) ([]*sched.Task, error) {
 	return out, nil
 }
 
-// mode is one sharing configuration of the executor.
-type mode struct {
-	name     string
-	coalesce bool
-	batchK   int
-}
-
-func modes() []mode {
-	return []mode{
-		{"baseline", false, 0},
-		{"coalesce", true, 0},
-		{"batch", false, BatchK},
-		{"share", true, BatchK},
-	}
+// modes are the sharing configurations every scenario is replayed
+// under: lockstep batching off, then on.
+var modes = []struct {
+	name   string
+	batchK int
+}{
+	{"baseline", 0},
+	{"batch", BatchK},
 }
 
 // runMode replays tasks on a fresh cluster under one sharing
 // configuration, returning the run measurements and every task's
 // semantic result.
-func runMode(g *graph.Graph, sc Scenario, m mode, ts []*sched.Task) (sim.Result, map[int64]traverse.Result, error) {
+func runMode(g *graph.Graph, sc Scenario, name string, batchK int, ts []*sched.Task) (sim.Result, map[int64]traverse.Result, error) {
 	c, err := sim.NewCluster(g, sim.Config{
 		NumUnits:        sc.Units,
 		MemoryPerUnit:   sc.MemoryPerUnit,
 		MaxQueuePerUnit: sc.QueueDepth,
-		CoalesceReads:   m.coalesce,
-		BatchTraversals: m.batchK,
+		BatchTraversals: batchK,
 	})
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -212,12 +203,12 @@ func runMode(g *graph.Graph, sc Scenario, m mode, ts []*sched.Task) (sim.Result,
 		return sim.Result{}, nil, err
 	}
 	if int(res.Completed) != len(ts) {
-		return sim.Result{}, nil, fmt.Errorf("sharebench: %s/%s completed %d of %d", sc.Name, m.name, res.Completed, len(ts))
+		return sim.Result{}, nil, fmt.Errorf("sharebench: %s/%s completed %d of %d", sc.Name, name, res.Completed, len(ts))
 	}
 	return res, perTask, nil
 }
 
-// runScenario measures one scenario across all four modes and checks
+// runScenario measures one scenario in both modes and checks
 // cross-mode result identity.
 func runScenario(sc Scenario, g *graph.Graph, logf func(format string, args ...any)) (ScenarioReport, error) {
 	ts, err := tasks(sc, g)
@@ -235,8 +226,8 @@ func runScenario(sc Scenario, g *graph.Graph, logf func(format string, args ...a
 	}
 	var baseline map[int64]traverse.Result
 	identical := true
-	for _, m := range modes() {
-		res, perTask, err := runMode(g, sc, m, ts)
+	for _, m := range modes {
+		res, perTask, err := runMode(g, sc, m.name, m.batchK, ts)
 		if err != nil {
 			return ScenarioReport{}, err
 		}
@@ -250,17 +241,16 @@ func runScenario(sc Scenario, g *graph.Graph, logf func(format string, args ...a
 			QueriesPerSec:     res.ThroughputPerSec,
 			MakespanMs:        float64(res.Makespan.Nanoseconds()) / 1e6,
 			DiskRequests:      res.Disk.Requests,
-			CoalescedReads:    res.Disk.CoalescedReads,
 			DiskReadsPerQuery: perQuery(res.Disk.Requests, res.Completed),
 			CacheHitRate:      res.HitRate,
 		}
 		out.Modes = append(out.Modes, st)
-		logf("%-14s %-9s %8.0f q/s  %6.2f reads/query  %7d reads  %7d coalesced  hit %.3f",
-			sc.Name, m.name, st.QueriesPerSec, st.DiskReadsPerQuery, st.DiskRequests, st.CoalescedReads, st.CacheHitRate)
+		logf("%-14s %-9s %8.0f q/s  %6.2f reads/query  %7d reads  hit %.3f",
+			sc.Name, m.name, st.QueriesPerSec, st.DiskReadsPerQuery, st.DiskRequests, st.CacheHitRate)
 	}
 	out.ResultsIdentical = identical
 	out.ReadsRatio = ratio(out.Modes[0].DiskReadsPerQuery, out.Modes[len(out.Modes)-1].DiskReadsPerQuery)
-	logf("%-14s sharing cuts disk reads %.2fx (results identical: %v)", sc.Name, out.ReadsRatio, identical)
+	logf("%-14s batching cuts disk reads %.2fx (results identical: %v)", sc.Name, out.ReadsRatio, identical)
 	return out, nil
 }
 

@@ -237,7 +237,6 @@ func (c *Cluster) startNext(u *unit, now int64) {
 		}
 	}
 	u.cur = ex
-	u.lastStart = now
 	if c.tracer != nil {
 		for _, m := range ex.members {
 			c.tracer.TaskStarted(m.task.ID, u.id, now)
@@ -250,104 +249,71 @@ func (c *Cluster) startNext(u *unit, now int64) {
 	// unit's workspace (and batch executor) is recycled per start: by
 	// the time this runs, the unit's previous traces and results were
 	// fully consumed by complete.
+	var (
+		soloResult [1]traverse.Result
+		soloTrace  [1]*traverse.Trace
+		results    []traverse.Result
+		traces     []*traverse.Trace
+		replay     *traverse.Trace // what the cursor charges
+		err        error
+	)
 	if len(ex.members) == 1 {
-		result, trace, err := traverse.ExecuteIn(u.ws, c.g, ts.task.Query)
-		if err != nil {
-			// Queries are validated at Run entry; an error here is a bug.
-			panic(fmt.Sprintf("sim: traversal failed mid-run: %v", err))
-		}
-		if c.OnComplete != nil {
-			// The callback may retain the result past this unit's next
-			// task, which recycles the workspace-owned slices; detach
-			// them.
-			result = result.Clone()
-		}
-		ts.result = result
-		ts.trace = trace
-		ex.replay = trace
+		soloResult[0], replay, err = traverse.ExecuteIn(u.ws, c.g, ts.task.Query)
+		soloTrace[0] = replay
+		results, traces = soloResult[:], soloTrace[:]
 	} else {
 		queries := make([]traverse.Query, len(ex.members))
 		for i, m := range ex.members {
 			queries[i] = m.task.Query
 		}
-		results, traces, shared, err := u.batch.Run(c.g, queries)
-		if err != nil {
-			panic(fmt.Sprintf("sim: batched traversal failed mid-run: %v", err))
-		}
-		for i, m := range ex.members {
-			res := results[i]
-			if c.OnComplete != nil {
-				res = res.Clone()
-			}
-			m.result = res
-			m.trace = traces[i]
-		}
-		// The shared wave trace is what the batch actually pays for:
+		// The shared wave trace is what a batch actually pays for:
 		// each wave-shared record loaded once.
-		ex.replay = shared
+		results, traces, replay, err = u.batch.Run(c.g, queries)
 	}
+	if err != nil {
+		// Queries are validated at Run entry; an error here is a bug.
+		panic(fmt.Sprintf("sim: traversal failed mid-run: %v", err))
+	}
+	for i, m := range ex.members {
+		m.result = results[i]
+		if c.OnComplete != nil {
+			// The callback may retain the result past this unit's next
+			// task, which recycles the workspace-owned slices; detach
+			// them.
+			m.result = m.result.Clone()
+		}
+		m.trace = traces[i]
+	}
+	ex.charge = NewChargeCursor(&c.cfg.Cost, u.buffer, u.speed, replay)
 	c.step(u, now)
 }
 
-// step replays the unit's current trace from its cursor. Buffer hits
-// are consumed inline (they touch no shared resource); the first miss
-// at the current virtual instant issues one shared-disk read and
+// step advances the unit's charge cursor (see ChargeCursor). Buffer
+// hits are consumed inline (they touch no shared resource); the first
+// miss at the current virtual instant issues one shared-disk read and
 // yields, so disk requests across units are serviced in causal order.
 func (c *Cluster) step(u *unit, now int64) {
 	ex := u.cur
-	cost := &c.cfg.Cost
-	tl := now
-	for ex.pos < len(ex.replay.Accesses) {
-		a := ex.replay.Accesses[ex.pos]
-		key := accessKey(a)
-		if u.buffer.Contains(key) {
-			u.buffer.Access(key, int64(a.Bytes))
-			tl += int64(float64(cost.MemHitNanos+cpuCost(cost, a)) * u.speed)
-			ex.pos++
-			continue
-		}
-		if tl > now {
-			// Hits consumed virtual time; realign before touching the
-			// shared disk so requests are issued in global time order.
-			c.push(event{time: tl, kind: evStep, unit: u.id})
-			return
-		}
-		var done int64
-		if c.cfg.CoalesceReads {
-			// Join an in-flight read of the same record when one
-			// exists; a coalesced miss pays the leader's completion
-			// time but issues no request of its own.
-			done, _ = c.disk.ReadShared(now, int64(a.Bytes), c.g.Partition(a.Vertex), key)
-		} else {
-			done = c.disk.ReadPart(now, int64(a.Bytes), c.g.Partition(a.Vertex))
-		}
-		ex.misses++
-		u.buffer.Access(key, int64(a.Bytes))
-		// The paper updates L(v) as vertices are visited, so a miss
-		// signs the vertex immediately — concurrent scheduling rounds
-		// can already see the partially-built affinity.
-		c.sigs.Record(a.Vertex, u.id, now)
-		ex.pos++
-		localWork := float64(cpuCost(cost, a)) + cost.CPUMissByteNanos*float64(a.Bytes)
-		next := done + int64(localWork*u.speed)
-		c.push(event{time: next, kind: evStep, unit: u.id})
+	if hitNanos := ex.charge.RunHits(); hitNanos > 0 {
+		// Hits consumed virtual time; realign before touching the
+		// shared disk so requests are issued in global time order.
+		c.push(event{time: now + hitNanos, kind: evStep, unit: u.id})
 		return
 	}
-	if tl > now {
-		c.push(event{time: tl, kind: evStep, unit: u.id})
+	if ex.charge.Done() {
+		c.complete(u, now)
 		return
 	}
-	c.complete(u, now)
-}
-
-// cpuCost charges the record processing plus the adjacency entries
-// scanned while holding it.
-func cpuCost(cost *CostModel, a traverse.Access) int64 {
-	return cost.CPUVertexNanos + int64(a.ScannedEdges)*cost.CPUEdgeNanos
-}
-
-func accessKey(a traverse.Access) cache.Key {
-	return cache.VertexKey(int32(a.Vertex))
+	a := ex.charge.Miss()
+	done := c.disk.ReadPart(now, int64(a.Bytes), c.g.Partition(a.Vertex))
+	// The one thing this executor does per access that the live
+	// runtime does not: the paper updates L(v) as vertices are
+	// visited, so a miss signs the vertex immediately — concurrent
+	// scheduling rounds can already see the partially-built affinity.
+	// (The live runtime signs only at completion, as complete does
+	// here too; every other per-access rule is the cursor's.)
+	c.sigs.Record(a.Vertex, u.id, now)
+	c.push(event{time: done + ex.charge.Fill(), kind: evStep, unit: u.id})
 }
 
 // complete finishes every member of the unit's current batch: visit
@@ -368,7 +334,7 @@ func (c *Cluster) complete(u *unit, now int64) {
 		c.latencies = append(c.latencies, now-ts.task.Arrival)
 		c.execNanos = append(c.execNanos, now-ex.start)
 		if c.tracer != nil {
-			c.tracer.TaskCompleted(ts.task.ID, u.id, now, ex.misses)
+			c.tracer.TaskCompleted(ts.task.ID, u.id, now, ex.charge.Misses)
 		}
 		if c.OnComplete != nil {
 			c.OnComplete(ts.task, ts.result)

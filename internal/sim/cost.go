@@ -85,12 +85,6 @@ type Config struct {
 	// workload balance adaptive rather than static.
 	SpeedFactors []float64
 
-	// CoalesceReads, when true, lets a buffer miss join an in-flight
-	// shared-disk read of the same record instead of issuing its own
-	// (storage.Disk.ReadShared) — the virtual-time analogue of the
-	// live runtime's single-flight fetch table. Results are unaffected;
-	// only disk traffic and timing change.
-	CoalesceReads bool
 	// BatchTraversals, when > 1, lets a unit pull up to that many
 	// consecutive batchable queries (BFS/SSSP) off its queue and
 	// advance them in lockstep, loading each wave-shared record once

@@ -9,12 +9,11 @@ import (
 	"subtrav/internal/traverse"
 )
 
-// The cross-query sharing knobs (Config.CoalesceReads and
-// Config.BatchTraversals) must change only disk traffic and timing,
-// never the semantic result of any query. These tests run identical
-// task sets with sharing off and on and pin per-task results
-// bit-for-bit while checking that sharing actually removes disk work
-// on overlapping workloads.
+// The cross-query sharing knob (Config.BatchTraversals) must change
+// only disk traffic and timing, never the semantic result of any
+// query. These tests run identical task sets with batching off and on
+// and pin per-task results bit-for-bit while checking that batching
+// actually removes disk work on overlapping workloads.
 
 // hubTasks builds n identical BFS tasks rooted at the graph's
 // highest-degree vertex, all arriving at t=0 — the maximally
@@ -71,35 +70,6 @@ func assertSameResults(t *testing.T, label string, base, got map[int64]traverse.
 	}
 }
 
-func TestCoalesceReadsPreservesResultsCutsDiskRequests(t *testing.T) {
-	g := testGraph(t)
-	tasks := hubTasks(g, 32)
-	cfg := Config{NumUnits: 4, MemoryPerUnit: 1 << 20, Cost: fastCost()}
-
-	baseRes, baseResults := runShared(t, g, cfg, tasks)
-
-	cfg.CoalesceReads = true
-	coRes, coResults := runShared(t, g, cfg, tasks)
-
-	assertSameResults(t, "coalesce", baseResults, coResults)
-	if baseRes.Disk.CoalescedReads != 0 {
-		t.Errorf("baseline recorded %d coalesced reads with the knob off", baseRes.Disk.CoalescedReads)
-	}
-	if coRes.Disk.CoalescedReads == 0 {
-		t.Error("32 identical hub queries coalesced nothing")
-	}
-	if coRes.Disk.Requests >= baseRes.Disk.Requests {
-		t.Errorf("disk requests with coalescing = %d, baseline = %d; want strictly fewer",
-			coRes.Disk.Requests, baseRes.Disk.Requests)
-	}
-	// Every miss is either a real request or a joined one; coalescing
-	// must not invent or drop buffer activity.
-	if coRes.CacheMisses != coRes.Disk.Requests+coRes.Disk.CoalescedReads {
-		t.Errorf("misses %d != requests %d + coalesced %d",
-			coRes.CacheMisses, coRes.Disk.Requests, coRes.Disk.CoalescedReads)
-	}
-}
-
 func TestBatchTraversalsPreservesResultsCutsDiskRequests(t *testing.T) {
 	g := testGraph(t)
 	// A mix of overlapping hub queries and scattered random ones, so
@@ -134,18 +104,6 @@ func TestBatchTraversalsPreservesResultsCutsDiskRequests(t *testing.T) {
 	if again.Disk != batchRes.Disk {
 		t.Errorf("disk stats differ across reruns:\n%+v\n%+v", again.Disk, batchRes.Disk)
 	}
-}
-
-func TestBatchAndCoalesceCompose(t *testing.T) {
-	g := testGraph(t)
-	tasks := hubTasks(g, 24)
-	cfg := Config{NumUnits: 4, MemoryPerUnit: 1 << 20, Cost: fastCost()}
-	_, baseResults := runShared(t, g, cfg, tasks)
-
-	cfg.CoalesceReads = true
-	cfg.BatchTraversals = traverse.MaxBatch
-	_, bothResults := runShared(t, g, cfg, tasks)
-	assertSameResults(t, "batch+coalesce", baseResults, bothResults)
 }
 
 func TestBatchTraversalsConfigValidation(t *testing.T) {

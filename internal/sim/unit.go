@@ -17,16 +17,14 @@ type taskState struct {
 }
 
 // execState is one executing batch — usually of size one. members
-// carry the per-query results and traces; replay is the trace actually
-// charged against the buffer and shared disk: a solo member's own
-// trace, or the batch's shared wave trace (each wave-shared record
-// loaded once — see traverse.Batch).
+// carry the per-query results and traces; charge is the cursor over
+// the trace actually charged against the buffer and shared disk: a
+// solo member's own trace, or the batch's shared wave trace (each
+// wave-shared record loaded once — see traverse.Batch).
 type execState struct {
 	members []*taskState
-	replay  *traverse.Trace
-	pos     int   // next replay access
+	charge  ChargeCursor
 	start   int64 // virtual time execution began
-	misses  int   // shared-disk fetches so far (whole batch)
 }
 
 // unit is one processing unit: a private buffer, a FCFS queue, and at
@@ -53,7 +51,6 @@ type unit struct {
 	// tasks, ascending — the basis of CompletedSince (Eq. 3's n').
 	completions []int64
 	busyNanos   int64
-	lastStart   int64
 }
 
 var _ sched.UnitState = (*unit)(nil)

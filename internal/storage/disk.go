@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/bits"
 
-	"subtrav/internal/cache"
 	"subtrav/internal/faultpoint"
 	"subtrav/internal/obs"
 )
@@ -108,10 +107,6 @@ type Stats struct {
 	// fault (see Disk.SetFaults) and the virtual latency it added.
 	FaultedReads int64
 	FaultNanos   int64
-	// CoalescedReads counts requests that joined an in-flight read of
-	// the same record instead of issuing their own (see ReadShared);
-	// they charge no channel time, bytes, or request.
-	CoalescedReads int64
 }
 
 // Metrics mirrors disk activity into an obs registry. The counters
@@ -122,9 +117,6 @@ type Metrics struct {
 	BytesRead  *obs.Counter
 	QueueNanos *obs.Counter
 	LocalSeeks *obs.Counter
-	// Coalesced counts reads that joined an in-flight fetch of the
-	// same record (see ReadShared). May be nil on hand-built Metrics.
-	Coalesced *obs.Counter
 	// Depth is the instantaneous number of busy channels observed at
 	// the last request.
 	Depth *obs.Gauge
@@ -137,7 +129,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BytesRead:  reg.Counter("subtrav_disk_bytes_read_total", "Bytes fetched from the shared disk."),
 		QueueNanos: reg.Counter("subtrav_disk_queue_nanos_total", "Virtual nanoseconds requests spent waiting for a free channel."),
 		LocalSeeks: reg.Counter("subtrav_disk_local_seeks_total", "Reads that paid the reduced same-partition seek."),
-		Coalesced:  reg.Counter("subtrav_disk_coalesced_reads_total", "Reads avoided by joining an in-flight fetch of the same record."),
 		Depth:      reg.Gauge("subtrav_disk_queue_depth", "Busy disk channels observed at the last request."),
 	}
 }
@@ -163,10 +154,6 @@ type Disk struct {
 	stats    Stats
 	faults   *faultpoint.Set
 	obs      *Metrics
-	// inflight maps record keys to the completion time of their most
-	// recent read; ReadShared joins entries still in the future. Lazily
-	// allocated — plain Read/ReadPart callers never pay for it.
-	inflight map[cache.Key]int64
 }
 
 // NewDisk creates a disk; panics on invalid configuration (programmer
@@ -275,30 +262,6 @@ func (d *Disk) ReadPart(now, bytes int64, partition int32) (done int64) {
 	return done
 }
 
-// ReadShared is ReadPart for a read identified by a record key: when
-// an earlier read of the same key is still in flight at `now`, the
-// caller joins it instead of issuing its own — no request, bytes, or
-// channel time is charged, CoalescedReads is incremented, and the
-// in-flight read's completion time is returned. This is the
-// virtual-time twin of the live runtime's single-flight FetchGroup:
-// in virtual time "concurrent misses" are reads issued before an
-// earlier read of the same record completed.
-func (d *Disk) ReadShared(now, bytes int64, partition int32, key cache.Key) (done int64, coalesced bool) {
-	if end, ok := d.inflight[key]; ok && end > now {
-		d.stats.CoalescedReads++
-		if m := d.obs; m != nil && m.Coalesced != nil {
-			m.Coalesced.Inc()
-		}
-		return end, true
-	}
-	done = d.ReadPart(now, bytes, partition)
-	if d.inflight == nil {
-		d.inflight = make(map[cache.Key]int64)
-	}
-	d.inflight[key] = done
-	return done, false
-}
-
 // Reset clears channel occupancy and statistics, reusing the
 // configuration (used between experiment repetitions).
 func (d *Disk) Reset() {
@@ -307,5 +270,4 @@ func (d *Disk) Reset() {
 		d.lastPart[i] = -1
 	}
 	d.stats = Stats{}
-	d.inflight = nil
 }

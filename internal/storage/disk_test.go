@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"subtrav/internal/cache"
 	"subtrav/internal/faultpoint"
 	"subtrav/internal/obs"
 )
@@ -353,58 +352,5 @@ func TestTransferNanosMatchesBigIntQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReadSharedCoalesces(t *testing.T) {
-	d := NewDisk(testConfig(1))
-	// First read of key 7: a real request (1000 seek + 100 transfer).
-	done1, co1 := d.ReadShared(0, 100, -1, cache.VertexKey(7))
-	if co1 || done1 != 1100 {
-		t.Fatalf("first read: done=%d coalesced=%v, want 1100/false", done1, co1)
-	}
-	// Second read of the same key while the first is in flight: joins
-	// it — same completion time, no new request or bytes.
-	done2, co2 := d.ReadShared(500, 100, -1, cache.VertexKey(7))
-	if !co2 || done2 != done1 {
-		t.Fatalf("joined read: done=%d coalesced=%v, want %d/true", done2, co2, done1)
-	}
-	// A different key at the same instant is a real (queued) request.
-	done3, co3 := d.ReadShared(500, 100, -1, cache.VertexKey(8))
-	if co3 || done3 != done1+1100 {
-		t.Fatalf("other key: done=%d coalesced=%v, want %d/false", done3, co3, done1+1100)
-	}
-	st := d.Stats()
-	if st.Requests != 2 || st.BytesRead != 200 || st.CoalescedReads != 1 {
-		t.Errorf("stats = %+v, want 2 requests, 200 bytes, 1 coalesced", st)
-	}
-	// After the fetch lands, the same key misses again: a fresh read.
-	done4, co4 := d.ReadShared(done1, 100, -1, cache.VertexKey(7))
-	if co4 {
-		t.Fatalf("read after completion must not coalesce (done=%d)", done4)
-	}
-	if d.Stats().Requests != 3 {
-		t.Errorf("requests = %d, want 3", d.Stats().Requests)
-	}
-}
-
-func TestReadSharedMetricsAndReset(t *testing.T) {
-	reg := obs.NewRegistry()
-	d := NewDisk(testConfig(1))
-	d.SetMetrics(NewMetrics(reg))
-	d.ReadShared(0, 100, -1, cache.VertexKey(1))
-	d.ReadShared(0, 100, -1, cache.VertexKey(1))
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "subtrav_disk_coalesced_reads_total 1") {
-		t.Errorf("exposition missing coalesced reads:\n%s", b.String())
-	}
-	// Reset drops the in-flight table: the next read is fresh even at
-	// a virtual time inside the old fetch window.
-	d.Reset()
-	if _, co := d.ReadShared(0, 100, -1, cache.VertexKey(1)); co {
-		t.Error("read after Reset coalesced against a stale in-flight entry")
 	}
 }
