@@ -231,7 +231,8 @@ func BenchmarkHungarianExact64(b *testing.B) {
 	}
 }
 
-// --- Affinity scoring (Eq. 1-4) ---
+// --- Signature lookups (the affinity build, the scheduling round and
+// Record are cells of internal/schedbench) ---
 
 func affinityFixture(b *testing.B) (*affinity.Scorer, *signature.Table, *graph.Graph) {
 	b.Helper()
@@ -253,36 +254,6 @@ func affinityFixture(b *testing.B) (*affinity.Scorer, *signature.Table, *graph.G
 	return scorer, sigs, g
 }
 
-type benchUnit struct{ queue int }
-
-func (u benchUnit) QueueLen() int              { return u.queue }
-func (u benchUnit) CompletedSince(t int64) int { return 3 }
-func (u benchUnit) MemoryBudget() int64        { return 1 << 20 }
-
-func BenchmarkAffinityMatrixBuild(b *testing.B) {
-	scorer, _, g := affinityFixture(b)
-	units := make([]affinity.UnitView, 16)
-	for i := range units {
-		units[i] = benchUnit{queue: i % 3}
-	}
-	starts := make([]graph.VertexID, 16)
-	rng := xrand.New(3)
-	for i := range starts {
-		starts[i] = graph.VertexID(rng.Intn(g.NumVertices()))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scorer.Build(starts, units)
-	}
-}
-
-func BenchmarkSignatureRecord(b *testing.B) {
-	sigs := signature.NewTable(0)
-	for i := 0; i < b.N; i++ {
-		sigs.Record(graph.VertexID(i%4096), int32(i%64), int64(i))
-	}
-}
-
 func BenchmarkSignatureLookup(b *testing.B) {
 	_, sigs, _ := affinityFixture(b)
 	b.ResetTimer()
@@ -291,32 +262,8 @@ func BenchmarkSignatureLookup(b *testing.B) {
 	}
 }
 
-// --- Traversal engines ---
-
-func BenchmarkBFSDepth2(b *testing.B) {
-	g, err := subtrav.TwitterLike(subtrav.ScaleTiny, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		traverse.BFS(g, traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i % g.NumVertices()), Depth: 2, MaxVisits: 100})
-	}
-}
-
-func BenchmarkBoundedSSSP(b *testing.B) {
-	g, err := subtrav.TwitterLike(subtrav.ScaleTiny, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		traverse.BoundedSSSP(g, traverse.Query{
-			Op: traverse.OpSSSP, Start: graph.VertexID(i % g.NumVertices()),
-			Target: graph.VertexID((i * 7) % g.NumVertices()), Depth: 4,
-		})
-	}
-}
+// --- Traversal engines (BFS, SSSP and CollabFilter are cells of
+// internal/travbench; this is the image-corpus walk no suite has) ---
 
 func BenchmarkRWR400(b *testing.B) {
 	corpus, err := subtrav.SmallImageCorpus(1)
@@ -371,31 +318,6 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 		if _, err := sys.Run(subtrav.PolicyAuction, tasks); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSchedulerRound measures one auction scheduling round (the
-// per-batch overhead the service pays).
-func BenchmarkSchedulerRound(b *testing.B) {
-	scorer, _, g := affinityFixture(b)
-	auc, err := sched.NewAuction(scorer, sched.AuctionConfig{NumUnits: 16, Epsilon: 1e-3, WorkloadAware: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	units := make([]sched.UnitState, 16)
-	for i := range units {
-		units[i] = benchSchedUnit{}
-	}
-	rng := xrand.New(9)
-	tasks := make([]*sched.Task, 16)
-	for i := range tasks {
-		tasks[i] = &sched.Task{ID: int64(i), Query: traverse.Query{
-			Op: traverse.OpBFS, Start: graph.VertexID(rng.Intn(g.NumVertices())), Depth: 2,
-		}}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		auc.Assign(tasks, units)
 	}
 }
 
@@ -490,18 +412,5 @@ func BenchmarkGraphIORoundTrip(b *testing.B) {
 		if _, err := graphio.Read(&buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkCollabFilter(b *testing.B) {
-	pg, err := subtrav.PurchaseGraph(5000, 500, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		traverse.CollabFilter(pg.Graph, traverse.Query{
-			Op: traverse.OpCollab, Start: pg.ProductVertex(i % pg.NumProducts), SimilarityThreshold: 0.25,
-		})
 	}
 }

@@ -1,25 +1,25 @@
 // Command subtrav-bench regenerates the paper's evaluation figures
-// (Figures 8-12) and the ablation studies on the shared-disk
-// simulator, printing each as an aligned text table (or markdown/CSV).
+// (Figures 8-12), the ablations and the extension studies on the
+// shared-disk simulator, and runs the four in-repo benchmark suites,
+// printing each as an aligned text table (or markdown/CSV).
 //
 // Usage:
 //
 //	subtrav-bench [flags] <experiment>
 //
-// where <experiment> is one of: fig8, fig9, fig10, fig11, fig12,
-// ablation, epsilon, warmstart, all — or a microbenchmark suite:
-// "sched" runs the scheduler hot-path microbenchmarks
-// (internal/schedbench) and writes the tracked BENCH_sched.json
-// baseline, "traverse" runs the traversal-kernel microbenchmarks
-// (internal/travbench) and writes the tracked BENCH_traverse.json
-// baseline, "graphio" runs the snapshot-loading microbenchmarks
-// (internal/graphiobench, v1 gob vs v2 flat CSR) and writes the
-// tracked BENCH_graphio.json baseline, "share" runs the cross-query
-// sharing suite (internal/sharebench, lockstep batching under Zipfian
-// overlap) and writes the tracked BENCH_share.json baseline.
+// where <experiment> is a figure or study (see studies), "all" for
+// every one of those — deterministic, checked in as
+// experiments_output.txt — or a suite built on internal/benchkit:
+// sched, traverse and graphio are wall-clock suites, which print their
+// cells and interleaved before/after ratios and write no file unless
+// -out names one; share runs in virtual time, so a full run reproduces
+// the tracked BENCH_share.json byte for byte and rewrites it. -quick
+// runs a suite in smoke mode (two calls per cell); -check fails the run
+// when a floor the suite's table declares is not met.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"subtrav"
+	"subtrav/internal/benchkit"
 	"subtrav/internal/experiments"
 	"subtrav/internal/graphiobench"
 	"subtrav/internal/schedbench"
@@ -36,18 +37,21 @@ import (
 
 func main() {
 	var (
-		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts)")
+		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts); benchmark suites: smoke mode")
 		format = flag.String("format", "text", "output format: text, markdown, csv")
 		seed   = flag.Uint64("seed", 42, "master random seed")
 		scale  = flag.String("scale", "small", "graph scale: tiny, small, medium, large, paper")
 		units  = flag.String("units", "", "comma-separated unit sweep override, e.g. 1,2,4,8")
 		n      = flag.Int("queries", 0, "queries per run override")
-		out    = flag.String("out", "", "benchmark report path (default BENCH_sched.json / BENCH_traverse.json per suite)")
-		par    = flag.Int("parallelism", 0, "sched benchmark: scorer row-construction goroutines (0 = sequential)")
-		check  = flag.Bool("check", false, "traverse/graphio/share benchmarks: fail unless the gated cells clear the acceptance floors")
+		out    = flag.String("out", "", "benchmark suites: write the JSON report here (default: BENCH_share.json for a full share run, no file otherwise)")
+		check  = flag.Bool("check", false, "benchmark suites: fail unless every floor the suite's table declares is met")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] fig8|fig9|fig10|fig11|fig12|ablation|epsilon|warmstart|adaptive|latency|heterogeneous|layout|signature|eta|sched|traverse|graphio|share|all\n", os.Args[0])
+		names := []string{"all", "sched", "traverse", "graphio", "share"}
+		for _, st := range studies {
+			names = append(names, st.name)
+		}
+		fmt.Fprintf(os.Stderr, "usage: %s [flags] %s\n", os.Args[0], strings.Join(names, "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,7 +65,7 @@ func main() {
 		cfg = experiments.Quick()
 	}
 	cfg.Seed = *seed
-	if s, ok := parseScale(*scale); ok {
+	if s, ok := scales[*scale]; ok {
 		cfg.Scale = s
 	} else {
 		fatal(fmt.Errorf("unknown scale %q", *scale))
@@ -77,237 +81,178 @@ func main() {
 		cfg.Queries = *n
 	}
 
-	render := func(t *experiments.Table) {
-		switch *format {
-		case "markdown":
-			fmt.Println(t.Markdown())
-		case "csv":
-			fmt.Println(t.CSV())
-		default:
-			fmt.Println(t.Text())
-		}
-	}
-	renderAll := func(ts []*experiments.Table, err error) {
+	run := func(name string, tables func() ([]*experiments.Table, error)) {
+		start := time.Now()
+		ts, err := tables()
 		if err != nil {
 			fatal(err)
 		}
 		for _, t := range ts {
-			render(t)
-		}
-	}
-	renderOne := func(t *experiments.Table, err error) {
-		if err != nil {
-			fatal(err)
-		}
-		render(t)
-	}
-
-	run := func(name string) {
-		start := time.Now()
-		switch name {
-		case "fig8":
-			renderAll(experiments.Fig8(cfg))
-		case "fig9":
-			renderAll(experiments.Fig9(cfg))
-		case "fig10":
-			renderOne(experiments.Fig10(cfg))
-		case "fig11":
-			renderOne(experiments.Fig11(cfg))
-		case "fig12":
-			renderOne(experiments.Fig12(cfg))
-		case "ablation":
-			renderAll(experiments.Ablation(cfg))
-		case "epsilon":
-			renderOne(experiments.EpsilonSweep(cfg.Seed, 64))
-		case "warmstart":
-			renderOne(experiments.WarmStartStudy(cfg.Seed, 48, 8))
-		case "adaptive":
-			renderOne(experiments.AdaptiveEpsilonStudy(cfg.Seed, 48, 12))
-		case "latency":
-			renderOne(experiments.LatencyUnderLoad(cfg))
-		case "heterogeneous":
-			renderOne(experiments.Heterogeneous(cfg))
-		case "layout":
-			renderOne(experiments.PartitionedLayout(cfg))
-		case "signature":
-			renderOne(experiments.SignatureCapacity(cfg))
-		case "eta":
-			renderOne(experiments.EtaThreshold(cfg))
-		case "sched":
-			runSched(*quick, *par, defaultPath(*out, "BENCH_sched.json"))
-		case "traverse":
-			runTraverse(*quick, *check, defaultPath(*out, "BENCH_traverse.json"))
-		case "graphio":
-			runGraphio(*quick, *check, defaultPath(*out, "BENCH_graphio.json"))
-		case "share":
-			runShare(*quick, *check, defaultPath(*out, "BENCH_share.json"))
-		default:
-			fatal(fmt.Errorf("unknown experiment %q", name))
+			switch *format {
+			case "markdown":
+				fmt.Println(t.Markdown())
+			case "csv":
+				fmt.Println(t.CSV())
+			default:
+				fmt.Println(t.Text())
+			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	target := flag.Arg(0)
-	if target == "all" {
-		for _, name := range []string{"fig8", "fig9", "fig10", "fig11", "fig12", "ablation", "epsilon", "warmstart", "adaptive", "latency", "heterogeneous", "layout", "signature", "eta"} {
-			run(name)
-		}
+	if s, ok := suites[target]; ok {
+		run(target, func() ([]*experiments.Table, error) {
+			_, tables, err := runSuite(s, *quick, *check, *out)
+			return tables, err
+		})
 		return
 	}
-	run(target)
-}
-
-// runSched executes the scheduler hot-path microbenchmark suite and
-// writes the BENCH_sched.json report. -quick maps to smoke mode
-// (single-iteration cells — proves the suite runs, numbers are noise);
-// the default calibrates iteration counts for a trackable baseline.
-func runSched(smoke bool, parallelism int, path string) {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	rep, err := schedbench.Run(smoke, parallelism, logf)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d results, smoke=%v)\n", path, len(rep.Results), rep.Smoke)
-}
-
-// runTraverse executes the traversal-kernel suite (workspace kernels
-// vs map-based reference, plus the direction-comparison matrix) and
-// writes the BENCH_traverse.json report. -quick maps to smoke mode;
-// -check enforces the mid-size acceptance floors on full runs: BFS
-// ≥3x ns/op and ≥10x allocs/op over the reference, Auto ≥2x over
-// forced push on the gated hub-heavy cell, and no sparse regression.
-func runTraverse(smoke, check bool, path string) {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	rep, err := travbench.Run(smoke, logf)
-	if err != nil {
-		fatal(err)
-	}
-	if check && !smoke {
-		if err := rep.CheckThresholds(3, 10); err != nil {
-			fatal(err)
-		}
-		if err := rep.CheckDirection(travbench.MinHubSpeedup, travbench.MinSparseRatio); err != nil {
-			fatal(err)
+	known := false
+	for _, st := range studies {
+		if target == "all" || target == st.name {
+			known = true
+			run(st.name, func() ([]*experiments.Table, error) { return st.run(cfg) })
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
+	if !known {
+		fatal(fmt.Errorf("unknown experiment %q", target))
 	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d results, smoke=%v)\n", path, len(rep.Results), rep.Smoke)
 }
 
-// runGraphio executes the snapshot-loading suite (v1 gob vs v2 flat
-// CSR) and writes the BENCH_graphio.json report. -quick maps to smoke
-// mode; -check enforces the mid-size plain-fixture acceptance floor
-// (≥10x fewer allocs/op on the v2 path), which holds even in smoke
-// mode because allocation counts are deterministic.
-func runGraphio(smoke, check bool, path string) {
-	logf := func(format string, args ...any) {
+// studies are the simulator experiments, in the order "all" runs them.
+var studies = []struct {
+	name string
+	run  func(experiments.Config) ([]*experiments.Table, error)
+}{
+	{"fig8", experiments.Fig8},
+	{"fig9", experiments.Fig9},
+	{"fig10", one(experiments.Fig10)},
+	{"fig11", one(experiments.Fig11)},
+	{"fig12", one(experiments.Fig12)},
+	{"ablation", experiments.Ablation},
+	{"epsilon", one(func(c experiments.Config) (*experiments.Table, error) { return experiments.EpsilonSweep(c.Seed, 64) })},
+	{"warmstart", one(func(c experiments.Config) (*experiments.Table, error) {
+		return experiments.WarmStartStudy(c.Seed, 48, 8)
+	})},
+	{"adaptive", one(func(c experiments.Config) (*experiments.Table, error) {
+		return experiments.AdaptiveEpsilonStudy(c.Seed, 48, 12)
+	})},
+	{"latency", one(experiments.LatencyUnderLoad)},
+	{"heterogeneous", one(experiments.Heterogeneous)},
+	{"layout", one(experiments.PartitionedLayout)},
+	{"signature", one(experiments.SignatureCapacity)},
+	{"eta", one(experiments.EtaThreshold)},
+}
+
+// one adapts a single-table study to the studies signature.
+func one(f func(experiments.Config) (*experiments.Table, error)) func(experiments.Config) ([]*experiments.Table, error) {
+	return func(c experiments.Config) ([]*experiments.Table, error) {
+		t, err := f(c)
+		return []*experiments.Table{t}, err
+	}
+}
+
+// suite is one benchmark suite as runSuite drives it: tracked is the
+// committed, cmp-gated file a full run rewrites ("" for the wall-clock
+// suites, which commit nothing); run returns the report — what -check
+// checks and, as JSON, what -out holds.
+type suite struct {
+	tracked string
+	run     func(smoke bool, logf func(string, ...any)) (interface{ Check() error }, error)
+}
+
+var suites = map[string]suite{
+	"sched":    suiteOf("", schedbench.Run),
+	"traverse": suiteOf("", travbench.Run),
+	"graphio":  suiteOf("", graphiobench.Run),
+	"share":    suiteOf("BENCH_share.json", sharebench.Run),
+}
+
+func suiteOf[R interface{ Check() error }](tracked string, run func(bool, func(string, ...any)) (R, error)) suite {
+	return suite{tracked, func(smoke bool, logf func(string, ...any)) (interface{ Check() error }, error) {
+		return run(smoke, logf)
+	}}
+}
+
+// runSuite executes one suite — -quick maps to smoke mode, which
+// proves the suite runs and holds its count floors while its timings
+// are noise — enforces the table's floors under -check, writes the
+// JSON report where reportPath says, and returns the report and the
+// tables to print (share prints through its log lines: what it reports
+// is counts).
+func runSuite(s suite, smoke, check bool, out string) (interface{ Check() error }, []*experiments.Table, error) {
+	rep, err := s.run(smoke, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	})
+	if err == nil && check {
+		err = rep.Check()
 	}
-	rep, err := graphiobench.Run(smoke, logf)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	if check {
-		if err := rep.CheckThresholds(10); err != nil {
-			fatal(err)
+	if path := reportPath(out, s.tracked, smoke); path != "" {
+		var buf bytes.Buffer
+		if err := benchkit.WriteJSON(&buf, rep); err != nil {
+			return nil, nil, err
 		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s (smoke=%v)\n", path, smoke)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
+	if r, ok := rep.(*benchkit.Report); ok {
+		return rep, cellTables(r), nil
 	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d results, smoke=%v)\n", path, len(rep.Results), rep.Smoke)
+	return rep, nil, nil
 }
 
-// runShare executes the cross-query sharing suite (lockstep
-// multi-source batching under Zipfian-overlap load, against the
-// no-sharing baseline) and writes the BENCH_share.json report. -quick
-// maps to smoke mode (reduced scenario set); -check enforces the
-// acceptance floors — bit-identical results with batching off and on
-// and >= 2x fewer disk reads/query on the gated high-concurrency cell
-// — which hold in both modes because the suite is virtual-time
-// deterministic.
-func runShare(smoke, check bool, path string) {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	rep, err := sharebench.Run(smoke, logf)
-	if err != nil {
-		fatal(err)
-	}
-	if check {
-		if err := rep.CheckThresholds(sharebench.MinReadsRatio); err != nil {
-			fatal(err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios, smoke=%v)\n", path, len(rep.Scenarios), rep.Smoke)
-}
-
-// defaultPath resolves the -out flag per suite.
-func defaultPath(out, fallback string) string {
-	if out != "" {
+// reportPath resolves where a suite run writes its JSON report: -out
+// when given; else the suite's tracked file, but only on a full run —
+// a smoke run must never clobber a committed baseline; else nowhere.
+func reportPath(out, tracked string, smoke bool) string {
+	if out != "" || smoke {
 		return out
 	}
-	return fallback
+	return tracked
 }
 
-func parseScale(s string) (subtrav.Scale, bool) {
-	switch s {
-	case "tiny":
-		return subtrav.ScaleTiny, true
-	case "small":
-		return subtrav.ScaleSmall, true
-	case "medium":
-		return subtrav.ScaleMedium, true
-	case "large":
-		return subtrav.ScaleLarge, true
-	case "paper":
-		return subtrav.ScalePaper, true
+// cellTables renders a benchkit report: one table of cells, one of the
+// interleaved baseline÷versus ratios beside the floors -check enforces.
+func cellTables(r *benchkit.Report) []*experiments.Table {
+	dash := func(zero bool, s string) string {
+		if zero {
+			return "-"
+		}
+		return s
 	}
-	return 0, false
+	x := func(v float64) string { return dash(v == 0, fmt.Sprintf("%.2f", v)) }
+	cells := &experiments.Table{
+		Title:   r.Suite + " suite: cells",
+		Columns: []string{"cell", "iters", "ns/op", "allocs/op", "B/op", "count/op", "retained B"},
+		Notes: []string{fmt.Sprintf("%s %s/%s, %d CPUs, smoke=%v; wall-clock numbers are printed, not committed",
+			r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU, r.Smoke)},
+	}
+	ratios := &experiments.Table{
+		Title: r.Suite + " suite: baseline ÷ versus (above 1: versus is the cheaper side)",
+		Columns: []string{"baseline", "versus", "ns q1", "ns median", "ns q3", "ns floor",
+			"allocs", "allocs floor", "count", "count floor"},
+		Notes: []string{"ns: quartiles of the per-round ratios of benchkit.Compare's alternating slices; the floor binds the median, on full runs only"},
+	}
+	for _, res := range r.Results {
+		cells.AddRow(res.Name, res.Iters, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, x(res.CountPerOp),
+			dash(res.RetainedBytes == 0, fmt.Sprint(res.RetainedBytes)))
+		if sp, ok := r.Speedup[res.Name]; ok {
+			ratios.AddRow(res.Name, sp.Versus, x(sp.Ns.Q1), x(sp.Ns.Median), x(sp.Ns.Q3), x(sp.Floor.Ns),
+				x(sp.AllocRatio), x(sp.Floor.Allocs), x(sp.CountRatio), x(sp.Floor.Count))
+		}
+	}
+	return []*experiments.Table{cells, ratios}
+}
+
+var scales = map[string]subtrav.Scale{
+	"tiny": subtrav.ScaleTiny, "small": subtrav.ScaleSmall, "medium": subtrav.ScaleMedium,
+	"large": subtrav.ScaleLarge, "paper": subtrav.ScalePaper,
 }
 
 func parseUnits(s string) ([]int, error) {

@@ -54,12 +54,6 @@ type Config struct {
 	// still matters implicitly because n' grows with it. ChurnScale
 	// (default 1) sharpens or softens the cutoff.
 	ChurnScale float64
-	// Parallelism is the number of goroutines BuildAnchors uses to
-	// construct matrix rows after the per-round vertex snapshots are
-	// in place; 0 or 1 keeps row construction sequential (the
-	// default). Rows are written by index, so the resulting Matrix is
-	// identical regardless of goroutine interleaving.
-	Parallelism int
 }
 
 // DefaultConfig returns scorer parameters tuned for the simulator's
@@ -84,8 +78,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("affinity: AvgSubgraphBytes = %d, want > 0", c.AvgSubgraphBytes)
 	case c.ChurnScale <= 0:
 		return fmt.Errorf("affinity: ChurnScale = %g, want > 0", c.ChurnScale)
-	case c.Parallelism < 0:
-		return fmt.Errorf("affinity: Parallelism = %d, want >= 0", c.Parallelism)
 	}
 	return nil
 }

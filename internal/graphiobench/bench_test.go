@@ -2,40 +2,13 @@ package graphiobench
 
 import (
 	"testing"
+
+	"subtrav/internal/benchkit"
 )
 
-// BenchmarkLoad measures every (op, format, size) cell via the exact
-// closures the JSON emitter drives. Run with -benchtime=1x for a smoke
-// check (CI does).
-func BenchmarkLoad(b *testing.B) {
-	for _, v := range Sizes {
-		for _, meta := range Metas {
-			fx, err := NewFixture(v, meta)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, op := range fx.Ops() {
-				op := op
-				b.Run(Cell(op.Name, "gob", v, meta), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := op.Gob(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.Run(Cell(op.Name, "csr", v, meta), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := op.CSR(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
+// BenchmarkGraphio runs the suite's table under testing.B; CI does, at
+// -benchtime=1x.
+func BenchmarkGraphio(b *testing.B) { benchkit.Bench(b, Table()) }
 
 // TestRunSmoke proves the emitter end to end: a smoke run over the
 // full matrix must produce a well-formed report with every cell, a
@@ -57,9 +30,6 @@ func TestRunSmoke(t *testing.T) {
 	if len(rep.Results) != 2*wantCells {
 		t.Errorf("results: %d, want %d", len(rep.Results), 2*wantCells)
 	}
-	if len(rep.Resident) != len(Sizes)*len(Metas) {
-		t.Errorf("resident entries: %d, want %d", len(rep.Resident), len(Sizes)*len(Metas))
-	}
 	for _, res := range rep.Results {
 		if res.Iters != 1 {
 			t.Errorf("%s: smoke iters = %d, want 1", res.Name, res.Iters)
@@ -68,8 +38,14 @@ func TestRunSmoke(t *testing.T) {
 			t.Errorf("%s: ns/op = %g, want > 0", res.Name, res.NsPerOp)
 		}
 	}
-	if err := rep.CheckThresholds(10); err != nil {
+	if err := rep.Check(); err != nil {
 		t.Errorf("threshold check: %v", err)
+	}
+	// The zero-copy load retains less heap than the gob decode.
+	for i := 0; i < len(rep.Results); i += 4 {
+		if gob, csr := rep.Results[i], rep.Results[i+1]; csr.RetainedBytes <= 0 || csr.RetainedBytes >= gob.RetainedBytes {
+			t.Errorf("%s retains %d B, %s %d B; want 0 < csr < gob", csr.Name, csr.RetainedBytes, gob.Name, gob.RetainedBytes)
+		}
 	}
 }
 

@@ -1,21 +1,25 @@
-// Package graphiobench builds the reproducible graph-loading benchmark
-// workloads shared by the `go test -bench` suite (bench_test.go) and
-// the `subtrav-bench graphio` command, which runs the same workloads
-// and emits the tracked BENCH_graphio.json artifact (see report.go).
+// Package graphiobench is the graph-loading benchmark suite: its
+// fixtures and the one table of cells (Table) that both `go test
+// -bench` and `subtrav-bench graphio` run on internal/benchkit.
 //
 // The suite compares the two on-disk snapshot formats end to end: the
 // version-1 gob encoding, which rebuilds the graph edge by edge
 // through the Builder and allocates per vertex and per edge, and the
 // version-2 flat binary CSR snapshot, which validates checksums and
 // serves its columns as slices aliasing the input buffer. Each cell
-// measures decode latency (time-to-first-query), allocations, bytes
-// churned, and the heap retained by the decoded graph.
+// measures decode latency (time-to-first-query), allocations and bytes
+// churned, the Load cells also the heap the decoded graph retains. The
+// wall-clock numbers are printed, not committed (README, "Performance",
+// names the BENCHMARK.json metrics that track the v2 load); what is
+// gated is a count: MinAllocRatio× fewer allocations on the mid-size
+// plain Load cell.
 package graphiobench
 
 import (
 	"bytes"
 	"fmt"
 
+	"subtrav/internal/benchkit"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
 	"subtrav/internal/graphio"
@@ -108,50 +112,77 @@ func FirstQuery(g *graph.Graph) int64 {
 	return sum
 }
 
-// Cell names one (op, format, size, meta) coordinate, go-bench style.
-func Cell(op, format string, v int, meta bool) string {
-	return fmt.Sprintf("%s/%s/V=%d/meta=%s", op, format, v, onOff(meta))
-}
+// MinAllocRatio is the floor on gob÷csr allocs/op for the mid-size
+// plain Load cell. The plain cell is the right gauge — property maps
+// must materialize per entity in both formats, so the meta cells
+// converge, while the structural columns are where zero-copy either
+// holds or doesn't.
+const MinAllocRatio = 10
 
-func onOff(b bool) string {
-	if b {
-		return "on"
+// at names one (size, meta) fixture coordinate.
+func at(v int, meta bool) string {
+	if meta {
+		return fmt.Sprintf("V=%d/meta=on", v)
 	}
-	return "off"
+	return fmt.Sprintf("V=%d/meta=off", v)
 }
 
-// Op is one benchmarkable loader pair: the same operation through the
-// v1 gob path and the v2 flat-CSR path.
-type Op struct {
-	Name string
-	Gob  func() error
-	CSR  func() error
-}
-
-// Ops enumerates the fixture's loading workloads as (name, gob-run,
-// csr-run) pairs so the emitter and the go-bench suite drive the exact
-// same calls.
-func (fx *Fixture) Ops() []Op {
-	return []Op{
-		{"Load",
-			func() error { _, err := fx.LoadGob(); return err },
-			func() error { _, err := fx.LoadCSR(); return err }},
-		{"FirstQuery",
-			func() error {
-				g, err := fx.LoadGob()
-				if err != nil {
-					return err
+// cells is the fixture's slice of the table: decode alone (Load) and
+// decode plus the first adjacency sweep (FirstQuery), each through the
+// v1 gob path — the baseline — and the v2 flat-CSR path. The Load cells
+// also report the heap the decoded graph retains: for gob the fully
+// materialized column set; for csr the columns alias the snapshot
+// buffer, so only the graph header and property maps count.
+func (fx *Fixture) cells() []benchkit.Cell {
+	var cells []benchkit.Cell
+	for _, sweep := range []bool{false, true} {
+		op := "Load"
+		if sweep {
+			op = "FirstQuery"
+		}
+		cell := func(format string, load func() (*graph.Graph, error)) benchkit.Cell {
+			c := benchkit.Cell{Name: op + "/" + format + "/" + at(fx.V, fx.Meta), Run: func() error {
+				g, err := load()
+				if err == nil && sweep {
+					FirstQuery(g)
 				}
-				FirstQuery(g)
-				return nil
-			},
-			func() error {
-				g, err := fx.LoadCSR()
-				if err != nil {
-					return err
-				}
-				FirstQuery(g)
-				return nil
-			}},
+				return err
+			}}
+			if !sweep {
+				c.Retained = func() (any, error) { return load() }
+			}
+			return c
+		}
+		gob, csr := cell("gob", fx.LoadGob), cell("csr", fx.LoadCSR)
+		gob.Versus = csr.Name
+		if !sweep && fx.V == MidSize && !fx.Meta {
+			gob.Floor.Allocs = MinAllocRatio
+		}
+		cells = append(cells, gob, csr)
 	}
+	return cells
+}
+
+// Table is the suite's one table of cells, a group per (size, meta)
+// fixture.
+func Table() []benchkit.Group {
+	var table []benchkit.Group
+	for _, v := range Sizes {
+		for _, meta := range Metas {
+			table = append(table, func() ([]benchkit.Cell, error) {
+				fx, err := NewFixture(v, meta)
+				if err != nil {
+					return nil, err
+				}
+				return fx.cells(), nil
+			})
+		}
+	}
+	return table
+}
+
+// Run executes the suite: smoke runs every cell once (CI), a full run
+// calibrates iteration counts and interleaves the gob↔csr pairs.
+func Run(smoke bool, logf func(format string, args ...any)) (*benchkit.Report, error) {
+	return benchkit.Run("graphio", smoke, Table(), logf)
 }

@@ -20,8 +20,6 @@ type AuctionConfig struct {
 	// PriceDecay fades warm-started prices between rounds (see
 	// auction.AuctioneerConfig); 0 means no decay.
 	PriceDecay float64
-	// Parallel selects the goroutine-parallel Jacobi auction.
-	Parallel bool
 	// WorkloadAware applies the Eq. 4 reciprocal queue weighting;
 	// disabling it yields the affinity-only ablation.
 	WorkloadAware bool
@@ -84,7 +82,6 @@ func NewAuction(scorer *affinity.Scorer, cfg AuctionConfig) (*Auction, error) {
 		NumCols:    cfg.NumUnits,
 		Options:    auction.Options{Epsilon: cfg.Epsilon},
 		PriceDecay: cfg.PriceDecay,
-		Parallel:   cfg.Parallel,
 	})
 	if err != nil {
 		return nil, err

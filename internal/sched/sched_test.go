@@ -305,42 +305,6 @@ func TestAuctionPanicsOnUnitMismatch(t *testing.T) {
 	sch.Assign(mkTasks(0), mkUnits(2))
 }
 
-func TestAuctionParallelVariant(t *testing.T) {
-	t.Parallel()
-	b := graph.NewBuilder(graph.Undirected, 100)
-	for i := 0; i < 99; i++ {
-		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
-	}
-	g := b.Build()
-	sigs := signature.NewTable(0)
-	clock := &signature.ManualClock{}
-	scorer, err := affinity.NewScorer(g, sigs, clock, affinity.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := NewAuction(scorer, AuctionConfig{NumUnits: 8, Epsilon: 1e-3, Parallel: true, WorkloadAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := graph.VertexID(0); v < 100; v++ {
-		sigs.Record(v, int32(v)%8, 1)
-	}
-	units := mkUnits(8)
-	starts := make([]graph.VertexID, 8)
-	for i := range starts {
-		starts[i] = graph.VertexID(i * 12)
-	}
-	got := sch.Assign(mkTasks(starts...), units)
-	if len(got) != 8 {
-		t.Fatalf("placements = %v", got)
-	}
-	for _, u := range got {
-		if u < 0 || u >= 8 {
-			t.Fatalf("invalid unit %d", u)
-		}
-	}
-}
-
 func TestColdScoreEscapeArc(t *testing.T) {
 	t.Parallel()
 	b := graph.NewBuilder(graph.Undirected, 10)

@@ -1,109 +1,19 @@
 package schedbench
 
 import (
-	"fmt"
 	"testing"
 
-	"subtrav/internal/graph"
+	"subtrav/internal/benchkit"
 )
 
-// BenchmarkBuildAnchors measures the affinity matrix build — snapshot
-// path and per-pair reference path — across the tracked P × degree
-// matrix. Run with -benchtime=1x for a smoke check (CI does).
-func BenchmarkBuildAnchors(b *testing.B) {
-	for _, p := range UnitCounts {
-		for _, deg := range Degrees {
-			fx, err := NewFixture(p, deg, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("snap/P=%d/deg=%d", p, deg), func(b *testing.B) {
-				b.ReportAllocs()
-				lock0 := fx.Sigs.LockAcquisitions()
-				for i := 0; i < b.N; i++ {
-					fx.Scorer.BuildAnchors(fx.Anchors, fx.Units)
-				}
-				b.ReportMetric(float64(fx.Sigs.LockAcquisitions()-lock0)/float64(b.N), "locks/op")
-			})
-			b.Run(fmt.Sprintf("ref/P=%d/deg=%d", p, deg), func(b *testing.B) {
-				b.ReportAllocs()
-				lock0 := fx.Sigs.LockAcquisitions()
-				for i := 0; i < b.N; i++ {
-					fx.Scorer.BuildAnchorsReference(fx.Anchors, fx.Units)
-				}
-				b.ReportMetric(float64(fx.Sigs.LockAcquisitions()-lock0)/float64(b.N), "locks/op")
-			})
-		}
-	}
-}
-
-// BenchmarkBuildAnchorsParallel measures the snapshot path with the
-// row-construction knob engaged.
-func BenchmarkBuildAnchorsParallel(b *testing.B) {
-	for _, p := range UnitCounts {
-		fx, err := NewFixture(p, 8, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("P=%d/deg=8/workers=4", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fx.Scorer.BuildAnchors(fx.Anchors, fx.Units)
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchRound measures a full scheduling segment: matrix
-// build, auction, fallbacks.
-func BenchmarkDispatchRound(b *testing.B) {
-	for _, p := range UnitCounts {
-		for _, deg := range Degrees {
-			fx, err := NewFixture(p, deg, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("P=%d/deg=%d", p, deg), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fx.Auction.Assign(fx.Tasks, fx.UnitStates)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRecord measures the traversal-side signature write path,
-// serial and contended.
-func BenchmarkRecord(b *testing.B) {
-	for _, p := range UnitCounts {
-		fx, err := NewFixture(p, 8, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("serial/P=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fx.Sigs.Record(graph.VertexID(i%NumVertices), int32(i%p), int64(i))
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/P=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i++
-					fx.Sigs.Record(graph.VertexID(i%NumVertices), int32(i%p), int64(i))
-				}
-			})
-		})
-	}
-}
+// BenchmarkSched runs the suite's table under testing.B; CI does, at
+// -benchtime=1x.
+func BenchmarkSched(b *testing.B) { benchkit.Bench(b, Table()) }
 
 // TestRunSmoke pins the emitter: a smoke run must produce a result for
 // every cell the issue tracks and a speedup entry per (P, degree).
 func TestRunSmoke(t *testing.T) {
-	rep, err := Run(true, 0, nil)
+	rep, err := Run(true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +36,11 @@ func TestRunSmoke(t *testing.T) {
 	// snapshot path takes one lock per distinct closure vertex, the
 	// reference path ~P per closure vertex per task.
 	for cell, sp := range rep.Speedup {
-		if sp.LockRatio < 2 {
-			t.Errorf("%s: lock ratio %.2f, want the snapshot path to hold a clear lock advantage", cell, sp.LockRatio)
+		if sp.CountRatio < 2 {
+			t.Errorf("%s: lock ratio %.2f, want the snapshot path to hold a clear lock advantage", cell, sp.CountRatio)
 		}
+	}
+	if err := rep.Check(); err != nil {
+		t.Error(err)
 	}
 }

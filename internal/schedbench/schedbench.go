@@ -1,26 +1,31 @@
-// Package schedbench builds the reproducible scheduler hot-path
-// benchmark workloads shared by the `go test -bench` suite
-// (bench_test.go) and the `subtrav-bench sched` command, which runs
-// the same workloads and emits the tracked BENCH_sched.json artifact
-// (see report.go). The fixtures pin every source of randomness to a
-// seed, so two runs on the same machine measure the same work.
+// Package schedbench is the scheduler hot-path benchmark suite: its
+// fixtures and the one table of cells (Table) that both `go test
+// -bench` and `subtrav-bench sched` run on internal/benchkit. The
+// fixtures pin every source of randomness to a seed, so two runs on
+// the same machine measure the same work.
 //
 // The suite covers the three operations that dominate a scheduling
 // round (Figure 6 pipeline):
 //
 //   - BuildAnchors — the workload-aware affinity matrix build, in both
 //     its snapshot-cache form and the per-(vertex, unit) reference
-//     form, so every report carries its own before/after baseline;
+//     form, compared as an interleaved ratio;
 //   - DispatchRound — a full Auction.Assign segment (matrix build +
 //     auction + fallbacks);
 //   - Record — signature-table visit recording, the traversal-side
 //     half of the signature contract.
+//
+// Its wall-clock numbers are printed, not committed (README,
+// "Performance", names the BENCHMARK.json metric that tracks each);
+// what it gates is a count: the snapshot build takes at least
+// MinLockRatio× fewer signature-shard locks than the reference.
 package schedbench
 
 import (
 	"fmt"
 
 	"subtrav/internal/affinity"
+	"subtrav/internal/benchkit"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
 	"subtrav/internal/sched"
@@ -53,12 +58,7 @@ func (u *unit) Busy() bool                 { return u.queue > 0 }
 // random graph of the given average degree, a pre-warmed signature
 // table, an affinity scorer, P units and a P-task batch.
 type Fixture struct {
-	P      int
-	Degree int
-
-	Graph   *graph.Graph
 	Sigs    *signature.Table
-	Clock   *signature.ManualClock
 	Scorer  *affinity.Scorer
 	Auction *sched.Auction
 
@@ -69,9 +69,8 @@ type Fixture struct {
 }
 
 // NewFixture builds the workload for P units over a graph with the
-// given average degree. parallelism is the scorer's row-construction
-// knob (0 = sequential).
-func NewFixture(p, degree, parallelism int) (*Fixture, error) {
+// given average degree.
+func NewFixture(p, degree int) (*Fixture, error) {
 	g, err := graphgen.Random(graphgen.RandomConfig{
 		NumVertices: NumVertices,
 		NumEdges:    NumVertices * degree / 2,
@@ -105,9 +104,7 @@ func NewFixture(p, degree, parallelism int) (*Fixture, error) {
 	}
 	clock.Set(now + 1)
 
-	cfg := affinity.DefaultConfig()
-	cfg.Parallelism = parallelism
-	scorer, err := affinity.NewScorer(g, sigs, clock, cfg)
+	scorer, err := affinity.NewScorer(g, sigs, clock, affinity.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("schedbench: %w", err)
 	}
@@ -155,11 +152,7 @@ func NewFixture(p, degree, parallelism int) (*Fixture, error) {
 	}
 
 	return &Fixture{
-		P:          p,
-		Degree:     degree,
-		Graph:      g,
 		Sigs:       sigs,
-		Clock:      clock,
 		Scorer:     scorer,
 		Auction:    auc,
 		Units:      units,
@@ -169,9 +162,65 @@ func NewFixture(p, degree, parallelism int) (*Fixture, error) {
 	}, nil
 }
 
-// UnitCounts and Degrees are the benchmark matrix axes required by
-// the tracked baseline: P ∈ {4, 16, 64} × degree ∈ {8, 64}.
+// UnitCounts and Degrees are the BuildAnchors matrix axes: P ∈ {4, 16,
+// 64} × degree ∈ {8, 64}. DispatchRound and Record run at degree 8.
 var (
 	UnitCounts = []int{4, 16, 64}
 	Degrees    = []int{8, 64}
 )
+
+// MinLockRatio is the floor on reference÷snapshot signature-lock
+// acquisitions per build. The snapshot path takes one lock per distinct
+// closure vertex, the reference ~P per closure vertex per task, so even
+// the P=4 cells clear it several times over.
+const MinLockRatio = 2
+
+// Table is the suite's one table of cells, a group per fixture.
+func Table() []benchkit.Group {
+	var table []benchkit.Group
+	for _, p := range UnitCounts {
+		for _, deg := range Degrees {
+			table = append(table, func() ([]benchkit.Cell, error) {
+				fx, err := NewFixture(p, deg)
+				if err != nil {
+					return nil, err
+				}
+				at := fmt.Sprintf("P=%d/deg=%d", p, deg)
+				cells := []benchkit.Cell{
+					{Name: "BuildAnchors/snap/" + at, Count: fx.Sigs.LockAcquisitions,
+						Run: func() error { fx.Scorer.BuildAnchors(fx.Anchors, fx.Units); return nil }},
+					{Name: "BuildAnchors/ref/" + at, Count: fx.Sigs.LockAcquisitions,
+						Versus: "BuildAnchors/snap/" + at, Floor: benchkit.Floor{Count: MinLockRatio},
+						Run: func() error { fx.Scorer.BuildAnchorsReference(fx.Anchors, fx.Units); return nil }},
+				}
+				if deg != Degrees[0] {
+					return cells, nil
+				}
+				// At the first degree, also a full round and — on a
+				// fixture of its own, since it mutates the signature
+				// table the cells above read — Record.
+				rec, err := NewFixture(p, deg)
+				if err != nil {
+					return nil, err
+				}
+				var v, t int64
+				return append(cells,
+					benchkit.Cell{Name: "DispatchRound/" + at,
+						Run: func() error { fx.Auction.Assign(fx.Tasks, fx.UnitStates); return nil }},
+					benchkit.Cell{Name: fmt.Sprintf("Record/P=%d", p), Run: func() error {
+						t++
+						v++
+						rec.Sigs.Record(graph.VertexID(v%NumVertices), int32(v%int64(p)), t)
+						return nil
+					}}), nil
+			})
+		}
+	}
+	return table
+}
+
+// Run executes the suite: smoke runs every cell once (CI), a full run
+// calibrates iteration counts and interleaves the snap↔ref pairs.
+func Run(smoke bool, logf func(format string, args ...any)) (*benchkit.Report, error) {
+	return benchkit.Run("sched", smoke, Table(), logf)
+}

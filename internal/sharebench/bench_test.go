@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"subtrav/internal/benchkit"
 )
 
 // TestRunSmoke is the CI smoke: the reduced suite must run clean,
@@ -36,7 +38,7 @@ func TestRunSmoke(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := benchkit.WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var round Report
@@ -57,10 +59,10 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ab, bb bytes.Buffer
-	if err := a.WriteJSON(&ab); err != nil {
+	if err := benchkit.WriteJSON(&ab, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteJSON(&bb); err != nil {
+	if err := benchkit.WriteJSON(&bb, b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
@@ -90,15 +92,6 @@ func TestCheckThresholds(t *testing.T) {
 	}
 }
 
-// BenchmarkShareModes times one full smoke pass of both modes; -benchtime=1x in CI keeps it to a single iteration.
-func BenchmarkShareModes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(true, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rep.CheckThresholds(MinReadsRatio); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkShare times the smoke table's replays under testing.B; CI
+// does, at -benchtime=1x.
+func BenchmarkShare(b *testing.B) { benchkit.Bench(b, Table()) }

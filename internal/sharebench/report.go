@@ -1,10 +1,6 @@
 package sharebench
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // MinReadsRatio is the acceptance floor enforced by CheckThresholds on
 // gated scenarios: batching must cut disk reads/query at least this
@@ -67,16 +63,8 @@ type Report struct {
 	Scenarios []ScenarioReport `json:"scenarios"`
 }
 
-// WriteJSON writes the indented report.
-func (r *Report) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
+// Check is CheckThresholds at the suite's own floor.
+func (r *Report) Check() error { return r.CheckThresholds(MinReadsRatio) }
 
 // CheckThresholds fails loudly when the sharing layer regresses: any
 // scenario with diverging results, or a gated scenario whose reads

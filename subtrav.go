@@ -86,8 +86,6 @@ type Options struct {
 	Affinity affinity.Config
 	// Epsilon is the auction's minimum price increment (0: default).
 	Epsilon float64
-	// ParallelAuction selects the goroutine Jacobi auction.
-	ParallelAuction bool
 	// SchedulerSeed seeds stochastic policies (the baseline's RNG).
 	SchedulerSeed uint64
 	// MaxQueuePerUnit is the dispatch depth target (0: default 2).
@@ -179,7 +177,6 @@ func (s *System) NewScheduler(policy Policy) (sched.Scheduler, error) {
 		return sched.NewAuction(scorer, sched.AuctionConfig{
 			NumUnits:      s.clu.NumUnits(),
 			Epsilon:       s.opts.Epsilon,
-			Parallel:      s.opts.ParallelAuction,
 			WorkloadAware: policy == PolicyAuction,
 			ColdScore:     s.opts.ColdScore,
 		})
