@@ -39,10 +39,6 @@ func main() {
 	writeGraph := func(path string, g *graph.Graph) error {
 		switch *format {
 		case "csr":
-			// Materialize the reverse CSR so the snapshot carries the
-			// optional in-edge sections: loaders then preset the pull
-			// kernels' view instead of rebuilding it per process.
-			g.In()
 			return graphio.WriteCSRFile(path, g)
 		case "gob":
 			return graphio.WriteFile(path, g)
@@ -57,11 +53,6 @@ func main() {
 			fatal(err)
 		}
 		printStats(*info, g)
-		if g.InPersisted() {
-			fmt.Printf("  in-edges: persisted (pull kernels load the reverse CSR directly)\n")
-		} else {
-			fmt.Printf("  in-edges: not persisted (reverse CSR built on demand at first pull)\n")
-		}
 		return
 	}
 	if *out == "" {

@@ -107,9 +107,6 @@ func (a *AdaptiveAuctioneer) EpsilonHistory() []float64 {
 // Runs returns how many Assign calls have completed.
 func (a *AdaptiveAuctioneer) Runs() int { return a.inner.Runs() }
 
-// TotalRounds returns cumulative bidding rounds.
-func (a *AdaptiveAuctioneer) TotalRounds() int { return a.inner.TotalRounds() }
-
 // Assign solves one round with the current ε, then adapts ε from the
 // observed bidding effort.
 func (a *AdaptiveAuctioneer) Assign(p Problem) (Assignment, error) {

@@ -50,11 +50,9 @@ type Cell struct {
 type Group func() ([]Cell, error)
 
 // Floor holds the minimum acceptable ratios of one baseline÷versus
-// pair; a zero field is not checked. Allocs and Count are counts and
-// hold in smoke runs too; Ns is wall-clock and binds the median of the
-// interleaved per-round ratios, on full runs only.
+// pair; a zero field is not checked. Both are counts, never wall-clock,
+// so they hold in smoke runs too and a gate cannot flap with the VM.
 type Floor struct {
-	Ns     float64 `json:"ns,omitempty"`
 	Allocs float64 `json:"allocs,omitempty"`
 	Count  float64 `json:"count,omitempty"`
 }
@@ -81,7 +79,8 @@ type Band struct {
 // Speedup is one baseline÷versus comparison.
 type Speedup struct {
 	Versus string `json:"versus"`
-	// Ns is the interleaved wall-clock ratio (Compare).
+	// Ns is the interleaved wall-clock ratio (Compare): reported, never
+	// gated.
 	Ns Band `json:"ns"`
 	// AllocRatio is baseline allocs/op over versus allocs/op with the
 	// denominator floored at 1 alloc/op: the versus side routinely
@@ -305,22 +304,20 @@ func Run(suite string, smoke bool, table []Group, logf func(format string, args 
 }
 
 // Check enforces the floors the table declared: every alloc and counter
-// ratio at or above its floor and — on a full run only — every median
-// wall-clock ratio at or above its floor and every NoAlloc cell below
-// 1 alloc/op. One warm-up call does not always bring a workspace to
-// steady-state capacity, so a smoke sample cannot show the last; and a
-// 200 ms window catches a stray process-wide malloc in two runs of
-// five, so an exact zero would flap.
+// ratio at or above its floor and — on a full run only — every NoAlloc
+// cell below 1 alloc/op. One warm-up call does not always bring a
+// workspace to steady-state capacity, so a smoke sample cannot show the
+// last; and a 200 ms window catches a stray process-wide malloc in two
+// runs of five, so an exact zero would flap.
 func (r *Report) Check() error {
 	for _, res := range r.Results {
 		if !r.Smoke && res.NoAlloc && res.AllocsPerOp >= 1 {
 			return fmt.Errorf("%s: %s measured %.2f allocs/op, want 0", r.Suite, res.Name, res.AllocsPerOp)
 		}
 		sp, gated := r.Speedup[res.Name]
-		slow := !r.Smoke && sp.Ns.Median < sp.Floor.Ns
-		if gated && (slow || sp.AllocRatio < sp.Floor.Allocs || sp.CountRatio < sp.Floor.Count) {
-			return fmt.Errorf("%s: %s ÷ %s: median ns/op %.2fx, allocs/op %.2fx, count/op %.2fx; floors %+v",
-				r.Suite, res.Name, sp.Versus, sp.Ns.Median, sp.AllocRatio, sp.CountRatio, sp.Floor)
+		if gated && (sp.AllocRatio < sp.Floor.Allocs || sp.CountRatio < sp.Floor.Count) {
+			return fmt.Errorf("%s: %s ÷ %s: allocs/op %.2fx, count/op %.2fx; floors %+v",
+				r.Suite, res.Name, sp.Versus, sp.AllocRatio, sp.CountRatio, sp.Floor)
 		}
 	}
 	return nil

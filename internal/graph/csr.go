@@ -51,24 +51,13 @@ type CSRData struct {
 	// Partition labels (one per vertex, dense in [0, numPartitions));
 	// nil when unpartitioned.
 	Partition []int32
-
-	// In-edge (reverse CSR) columns, parallel over forward slots: the
-	// in-edges of u are InSources[InOffsets[u]:InOffsets[u+1]] with
-	// forward slots InSlots[...], sorted by forward slot. Optional —
-	// all three present or all three nil. FromCSR presets Graph.In()
-	// from them; CSRView exposes them when the view has been built or
-	// loaded, so snapshots written from such a graph carry the
-	// sections.
-	InOffsets []int64
-	InSources []VertexID
-	InSlots   []uint32
 }
 
 // CSRView returns the graph's raw columns without copying. The
 // returned slices alias the graph's internals: callers must treat them
 // as read-only.
 func (g *Graph) CSRView() CSRData {
-	d := CSRData{
+	return CSRData{
 		Kind:      g.kind,
 		NumEdges:  g.numEdges,
 		Offsets:   g.offsets,
@@ -81,12 +70,6 @@ func (g *Graph) CSRView() CSRData {
 		EBytes:    g.ebytes,
 		Partition: g.part,
 	}
-	if in := g.in.Load(); in != nil {
-		d.InOffsets = in.Offsets
-		d.InSources = in.Sources
-		d.InSlots = in.FwdSlot
-	}
-	return d
 }
 
 // FromCSR assembles a Graph directly around the given columns without
@@ -204,16 +187,6 @@ func FromCSR(d CSRData) (*Graph, error) {
 		}
 		g.part = d.Partition
 		g.numPartitions = int(maxLabel) + 1
-	}
-
-	if d.InOffsets != nil {
-		if err := validateInCSR(d); err != nil {
-			return nil, err
-		}
-		g.in.Store(&InCSR{Offsets: d.InOffsets, Sources: d.InSources, FwdSlot: d.InSlots})
-		g.inPersisted = true
-	} else if d.InSources != nil || d.InSlots != nil {
-		return nil, fmt.Errorf("graph: csr in-edge columns without in-offsets")
 	}
 
 	if g.vbytes == nil {

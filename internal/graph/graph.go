@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // VertexID identifies a vertex. IDs are dense in [0, NumVertices).
@@ -88,13 +86,6 @@ type Graph struct {
 	// Partition label per vertex (-1 when unpartitioned).
 	part          []int32
 	numPartitions int
-
-	// In-edge (reverse CSR) view: preset from a snapshot that persists
-	// the optional in-edge sections, or built on demand by In() and
-	// cached. inOnce makes the lazy build safe for concurrent readers.
-	in          atomic.Pointer[InCSR]
-	inOnce      sync.Once
-	inPersisted bool
 }
 
 // Kind reports whether the graph is directed or undirected.
@@ -106,11 +97,6 @@ func (g *Graph) NumVertices() int { return len(g.offsets) - 1 }
 // NumEdges returns the number of logical edges (an undirected edge
 // counts once even though it occupies two CSR slots).
 func (g *Graph) NumEdges() int { return g.numEdges }
-
-// NumSlots returns the number of CSR slots (directed edge instances):
-// NumEdges for directed graphs, 2*NumEdges for undirected ones. This
-// is also the total in-edge count, since every slot arrives somewhere.
-func (g *Graph) NumSlots() int64 { return int64(len(g.targets)) }
 
 // Valid reports whether v is a vertex of the graph.
 func (g *Graph) Valid(v VertexID) bool {

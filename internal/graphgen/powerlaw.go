@@ -35,13 +35,6 @@ type PowerLawConfig struct {
 	Kind graph.Kind
 	// Seed drives all randomness.
 	Seed uint64
-	// MaxDegree caps the expected degree of the largest hub. 0 applies
-	// the structural cutoff √(2·NumEdges) — standard practice for
-	// scale-free generators: without it, a small-n Chung-Lu instance
-	// grows a mega-hub adjacent to a large fraction of the graph,
-	// destroying the neighborhood locality that real social graphs
-	// (and the paper's workload) exhibit. Negative disables capping.
-	MaxDegree int
 	// VertexMeta, when true, attaches Twitter-like small vertex
 	// properties (id, name, gender, affiliation) and retweet-timestamp
 	// edge properties so records have realistic metadata sizes.
@@ -82,12 +75,13 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 		weightSum += weights[v]
 	}
 	// Structural cutoff: clamp weights so no vertex's expected degree
-	// exceeds the cap (expected degree of v is 2m·w_v/Σw).
-	if cfg.MaxDegree >= 0 && cfg.NumEdges > 0 {
-		cap := float64(cfg.MaxDegree)
-		if cfg.MaxDegree == 0 {
-			cap = math.Sqrt(2 * float64(cfg.NumEdges))
-		}
+	// exceeds √(2·NumEdges) (expected degree of v is 2m·w_v/Σw) —
+	// standard practice for scale-free generators: without it, a small-n
+	// Chung-Lu instance grows a mega-hub adjacent to a large fraction of
+	// the graph, destroying the neighborhood locality that real social
+	// graphs (and the paper's workload) exhibit.
+	if cfg.NumEdges > 0 {
+		cap := math.Sqrt(2 * float64(cfg.NumEdges))
 		// Clamping reduces Σw, which raises other degrees slightly;
 		// two passes converge well enough for generation purposes.
 		for pass := 0; pass < 2; pass++ {

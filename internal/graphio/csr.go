@@ -3,7 +3,7 @@ package graphio
 // Flat binary CSR snapshot — the version-2 on-disk graph format.
 //
 // A v2 file is a single contiguous buffer laid out as a fixed 64-byte
-// header, a section table, and up to fifteen 8-aligned sections:
+// header, a section table, and up to twelve 8-aligned sections:
 //
 //	header     magic "STRVCSR2", version, kind, counts, crc
 //	table      one 32-byte entry per present section: id, offset,
@@ -20,16 +20,12 @@ package graphio
 //	epropidx   (E+1) × uint32  edge → property record range
 //	eproprecs  n × 24 bytes    fixed-size edge property records
 //	arena      raw bytes       all keys and string values, deduplicated
-//	inoffsets  (V+1) × int64   reverse-CSR row offsets (optional)
-//	insources  slots × int32   in-edge source vertices (optional)
-//	inslots    slots × uint32  in-edge forward slots (optional)
 //
-// The three in-edge sections persist the graph's reverse-CSR view so
-// pull-direction traversal on a loaded snapshot skips the O(E) rebuild;
-// they are written only when the source graph has the view materialized
-// and readers of older files fall back to building it on demand. They
-// appear all together or not at all (insources/inslots may be absent
-// when the graph has zero slots, since empty sections are skipped).
+// Older builds could append three more sections (ids 13–15: inoffsets,
+// insources, inslots) holding a reverse-CSR view that nothing reads any
+// more. This writer never emits them; the reader still accepts them in
+// the table and verifies their geometry and checksums like any other
+// section's, but does not decode the payload.
 //
 // All scalars are little-endian. Because every section is 8-aligned
 // and already in the graph package's native column layout, the whole
@@ -86,46 +82,23 @@ const (
 	secEPropIdx
 	secEPropRecs
 	secArena
+	// Reserved: the reverse-CSR sections of older builds (see the format
+	// comment above). The ids are never reused.
 	secInOffsets
 	secInSources
 	secInSlots
+	secEnd // one past the largest id a table may list
 )
 
+// secNames is indexed by section id.
+var secNames = [secEnd]string{"", "offsets", "targets", "edgeidx", "weights", "vbytes", "ebytes", "partition",
+	"vpropidx", "vproprecs", "epropidx", "eproprecs", "arena", "inoffsets", "insources", "inslots"}
+
 func secName(id uint32) string {
-	switch id {
-	case secOffsets:
-		return "offsets"
-	case secTargets:
-		return "targets"
-	case secEdgeIdx:
-		return "edgeidx"
-	case secWeights:
-		return "weights"
-	case secVBytes:
-		return "vbytes"
-	case secEBytes:
-		return "ebytes"
-	case secPartition:
-		return "partition"
-	case secVPropIdx:
-		return "vpropidx"
-	case secVPropRecs:
-		return "vproprecs"
-	case secEPropIdx:
-		return "epropidx"
-	case secEPropRecs:
-		return "eproprecs"
-	case secArena:
-		return "arena"
-	case secInOffsets:
-		return "inoffsets"
-	case secInSources:
-		return "insources"
-	case secInSlots:
-		return "inslots"
-	default:
+	if id == 0 || id >= secEnd {
 		return fmt.Sprintf("section#%d", id)
 	}
+	return secNames[id]
 }
 
 // Sentinel error classes for v2 decode failures; every decode error
@@ -474,9 +447,6 @@ func WriteCSR(w io.Writer, g *graph.Graph) error {
 		add(secEPropRecs, recB)
 	}
 	add(secArena, pe.arena)
-	add(secInOffsets, bytesOfI64(d.InOffsets))
-	add(secInSources, bytesOfI32(d.InSources))
-	add(secInSlots, bytesOfU32(d.InSlots))
 
 	// Lay sections out back to back, 8-aligned, directly after the
 	// table; record offsets and payload checksums.
@@ -615,7 +585,7 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: csr header: crc %08x, stored %08x: %w", got, want, ErrCSRChecksum)
 	}
 
-	var sec [secInSlots + 1][]byte
+	var sec [secEnd][]byte
 	prevID := uint32(0)
 	prevEnd := uint64(csrHeaderSize + tabLen)
 	for i := 0; i < int(nSec); i++ {
@@ -624,7 +594,7 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		off := le.Uint64(e[8:])
 		length := le.Uint64(e[16:])
 		crc := le.Uint32(e[24:])
-		if id <= prevID || id > secInSlots {
+		if id <= prevID || id >= secEnd {
 			return nil, fmt.Errorf("graphio: csr section table: id %d after %d (unknown or out of order): %w",
 				id, prevID, ErrCSRCorrupt)
 		}
@@ -673,9 +643,6 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		wantLen(secPartition, nV*4, false),
 		wantLen(secVPropIdx, (nV+1)*4, false),
 		wantLen(secEPropIdx, (nE+1)*4, false),
-		wantLen(secInOffsets, (nV+1)*8, false),
-		wantLen(secInSources, nSlots*4, false),
-		wantLen(secInSlots, nSlots*4, false),
 	}
 	for _, err := range checks {
 		if err != nil {
@@ -693,14 +660,6 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 	}
 	if len(sec[secEPropRecs]) > 0 && len(sec[secEPropIdx]) == 0 {
 		return nil, fmt.Errorf("graphio: eproprecs section: present without an epropidx section: %w", ErrCSRCorrupt)
-	}
-	if (len(sec[secInSources]) > 0 || len(sec[secInSlots]) > 0) && len(sec[secInOffsets]) == 0 {
-		return nil, fmt.Errorf("graphio: in-edge sections: present without an inoffsets section: %w", ErrCSRCorrupt)
-	}
-	if nSlots > 0 && len(sec[secInOffsets]) > 0 &&
-		(len(sec[secInSources]) == 0 || len(sec[secInSlots]) == 0) {
-		return nil, fmt.Errorf("graphio: inoffsets section: present without insources/inslots for %d slots: %w",
-			nSlots, ErrCSRCorrupt)
 	}
 
 	arena := sec[secArena]
@@ -731,9 +690,6 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		VBytes:    sliceOfI32[int32](sec[secVBytes], copyMode),
 		EBytes:    sliceOfI32[int32](sec[secEBytes], copyMode),
 		Partition: sliceOfI32[int32](sec[secPartition], copyMode),
-		InOffsets: sliceOfI64(sec[secInOffsets], copyMode),
-		InSources: sliceOfI32[graph.VertexID](sec[secInSources], copyMode),
-		InSlots:   sliceOfU32(sec[secInSlots], copyMode),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("graphio: %w: %w", err, ErrCSRCorrupt)

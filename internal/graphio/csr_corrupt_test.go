@@ -5,6 +5,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,10 +14,9 @@ import (
 	"subtrav/internal/graph"
 )
 
-// corruptFixture builds a graph that exercises every one of the
-// fifteen v2 sections: undirected (edgeidx), weighted, vertex + edge
-// props (idx, recs, arena), explicit partition, and the persisted
-// in-edge view (inoffsets, insources, inslots).
+// corruptFixture builds a graph that exercises every one of the twelve
+// v2 sections the writer emits: undirected (edgeidx), weighted, vertex
+// + edge props (idx, recs, arena), explicit partition.
 func corruptFixture(t *testing.T) []byte {
 	t.Helper()
 	b := graph.NewBuilder(graph.Undirected, 6)
@@ -27,10 +28,8 @@ func corruptFixture(t *testing.T) []byte {
 	b.SetVertexProps(0, graph.Properties{"name": graph.String("hub"), "pic": graph.Blob(512)})
 	b.SetVertexProps(5, graph.Properties{"score": graph.Float(1.5), "ok": graph.Bool(true)})
 	b.SetPartition([]int32{0, 0, 1, 1, 2, 2})
-	g := b.Build()
-	g.In() // materialize the reverse CSR so the in-edge sections persist
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
+	if err := WriteCSR(&buf, b.Build()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -223,36 +222,6 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 			refreshCRCs(t, d)
 			return d
 		}, ErrCSRCorrupt, "kind"},
-		{"inoffsets-decrease", func(t *testing.T, d []byte) []byte {
-			e := entryFor(t, d, secInOffsets)
-			le.PutUint64(d[e.off+8:], ^uint64(0)) // inoffsets[1] = -1
-			refreshCRCs(t, d)
-			return d
-		}, ErrCSRCorrupt, "in-offsets"},
-		{"inslot-out-of-range", func(t *testing.T, d []byte) []byte {
-			e := entryFor(t, d, secInSlots)
-			le.PutUint32(d[e.off:], 1<<20)
-			refreshCRCs(t, d)
-			return d
-		}, ErrCSRCorrupt, "in-slot"},
-		{"insource-out-of-range", func(t *testing.T, d []byte) []byte {
-			e := entryFor(t, d, secInSources)
-			le.PutUint32(d[e.off:], 1<<20)
-			refreshCRCs(t, d)
-			return d
-		}, ErrCSRCorrupt, "in-sources"},
-		{"insources-without-inoffsets", func(t *testing.T, d []byte) []byte {
-			e := entryFor(t, d, secInOffsets)
-			le.PutUint64(d[e.pos+16:], 0)
-			refreshCRCs(t, d)
-			return d
-		}, ErrCSRCorrupt, "without an inoffsets"},
-		{"inoffsets-without-insources", func(t *testing.T, d []byte) []byte {
-			e := entryFor(t, d, secInSources)
-			le.PutUint64(d[e.pos+16:], 0)
-			refreshCRCs(t, d)
-			return d
-		}, ErrCSRCorrupt, "inoffsets section"},
 	}
 
 	for _, tc := range cases {
@@ -276,12 +245,11 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 }
 
 // TestReadCSRSectionChecksums flips one payload byte inside every
-// section and asserts the decoder reports a checksum failure naming
-// exactly that section.
+// section — the twelve the writer emits and the three reserved ones an
+// older build's file carries — and asserts the decoder reports a
+// checksum failure naming exactly that section.
 func TestReadCSRSectionChecksums(t *testing.T) {
-	pristine := corruptFixture(t)
-	for _, e := range parseTable(t, pristine) {
-		e := e
+	check := func(pristine []byte, e tableEntry) {
 		t.Run(secName(e.id), func(t *testing.T) {
 			data := append([]byte(nil), pristine...)
 			data[e.off] ^= 0x40
@@ -293,6 +261,14 @@ func TestReadCSRSectionChecksums(t *testing.T) {
 				t.Fatalf("error %q does not name the %s section", err, secName(e.id))
 			}
 		})
+	}
+	pristine := corruptFixture(t)
+	for _, e := range parseTable(t, pristine) {
+		check(pristine, e)
+	}
+	old := readInEdgeFixture(t)
+	for _, e := range reservedEntries(t, old) {
+		check(old, e)
 	}
 }
 
@@ -320,53 +296,78 @@ func TestReadCSRTruncatedAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestReadCSRInEdgeSections pins the persistence round-trip of the
-// optional reverse-CSR sections and the absent-section fallback: files
-// written before the sections existed (or from graphs that never
-// materialized the view) decode fine and rebuild on demand.
+// inEdgeFixturePath is the golden snapshot as the last build that wrote
+// the reverse-CSR sections (ids 13–15) encoded it: goldenGraph plus
+// inoffsets, insources and inslots. Never regenerated — no writer can
+// produce it any more.
+const inEdgeFixturePath = "testdata/golden_inedges.csr2"
+
+func readInEdgeFixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.FromSlash(inEdgeFixturePath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// reservedEntries returns the table rows of data's reserved sections.
+func reservedEntries(t *testing.T, data []byte) []tableEntry {
+	t.Helper()
+	var out []tableEntry
+	for _, e := range parseTable(t, data) {
+		if e.id > secArena {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestReadCSRInEdgeSections pins backward compatibility with snapshots
+// that carry the reserved reverse-CSR sections: such a file loads, the
+// graph equals the one its section-free twin (the current golden file)
+// decodes to column for column, the reserved payload is checksummed
+// but otherwise ignored, and writing the graph back drops the sections.
 func TestReadCSRInEdgeSections(t *testing.T) {
-	b := graph.NewBuilder(graph.Directed, 5)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(2, 1)
-	b.AddEdge(3, 0)
-	b.AddEdge(4, 1)
-	src := b.Build()
-
-	var without bytes.Buffer
-	if err := WriteCSR(&without, src); err != nil {
-		t.Fatal(err)
+	old := readInEdgeFixture(t)
+	if n := len(reservedEntries(t, old)); n != 3 {
+		t.Fatalf("compatibility fixture lists %d reserved sections, want 3", n)
 	}
-	want := src.In() // materializes the view; reference for both paths
-	var with bytes.Buffer
-	if err := WriteCSR(&with, src); err != nil {
-		t.Fatal(err)
+	got, err := ReadCSR(old)
+	if err != nil {
+		t.Fatalf("snapshot with in-edge sections does not load: %v", err)
 	}
-	if with.Len() <= without.Len() {
-		t.Fatalf("snapshot with in-edge sections is %d bytes, without is %d — sections not written",
-			with.Len(), without.Len())
-	}
-
-	gw, err := ReadCSR(with.Bytes())
+	twin, err := os.ReadFile(filepath.FromSlash(goldenPath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gw.InPersisted() {
-		t.Error("graph loaded from snapshot with in-edge sections: InPersisted() = false")
-	}
-	if got := gw.In(); !reflect.DeepEqual(got, want) {
-		t.Errorf("persisted in-CSR differs from built one:\n got %+v\nwant %+v", got, want)
-	}
-
-	gf, err := ReadCSR(without.Bytes())
+	want, err := ReadCSR(twin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gf.InPersisted() {
-		t.Error("graph loaded from snapshot without in-edge sections: InPersisted() = true")
+	if !reflect.DeepEqual(got.CSRView(), want.CSRView()) {
+		t.Errorf("graph loaded with in-edge sections differs from its twin:\n got %+v\nwant %+v",
+			got.CSRView(), want.CSRView())
 	}
-	if got := gf.In(); !reflect.DeepEqual(got, want) {
-		t.Errorf("rebuilt in-CSR differs from reference:\n got %+v\nwant %+v", got, want)
+	var back bytes.Buffer
+	if err := WriteCSR(&back, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), twin) {
+		t.Errorf("re-encoding the loaded graph gives %d bytes, want the twin's %d", back.Len(), len(twin))
+	}
+
+	// The payload is not decoded: damage that keeps the checksums valid
+	// is invisible, where it used to fail the content cross-checks.
+	scribbled := append([]byte(nil), old...)
+	for _, e := range reservedEntries(t, scribbled) {
+		scribbled[e.off] ^= 0x40
+	}
+	refreshCRCs(t, scribbled)
+	if g, err := ReadCSR(scribbled); err != nil {
+		t.Errorf("reserved payload was decoded: %v", err)
+	} else if !reflect.DeepEqual(g.CSRView(), want.CSRView()) {
+		t.Error("reserved payload leaked into the graph")
 	}
 }
 

@@ -16,8 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden v2 CSR fixture
 const goldenPath = "testdata/golden.csr2"
 
 // goldenGraph is the handcrafted fixture pinned in testdata: small
-// enough to eyeball in a hex dump, rich enough to exercise all fifteen
-// sections (including the persisted in-edge view).
+// enough to eyeball in a hex dump, rich enough to exercise all twelve
+// sections the writer emits.
 func goldenGraph() *graph.Graph {
 	b := graph.NewBuilder(graph.Undirected, 8)
 	b.AddEdgeFull(0, 1, 1.5, graph.Properties{"kind": graph.String("follows")})
@@ -29,9 +29,7 @@ func goldenGraph() *graph.Graph {
 	b.SetVertexProps(0, graph.Properties{"name": graph.String("origin"), "avatar": graph.Blob(2048)})
 	b.SetVertexProps(4, graph.Properties{"rank": graph.Float(0.75), "active": graph.Bool(true)})
 	b.SetPartition([]int32{0, 0, 1, 1, 2, 2, 3, 3})
-	g := b.Build()
-	g.In() // materialize the reverse CSR so the in-edge sections persist
-	return g
+	return b.Build()
 }
 
 // TestCSRGoldenFile pins the exact v2 bytes of the golden fixture. Any
@@ -75,12 +73,6 @@ func TestCSRGoldenFile(t *testing.T) {
 	}
 	if got := back.Degree(7); got != 0 {
 		t.Fatalf("golden stats: degree(7)=%d", got)
-	}
-	if !back.InPersisted() {
-		t.Fatal("golden snapshot does not carry the in-edge sections")
-	}
-	if got := back.In().Degree(6); got != 2 {
-		t.Fatalf("golden stats: in-degree(6)=%d", got)
 	}
 	assertGraphEqual(t, "golden", g, back)
 }

@@ -316,9 +316,6 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 	return r, nil
 }
 
-// Signatures returns the visit-signature table (for wiring scorers).
-func (r *Runtime) Signatures() *signature.Table { return r.sigs }
-
 // Completed returns the number of finished queries so far (including
 // executions that returned an error; excluding timeouts/rejections).
 func (r *Runtime) Completed() int64 { return r.counters.Completed.Load() }

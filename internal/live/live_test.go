@@ -213,6 +213,9 @@ func TestInvalidQueryRejected(t *testing.T) {
 	if _, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: -1}); err == nil {
 		t.Error("invalid query accepted")
 	}
+	if c := r.Metrics(); c.Submitted != 0 {
+		t.Errorf("rejected-at-validation query counted as submitted: %+v", c)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"subtrav/internal/cache"
 	"subtrav/internal/obs"
-	"subtrav/internal/traverse"
 )
 
 // runtimeObs is the runtime's observability surface: an obs.Registry
@@ -33,14 +32,6 @@ type runtimeObs struct {
 	// margin) is registered by the scheduler itself via Register.
 	imbalance      *obs.FloatGauge
 	imbalanceMilli *obs.Histogram
-
-	// Direction-optimizing traversal telemetry: expansion waves run in
-	// each direction and push↔pull transitions, summed over executed
-	// BFS/SSSP queries. All flat when queries force push (the classic
-	// sparse path).
-	pushWaves   *obs.Counter
-	pullWaves   *obs.Counter
-	dirSwitches *obs.Counter
 }
 
 // maxTenantStates bounds the per-tenant series cardinality: the
@@ -116,29 +107,7 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 		"Load-imbalance factor of the latest scheduling round: max/mean effective unit load after placement (1.0 = perfectly balanced, NumUnits = fully piled).")
 	o.imbalanceMilli = reg.Histogram("subtrav_sched_imbalance_milli",
 		"Distribution of per-round load-imbalance factors, in thousandths (1000 = perfectly balanced).")
-	o.pushWaves = reg.Counter("subtrav_traverse_push_waves_total",
-		"BFS/SSSP expansion waves run top-down (push).")
-	o.pullWaves = reg.Counter("subtrav_traverse_pull_waves_total",
-		"BFS/SSSP expansion waves run bottom-up (pull) against the dense bitmap frontier.")
-	o.dirSwitches = reg.Counter("subtrav_traverse_direction_switches_total",
-		"Push/pull direction transitions taken by the Beamer heuristic mid-traversal.")
 	return o
-}
-
-// recordDirStats mirrors one execution's direction counters into the
-// registry and the task's span.
-func (o *runtimeObs) recordDirStats(t *task, st traverse.DirStats) {
-	if st == (traverse.DirStats{}) {
-		return
-	}
-	o.pushWaves.Add(int64(st.PushWaves))
-	o.pullWaves.Add(int64(st.PullWaves))
-	o.dirSwitches.Add(int64(st.Switches))
-	if s := t.span; s != nil {
-		s.PushWaves = st.PushWaves
-		s.PullWaves = st.PullWaves
-		s.DirSwitches = st.Switches
-	}
 }
 
 // tenantState returns (creating on first sight) the accounting bucket

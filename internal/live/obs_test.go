@@ -140,91 +140,6 @@ func TestRegistryExposesConservation(t *testing.T) {
 	}
 }
 
-// TestDirectionTelemetry pins the direction-optimizing traversal
-// surface: queries with a zero-valued Dir switch direction per wave,
-// wave/switch counters land on /metrics, and spans carry the per-query
-// counts — through both the single-query and the lockstep batched
-// execution paths.
-func TestDirectionTelemetry(t *testing.T) {
-	t.Parallel()
-	// A clique with pendant leaves and a tail entry vertex forces the
-	// Auto heuristic through both directions: BFS from the tail pushes
-	// two cheap waves, then pulls the pendant wave rather than scanning
-	// the clique frontier's ~4k redundant out-edges (the sunflower
-	// fixture of internal/traverse's TestDirStats, 129 vertices).
-	const m = 64
-	b := graph.NewBuilder(graph.Undirected, 2*m+1)
-	for u := 0; u < m; u++ {
-		for v := u + 1; v < m; v++ {
-			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
-		}
-		b.AddEdge(graph.VertexID(u), graph.VertexID(m+u))
-	}
-	b.AddEdge(0, graph.VertexID(2*m))
-	g := b.Build()
-
-	cfg := fastLiveConfig(2)
-	cfg.TraceBuffer = 64
-	cfg.BatchTraversals = 4
-	r, err := New(g, cfg, sched.NewBaseline(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	const n = 8
-	for i := 0; i < n; i++ {
-		resp, err := r.Do(traverse.Query{Op: traverse.OpBFS, Start: 2 * m, Depth: 3})
-		if err != nil || resp.Err != nil {
-			t.Fatalf("query %d: %v / %v", i, err, resp.Err)
-		}
-	}
-
-	spans := r.Trace(n)
-	if len(spans) != n {
-		t.Fatalf("got %d spans, want %d", len(spans), n)
-	}
-	for _, s := range spans {
-		if s.PushWaves != 2 || s.PullWaves != 1 || s.DirSwitches != 1 {
-			t.Errorf("span %d direction detail = push %d / pull %d / switches %d, want 2/1/1",
-				s.QueryID, s.PushWaves, s.PullWaves, s.DirSwitches)
-		}
-	}
-
-	var out strings.Builder
-	if err := r.Registry().WritePrometheus(&out); err != nil {
-		t.Fatal(err)
-	}
-	exp := out.String()
-	for _, want := range []string{
-		"subtrav_traverse_push_waves_total 16",
-		"subtrav_traverse_pull_waves_total 8",
-		"subtrav_traverse_direction_switches_total 8",
-	} {
-		if !strings.Contains(exp, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
-// TestDirectionConfigValidated pins per-query direction validation:
-// Query.Dir is the only direction knob, checked at submission.
-func TestDirectionConfigValidated(t *testing.T) {
-	t.Parallel()
-	r, err := New(liveGraph(t), fastLiveConfig(1), sched.NewBaseline(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, Dir: traverse.DirectionConfig{Alpha: -3}}
-	if _, err := r.Submit(q); err == nil {
-		t.Error("negative direction threshold should fail validation")
-	}
-	if c := r.Metrics(); c.Submitted != 0 {
-		t.Errorf("rejected-at-validation query counted as submitted: %+v", c)
-	}
-}
-
 // TestStatsCacheCounters checks the per-unit hit/miss totals surfaced
 // through Stats (and from there the wire protocol and -watch).
 func TestStatsCacheCounters(t *testing.T) {

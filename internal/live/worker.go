@@ -200,20 +200,12 @@ func (r *Runtime) run(u *liveUnit, members []*task) {
 		soloResult[0], replay, err = traverse.ExecuteIn(ws, r.g, t.query)
 		soloTrace[0] = replay
 		results, traces = soloResult[:], soloTrace[:]
-		if err == nil {
-			r.obs.recordDirStats(t, ws.DirStats())
-		}
 	} else {
 		queries := make([]traverse.Query, len(live))
 		for i, t := range live {
 			queries[i] = t.query
 		}
 		results, traces, replay, err = u.batch.Run(r.g, queries)
-		if err == nil {
-			for i, t := range live {
-				r.obs.recordDirStats(t, u.batch.DirStats(i))
-			}
-		}
 	}
 	if err == nil {
 		err = r.charge(u, ctx, replay, live, started)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -307,10 +306,4 @@ func checkName(name string) error {
 		}
 	}
 	return nil
-}
-
-// SortLabels orders a label list by key (exposition convention for
-// callers assembling labels dynamically).
-func SortLabels(labels []Label) {
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
 }

@@ -75,14 +75,6 @@ type Span struct {
 	BytesRead     int64
 	DiskWaitNanos int64
 
-	// Direction-optimizing traversal detail (BFS/SSSP only): expansion
-	// waves run in each direction and push↔pull transitions. All zero
-	// for ops without direction choice and for forced-push queries that
-	// never leave the classic sparse path.
-	PushWaves   int
-	PullWaves   int
-	DirSwitches int
-
 	// WaitNanos and ExecNanos are the queueing and execution
 	// durations; Outcome and Err describe the resolution.
 	WaitNanos int64
@@ -97,17 +89,16 @@ type Span struct {
 // on task and unit.
 const SpanCSVHeader = "task,unit,op,tenant,start,submit_ns,schedule_ns,start_ns,end_ns," +
 	"affinity,imbalance,preferred,queue_len,auction_rounds,degraded,fell_back,empty_row," +
-	"cache_hits,cache_misses,bytes_read,disk_wait_ns,push_waves,pull_waves,dir_switches," +
+	"cache_hits,cache_misses,bytes_read,disk_wait_ns," +
 	"wait_ns,exec_ns,outcome,err"
 
 // CSVRow renders the span as one CSV line matching SpanCSVHeader.
 func (s Span) CSVRow() string {
-	return fmt.Sprintf("%d,%d,%s,%s,%d,%d,%d,%d,%d,%g,%g,%t,%d,%d,%t,%t,%t,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s",
+	return fmt.Sprintf("%d,%d,%s,%s,%d,%d,%d,%d,%d,%g,%g,%t,%d,%d,%t,%t,%t,%d,%d,%d,%d,%d,%d,%s,%s",
 		s.QueryID, s.Unit, s.Op, csvEscape(s.Tenant), s.Start,
 		s.SubmitNanos, s.ScheduleNanos, s.StartNanos, s.EndNanos,
 		s.Affinity, s.Imbalance, s.Preferred, s.QueueLen, s.AuctionRounds, s.Degraded, s.FellBack, s.EmptyRow,
 		s.CacheHits, s.CacheMisses, s.BytesRead, s.DiskWaitNanos,
-		s.PushWaves, s.PullWaves, s.DirSwitches,
 		s.WaitNanos, s.ExecNanos, s.Outcome, csvEscape(s.Err))
 }
 

@@ -364,6 +364,3 @@ func (a *Auction) Register(reg *obs.Registry) {
 func (a *Auction) AffinityStats() (eligible, hits int64) {
 	return a.affinityEligible.Load(), a.affinityHits.Load()
 }
-
-// Prices exposes the incremental auctioneer's current dual prices.
-func (a *Auction) Prices() []float64 { return a.auctioneer.Prices() }

@@ -22,15 +22,13 @@ func TestRunSmoke(t *testing.T) {
 		t.Error("smoke flag not set")
 	}
 	grid := len(Sizes) * len(Degrees)
-	// Per grid cell: ws↔ref for 4 ops, and push↔auto plus pull↔auto
-	// for the sparse BFS cell and the 2 hub ops.
-	wantCells := grid * (4 + 3*2)
+	// Per grid cell: ws↔ref for 4 ops.
+	wantCells := grid * 4
 	if len(rep.Speedup) != wantCells {
 		t.Errorf("speedup entries: %d, want %d", len(rep.Speedup), wantCells)
 	}
-	// Per grid cell: 4 ops x (ws, ref), the sparse push/pull guard
-	// pair, and the hub fixtures' 2 ops x 3 modes.
-	wantResults := grid * (4*2 + 2 + 2*3)
+	// Per grid cell: 4 ops x (ws, ref).
+	wantResults := grid * 4 * 2
 	if len(rep.Results) != wantResults {
 		t.Errorf("results: %d, want %d", len(rep.Results), wantResults)
 	}
@@ -43,8 +41,7 @@ func TestRunSmoke(t *testing.T) {
 		}
 	}
 	// The count floors (0 allocs/op on every workspace cell, the
-	// mid-size BFS alloc ratio) hold on single-iteration samples; the
-	// wall-clock floors are only enforced on full runs.
+	// mid-size BFS alloc ratio) hold on single-iteration samples.
 	if err := rep.Check(); err != nil {
 		t.Error(err)
 	}

@@ -12,8 +12,7 @@
 // ratios are printed, not committed (README, "Performance", names the
 // BENCHMARK.json metrics that track the kernels), and gated by count: 0
 // allocs/op on every workspace cell, MinAllocRatio× fewer than the
-// reference on mid-size BFS. The direction matrix (direction.go) is
-// what no other benchmark covers; it carries the wall-clock floors.
+// reference on mid-size BFS.
 package travbench
 
 import (
@@ -39,19 +38,16 @@ var Degrees = []int{8, 32}
 const Seed = 0x7A4E57B1
 
 // Fixture is one reproducible kernel workload: a seeded power-law
-// social graph (BFS, SSSP, RWR), a purchase bipartite graph of the same
-// scale (CollabFilter) and the hub-heavy graph of the direction cells
-// (direction.go), each with a reusable Workspace and the query of each
-// op.
+// social graph (BFS, SSSP, RWR) and a purchase bipartite graph of the
+// same scale (CollabFilter), each with a reusable Workspace and the
+// query of each op.
 type Fixture struct {
 	Social    *graph.Graph
 	Purchases *graphgen.PurchaseGraph
-	Hub       *graph.Graph
 
-	WS, WSBip, HubWS  *traverse.Workspace
-	BFSQ, SSSPQ       traverse.Query
-	CollabQ, RandomQ  traverse.Query
-	HubBFSQ, HubSSSPQ traverse.Query
+	WS, WSBip        *traverse.Workspace
+	BFSQ, SSSPQ      traverse.Query
+	CollabQ, RandomQ traverse.Query
 }
 
 // hubQueries returns a social graph's BFS and SSSP queries. Both start
@@ -97,10 +93,6 @@ func NewFixture(v, degree int) (*Fixture, error) {
 	if err != nil {
 		return nil, fmt.Errorf("travbench: purchase fixture: %w", err)
 	}
-	hub, err := hubGraph(v, degree)
-	if err != nil {
-		return nil, fmt.Errorf("travbench: hub fixture: %w", err)
-	}
 	// The busiest product drives the widest two-hop collab traversal.
 	prod := bip.ProductVertex(0)
 	for i := 0; i < bip.NumProducts; i++ {
@@ -111,14 +103,11 @@ func NewFixture(v, degree int) (*Fixture, error) {
 	fx := &Fixture{
 		Social:    social,
 		Purchases: bip,
-		Hub:       hub,
 		WS:        traverse.NewWorkspace(social.NumVertices()),
 		WSBip:     traverse.NewWorkspace(bip.Graph.NumVertices()),
-		HubWS:     traverse.NewWorkspace(hub.NumVertices()),
 		CollabQ:   traverse.Query{Op: traverse.OpCollab, Start: prod, SimilarityThreshold: 0.1},
 	}
 	fx.BFSQ, fx.SSSPQ = hubQueries(social)
-	fx.HubBFSQ, fx.HubSSSPQ = hubQueries(hub)
 	fx.RandomQ = traverse.Query{Op: traverse.OpRWR, Start: fx.BFSQ.Start, Steps: 2000, RestartProb: 0.15, TopK: 20, Seed: Seed + 2}
 	return fx, nil
 }
@@ -155,9 +144,7 @@ func (fx *Fixture) kernelCells(v int, at string) []benchkit.Cell {
 	return cells
 }
 
-// Table is the suite's one table of cells, a group per (size, degree):
-// the kernel cells, then that coordinate's direction cells
-// (direction.go).
+// Table is the suite's one table of cells, a group per (size, degree).
 func Table() []benchkit.Group {
 	var table []benchkit.Group
 	for _, v := range Sizes {
@@ -167,8 +154,7 @@ func Table() []benchkit.Group {
 				if err != nil {
 					return nil, err
 				}
-				at := fmt.Sprintf("V=%d/deg=%d", v, deg)
-				return append(fx.kernelCells(v, at), fx.directionCells(at)...), nil
+				return fx.kernelCells(v, fmt.Sprintf("V=%d/deg=%d", v, deg)), nil
 			})
 		}
 	}

@@ -63,8 +63,6 @@ type BatchScratch struct {
 	// slots holds per-slot private maps, grown on demand to the widest
 	// batch seen.
 	slots []*slotMaps
-
-	posMap graph.VertexMap // engine.pos
 }
 
 // NewBatchScratch returns a BatchScratch sized for graphs of
@@ -79,7 +77,6 @@ func (s *BatchScratch) grow(n int) {
 	s.waveLoaded.Grow(n)
 	s.sharedAcc.Grow(n)
 	s.sharedSeen.Grow(n)
-	s.posMap.Grow(n)
 	for _, m := range s.slots {
 		m.grow(n)
 	}
@@ -90,7 +87,7 @@ func (s *BatchScratch) grow(n int) {
 func (s *BatchScratch) slotMaps(j int) *slotMaps {
 	for len(s.slots) <= j {
 		m := &slotMaps{}
-		m.grow(s.posMap.Cap())
+		m.grow(s.sharedAcc.Cap())
 		s.slots = append(s.slots, m)
 	}
 	m := s.slots[j]
@@ -127,7 +124,7 @@ func NewBatch(numVertices int) *Batch {
 // The caller must guarantee Run calls across all Batches sharing it
 // never overlap (e.g. a single-threaded event loop).
 func NewBatchWithScratch(s *BatchScratch) *Batch {
-	return &Batch{engine: engine{pos: &s.posMap, sink: s}}
+	return &Batch{engine: engine{sink: s}}
 }
 
 // Run advances all queries to completion in lockstep waves and returns
@@ -166,7 +163,7 @@ func (b *Batch) Run(g *graph.Graph, queries []Query) (results []Result, traces [
 			switch s.q.Op {
 			case OpBFS:
 				if wave == 0 {
-					s.bfsInit(g)
+					s.bfsInit()
 				}
 				s.bfsWave(g)
 			case OpSSSP:
@@ -243,7 +240,3 @@ func (s *slot) chargeShared(v graph.VertexID, edges int) {
 		s.e.shared.chargeScan(int(idx), edges)
 	}
 }
-
-// DirStats returns slot i's push/pull direction counters from the most
-// recent Run. Valid until the next Run.
-func (b *Batch) DirStats(i int) DirStats { return b.slots[i].stats }

@@ -1,10 +1,6 @@
 package traverse
 
-import (
-	"math"
-
-	"subtrav/internal/graph"
-)
+import "subtrav/internal/graph"
 
 // The wave engine. BFS and bounded SSSP are written once, as routines
 // that advance one resumable query — a slot — by one wave. A Workspace
@@ -12,31 +8,17 @@ import (
 // completion; a Batch is an engine with up to MaxBatch slots advanced
 // in lockstep, whose touches also feed the shared wave trace. A solo
 // query is a batch of width one, so the two cannot drift: Result and
-// Trace are pinned bit-for-bit against the *Reference kernels in every
-// direction mode, solo or batched.
+// Trace are pinned bit-for-bit against the *Reference kernels, solo or
+// batched.
 
 // engine is the state every slot of one Workspace or Batch shares. The
 // wave scratch is transient within one slot's wave, and slots advance
 // one at a time, so a single copy serves them all.
 type engine struct {
-	// pos is the dense frontier view of a pull wave: expanding vertex →
-	// position in the wave's frontier order. Rebuilt (epoch bump +
-	// repopulate) per pull wave. It points into the owning Scratch or
-	// BatchScratch so engines that never overlap can share it.
-	pos *graph.VertexMap
-
 	// expanders is the wave's expanding-vertex list (frontier members
 	// that passed predicates, the visit cap, and the depth bound), in
-	// pop order; the frontier the BFS expansion pass — push or pull —
-	// actually walks.
+	// pop order; the frontier the BFS expansion pass walks.
 	expanders []graph.VertexID
-
-	// cands collects a pull wave's bottom-up discoveries; candsOut and
-	// candCounts are the counting-scatter scratch that reorders them
-	// into push discovery order (see orderPullCands).
-	cands      []pullCand
-	candsOut   []pullCand
-	candCounts []int32
 
 	// sink, when non-nil, is the dedup state behind the shared wave
 	// trace, which every slot's touches and scan charges then also
@@ -53,21 +35,14 @@ type side struct {
 	dist           *graph.VertexMap // this side's labels
 	acc            *graph.VertexMap // vertex → access index, for scan charges (SSSP)
 	depth, limit   int              // hops expanded so far; SSSP hop budget
-	pull           bool             // direction of the previous expansion
-	// unexplored is Beamer's m_u: out-edge slots of vertices this side
-	// has not labelled, maintained incrementally. Each side explores its
-	// own label set, so the accounting is per side. int64 so synthetic
-	// max-degree graphs can't wrap it.
-	unexplored int64
 }
 
 // seed starts a side at root: labelled depth 0 and alone in the
 // frontier.
-func (sd *side) seed(g *graph.Graph, root graph.VertexID, dist *graph.VertexMap) {
+func (sd *side) seed(root graph.VertexID, dist *graph.VertexMap) {
 	sd.dist = dist
 	dist.Put(root, 0)
 	sd.frontier = append(sd.frontier[:0], root)
-	sd.unexplored = g.NumSlots() - int64(g.Degree(root))
 }
 
 // flip makes next the frontier, a hop deeper. The retired buffer is
@@ -98,8 +73,6 @@ type slot struct {
 	maps *slotMaps // this query's dense visit state
 
 	q      Query
-	dir    DirectionConfig // resolved thresholds
-	stats  DirStats
 	done   bool
 	result Result // valid once done
 
@@ -115,7 +88,7 @@ type slot struct {
 //
 //vet:hotpath
 func (s *slot) arm(q Query) {
-	*s = slot{e: s.e, tr: s.tr, maps: s.maps, q: q, dir: q.Dir.withDefaults(), best: -1,
+	*s = slot{e: s.e, tr: s.tr, maps: s.maps, q: q, best: -1,
 		a: side{frontier: s.a.frontier[:0], next: s.a.next[:0]},
 		b: side{frontier: s.b.frontier[:0], next: s.b.next[:0]}}
 }
@@ -150,71 +123,6 @@ func (s *slot) chargeScan(acc int, v graph.VertexID, edges int) {
 	}
 }
 
-// frontierEdges sums the out-degrees of a frontier — Beamer's m_f, the
-// work a push wave is about to do.
-//
-//vet:hotpath
-func frontierEdges(g *graph.Graph, frontier []graph.VertexID) int64 {
-	var sum int64
-	for _, v := range frontier {
-		sum += int64(g.Degree(v))
-	}
-	return sum
-}
-
-// pullDiscover is the bottom-up half of every pull wave: scan each
-// vertex outside member and probe its in-edges for a frontier parent,
-// keeping the minimum (frontier position << 32 | forward slot) key —
-// the rank at which the push expansion would have discovered it.
-// Ordering the discoveries by key (orderPullCands) then yields the push
-// discovery order exactly. The probe cannot early-exit on the first
-// parent (the classic bottom-up shortcut) precisely because the
-// *minimum* key is needed; the win is that the in-edges of the
-// shrinking unvisited set are far fewer than the out-edges of a dense
-// frontier.
-//
-// Pull probing walks the in-CSR index, which is in-memory adjacency
-// metadata like the forward offsets — not a record load — so it leaves
-// no mark on any trace.
-//
-//vet:hotpath
-func (e *engine) pullDiscover(g *graph.Graph, q *Query, frontier []graph.VertexID, member *graph.VertexMap) []pullCand {
-	in := g.In()
-	pos := e.pos
-	pos.Clear()
-	for i, v := range frontier {
-		pos.Put(v, int32(i))
-	}
-	cands := e.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if member.Contains(u) {
-			continue
-		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			i, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(i)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
-		}
-	}
-	e.cands = cands
-	return orderPullCands(cands, len(frontier), &e.candsOut, &e.candCounts)
-}
-
 // BFS runs a bounded-depth breadth-first search from q.Start,
 // expanding at most q.Depth hops and honoring vertex/edge predicates:
 // a vertex failing VertexPred is touched (its record must be loaded to
@@ -227,15 +135,15 @@ func BFS(g *graph.Graph, q Query) (Result, *Trace) {
 	return NewWorkspace(g.NumVertices()).BFS(g, q)
 }
 
-// BFS is the zero-steady-state-allocation direction-optimizing kernel:
-// the engine's BFS waves run to completion on the workspace's one slot.
+// BFS is the zero-steady-state-allocation kernel: the engine's BFS
+// waves run to completion on the workspace's one slot.
 //
 //vet:hotpath
 func (ws *Workspace) BFS(g *graph.Graph, q Query) (Result, *Trace) {
 	ws.begin(g)
 	s := &ws.slot
 	s.arm(q)
-	s.bfsInit(g)
+	s.bfsInit()
 	for !s.done {
 		s.bfsWave(g)
 	}
@@ -245,8 +153,8 @@ func (ws *Workspace) BFS(g *graph.Graph, q Query) (Result, *Trace) {
 // bfsInit seeds the slot's frontier and enqueued set with q.Start.
 //
 //vet:hotpath
-func (s *slot) bfsInit(g *graph.Graph) {
-	s.a.seed(g, s.q.Start, &s.maps.mapA)
+func (s *slot) bfsInit() {
+	s.a.seed(s.q.Start, &s.maps.mapA)
 }
 
 // bfsWave processes the slot's entire depth-d frontier and builds the
@@ -254,10 +162,11 @@ func (s *slot) bfsInit(g *graph.Graph) {
 // order of a FIFO queue — with each level split into a process pass
 // (touch every frontier vertex, apply VertexPred / MaxVisits / depth
 // bound, charge scans: all the trace-visible work) and an expansion
-// pass that builds the next frontier either top-down (bfsPush) or
-// bottom-up (bfsPull) per the Direction config. Both expansions
-// produce the identical frontier, so push and pull waves leave
-// identical Results and Traces.
+// pass that scans the expanding vertices' out-edges in slot order. The
+// split is what lets a wave the visit cap cuts short skip its
+// expansion: a capped query from a hub otherwise scans the out-edges
+// of hundreds of vertices for a frontier nobody will pop (svc-hot's
+// Zipf-hot keys are exactly that query).
 //
 //vet:hotpath
 func (s *slot) bfsWave(g *graph.Graph) {
@@ -268,7 +177,6 @@ func (s *slot) bfsWave(g *graph.Graph) {
 	// the depth bound stops expansion — exactly the per-pop sequence of
 	// a single-queue BFS.
 	exp := e.expanders[:0]
-	var mF int64
 	for _, v := range a.frontier {
 		acc := s.touch(g, v)
 		if q.VertexPred != nil && !q.VertexPred(g.VertexProps(v)) {
@@ -285,21 +193,24 @@ func (s *slot) bfsWave(g *graph.Graph) {
 		lo, hi := g.EdgeSlots(v)
 		s.chargeScan(acc, v, int(hi-lo))
 		exp = append(exp, v)
-		mF += hi - lo
 	}
 	e.expanders = exp
 
-	// Expansion pass: push and pull build the identical next frontier;
-	// only the work done differs.
+	// Expansion pass: enqueue unseen targets as discovered.
 	next := a.next[:0]
-	if !s.done && len(exp) > 0 {
-		pull := s.dir.next(a.pull, mF, a.unexplored, len(exp), g.NumVertices())
-		s.stats.record(pull, a.pull, a.depth == 0)
-		a.pull = pull
-		if pull {
-			next = s.bfsPull(g, exp, next)
-		} else {
-			next = s.bfsPush(g, exp, next)
+	if !s.done {
+		enqueued := a.dist
+		for _, v := range exp {
+			lo, hi := g.EdgeSlots(v)
+			for es := lo; es < hi; es++ {
+				if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(es))) {
+					continue
+				}
+				if u := g.TargetAt(es); !enqueued.Contains(u) {
+					enqueued.Put(u, 0)
+					next = append(next, u)
+				}
+			}
 		}
 	}
 	a.flip(next)
@@ -309,45 +220,6 @@ func (s *slot) bfsWave(g *graph.Graph) {
 	if s.done {
 		s.result = Result{Visited: s.visited}
 	}
-}
-
-// bfsPush is the top-down expansion: scan each expanding vertex's
-// out-edges in order and enqueue unseen targets as discovered.
-//
-//vet:hotpath
-func (s *slot) bfsPush(g *graph.Graph, exp, next []graph.VertexID) []graph.VertexID {
-	q, enqueued, unexplored := &s.q, s.a.dist, s.a.unexplored
-	for _, v := range exp {
-		lo, hi := g.EdgeSlots(v)
-		for es := lo; es < hi; es++ {
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(es))) {
-				continue
-			}
-			u := g.TargetAt(es)
-			if enqueued.Contains(u) {
-				continue
-			}
-			enqueued.Put(u, 0)
-			unexplored -= int64(g.Degree(u))
-			next = append(next, u)
-		}
-	}
-	s.a.unexplored = unexplored
-	return next
-}
-
-// bfsPull is the bottom-up expansion: enqueue pullDiscover's
-// discoveries, which arrive in bfsPush's output order.
-//
-//vet:hotpath
-func (s *slot) bfsPull(g *graph.Graph, exp, next []graph.VertexID) []graph.VertexID {
-	a := &s.a
-	for _, c := range s.e.pullDiscover(g, &s.q, exp, a.dist) {
-		a.dist.Put(c.u, 0)
-		a.unexplored -= int64(g.Degree(c.u))
-		next = append(next, c.u)
-	}
-	return next
 }
 
 // BoundedSSSP finds whether a path of length <= q.Depth connects
@@ -364,11 +236,10 @@ func BoundedSSSP(g *graph.Graph, q Query) (Result, *Trace) {
 	return NewWorkspace(g.NumVertices()).BoundedSSSP(g, q)
 }
 
-// BoundedSSSP is the dense-scratch direction-optimizing kernel: the
-// engine's SSSP waves run to completion on the workspace's one slot.
-// Per-side labels and access indices live in epoch-stamped maps,
-// frontiers in double-buffered reusable slices, and each side picks
-// push or pull per wave independently.
+// BoundedSSSP is the dense-scratch kernel: the engine's SSSP waves run
+// to completion on the workspace's one slot. Per-side labels and access
+// indices live in epoch-stamped maps, frontiers in double-buffered
+// reusable slices.
 //
 //vet:hotpath
 func (ws *Workspace) BoundedSSSP(g *graph.Graph, q Query) (Result, *Trace) {
@@ -394,8 +265,8 @@ func (s *slot) ssspInit(g *graph.Graph) {
 		s.done = true
 		return
 	}
-	a.seed(g, q.Start, &m.mapA)
-	b.seed(g, q.Target, &m.mapB)
+	a.seed(q.Start, &m.mapA)
+	b.seed(q.Target, &m.mapB)
 	a.acc, b.acc = &m.accA, &m.accB
 	a.acc.Put(q.Start, int32(s.touch(g, q.Start)))
 	b.acc.Put(q.Target, int32(s.touch(g, q.Target)))
@@ -418,9 +289,9 @@ func (s *slot) ssspWave(g *graph.Graph) {
 	// Alternate sides, smaller frontier first, the usual bidirectional
 	// heuristic.
 	if a.active() && (!b.active() || len(a.frontier) <= len(b.frontier)) {
-		s.ssspStep(g, a, b)
+		s.ssspPush(g, a, b)
 	} else {
-		s.ssspStep(g, b, a)
+		s.ssspPush(g, b, a)
 	}
 	if s.best >= 0 && s.best <= a.depth+b.depth {
 		// No shorter meeting can appear once both processed depths
@@ -440,34 +311,14 @@ func (s *slot) ssspFinish() {
 	}
 }
 
-// ssspStep advances side me one hop against the other side's labels,
-// top-down or bottom-up per the direction heuristic.
-//
-//vet:hotpath
-func (s *slot) ssspStep(g *graph.Graph, me, other *side) {
-	var mF int64
-	if s.dir.Mode == DirAuto && !me.pull {
-		mF = frontierEdges(g, me.frontier)
-	}
-	pull := s.dir.next(me.pull, mF, me.unexplored, len(me.frontier), g.NumVertices())
-	s.stats.record(pull, me.pull, me.depth == 0)
-	me.pull = pull
-	me.next = me.next[:0]
-	if pull {
-		s.ssspPull(g, me, other)
-	} else {
-		s.ssspPush(g, me, other)
-	}
-	me.flip(me.next)
-}
-
-// ssspPush advances me's frontier a hop top-down into me.next: per
-// frontier vertex in order, charge its scan, then label its unlabelled
-// targets in slot order.
+// ssspPush advances side me one hop against the other side's labels:
+// per frontier vertex in order, charge its scan, then label its
+// unlabelled targets in slot order.
 //
 //vet:hotpath
 func (s *slot) ssspPush(g *graph.Graph, me, other *side) {
 	q, dist := &s.q, me.dist
+	me.next = me.next[:0]
 	for _, v := range me.frontier {
 		if s.capped {
 			break
@@ -484,37 +335,7 @@ func (s *slot) ssspPush(g *graph.Graph, me, other *side) {
 			}
 		}
 	}
-}
-
-// ssspPull advances me's frontier a hop bottom-up. pullDiscover finds,
-// for every vertex this side has not labelled, its earliest qualifying
-// in-edge from the frontier, in top-down discovery order. The emission
-// pass then replays ssspPush exactly — per frontier vertex in order:
-// charge its scan, label its discoveries in slot order — so the Trace
-// (touches interleave with labelling here, unlike BFS) and every
-// counter are bit-for-bit identical. The other side's labels never
-// change during one side's expansion, so the precomputed discoveries
-// cannot go stale.
-//
-//vet:hotpath
-func (s *slot) ssspPull(g *graph.Graph, me, other *side) {
-	cands := s.e.pullDiscover(g, &s.q, me.frontier, me.dist)
-	ci := 0
-	for i, v := range me.frontier {
-		if s.capped {
-			break
-		}
-		lo, hi := g.EdgeSlots(v)
-		vAcc, _ := me.acc.Get(v)
-		s.chargeScan(int(vAcc), v, int(hi-lo))
-		for ci < len(cands) && int(cands[ci].key>>32) == i {
-			u := cands[ci].u
-			ci++
-			if !s.ssspLabel(g, me, other, u) {
-				break
-			}
-		}
-	}
+	me.flip(me.next)
 }
 
 // ssspLabel records me's discovery of u one hop past its frontier:
@@ -528,7 +349,6 @@ func (s *slot) ssspLabel(g *graph.Graph, me, other *side, u graph.VertexID) bool
 	me.dist.Put(u, int32(me.depth+1))
 	me.acc.Put(u, int32(s.touch(g, u)))
 	s.visited++
-	me.unexplored -= int64(g.Degree(u))
 	if d, ok := other.dist.Get(u); ok {
 		if total := me.depth + 1 + int(d); s.best < 0 || total < s.best {
 			s.best = total

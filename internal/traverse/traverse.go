@@ -95,14 +95,6 @@ type Query struct {
 	RestartProb float64
 	TopK        int
 	Seed        uint64
-
-	// Dir tunes push/pull direction switching for OpBFS and OpSSSP
-	// (see DirectionConfig). The zero value is Auto with the default
-	// Beamer thresholds. Results and traces are identical in every
-	// mode; only the work done to produce them changes. Ignored by the
-	// other ops and by the reference kernels (which are the push-only
-	// executable spec).
-	Dir DirectionConfig
 }
 
 // Validate checks query parameters against a graph.
@@ -136,7 +128,7 @@ func (q Query) Validate(g *graph.Graph) error {
 	default:
 		return fmt.Errorf("traverse: unknown op %d", q.Op)
 	}
-	return q.Dir.validate()
+	return nil
 }
 
 // Access is one vertex-record touch. A record is the vertex header,

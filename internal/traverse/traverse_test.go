@@ -1,6 +1,7 @@
 package traverse
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -439,5 +440,24 @@ func TestTraceTouchedConsistencyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChargeScanSaturates is the regression guard for the int32
+// overflow class the batch engine exposed: MaxBatch queries' scans of
+// one synthetic max-degree record aggregate into a single shared
+// access, so the add must saturate instead of wrapping negative.
+func TestChargeScanSaturates(t *testing.T) {
+	tr := &Trace{Accesses: []Access{{Vertex: 0, Bytes: 64}}}
+	tr.chargeScan(0, math.MaxInt32-10)
+	tr.chargeScan(0, math.MaxInt32-10) // would wrap far negative un-saturated
+	if got := tr.Accesses[0].ScannedEdges; got != math.MaxInt32 {
+		t.Errorf("ScannedEdges = %d after overflow-sized charges, want saturation at %d",
+			got, int32(math.MaxInt32))
+	}
+	tr.chargeScan(0, 1)
+	if got := tr.Accesses[0].ScannedEdges; got != math.MaxInt32 {
+		t.Errorf("ScannedEdges = %d after post-saturation charge, want %d stays pinned",
+			got, int32(math.MaxInt32))
 	}
 }

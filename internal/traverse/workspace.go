@@ -41,17 +41,15 @@ func (m *slotMaps) reset() {
 }
 
 // Scratch bundles the NumVertices-sized dense structures of a
-// Workspace: its one slot's maps and the engine's pull-wave frontier
-// view. A Scratch is reset at the start of every traversal, so it can
-// be shared by any number of Workspaces whose kernel executions never
-// overlap — the discrete-event simulator exploits this: its event loop
-// runs one kernel at a time, so P units share a single Scratch instead
-// of carrying P copies of O(|V|) arrays.
+// Workspace: its one slot's maps. A Scratch is reset at the start of
+// every traversal, so it can be shared by any number of Workspaces
+// whose kernel executions never overlap — the discrete-event simulator
+// exploits this: its event loop runs one kernel at a time, so P units
+// share a single Scratch instead of carrying P copies of O(|V|) arrays.
 //
 // Not safe for concurrent use.
 type Scratch struct {
 	slotMaps
-	posMap graph.VertexMap // engine.pos
 }
 
 // NewScratch returns a Scratch sized for graphs of numVertices.
@@ -60,11 +58,6 @@ func NewScratch(numVertices int) *Scratch {
 	s := &Scratch{}
 	s.grow(numVertices)
 	return s
-}
-
-func (s *Scratch) grow(n int) {
-	s.slotMaps.grow(n)
-	s.posMap.Grow(n)
 }
 
 // Workspace is the reusable per-execution state of the traversal
@@ -119,7 +112,6 @@ func NewWorkspace(numVertices int) *Workspace {
 // buffers, so outputs live independently of sibling executions.
 func NewWorkspaceWithScratch(s *Scratch) *Workspace {
 	ws := &Workspace{scratch: s}
-	ws.eng.pos = &s.posMap
 	ws.e, ws.tr, ws.maps = &ws.eng, &ws.trace, &s.slotMaps
 	return ws
 }
@@ -133,13 +125,7 @@ func (ws *Workspace) begin(g *graph.Graph) {
 	ws.trace.reset()
 	ws.orderA = ws.orderA[:0]
 	ws.orderB = ws.orderB[:0]
-	ws.stats = DirStats{}
 }
-
-// DirStats returns the push/pull direction counters of the most recent
-// kernel execution (zero for ops without direction choice). Valid
-// until the next kernel call.
-func (ws *Workspace) DirStats() DirStats { return ws.stats }
 
 // recSorter orders recommendations best-first, product ID tie-break —
 // the same total order CollabFilterReference sorts by, so any

@@ -163,9 +163,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.prob) }
-
 // Sample draws one index distributed according to the weights.
 func (a *Alias) Sample(r *RNG) int {
 	i := r.Intn(len(a.prob))
