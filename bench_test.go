@@ -178,14 +178,6 @@ func BenchmarkAuctionParallel256(b *testing.B) {
 	}
 }
 
-func BenchmarkAuctionScaling256(b *testing.B) {
-	p := randomProblem(256, 256, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		auction.Solve(p, auction.Options{Epsilon: 1e-3, Scaling: true})
-	}
-}
-
 // BenchmarkAuctionIncremental measures warm-started rounds over a
 // drifting problem stream — the paper's incremental mode.
 func BenchmarkAuctionIncremental(b *testing.B) {

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		typ        = flag.String("type", "powerlaw", "graph type: powerlaw, random, image")
+		typ        = flag.String("type", "powerlaw", "graph type: powerlaw, random")
 		scale      = flag.String("scale", "small", "scale: tiny, small, medium, large, paper")
 		seed       = flag.Uint64("seed", 42, "random seed")
 		out        = flag.String("out", "", "output file (required unless -info)")
@@ -84,25 +84,6 @@ func main() {
 		g, err = subtrav.TwitterLike(sc, *seed)
 	case "random":
 		g, err = subtrav.RandomGraph(sc, *seed)
-	case "image":
-		// The image corpus carries person labels and held-out queries
-		// beyond the graph, so it uses its own file format.
-		corpus, err := subtrav.ImageCorpus(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		if err := graphio.WriteCorpusFile(*out, corpus); err != nil {
-			fatal(err)
-		}
-		persons := int32(0)
-		for _, p := range corpus.Person {
-			if p+1 > persons {
-				persons = p + 1
-			}
-		}
-		fmt.Printf("corpus: %d persons, %d held-out queries\n", persons, len(corpus.Queries))
-		printStats(*out, corpus.Graph)
-		return
 	default:
 		err = fmt.Errorf("unknown type %q", *typ)
 	}

@@ -51,7 +51,7 @@ func main() {
 		retryBase   = flag.Duration("retry-base", time.Millisecond, "base delay of the jittered exponential backoff")
 
 		trace    = flag.Int("trace", 0, "dump the last N trace spans from the server and exit (0 = run queries)")
-		traceCSV = flag.Bool("trace-csv", false, "with -trace, emit CSV (schema shared with sim.CSVTracer tooling)")
+		traceCSV = flag.Bool("trace-csv", false, "with -trace, emit CSV (obs.SpanCSVHeader, the schema a simulated trace renders to as well)")
 		watch    = flag.Duration("watch", 0, "re-poll Stats at this interval, one line per unit, until interrupted (0 = run queries)")
 		watchN   = flag.Int("watch-n", 0, "with -watch, stop after this many refreshes (0 = until interrupted)")
 	)
@@ -165,7 +165,7 @@ func dumpTrace(client *service.Client, n int, asCSV bool) error {
 	if asCSV {
 		fmt.Println(obs.SpanCSVHeader)
 		for _, w := range spans {
-			fmt.Println(w.ToSpan().CSVRow())
+			fmt.Println(w.CSVRow())
 		}
 		return nil
 	}

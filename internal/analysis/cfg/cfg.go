@@ -467,26 +467,6 @@ func (g *Graph) ReversePostorder() []*Block {
 	return post
 }
 
-// CanReach reports whether to is reachable from from along Succs
-// edges (from == to counts as reachable).
-func (g *Graph) CanReach(from, to *Block) bool {
-	seen := make([]bool, len(g.Blocks))
-	stack := []*Block{from}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if b == to {
-			return true
-		}
-		if seen[b.Index] {
-			continue
-		}
-		seen[b.Index] = true
-		stack = append(stack, b.Succs...)
-	}
-	return false
-}
-
 // Divergent returns the blocks that are reachable from Entry but from
 // which Exit is unreachable — code inside an escape-free infinite
 // loop (or after a `select{}`). An empty result means every reachable

@@ -151,22 +151,6 @@ func (p *Pass) ExportPackageFact(fact Fact) {
 	m[p.Pkg.Path()] = data
 }
 
-// ImportPackageFact decodes the fact attached to the package with
-// the given path, if any.
-func (p *Pass) ImportPackageFact(pkgPath string, fact Fact) bool {
-	if p.store == nil {
-		return false
-	}
-	data, ok := p.store.pkg[p.Analyzer.Name][pkgPath]
-	if !ok {
-		return false
-	}
-	if err := decodeFact(data, fact); err != nil {
-		panic(fmt.Sprintf("analysis: %s: decoding fact %T: %v", p.Analyzer.Name, fact, err))
-	}
-	return true
-}
-
 // ModulePass is handed to an Analyzer's Finish hook after every
 // package has run: read access to the analyzer's exported facts plus
 // position-anchored reporting for module-wide findings.
@@ -204,24 +188,5 @@ func (m *ModulePass) EachPackageFact(template Fact, visit func(pkgPath string, f
 			panic(fmt.Sprintf("analysis: %s: decoding package fact %T for %s: %v", m.Analyzer.Name, template, path, err))
 		}
 		visit(path, fresh)
-	}
-}
-
-// EachObjectFact decodes every object fact this analyzer exported,
-// in deterministic (sorted object key) order.
-func (m *ModulePass) EachObjectFact(template Fact, visit func(objKey string, fact Fact)) {
-	byObj := m.store.obj[m.Analyzer.Name]
-	keys := make([]string, 0, len(byObj))
-	for k := range byObj {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	tt := reflect.TypeOf(template)
-	for _, key := range keys {
-		fresh := reflect.New(tt.Elem()).Interface().(Fact)
-		if err := decodeFact(byObj[key], fresh); err != nil {
-			panic(fmt.Sprintf("analysis: %s: decoding object fact %T for %s: %v", m.Analyzer.Name, template, key, err))
-		}
-		visit(key, fresh)
 	}
 }

@@ -47,8 +47,6 @@ type AdaptiveConfig struct {
 	// Shrink divides ε on under-half-budget solves (default 1.25;
 	// gentler than Grow so quality recovers without oscillation).
 	Shrink float64
-	// PriceDecay passes through to the inner Auctioneer.
-	PriceDecay float64
 }
 
 func (c *AdaptiveConfig) applyDefaults() error {
@@ -86,9 +84,8 @@ func NewAdaptiveAuctioneer(cfg AdaptiveConfig) (*AdaptiveAuctioneer, error) {
 	}
 	eps := clamp(cfg.InitialEpsilon, cfg.MinEpsilon, cfg.MaxEpsilon)
 	inner, err := NewAuctioneer(AuctioneerConfig{
-		NumCols:    cfg.NumCols,
-		Options:    Options{Epsilon: eps},
-		PriceDecay: cfg.PriceDecay,
+		NumCols: cfg.NumCols,
+		Options: Options{Epsilon: eps},
 	})
 	if err != nil {
 		return nil, err

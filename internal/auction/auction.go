@@ -1,8 +1,8 @@
 // Package auction implements the assignment solvers of Section V: the
 // Bertsekas auction algorithm in sequential (Gauss-Seidel) and
 // parallel (Jacobi, goroutine-based) forms, an incremental Auctioneer
-// that warm-starts prices across scheduling rounds, ε-scaling, and two
-// exact reference solvers (Hungarian and brute force) used by tests to
+// that warm-starts prices across scheduling rounds, and two exact
+// reference solvers (Hungarian and brute force) used by tests to
 // verify the ε-optimality guarantee.
 //
 // The primal problem is Eq. 5 of the paper: select a matching between
@@ -132,28 +132,9 @@ type Options struct {
 	// NumRows*Epsilon of optimal. Must be > 0; DefaultEpsilon is used
 	// when zero.
 	Epsilon float64
-	// Scaling enables ε-scaling: bidding starts with a coarse ε
-	// (benefitRange/2) and refines by ScalingFactor until reaching
-	// Epsilon, reusing prices between phases. Reduces rounds on large
-	// problems.
-	//
-	// The optimality bound of ε-scaling needs every column assigned at
-	// the end of each phase (otherwise warm prices leave stale
-	// positive prices on columns the final phase never assigns).
-	// Square problems satisfy that directly; rectangular problems are
-	// padded to square with zero-benefit dummy rows/columns — the
-	// standard transformation — so Scaling applies to any shape. For
-	// problems with zero-benefit optimal arcs the padded form may
-	// leave such rows unassigned (equal objective).
-	Scaling bool
-	// ScalingFactor divides ε between phases (default 4).
-	ScalingFactor float64
 	// Workers is the number of goroutines used by SolveParallel's bid
 	// phase (default: 1 worker per 64 rows, capped at 8).
 	Workers int
-	// MaxRounds caps bidding rounds as a safety net against
-	// pathological inputs (default 0: derived from problem size).
-	MaxRounds int
 }
 
 // DefaultEpsilon is the price increment used when Options.Epsilon is
@@ -161,22 +142,18 @@ type Options struct {
 // 1e-3 gives near-optimal assignments at speed.
 const DefaultEpsilon = 1e-3
 
-func (o Options) withDefaults(p Problem) Options {
+// withDefaults fills in Epsilon and derives maxRounds, the cap on
+// bidding rounds that is the safety net against pathological inputs.
+// Theoretical round bounds are O(n²·C/ε); the cap is generous and in
+// practice never reached on feasible inputs.
+func (o Options) withDefaults(p Problem) (opts Options, maxRounds int) {
 	if o.Epsilon <= 0 {
 		o.Epsilon = DefaultEpsilon
 	}
-	if o.ScalingFactor <= 1 {
-		o.ScalingFactor = 4
-	}
-	if o.MaxRounds <= 0 {
-		// Theoretical round bounds are O(n²·C/ε); this cap is generous
-		// and in practice never reached on feasible inputs.
-		n := p.NumRows() + p.NumCols + 1
-		c := p.benefitRange()
-		cap := 1000 + 10*n + int(float64(2*p.NumRows()+1)*(c+1)/o.Epsilon)
-		o.MaxRounds = cap
-	}
-	return o
+	n := p.NumRows() + p.NumCols + 1
+	c := p.benefitRange()
+	maxRounds = 1000 + 10*n + int(float64(2*p.NumRows()+1)*(c+1)/o.Epsilon)
+	return o, maxRounds
 }
 
 // state is the shared auction machinery used by both solver variants.
@@ -309,84 +286,10 @@ func SolveParallelPriced(p Problem, opts Options, prices []float64) Assignment {
 }
 
 func solveWithPrices(p Problem, opts Options, prices []float64) Assignment {
-	opts = opts.withDefaults(p)
-	if opts.Scaling {
-		return scaleViaSquare(p, opts, prices, sequentialRounds)
-	}
+	opts, maxRounds := opts.withDefaults(p)
 	s := newState(p, prices)
-	rounds := sequentialRounds(s, opts.Epsilon, opts.MaxRounds)
+	rounds := sequentialRounds(s, opts.Epsilon, maxRounds)
 	return s.result(rounds)
-}
-
-// scaleViaSquare runs ε-scaling, padding rectangular problems to
-// square with zero-benefit dummies first (see Options.Scaling).
-func scaleViaSquare(p Problem, opts Options, prices []float64, run func(*state, float64, int) int) Assignment {
-	n, m := p.NumRows(), p.NumCols
-	if n == m {
-		return solveScaled(p, opts, prices, run)
-	}
-	square := Problem{NumCols: m, Rows: p.Rows}
-	if m > n {
-		// Dummy rows adjacent to every column with benefit 0.
-		dummyArcs := make([]Arc, m)
-		for j := range dummyArcs {
-			dummyArcs[j] = Arc{Col: j}
-		}
-		rows := make([][]Arc, m)
-		copy(rows, p.Rows)
-		for i := n; i < m; i++ {
-			rows[i] = dummyArcs
-		}
-		square.Rows = rows
-	} else {
-		// Dummy columns adjacent to every row with benefit 0.
-		square.NumCols = n
-		rows := make([][]Arc, n)
-		for i, arcs := range p.Rows {
-			padded := make([]Arc, len(arcs), len(arcs)+n-m)
-			copy(padded, arcs)
-			for j := m; j < n; j++ {
-				padded = append(padded, Arc{Col: j})
-			}
-			rows[i] = padded
-		}
-		square.Rows = rows
-	}
-	squarePrices := prices
-	if square.NumCols > len(prices) {
-		squarePrices = make([]float64, square.NumCols)
-		copy(squarePrices, prices)
-	}
-	res := solveScaled(square, opts, squarePrices, run)
-	copy(prices, squarePrices[:min(len(prices), len(squarePrices))])
-
-	out := Assignment{
-		RowToCol: make([]int, n),
-		ColToRow: make([]int, m),
-		Rounds:   res.Rounds,
-		Bids:     res.Bids,
-	}
-	for j := range out.ColToRow {
-		out.ColToRow[j] = -1
-	}
-	for i := 0; i < n; i++ {
-		j := res.RowToCol[i]
-		if j >= 0 && j < m {
-			out.RowToCol[i] = j
-			out.ColToRow[j] = i
-		} else {
-			out.RowToCol[i] = -1 // parked on a dummy column
-		}
-	}
-	out.Benefit = res.Benefit // dummy arcs contribute exactly 0
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sequentialRounds runs Gauss-Seidel bidding until no assignable row
@@ -419,27 +322,4 @@ func sequentialRounds(s *state, eps float64, maxRounds int) int {
 		}
 	}
 	return rounds
-}
-
-// solveScaled runs ε-scaling phases, reusing prices between phases.
-func solveScaled(p Problem, opts Options, prices []float64, run func(*state, float64, int) int) Assignment {
-	rangeC := p.benefitRange()
-	eps := rangeC / 2
-	if eps <= opts.Epsilon {
-		eps = opts.Epsilon
-	}
-	var s *state
-	totalRounds := 0
-	for {
-		s = newState(p, prices)
-		totalRounds += run(s, eps, opts.MaxRounds)
-		if eps <= opts.Epsilon {
-			break
-		}
-		eps /= opts.ScalingFactor
-		if eps < opts.Epsilon {
-			eps = opts.Epsilon
-		}
-	}
-	return s.result(totalRounds)
 }

@@ -227,27 +227,6 @@ func TestMoreRowsThanCols(t *testing.T) {
 	}
 }
 
-func TestScalingMatchesPlain(t *testing.T) {
-	rng := xrand.New(23)
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + rng.Intn(12)
-		b := randomDense(rng, n, n)
-		p := Dense(b)
-		exact, err := SolveExact(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps := 1e-4
-		scaled := Solve(p, Options{Epsilon: eps, Scaling: true})
-		if scaled.NumAssigned() != n {
-			t.Fatalf("trial %d: scaled assigned %d/%d", trial, scaled.NumAssigned(), n)
-		}
-		if scaled.Benefit < exact.Benefit-float64(n)*eps-1e-9 {
-			t.Errorf("trial %d: scaled benefit %g vs exact %g", trial, scaled.Benefit, exact.Benefit)
-		}
-	}
-}
-
 func TestParallelDeterministic(t *testing.T) {
 	rng := xrand.New(41)
 	b := randomDense(rng, 32, 40)
@@ -334,57 +313,5 @@ func TestFullCardinalityQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScalingRectangular(t *testing.T) {
-	rng := xrand.New(61)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(10)
-		m := n + 1 + rng.Intn(8) // strictly rectangular
-		b := randomDense(rng, n, m)
-		p := Dense(b)
-		exact, err := SolveExact(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps := 1e-4
-		for _, solver := range []struct {
-			name string
-			run  func(Problem, Options) Assignment
-		}{{"sequential", Solve}, {"parallel", SolveParallel}} {
-			a := solver.run(p, Options{Epsilon: eps, Scaling: true})
-			if err := VerifyMatching(p, a); err != nil {
-				t.Fatalf("%s trial %d: %v", solver.name, trial, err)
-			}
-			if a.NumAssigned() != n {
-				t.Fatalf("%s trial %d: assigned %d of %d (benefits > 0, all rows must match)",
-					solver.name, trial, a.NumAssigned(), n)
-			}
-			bound := exact.Benefit - float64(m)*eps
-			if a.Benefit < bound-1e-9 {
-				t.Errorf("%s trial %d: scaled benefit %g < exact %g - mε",
-					solver.name, trial, a.Benefit, exact.Benefit)
-			}
-		}
-	}
-}
-
-func TestScalingMoreRowsThanCols(t *testing.T) {
-	rng := xrand.New(67)
-	b := randomDense(rng, 9, 4)
-	p := Dense(b)
-	a := Solve(p, Options{Epsilon: 1e-4, Scaling: true})
-	if err := VerifyMatching(p, a); err != nil {
-		t.Fatal(err)
-	}
-	if a.NumAssigned() != 4 {
-		t.Errorf("assigned %d, want every column filled", a.NumAssigned())
-	}
-	// The 4 matched rows should be benefit-near-optimal: compare with
-	// brute force over the sparse problem.
-	bf := SolveBruteForce(p)
-	if a.Benefit < bf.Benefit-9*1e-4-1e-9 {
-		t.Errorf("benefit %g vs optimal %g", a.Benefit, bf.Benefit)
 	}
 }

@@ -7,14 +7,11 @@ import "fmt"
 // units) is fixed while task rows stream in and out, and object prices
 // learned in earlier rounds are retained as the warm start for later
 // ones. High prices linger on units that were recently contested,
-// which both speeds up convergence and encodes a memory of contention;
-// PriceDecay lets that memory fade.
+// which both speeds up convergence and encodes a memory of contention.
 type Auctioneer struct {
 	numCols int
 	prices  []float64
 	opts    Options
-	// decay multiplies all prices before each round; 1 disables decay.
-	decay float64
 
 	// Cumulative statistics across rounds.
 	roundsRun  int
@@ -28,9 +25,6 @@ type AuctioneerConfig struct {
 	NumCols int
 	// Options tunes the underlying solver.
 	Options Options
-	// PriceDecay in (0, 1] multiplies retained prices before each
-	// round; 0 means 1 (no decay).
-	PriceDecay float64
 }
 
 // NewAuctioneer creates an incremental auctioneer with zero prices.
@@ -38,23 +32,15 @@ func NewAuctioneer(cfg AuctioneerConfig) (*Auctioneer, error) {
 	if cfg.NumCols <= 0 {
 		return nil, fmt.Errorf("auction: NumCols = %d, want > 0", cfg.NumCols)
 	}
-	decay := cfg.PriceDecay
-	if decay == 0 {
-		decay = 1
-	}
-	if decay < 0 || decay > 1 {
-		return nil, fmt.Errorf("auction: PriceDecay = %g, want (0,1]", decay)
-	}
 	return &Auctioneer{
 		numCols: cfg.NumCols,
 		prices:  make([]float64, cfg.NumCols),
 		opts:    cfg.Options,
-		decay:   decay,
 	}, nil
 }
 
 // Assign solves one scheduling round. The problem must have exactly
-// NumCols columns. Prices are decayed, used as the warm start, and the
+// NumCols columns. The retained prices are the warm start, and the
 // post-round prices are retained for the next call.
 func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 	if p.NumCols != a.numCols {
@@ -62,11 +48,6 @@ func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 	}
 	if err := p.Validate(); err != nil {
 		return Assignment{}, err
-	}
-	if a.decay != 1 {
-		for j := range a.prices {
-			a.prices[j] *= a.decay
-		}
 	}
 	result := solveWithPrices(p, a.opts, a.prices)
 	a.assignRuns++

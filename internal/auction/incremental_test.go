@@ -10,12 +10,6 @@ func TestAuctioneerConfigValidation(t *testing.T) {
 	if _, err := NewAuctioneer(AuctioneerConfig{NumCols: 0}); err == nil {
 		t.Error("NumCols=0 should fail")
 	}
-	if _, err := NewAuctioneer(AuctioneerConfig{NumCols: 4, PriceDecay: 1.5}); err == nil {
-		t.Error("decay > 1 should fail")
-	}
-	if _, err := NewAuctioneer(AuctioneerConfig{NumCols: 4, PriceDecay: -0.1}); err == nil {
-		t.Error("negative decay should fail")
-	}
 	if _, err := NewAuctioneer(AuctioneerConfig{NumCols: 4}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
@@ -111,27 +105,6 @@ func TestWarmStartStillValid(t *testing.T) {
 		}
 		if res.NumAssigned() != n {
 			t.Fatalf("round %d: assigned %d of %d", round, res.NumAssigned(), n)
-		}
-	}
-}
-
-func TestPriceDecayFadesPrices(t *testing.T) {
-	a, err := NewAuctioneer(AuctioneerConfig{NumCols: 2, PriceDecay: 0.5, Options: Options{Epsilon: 0.1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Assign(Dense([][]float64{{1, 0.5}, {0.5, 1}})); err != nil {
-		t.Fatal(err)
-	}
-	p1 := a.Prices()
-	// An empty round: decay applies, no bidding.
-	if _, err := a.Assign(Problem{NumCols: 2}); err != nil {
-		t.Fatal(err)
-	}
-	p2 := a.Prices()
-	for j := range p1 {
-		if p1[j] > 0 && p2[j] >= p1[j] {
-			t.Errorf("price %d did not decay: %g -> %g", j, p1[j], p2[j])
 		}
 	}
 }

@@ -21,15 +21,9 @@ type bid struct {
 }
 
 func solveParallelWithPrices(p Problem, opts Options, prices []float64) Assignment {
-	opts = opts.withDefaults(p)
-	if opts.Scaling {
-		run := func(s *state, eps float64, maxRounds int) int {
-			return jacobiRounds(s, eps, maxRounds, opts.workers(p))
-		}
-		return scaleViaSquare(p, opts, prices, run)
-	}
+	opts, maxRounds := opts.withDefaults(p)
 	s := newState(p, prices)
-	rounds := jacobiRounds(s, opts.Epsilon, opts.MaxRounds, opts.workers(p))
+	rounds := jacobiRounds(s, opts.Epsilon, maxRounds, opts.workers(p))
 	return s.result(rounds)
 }
 

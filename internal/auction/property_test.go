@@ -107,7 +107,7 @@ func TestWarmAndColdAgreeWithinBound(t *testing.T) {
 // production path, not just the one-shot solver. Square rounds assign
 // every column, which is what makes carried-over prices harmless to
 // the n·ε bound (weak duality needs unassigned columns to carry no
-// stale price; see the Options.Scaling comment).
+// stale price).
 func TestAuctioneerWarmRoundsStayOptimal(t *testing.T) {
 	t.Parallel()
 	const eps = 0.01

@@ -48,20 +48,6 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Evictions, s.BytesLoaded, s.HitRate())
 }
 
-// CounterSink receives live activity deltas; *obs.Counter satisfies
-// it. Sinks let a concurrent observer (e.g. a /metrics scrape) watch a
-// cache owned by a single worker goroutine without the cache taking
-// locks: the sink itself is responsible for atomicity.
-type CounterSink interface {
-	Add(delta int64)
-}
-
-// Sinks mirrors Stats increments to external counters. Any field may
-// be nil.
-type Sinks struct {
-	Hits, Misses, Evictions, BytesLoaded CounterSink
-}
-
 type entry struct {
 	key        Key
 	size       int64
@@ -78,7 +64,6 @@ type Cache struct {
 	// head.prev is least recent.
 	head  entry
 	stats Stats
-	sinks Sinks
 }
 
 // New creates a cache with the given byte budget; a budget <= 0 means
@@ -101,18 +86,6 @@ func (c *Cache) Len() int { return len(c.entries) }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// SetSinks installs external counters mirroring future Stats
-// increments (existing totals are not replayed). Call before the
-// owning goroutine starts using the cache.
-func (c *Cache) SetSinks(s Sinks) { c.sinks = s }
-
-// sink adds delta to s when s is non-nil.
-func sink(s CounterSink, delta int64) {
-	if s != nil {
-		s.Add(delta)
-	}
-}
 
 // Contains reports residency without touching recency or stats.
 func (c *Cache) Contains(k Key) bool {
@@ -147,7 +120,6 @@ func (c *Cache) Access(k Key, size int64) (hit bool) {
 	}
 	if e, ok := c.entries[k]; ok {
 		c.stats.Hits++
-		sink(c.sinks.Hits, 1)
 		c.unlink(e)
 		c.pushFront(e)
 		if size != e.size {
@@ -159,8 +131,6 @@ func (c *Cache) Access(k Key, size int64) (hit bool) {
 	}
 	c.stats.Misses++
 	c.stats.BytesLoaded += size
-	sink(c.sinks.Misses, 1)
-	sink(c.sinks.BytesLoaded, size)
 	e := &entry{key: k, size: size}
 	c.entries[k] = e
 	c.pushFront(e)
@@ -184,7 +154,6 @@ func (c *Cache) evictOverBudget(keep *entry) {
 		delete(c.entries, victim.key)
 		c.used -= victim.size
 		c.stats.Evictions++
-		sink(c.sinks.Evictions, 1)
 	}
 }
 

@@ -114,16 +114,3 @@ func FuzzReadCSR(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadCorpus is FuzzRead for the corpus container.
-func FuzzReadCorpus(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCorpus(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		_ = c.Graph.NumVertices()
-	})
-}

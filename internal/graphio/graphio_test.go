@@ -152,84 +152,3 @@ func TestReadErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
-
-func TestCorpusRoundTrip(t *testing.T) {
-	corpus, err := graphgen.Images(graphgen.ImageCorpusConfig{
-		NumPersons: 8, ImagesPerPersonMin: 4, ImagesPerPersonMax: 7,
-		DescriptorDim: 8, IntraNoise: 0.15, KNN: 4, CrossCandidates: 6,
-		NumPartitions: 2, NumQueries: 20, PhotoBytesMin: 5000, PhotoBytesMax: 9000, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCorpus(&buf, corpus); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCorpus(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameStructure(t, corpus.Graph, back.Graph)
-	if len(back.Person) != len(corpus.Person) {
-		t.Fatalf("person labels %d vs %d", len(back.Person), len(corpus.Person))
-	}
-	for i := range corpus.Person {
-		if back.Person[i] != corpus.Person[i] {
-			t.Fatalf("person[%d] differs", i)
-		}
-	}
-	if len(back.Queries) != len(corpus.Queries) {
-		t.Fatalf("queries %d vs %d", len(back.Queries), len(corpus.Queries))
-	}
-	for i := range corpus.Queries {
-		if back.Queries[i] != corpus.Queries[i] {
-			t.Fatalf("query %d differs", i)
-		}
-	}
-	// Photo payload sizes (the storage model's key input) survive.
-	for v := 0; v < corpus.Graph.NumVertices(); v++ {
-		if corpus.Graph.VertexBytes(graph.VertexID(v)) != back.Graph.VertexBytes(graph.VertexID(v)) {
-			t.Fatalf("vertex %d bytes differ", v)
-		}
-	}
-}
-
-func TestCorpusFileRoundTrip(t *testing.T) {
-	corpus, err := graphgen.Images(graphgen.ImageCorpusConfig{
-		NumPersons: 4, ImagesPerPersonMin: 3, ImagesPerPersonMax: 5,
-		DescriptorDim: 8, IntraNoise: 0.15, KNN: 3, CrossCandidates: 4,
-		NumPartitions: 2, NumQueries: 5, PhotoBytesMin: 1000, PhotoBytesMax: 2000, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "c.corpus")
-	if err := WriteCorpusFile(path, corpus); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCorpusFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameStructure(t, corpus.Graph, back.Graph)
-}
-
-func TestCorpusErrors(t *testing.T) {
-	if err := WriteCorpus(&bytes.Buffer{}, nil); err == nil {
-		t.Error("nil corpus accepted")
-	}
-	if _, err := ReadCorpus(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk corpus accepted")
-	}
-	// A plain graph stream is not a corpus.
-	b := graph.NewBuilder(graph.Directed, 2)
-	g := b.Build()
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCorpus(&buf); err == nil {
-		t.Error("graph stream accepted as corpus")
-	}
-}

@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 
 	"subtrav/internal/graph"
-	"subtrav/internal/graphgen"
 	"subtrav/internal/graphio"
 )
 
@@ -71,24 +70,6 @@ func main() {
 	hostile := append([]byte(nil), validCSR...)
 	binary.LittleEndian.PutUint64(hostile[16:], 1<<31)
 	write("FuzzReadCSR", "hostile_counts", hostile)
-
-	corpus, err := graphgen.Images(graphgen.ImageCorpusConfig{
-		NumPersons: 3, ImagesPerPersonMin: 3, ImagesPerPersonMax: 5,
-		DescriptorDim: 8, IntraNoise: 0.1, KNN: 3, MinSimilarity: 0.1,
-		CrossCandidates: 4, NumPartitions: 2, NumQueries: 2,
-		PhotoBytesMin: 16, PhotoBytesMax: 32, Seed: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf.Reset()
-	if err := graphio.WriteCorpus(&buf, corpus); err != nil {
-		log.Fatal(err)
-	}
-	validCorpus := buf.Bytes()
-	write("FuzzReadCorpus", "valid", validCorpus)
-	write("FuzzReadCorpus", "truncated", validCorpus[:len(validCorpus)/3])
-	write("FuzzReadCorpus", "junk", []byte("junk"))
 }
 
 func write(target, name string, data []byte) {

@@ -24,14 +24,16 @@ import (
 // A failed wait is followed by the same check, so a wait cut short by
 // a member's own deadline is that member's timeout; any other failure
 // (a persistent disk fault) is returned for the unresolved members.
+//
+// However the charge ends, what it did to the buffer is added to the
+// unit's cache counters once, on the way out.
 func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trace, members []*task, started time.Time) error {
 	cur := sim.NewChargeCursor(&r.cfg.Cost, u.buffer, 1, replay)
+	evictedBefore := u.buffer.Stats().Evictions
 	var diskWaitNanos int64
 	flushSpan := func(t *task) {
 		if s := t.span; s != nil {
-			s.CacheHits = cur.Hits
-			s.CacheMisses = cur.Misses
-			s.BytesRead = cur.BytesRead
+			cur.FillSpan(s)
 			s.DiskWaitNanos = diskWaitNanos
 		}
 	}
@@ -80,6 +82,11 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 			flushSpan(t)
 		}
 	}
+	c := u.cacheCounters
+	c.hits.Add(int64(cur.Hits))
+	c.misses.Add(int64(cur.Misses))
+	c.bytes.Add(cur.BytesRead)
+	c.evictions.Add(u.buffer.Stats().Evictions - evictedBefore)
 	return err
 }
 

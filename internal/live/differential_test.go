@@ -6,25 +6,17 @@ import (
 
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
 )
 
-// simMisses records each task's shared-disk fetch count from the
-// simulator's tracer.
-type simMisses map[int64]int
-
-func (simMisses) TaskDispatched(int64, int32, int64) {}
-func (simMisses) TaskStarted(int64, int32, int64)    {}
-func (m simMisses) TaskCompleted(taskID int64, _ int32, _ int64, misses int) {
-	m[taskID] = misses
-}
-
 // TestSimAndLiveChargeIdentically is the differential wall between the
-// two executors: both drive one sim.ChargeCursor, so a unit with the
-// same buffer budget fed the same queries in the same order must see
-// the same hits and misses per query and end with the same buffer,
+// two executors: both drive one sim.ChargeCursor and fill one
+// obs.Span from it, so a unit with the same buffer budget fed the same
+// queries in the same order must report the same span per query —
+// identity, hits, misses and bytes — and end with the same buffer,
 // whether its disk is a virtual-time queue or a semaphore and a sleep.
 // One unit and one query in flight at a time take scheduling and
 // timing out of the comparison.
@@ -64,8 +56,8 @@ func TestSimAndLiveChargeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMisses := simMisses{}
-	cluster.SetTracer(wantMisses)
+	simRing := obs.NewRing(len(queries))
+	cluster.SetTrace(simRing)
 	tasks := make([]*sched.Task, len(queries))
 	for i, q := range queries {
 		tasks[i] = &sched.Task{ID: int64(i), Query: q, Arrival: int64(i) * 1e12}
@@ -91,21 +83,18 @@ func TestSimAndLiveChargeIdentically(t *testing.T) {
 	}
 	r.Close()
 
-	spans := r.Trace(len(queries))
-	if len(spans) != len(queries) {
-		t.Fatalf("%d spans for %d queries", len(spans), len(queries))
+	spans, want := r.Trace(len(queries)), simRing.Last(len(queries))
+	if len(spans) != len(queries) || len(want) != len(queries) {
+		t.Fatalf("%d live and %d simulated spans for %d queries", len(spans), len(want), len(queries))
 	}
-	for _, s := range spans {
-		i := s.QueryID // ids count admissions from zero
-		_, trace, err := traverse.Execute(g, queries[i])
-		if err != nil {
-			t.Fatal(err)
+	for i, s := range spans {
+		w := want[i] // both rings fill in query order; live ids count admissions from zero
+		if s.QueryID != w.QueryID || s.Op != w.Op || s.Start != w.Start || s.Unit != w.Unit || s.Outcome != w.Outcome {
+			t.Errorf("query %d: live span is %s, simulated %s", i, s, w)
 		}
-		misses := wantMisses[i]
-		hits := len(trace.Accesses) - misses
-		if s.CacheHits != hits || s.CacheMisses != misses {
-			t.Errorf("query %d (%s): live charged %d hits / %d misses, sim %d / %d",
-				i, queries[i].Op, s.CacheHits, s.CacheMisses, hits, misses)
+		if s.CacheHits != w.CacheHits || s.CacheMisses != w.CacheMisses || s.BytesRead != w.BytesRead {
+			t.Errorf("query %d (%s): live charged %d hits / %d misses / %d bytes, sim %d / %d / %d",
+				i, s.Op, s.CacheHits, s.CacheMisses, s.BytesRead, w.CacheHits, w.CacheMisses, w.BytesRead)
 		}
 	}
 	live := r.units[0].buffer.Stats()

@@ -201,11 +201,7 @@ func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
 		s.Degraded = degraded
 		s.Imbalance = imbalance
 		if explain != nil {
-			s.Affinity = explain[i].Affinity
-			s.AuctionRounds = explain[i].AuctionRounds
-			s.FellBack = explain[i].FellBack
-			s.EmptyRow = explain[i].EmptyRow
-			s.Preferred = explain[i].Preferred
+			s.Placement = explain[i].Placement
 		}
 	}
 

@@ -306,7 +306,7 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		if cfg.BatchTraversals > 1 {
 			u.batch = traverse.NewBatch(g.NumVertices())
 		}
-		u.buffer.SetSinks(r.obs.wireUnit(u))
+		r.obs.wireUnit(u)
 		r.units = append(r.units, u)
 		r.wg.Add(1)
 		go r.worker(u)
@@ -337,8 +337,9 @@ type UnitStats struct {
 	Queued    int
 	Busy      bool
 	Completed int
-	// CacheHits and CacheMisses mirror the unit's buffer counters
-	// (atomic shadows, safe to read while the runtime is hot).
+	// CacheHits and CacheMisses are the unit's buffer counters as of
+	// its last finished charge (atomic shadows, safe to read while the
+	// runtime is hot).
 	CacheHits   int64
 	CacheMisses int64
 }

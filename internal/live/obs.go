@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"subtrav/internal/cache"
 	"subtrav/internal/obs"
 )
 
@@ -58,8 +57,9 @@ type tenantState struct {
 	timedOut  *obs.Counter
 }
 
-// unitCounters are one unit's cache counters, fed by cache.Sinks so a
-// /metrics scrape can watch a cache owned by the worker goroutine.
+// unitCounters are one unit's cache counters: atomic shadows of the
+// buffer's stats, which the worker advances at the end of every charge
+// so a /metrics scrape can watch a cache only that goroutine may touch.
 type unitCounters struct {
 	hits, misses, evictions, bytes *obs.Counter
 }
@@ -179,9 +179,8 @@ func (r *Runtime) TenantStatsSnapshot() []TenantStats {
 	return out
 }
 
-// wireUnit registers one unit's per-unit series and returns the cache
-// sinks for its buffer.
-func (o *runtimeObs) wireUnit(u *liveUnit) cache.Sinks {
+// wireUnit registers one unit's per-unit series.
+func (o *runtimeObs) wireUnit(u *liveUnit) {
 	label := obs.L("unit", strconv.Itoa(int(u.id)))
 	c := &unitCounters{
 		hits: o.reg.Counter("subtrav_unit_cache_hits_total",
@@ -210,7 +209,6 @@ func (o *runtimeObs) wireUnit(u *liveUnit) cache.Sinks {
 			}
 			return float64(hits) / float64(total)
 		}, label)
-	return cache.Sinks{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, BytesLoaded: c.bytes}
 }
 
 // schedulerRegistrar is satisfied by schedulers that expose their own

@@ -1,9 +1,13 @@
 package live
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"subtrav/internal/faultpoint"
 	"subtrav/internal/graph"
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
@@ -172,4 +176,117 @@ func TestStatsCacheCounters(t *testing.T) {
 	if hits == 0 {
 		t.Error("repeated identical traversals recorded no cache hits")
 	}
+}
+
+// TestUnitCacheCountersAtQuiescence: the per-unit cache series are
+// advanced once per charge from the charge cursor instead of once per
+// access from inside the buffer, so at quiescence they must still be
+// the buffer's own stats — and, at width one, the sums over the unit's
+// spans — on every way out of a charge: completion, a query cancelled
+// between two disk reads, and a disk read that fails past its retry.
+func TestUnitCacheCountersAtQuiescence(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	query := func(i int) traverse.Query {
+		return traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i * 7 % 500), Depth: 2, MaxVisits: 40}
+	}
+	check := func(t *testing.T, r *Runtime) {
+		t.Helper()
+		r.Close() // quiescence; the workers' buffers are safe to read after it
+		type sums struct{ hits, misses, bytes int64 }
+		bySpan := map[int32]sums{}
+		for _, s := range r.Trace(r.obs.ring.Cap()) {
+			if s.Unit < 0 {
+				continue
+			}
+			u := bySpan[s.Unit]
+			u.hits += int64(s.CacheHits)
+			u.misses += int64(s.CacheMisses)
+			u.bytes += s.BytesRead
+			bySpan[s.Unit] = u
+		}
+		stats := r.Stats()
+		for i, u := range r.units {
+			want := u.buffer.Stats()
+			c := u.cacheCounters
+			if c.hits.Value() != want.Hits || c.misses.Value() != want.Misses ||
+				c.evictions.Value() != want.Evictions || c.bytes.Value() != want.BytesLoaded {
+				t.Errorf("unit %d: counters hits=%d misses=%d evictions=%d bytes=%d, buffer %+v", i,
+					c.hits.Value(), c.misses.Value(), c.evictions.Value(), c.bytes.Value(), want)
+			}
+			if got := bySpan[u.id]; got != (sums{want.Hits, want.Misses, want.BytesLoaded}) {
+				t.Errorf("unit %d: spans sum to %+v, buffer %+v", i, got, want)
+			}
+			if stats[i].CacheHits != want.Hits || stats[i].CacheMisses != want.Misses {
+				t.Errorf("unit %d: Stats() reports %d/%d, buffer %+v", i, stats[i].CacheHits, stats[i].CacheMisses, want)
+			}
+		}
+	}
+
+	t.Run("completed and cancelled", func(t *testing.T) {
+		cfg := slowLiveConfig(1)
+		cfg.Cost.Disk.SeekNanos = 1_000_000
+		cfg.MemoryPerUnit = 32 << 10 // holds one query's records, not two's
+		cfg.TraceBuffer = 64
+		r, err := New(g, cfg, sched.NewRoundRobin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for _, i := range []int{0, 0, 1, 2} {
+			if resp, err := r.Do(query(i)); err != nil || resp.Err != nil {
+				t.Fatalf("query %d: %v / %v", i, err, resp.Err)
+			}
+		}
+		// Cancel the next query once its second disk read is under way:
+		// it has filled one record and is waiting on another.
+		fetches := r.obs.diskWaitNanos.Count()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ch, err := r.SubmitCtx(ctx, query(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r.obs.diskWaitNanos.Count() < fetches+2 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		cancel()
+		if resp := <-ch; !errors.Is(resp.Err, context.Canceled) {
+			t.Fatalf("cancelled query resolved with %v", resp.Err)
+		}
+		if resp, err := r.Do(query(1)); err != nil || resp.Err != nil {
+			t.Fatalf("query after cancellation: %v / %v", err, resp.Err)
+		}
+		check(t, r)
+		spans := r.Trace(64)
+		if s := spans[len(spans)-2]; s.Outcome != obs.OutcomeTimeout || s.CacheMisses == 0 {
+			t.Errorf("cancelled query's span: %s, want a timeout that had already missed", s)
+		}
+		if st := r.units[0].buffer.Stats(); st.Evictions == 0 || st.Hits == 0 {
+			t.Errorf("fixture too easy: %+v", st)
+		}
+	})
+	t.Run("failed disk read", func(t *testing.T) {
+		cfg := fastLiveConfig(2)
+		cfg.TraceBuffer = 64
+		// A read fails for good when its retry fires too: about one in
+		// eleven at this rate, after the query has loaded other records.
+		cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{
+			Prob: 0.3, Err: errors.New("injected disk error"),
+		})
+		r, err := New(g, cfg, sched.NewLeastLoaded())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i := 0; i < 20; i++ {
+			if _, err := r.Do(query(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m := r.Metrics(); m.Failed == 0 || m.Failed == m.Completed {
+			t.Errorf("fixture: %d of %d queries failed, want some of each", m.Failed, m.Completed)
+		}
+		check(t, r)
+	})
 }

@@ -33,8 +33,8 @@ type liveUnit struct {
 	// Config.BatchTraversals enables batching. Worker goroutine only.
 	batch *traverse.Batch
 
-	// cacheCounters mirror the buffer's activity atomically (via
-	// cache.Sinks) so Stats and /metrics can read them while hot.
+	// cacheCounters shadow the buffer's stats atomically (advanced by
+	// charge) so Stats and /metrics can read them while hot.
 	cacheCounters *unitCounters
 
 	// completions is a ring of the unit's latest completion times (unix

@@ -1,6 +1,5 @@
-// External tests: the structural contracts obs keeps with the rest of
-// the system without importing it — sim.Tracer satisfaction, span CSV
-// schema, and the debug HTTP surface end-to-end.
+// External tests: the span CSV schema and the debug HTTP surface
+// end-to-end.
 package obs_test
 
 import (
@@ -12,72 +11,15 @@ import (
 	"testing"
 
 	"subtrav/internal/obs"
-	"subtrav/internal/sim"
 )
-
-// obs stays dependency-free; the tracer match is structural. This is
-// the compile-time proof that it actually matches.
-var _ sim.Tracer = (*obs.SimTracer)(nil)
-
-func TestSimTracerAssemblesSpans(t *testing.T) {
-	ring := obs.NewRing(8)
-	tr := obs.NewSimTracer(ring)
-	tr.TaskDispatched(1, 2, 100)
-	tr.TaskStarted(1, 2, 150)
-	tr.TaskCompleted(1, 2, 400, 3)
-
-	spans := ring.Last(8)
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	s := spans[0]
-	if s.QueryID != 1 || s.Unit != 2 {
-		t.Errorf("identity: %+v", s)
-	}
-	if s.SubmitNanos != 100 || s.ScheduleNanos != 100 || s.StartNanos != 150 || s.EndNanos != 400 {
-		t.Errorf("timestamps: %+v", s)
-	}
-	if s.WaitNanos != 50 || s.ExecNanos != 250 {
-		t.Errorf("durations: wait=%d exec=%d, want 50/250", s.WaitNanos, s.ExecNanos)
-	}
-	if s.CacheMisses != 3 || s.Outcome != obs.OutcomeCompleted {
-		t.Errorf("resolution: %+v", s)
-	}
-}
-
-func TestSimTracerToleratesPartialLifecycles(t *testing.T) {
-	ring := obs.NewRing(8)
-	tr := obs.NewSimTracer(ring)
-	// Completion without dispatch/start: still produces a span.
-	tr.TaskCompleted(9, 1, 500, 0)
-	// Start without dispatch, then complete.
-	tr.TaskStarted(10, 0, 600)
-	tr.TaskCompleted(10, 0, 700, 1)
-	spans := ring.Last(8)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].QueryID != 9 || spans[1].QueryID != 10 {
-		t.Errorf("order: %v", spans)
-	}
-	if spans[1].ExecNanos != 100 {
-		t.Errorf("span 10 exec = %d, want 100", spans[1].ExecNanos)
-	}
-}
-
-func TestSimTracerNilRing(t *testing.T) {
-	tr := obs.NewSimTracer(nil)
-	tr.TaskDispatched(1, 0, 0)
-	tr.TaskStarted(1, 0, 1)
-	tr.TaskCompleted(1, 0, 2, 0) // must not panic
-}
 
 func TestSpanCSVRowMatchesHeader(t *testing.T) {
 	cols := strings.Split(obs.SpanCSVHeader, ",")
 	s := obs.Span{
 		QueryID: 5, Op: "bfs", Start: 7, Unit: 2,
 		SubmitNanos: 1, ScheduleNanos: 2, StartNanos: 3, EndNanos: 4,
-		Affinity: 0.25, QueueLen: 3, AuctionRounds: 2, Degraded: true,
+		Placement: obs.Placement{Affinity: 0.25, AuctionRounds: 2},
+		QueueLen:  3, Degraded: true,
 		CacheHits: 8, CacheMisses: 1, BytesRead: 4096, DiskWaitNanos: 9,
 		WaitNanos: 1, ExecNanos: 1, Outcome: obs.OutcomeCompleted,
 		Err: `boom, with "quotes"`,

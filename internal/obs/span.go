@@ -15,10 +15,32 @@ const (
 	OutcomeRejected  = "rejected"
 )
 
+// Placement is how the scheduler placed one task of a batch: the part
+// of a span only the scheduler knows. sched.Explain produces it and
+// both executors copy it into the span whole.
+type Placement struct {
+	// Affinity is the workload-weighted affinity benefit of the chosen
+	// arc (0 when the task had no affinitive unit).
+	Affinity float64
+	// AuctionRounds is the bidding-round count of the auction segment
+	// that placed the task.
+	AuctionRounds int
+	// FellBack marks a task that lost its auction to a same-affinity
+	// sibling and followed its best-affinity unit.
+	FellBack bool
+	// EmptyRow marks a task with no affinity row, placed least-loaded.
+	EmptyRow bool
+	// Preferred marks a task placed on its highest-benefit unit (the
+	// affinity "hit" of the hit-ratio telemetry). Always false for
+	// tasks with no affinity row.
+	Preferred bool
+}
+
 // Span is one query's trace through the system: submit →
-// admit/reject → schedule → queue wait → execute → resolve. The same
-// schema serves the live runtime (wall-clock nanos) and the simulator
-// (virtual nanos via SimTracer), so both feed the same tooling.
+// admit/reject → schedule → queue wait → execute → resolve. Both
+// executors write it — the live runtime in wall-clock nanos, the
+// simulator in virtual nanos (sim.Cluster.SetTrace) — with the same
+// meaning field for field.
 //
 // Zero-valued fields mean "not reached": a rejected span has no
 // schedule or execution phase; a query dropped before dispatch has
@@ -45,29 +67,18 @@ type Span struct {
 	// placement).
 	Unit int32
 
-	// Scheduling detail, filled at the schedule step.
-	//
-	// Affinity is the workload-weighted affinity benefit of the chosen
-	// arc (0 when the task had no affinitive unit). QueueLen is the
-	// chosen unit's queue length at placement. AuctionRounds is the
-	// bidding-round count of the auction segment that placed the task.
-	// Degraded marks placement by the least-loaded fallback during a
-	// degraded round; FellBack marks a task that lost its auction and
-	// followed its best-affinity unit; EmptyRow marks a task with no
-	// affinity row, placed least-loaded.
-	// Imbalance is the round's load-imbalance factor (max/mean
-	// effective unit load) right after this task's placement, and
-	// Preferred reports whether the task landed on its
-	// highest-affinity unit — together they locate the decision on
+	// Scheduling detail, filled at the schedule step: the scheduler's
+	// own account of the decision (Placement), plus what the executor
+	// saw around it. QueueLen is the chosen unit's queue length at
+	// placement. Degraded marks placement by the least-loaded fallback
+	// during a degraded round. Imbalance is the round's load-imbalance
+	// factor (max/mean effective unit load) right after this task's
+	// placement — with Placement.Preferred it locates the decision on
 	// the balance-affinity curve.
-	Affinity      float64
-	Imbalance     float64
-	Preferred     bool
-	QueueLen      int
-	AuctionRounds int
-	Degraded      bool
-	FellBack      bool
-	EmptyRow      bool
+	Placement
+	Imbalance float64
+	QueueLen  int
+	Degraded  bool
 
 	// Execution detail, filled by the executing unit.
 	CacheHits     int
@@ -83,10 +94,9 @@ type Span struct {
 	Err       string
 }
 
-// SpanCSVHeader is the header row of the span CSV rendering. The
-// leading columns (event-free task/unit/time triple) line up with the
-// simulator's CSVTracer schema so live and sim traces can be joined
-// on task and unit.
+// SpanCSVHeader is the header row of the span CSV rendering. A live
+// trace and a simulated one of the same stream join on the leading
+// task and unit columns.
 const SpanCSVHeader = "task,unit,op,tenant,start,submit_ns,schedule_ns,start_ns,end_ns," +
 	"affinity,imbalance,preferred,queue_len,auction_rounds,degraded,fell_back,empty_row," +
 	"cache_hits,cache_misses,bytes_read,disk_wait_ns," +

@@ -17,9 +17,6 @@ type AuctionConfig struct {
 	NumUnits int
 	// Epsilon is the auction's minimum price increment.
 	Epsilon float64
-	// PriceDecay fades warm-started prices between rounds (see
-	// auction.AuctioneerConfig); 0 means no decay.
-	PriceDecay float64
 	// WorkloadAware applies the Eq. 4 reciprocal queue weighting;
 	// disabling it yields the affinity-only ablation.
 	WorkloadAware bool
@@ -79,9 +76,8 @@ func NewAuction(scorer *affinity.Scorer, cfg AuctionConfig) (*Auction, error) {
 		return nil, fmt.Errorf("sched: NumUnits = %d, want > 0", cfg.NumUnits)
 	}
 	auc, err := auction.NewAuctioneer(auction.AuctioneerConfig{
-		NumCols:    cfg.NumUnits,
-		Options:    auction.Options{Epsilon: cfg.Epsilon},
-		PriceDecay: cfg.PriceDecay,
+		NumCols: cfg.NumUnits,
+		Options: auction.Options{Epsilon: cfg.Epsilon},
 	})
 	if err != nil {
 		return nil, err
@@ -96,24 +92,11 @@ func NewAuction(scorer *affinity.Scorer, cfg AuctionConfig) (*Auction, error) {
 // Name implements Scheduler.
 func (a *Auction) Name() string { return a.name }
 
-// Explain describes how one task of a batch was placed — the
-// per-decision visibility the trace-span pipeline records.
+// Explain describes how one task of a batch was placed: the
+// obs.Placement both executors copy into the task's trace span, plus
+// the margin the scheduler's own telemetry digests.
 type Explain struct {
-	// Affinity is the workload-weighted benefit of the chosen arc (0
-	// when the task had no affinitive unit).
-	Affinity float64
-	// AuctionRounds is the bidding-round count of the auction segment
-	// that placed the task.
-	AuctionRounds int
-	// FellBack marks a task that lost its auction to a same-affinity
-	// sibling and followed its best-affinity unit.
-	FellBack bool
-	// EmptyRow marks a task with no affinity row, placed least-loaded.
-	EmptyRow bool
-	// Preferred marks a task placed on its highest-benefit unit (the
-	// affinity "hit" of the hit-ratio telemetry). Always false for
-	// tasks with no affinity row.
-	Preferred bool
+	obs.Placement
 	// WinMargin is how far the chosen arc's benefit exceeded the
 	// task's best alternative arc, for tasks the auction placed with
 	// at least two arcs to choose from; 0 otherwise. Negative margins

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subtrav/internal/obs"
 	"subtrav/internal/xrand"
 )
 
@@ -95,7 +96,7 @@ func (c *Client) Stats() (Reply, error) {
 // Trace fetches up to n of the server's most recent trace spans
 // (oldest first). The result is empty when the server runs with
 // tracing disabled.
-func (c *Client) Trace(n int) ([]WireSpan, error) {
+func (c *Client) Trace(n int) ([]obs.Span, error) {
 	reply, err := c.roundTrip(Request{Kind: KindTrace, TraceN: n})
 	if err != nil {
 		return nil, err

@@ -111,32 +111,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if req.Kind == KindStats {
-			m := s.rt.Metrics()
-			reply := Reply{
+			send(Reply{
 				ID:             req.ID,
 				TotalCompleted: s.rt.Completed(),
-				Counters: WireCounters{
-					Submitted: m.Submitted, Completed: m.Completed,
-					Rejected: m.Rejected, TimedOut: m.TimedOut,
-					Failed: m.Failed, DegradedRounds: m.DegradedRounds,
-					DiskFaultRetries: m.DiskFaultRetries,
-				},
-			}
-			for _, u := range s.rt.Stats() {
-				reply.Units = append(reply.Units, WireUnitStats{
-					Unit: u.Unit, Queued: u.Queued, Busy: u.Busy, Completed: u.Completed,
-					CacheHits: u.CacheHits, CacheMisses: u.CacheMisses,
-				})
-			}
-			send(reply)
+				Counters:       s.rt.Metrics(),
+				Units:          s.rt.Stats(),
+			})
 			continue
 		}
 		if req.Kind == KindTrace {
-			reply := Reply{ID: req.ID}
-			for _, sp := range s.rt.Trace(req.TraceN) {
-				reply.Spans = append(reply.Spans, wireSpan(sp))
-			}
-			send(reply)
+			send(Reply{ID: req.ID, Spans: s.rt.Trace(req.TraceN)})
 			continue
 		}
 		query, err := req.Query.ToQuery()

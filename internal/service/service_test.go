@@ -17,6 +17,14 @@ import (
 // startService spins up a runtime + server on a loopback port.
 func startService(t *testing.T) (*Client, func()) {
 	t.Helper()
+	_, client, stop := startServiceRuntime(t)
+	return client, stop
+}
+
+// startServiceRuntime is startService for tests that compare what
+// travels over the wire with the runtime's own view.
+func startServiceRuntime(t *testing.T) (*live.Runtime, *Client, func()) {
+	t.Helper()
 	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
 		NumVertices: 500, NumEdges: 2500, Exponent: 2.3,
 		Kind: graph.Undirected, Seed: 1,
@@ -46,7 +54,7 @@ func startService(t *testing.T) (*Client, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, func() {
+	return rt, client, func() {
 		client.Close()
 		srv.Close()
 		rt.Close()

@@ -9,6 +9,8 @@ import (
 	"fmt"
 
 	"subtrav/internal/graph"
+	"subtrav/internal/live"
+	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
 	"subtrav/internal/predicate"
 	"subtrav/internal/traverse"
@@ -165,102 +167,6 @@ const (
 	CodeDeadline
 )
 
-// WireCounters mirrors metrics.Snapshot on the wire (see
-// internal/metrics.Counters for field semantics).
-type WireCounters struct {
-	Submitted, Completed, Rejected, TimedOut int64
-	Failed, DegradedRounds, DiskFaultRetries int64
-}
-
-// WireUnitStats mirrors live.UnitStats on the wire.
-type WireUnitStats struct {
-	Unit        int32
-	Queued      int
-	Busy        bool
-	Completed   int
-	CacheHits   int64
-	CacheMisses int64
-}
-
-// HitRate returns CacheHits/(CacheHits+CacheMisses), or 0 when idle.
-func (u WireUnitStats) HitRate() float64 {
-	total := u.CacheHits + u.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(u.CacheHits) / float64(total)
-}
-
-// WireSpan mirrors obs.Span on the wire (see internal/obs for field
-// semantics). Kept as an explicit mirror so the wire format stays
-// stable if the in-process span schema grows.
-type WireSpan struct {
-	QueryID int64
-	Op      string
-	Tenant  string
-	Start   int32
-
-	SubmitNanos   int64
-	ScheduleNanos int64
-	StartNanos    int64
-	EndNanos      int64
-
-	Unit          int32
-	Affinity      float64
-	Imbalance     float64
-	Preferred     bool
-	QueueLen      int
-	AuctionRounds int
-	Degraded      bool
-	FellBack      bool
-	EmptyRow      bool
-
-	CacheHits     int
-	CacheMisses   int
-	BytesRead     int64
-	DiskWaitNanos int64
-
-	WaitNanos int64
-	ExecNanos int64
-	Outcome   string
-	Err       string
-}
-
-// wireSpan converts an obs.Span to its wire form.
-func wireSpan(s obs.Span) WireSpan {
-	return WireSpan{
-		QueryID: s.QueryID, Op: s.Op, Tenant: s.Tenant, Start: s.Start,
-		SubmitNanos: s.SubmitNanos, ScheduleNanos: s.ScheduleNanos,
-		StartNanos: s.StartNanos, EndNanos: s.EndNanos,
-		Unit: s.Unit, Affinity: s.Affinity, Imbalance: s.Imbalance,
-		Preferred: s.Preferred, QueueLen: s.QueueLen,
-		AuctionRounds: s.AuctionRounds, Degraded: s.Degraded,
-		FellBack: s.FellBack, EmptyRow: s.EmptyRow,
-		CacheHits: s.CacheHits, CacheMisses: s.CacheMisses,
-		BytesRead: s.BytesRead, DiskWaitNanos: s.DiskWaitNanos,
-		WaitNanos: s.WaitNanos, ExecNanos: s.ExecNanos,
-		Outcome: s.Outcome, Err: s.Err,
-	}
-}
-
-// ToSpan converts the wire form back to the shared span schema (e.g.
-// for CSV rendering with obs.Span.CSVRow).
-func (w WireSpan) ToSpan() obs.Span {
-	return obs.Span{
-		QueryID: w.QueryID, Op: w.Op, Tenant: w.Tenant, Start: w.Start,
-		SubmitNanos: w.SubmitNanos, ScheduleNanos: w.ScheduleNanos,
-		StartNanos: w.StartNanos, EndNanos: w.EndNanos,
-		Unit: w.Unit, Affinity: w.Affinity, Imbalance: w.Imbalance,
-		Preferred: w.Preferred, QueueLen: w.QueueLen,
-		AuctionRounds: w.AuctionRounds, Degraded: w.Degraded,
-		FellBack: w.FellBack, EmptyRow: w.EmptyRow,
-		CacheHits: w.CacheHits, CacheMisses: w.CacheMisses,
-		BytesRead: w.BytesRead, DiskWaitNanos: w.DiskWaitNanos,
-		WaitNanos: w.WaitNanos, ExecNanos: w.ExecNanos,
-		Outcome: w.Outcome, Err: w.Err,
-	}
-}
-
 // WireRec is a serializable recommendation.
 type WireRec struct {
 	Product    int32
@@ -293,11 +199,14 @@ type Reply struct {
 
 	// Stats fields, set for KindStats replies.
 	TotalCompleted int64
-	Units          []WireUnitStats
-	Counters       WireCounters
+	Units          []live.UnitStats
+	Counters       metrics.Snapshot
 
-	// Spans, set for KindTrace replies (oldest first).
-	Spans []WireSpan
+	// Spans, set for KindTrace replies (oldest first). The runtime's
+	// own types travel as they are: gob matches fields by name and
+	// skips the ones a peer does not know, so either end may be built
+	// from a revision whose span has more fields.
+	Spans []obs.Span
 }
 
 // replyFrom converts an execution outcome into the wire form.

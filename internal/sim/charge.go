@@ -2,6 +2,7 @@ package sim
 
 import (
 	"subtrav/internal/cache"
+	"subtrav/internal/obs"
 	"subtrav/internal/traverse"
 )
 
@@ -90,4 +91,12 @@ func (c *ChargeCursor) Fill() (virtualNanos int64) {
 	c.pos++
 	localWork := float64(c.cpuNanos(a)) + c.cost.CPUMissByteNanos*float64(a.Bytes)
 	return int64(localWork * c.speed)
+}
+
+// FillSpan copies the counts so far into s's execution detail — the
+// one place either executor turns a charge into span fields.
+func (c *ChargeCursor) FillSpan(s *obs.Span) {
+	s.CacheHits = c.Hits
+	s.CacheMisses = c.Misses
+	s.BytesRead = c.BytesRead
 }

@@ -6,6 +6,7 @@ import (
 
 	"subtrav/internal/cache"
 	"subtrav/internal/graph"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/signature"
 	"subtrav/internal/storage"
@@ -29,8 +30,8 @@ type Cluster struct {
 	pending []*sched.Task
 	// sched is the active scheduler for the duration of Run.
 	sched sched.Scheduler
-	// tracer observes task lifecycle events (nil: disabled).
-	tracer Tracer
+	// trace receives one span per completed task (nil: disabled).
+	trace *obs.Ring
 
 	// OnComplete, when set, receives every finished task and its
 	// semantic result (used by examples and correctness tests).
@@ -195,7 +196,16 @@ func (c *Cluster) dispatch(s sched.Scheduler, now int64) {
 		for i, u := range c.units {
 			units[i] = u
 		}
-		placement := s.Assign(tasks, units)
+		// The placement detail is only worth collecting for a span; an
+		// Explainer's Assign is its AssignExplained minus the detail, so
+		// tracing cannot move a placement.
+		var placement []int
+		var explain []sched.Explain
+		if ex, ok := s.(sched.Explainer); ok && c.trace != nil {
+			placement, explain = ex.AssignExplained(tasks, units)
+		} else {
+			placement = s.Assign(tasks, units)
+		}
 		for i, t := range tasks {
 			pick := placement[i]
 			if pick < 0 || pick >= len(c.units) {
@@ -203,10 +213,11 @@ func (c *Cluster) dispatch(s sched.Scheduler, now int64) {
 					s.Name(), t.ID, pick, len(c.units)))
 			}
 			u := c.units[pick]
-			u.queue = append(u.queue, &taskState{task: t})
-			if c.tracer != nil {
-				c.tracer.TaskDispatched(t.ID, u.id, now)
+			ts := &taskState{task: t, scheduled: now}
+			if explain != nil {
+				ts.placement = explain[i].Placement
 			}
+			u.queue = append(u.queue, ts)
 			if u.cur == nil {
 				c.startNext(u, now)
 			}
@@ -237,11 +248,6 @@ func (c *Cluster) startNext(u *unit, now int64) {
 		}
 	}
 	u.cur = ex
-	if c.tracer != nil {
-		for _, m := range ex.members {
-			c.tracer.TaskStarted(m.task.ID, u.id, now)
-		}
-	}
 
 	// The set of records a traversal touches is timing-independent
 	// (see package traverse), so the traces are computed here and then
@@ -316,11 +322,33 @@ func (c *Cluster) step(u *unit, now int64) {
 	c.push(event{time: done + ex.charge.Fill(), kind: evStep, unit: u.id})
 }
 
+// span is ts's trace record at its completion on u, with the wait and
+// execution durations defined as live.finish defines them.
+func (c *Cluster) span(u *unit, ex *execState, ts *taskState, now int64) obs.Span {
+	s := obs.Span{
+		QueryID:       ts.task.ID,
+		Op:            ts.task.Query.Op.String(),
+		Start:         int32(ts.task.Query.Start),
+		SubmitNanos:   ts.task.Arrival,
+		ScheduleNanos: ts.scheduled,
+		StartNanos:    ex.start,
+		EndNanos:      now,
+		Unit:          u.id,
+		Placement:     ts.placement,
+		WaitNanos:     ex.start - ts.task.Arrival,
+		ExecNanos:     now - ex.start,
+		Outcome:       obs.OutcomeCompleted,
+	}
+	ex.charge.FillSpan(&s)
+	return s
+}
+
 // complete finishes every member of the unit's current batch: visit
 // signatures are recorded for each member's touched vertices
 // (L(v) ← L(v) ∪ (t, p)), run statistics are updated per member, and
-// the next queued task starts. A batch's disk-miss count is reported
-// to the tracer on each member (the batch paid it jointly).
+// the next queued task starts. With tracing on, each member's span
+// carries the batch's joint hit, miss and byte counts, as the live
+// runtime reports them.
 func (c *Cluster) complete(u *unit, now int64) {
 	ex := u.cur
 	u.cur = nil
@@ -333,8 +361,8 @@ func (c *Cluster) complete(u *unit, now int64) {
 		c.visitedTotal += int64(ts.result.Visited)
 		c.latencies = append(c.latencies, now-ts.task.Arrival)
 		c.execNanos = append(c.execNanos, now-ex.start)
-		if c.tracer != nil {
-			c.tracer.TaskCompleted(ts.task.ID, u.id, now, ex.charge.Misses)
+		if c.trace != nil {
+			c.trace.Append(c.span(u, ex, ts, now))
 		}
 		if c.OnComplete != nil {
 			c.OnComplete(ts.task, ts.result)

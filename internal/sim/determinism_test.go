@@ -1,11 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"subtrav/internal/graphgen"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/traverse"
 )
@@ -13,7 +14,7 @@ import (
 // Regression for the CollabFilter map-range bug: two identical seeded
 // runs through the full simulator — traversal kernels, trace replay,
 // caches, shared disk, visit signatures — must produce byte-identical
-// event streams and identical semantic results. Before the kernels
+// trace spans and identical semantic results. Before the kernels
 // iterated insertion-ordered side lists, hop-2 map-range order leaked
 // into trace order, so cache evictions, miss counts, and completion
 // times drifted between runs of the same workload.
@@ -41,7 +42,7 @@ func TestClusterCollabRunsAreIdentical(t *testing.T) {
 	}
 
 	type runOut struct {
-		events  string
+		spans   string // CSV rows, completion order
 		results map[int64]traverse.Result
 		res     Result
 	}
@@ -51,8 +52,8 @@ func TestClusterCollabRunsAreIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		c.SetTracer(NewCSVTracer(&buf))
+		ring := obs.NewRing(len(tasks))
+		c.SetTrace(ring)
 		results := make(map[int64]traverse.Result)
 		c.OnComplete = func(task *sched.Task, r traverse.Result) {
 			results[task.ID] = r
@@ -61,12 +62,16 @@ func TestClusterCollabRunsAreIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runOut{events: buf.String(), results: results, res: res}
+		var rows strings.Builder
+		for _, s := range ring.Last(len(tasks)) {
+			rows.WriteString(s.CSVRow() + "\n")
+		}
+		return runOut{spans: rows.String(), results: results, res: res}
 	}
 
 	a, b := run(), run()
-	if a.events != b.events {
-		t.Error("tracer event streams differ between identical runs")
+	if a.spans != b.spans {
+		t.Error("trace spans differ between identical runs")
 	}
 	if !reflect.DeepEqual(a.results, b.results) {
 		t.Error("per-task results differ between identical runs")

@@ -9,14 +9,15 @@ import (
 	"subtrav/internal/storage"
 )
 
-// TestSimTracerIntoRing runs a simulation with obs.SimTracer installed
-// (the structural sim.Tracer adapter) and disk metrics mirrored into a
-// registry: the same observability surface the live runtime exposes.
-func TestSimTracerIntoRing(t *testing.T) {
+// TestTraceIntoRing runs a simulation with a span ring installed and
+// disk metrics mirrored into a registry: the same observability
+// surface the live runtime exposes. (What a span must say is
+// TestTraceSpans' business.)
+func TestTraceIntoRing(t *testing.T) {
 	g := testGraph(t)
 	c := newCluster(t, g, 2, 1<<20)
 	ring := obs.NewRing(64)
-	c.SetTracer(obs.NewSimTracer(ring))
+	c.SetTrace(ring)
 	reg := obs.NewRegistry()
 	c.SetDiskMetrics(storage.NewMetrics(reg))
 
@@ -25,29 +26,8 @@ func TestSimTracerIntoRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != n {
-		t.Fatalf("completed = %d, want %d", res.Completed, n)
-	}
-
-	spans := ring.Last(n)
-	if len(spans) != n {
-		t.Fatalf("ring holds %d spans, want %d", len(spans), n)
-	}
-	var misses int
-	for _, s := range spans {
-		if s.Outcome != obs.OutcomeCompleted {
-			t.Errorf("span %d outcome = %q", s.QueryID, s.Outcome)
-		}
-		if s.Unit < 0 || s.Unit >= 2 {
-			t.Errorf("span %d unit = %d", s.QueryID, s.Unit)
-		}
-		if s.ScheduleNanos < s.SubmitNanos || s.StartNanos < s.ScheduleNanos || s.EndNanos < s.StartNanos {
-			t.Errorf("span %d virtual timestamps out of order: %+v", s.QueryID, s)
-		}
-		misses += s.CacheMisses
-	}
-	if misses == 0 {
-		t.Error("no span recorded cache misses on a cold cluster")
+	if res.Completed != n || ring.Len() != n {
+		t.Fatalf("completed %d, ring holds %d spans, want %d", res.Completed, ring.Len(), n)
 	}
 	// The mirrored disk counters must agree with the cluster's own
 	// accounting and be scrapeable.

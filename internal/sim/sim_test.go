@@ -1,14 +1,13 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 
 	"subtrav/internal/affinity"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/traverse"
 	"subtrav/internal/workload"
@@ -393,60 +392,156 @@ func TestQueueAwareRoutesAroundSlowUnit(t *testing.T) {
 	}
 }
 
-func TestCSVTracer(t *testing.T) {
+// TestTraceSpans pins the simulator's half of "one span from both
+// executors": every completed task leaves one obs.Span whose identity,
+// virtual timestamps and durations mean what a live span's mean, and
+// whose counts are the charge cursor's.
+func TestTraceSpans(t *testing.T) {
 	g := testGraph(t)
-	c := newCluster(t, g, 2, 1<<20)
-	var buf bytes.Buffer
-	c.SetTracer(NewCSVTracer(&buf))
-	if _, err := c.Run(sched.NewBaseline(1), bfsTasks(t, g, 25, 31)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "event,task,unit,vtime_ns,misses" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	counts := map[string]int{}
-	for _, line := range lines[1:] {
-		counts[strings.SplitN(line, ",", 2)[0]]++
-	}
-	if counts["dispatch"] != 25 || counts["start"] != 25 || counts["complete"] != 25 {
-		t.Errorf("event counts = %v, want 25 each", counts)
-	}
-	// Per-task ordering: dispatch <= start <= complete in virtual time.
-	type seen struct{ dispatch, start, complete int64 }
-	byTask := map[string]*seen{}
-	for _, line := range lines[1:] {
-		parts := strings.Split(line, ",")
-		ev, task := parts[0], parts[1]
-		var vt int64
-		fmt.Sscanf(parts[3], "%d", &vt)
-		s := byTask[task]
-		if s == nil {
-			s = &seen{dispatch: -1, start: -1, complete: -1}
-			byTask[task] = s
+	// run drives tasks with a ring installed and checks what must hold
+	// of every span under any configuration.
+	run := func(t *testing.T, cfg Config, s func(*Cluster) sched.Scheduler, tasks []*sched.Task) ([]obs.Span, Result) {
+		t.Helper()
+		cfg.Cost = fastCost()
+		c, err := NewCluster(g, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch ev {
-		case "dispatch":
-			s.dispatch = vt
-		case "start":
-			s.start = vt
-		case "complete":
-			s.complete = vt
+		ring := obs.NewRing(len(tasks))
+		c.SetTrace(ring)
+		res, err := c.Run(s(c), tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := ring.Last(len(tasks))
+		if len(spans) != len(tasks) {
+			t.Fatalf("%d spans for %d tasks", len(spans), len(tasks))
+		}
+		byID := make(map[int64]*sched.Task, len(tasks))
+		for _, task := range tasks {
+			byID[task.ID] = task
+		}
+		for _, sp := range spans {
+			task := byID[sp.QueryID]
+			if task == nil {
+				t.Fatalf("span for unknown or repeated task %d", sp.QueryID)
+			}
+			delete(byID, sp.QueryID)
+			if sp.SubmitNanos != task.Arrival || sp.ScheduleNanos < sp.SubmitNanos ||
+				sp.StartNanos < sp.ScheduleNanos || sp.EndNanos < sp.StartNanos {
+				t.Errorf("task %d (arrival %d): timestamps %d ≤ %d ≤ %d ≤ %d violated",
+					task.ID, task.Arrival, sp.SubmitNanos, sp.ScheduleNanos, sp.StartNanos, sp.EndNanos)
+			}
+			if sp.WaitNanos != sp.StartNanos-sp.SubmitNanos || sp.ExecNanos != sp.EndNanos-sp.StartNanos {
+				t.Errorf("task %d: wait %d / exec %d are not the timestamp differences", task.ID, sp.WaitNanos, sp.ExecNanos)
+			}
+			if sp.Op != task.Query.Op.String() || sp.Start != int32(task.Query.Start) ||
+				sp.Outcome != obs.OutcomeCompleted || sp.Unit < 0 || int(sp.Unit) >= cfg.NumUnits {
+				t.Errorf("task %d: identity %+v", task.ID, sp)
+			}
+		}
+		return spans, res
+	}
+	baseline := func(*Cluster) sched.Scheduler { return sched.NewBaseline(1) }
+	// executions groups spans by the execution that produced them: the
+	// members of a batch start together on one unit and each carries
+	// the batch's joint counts, so an execution's counts are any one
+	// member's.
+	type execution struct {
+		unit  int32
+		start int64
+	}
+	executions := func(spans []obs.Span) map[execution][]obs.Span {
+		out := map[execution][]obs.Span{}
+		for _, sp := range spans {
+			k := execution{sp.Unit, sp.StartNanos}
+			out[k] = append(out[k], sp)
+		}
+		return out
+	}
+	checkSums := func(t *testing.T, spans []obs.Span, res Result) {
+		t.Helper()
+		var hits, misses, bytes int64
+		for _, members := range executions(spans) {
+			hits += int64(members[0].CacheHits)
+			misses += int64(members[0].CacheMisses)
+			bytes += members[0].BytesRead
+		}
+		if hits != res.CacheHits || misses != res.CacheMisses || bytes != res.BytesLoaded {
+			t.Errorf("spans sum to %d hits / %d misses / %d bytes, Result has %d / %d / %d",
+				hits, misses, bytes, res.CacheHits, res.CacheMisses, res.BytesLoaded)
 		}
 	}
-	for task, s := range byTask {
-		if s.dispatch < 0 || s.start < s.dispatch || s.complete < s.start {
-			t.Fatalf("task %s lifecycle out of order: %+v", task, s)
+
+	t.Run("solo", func(t *testing.T) {
+		spans, res := run(t, Config{NumUnits: 2, MemoryPerUnit: 1 << 20}, baseline, bfsTasks(t, g, 25, 31))
+		checkSums(t, spans, res)
+		if res.CacheMisses == 0 {
+			t.Error("no misses on a cold cluster")
 		}
-	}
-	// Completion rows carry miss counts.
-	foundMisses := false
-	for _, line := range lines[1:] {
-		if strings.HasPrefix(line, "complete,") && !strings.HasSuffix(line, ",") {
-			foundMisses = true
+	})
+	// Every task arrives at once and a unit takes one at a time, so all
+	// but the first round wait in the pending pool: the span shows that
+	// wait as the gap between submit and schedule.
+	t.Run("saturated", func(t *testing.T) {
+		spans, _ := run(t, Config{NumUnits: 2, MemoryPerUnit: 1 << 20, MaxQueuePerUnit: 1}, baseline, bfsTasks(t, g, 25, 31))
+		pooled := 0
+		for _, sp := range spans {
+			if sp.ScheduleNanos > sp.SubmitNanos {
+				pooled++
+			}
 		}
-	}
-	if !foundMisses {
-		t.Error("no completion row carried a miss count")
-	}
+		if pooled < len(spans)-2 {
+			t.Errorf("%d of %d spans show a pending-pool wait, want all but the first round", pooled, len(spans))
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		cfg := Config{NumUnits: 2, MemoryPerUnit: 1 << 20, MaxQueuePerUnit: 8, BatchTraversals: 4}
+		spans, res := run(t, cfg, baseline, hubTasks(g, 24))
+		checkSums(t, spans, res)
+		widest := 0
+		for _, members := range executions(spans) {
+			widest = max(widest, len(members))
+			for _, sp := range members[1:] {
+				if f := members[0]; sp.CacheHits != f.CacheHits || sp.CacheMisses != f.CacheMisses ||
+					sp.BytesRead != f.BytesRead || sp.EndNanos != f.EndNanos {
+					t.Errorf("tasks %d and %d ran as one batch but report different counts", f.QueryID, sp.QueryID)
+				}
+			}
+		}
+		if widest < 2 {
+			t.Error("fixture formed no batch")
+		}
+	})
+	// Under the paper's scheduler a span also says how the task was
+	// placed, and asking for that must not move a placement.
+	t.Run("auction", func(t *testing.T) {
+		auction := func(c *Cluster) sched.Scheduler { return auctionFor(t, c) }
+		cfg := Config{NumUnits: 4, MemoryPerUnit: 1 << 20}
+		tasks := bfsTasks(t, g, 150, 3)
+		spans, traced := run(t, cfg, auction, tasks)
+		var affine, preferred, emptyRow int
+		for _, sp := range spans {
+			if sp.Affinity > 0 && sp.AuctionRounds > 0 {
+				affine++
+			}
+			if sp.Preferred {
+				preferred++
+			}
+			if sp.EmptyRow {
+				emptyRow++
+			}
+		}
+		if affine == 0 || preferred == 0 || emptyRow == 0 {
+			t.Errorf("placement detail missing: %d affine, %d preferred, %d empty-row of %d", affine, preferred, emptyRow, len(spans))
+		}
+		c := newCluster(t, g, cfg.NumUnits, cfg.MemoryPerUnit)
+		untraced, err := c.Run(auctionFor(t, c), tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(traced, untraced) {
+			t.Errorf("installing the ring moved the run:\n   traced %+v\n untraced %+v", traced, untraced)
+		}
+	})
 }

@@ -1,67 +1,8 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-	"sync"
-)
+import "subtrav/internal/obs"
 
-// Tracer observes task lifecycle events in virtual time. Tracers run
-// synchronously inside the event loop, so implementations should be
-// cheap; all times are virtual nanoseconds.
-type Tracer interface {
-	// TaskDispatched fires when the scheduler places a task on a
-	// unit's queue.
-	TaskDispatched(taskID int64, unit int32, at int64)
-	// TaskStarted fires when a unit begins executing a task.
-	TaskStarted(taskID int64, unit int32, at int64)
-	// TaskCompleted fires when a task finishes; misses counts its
-	// shared-disk fetches.
-	TaskCompleted(taskID int64, unit int32, at int64, misses int)
-}
-
-// SetTracer installs a tracer (nil disables tracing). Call before Run.
-func (c *Cluster) SetTracer(t Tracer) { c.tracer = t }
-
-// CSVTracer renders the event stream as CSV lines:
-//
-//	event,task,unit,vtime_ns[,misses]
-//
-// It is safe for concurrent use (the simulator itself is
-// single-threaded, but live consumers may share the writer).
-type CSVTracer struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewCSVTracer wraps a writer. The header row is written immediately.
-func NewCSVTracer(w io.Writer) *CSVTracer {
-	t := &CSVTracer{w: w}
-	fmt.Fprintln(w, "event,task,unit,vtime_ns,misses")
-	return t
-}
-
-// TaskDispatched implements Tracer.
-func (t *CSVTracer) TaskDispatched(taskID int64, unit int32, at int64) {
-	t.line("dispatch", taskID, unit, at, -1)
-}
-
-// TaskStarted implements Tracer.
-func (t *CSVTracer) TaskStarted(taskID int64, unit int32, at int64) {
-	t.line("start", taskID, unit, at, -1)
-}
-
-// TaskCompleted implements Tracer.
-func (t *CSVTracer) TaskCompleted(taskID int64, unit int32, at int64, misses int) {
-	t.line("complete", taskID, unit, at, misses)
-}
-
-func (t *CSVTracer) line(event string, taskID int64, unit int32, at int64, misses int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if misses < 0 {
-		fmt.Fprintf(t.w, "%s,%d,%d,%d,\n", event, taskID, unit, at)
-		return
-	}
-	fmt.Fprintf(t.w, "%s,%d,%d,%d,%d\n", event, taskID, unit, at, misses)
-}
+// SetTrace makes every completed task append one obs.Span in virtual
+// nanos to ring — the record the live runtime writes, field for field
+// (nil disables tracing). Call before Run.
+func (c *Cluster) SetTrace(ring *obs.Ring) { c.trace = ring }

@@ -4,16 +4,21 @@ import (
 	"sort"
 
 	"subtrav/internal/cache"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/traverse"
 )
 
 // taskState is a task with its precomputed per-query result and
-// access trace.
+// access trace, and what its trace span needs from the scheduling
+// round that placed it.
 type taskState struct {
 	task   *sched.Task
 	result traverse.Result
 	trace  *traverse.Trace
+
+	scheduled int64 // virtual time of the round that placed it
+	placement obs.Placement
 }
 
 // execState is one executing batch — usually of size one. members
