@@ -106,7 +106,7 @@ func NewScorer(g *graph.Graph, sigs *signature.Table, clock signature.Clock, cfg
 		return nil, fmt.Errorf("affinity: graph, signature table and clock are required")
 	}
 	s := &Scorer{g: g, sigs: sigs, clock: clock, cfg: cfg}
-	s.scratch.New = func() any { return newRoundScratch() }
+	s.scratch.New = func() any { return newRoundScratch(g.NumVertices()) }
 	return s, nil
 }
 

@@ -29,10 +29,13 @@ import (
 
 // roundScratch is the pooled per-round state of one BuildAnchors call.
 type roundScratch struct {
-	// snapOff maps a vertex to the offset of its P-wide latest-visit
-	// snapshot inside snapBuf. Offsets (not slices) are stored so the
-	// buffer can grow by reallocation without invalidating the map.
-	snapOff map[graph.VertexID]int
+	// snapRow maps a vertex to the number of its P-wide latest-visit
+	// snapshot inside snapBuf: row r is snapBuf[r*P : (r+1)*P]. Row
+	// numbers (not slices) are stored so the buffer can grow by
+	// reallocation without invalidating the map, which is the kernels'
+	// epoch-stamped dense map: emptying it for the next round is one
+	// increment.
+	snapRow graph.VertexMap
 	snapBuf []int64
 
 	// Per-unit quantities hoisted once per round: queue lengths and
@@ -60,13 +63,15 @@ type rowScratch struct {
 	best   []float64 // per-unit best Eq. 2 score over the task's anchors
 }
 
-func newRoundScratch() *roundScratch {
-	return &roundScratch{snapOff: make(map[graph.VertexID]int)}
+// newRoundScratch returns scratch for rounds over a graph of
+// numVertices vertices.
+func newRoundScratch(numVertices int) *roundScratch {
+	return &roundScratch{snapRow: graph.NewVertexMap(numVertices)}
 }
 
 // reset prepares the scratch for a round over P units.
 func (sc *roundScratch) reset(p int) {
-	clear(sc.snapOff)
+	sc.snapRow.Clear()
 	sc.snapBuf = sc.snapBuf[:0]
 	sc.queues = growSlice(sc.queues, p)
 	sc.mems = growSlice(sc.mems, p)
@@ -92,9 +97,11 @@ func growSlice[T any](s []T, n int) []T {
 
 // snapshot returns the P-wide latest-visit array of v, reading the
 // signature table (one lock, one scan) only on the first request of
-// the round. Not safe for concurrent use.
+// the round. v must be a vertex of the scorer's graph. Not safe for
+// concurrent use.
 func (sc *roundScratch) snapshot(sigs *signature.Table, v graph.VertexID, p int) []int64 {
-	if off, ok := sc.snapOff[v]; ok {
+	if row, ok := sc.snapRow.Get(v); ok {
+		off := int(row) * p
 		return sc.snapBuf[off : off+p]
 	}
 	off := len(sc.snapBuf)
@@ -106,7 +113,7 @@ func (sc *roundScratch) snapshot(sigs *signature.Table, v graph.VertexID, p int)
 	sc.snapBuf = sc.snapBuf[:off+p]
 	out := sc.snapBuf[off : off+p]
 	sigs.LatestAll(v, out)
-	sc.snapOff[v] = off
+	sc.snapRow.Put(v, int32(off/p))
 	return out
 }
 

@@ -6,19 +6,27 @@
 // least-recently-used records once the budget is exceeded — the
 // "LRU-like replacement policy" of IBM System G described in
 // Section VI of the paper.
+//
+// Keys are dense (a vertex record's key is its CSR index), so the
+// cache hashes nothing: an index array maps a key to a slot of one slab
+// of entries, and the recency list is linked through slot numbers.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Key identifies a cached record. Callers pack a record kind and ID;
-// see VertexKey and EdgeKey.
+// Key identifies a cached record; see VertexKey. Only keys up to maxKey
+// can be cached.
 type Key uint64
+
+// maxKey is the largest cacheable key: an entry stores its key as an
+// int32, and a larger key would ask for an index of more than 8 GiB.
+const maxKey Key = math.MaxInt32
 
 // VertexKey returns the cache key of vertex id.
 func VertexKey(id int32) Key { return Key(uint64(uint32(id))) }
-
-// EdgeKey returns the cache key of logical edge id.
-func EdgeKey(id int32) Key { return Key(uint64(uint32(id)) | 1<<32) }
 
 // Unlimited configures a cache with no byte budget (the paper's
 // "unlimited" memory point in Figure 9).
@@ -48,31 +56,37 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Evictions, s.BytesLoaded, s.HitRate())
 }
 
+// entry is one slab slot: a resident record on the recency list, or a
+// free slot on the free list (linked through next alone).
 type entry struct {
-	key        Key
 	size       int64
-	prev, next *entry
+	key        int32
+	prev, next int32
 }
 
 // Cache is a byte-budget LRU. It is not safe for concurrent use; each
 // processing unit owns one.
 type Cache struct {
-	budget  int64 // <= 0 means unlimited
-	used    int64
-	entries map[Key]*entry
-	// Sentinel-based doubly linked list; head.next is most recent,
-	// head.prev is least recent.
-	head  entry
-	stats Stats
+	budget int64 // <= 0 means unlimited
+	used   int64
+	// index maps a key to its slot in entries, 0 when the record is
+	// absent; keys beyond it are absent. It grows on a miss.
+	index []int32
+	// entries is the slab. Slot 0 is the sentinel of the doubly linked
+	// recency list: its next is the most recent record, its prev the
+	// least recent.
+	entries []entry
+	// free heads the list of evicted slots, 0 when there is none.
+	free     int32
+	resident int
+	stats    Stats
 }
 
 // New creates a cache with the given byte budget; a budget <= 0 means
-// unlimited capacity.
+// unlimited capacity. It takes no key range: the index sizes itself to
+// the largest key inserted.
 func New(budgetBytes int64) *Cache {
-	c := &Cache{budget: budgetBytes, entries: make(map[Key]*entry)}
-	c.head.prev = &c.head
-	c.head.next = &c.head
-	return c
+	return &Cache{budget: budgetBytes, entries: make([]entry, 1)}
 }
 
 // Budget returns the configured byte budget (<= 0 when unlimited).
@@ -82,27 +96,60 @@ func (c *Cache) Budget() int64 { return c.budget }
 func (c *Cache) Used() int64 { return c.used }
 
 // Len returns the number of resident records.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.resident }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Contains reports residency without touching recency or stats.
 func (c *Cache) Contains(k Key) bool {
-	_, ok := c.entries[k]
-	return ok
+	return k < Key(len(c.index)) && c.index[k] != 0
 }
 
-func (c *Cache) unlink(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
+func (c *Cache) unlink(slot int32) {
+	e := &c.entries[slot]
+	c.entries[e.prev].next = e.next
+	c.entries[e.next].prev = e.prev
 }
 
-func (c *Cache) pushFront(e *entry) {
-	e.next = c.head.next
-	e.prev = &c.head
-	c.head.next.prev = e
-	c.head.next = e
+func (c *Cache) pushFront(slot int32) {
+	first := c.entries[0].next
+	c.entries[slot].prev, c.entries[slot].next = 0, first
+	c.entries[first].prev = slot
+	c.entries[0].next = slot
+}
+
+func badSize(size int64) {
+	panic(fmt.Sprintf("cache: negative record size %d", size))
+}
+
+// Hit is Access for a record that may only be read if it is already
+// resident: a resident record is refreshed and counted exactly as
+// Access's hit, an absent one is left absent and uncounted, and Hit
+// reports which it was. It is the single probe of a charge loop that
+// pays for a fetch before it loads.
+//
+//vet:hotpath
+func (c *Cache) Hit(k Key, size int64) bool {
+	if size < 0 {
+		badSize(size)
+	}
+	if k >= Key(len(c.index)) {
+		return false
+	}
+	slot := c.index[k]
+	if slot == 0 {
+		return false
+	}
+	c.stats.Hits++
+	c.unlink(slot)
+	c.pushFront(slot)
+	if e := &c.entries[slot]; size != e.size {
+		c.used += size - e.size
+		e.size = size
+		c.evictOverBudget(slot)
+	}
+	return true
 }
 
 // Access records a read of record k with the given size. If resident,
@@ -113,46 +160,62 @@ func (c *Cache) pushFront(e *entry) {
 // holds again. If absent, it is loaded — charging BytesLoaded,
 // evicting LRU records past the budget — and Access reports a miss. A
 // record larger than the whole budget is still admitted alone (the
-// unit cannot traverse without it) and evicts everything else.
+// unit cannot traverse without it) and evicts everything else. A
+// negative size panics, and so does loading a key beyond 1<<31 - 1.
+//
+//vet:hotpath
 func (c *Cache) Access(k Key, size int64) (hit bool) {
-	if size < 0 {
-		panic(fmt.Sprintf("cache: negative record size %d", size))
-	}
-	if e, ok := c.entries[k]; ok {
-		c.stats.Hits++
-		c.unlink(e)
-		c.pushFront(e)
-		if size != e.size {
-			c.used += size - e.size
-			e.size = size
-			c.evictOverBudget(e)
-		}
+	if c.Hit(k, size) {
 		return true
+	}
+	if k >= Key(len(c.index)) {
+		c.growIndex(k)
 	}
 	c.stats.Misses++
 	c.stats.BytesLoaded += size
-	e := &entry{key: k, size: size}
-	c.entries[k] = e
-	c.pushFront(e)
+	slot := c.free
+	if slot != 0 {
+		c.free = c.entries[slot].next
+	} else {
+		c.entries = append(c.entries, entry{})
+		slot = int32(len(c.entries) - 1)
+	}
+	c.entries[slot].key, c.entries[slot].size = int32(k), size
+	c.index[k] = slot
+	c.resident++
+	c.pushFront(slot)
 	c.used += size
-	c.evictOverBudget(e)
+	c.evictOverBudget(slot)
 	return false
+}
+
+// growIndex extends the index to cover k, at least doubling it.
+func (c *Cache) growIndex(k Key) {
+	if k > maxKey {
+		panic(fmt.Sprintf("cache: key %d beyond %d", k, maxKey))
+	}
+	index := make([]int32, max(2*len(c.index), int(k)+1))
+	copy(index, c.index)
+	c.index = index
 }
 
 // evictOverBudget removes LRU entries until the budget is met, never
 // evicting keep (the record just inserted).
-func (c *Cache) evictOverBudget(keep *entry) {
+func (c *Cache) evictOverBudget(keep int32) {
 	if c.budget <= 0 {
 		return
 	}
 	for c.used > c.budget {
-		victim := c.head.prev
-		if victim == &c.head || victim == keep {
+		victim := c.entries[0].prev
+		if victim == 0 || victim == keep {
 			return
 		}
 		c.unlink(victim)
-		delete(c.entries, victim.key)
-		c.used -= victim.size
+		e := &c.entries[victim]
+		c.index[e.key] = 0
+		c.used -= e.size
+		e.next, c.free = c.free, victim
+		c.resident--
 		c.stats.Evictions++
 	}
 }
@@ -160,18 +223,20 @@ func (c *Cache) evictOverBudget(keep *entry) {
 // Flush drops every resident record (used by memory-reconfiguration
 // experiments). Stats are preserved.
 func (c *Cache) Flush() {
-	c.entries = make(map[Key]*entry)
-	c.head.prev = &c.head
-	c.head.next = &c.head
+	clear(c.index)
+	c.entries = c.entries[:1]
+	c.entries[0] = entry{}
+	c.free = 0
+	c.resident = 0
 	c.used = 0
 }
 
 // LRUKeys returns the resident keys from least to most recently used;
 // intended for tests and debugging.
 func (c *Cache) LRUKeys() []Key {
-	keys := make([]Key, 0, len(c.entries))
-	for e := c.head.prev; e != &c.head; e = e.prev {
-		keys = append(keys, e.key)
+	keys := make([]Key, 0, c.resident)
+	for slot := c.entries[0].prev; slot != 0; slot = c.entries[slot].prev {
+		keys = append(keys, Key(c.entries[slot].key))
 	}
 	return keys
 }

@@ -21,17 +21,6 @@ func TestMissThenHit(t *testing.T) {
 	}
 }
 
-func TestVertexAndEdgeKeysDisjoint(t *testing.T) {
-	if VertexKey(5) == EdgeKey(5) {
-		t.Fatal("vertex and edge keys must not collide")
-	}
-	c := New(100)
-	c.Access(VertexKey(5), 1)
-	if c.Contains(EdgeKey(5)) {
-		t.Error("edge key should not be resident after vertex insert")
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	c := New(30)
 	c.Access(VertexKey(1), 10)
@@ -198,6 +187,28 @@ func TestNegativeSizePanics(t *testing.T) {
 		}
 	}()
 	New(10).Access(VertexKey(1), -1)
+}
+
+// A key outside the dense range (a negative vertex ID, say) reads as
+// absent and panics when loaded, before it can size the index.
+func TestKeyBeyondDenseRangePanics(t *testing.T) {
+	c := New(10)
+	for _, k := range []Key{VertexKey(-1), 1 << 31, 1 << 40} {
+		if c.Contains(k) || c.Hit(k, 1) {
+			t.Errorf("key %d reads as resident", k)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(%d) did not panic", k)
+				}
+			}()
+			c.Access(k, 1)
+		}()
+	}
+	if st := c.Stats(); st != (Stats{}) || c.Len() != 0 {
+		t.Errorf("refused keys were counted: %+v, len %d", st, c.Len())
+	}
 }
 
 // Property: used bytes always equal the sum of resident record sizes

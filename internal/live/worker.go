@@ -226,9 +226,7 @@ func (r *Runtime) run(u *liveUnit, members []*task) {
 		}
 		resp := Response{Unit: u.id, Err: err, Wait: started.Sub(t.submit), Exec: now.Sub(started)}
 		if err == nil {
-			for _, v := range traces[i].Touched {
-				r.sigs.Record(v, u.id, now.UnixNano())
-			}
+			r.sigs.RecordTrace(traces[i].Touched, u.id, now.UnixNano())
 			resp.Result = results[i].Clone()
 		}
 		if o == outcomeCompleted {

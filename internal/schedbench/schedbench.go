@@ -12,13 +12,16 @@
 //     form, compared as an interleaved ratio;
 //   - DispatchRound — a full Auction.Assign segment (matrix build +
 //     auction + fallbacks);
-//   - Record — signature-table visit recording, the traversal-side
-//     half of the signature contract.
+//   - Record and RecordTrace — signature-table visit recording, the
+//     traversal-side half of the signature contract, one vertex and
+//     one completed trace at a time.
 //
 // Its wall-clock numbers are printed, not committed (README,
 // "Performance", names the BENCHMARK.json metric that tracks each);
-// what it gates is a count: the snapshot build takes at least
-// MinLockRatio× fewer signature-shard locks than the reference.
+// what it gates are counts: the snapshot build takes at least
+// MinLockRatio× fewer signature-stripe locks than the reference, and
+// RecordTrace at least MinTraceLockRatio× fewer than a Record loop
+// over the same trace.
 package schedbench
 
 import (
@@ -175,6 +178,15 @@ var (
 // the P=4 cells clear it several times over.
 const MinLockRatio = 2
 
+// TraceLen is the length of the RecordTrace cells' trace, and
+// MinTraceLockRatio the floor on Record-loop÷RecordTrace lock
+// acquisitions over it: one lock per vertex against one per stripe,
+// 512 against 64.
+const (
+	TraceLen          = 512
+	MinTraceLockRatio = 4
+)
+
 // Table is the suite's one table of cells, a group per fixture.
 func Table() []benchkit.Group {
 	var table []benchkit.Group
@@ -197,22 +209,42 @@ func Table() []benchkit.Group {
 					return cells, nil
 				}
 				// At the first degree, also a full round and — on a
-				// fixture of its own, since it mutates the signature
-				// table the cells above read — Record.
+				// fixture of its own, since they mutate the signature
+				// table the cells above read — the recording cells.
 				rec, err := NewFixture(p, deg)
 				if err != nil {
 					return nil, err
+				}
+				rng := xrand.New(Seed ^ uint64(p))
+				trace := make([]graph.VertexID, TraceLen)
+				for i := range trace {
+					trace[i] = graph.VertexID(rng.Intn(NumVertices))
 				}
 				var v, t int64
 				return append(cells,
 					benchkit.Cell{Name: "DispatchRound/" + at,
 						Run: func() error { fx.Auction.Assign(fx.Tasks, fx.UnitStates); return nil }},
-					benchkit.Cell{Name: fmt.Sprintf("Record/P=%d", p), Run: func() error {
+					benchkit.Cell{Name: fmt.Sprintf("Record/P=%d", p), NoAlloc: true, Run: func() error {
 						t++
 						v++
 						rec.Sigs.Record(graph.VertexID(v%NumVertices), int32(v%int64(p)), t)
 						return nil
-					}}), nil
+					}},
+					benchkit.Cell{Name: fmt.Sprintf("RecordTrace/P=%d", p), NoAlloc: true,
+						Count: rec.Sigs.LockAcquisitions, Run: func() error {
+							t++
+							rec.Sigs.RecordTrace(trace, int32(t%int64(p)), t)
+							return nil
+						}},
+					benchkit.Cell{Name: fmt.Sprintf("RecordLoop/P=%d", p), NoAlloc: true,
+						Count: rec.Sigs.LockAcquisitions, Versus: fmt.Sprintf("RecordTrace/P=%d", p),
+						Floor: benchkit.Floor{Count: MinTraceLockRatio}, Run: func() error {
+							t++
+							for _, v := range trace {
+								rec.Sigs.Record(v, int32(t%int64(p)), t)
+							}
+							return nil
+						}}), nil
 			})
 		}
 	}

@@ -95,18 +95,6 @@ func TestVisitorsOrderedAndCopied(t *testing.T) {
 	}
 }
 
-func TestForEachVisitor(t *testing.T) {
-	tbl := NewTable(5)
-	v := graph.VertexID(3)
-	tbl.Record(v, 1, 10)
-	tbl.Record(v, 2, 20)
-	var procs []int32
-	tbl.ForEachVisitor(v, func(e Entry) { procs = append(procs, e.Proc) })
-	if len(procs) != 2 || procs[0] != 1 || procs[1] != 2 {
-		t.Errorf("ForEachVisitor order = %v", procs)
-	}
-}
-
 func TestLenAndReset(t *testing.T) {
 	tbl := NewTable(2)
 	for v := graph.VertexID(0); v < 100; v++ {

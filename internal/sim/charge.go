@@ -58,11 +58,9 @@ func (c *ChargeCursor) cpuNanos(a traverse.Access) int64 {
 func (c *ChargeCursor) RunHits() (virtualNanos int64) {
 	for c.pos < len(c.accesses) {
 		a := c.accesses[c.pos]
-		key := cache.VertexKey(int32(a.Vertex))
-		if !c.buffer.Contains(key) {
+		if !c.buffer.Hit(cache.VertexKey(int32(a.Vertex)), int64(a.Bytes)) {
 			break
 		}
-		c.buffer.Access(key, int64(a.Bytes))
 		virtualNanos += int64(float64(c.cost.MemHitNanos+c.cpuNanos(a)) * c.speed)
 		c.Hits++
 		c.pos++

@@ -353,9 +353,7 @@ func (c *Cluster) complete(u *unit, now int64) {
 	ex := u.cur
 	u.cur = nil
 	for _, ts := range ex.members {
-		for _, v := range ts.trace.Touched {
-			c.sigs.Record(v, u.id, now)
-		}
+		c.sigs.RecordTrace(ts.trace.Touched, u.id, now)
 		u.completions = append(u.completions, now)
 		c.completed++
 		c.visitedTotal += int64(ts.result.Visited)
