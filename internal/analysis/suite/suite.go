@@ -44,10 +44,11 @@ func Scopes() map[string]analysis.Scope {
 		// order into trace emission), and the auction solver whose
 		// tie-breaks the paper's figures compare. The live runtime
 		// measures real time by design and is exempt.
-		// The load generator is in scope too: a load plan (and the
-		// virtual-time Simulate report) must be a pure function of its
-		// seed so BENCH_load.json stays byte-reproducible; only the
-		// wall-clock driver in cmd/subtrav-load may touch real time.
+		// The load generator is in scope too: a load plan, and the
+		// report Replay gets from running it through the simulator,
+		// must be a pure function of their inputs so BENCH_load.json
+		// stays byte-reproducible; only the wall-clock driver in
+		// cmd/subtrav-load may touch real time.
 		simdet.Analyzer.Name: {Paths: []string{
 			"subtrav/internal/sim",
 			"subtrav/internal/graph",

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"subtrav/internal/obs"
+	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
 )
 
@@ -105,24 +105,14 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 	r.counters.Submitted.Add(1)
 	ts := r.tenantState(tenant)
 	ts.submitted.Inc()
-	rejected := r.inflight >= r.cfg.MaxPending
-	tenantLimited := false
-	if !rejected && r.cfg.TenantShare > 0 && r.cfg.TenantShare < 1 {
-		limit := int(math.Ceil(r.cfg.TenantShare * float64(r.cfg.MaxPending)))
-		if limit < 1 {
-			limit = 1
-		}
-		if ts.inflight >= limit {
-			rejected = true
-			tenantLimited = true
-		}
-	}
-	if rejected {
-		inflight := r.inflight
+	if verdict := r.adm.Admit(ts.bucket); verdict != sim.Admitted {
+		tenantLimited := verdict == sim.TenantOverShare
+		inflight := r.adm.InFlight()
+		retryAfter := r.cfg.BatchWindow * time.Duration(2+inflight/len(r.units))
 		if tenantLimited {
-			inflight = ts.inflight
+			inflight = r.adm.TenantInFlight(ts.bucket)
 		}
-		retryAfter := r.cfg.BatchWindow * time.Duration(2+r.inflight/len(r.units))
+		label := r.adm.Label(ts.bucket)
 		r.mu.Unlock()
 		r.counters.Rejected.Add(1)
 		ts.rejected.Inc()
@@ -137,11 +127,9 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 		})
 		return nil, &RejectedError{
 			InFlight: inflight, RetryAfter: retryAfter,
-			TenantLimited: tenantLimited, Tenant: ts.label,
+			TenantLimited: tenantLimited, Tenant: label,
 		}
 	}
-	r.inflight++
-	ts.inflight++
 	t := &task{
 		id:     r.nextID,
 		query:  q,
@@ -199,22 +187,15 @@ func (r *Runtime) finish(t *task, resp Response, o outcome) bool {
 		t.cancel()
 	}
 	r.mu.Lock()
-	r.inflight--
-	if t.tstate != nil {
-		t.tstate.inflight--
-	}
+	r.adm.Release(t.tstate.bucket)
 	r.mu.Unlock()
 	switch o {
 	case outcomeTimedOut:
 		r.counters.TimedOut.Add(1)
-		if t.tstate != nil {
-			t.tstate.timedOut.Inc()
-		}
+		t.tstate.timedOut.Inc()
 	default:
 		r.counters.Completed.Add(1)
-		if t.tstate != nil {
-			t.tstate.completed.Inc()
-		}
+		t.tstate.completed.Inc()
 		if resp.Err != nil {
 			r.counters.Failed.Add(1)
 		}

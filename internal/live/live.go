@@ -217,13 +217,16 @@ type Runtime struct {
 	// allocating per-query maps.
 	wsPool *traverse.Pool
 
-	mu       sync.Mutex
-	sched    sched.Scheduler
-	pending  []*task
-	inflight int
-	tenants  map[string]*tenantState
-	closed   bool
-	nextID   int64
+	mu      sync.Mutex
+	sched   sched.Scheduler
+	pending []*task
+	// adm decides admission and counts what is in flight, globally and
+	// per tenant bucket; tenants holds each bucket's metric series at
+	// the bucket's index.
+	adm     *sim.Admission
+	tenants []*tenantState
+	closed  bool
+	nextID  int64
 
 	wake chan struct{}
 	stop chan struct{}
@@ -286,7 +289,7 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		cfg:      cfg,
 		sigs:     sigs,
 		sched:    scheduler,
-		tenants:  make(map[string]*tenantState),
+		adm:      sim.NewAdmission(cfg.MaxPending, cfg.TenantShare),
 		fallback: sched.NewLeastLoaded(),
 		diskSlot: make(chan struct{}, max(cfg.Cost.Disk.Channels, 1)),
 		wsPool:   traverse.NewPool(g.NumVertices()),
@@ -328,7 +331,7 @@ func (r *Runtime) Metrics() metrics.Snapshot { return r.counters.Snapshot() }
 func (r *Runtime) InFlight() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inflight
+	return r.adm.InFlight()
 }
 
 // UnitStats is a point-in-time snapshot of one unit's activity.

@@ -33,23 +33,13 @@ type runtimeObs struct {
 	imbalanceMilli *obs.Histogram
 }
 
-// maxTenantStates bounds the per-tenant series cardinality: the
-// runtime tracks at most this many distinct tenants; later arrivals
-// share one overflow bucket for both metrics and admission quotas, so
-// a hostile client minting tenant names cannot grow the registry (or
-// the accounting map) without bound.
-const maxTenantStates = 32
-
-// overflowTenantLabel is the shared bucket for tenants beyond the cap.
-const overflowTenantLabel = "overflow"
-
-// tenantState is one tenant's admission accounting and metric series.
-// inflight is guarded by Runtime.mu; the counters are atomic.
+// tenantState is one tenant bucket's metric series. The bucket itself —
+// which names share it, how many of its queries are in flight, whether
+// the next one is admitted — is sim.Admission's (Runtime.adm, guarded
+// by Runtime.mu), whose MaxTenants cap bounds this series' cardinality.
 type tenantState struct {
-	// label is the bounded metric label value: the tenant name,
-	// "default" for untenanted queries, or "overflow" past the cap.
-	label    string
-	inflight int
+	// bucket is the tenant's index in Runtime.adm and Runtime.tenants.
+	bucket int
 
 	submitted *obs.Counter
 	completed *obs.Counter
@@ -110,25 +100,15 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 	return o
 }
 
-// tenantState returns (creating on first sight) the accounting bucket
-// for a tenant. Caller must hold r.mu. At most maxTenantStates
-// distinct tenants get their own bucket; the rest share overflow.
+// tenantState returns (registering its series on first sight) the
+// bucket a tenant is accounted in. Caller must hold r.mu.
 func (r *Runtime) tenantState(tenant string) *tenantState {
-	key := tenant
-	if key == "" {
-		key = "default"
+	b := r.adm.Tenant(tenant)
+	if b < len(r.tenants) {
+		return r.tenants[b]
 	}
-	if ts, ok := r.tenants[key]; ok {
-		return ts
-	}
-	if len(r.tenants) >= maxTenantStates {
-		if ts, ok := r.tenants[overflowTenantLabel]; ok {
-			return ts
-		}
-		key = overflowTenantLabel
-	}
-	ts := &tenantState{label: key}
-	label := obs.L("tenant", ts.label)
+	ts := &tenantState{bucket: b}
+	label := obs.L("tenant", r.adm.Label(b))
 	ts.submitted = r.obs.reg.Counter("subtrav_tenant_submitted_total",
 		"Queries presented for admission per tenant.", label)
 	ts.completed = r.obs.reg.Counter("subtrav_tenant_completed_total",
@@ -142,9 +122,9 @@ func (r *Runtime) tenantState(tenant string) *tenantState {
 		func() float64 {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			return float64(ts.inflight)
+			return float64(r.adm.TenantInFlight(b))
 		}, label)
-	r.tenants[key] = ts
+	r.tenants = append(r.tenants, ts)
 	return ts
 }
 
@@ -167,8 +147,8 @@ func (r *Runtime) TenantStatsSnapshot() []TenantStats {
 	out := make([]TenantStats, 0, len(r.tenants))
 	for _, ts := range r.tenants {
 		out = append(out, TenantStats{
-			Tenant:    ts.label,
-			InFlight:  ts.inflight,
+			Tenant:    r.adm.Label(ts.bucket),
+			InFlight:  r.adm.TenantInFlight(ts.bucket),
 			Submitted: ts.submitted.Value(),
 			Completed: ts.completed.Value(),
 			Rejected:  ts.rejected.Value(),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"subtrav/internal/sched"
+	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
 )
 
@@ -153,7 +154,7 @@ func TestTenantCardinalityBounded(t *testing.T) {
 
 	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 1, MaxVisits: 5}
 	var chans []<-chan Response
-	for i := 0; i < 4*maxTenantStates; i++ {
+	for i := 0; i < 4*sim.MaxTenants; i++ {
 		ch, err := r.SubmitTenantCtx(nil, fmt.Sprintf("tenant-%03d", i), q)
 		if err != nil {
 			t.Fatal(err)
@@ -164,36 +165,36 @@ func TestTenantCardinalityBounded(t *testing.T) {
 		<-ch
 	}
 
-	// At most maxTenantStates named buckets plus the one overflow
+	// At most sim.MaxTenants named buckets plus the one overflow
 	// bucket.
 	stats := r.TenantStatsSnapshot()
-	if len(stats) > maxTenantStates+1 {
-		t.Fatalf("tenant buckets = %d, want <= %d", len(stats), maxTenantStates+1)
+	if len(stats) > sim.MaxTenants+1 {
+		t.Fatalf("tenant buckets = %d, want <= %d", len(stats), sim.MaxTenants+1)
 	}
 	var overflow *TenantStats
 	var total int64
 	for i := range stats {
 		total += stats[i].Submitted
-		if stats[i].Tenant == overflowTenantLabel {
+		if stats[i].Tenant == sim.OverflowTenant {
 			overflow = &stats[i]
 		}
 	}
 	if overflow == nil {
 		t.Fatal("no overflow bucket after exceeding the tenant cap")
 	}
-	if want := int64(4*maxTenantStates - maxTenantStates); overflow.Submitted != want {
+	if want := int64(4*sim.MaxTenants - sim.MaxTenants); overflow.Submitted != want {
 		t.Errorf("overflow submitted = %d, want %d", overflow.Submitted, want)
 	}
-	if total != int64(4*maxTenantStates) {
-		t.Errorf("total submitted across buckets = %d, want %d", total, 4*maxTenantStates)
+	if total != int64(4*sim.MaxTenants) {
+		t.Errorf("total submitted across buckets = %d, want %d", total, 4*sim.MaxTenants)
 	}
 
 	var b strings.Builder
 	if err := r.Registry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(b.String(), "subtrav_tenant_submitted_total{"); n > maxTenantStates+1 {
-		t.Errorf("exposition has %d tenant series, want <= %d", n, maxTenantStates+1)
+	if n := strings.Count(b.String(), "subtrav_tenant_submitted_total{"); n > sim.MaxTenants+1 {
+		t.Errorf("exposition has %d tenant series, want <= %d", n, sim.MaxTenants+1)
 	}
 }
 

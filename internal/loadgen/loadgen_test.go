@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -177,76 +176,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSimulateByteReproducible(t *testing.T) {
-	t.Parallel()
-	cfg := baseConfig()
-	cfg.Shape = ShapeBurst
-	_, repA, err := Simulate(cfg, SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, repB, err := Simulate(cfg, SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := repA.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := repB.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("same config produced different report bytes")
-	}
-	if len(a) == 0 || a[len(a)-1] != '\n' {
-		t.Fatal("report is not newline-terminated JSON")
-	}
-}
-
-func TestSimulateShowsOverloadKnee(t *testing.T) {
-	t.Parallel()
-	run := func(qps float64) *Report {
-		cfg := baseConfig()
-		cfg.QPS = qps
-		_, rep, err := Simulate(cfg, SimConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	light := run(100)
-	heavy := run(5000)
-
-	// Below the knee: goodput tracks offered load, errors are rare.
-	if light.GoodputQPS < 0.9*light.OfferedQPS {
-		t.Errorf("light load: goodput %.1f vs offered %.1f, want ~equal", light.GoodputQPS, light.OfferedQPS)
-	}
-	// Past the knee: offered load keeps climbing, goodput flattens and
-	// the excess surfaces as rejections/timeouts — the open-loop
-	// signature a closed-loop driver would hide.
-	if heavy.GoodputQPS > 0.6*heavy.OfferedQPS {
-		t.Errorf("heavy load: goodput %.1f vs offered %.1f, want a visible gap", heavy.GoodputQPS, heavy.OfferedQPS)
-	}
-	if heavy.Rejected+heavy.Timeout == 0 {
-		t.Error("heavy load produced no rejections or timeouts")
-	}
-	if heavy.LatencyP99Nanos < light.LatencyP99Nanos {
-		t.Errorf("p99 fell under overload: %.0f < %.0f", heavy.LatencyP99Nanos, light.LatencyP99Nanos)
-	}
-	if light.LatencyP999Nanos < light.LatencyP99Nanos || light.LatencyP99Nanos < light.LatencyP50Nanos {
-		t.Errorf("quantiles not monotone: p50=%.0f p99=%.0f p999=%.0f",
-			light.LatencyP50Nanos, light.LatencyP99Nanos, light.LatencyP999Nanos)
-	}
-	// Conservation: every offered event resolves exactly once.
-	for _, rep := range []*Report{light, heavy} {
-		if rep.OK+rep.Failed+rep.Rejected+rep.Timeout+rep.Transport != rep.Offered {
-			t.Errorf("outcome partition broken: %+v", rep)
-		}
-	}
-}
-
 func TestBuildReportValidation(t *testing.T) {
 	t.Parallel()
 	plan, err := BuildPlan(baseConfig())
@@ -262,6 +191,12 @@ func TestBuildReportValidation(t *testing.T) {
 	if _, err := BuildReport(plan, []Outcome{{Index: 0, Code: "weird"}}); err == nil {
 		t.Error("unknown code accepted")
 	}
+	// A Plan's fields are exported: one built by hand may name a tenant
+	// its config does not list.
+	stray := &Plan{Config: plan.Config, Events: []Event{{Op: OpBFS, Tenant: "silver"}}}
+	if _, err := BuildReport(stray, nil); err == nil {
+		t.Error("event of an unlisted tenant accepted")
+	}
 	// Missing outcomes count as transport failures, keeping the
 	// partition exact.
 	rep, err := BuildReport(plan, []Outcome{{Index: 0, Code: CodeOK, LatencyNanos: 1000}})
@@ -270,6 +205,58 @@ func TestBuildReportValidation(t *testing.T) {
 	}
 	if rep.OK != 1 || rep.Transport != rep.Offered-1 {
 		t.Errorf("sparse outcomes: ok=%d transport=%d offered=%d", rep.OK, rep.Transport, rep.Offered)
+	}
+}
+
+// TestGoodputCountsTheSpanCompletionsLandedIn: a saturated system keeps
+// completing after the last arrival, and those completions must not be
+// divided by the arrival window alone.
+func TestGoodputCountsTheSpanCompletionsLandedIn(t *testing.T) {
+	t.Parallel()
+	cfg := baseConfig()
+	cfg.DurationNanos = 1_000_000_000
+	plan, err := BuildPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every completion lands after the 1 s window: the backlog drains
+	// at a steady pace until t = 4 s.
+	outcomes := make([]Outcome, len(plan.Events))
+	for i, ev := range plan.Events {
+		end := cfg.DurationNanos + int64(i+1)*3_000_000_000/int64(len(plan.Events))
+		outcomes[i] = Outcome{Index: i, Code: CodeOK, LatencyNanos: end - ev.ArrivalNanos}
+	}
+	rep, err := BuildReport(plan, outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(plan.Events))
+	if rep.CompletionSeconds != 4 || math.Abs(rep.GoodputQPS-n/4) > 1e-9 || rep.OfferedQPS != n {
+		t.Errorf("%d completions by t = 4 s of a 1 s window: completion span %g s, goodput %g, offered %g; want 4 s, %g, %g",
+			len(plan.Events), rep.CompletionSeconds, rep.GoodputQPS, rep.OfferedQPS, n/4, n)
+	}
+	var perTenant float64
+	for _, tr := range rep.Tenants {
+		if want := float64(tr.OK) / 4; math.Abs(tr.GoodputQPS-want) > 1e-9 {
+			t.Errorf("tenant %s: goodput %g, want %g", tr.Tenant, tr.GoodputQPS, want)
+		}
+		perTenant += tr.GoodputQPS
+	}
+	if math.Abs(perTenant-rep.GoodputQPS) > 1e-9 {
+		t.Errorf("tenant goodputs sum to %g, the report's is %g", perTenant, rep.GoodputQPS)
+	}
+	// Completions inside the window leave the divisor at the window; a
+	// late failure or timeout does not stretch it.
+	for i := range outcomes {
+		outcomes[i].LatencyNanos = 1000
+	}
+	outcomes[0] = Outcome{Index: 0, Code: CodeTimeout, LatencyNanos: 10_000_000_000}
+	rep, err = BuildReport(plan, outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CompletionSeconds != 1 || rep.GoodputQPS != n-1 {
+		t.Errorf("completions inside the window: span %g s, goodput %g; want 1 s, %g", rep.CompletionSeconds, rep.GoodputQPS, n-1)
 	}
 }
 

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -30,8 +29,8 @@ type Outcome struct {
 	Code string
 	// Retries counts extra attempts beyond the first.
 	Retries int
-	// LatencyNanos is the end-to-end latency including retry backoff
-	// (meaningful for CodeOK/CodeFailed; the deadline for CodeTimeout).
+	// LatencyNanos is the time from the event's arrival to its
+	// resolution, retry backoff included.
 	LatencyNanos int64
 }
 
@@ -46,20 +45,34 @@ type TenantReport struct {
 	Timeout   int     `json:"timeout"`
 	Transport int     `json:"transport"`
 	Retries   int     `json:"retries"`
-	// GoodputQPS is the tenant's successful completions per second.
+	// GoodputQPS is the tenant's successful completions per second of
+	// Report.CompletionSeconds.
 	GoodputQPS float64 `json:"goodput_qps"`
 }
 
 // Report is the machine-readable result of driving one plan. All
-// fields derive deterministically from the plan and its outcomes.
+// fields derive deterministically from the plan and its outcomes, and
+// it renders to stable JSON: struct field order plus encoding/json's
+// sorted map keys make identical reports byte-identical.
 type Report struct {
+	// Policy names the placement policy of a simulated run (Replay);
+	// empty for a live run, whose server chose its own.
+	Policy          string  `json:"policy,omitempty"`
 	Seed            uint64  `json:"seed"`
 	Shape           string  `json:"shape"`
 	DurationSeconds float64 `json:"duration_seconds"`
+	// CompletionSeconds is the span the successful completions landed
+	// in: the arrival window, extended to the last completion when the
+	// backlog drains past it. It is what goodput is measured over — a
+	// saturated system keeps completing after the last arrival, and
+	// dividing those completions by the arrival window alone would
+	// report more than it ever delivered.
+	CompletionSeconds float64 `json:"completion_seconds"`
 	// TargetQPS is the configured rate; OfferedQPS the plan's realized
-	// arrival rate; GoodputQPS successful completions per second. Under
-	// overload OfferedQPS keeps tracking TargetQPS while GoodputQPS
-	// flattens — the knee.
+	// arrival rate over DurationSeconds; GoodputQPS successful
+	// completions per second of CompletionSeconds. Under overload
+	// OfferedQPS keeps tracking TargetQPS while GoodputQPS flattens —
+	// the knee.
 	TargetQPS  float64 `json:"target_qps"`
 	OfferedQPS float64 `json:"offered_qps"`
 	GoodputQPS float64 `json:"goodput_qps"`
@@ -110,11 +123,16 @@ func BuildReport(plan *Plan, outcomes []Outcome) (*Report, error) {
 	}
 	seen := make([]bool, len(plan.Events))
 	for _, ev := range plan.Events {
+		tr, ok := byTenant[ev.Tenant]
+		if !ok {
+			return nil, fmt.Errorf("loadgen: event %d names tenant %q, which the plan's config does not list", ev.Index, ev.Tenant)
+		}
 		rep.Ops[ev.Op]++
-		byTenant[ev.Tenant].Offered++
+		tr.Offered++
 	}
 
 	lat := obs.NewHistogram()
+	completionNanos := cfg.DurationNanos
 	for _, o := range outcomes {
 		if o.Index < 0 || o.Index >= len(plan.Events) {
 			return nil, fmt.Errorf("loadgen: outcome index %d outside plan of %d events", o.Index, len(plan.Events))
@@ -131,6 +149,7 @@ func BuildReport(plan *Plan, outcomes []Outcome) (*Report, error) {
 			rep.OK++
 			tr.OK++
 			lat.Observe(o.LatencyNanos)
+			completionNanos = max(completionNanos, plan.Events[o.Index].ArrivalNanos+o.LatencyNanos)
 		case CodeFailed:
 			rep.Failed++
 			tr.Failed++
@@ -156,10 +175,11 @@ func BuildReport(plan *Plan, outcomes []Outcome) (*Report, error) {
 
 	qs := lat.Quantiles(0.5, 0.99, 0.999)
 	rep.LatencyP50Nanos, rep.LatencyP99Nanos, rep.LatencyP999Nanos = qs[0], qs[1], qs[2]
-	rep.GoodputQPS = float64(rep.OK) / rep.DurationSeconds
+	rep.CompletionSeconds = float64(completionNanos) / 1e9
+	rep.GoodputQPS = float64(rep.OK) / rep.CompletionSeconds
 
 	for _, tr := range byTenant {
-		tr.GoodputQPS = float64(tr.OK) / rep.DurationSeconds
+		tr.GoodputQPS = float64(tr.OK) / rep.CompletionSeconds
 		rep.Tenants = append(rep.Tenants, *tr)
 	}
 	sort.Slice(rep.Tenants, func(i, j int) bool { return rep.Tenants[i].Tenant < rep.Tenants[j].Tenant })
@@ -186,15 +206,4 @@ func weightedJain(tenants []TenantReport) float64 {
 		return 1
 	}
 	return sum * sum / (float64(n) * sumSq)
-}
-
-// MarshalIndent renders the report as stable, human-diffable JSON:
-// struct field order plus sorted map keys make identical reports
-// byte-identical.
-func (r *Report) MarshalIndent() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

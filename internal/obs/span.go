@@ -46,8 +46,9 @@ type Placement struct {
 // schedule or execution phase; a query dropped before dispatch has
 // Unit -1.
 type Span struct {
-	// QueryID is the runtime-assigned task ID (-1 for queries rejected
-	// at admission, which are never assigned one).
+	// QueryID is the task ID: assigned by the live runtime at admission
+	// (-1 for a query it rejected, which never gets one), the caller's
+	// sched.Task.ID in the simulator, whatever the outcome.
 	QueryID int64
 	// Op names the traversal operation ("bfs", "sssp", ...).
 	Op string

@@ -23,6 +23,13 @@ type Task struct {
 	Query traverse.Query
 	// Arrival is the virtual time the query entered the system.
 	Arrival int64
+	// Tenant attributes the query for per-tenant admission and
+	// accounting ("" = the default bucket). Placement ignores it.
+	Tenant string
+	// Deadline, when positive, is the virtual time past which the
+	// executor stops working for the query and resolves it as timed
+	// out (0 = none). Placement ignores it.
+	Deadline int64
 }
 
 // UnitState is the scheduler's live view of one processing unit. It
@@ -34,8 +41,9 @@ type UnitState interface {
 }
 
 // Scheduler maps a batch of tasks onto units. Assign returns one unit
-// index per task (never -1: every policy must place every task — the
-// system has no reject path, matching the paper's service model).
+// index per task (never -1: every policy must place every task it is
+// shown — refusing work is admission's decision, taken before a task
+// reaches the pending pool, and the paper's service model has none).
 // Implementations may keep state across calls (prices, RNG), so a
 // Scheduler instance must not be shared between concurrent clusters.
 type Scheduler interface {

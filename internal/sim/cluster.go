@@ -6,6 +6,7 @@ import (
 
 	"subtrav/internal/cache"
 	"subtrav/internal/graph"
+	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/signature"
@@ -25,12 +26,16 @@ type Cluster struct {
 	disk  *storage.Disk
 	units []*unit
 
-	events  eventHeap
-	seq     int64
+	events eventHeap
+	seq    int64
+	// adm admits or rejects each arrival and counts what is in flight;
+	// pending is the admitted pool in front of the scheduler.
+	adm     *Admission
 	pending []*sched.Task
 	// sched is the active scheduler for the duration of Run.
 	sched sched.Scheduler
-	// trace receives one span per completed task (nil: disabled).
+	// trace receives one span per resolved task, whatever the outcome
+	// (nil: disabled).
 	trace *obs.Ring
 
 	// OnComplete, when set, receives every finished task and its
@@ -38,9 +43,9 @@ type Cluster struct {
 	OnComplete func(*sched.Task, traverse.Result)
 
 	// run accounting
+	life         metrics.Snapshot
 	firstArrival int64
 	lastComplete int64
-	completed    int64
 	visitedTotal int64
 	latencies    []int64
 	execNanos    []int64
@@ -60,6 +65,7 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 		clock:        &signature.ManualClock{},
 		sigs:         signature.NewTable(cfg.SignatureCap),
 		disk:         storage.NewDisk(cfg.Cost.Disk),
+		adm:          NewAdmission(cfg.MaxPending, cfg.TenantShare),
 		firstArrival: -1,
 	}
 	// All units borrow one dense traversal scratch: the event loop
@@ -112,7 +118,8 @@ func (c *Cluster) NumUnits() int { return c.cfg.NumUnits }
 func (c *Cluster) SetDiskMetrics(m *storage.Metrics) { c.disk.SetMetrics(m) }
 
 // Reset clears all run state — queues, caches, signatures, disk
-// occupancy and statistics — keeping the configuration.
+// occupancy, admission counts and statistics — keeping the
+// configuration.
 func (c *Cluster) Reset() {
 	c.clock.Reset() // same clock object: scorers wired to it stay valid
 	c.sigs.Reset()
@@ -126,10 +133,11 @@ func (c *Cluster) Reset() {
 	}
 	c.events = nil
 	c.seq = 0
+	c.adm = NewAdmission(c.cfg.MaxPending, c.cfg.TenantShare)
 	c.pending = nil
+	c.life = metrics.Snapshot{}
 	c.firstArrival = -1
 	c.lastComplete = 0
-	c.completed = 0
 	c.visitedTotal = 0
 	c.latencies = nil
 	c.execNanos = nil
@@ -168,8 +176,7 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 			if c.firstArrival < 0 || e.time < c.firstArrival {
 				c.firstArrival = e.time
 			}
-			c.pending = append(c.pending, e.task.task)
-			c.dispatch(s, e.time)
+			c.arrive(e.task, e.time)
 		case evStep:
 			c.step(c.units[e.unit], e.time)
 		}
@@ -191,6 +198,20 @@ func (c *Cluster) dispatch(s sched.Scheduler, now int64) {
 		}
 		tasks := c.pending[:batch]
 		c.pending = c.pending[batch:]
+		// Leaving the pool, as in the live dispatcher: a task whose
+		// deadline passed while it waited is never shown to the
+		// scheduler and consumes no unit slot.
+		live := tasks[:0]
+		for _, t := range tasks {
+			if expired(t, now) {
+				c.timeOut(now, nil, &taskState{task: t}, nil)
+				continue
+			}
+			live = append(live, t)
+		}
+		if tasks = live; len(tasks) == 0 {
+			continue
+		}
 
 		units := make([]sched.UnitState, len(c.units))
 		for i, u := range c.units {
@@ -236,17 +257,31 @@ func (c *Cluster) hasDispatchRoom() bool {
 
 // startNext pops the unit's FCFS queue — plus, when lockstep batching
 // is on, the contiguous run of batchable queries behind a batchable
-// head — and begins trace replay.
+// head — and begins trace replay. A member whose deadline passed while
+// it queued is resolved here, at dequeue, as the live worker resolves
+// it: timed out, no execution consumed; the unit moves on down its
+// queue until something starts or the queue is empty.
 func (c *Cluster) startNext(u *unit, now int64) {
-	ts := u.queue[0]
-	u.queue = u.queue[1:]
-	ex := &execState{members: []*taskState{ts}, start: now}
-	if b := c.cfg.BatchTraversals; b > 1 && u.batch != nil && traverse.Batchable(ts.task.Query.Op) {
-		for len(ex.members) < b && len(u.queue) > 0 && traverse.Batchable(u.queue[0].task.Query.Op) {
-			ex.members = append(ex.members, u.queue[0])
-			u.queue = u.queue[1:]
+	for len(u.queue) > 0 {
+		members := []*taskState{u.queue[0]}
+		u.queue = u.queue[1:]
+		if b := c.cfg.BatchTraversals; b > 1 && u.batch != nil && traverse.Batchable(members[0].task.Query.Op) {
+			for len(members) < b && len(u.queue) > 0 && traverse.Batchable(u.queue[0].task.Query.Op) {
+				members = append(members, u.queue[0])
+				u.queue = u.queue[1:]
+			}
+		}
+		if members = c.dropExpired(u, members, nil, now); len(members) > 0 {
+			c.start(u, members, now)
+			return
 		}
 	}
+}
+
+// start begins executing members on u: their traces are computed, and
+// the one the unit pays for is replayed from now.
+func (c *Cluster) start(u *unit, members []*taskState, now int64) {
+	ex := &execState{members: members, start: now}
 	u.cur = ex
 
 	// The set of records a traversal touches is timing-independent
@@ -264,7 +299,7 @@ func (c *Cluster) startNext(u *unit, now int64) {
 		err        error
 	)
 	if len(ex.members) == 1 {
-		soloResult[0], replay, err = traverse.ExecuteIn(u.ws, c.g, ts.task.Query)
+		soloResult[0], replay, err = traverse.ExecuteIn(u.ws, c.g, members[0].task.Query)
 		soloTrace[0] = replay
 		results, traces = soloResult[:], soloTrace[:]
 	} else {
@@ -298,12 +333,21 @@ func (c *Cluster) startNext(u *unit, now int64) {
 // hits are consumed inline (they touch no shared resource); the first
 // miss at the current virtual instant issues one shared-disk read and
 // yields, so disk requests across units are serviced in causal order.
+//
+// Deadlines are checked where the live charge loop checks them: before
+// every disk wait and before completion. An expired member resolves at
+// once as timed out while the others carry on; when none is left the
+// rest of the trace is abandoned and the unit freed.
 func (c *Cluster) step(u *unit, now int64) {
 	ex := u.cur
 	if hitNanos := ex.charge.RunHits(); hitNanos > 0 {
 		// Hits consumed virtual time; realign before touching the
 		// shared disk so requests are issued in global time order.
 		c.push(event{time: now + hitNanos, kind: evStep, unit: u.id})
+		return
+	}
+	if ex.members = c.dropExpired(u, ex.members, ex, now); len(ex.members) == 0 {
+		c.release(u, now)
 		return
 	}
 	if ex.charge.Done() {
@@ -322,58 +366,116 @@ func (c *Cluster) step(u *unit, now int64) {
 	c.push(event{time: done + ex.charge.Fill(), kind: evStep, unit: u.id})
 }
 
-// span is ts's trace record at its completion on u, with the wait and
-// execution durations defined as live.finish defines them.
-func (c *Cluster) span(u *unit, ex *execState, ts *taskState, now int64) obs.Span {
-	s := obs.Span{
-		QueryID:       ts.task.ID,
-		Op:            ts.task.Query.Op.String(),
-		Start:         int32(ts.task.Query.Start),
-		SubmitNanos:   ts.task.Arrival,
-		ScheduleNanos: ts.scheduled,
-		StartNanos:    ex.start,
-		EndNanos:      now,
-		Unit:          u.id,
-		Placement:     ts.placement,
-		WaitNanos:     ex.start - ts.task.Arrival,
-		ExecNanos:     now - ex.start,
-		Outcome:       obs.OutcomeCompleted,
+// arrive puts one arrival to admission: an admitted task joins the
+// pending pool, a rejected one is resolved on the spot — counted,
+// traced, never seen by the scheduler.
+func (c *Cluster) arrive(ts *taskState, now int64) {
+	c.life.Submitted++
+	if c.adm.Admit(c.adm.Tenant(ts.task.Tenant)) != Admitted {
+		c.life.Rejected++
+		c.emit(obs.OutcomeRejected, now, nil, ts, nil)
+		return
 	}
-	ex.charge.FillSpan(&s)
-	return s
+	c.pending = append(c.pending, ts.task)
+	c.dispatch(c.sched, now)
+}
+
+// expired reports whether t's deadline has passed at now.
+func expired(t *sched.Task, now int64) bool { return t.Deadline > 0 && now >= t.Deadline }
+
+// dropExpired resolves as timed out every member whose deadline has
+// passed at now and returns the others, compacted in place. u is the
+// unit they were placed on; ex is nil at dequeue.
+func (c *Cluster) dropExpired(u *unit, members []*taskState, ex *execState, now int64) []*taskState {
+	live := members[:0]
+	for _, ts := range members {
+		if expired(ts.task, now) {
+			c.timeOut(now, u, ts, ex)
+			continue
+		}
+		live = append(live, ts)
+	}
+	return live
+}
+
+// timeOut resolves an admitted task as timed out at now (see emit for
+// u and ex). Nothing else records it: no signature in L(v), no
+// completion credited to a unit, no latency sample.
+func (c *Cluster) timeOut(now int64, u *unit, ts *taskState, ex *execState) {
+	c.life.TimedOut++
+	c.adm.Release(c.adm.Tenant(ts.task.Tenant))
+	c.emit(obs.OutcomeTimeout, now, u, ts, ex)
+}
+
+// emit appends ts's trace span for a resolution at now, with the
+// phases defined as live.finish defines them. u and ex say how far the
+// task got: u is nil before placement (the span's Unit is -1), ex is
+// nil before execution. An executing task's span carries the charge's
+// hit, miss and byte counts so far — the whole batch's joint counts,
+// as the live runtime reports them.
+func (c *Cluster) emit(outcome string, now int64, u *unit, ts *taskState, ex *execState) {
+	if c.trace == nil {
+		return
+	}
+	t := ts.task
+	s := obs.Span{
+		QueryID:     t.ID,
+		Op:          t.Query.Op.String(),
+		Tenant:      t.Tenant,
+		Start:       int32(t.Query.Start),
+		SubmitNanos: t.Arrival,
+		EndNanos:    now,
+		Unit:        -1,
+		WaitNanos:   now - t.Arrival,
+		Outcome:     outcome,
+	}
+	if u != nil {
+		s.Unit = u.id
+		s.ScheduleNanos = ts.scheduled
+		s.Placement = ts.placement
+	}
+	if ex != nil {
+		s.StartNanos = ex.start
+		s.WaitNanos = ex.start - t.Arrival
+		s.ExecNanos = now - ex.start
+		ex.charge.FillSpan(&s)
+	}
+	c.trace.Append(s)
 }
 
 // complete finishes every member of the unit's current batch: visit
 // signatures are recorded for each member's touched vertices
 // (L(v) ← L(v) ∪ (t, p)), run statistics are updated per member, and
-// the next queued task starts. With tracing on, each member's span
-// carries the batch's joint hit, miss and byte counts, as the live
-// runtime reports them.
+// the unit is released.
 func (c *Cluster) complete(u *unit, now int64) {
 	ex := u.cur
-	u.cur = nil
 	for _, ts := range ex.members {
 		c.sigs.RecordTrace(ts.trace.Touched, u.id, now)
 		u.completions = append(u.completions, now)
-		c.completed++
+		c.life.Completed++
+		c.adm.Release(c.adm.Tenant(ts.task.Tenant))
 		c.visitedTotal += int64(ts.result.Visited)
 		c.latencies = append(c.latencies, now-ts.task.Arrival)
 		c.execNanos = append(c.execNanos, now-ex.start)
-		if c.trace != nil {
-			c.trace.Append(c.span(u, ex, ts, now))
-		}
+		c.emit(obs.OutcomeCompleted, now, u, ts, ex)
 		if c.OnComplete != nil {
 			c.OnComplete(ts.task, ts.result)
 		}
 	}
-	u.busyNanos += now - ex.start
 	if now > c.lastComplete {
 		c.lastComplete = now
 	}
-	if len(u.queue) > 0 {
-		c.startNext(u, now)
-	}
-	// A completion frees dispatch room; admit pending tasks.
+	c.release(u, now)
+}
+
+// release frees u once every member of its current execution has
+// resolved — completed, or timed out with the trace abandoned — and
+// moves on: the next queued task starts, and the room this makes
+// admits pending tasks.
+func (c *Cluster) release(u *unit, now int64) {
+	u.busyNanos += now - u.cur.start
+	u.cur = nil
+	c.startNext(u, now)
 	if len(c.pending) > 0 && c.sched != nil {
 		c.dispatch(c.sched, now)
 	}

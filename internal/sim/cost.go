@@ -8,6 +8,14 @@
 // Everything is driven by one event heap and a virtual clock, so a
 // seed fully determines every reported number — the property the
 // figure-reproduction harness relies on.
+//
+// A task's lifecycle is the live runtime's: it is admitted or rejected
+// on arrival (Admission, the rule both executors share), and once
+// admitted resolves exactly once, completed or — past its
+// sched.Task.Deadline — timed out, so Result.Lifecycle conserves as
+// the live counters do. With admission unbounded and no deadlines
+// (the defaults) nothing is ever refused or dropped: the paper's
+// model.
 package sim
 
 import (
@@ -92,6 +100,20 @@ type Config struct {
 	// independent execution. At most traverse.MaxBatch; 0 or 1
 	// disables.
 	BatchTraversals int
+
+	// MaxPending bounds admitted-but-unresolved tasks (pending pool
+	// plus unit queues plus executing): an arrival past the bound is
+	// rejected and never reaches the pending pool. 0 means unbounded —
+	// the paper's service model, which refuses nothing, and what every
+	// figure runs. (The live runtime shares the rule, Admission, but
+	// not this default: its Config.MaxPending of 0 means
+	// 2·NumUnits·QueueCap.)
+	MaxPending int
+	// TenantShare, when in (0, 1), caps one tenant's in-flight tasks
+	// at ceil(TenantShare·MaxPending), minimum 1, as the live
+	// runtime's Config.TenantShare does. 0 (or >= 1, or an unbounded
+	// MaxPending) disables the per-tenant cap.
+	TenantShare float64
 }
 
 // Validate checks the configuration, applying defaults for zero-valued
@@ -116,6 +138,12 @@ func (c *Config) Validate() error {
 	}
 	if c.BatchTraversals < 0 || c.BatchTraversals > traverse.MaxBatch {
 		return fmt.Errorf("sim: BatchTraversals = %d, want [0, %d]", c.BatchTraversals, traverse.MaxBatch)
+	}
+	if c.MaxPending < 0 {
+		return fmt.Errorf("sim: MaxPending = %d, want >= 0", c.MaxPending)
+	}
+	if c.TenantShare < 0 {
+		return fmt.Errorf("sim: TenantShare = %g, want >= 0", c.TenantShare)
 	}
 	zero := CostModel{}
 	if c.Cost == zero {

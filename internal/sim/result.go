@@ -17,6 +17,13 @@ type Result struct {
 
 	// Completed is the number of finished traversal tasks.
 	Completed int64
+	// Lifecycle partitions the tasks presented to the run exactly as
+	// the live runtime's counters do: Submitted = Completed + Rejected
+	// + TimedOut once Run returns. Without Config.MaxPending and task
+	// deadlines nothing is rejected or timed out and Submitted =
+	// Completed. (Failed, DegradedRounds and DiskFaultRetries are
+	// live-only and stay zero.)
+	Lifecycle metrics.Snapshot
 	// Makespan is the virtual time from first arrival to last
 	// completion.
 	Makespan time.Duration
@@ -52,7 +59,8 @@ func (c *Cluster) result(s sched.Scheduler) Result {
 	r := Result{
 		Scheduler:       s.Name(),
 		NumUnits:        c.cfg.NumUnits,
-		Completed:       c.completed,
+		Completed:       c.life.Completed,
+		Lifecycle:       c.life,
 		VisitedVertices: c.visitedTotal,
 		Latency:         metrics.SummarizeLatencies(c.latencies),
 		Execution:       metrics.SummarizeLatencies(c.execNanos),
