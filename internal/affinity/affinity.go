@@ -198,6 +198,10 @@ type Entry struct {
 type Matrix struct {
 	NumUnits int
 	Rows     [][]Entry
+
+	// arena is the one backing array BuildAnchors' rows sub-slice,
+	// kept so BuildAnchorsInto can build the next round into it.
+	arena []Entry
 }
 
 // Build constructs the matrix for a batch of traversal start vertices

@@ -11,7 +11,8 @@
 // per-processor latest-visit timestamps that serves every unit and
 // every task touching that vertex. Scratch buffers are pooled on the
 // Scorer, so steady-state rounds allocate O(1): the returned Matrix's
-// row headers and one flat entry arena.
+// row headers and one flat entry arena — and nothing at all when the
+// caller keeps its Matrix from round to round (BuildAnchorsInto).
 //
 // Determinism: rows are computed from immutable snapshots taken at a
 // single clock reading and entries are emitted in ascending unit order
@@ -52,7 +53,7 @@ type roundScratch struct {
 	spans [][2]int
 
 	// lastEntries remembers the previous round's total entry count so
-	// the next arena is sized right in one allocation.
+	// a fresh arena is sized right in one allocation.
 	lastEntries int
 }
 
@@ -129,9 +130,22 @@ func (sc *roundScratch) snapshot(sigs *signature.Table, v graph.VertexID, p int)
 // (capacity-capped, so appending to a row copies it). Equivalent to
 // BuildAnchorsReference, at ≥P× fewer signature-lock acquisitions.
 func (s *Scorer) BuildAnchors(anchors [][]graph.VertexID, units []UnitView) Matrix {
-	m := Matrix{NumUnits: len(units), Rows: make([][]Entry, len(anchors))}
+	var m Matrix
+	s.BuildAnchorsInto(&m, anchors, units)
+	return Matrix{NumUnits: m.NumUnits, Rows: m.Rows} // nobody builds into it again
+}
+
+// BuildAnchorsInto is BuildAnchors into a Matrix the caller keeps: m
+// is overwritten, on the row headers and the entry arena of whatever
+// it held before when they are large enough, so a scheduler that
+// builds one matrix per round into the same Matrix allocates nothing
+// in steady state. What m held before the call is invalid after it.
+func (s *Scorer) BuildAnchorsInto(m *Matrix, anchors [][]graph.VertexID, units []UnitView) {
+	m.NumUnits = len(units)
+	m.Rows = growSlice(m.Rows, len(anchors))
+	clear(m.Rows)
 	if len(anchors) == 0 || len(units) == 0 {
-		return m
+		return
 	}
 	sc := s.scratch.Get().(*roundScratch)
 	sc.reset(len(units))
@@ -141,20 +155,18 @@ func (s *Scorer) BuildAnchors(anchors [][]graph.VertexID, units []UnitView) Matr
 		sc.mems[p] = unit.MemoryBudget()
 		sc.wdenom[p] = float64(sc.queues[p]) + s.cfg.EpsilonTilde
 	}
-	s.buildRows(m.Rows, anchors, units, sc, now)
+	s.buildRows(m, anchors, units, sc, now)
 	s.scratch.Put(sc)
-	return m
 }
 
-// buildRows scores every task row, packing entries into one arena
-// sized from the previous round.
-func (s *Scorer) buildRows(rows [][]Entry, anchors [][]graph.VertexID, units []UnitView, sc *roundScratch, now int64) {
+// buildRows scores every task row, packing entries into m's arena — or
+// into a fresh one sized from the previous round when m has none.
+func (s *Scorer) buildRows(m *Matrix, anchors [][]graph.VertexID, units []UnitView, sc *roundScratch, now int64) {
 	p := len(units)
-	capHint := sc.lastEntries
-	if capHint < 16 {
-		capHint = 16
+	entries := m.arena[:0]
+	if entries == nil {
+		entries = make([]Entry, 0, max(sc.lastEntries, 16))
 	}
-	entries := make([]Entry, 0, capHint)
 	for _, vs := range anchors {
 		s.bestScores(vs, units, sc, now)
 		start := len(entries)
@@ -166,9 +178,10 @@ func (s *Scorer) buildRows(rows [][]Entry, anchors [][]graph.VertexID, units []U
 		sc.spans = append(sc.spans, [2]int{start, len(entries)})
 	}
 	sc.lastEntries = len(entries)
+	m.arena = entries
 	for i, sp := range sc.spans {
 		if sp[1] > sp[0] {
-			rows[i] = entries[sp[0]:sp[1]:sp[1]]
+			m.Rows[i] = entries[sp[0]:sp[1]:sp[1]]
 		}
 	}
 }

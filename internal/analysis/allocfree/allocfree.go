@@ -19,6 +19,14 @@
 //   - fmt calls (formatting boxes operands) and strings.Builder
 //     growth methods
 //   - string <-> []byte / []rune conversions (copy on every call)
+//   - boxing: a non-constant value converted to an interface type —
+//     as a call argument, in an assignment, a return or a composite
+//     literal element, or by an explicit conversion — is copied to the
+//     heap by runtime.convT on every call (heap.Push(&h, e) on a
+//     struct, views[i] = view{...} into a []Interface). Values that
+//     live in the interface word itself are excused: pointers,
+//     channels, maps, funcs, unsafe.Pointer; so are zero-size values,
+//     constants, and interface-to-interface conversions
 //
 // Intentional amortized growth — a ring buffer doubling — is excused
 // with `//lint:allow allocfree <amortization argument>`, which keeps
@@ -42,8 +50,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "allocfree",
 	Doc: "reports per-call allocations (make/new, composite literals, " +
 		"append without reuse evidence, closures, fmt, strings.Builder " +
-		"growth, string conversions) inside functions whose doc comment " +
-		"carries //vet:hotpath",
+		"growth, string conversions, boxing into an interface) inside " +
+		"functions whose doc comment carries //vet:hotpath",
 	Run: run,
 }
 
@@ -54,7 +62,11 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil || !isHotpath(fd) {
 				continue
 			}
-			checkBody(pass, fd.Body)
+			var results *types.Tuple
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				results = fn.Type().(*types.Signature).Results()
+			}
+			checkBody(pass, fd.Body, results)
 		}
 	}
 	return nil
@@ -72,7 +84,9 @@ func isHotpath(fd *ast.FuncDecl) bool {
 	return false
 }
 
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+// checkBody walks one hot-path body; results is the function's result
+// tuple, against which its return statements are checked for boxing.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt, results *types.Tuple) {
 	// First pass: collect append calls with self-assign evidence
 	// (`x = append(x, ...)`, compared by printed form, so field and
 	// index targets work too).
@@ -116,39 +130,196 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 						"hot path allocates: composite literal builds a fresh %s each call; reuse a workspace buffer",
 						t.Underlying().String())
 				}
+				checkLiteralBoxing(pass, n, t)
 			}
 		case *ast.CallExpr:
-			checkCall(pass, n, selfAssigned)
+			if !checkCall(pass, n, selfAssigned) {
+				checkCallBoxing(pass, n)
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, rhs := range n.Rhs {
+					checkBoxing(pass, pass.TypesInfo.TypeOf(n.Lhs[i]), rhs)
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Names) == len(n.Values) {
+				for _, v := range n.Values {
+					checkBoxing(pass, pass.TypesInfo.TypeOf(n.Type), v)
+				}
+			}
+		case *ast.ReturnStmt:
+			// Function literals are reported and skipped above, so
+			// every return seen here is the marked function's own.
+			if results != nil && len(n.Results) == results.Len() {
+				for i, r := range n.Results {
+					checkBoxing(pass, results.At(i).Type(), r)
+				}
+			}
 		}
 		return true
 	})
 }
 
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, selfAssigned map[*ast.CallExpr]bool) {
+// checkBoxing reports e when storing it in a variable of type target
+// converts a concrete value to an interface by copying it to the heap.
+func checkBoxing(pass *analysis.Pass, target types.Type, e ast.Expr) {
+	if target == nil || !isInterface(target) {
+		return
+	}
+	tv, ok := pass.TypesInfo.Types[e]
+	if !ok || tv.Type == nil || tv.Value != nil || tv.IsNil() {
+		return // untyped nil and constants live in read-only data
+	}
+	if _, generic := tv.Type.(*types.TypeParam); generic || isInterface(tv.Type) ||
+		pointerShaped(tv.Type) || zeroSize(tv.Type) {
+		return
+	}
+	pass.Reportf(e.Pos(),
+		"hot path allocates: %s is boxed into %s — converting a non-pointer value to an interface copies it to the heap on every call (runtime.convT); hand over a pointer to retained storage, or keep the value behind its concrete type",
+		types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), types.TypeString(target, types.RelativeTo(pass.Pkg)))
+}
+
+// isInterface excludes type parameters, whose underlying type is their
+// constraint interface but which box nothing.
+func isInterface(t types.Type) bool {
+	if _, generic := t.(*types.TypeParam); generic {
+		return false
+	}
+	return types.IsInterface(t)
+}
+
+// pointerShaped reports whether a value of type t is stored directly
+// in an interface's data word: a single pointer, or a one-field struct
+// or one-element array of such.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Struct:
+		return u.NumFields() == 1 && pointerShaped(u.Field(0).Type())
+	case *types.Array:
+		return u.Len() == 1 && pointerShaped(u.Elem())
+	}
+	return false
+}
+
+// zeroSize reports whether a value of type t occupies no memory, so
+// that boxing it has nothing to copy.
+func zeroSize(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if !zeroSize(u.Field(i).Type()) {
+				return false
+			}
+		}
+		return true
+	case *types.Array:
+		return u.Len() == 0 || zeroSize(u.Elem())
+	}
+	return false
+}
+
+// checkCallBoxing checks a call's arguments against its parameter
+// types, and an explicit conversion's operand against its target.
+func checkCallBoxing(pass *analysis.Pass, call *ast.CallExpr) {
+	tv, ok := pass.TypesInfo.Types[call.Fun]
+	if !ok {
+		return
+	}
+	if tv.IsType() {
+		if len(call.Args) == 1 {
+			checkBoxing(pass, tv.Type, call.Args[0])
+		}
+		return
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var target types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if call.Ellipsis.IsValid() {
+				continue // f(xs...) passes the slice through
+			}
+			target = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+		case i < params.Len():
+			target = params.At(i).Type()
+		default:
+			return // f(g()) with a multi-value g
+		}
+		checkBoxing(pass, target, arg)
+	}
+}
+
+// checkLiteralBoxing checks a composite literal's elements against the
+// field, element and key types they initialize.
+func checkLiteralBoxing(pass *analysis.Pass, lit *ast.CompositeLit, t types.Type) {
+	for i, elt := range lit.Elts {
+		kv, keyed := elt.(*ast.KeyValueExpr)
+		val := elt
+		if keyed {
+			val = kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if !keyed {
+				if i < u.NumFields() {
+					checkBoxing(pass, u.Field(i).Type(), val)
+				}
+				continue
+			}
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				if f, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
+					checkBoxing(pass, f.Type(), val)
+				}
+			}
+		case *types.Slice:
+			checkBoxing(pass, u.Elem(), val)
+		case *types.Array:
+			checkBoxing(pass, u.Elem(), val)
+		case *types.Map:
+			if keyed {
+				checkBoxing(pass, u.Key(), kv.Key)
+			}
+			checkBoxing(pass, u.Elem(), val)
+		}
+	}
+}
+
+// checkCall reports a call that allocates by what it calls, and
+// whether it did: one finding a call is enough.
+func checkCall(pass *analysis.Pass, call *ast.CallExpr, selfAssigned map[*ast.CallExpr]bool) (reported bool) {
 	// Builtins.
 	switch {
 	case isBuiltin(pass, call, "make"):
 		pass.Reportf(call.Pos(),
 			"hot path allocates: make creates a fresh backing store on every call; reuse a workspace buffer, or //lint:allow allocfree with the amortization argument if growth is intentional")
-		return
+		return true
 	case isBuiltin(pass, call, "new"):
 		pass.Reportf(call.Pos(),
 			"hot path allocates: new heap-allocates on every call; reuse a workspace field")
-		return
+		return true
 	case isBuiltin(pass, call, "append"):
 		if selfAssigned[call] || (len(call.Args) > 0 && isResliceToZero(call.Args[0])) {
-			return
+			return false
 		}
 		pass.Reportf(call.Pos(),
 			"hot path append without reuse evidence: result is not assigned back to its first argument and the first argument is not a [:0] reslice, so growth abandons the old backing array each call")
-		return
+		return true
 	}
 
 	// Conversions: string <-> []byte/[]rune copy.
 	if convertsStringBytes(pass, call) {
 		pass.Reportf(call.Pos(),
 			"hot path allocates: string/byte-slice conversion copies its data on every call; keep one representation across the hot path")
-		return
+		return true
 	}
 
 	// fmt and strings.Builder growth.
@@ -156,13 +327,15 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, selfAssigned map[*ast.Ca
 		if fn.Pkg().Path() == "fmt" {
 			pass.Reportf(call.Pos(),
 				"hot path calls fmt.%s: formatting boxes its operands and allocates; record raw values and format off the hot path", fn.Name())
-			return
+			return true
 		}
 		if isBuilderGrowth(fn) {
 			pass.Reportf(call.Pos(),
 				"hot path grows a strings.Builder: its internal buffer reallocates as it fills; build strings off the hot path or into a reused byte slice")
+			return true
 		}
 	}
+	return false
 }
 
 func isBuiltin(pass *analysis.Pass, call *ast.CallExpr, name string) bool {

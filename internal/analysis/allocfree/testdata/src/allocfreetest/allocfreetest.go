@@ -5,8 +5,10 @@
 package allocfreetest
 
 import (
+	"container/heap"
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 type ws struct {
@@ -77,4 +79,103 @@ func hotAllowed(w *ws, n int) {
 		//lint:allow allocfree fixture: doubling growth amortizes to O(1) per element
 		w.buf = make([]int, n)
 	}
+}
+
+// Boxing: the two shapes that hid in the simulator's event loop and the
+// scheduler's round, then every other site a conversion to an interface
+// can hide in, then everything that is excused.
+
+type event struct {
+	time, seq int64
+}
+
+type events []event
+
+func (h events) Len() int           { return len(h) }
+func (h events) Less(i, j int) bool { return h[i].time < h[j].time }
+func (h events) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *events) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *events) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+//vet:hotpath
+func hotHeapPush(h *events, e event) {
+	heap.Push(h, e) // want "event is boxed into any"
+}
+
+type viewer interface{ QueueLen() int }
+
+type view struct {
+	base  viewer
+	extra int
+}
+
+func (v view) QueueLen() int { return v.base.QueueLen() + v.extra }
+
+//vet:hotpath
+func hotViews(views []viewer, units []viewer, extra []int) {
+	for i, u := range units {
+		views[i] = view{base: u, extra: extra[i]} // want "view is boxed into .*viewer"
+	}
+}
+
+//vet:hotpath
+func hotViewPointers(views []viewer, retained []view, units []viewer, extra []int) {
+	for i, u := range units {
+		retained[i] = view{base: u, extra: extra[i]}
+		views[i] = &retained[i]
+	}
+}
+
+//vet:hotpath
+func hotBoxReturn(v view) viewer {
+	return v // want "view is boxed into .*viewer"
+}
+
+type holder struct {
+	v   viewer
+	tag any
+}
+
+//vet:hotpath
+func hotBoxField(h *holder, v view, n int) {
+	*h = holder{
+		v:   v, // want "view is boxed into .*viewer"
+		tag: n, // want "int is boxed into any"
+	}
+}
+
+//vet:hotpath
+func hotBoxConversion(n int64) any {
+	var x any = n // want "int64 is boxed into any"
+	_ = x
+	return any(n) // want "int64 is boxed into any"
+}
+
+func sink(args ...any) {}
+
+//vet:hotpath
+func hotBoxVariadic(s string, f float64, args []any) {
+	sink(s, // want "string is boxed into any"
+		f) // want "float64 is boxed into any"
+	sink(args...)
+}
+
+//vet:hotpath
+func hotBoxExcused(h *holder, p *view, ch chan int, m map[int]int, fn func(), up unsafe.Pointer, v viewer, err error) any {
+	sink(p, ch, m, fn, up) // one word each: stored in the interface itself
+	sink(struct{}{}, [0]int{})
+	sink(v, err)      // interface to interface: no new box
+	sink(1, "x", nil) // constants live in read-only data
+	h.v, h.tag = p, v
+	return p
+}
+
+//vet:hotpath
+func hotBoxGeneric[T any](dst []T, v T) {
+	dst[0] = v // a type parameter is not an interface
 }

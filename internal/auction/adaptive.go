@@ -105,7 +105,8 @@ func (a *AdaptiveAuctioneer) EpsilonHistory() []float64 {
 func (a *AdaptiveAuctioneer) Runs() int { return a.inner.Runs() }
 
 // Assign solves one round with the current ε, then adapts ε from the
-// observed bidding effort.
+// observed bidding effort. The result is the inner Auctioneer's, valid
+// until the next Assign (see Assignment).
 func (a *AdaptiveAuctioneer) Assign(p Problem) (Assignment, error) {
 	a.inner.opts.Epsilon = a.eps
 	result, err := a.inner.Assign(p)

@@ -14,6 +14,7 @@ package auction
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Arc is one admissible (row, column) pair with its benefit a_ij —
@@ -52,25 +53,6 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// benefitRange returns the spread max-min over all arcs (0 if none).
-func (p Problem) benefitRange() float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, arcs := range p.Rows {
-		for _, a := range arcs {
-			if a.Benefit < lo {
-				lo = a.Benefit
-			}
-			if a.Benefit > hi {
-				hi = a.Benefit
-			}
-		}
-	}
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // Dense builds a fully dense problem from a benefit matrix.
 func Dense(benefits [][]float64) Problem {
 	numCols := 0
@@ -90,6 +72,12 @@ func Dense(benefits [][]float64) Problem {
 
 // Assignment is the result of a solver run: the matching M of
 // Algorithm 1 plus bookkeeping.
+//
+// Lifetime: RowToCol and ColToRow of an Assignment returned by
+// Auctioneer.Assign (and AdaptiveAuctioneer.Assign, which passes it
+// through) are the auctioneer's own matching arrays, valid until the
+// next Assign on that auctioneer — copy them to keep them longer. The
+// stateless Solve* functions return slices the caller owns.
 type Assignment struct {
 	// RowToCol[i] is the column assigned to row i, or -1.
 	RowToCol []int
@@ -142,26 +130,24 @@ type Options struct {
 // 1e-3 gives near-optimal assignments at speed.
 const DefaultEpsilon = 1e-3
 
-// withDefaults fills in Epsilon and derives maxRounds, the cap on
-// bidding rounds that is the safety net against pathological inputs.
-// Theoretical round bounds are O(n²·C/ε); the cap is generous and in
-// practice never reached on feasible inputs.
-func (o Options) withDefaults(p Problem) (opts Options, maxRounds int) {
-	if o.Epsilon <= 0 {
-		o.Epsilon = DefaultEpsilon
-	}
-	n := p.NumRows() + p.NumCols + 1
-	c := p.benefitRange()
-	maxRounds = 1000 + 10*n + int(float64(2*p.NumRows()+1)*(c+1)/o.Epsilon)
-	return o, maxRounds
-}
-
-// state is the shared auction machinery used by both solver variants.
+// state is the auction machinery shared by both solver variants: the
+// problem, its matching, and what one walk over the arcs derives from
+// the problem before bidding starts. An Auctioneer keeps one across
+// Assign calls and a solve in steady state allocates nothing; the
+// stateless Solve* entry points each build a throw-away one.
 type state struct {
 	p        Problem
 	prices   []float64
 	rowToCol []int
 	colToRow []int
+	// ring is the sequential solver's bidder FIFO (see bidders).
+	ring []int
+
+	eps float64
+	// maxRounds caps bidding rounds, the safety net against
+	// pathological inputs. Theoretical round bounds are O(n²·C/ε); the
+	// cap is generous and in practice never reached on feasible inputs.
+	maxRounds int
 	// profitFloor is the "second-best profit" used when a row has a
 	// single admissible column, standing in for -∞ without producing
 	// unbounded prices.
@@ -169,18 +155,21 @@ type state struct {
 	bids        int64
 }
 
-func newState(p Problem, prices []float64) *state {
-	s := &state{
-		p:        p,
-		prices:   prices,
-		rowToCol: make([]int, p.NumRows()),
-		colToRow: make([]int, p.NumCols),
-	}
-	for i := range s.rowToCol {
-		s.rowToCol[i] = -1
-	}
-	for j := range s.colToRow {
-		s.colToRow[j] = -1
+func newState(p Problem, prices []float64, opts Options) *state {
+	s := new(state)
+	s.reset(p, prices, opts)
+	return s
+}
+
+// reset points s at a new problem with nothing matched, reusing the
+// matching arrays and the ring when they are large enough.
+func (s *state) reset(p Problem, prices []float64, opts Options) {
+	s.p, s.prices, s.bids = p, prices, 0
+	s.rowToCol = unmatched(s.rowToCol, p.NumRows())
+	s.colToRow = unmatched(s.colToRow, p.NumCols)
+	s.eps = opts.Epsilon
+	if s.eps <= 0 {
+		s.eps = DefaultEpsilon
 	}
 	maxPrice := 0.0
 	for _, pr := range prices {
@@ -188,27 +177,59 @@ func newState(p Problem, prices []float64) *state {
 			maxPrice = pr
 		}
 	}
-	minBenefit := math.Inf(1)
+	minBenefit, maxBenefit := math.Inf(1), math.Inf(-1)
 	for _, arcs := range p.Rows {
 		for _, a := range arcs {
 			if a.Benefit < minBenefit {
 				minBenefit = a.Benefit
 			}
+			if a.Benefit > maxBenefit {
+				maxBenefit = a.Benefit
+			}
 		}
 	}
-	if math.IsInf(minBenefit, 1) {
+	spread := 0.0 // C, the benefit range; 0 for a problem without arcs
+	if maxBenefit < minBenefit {
 		minBenefit = 0
+	} else {
+		spread = maxBenefit - minBenefit
 	}
 	// Infeasibility detection depth: a row is declared unassignable
 	// only after prices have risen far enough that no augmenting chain
 	// could still assign it (Bertsekas' (2n-1)·C bound, padded).
-	depth := float64(2*p.NumRows()+1) * (p.benefitRange() + 1)
+	depth := float64(2*p.NumRows()+1) * (spread + 1)
 	s.profitFloor = minBenefit - maxPrice - depth
-	return s
+	s.maxRounds = 1000 + 10*(p.NumRows()+p.NumCols+1) + int(depth/s.eps)
+}
+
+// unmatched returns m with length n and every entry -1, on m's backing
+// array when it is large enough.
+func unmatched(m []int, n int) []int {
+	m = slices.Grow(m[:0], n)[:n]
+	for i := range m {
+		m[i] = -1
+	}
+	return m
+}
+
+// bidders returns the sequential solver's FIFO of unassigned rows as a
+// ring of capacity NumRows holding every row in index order. The
+// capacity is exact: a row enters the ring at the start or when it is
+// displaced, it can only be displaced after it was popped and
+// assigned, so no row is ever in the ring twice.
+func (s *state) bidders() []int {
+	n := s.p.NumRows()
+	s.ring = slices.Grow(s.ring[:0], n)[:n]
+	for i := range s.ring {
+		s.ring[i] = i
+	}
+	return s.ring
 }
 
 // bestTwo computes the best and second-best profit a_ij - p_j over
 // row i's arcs. ok is false when the row has no arcs.
+//
+//vet:hotpath
 func (s *state) bestTwo(i int) (bestCol int, bestProfit, secondProfit float64, ok bool) {
 	arcs := s.p.Rows[i]
 	if len(arcs) == 0 {
@@ -235,6 +256,8 @@ func (s *state) bestTwo(i int) (bestCol int, bestProfit, secondProfit float64, o
 
 // assign gives column j to row i, displacing and returning the prior
 // owner (-1 if none).
+//
+//vet:hotpath
 func (s *state) assign(i, j int) (displaced int) {
 	displaced = s.colToRow[j]
 	if displaced >= 0 {
@@ -286,29 +309,27 @@ func SolveParallelPriced(p Problem, opts Options, prices []float64) Assignment {
 }
 
 func solveWithPrices(p Problem, opts Options, prices []float64) Assignment {
-	opts, maxRounds := opts.withDefaults(p)
-	s := newState(p, prices)
-	rounds := sequentialRounds(s, opts.Epsilon, maxRounds)
-	return s.result(rounds)
+	s := newState(p, prices, opts)
+	return s.result(sequentialRounds(s))
 }
 
 // sequentialRounds runs Gauss-Seidel bidding until no assignable row
 // remains unassigned; returns rounds executed.
-func sequentialRounds(s *state, eps float64, maxRounds int) int {
-	// Queue of unassigned rows; rows found unassignable (no arcs, or
-	// priced out) are dropped.
-	queue := make([]int, 0, s.p.NumRows())
-	for i := range s.p.Rows {
-		queue = append(queue, i)
-	}
+//
+//vet:hotpath
+func sequentialRounds(s *state) int {
+	// FIFO of unassigned rows, oldest at head; rows found unassignable
+	// (no arcs, or priced out) are dropped.
+	ring := s.bidders()
+	head, queued := 0, len(ring)
 	rounds := 0
-	for len(queue) > 0 && rounds < maxRounds {
+	for queued > 0 && rounds < s.maxRounds {
 		rounds++
-		i := queue[0]
-		queue = queue[1:]
-		if s.rowToCol[i] >= 0 {
-			continue
+		i := ring[head]
+		if head++; head == len(ring) {
+			head = 0
 		}
+		queued--
 		j, best, second, ok := s.bestTwo(i)
 		if !ok || best < s.profitFloor {
 			continue // unassignable
@@ -316,9 +337,17 @@ func sequentialRounds(s *state, eps float64, maxRounds int) int {
 		s.bids++
 		// Price rises by the bid increment: best-second+ε (Line 9 of
 		// Algorithm 1: p_{j1} ← a_{ij1} − a_{ij2} + p_{j2} + ε).
-		s.prices[j] += best - second + eps
+		s.prices[j] += best - second + s.eps
 		if displaced := s.assign(i, j); displaced >= 0 {
-			queue = append(queue, displaced)
+			if queued == len(ring) {
+				panic("auction: bidder ring overflow: a row was queued twice")
+			}
+			tail := head + queued
+			if tail >= len(ring) {
+				tail -= len(ring)
+			}
+			ring[tail] = displaced
+			queued++
 		}
 	}
 	return rounds

@@ -8,10 +8,13 @@ import "fmt"
 // learned in earlier rounds are retained as the warm start for later
 // ones. High prices linger on units that were recently contested,
 // which both speeds up convergence and encodes a memory of contention.
+// The solver state is retained with them, so a round in steady state
+// allocates nothing. Not safe for concurrent use.
 type Auctioneer struct {
 	numCols int
 	prices  []float64
 	opts    Options
+	s       state
 
 	// Cumulative statistics across rounds.
 	roundsRun  int
@@ -41,7 +44,8 @@ func NewAuctioneer(cfg AuctioneerConfig) (*Auctioneer, error) {
 
 // Assign solves one scheduling round. The problem must have exactly
 // NumCols columns. The retained prices are the warm start, and the
-// post-round prices are retained for the next call.
+// post-round prices are retained for the next call. The returned
+// matching is valid until then too (see Assignment).
 func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 	if p.NumCols != a.numCols {
 		return Assignment{}, fmt.Errorf("auction: problem has %d columns, auctioneer has %d", p.NumCols, a.numCols)
@@ -49,7 +53,8 @@ func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return Assignment{}, err
 	}
-	result := solveWithPrices(p, a.opts, a.prices)
+	a.s.reset(p, a.prices, a.opts)
+	result := a.s.result(sequentialRounds(&a.s))
 	a.assignRuns++
 	a.roundsRun += result.Rounds
 	a.totalBids += result.Bids

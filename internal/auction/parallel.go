@@ -21,10 +21,8 @@ type bid struct {
 }
 
 func solveParallelWithPrices(p Problem, opts Options, prices []float64) Assignment {
-	opts, maxRounds := opts.withDefaults(p)
-	s := newState(p, prices)
-	rounds := jacobiRounds(s, opts.Epsilon, maxRounds, opts.workers(p))
-	return s.result(rounds)
+	s := newState(p, prices, opts)
+	return s.result(jacobiRounds(s, opts.workers(p)))
 }
 
 // workers returns the bid-phase goroutine count for this problem.
@@ -47,7 +45,7 @@ func (o Options) workers(p Problem) int {
 
 // jacobiRounds runs synchronous bidding rounds until no assignable row
 // remains unassigned; returns the number of rounds executed.
-func jacobiRounds(s *state, eps float64, maxRounds, workers int) int {
+func jacobiRounds(s *state, workers int) int {
 	unassigned := make([]int, 0, s.p.NumRows())
 	for i := range s.p.Rows {
 		unassigned = append(unassigned, i)
@@ -57,7 +55,7 @@ func jacobiRounds(s *state, eps float64, maxRounds, workers int) int {
 	var winners []int                    // winning row per column this round
 	rounds := 0
 
-	for len(unassigned) > 0 && rounds < maxRounds {
+	for len(unassigned) > 0 && rounds < s.maxRounds {
 		rounds++
 
 		// Bid phase: all unassigned rows bid simultaneously against
@@ -70,7 +68,7 @@ func jacobiRounds(s *state, eps float64, maxRounds, workers int) int {
 				bids[k] = bid{row: i, col: -1}
 				return
 			}
-			bids[k] = bid{row: i, col: j, price: s.prices[j] + best - second + eps}
+			bids[k] = bid{row: i, col: j, price: s.prices[j] + best - second + s.eps}
 		}
 		if workers <= 1 || len(unassigned) < 16 {
 			for k := range unassigned {

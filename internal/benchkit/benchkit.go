@@ -39,8 +39,11 @@ type Cell struct {
 	Versus string
 	Floor  Floor
 	// NoAlloc requires a full run to measure the cell at 0 allocs/op,
-	// rounded down as `go test -benchmem` prints it.
-	NoAlloc bool
+	// rounded down as `go test -benchmem` prints it. MaxAllocs, when
+	// positive, is the same gate for an operation that hands back
+	// memory it had to allocate: at most that many allocs/op.
+	NoAlloc   bool
+	MaxAllocs int
 }
 
 // Group builds one fixture and returns its cells. Building group by
@@ -67,6 +70,7 @@ type Result struct {
 	CountPerOp    float64 `json:"count_per_op,omitempty"`
 	RetainedBytes int64   `json:"retained_bytes,omitempty"`
 	NoAlloc       bool    `json:"no_alloc,omitempty"`
+	MaxAllocs     int     `json:"max_allocs,omitempty"`
 }
 
 // Band is the median of a set of per-round ratios with its quartiles.
@@ -152,6 +156,7 @@ func Measure(iters int, c Cell) (Result, error) {
 		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / n,
 		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / n,
 		NoAlloc:     c.NoAlloc,
+		MaxAllocs:   c.MaxAllocs,
 	}
 	if c.Count != nil {
 		r.CountPerOp = float64(c.Count()-c0) / n
@@ -305,14 +310,15 @@ func Run(suite string, smoke bool, table []Group, logf func(format string, args 
 
 // Check enforces the floors the table declared: every alloc and counter
 // ratio at or above its floor and — on a full run only — every NoAlloc
-// cell below 1 alloc/op. One warm-up call does not always bring a
+// cell below 1 alloc/op, every MaxAllocs cell below one more than its
+// ceiling. One warm-up call does not always bring a
 // workspace to steady-state capacity, so a smoke sample cannot show the
 // last; and a 200 ms window catches a stray process-wide malloc in two
 // runs of five, so an exact zero would flap.
 func (r *Report) Check() error {
 	for _, res := range r.Results {
-		if !r.Smoke && res.NoAlloc && res.AllocsPerOp >= 1 {
-			return fmt.Errorf("%s: %s measured %.2f allocs/op, want 0", r.Suite, res.Name, res.AllocsPerOp)
+		if gated := res.NoAlloc || res.MaxAllocs > 0; !r.Smoke && gated && res.AllocsPerOp >= float64(res.MaxAllocs+1) {
+			return fmt.Errorf("%s: %s measured %.2f allocs/op, want at most %d", r.Suite, res.Name, res.AllocsPerOp, res.MaxAllocs)
 		}
 		sp, gated := r.Speedup[res.Name]
 		if gated && (sp.AllocRatio < sp.Floor.Allocs || sp.CountRatio < sp.Floor.Count) {

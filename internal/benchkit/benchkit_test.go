@@ -85,3 +85,23 @@ func TestCheckBindsCountsInSmokeAndFullRuns(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckBindsAllocCeilingsOnFullRunsOnly(t *testing.T) {
+	for _, c := range []struct {
+		smoke bool
+		res   Result
+		ok    bool
+	}{
+		{false, Result{NoAlloc: true, AllocsPerOp: 0.99}, true}, // a stray process-wide malloc
+		{false, Result{NoAlloc: true, AllocsPerOp: 1}, false},
+		{false, Result{MaxAllocs: 1, AllocsPerOp: 1.5}, true},
+		{false, Result{MaxAllocs: 1, AllocsPerOp: 2}, false},
+		{true, Result{MaxAllocs: 1, AllocsPerOp: 40}, true}, // one warm-up call is not steady state
+		{false, Result{AllocsPerOp: 40}, true},              // ungated
+	} {
+		rep := &Report{Smoke: c.smoke, Results: []Result{c.res}}
+		if err := rep.Check(); (err == nil) != c.ok {
+			t.Errorf("smoke=%v %+v: Check() = %v, want ok=%v", c.smoke, c.res, err, c.ok)
+		}
+	}
+}

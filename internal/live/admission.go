@@ -142,7 +142,7 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 	}
 	t.span = r.beginSpan(t)
 	r.nextID++
-	r.pending = append(r.pending, t)
+	r.pending.Push(t)
 	r.mu.Unlock()
 	select {
 	case r.wake <- struct{}{}:

@@ -62,16 +62,12 @@ func (r *Runtime) dispatcher() {
 func (r *Runtime) dispatchBatch(block bool) (blocked bool) {
 	for {
 		r.mu.Lock()
-		if len(r.pending) == 0 {
+		if r.pending.Len() == 0 {
 			r.mu.Unlock()
 			return false
 		}
-		n := len(r.units)
-		if n > len(r.pending) {
-			n = len(r.pending)
-		}
-		batch := append([]*task(nil), r.pending[:n]...)
-		r.pending = r.pending[n:]
+		n := min(len(r.units), r.pending.Len())
+		batch := append(r.batch[:0], r.pending.PopN(n)...)
 		scheduler := r.sched
 		r.mu.Unlock()
 
@@ -110,12 +106,8 @@ func (r *Runtime) dispatchBatch(block bool) (blocked bool) {
 				continue
 			}
 			// Every queue is full: push the rest back and back off.
-			rest := live[i:]
 			r.mu.Lock()
-			pending := make([]*task, 0, len(rest)+len(r.pending))
-			pending = append(pending, rest...)
-			pending = append(pending, r.pending...)
-			r.pending = pending
+			r.pending.PushFront(live[i:])
 			r.mu.Unlock()
 			return true
 		}
@@ -127,13 +119,9 @@ func (r *Runtime) dispatchBatch(block bool) (blocked bool) {
 // repeated overruns or injected scheduler faults. Dispatcher
 // goroutine only.
 func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
-	stasks := make([]*sched.Task, len(batch))
+	stasks, units := r.stasks[:len(batch)], r.unitStates
 	for i, t := range batch {
-		stasks[i] = &sched.Task{ID: t.id, Query: t.query, Arrival: t.submit.UnixNano()}
-	}
-	units := make([]sched.UnitState, len(r.units))
-	for i, u := range r.units {
-		units[i] = u
+		r.staskBuf[i] = sched.Task{ID: t.id, Query: t.query, Arrival: t.submit.UnixNano()}
 	}
 
 	fault := r.cfg.Faults.Eval(faultpoint.SchedRound)
@@ -163,7 +151,7 @@ func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
 	// load (queue + busy + this round's placements). This is the
 	// balance half of the balance-affinity tradeoff; the affinity half
 	// (hit ratio, win margin) is tracked inside the scheduler.
-	loads := make([]int, len(r.units))
+	loads := r.loads
 	var maxLoad, sumLoad int
 	for i, u := range r.units {
 		loads[i] = u.QueueLen()

@@ -26,6 +26,7 @@ import (
 	"subtrav/internal/affinity"
 	"subtrav/internal/cache"
 	"subtrav/internal/faultpoint"
+	"subtrav/internal/fifo"
 	"subtrav/internal/graph"
 	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
@@ -219,7 +220,7 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	sched   sched.Scheduler
-	pending []*task
+	pending fifo.Queue[*task]
 	// adm decides admission and counts what is in flight, globally and
 	// per tenant bucket; tenants holds each bucket's metric series at
 	// the bucket's index.
@@ -239,6 +240,16 @@ type Runtime struct {
 	fallback    sched.Scheduler
 	slowRounds  int
 	degradeLeft int
+
+	// Per-round scratch, owned by the dispatcher goroutine and sized
+	// for a full round of NumUnits tasks: the batch taken off the
+	// pending pool, the scheduler's view of it (stasks[i] is
+	// &staskBuf[i]) and of the units, and the imbalance tally.
+	batch      []*task
+	staskBuf   []sched.Task
+	stasks     []*sched.Task
+	unitStates []sched.UnitState
+	loads      []int
 }
 
 // New starts a runtime: NumUnits worker goroutines plus a dispatcher.
@@ -295,6 +306,14 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		wsPool:   traverse.NewPool(g.NumVertices()),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
+
+		batch:    make([]*task, 0, cfg.NumUnits),
+		staskBuf: make([]sched.Task, cfg.NumUnits),
+		stasks:   make([]*sched.Task, cfg.NumUnits),
+		loads:    make([]int, cfg.NumUnits),
+	}
+	for i := range r.stasks {
+		r.stasks[i] = &r.staskBuf[i]
 	}
 	r.obs = newRuntimeObs(r, cfg.TraceBuffer)
 	if reg, ok := scheduler.(schedulerRegistrar); ok {
@@ -311,6 +330,7 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		}
 		r.obs.wireUnit(u)
 		r.units = append(r.units, u)
+		r.unitStates = append(r.unitStates, u)
 		r.wg.Add(1)
 		go r.worker(u)
 	}

@@ -3,10 +3,12 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"subtrav/internal/affinity"
 	"subtrav/internal/auction"
+	"subtrav/internal/graph"
 	"subtrav/internal/obs"
 )
 
@@ -40,11 +42,28 @@ type AuctionConfig struct {
 // auction, warm-starting prices from previous rounds. Tasks whose
 // affinity row is empty (no unit above η) or that the auction leaves
 // unassigned fall back to the least-loaded unit.
+//
+// Everything a round builds on the way — unit views, anchors, the
+// affinity matrix, the auction problem and its matching — lives in
+// scratch the scheduler keeps, so an Assign in steady state allocates
+// the slice it returns and nothing else.
 type Auction struct {
 	scorer     *affinity.Scorer
 	auctioneer *auction.Auctioneer
 	cfg        AuctionConfig
 	name       string
+
+	// Per-round scratch. A segment is at most P tasks, so everything
+	// but arcs and expl is sized for good by NewAuction.
+	extra     []int               // tasks placed on each unit so far in this batch
+	overlays  []batchView         // units with extra folded in
+	views     []affinity.UnitView // views[i] is &overlays[i]: a pointer in the interface, not a copy
+	anchorIDs []graph.VertexID    // every task's anchors, flat
+	anchors   [][]graph.VertexID  // anchors[i] sub-slices anchorIDs
+	matrix    affinity.Matrix
+	arcs      []auction.Arc   // every row's arcs, flat
+	rows      [][]auction.Arc // rows[i] sub-slices arcs
+	expl      []Explain       // where Assign lets the placement detail fall
 
 	// Stats are atomic so a concurrent observer (obs registry scrape)
 	// can read them while the dispatcher is scheduling.
@@ -86,7 +105,20 @@ func NewAuction(scorer *affinity.Scorer, cfg AuctionConfig) (*Auction, error) {
 	if !cfg.WorkloadAware {
 		name = "affinity-only"
 	}
-	return &Auction{scorer: scorer, auctioneer: auc, cfg: cfg, name: name, winMargin: obs.NewHistogram()}, nil
+	p := cfg.NumUnits
+	a := &Auction{
+		scorer: scorer, auctioneer: auc, cfg: cfg, name: name, winMargin: obs.NewHistogram(),
+		extra:     make([]int, p),
+		overlays:  make([]batchView, p),
+		views:     make([]affinity.UnitView, p),
+		anchorIDs: make([]graph.VertexID, 0, 2*p), // a task has at most two
+		anchors:   make([][]graph.VertexID, 0, p),
+		rows:      make([][]auction.Arc, p),
+	}
+	for i := range a.views {
+		a.views[i] = &a.overlays[i]
+	}
+	return a, nil
 }
 
 // Name implements Scheduler.
@@ -114,65 +146,85 @@ type Explainer interface {
 
 var _ Explainer = (*Auction)(nil)
 
-// Assign implements Scheduler.
+// Assign implements Scheduler: AssignExplained with the detail written
+// to scratch and dropped.
 func (a *Auction) Assign(tasks []*Task, units []UnitState) []int {
-	out, _ := a.AssignExplained(tasks, units)
-	return out
+	a.expl = slices.Grow(a.expl[:0], len(tasks))[:len(tasks)]
+	clear(a.expl)
+	return a.assign(tasks, units, a.expl)
 }
 
 // AssignExplained implements Explainer.
 func (a *Auction) AssignExplained(tasks []*Task, units []UnitState) ([]int, []Explain) {
+	expl := make([]Explain, len(tasks))
+	return a.assign(tasks, units, expl), expl
+}
+
+// assign places tasks segment by segment, describing each in the
+// zeroed expl.
+func (a *Auction) assign(tasks []*Task, units []UnitState, expl []Explain) []int {
 	validateBatch(units)
 	if len(units) != a.cfg.NumUnits {
 		panic(fmt.Sprintf("sched: %d units, auction scheduler built for %d", len(units), a.cfg.NumUnits))
 	}
 	out := make([]int, len(tasks))
-	expl := make([]Explain, len(tasks))
-	extra := make([]int, len(units))
+	clear(a.extra)
 
 	for lo := 0; lo < len(tasks); lo += len(units) {
-		hi := lo + len(units)
-		if hi > len(tasks) {
-			hi = len(tasks)
-		}
-		a.assignSegment(tasks[lo:hi], units, extra, out[lo:hi], expl[lo:hi])
+		hi := min(lo+len(units), len(tasks))
+		a.assignSegment(tasks[lo:hi], units, out[lo:hi], expl[lo:hi])
 	}
-	return out, expl
+	return out
 }
 
 // assignSegment auctions one segment of at most P tasks.
-func (a *Auction) assignSegment(tasks []*Task, units []UnitState, extra []int, out []int, expl []Explain) {
+func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, expl []Explain) {
 	a.rounds.Add(1)
+	extra, views := a.extra, a.views
 
 	// Views that fold in the tasks already placed in this batch, so
 	// Eq. 4's w_p reflects in-flight placements.
-	views := make([]affinity.UnitView, len(units))
 	for i, u := range units {
-		views[i] = batchView{UnitState: u, extra: extra[i]}
+		a.overlays[i] = batchView{UnitState: u, extra: extra[i]}
 	}
 
-	matrix := a.scorer.BuildAnchors(batchAnchors(tasks), views)
+	anchorIDs, anchors := a.anchorIDs[:0], a.anchors[:0]
+	for _, t := range tasks {
+		lo := len(anchorIDs)
+		anchorIDs = appendAnchors(anchorIDs, t)
+		anchors = append(anchors, anchorIDs[lo:len(anchorIDs):len(anchorIDs)])
+	}
+
+	matrix := &a.matrix
+	a.scorer.BuildAnchorsInto(matrix, anchors, views)
 
 	if a.cfg.ColdScore > 0 {
-		a.addColdArcs(&matrix, units, extra, views)
+		a.addColdArcs(matrix, units, extra, views)
 	}
 
-	problem := auction.Problem{NumCols: len(units), Rows: make([][]auction.Arc, len(tasks))}
+	numArcs := 0
+	for _, row := range matrix.Rows {
+		numArcs += len(row)
+	}
+	arcs := slices.Grow(a.arcs[:0], numArcs) // no append below moves it
+	a.arcs = arcs
+	problem := auction.Problem{NumCols: len(units), Rows: a.rows[:len(tasks)]}
 	for i, row := range matrix.Rows {
 		if len(row) == 0 {
+			problem.Rows[i] = nil
 			continue
 		}
-		arcs := make([]auction.Arc, len(row))
-		for k, e := range row {
+		lo := len(arcs)
+		for _, e := range row {
 			benefit := e.Benefit
 			if !a.cfg.WorkloadAware {
 				// Ablation: undo Eq. 4 by restoring the raw decayed
 				// score (the Build weighting divides by w_p + ε̃).
 				benefit = e.Benefit * (float64(views[e.Unit].QueueLen()) + a.scorer.Config().EpsilonTilde)
 			}
-			arcs[k] = auction.Arc{Col: e.Unit, Benefit: benefit}
+			arcs = append(arcs, auction.Arc{Col: e.Unit, Benefit: benefit})
 		}
-		problem.Rows[i] = arcs
+		problem.Rows[i] = arcs[lo:len(arcs):len(arcs)]
 	}
 
 	assignment, err := a.auctioneer.Assign(problem)

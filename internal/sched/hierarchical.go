@@ -97,7 +97,7 @@ func (h *Hierarchical) Assign(tasks []*Task, units []UnitState) []int {
 	grouped := make([][]*Task, len(h.groups))
 	groupedIdx := make([][]int, len(h.groups))
 	for i, task := range tasks {
-		anchors := taskAnchors(task)
+		anchors := appendAnchors(nil, task)
 		bestGroup, bestScore := -1, 0.0
 		for g, members := range h.groups {
 			for _, u := range members {
@@ -147,7 +147,7 @@ func (h *Hierarchical) assignGroupSegment(g int, tasks []*Task, idx []int, units
 	problem := auction.Problem{NumCols: len(members), Rows: make([][]auction.Arc, len(tasks))}
 	rows := make([][]affinity.Entry, len(tasks))
 	for i, task := range tasks {
-		anchors := taskAnchors(task)
+		anchors := appendAnchors(nil, task)
 		var row []affinity.Entry
 		for local, u := range members {
 			view := batchView{UnitState: units[u], extra: extra[u]}

@@ -44,8 +44,15 @@ type UnitState interface {
 // index per task (never -1: every policy must place every task it is
 // shown — refusing work is admission's decision, taken before a task
 // reaches the pending pool, and the paper's service model has none).
-// Implementations may keep state across calls (prices, RNG), so a
-// Scheduler instance must not be shared between concurrent clusters.
+// Implementations may keep state across calls (prices, RNG, per-round
+// scratch), so a Scheduler instance must not be shared between
+// concurrent clusters, and Assign is never called concurrently.
+//
+// Ownership: the returned slice (and an Explainer's []Explain) is
+// freshly allocated and the caller's to keep — an executor may still
+// be reading one round's placement when it starts the next. The tasks
+// are the scheduler's to read only until Assign returns: callers
+// rebuild the list in place for their next round.
 type Scheduler interface {
 	Name() string
 	Assign(tasks []*Task, units []UnitState) []int
@@ -164,21 +171,13 @@ func validateBatch(units []UnitState) {
 	}
 }
 
-// taskAnchors returns the affinity anchor vertices of a task: the
-// traversal start, plus the target for bidirectional SSSP (whose
+// appendAnchors appends the affinity anchor vertices of a task to dst:
+// the traversal start, plus the target for bidirectional SSSP (whose
 // footprint is a ball around each endpoint).
-func taskAnchors(t *Task) []graph.VertexID {
+func appendAnchors(dst []graph.VertexID, t *Task) []graph.VertexID {
+	dst = append(dst, t.Query.Start)
 	if t.Query.Op == traverse.OpSSSP && t.Query.Target != t.Query.Start {
-		return []graph.VertexID{t.Query.Start, t.Query.Target}
+		dst = append(dst, t.Query.Target)
 	}
-	return []graph.VertexID{t.Query.Start}
-}
-
-// batchAnchors collects taskAnchors for a batch.
-func batchAnchors(tasks []*Task) [][]graph.VertexID {
-	out := make([][]graph.VertexID, len(tasks))
-	for i, t := range tasks {
-		out[i] = taskAnchors(t)
-	}
-	return out
+	return dst
 }

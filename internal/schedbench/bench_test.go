@@ -20,9 +20,9 @@ func TestRunSmoke(t *testing.T) {
 	if !rep.Smoke {
 		t.Error("smoke run not marked as smoke")
 	}
-	// Per (P, degree) the snap and ref builds; per P a round, Record,
-	// RecordTrace and RecordLoop.
-	want := len(UnitCounts)*len(Degrees)*2 + 4*len(UnitCounts)
+	// Per (P, degree) the snap and ref builds; per P a round, the
+	// auction alone, Record, RecordTrace and RecordLoop.
+	want := len(UnitCounts)*len(Degrees)*2 + 5*len(UnitCounts)
 	if len(rep.Results) != want {
 		t.Errorf("got %d results, want %d", len(rep.Results), want)
 	}

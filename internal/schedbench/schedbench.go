@@ -11,7 +11,9 @@
 //     its snapshot-cache form and the per-(vertex, unit) reference
 //     form, compared as an interleaved ratio;
 //   - DispatchRound — a full Auction.Assign segment (matrix build +
-//     auction + fallbacks);
+//     auction + fallbacks), gated at the one allocation it returns;
+//   - AuctioneerAssign — the incremental auction alone on a contested
+//     problem, a price war of thousands of bids, gated at none;
 //   - Record and RecordTrace — signature-table visit recording, the
 //     traversal-side half of the signature contract, one vertex and
 //     one completed trace at a time.
@@ -28,6 +30,7 @@ import (
 	"fmt"
 
 	"subtrav/internal/affinity"
+	"subtrav/internal/auction"
 	"subtrav/internal/benchkit"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
@@ -165,6 +168,19 @@ func NewFixture(p, degree int) (*Fixture, error) {
 	}, nil
 }
 
+// contestedProblem is p tasks after the same three units at equal
+// benefit, two arcs each: more bidders than objects they can reach, so
+// the auction is a price war that ends only when the losers' profit
+// reaches the infeasibility floor — (2p+1)/ε bids, each of which used
+// to cost the bidder queue a slot of capacity.
+func contestedProblem(p int) auction.Problem {
+	prob := auction.Problem{NumCols: p, Rows: make([][]auction.Arc, p)}
+	for i := range prob.Rows {
+		prob.Rows[i] = []auction.Arc{{Col: i % 3, Benefit: 1}, {Col: (i + 1) % 3, Benefit: 1}}
+	}
+	return prob
+}
+
 // UnitCounts and Degrees are the BuildAnchors matrix axes: P ∈ {4, 16,
 // 64} × degree ∈ {8, 64}. DispatchRound and Record run at degree 8.
 var (
@@ -220,10 +236,24 @@ func Table() []benchkit.Group {
 				for i := range trace {
 					trace[i] = graph.VertexID(rng.Intn(NumVertices))
 				}
+				auc, err := auction.NewAuctioneer(auction.AuctioneerConfig{
+					NumCols: p, Options: auction.Options{Epsilon: 1e-3},
+				})
+				if err != nil {
+					return nil, err
+				}
+				contested := contestedProblem(p)
 				var v, t int64
 				return append(cells,
-					benchkit.Cell{Name: "DispatchRound/" + at,
+					// The placement slice is the caller's (sched.Scheduler);
+					// everything else a round builds is scratch.
+					benchkit.Cell{Name: "DispatchRound/" + at, MaxAllocs: 1,
 						Run: func() error { fx.Auction.Assign(fx.Tasks, fx.UnitStates); return nil }},
+					benchkit.Cell{Name: fmt.Sprintf("AuctioneerAssign/P=%d", p), NoAlloc: true, Run: func() error {
+						auc.ResetPrices() // carried prices would end the war early
+						_, err := auc.Assign(contested)
+						return err
+					}},
 					benchkit.Cell{Name: fmt.Sprintf("Record/P=%d", p), NoAlloc: true, Run: func() error {
 						t++
 						v++

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"subtrav/internal/cache"
+	"subtrav/internal/fifo"
 	"subtrav/internal/graph"
 	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
@@ -25,13 +25,18 @@ type Cluster struct {
 	sigs  *signature.Table
 	disk  *storage.Disk
 	units []*unit
+	// unitStates is units as a scheduler is shown them.
+	unitStates []sched.UnitState
 
 	events eventHeap
 	seq    int64
 	// adm admits or rejects each arrival and counts what is in flight;
 	// pending is the admitted pool in front of the scheduler.
 	adm     *Admission
-	pending []*sched.Task
+	pending fifo.Queue[*taskState]
+	// round is scratch for the task list of one scheduling round; it is
+	// the scheduler's only for the length of its Assign call.
+	round []*sched.Task
 	// sched is the active scheduler for the duration of Run.
 	sched sched.Scheduler
 	// trace receives one span per resolved task, whatever the outcome
@@ -94,6 +99,7 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 			u.batch = traverse.NewBatchWithScratch(batchScratch)
 		}
 		c.units = append(c.units, u)
+		c.unitStates = append(c.unitStates, u)
 	}
 	return c, nil
 }
@@ -119,34 +125,35 @@ func (c *Cluster) SetDiskMetrics(m *storage.Metrics) { c.disk.SetMetrics(m) }
 
 // Reset clears all run state — queues, caches, signatures, disk
 // occupancy, admission counts and statistics — keeping the
-// configuration.
+// configuration and the capacity the queues and sample lists grew to,
+// so a repetition of the same workload does not grow them again.
 func (c *Cluster) Reset() {
 	c.clock.Reset() // same clock object: scorers wired to it stay valid
 	c.sigs.Reset()
 	c.disk.Reset()
 	for _, u := range c.units {
 		u.buffer = cache.New(c.cfg.MemoryPerUnit)
-		u.queue = nil
+		u.queue.Reset()
 		u.cur = nil
-		u.completions = nil
+		u.completions = u.completions[:0]
 		u.busyNanos = 0
 	}
-	c.events = nil
+	c.events = c.events[:0]
 	c.seq = 0
 	c.adm = NewAdmission(c.cfg.MaxPending, c.cfg.TenantShare)
-	c.pending = nil
+	c.pending.Reset()
 	c.life = metrics.Snapshot{}
 	c.firstArrival = -1
 	c.lastComplete = 0
 	c.visitedTotal = 0
-	c.latencies = nil
-	c.execNanos = nil
+	c.latencies = c.latencies[:0]
+	c.execNanos = c.execNanos[:0]
 }
 
 func (c *Cluster) push(e event) {
 	e.seq = c.seq
 	c.seq++
-	heap.Push(&c.events, e)
+	c.events.push(e)
 }
 
 // Run injects the given tasks at their Arrival times, drives the
@@ -158,18 +165,20 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 	}
 	c.sched = s
 	defer func() { c.sched = nil }()
-	for _, t := range tasks {
+	states := make([]taskState, len(tasks))
+	for i, t := range tasks {
 		if err := t.Query.Validate(c.g); err != nil {
 			return Result{}, fmt.Errorf("sim: task %d: %w", t.ID, err)
 		}
 		if t.Arrival < 0 {
 			return Result{}, fmt.Errorf("sim: task %d has negative arrival %d", t.ID, t.Arrival)
 		}
-		c.push(event{time: t.Arrival, kind: evArrival, task: &taskState{task: t}})
+		states[i].task = t
+		c.push(event{time: t.Arrival, kind: evArrival, task: &states[i]})
 	}
 
 	for len(c.events) > 0 {
-		e := heap.Pop(&c.events).(event)
+		e := c.events.pop()
 		c.clock.Set(e.time)
 		switch e.kind {
 		case evArrival:
@@ -181,8 +190,15 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 			c.step(c.units[e.unit], e.time)
 		}
 	}
-	if len(c.pending) > 0 {
-		return Result{}, fmt.Errorf("sim: %d tasks never dispatched (scheduler stalled)", len(c.pending))
+	if n := c.pending.Len(); n > 0 {
+		return Result{}, fmt.Errorf("sim: %d tasks never dispatched (scheduler stalled)", n)
+	}
+	// Nothing is in flight any more: let go of what still points into
+	// the task slab — the pool's popped prefix, each unit's last
+	// members — so that it does not outlive the run.
+	c.pending.Reset()
+	for _, u := range c.units {
+		clear(u.exec.members[:cap(u.exec.members)])
 	}
 	return c.result(s), nil
 }
@@ -191,54 +207,47 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 // unit is below the dispatch depth target (Figure 6: fetch up to P
 // tasks, auction, dispatch to unit queues).
 func (c *Cluster) dispatch(s sched.Scheduler, now int64) {
-	for len(c.pending) > 0 && c.hasDispatchRoom() {
-		batch := len(c.units)
-		if batch > len(c.pending) {
-			batch = len(c.pending)
-		}
-		tasks := c.pending[:batch]
-		c.pending = c.pending[batch:]
+	for c.pending.Len() > 0 && c.hasDispatchRoom() {
 		// Leaving the pool, as in the live dispatcher: a task whose
 		// deadline passed while it waited is never shown to the
-		// scheduler and consumes no unit slot.
-		live := tasks[:0]
-		for _, t := range tasks {
-			if expired(t, now) {
-				c.timeOut(now, nil, &taskState{task: t}, nil)
-				continue
-			}
-			live = append(live, t)
-		}
-		if tasks = live; len(tasks) == 0 {
+		// scheduler and consumes no unit slot. The popped view stays
+		// valid to the end of the round: the pool is only pushed to
+		// from the event loop, between rounds.
+		states := c.pending.PopN(min(len(c.units), c.pending.Len()))
+		if states = c.dropExpired(nil, states, nil, now); len(states) == 0 {
 			continue
 		}
-
-		units := make([]sched.UnitState, len(c.units))
-		for i, u := range c.units {
-			units[i] = u
+		tasks := c.round[:0]
+		for _, ts := range states {
+			tasks = append(tasks, ts.task)
 		}
+		c.round = tasks
+
 		// The placement detail is only worth collecting for a span; an
 		// Explainer's Assign is its AssignExplained minus the detail, so
 		// tracing cannot move a placement.
 		var placement []int
 		var explain []sched.Explain
 		if ex, ok := s.(sched.Explainer); ok && c.trace != nil {
-			placement, explain = ex.AssignExplained(tasks, units)
+			placement, explain = ex.AssignExplained(tasks, c.unitStates)
 		} else {
-			placement = s.Assign(tasks, units)
+			placement = s.Assign(tasks, c.unitStates)
 		}
-		for i, t := range tasks {
+		// From here on only states, placement and explain are read:
+		// starting a task can finish it on the spot and re-enter
+		// dispatch, which reuses c.round.
+		for i, ts := range states {
 			pick := placement[i]
 			if pick < 0 || pick >= len(c.units) {
 				panic(fmt.Sprintf("sim: scheduler %q placed task %d on unit %d of %d",
-					s.Name(), t.ID, pick, len(c.units)))
+					s.Name(), ts.task.ID, pick, len(c.units)))
 			}
 			u := c.units[pick]
-			ts := &taskState{task: t, scheduled: now}
+			ts.scheduled = now
 			if explain != nil {
 				ts.placement = explain[i].Placement
 			}
-			u.queue = append(u.queue, ts)
+			u.queue.Push(ts)
 			if u.cur == nil {
 				c.startNext(u, now)
 			}
@@ -262,13 +271,11 @@ func (c *Cluster) hasDispatchRoom() bool {
 // it: timed out, no execution consumed; the unit moves on down its
 // queue until something starts or the queue is empty.
 func (c *Cluster) startNext(u *unit, now int64) {
-	for len(u.queue) > 0 {
-		members := []*taskState{u.queue[0]}
-		u.queue = u.queue[1:]
+	for u.queue.Len() > 0 {
+		members := append(u.exec.members[:0], u.queue.Pop())
 		if b := c.cfg.BatchTraversals; b > 1 && u.batch != nil && traverse.Batchable(members[0].task.Query.Op) {
-			for len(members) < b && len(u.queue) > 0 && traverse.Batchable(u.queue[0].task.Query.Op) {
-				members = append(members, u.queue[0])
-				u.queue = u.queue[1:]
+			for len(members) < b && u.queue.Len() > 0 && traverse.Batchable(u.queue.Front().task.Query.Op) {
+				members = append(members, u.queue.Pop())
 			}
 		}
 		if members = c.dropExpired(u, members, nil, now); len(members) > 0 {
@@ -281,7 +288,8 @@ func (c *Cluster) startNext(u *unit, now int64) {
 // start begins executing members on u: their traces are computed, and
 // the one the unit pays for is replayed from now.
 func (c *Cluster) start(u *unit, members []*taskState, now int64) {
-	ex := &execState{members: members, start: now}
+	ex := &u.exec
+	ex.members, ex.start = members, now
 	u.cur = ex
 
 	// The set of records a traversal touches is timing-independent
@@ -376,7 +384,7 @@ func (c *Cluster) arrive(ts *taskState, now int64) {
 		c.emit(obs.OutcomeRejected, now, nil, ts, nil)
 		return
 	}
-	c.pending = append(c.pending, ts.task)
+	c.pending.Push(ts)
 	c.dispatch(c.sched, now)
 }
 
@@ -385,7 +393,8 @@ func expired(t *sched.Task, now int64) bool { return t.Deadline > 0 && now >= t.
 
 // dropExpired resolves as timed out every member whose deadline has
 // passed at now and returns the others, compacted in place. u is the
-// unit they were placed on; ex is nil at dequeue.
+// unit they were placed on, nil for tasks leaving the pending pool; ex
+// is nil before execution.
 func (c *Cluster) dropExpired(u *unit, members []*taskState, ex *execState, now int64) []*taskState {
 	live := members[:0]
 	for _, ts := range members {
@@ -476,7 +485,7 @@ func (c *Cluster) release(u *unit, now int64) {
 	u.busyNanos += now - u.cur.start
 	u.cur = nil
 	c.startNext(u, now)
-	if len(c.pending) > 0 && c.sched != nil {
+	if c.pending.Len() > 0 && c.sched != nil {
 		c.dispatch(c.sched, now)
 	}
 }

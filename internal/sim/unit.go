@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"subtrav/internal/cache"
+	"subtrav/internal/fifo"
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/traverse"
@@ -11,7 +12,9 @@ import (
 
 // taskState is a task with its precomputed per-query result and
 // access trace, and what its trace span needs from the scheduling
-// round that placed it.
+// round that placed it. Run makes one per task, all in one slab, and
+// the same one travels from the arrival event through the pending
+// pool and a unit queue to execution.
 type taskState struct {
 	task   *sched.Task
 	result traverse.Result
@@ -25,7 +28,8 @@ type taskState struct {
 // carry the per-query results and traces; charge is the cursor over
 // the trace actually charged against the buffer and shared disk: a
 // solo member's own trace, or the batch's shared wave trace (each
-// wave-shared record loaded once — see traverse.Batch).
+// wave-shared record loaded once — see traverse.Batch). A unit has one,
+// reused from execution to execution with its members array.
 type execState struct {
 	members []*taskState
 	charge  ChargeCursor
@@ -37,8 +41,10 @@ type execState struct {
 type unit struct {
 	id     int32
 	buffer *cache.Cache
-	queue  []*taskState
-	cur    *execState
+	queue  fifo.Queue[*taskState]
+	// cur is &exec while a batch executes, nil while the unit idles.
+	cur  *execState
+	exec execState
 	// ws is the unit's reusable traversal workspace. Its private
 	// buffers hold the in-flight task's trace across replay events, so
 	// they are only recycled by the unit's own next startNext — after
@@ -62,7 +68,7 @@ var _ sched.UnitState = (*unit)(nil)
 
 // QueueLen implements sched.UnitState: tasks allocated but not yet
 // executing (w_p and n_p of the paper).
-func (u *unit) QueueLen() int { return len(u.queue) }
+func (u *unit) QueueLen() int { return u.queue.Len() }
 
 // Busy implements sched.UnitState.
 func (u *unit) Busy() bool { return u.cur != nil }
@@ -82,7 +88,7 @@ func (u *unit) MemoryBudget() int64 { return u.buffer.Budget() }
 // effectiveLoad counts queued plus executing tasks (every member of
 // an executing batch counts).
 func (u *unit) effectiveLoad() int {
-	l := len(u.queue)
+	l := u.queue.Len()
 	if u.cur != nil {
 		l += len(u.cur.members)
 	}
