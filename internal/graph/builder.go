@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 )
 
 // Builder accumulates vertices and edges and produces an immutable CSR
@@ -90,8 +92,10 @@ func (b *Builder) SetPartition(part []int32) {
 	b.part = append([]int32(nil), part...)
 }
 
-// Build finalizes the CSR structure. The builder must not be reused
-// afterwards.
+// Build finalizes the CSR structure and packs the property maps into
+// flat columns. The builder must not be reused afterwards. It panics if
+// the distinct property strings exceed the arena's 4 GiB offset space
+// or one table holds more than 2³² records.
 func (b *Builder) Build() *Graph {
 	if b.finished {
 		panic("graph: Build called twice")
@@ -159,18 +163,18 @@ func (b *Builder) Build() *Graph {
 	if b.weighted {
 		g.weights = b.weights
 	}
-	if b.hasEProp {
-		g.eprops = b.eprops
-		g.ebytes = make([]int32, m)
-		for i, p := range b.eprops {
-			g.ebytes[i] = int32(edgeBaseBytes + p.SerializedBytes())
-		}
-	}
+	// Canonical packing order — vertices, then edges — is what makes a
+	// snapshot of the graph byte-deterministic.
+	pk := propPacker{dedup: make(map[string]uint32)}
 	if len(b.vprops) > 0 {
-		g.vprops = make([]Properties, b.n)
-		for v, p := range b.vprops {
-			g.vprops[v] = p
-		}
+		g.vprops = pk.column(b.n, func(v int) Properties { return b.vprops[VertexID(v)] })
+	}
+	if b.hasEProp {
+		g.eprops = pk.column(m, func(e int) Properties { return b.eprops[e] })
+	}
+	g.arena = pk.arena.String()
+	if b.hasEProp {
+		g.ebytes = g.computeEdgeBytes()
 	}
 	// A vertex record models how property-graph stores lay data out:
 	// the vertex header and properties plus its adjacency list with
@@ -189,6 +193,65 @@ func (b *Builder) Build() *Graph {
 		g.numPartitions = int(maxLabel) + 1
 	}
 	return g
+}
+
+// propPacker packs property maps into flat columns over one shared
+// string arena. Strings are interned at first occurrence, which both
+// deduplicates keys repeated across millions of entities and keeps the
+// packing deterministic.
+type propPacker struct {
+	arena strings.Builder
+	dedup map[string]uint32
+	keys  []string // per-entity sort scratch
+}
+
+func (pk *propPacker) intern(s string) uint32 {
+	if off, ok := pk.dedup[s]; ok {
+		return off
+	}
+	off := pk.arena.Len()
+	if uint64(off)+uint64(len(s)) > math.MaxUint32 {
+		panic("graph: property strings exceed the arena's 4 GiB offset space")
+	}
+	pk.dedup[s] = uint32(off)
+	pk.arena.WriteString(s)
+	return uint32(off)
+}
+
+// column packs n rows as one table. Keys within an entity are sorted,
+// so the packing is independent of map iteration order and a lookup
+// has one answer.
+func (pk *propPacker) column(n int, row func(i int) Properties) PropColumn {
+	c := PropColumn{Index: make([]uint32, n+1)}
+	for i := 0; i < n; i++ {
+		p := row(i)
+		pk.keys = pk.keys[:0]
+		for k := range p {
+			pk.keys = append(pk.keys, k)
+		}
+		sort.Strings(pk.keys)
+		for _, k := range pk.keys {
+			c.Recs = append(c.Recs, pk.record(k, p[k]))
+		}
+		if uint64(len(c.Recs)) > math.MaxUint32 {
+			panic("graph: more than 2^32 property records in one table")
+		}
+		c.Index[i+1] = uint32(len(c.Recs))
+	}
+	return c
+}
+
+func (pk *propPacker) record(key string, v Value) PropRecord {
+	r := PropRecord{KeyOff: pk.intern(key), KeyLen: uint32(len(key)), Kind: uint32(v.kind)}
+	switch v.kind {
+	case KindString:
+		r.Aux, r.Val = uint32(len(v.str)), uint64(pk.intern(v.str))
+	case KindFloat:
+		r.Val = math.Float64bits(v.f)
+	default: // int, bool (0/1) and blob (size) all live in num
+		r.Val = uint64(v.num)
+	}
+	return r
 }
 
 // sortSlotsWithIdx co-sorts a target segment and its parallel edge

@@ -37,10 +37,14 @@ type CSRData struct {
 	// Weights is indexed by logical edge; nil when unweighted.
 	Weights []float32
 
-	// Property tables, nil when absent. VProps is indexed by vertex,
-	// EProps by logical edge.
-	VProps []Properties
-	EProps []Properties
+	// Property tables (zero when absent) over one shared string Arena:
+	// VProps by vertex, EProps by logical edge. FromCSR checks their
+	// shape only; PropColumn's record invariants are the producer's
+	// contract (Builder packs them so, graphio verifies every record of
+	// a file before it calls FromCSR).
+	VProps PropColumn
+	EProps PropColumn
+	Arena  string
 
 	// Serialized record sizes for the storage cost model. VBytes may
 	// be nil, in which case FromCSR recomputes it; EBytes may be nil
@@ -66,6 +70,7 @@ func (g *Graph) CSRView() CSRData {
 		Weights:   g.weights,
 		VProps:    g.vprops,
 		EProps:    g.eprops,
+		Arena:     g.arena,
 		VBytes:    g.vbytes,
 		EBytes:    g.ebytes,
 		Partition: g.part,
@@ -76,9 +81,9 @@ func (g *Graph) CSRView() CSRData {
 // copying or re-sorting them, validating every structural invariant a
 // Builder-built graph guarantees (offsets monotone and closed over the
 // target array, targets in range and sorted per vertex, logical edge
-// indices in range, parallel arrays consistently sized). It is the
-// load path for untrusted on-disk snapshots, so violations surface as
-// errors, never panics.
+// indices in range, parallel arrays consistently sized; for the
+// property tables see CSRData). It is the load path for untrusted
+// on-disk snapshots, so violations surface as errors, never panics.
 func FromCSR(d CSRData) (*Graph, error) {
 	if d.Kind != Directed && d.Kind != Undirected {
 		return nil, fmt.Errorf("graph: csr kind %d invalid", d.Kind)
@@ -146,11 +151,11 @@ func FromCSR(d CSRData) (*Graph, error) {
 	if d.Weights != nil && len(d.Weights) != d.NumEdges {
 		return nil, fmt.Errorf("graph: csr %d weights for %d edges", len(d.Weights), d.NumEdges)
 	}
-	if d.VProps != nil && len(d.VProps) != n {
-		return nil, fmt.Errorf("graph: csr %d vertex property rows for %d vertices", len(d.VProps), n)
+	if err := d.VProps.checkShape(n, "vertex property rows", "vertices"); err != nil {
+		return nil, err
 	}
-	if d.EProps != nil && len(d.EProps) != d.NumEdges {
-		return nil, fmt.Errorf("graph: csr %d edge property rows for %d edges", len(d.EProps), d.NumEdges)
+	if err := d.EProps.checkShape(d.NumEdges, "edge property rows", "edges"); err != nil {
+		return nil, err
 	}
 	if d.VBytes != nil && len(d.VBytes) != n {
 		return nil, fmt.Errorf("graph: csr %d vertex byte sizes for %d vertices", len(d.VBytes), n)
@@ -168,6 +173,7 @@ func FromCSR(d CSRData) (*Graph, error) {
 		weights:  d.Weights,
 		vprops:   d.VProps,
 		eprops:   d.EProps,
+		arena:    d.Arena,
 		vbytes:   d.VBytes,
 		ebytes:   d.EBytes,
 	}
@@ -195,6 +201,37 @@ func FromCSR(d CSRData) (*Graph, error) {
 	return g, nil
 }
 
+// checkShape verifies that the column, when present, indexes exactly n
+// entities and spans all of Recs.
+func (c PropColumn) checkShape(n int, rows, entities string) error {
+	switch {
+	case c.Index == nil && len(c.Recs) == 0:
+	case len(c.Index) != n+1:
+		return fmt.Errorf("graph: csr %s: %d index entries for %d %s", rows, len(c.Index), n, entities)
+	case c.Index[0] != 0 || uint64(c.Index[n]) != uint64(len(c.Recs)):
+		return fmt.Errorf("graph: csr %s span records [%d,%d), want all %d", rows, c.Index[0], c.Index[n], len(c.Recs))
+	}
+	return nil
+}
+
+// clampBytes fits a serialized size into the int32 size columns.
+func clampBytes(bytes int64) int32 {
+	if bytes > maxRecordBytes {
+		return maxRecordBytes
+	}
+	return int32(bytes)
+}
+
+// computeEdgeBytes derives the per-edge serialized payload sizes from
+// the edge property column.
+func (g *Graph) computeEdgeBytes() []int32 {
+	out := make([]int32, g.numEdges)
+	for e := range out {
+		out[e] = clampBytes(edgeBaseBytes + int64(g.EdgeProps(EdgeID(e)).SerializedBytes()))
+	}
+	return out
+}
+
 // computeVertexBytes derives the per-vertex serialized record sizes —
 // vertex header, vertex properties, adjacency list with inline edge
 // payloads — from an otherwise fully assembled graph. Shared by
@@ -204,10 +241,7 @@ func (g *Graph) computeVertexBytes() []int32 {
 	n := g.NumVertices()
 	out := make([]int32, n)
 	for v := 0; v < n; v++ {
-		bytes := int64(vertexBaseBytes)
-		if g.vprops != nil && g.vprops[v] != nil {
-			bytes += int64(g.vprops[v].SerializedBytes())
-		}
+		bytes := vertexBaseBytes + int64(g.VertexProps(VertexID(v)).SerializedBytes())
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		for s := lo; s < hi; s++ {
 			if g.ebytes != nil {
@@ -220,10 +254,7 @@ func (g *Graph) computeVertexBytes() []int32 {
 				bytes += edgeBaseBytes
 			}
 		}
-		if bytes > 1<<30 {
-			bytes = 1 << 30
-		}
-		out[v] = int32(bytes)
+		out[v] = clampBytes(bytes)
 	}
 	return out
 }

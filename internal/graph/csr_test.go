@@ -66,12 +66,12 @@ func TestFromCSRRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGraphsIdentical(t, g, back)
-	if p := back.VertexProps(0); p["name"].Str() != "alice" || !p["vip"].IsTrue() {
+	if p := back.VertexProps(0).Map(); p["name"].Str() != "alice" || !p["vip"].IsTrue() {
 		t.Errorf("vertex props lost: %v", p)
 	}
 	e := back.FindEdge(2, 3)
-	if ep := back.EdgeProps(e); ep == nil || ep["ts"].Int64() != 7 {
-		t.Errorf("edge props lost: %v", back.EdgeProps(e))
+	if ep := back.EdgeProps(e).Map(); ep["ts"] != Int(7) {
+		t.Errorf("edge props lost: %v", ep)
 	}
 }
 
@@ -144,8 +144,10 @@ func TestFromCSRRejectsCorruptColumns(t *testing.T) {
 			d.EdgeIdx[0] = EdgeID(d.NumEdges)
 		}, "edge index"},
 		{"weights mismatch", func(d *CSRData) { d.Weights = d.Weights[:1] }, "weights"},
-		{"vprops mismatch", func(d *CSRData) { d.VProps = d.VProps[:2] }, "vertex property rows"},
-		{"eprops mismatch", func(d *CSRData) { d.EProps = d.EProps[:1] }, "edge property rows"},
+		{"vprops mismatch", func(d *CSRData) { d.VProps.Index = d.VProps.Index[:2] }, "vertex property rows"},
+		{"eprops mismatch", func(d *CSRData) { d.EProps.Index = d.EProps.Index[:1] }, "edge property rows"},
+		{"vprops open", func(d *CSRData) { d.VProps.Recs = d.VProps.Recs[:1] }, "vertex property rows"},
+		{"eprops without index", func(d *CSRData) { d.EProps.Index = nil }, "edge property rows"},
 		{"vbytes mismatch", func(d *CSRData) { d.VBytes = d.VBytes[:1] }, "vertex byte sizes"},
 		{"ebytes mismatch", func(d *CSRData) { d.EBytes = d.EBytes[:1] }, "edge byte sizes"},
 		{"partition mismatch", func(d *CSRData) { d.Partition = d.Partition[:3] }, "partition"},

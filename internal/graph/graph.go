@@ -75,9 +75,11 @@ type Graph struct {
 	// Optional edge weights, indexed by logical edge index.
 	weights []float32
 
-	// Property tables, nil when absent.
-	vprops []Properties
-	eprops []Properties
+	// Property tables in flat form (zero when absent) and the string
+	// arena both point into. Nothing is held per entity.
+	vprops PropColumn
+	eprops PropColumn
+	arena  string
 
 	// Serialized payload sizes used by the storage cost model.
 	vbytes []int32
@@ -157,22 +159,12 @@ func (g *Graph) FindEdge(v, u VertexID) EdgeID {
 	return NoEdge
 }
 
-// VertexProps returns the property map of v, or nil when the graph has
-// no vertex properties or v has none.
-func (g *Graph) VertexProps(v VertexID) Properties {
-	if g.vprops == nil {
-		return nil
-	}
-	return g.vprops[v]
-}
+// VertexProps returns a view of v's properties, empty when the graph
+// has no vertex properties or v has none.
+func (g *Graph) VertexProps(v VertexID) Props { return g.vprops.of(int(v), g.arena) }
 
-// EdgeProps returns the property map of logical edge e, or nil.
-func (g *Graph) EdgeProps(e EdgeID) Properties {
-	if g.eprops == nil {
-		return nil
-	}
-	return g.eprops[e]
-}
+// EdgeProps returns a view of logical edge e's properties.
+func (g *Graph) EdgeProps(e EdgeID) Props { return g.eprops.of(int(e), g.arena) }
 
 // VertexBytes returns the serialized size of v's record as stored on
 // the shared disk: vertex header, vertex properties, and the adjacency

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -103,11 +104,14 @@ func TestVertexProperties(t *testing.T) {
 	b.SetVertexProps(0, Properties{"name": String("alice"), "age": Int(30)})
 	g := b.Build()
 	p := g.VertexProps(0)
-	if p == nil || p["name"].Str() != "alice" || p["age"].Int64() != 30 {
+	if name, _ := p.Get("name"); p.Len() != 2 || name != String("alice") {
 		t.Errorf("VertexProps(0) = %v", p)
 	}
-	if g.VertexProps(1) != nil {
-		t.Errorf("VertexProps(1) = %v, want nil", g.VertexProps(1))
+	if age, ok := p.Get("age"); !ok || age != Int(30) {
+		t.Errorf("VertexProps(0) = %v", p)
+	}
+	if p := g.VertexProps(1); p.Len() != 0 || p.Map() != nil {
+		t.Errorf("VertexProps(1) = %v, want empty", p)
 	}
 	// Payload accounting: vertex with props must be strictly larger
 	// than the base record, propless vertex exactly base.
@@ -124,8 +128,8 @@ func TestEdgeProperties(t *testing.T) {
 	b.AddEdgeFull(0, 1, 1, Properties{"ts": Int(12345)})
 	g := b.Build()
 	e := g.FindEdge(1, 0)
-	if p := g.EdgeProps(e); p == nil || p["ts"].Int64() != 12345 {
-		t.Errorf("EdgeProps = %v", p)
+	if ts, ok := g.EdgeProps(e).Get("ts"); !ok || ts != Int(12345) {
+		t.Errorf("EdgeProps = %v", g.EdgeProps(e))
 	}
 	if g.EdgeBytes(e) <= edgeBaseBytes {
 		t.Errorf("EdgeBytes = %d, want > %d", g.EdgeBytes(e), edgeBaseBytes)
@@ -138,6 +142,21 @@ func TestBlobPayloadDominatesSize(t *testing.T) {
 	g := b.Build()
 	if got := g.VertexBytes(0); got < 500_000 {
 		t.Errorf("VertexBytes = %d, want >= 500000", got)
+	}
+}
+
+// TestHugeBlobClampsEdgeBytes: an edge payload beyond int32 is priced
+// at the same 1 GiB cap as a vertex record, never negative — the cache
+// budgets by these sizes.
+func TestHugeBlobClampsEdgeBytes(t *testing.T) {
+	b := NewBuilder(Directed, 2)
+	b.AddEdgeFull(0, 1, 1, Properties{"video": Blob(math.MaxInt32)})
+	g := b.Build()
+	if got := g.EdgeBytes(0); got != 1<<30 {
+		t.Errorf("EdgeBytes = %d, want %d", got, 1<<30)
+	}
+	if got := g.VertexBytes(0); got != 1<<30 {
+		t.Errorf("VertexBytes = %d, want %d", got, 1<<30)
 	}
 }
 

@@ -1,9 +1,18 @@
 package graph
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// viewOf packs p the way every graph does and returns its view.
+func viewOf(p Properties) Props {
+	b := NewBuilder(Directed, 1)
+	b.SetVertexProps(0, p)
+	return b.Build().VertexProps(0)
+}
 
 func TestValueKinds(t *testing.T) {
 	cases := []struct {
@@ -49,22 +58,84 @@ func TestValueAccessors(t *testing.T) {
 }
 
 func TestSerializedBytes(t *testing.T) {
-	if got := String("abcd").SerializedBytes(); got != 5 {
-		t.Errorf("string bytes = %d, want 5", got)
+	// An empty name leaves the value's own size: kind tag plus payload.
+	for _, c := range []struct {
+		v    Value
+		want int
+	}{{String("abcd"), 5}, {Int(1), 9}, {Float(1), 9}, {Bool(true), 2}, {Blob(1000), 1001}} {
+		if got := viewOf(Properties{"": c.v}).SerializedBytes(); got != c.want {
+			t.Errorf("%v bytes = %d, want %d", c.v, got, c.want)
+		}
 	}
-	if got := Int(1).SerializedBytes(); got != 9 {
-		t.Errorf("int bytes = %d, want 9", got)
-	}
-	if got := Bool(true).SerializedBytes(); got != 2 {
-		t.Errorf("bool bytes = %d, want 2", got)
-	}
-	if got := Blob(1000).SerializedBytes(); got != 1001 {
-		t.Errorf("blob bytes = %d, want 1001", got)
-	}
-	p := Properties{"a": Int(1), "bb": String("xy")}
+	p := viewOf(Properties{"a": Int(1), "bb": String("xy")})
 	// "a"(1)+9 + "bb"(2)+3 = 15
 	if got := p.SerializedBytes(); got != 15 {
 		t.Errorf("props bytes = %d, want 15", got)
+	}
+	if got := (Props{}).SerializedBytes(); got != 0 {
+		t.Errorf("empty props bytes = %d, want 0", got)
+	}
+	// Sizes saturate instead of wrapping, one huge blob or many.
+	for _, p := range []Properties{
+		{"a": Blob(math.MaxInt32)},
+		{"a": Blob(-1)},
+		{"a": Blob(1 << 29), "b": Blob(1 << 29), "c": Blob(1 << 29)},
+	} {
+		if got := viewOf(p).SerializedBytes(); got != 1<<30 {
+			t.Errorf("%v bytes = %d, want the 1 GiB cap", p, got)
+		}
+	}
+}
+
+// TestPropsView pins the view against the map it was packed from:
+// lookup of every key and of absent keys on either side of the sorted
+// records, ordered iteration, conversion back, and the zero view.
+func TestPropsView(t *testing.T) {
+	in := Properties{
+		"name": String("alice"), "": String(""), "age": Int(-30), "score": Float(2.5),
+		"vip": Bool(true), "off": Bool(false), "photo": Blob(4096),
+	}
+	p := viewOf(in)
+	if p.Len() != len(in) {
+		t.Fatalf("Len = %d, want %d", p.Len(), len(in))
+	}
+	for k, want := range in {
+		if got, ok := p.Get(k); !ok || got != want {
+			t.Errorf("Get(%q) = %v, %v; want %v", k, got, ok, want)
+		}
+	}
+	for _, k := range []string{"a", "agf", "namf", "zzz", "\x00"} {
+		if got, ok := p.Get(k); ok || got != (Value{}) {
+			t.Errorf("Get(%q) = %v, %v; want absent", k, got, ok)
+		}
+	}
+	prev := ""
+	for i := 0; i < p.Len(); i++ {
+		k, v := p.At(i)
+		if i > 0 && k <= prev {
+			t.Errorf("At(%d) key %q not after %q", i, k, prev)
+		}
+		if v != in[k] {
+			t.Errorf("At(%d) = %q: %v, want %v", i, k, v, in[k])
+		}
+		prev = k
+	}
+	if got := p.Map(); !reflect.DeepEqual(got, in) {
+		t.Errorf("Map = %v, want %v", got, in)
+	}
+	if p.String() != in.String() {
+		t.Errorf("String = %s, want %s", p, in)
+	}
+	var zero Props
+	if _, ok := zero.Get("name"); ok || zero.Len() != 0 || zero.Map() != nil {
+		t.Error("the zero view is not the empty property set")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.Get("score")
+		p.Get("nope")
+		p.SerializedBytes()
+	}); allocs != 0 {
+		t.Errorf("lookup allocated %.0f times", allocs)
 	}
 }
 
@@ -92,7 +163,7 @@ func TestPropertiesStringDeterministic(t *testing.T) {
 }
 
 func TestPredicates(t *testing.T) {
-	p := Properties{"age": Int(30), "name": String("bob")}
+	p := viewOf(Properties{"age": Int(30), "name": String("bob")})
 	if !HasProp("age")(p) || HasProp("ghost")(p) {
 		t.Error("HasProp wrong")
 	}

@@ -75,7 +75,7 @@ func TestPowerLawMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := g.VertexProps(0)
-	if p == nil || p["uid"].Int64() != 0 {
+	if uid, ok := p.Get("uid"); !ok || uid.Kind() != graph.KindInt || uid.Int64() != 0 {
 		t.Fatalf("vertex props missing: %v", p)
 	}
 	// Twitter-like records should be small metadata (order 100s of bytes).
@@ -84,9 +84,9 @@ func TestPowerLawMeta(t *testing.T) {
 	}
 	lo, _ := g.EdgeSlots(0)
 	e := g.LogicalEdge(lo)
-	if ep := g.EdgeProps(e); ep == nil {
+	if ep := g.EdgeProps(e); ep.Len() == 0 {
 		t.Error("edge props missing")
-	} else if _, ok := ep["retweet_ts"]; !ok {
+	} else if _, ok := ep.Get("retweet_ts"); !ok {
 		t.Error("retweet_ts missing from edge props")
 	}
 }

@@ -28,9 +28,11 @@ package graphio
 // section's, but does not decode the payload.
 //
 // All scalars are little-endian. Because every section is 8-aligned
-// and already in the graph package's native column layout, the whole
-// file loads with one os.ReadFile or mmap and graph.FromCSR serves the
-// sections as aliased slices — no per-vertex allocation, no copying.
+// and already in the graph package's native column layout (the property
+// sections are graph.PropColumn's index and records and the arena their
+// strings point into), the whole file loads with one os.ReadFile or
+// mmap and graph.FromCSR serves the sections as aliased slices — no
+// per-vertex or per-edge allocation, no copying.
 // The decoder validates magic, version, checksums, section geometry
 // and all structural invariants before trusting anything, returns
 // named errors (never panics) on hostile input, and bounds every
@@ -50,7 +52,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"unsafe"
 
 	"subtrav/internal/graph"
@@ -147,6 +148,11 @@ func byteString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
+// stringBytes reinterprets s as its raw bytes without copying.
+func stringBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
 // sliceOfI32 views a little-endian byte section as 32-bit signed
 // elements: a zero-copy alias on aligned little-endian hosts, an
 // explicit decode otherwise.
@@ -240,165 +246,103 @@ func bytesOfF32(s []float32) []byte {
 	return out
 }
 
-// ---- property encoding ----------------------------------------------
+// ---- property columns ------------------------------------------------
 
-// propEncoder accumulates the shared string arena plus per-table
-// fixed-size records. Strings are interned at first occurrence, which
-// both deduplicates repeated keys across millions of vertices and
-// keeps the encoding deterministic.
-type propEncoder struct {
-	arena []byte
-	dedup map[string]uint32
-	keys  []string // reusable per-entity sort scratch
+// sliceOfRecs views a record section as graph.PropRecord values, whose
+// field layout is the record's: alias or explicit decode as above.
+func sliceOfRecs(b []byte, copyMode bool) []graph.PropRecord {
+	if !copyMode || len(b) == 0 {
+		return aliasSlice[graph.PropRecord](b)
+	}
+	out := make([]graph.PropRecord, len(b)/propRecSize)
+	for i := range out {
+		rec := b[i*propRecSize:]
+		out[i] = graph.PropRecord{KeyOff: le.Uint32(rec), KeyLen: le.Uint32(rec[4:]),
+			Kind: le.Uint32(rec[8:]), Aux: le.Uint32(rec[12:]), Val: le.Uint64(rec[16:])}
+	}
+	return out
 }
 
-func (pe *propEncoder) intern(s string) (uint32, error) {
-	if off, ok := pe.dedup[s]; ok {
-		return off, nil
+func bytesOfRecs(s []graph.PropRecord) []byte {
+	if hostLittleEndian {
+		return aliasBytes(s)
 	}
-	off := uint64(len(pe.arena))
-	if off+uint64(len(s)) > math.MaxUint32 {
-		return 0, fmt.Errorf("graphio: csr arena exceeds the 4 GiB offset space")
+	out := make([]byte, propRecSize*len(s))
+	for i, r := range s {
+		rec := out[i*propRecSize:]
+		le.PutUint32(rec, r.KeyOff)
+		le.PutUint32(rec[4:], r.KeyLen)
+		le.PutUint32(rec[8:], r.Kind)
+		le.PutUint32(rec[12:], r.Aux)
+		le.PutUint64(rec[16:], r.Val)
 	}
-	pe.dedup[s] = uint32(off)
-	pe.arena = append(pe.arena, s...)
-	return uint32(off), nil
+	return out
 }
 
-// table encodes one Properties column as an index section plus a
-// record section. Keys within an entity are sorted, so the encoding
-// is independent of map iteration order.
-func (pe *propEncoder) table(rows []graph.Properties) (idxBytes, recBytes []byte, err error) {
-	idx := make([]uint32, len(rows)+1)
-	var recs []byte
-	for i, p := range rows {
-		pe.keys = pe.keys[:0]
-		for k := range p {
-			pe.keys = append(pe.keys, k)
-		}
-		sort.Strings(pe.keys)
-		for _, k := range pe.keys {
-			if recs, err = pe.appendRecord(recs, k, p[k]); err != nil {
-				return nil, nil, err
-			}
-		}
-		idx[i+1] = uint32(len(recs) / propRecSize)
-	}
-	return bytesOfU32(idx), recs, nil
-}
-
-func (pe *propEncoder) appendRecord(recs []byte, key string, v graph.Value) ([]byte, error) {
-	keyOff, err := pe.intern(key)
-	if err != nil {
-		return nil, err
-	}
-	var aux uint32
-	var val uint64
-	switch v.Kind() {
-	case graph.KindString:
-		s := v.Str()
-		off, err := pe.intern(s)
-		if err != nil {
-			return nil, err
-		}
-		aux, val = uint32(len(s)), uint64(off)
-	case graph.KindInt:
-		val = uint64(v.Int64())
-	case graph.KindFloat:
-		val = math.Float64bits(v.Float64())
-	case graph.KindBool:
-		if v.IsTrue() {
-			val = 1
-		}
-	case graph.KindBlob:
-		val = uint64(v.BlobSize())
-	default:
-		return nil, fmt.Errorf("graphio: unknown value kind %d", v.Kind())
-	}
-	var rec [propRecSize]byte
-	le.PutUint32(rec[0:], keyOff)
-	le.PutUint32(rec[4:], uint32(len(key)))
-	le.PutUint32(rec[8:], uint32(v.Kind()))
-	le.PutUint32(rec[12:], aux)
-	le.PutUint64(rec[16:], val)
-	return append(recs, rec[:]...), nil
-}
-
-func arenaString(arena []byte, off uint64, ln uint32, what string) (string, error) {
+// arenaString aliases arena[off:off+ln]; table and role word the error.
+func arenaString(arena []byte, off uint64, ln uint32, table, role string) (string, error) {
 	// Checked as off > len || ln > len-off: the naive off+ln > len
 	// wraps when a hostile record carries off near MaxUint64, passing
 	// the check and panicking on the slice below.
 	if off > uint64(len(arena)) || uint64(ln) > uint64(len(arena))-off {
-		return "", fmt.Errorf("graphio: arena section: %s string [%d,+%d) past the %d-byte arena: %w",
-			what, off, ln, len(arena), ErrCSRCorrupt)
+		return "", fmt.Errorf("graphio: arena section: %s %s string [%d,+%d) past the %d-byte arena: %w",
+			table, role, off, ln, len(arena), ErrCSRCorrupt)
 	}
 	return byteString(arena[off : off+uint64(ln)]), nil
 }
 
-// decodeProps materializes one Properties column from its index and
-// record sections. String keys and values alias the arena (and hence
-// the file buffer); only the per-entity maps themselves allocate.
-func decodeProps(idx []uint32, recs, arena []byte, what string) ([]graph.Properties, error) {
-	n := len(idx) - 1
+// checkProps is the one pass over a property table before its sections
+// are trusted: record ranges start at 0, never decrease and end at the
+// last record; every key and string value lies inside the arena; every
+// kind is known and no blob size overflows; and an entity's keys ascend
+// strictly, so a lookup has one answer. It reads the raw little-endian
+// bytes, whatever the host, and allocates nothing.
+func checkProps(idx, recs, arena []byte, what string) error {
+	n := len(idx)/4 - 1
 	nRec := uint32(len(recs) / propRecSize)
-	if idx[0] != 0 {
-		return nil, fmt.Errorf("graphio: %sidx section: starts at record %d, want 0: %w", what, idx[0], ErrCSRCorrupt)
+	lo := le.Uint32(idx)
+	if lo != 0 {
+		return fmt.Errorf("graphio: %sidx section: starts at record %d, want 0: %w", what, lo, ErrCSRCorrupt)
 	}
 	for i := 0; i < n; i++ {
-		if idx[i+1] < idx[i] {
-			return nil, fmt.Errorf("graphio: %sidx section: record ranges decrease at entity %d: %w", what, i, ErrCSRCorrupt)
+		hi := le.Uint32(idx[(i+1)*4:])
+		if hi < lo || hi > nRec {
+			return fmt.Errorf("graphio: %sidx section: record range [%d,%d) of entity %d decreases or passes the %d records: %w",
+				what, lo, hi, i, nRec, ErrCSRCorrupt)
 		}
-	}
-	if idx[n] != nRec {
-		return nil, fmt.Errorf("graphio: %sidx section: ends at record %d, want the %d records: %w",
-			what, idx[n], nRec, ErrCSRCorrupt)
-	}
-	out := make([]graph.Properties, n)
-	for i := 0; i < n; i++ {
-		lo, hi := idx[i], idx[i+1]
-		if lo == hi {
-			continue
-		}
-		m := make(graph.Properties, hi-lo)
+		prev := ""
 		for r := lo; r < hi; r++ {
 			rec := recs[int(r)*propRecSize : int(r)*propRecSize+propRecSize]
-			key, err := arenaString(arena, uint64(le.Uint32(rec)), le.Uint32(rec[4:]), what+" key")
+			key, err := arenaString(arena, uint64(le.Uint32(rec)), le.Uint32(rec[4:]), what, "key")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			v, err := decodeValue(arena, le.Uint32(rec[8:]), le.Uint32(rec[12:]), le.Uint64(rec[16:]), what)
-			if err != nil {
-				return nil, err
+			if r > lo && key <= prev {
+				return fmt.Errorf("graphio: %srecs section: keys of entity %d not strictly ascending (%q after %q): %w",
+					what, i, key, prev, ErrCSRCorrupt)
 			}
-			m[key] = v
+			prev = key
+			switch kind, val := le.Uint32(rec[8:]), le.Uint64(rec[16:]); graph.ValueKind(kind) {
+			case graph.KindString:
+				if _, err := arenaString(arena, val, le.Uint32(rec[12:]), what, "value"); err != nil {
+					return err
+				}
+			case graph.KindInt, graph.KindFloat, graph.KindBool:
+			case graph.KindBlob:
+				if val > math.MaxInt64 {
+					return fmt.Errorf("graphio: %srecs section: blob size %d overflows: %w", what, val, ErrCSRCorrupt)
+				}
+			default:
+				return fmt.Errorf("graphio: %srecs section: unknown value kind %d: %w", what, kind, ErrCSRCorrupt)
+			}
 		}
-		out[i] = m
+		lo = hi
 	}
-	return out, nil
-}
-
-func decodeValue(arena []byte, kind, aux uint32, val uint64, what string) (graph.Value, error) {
-	switch graph.ValueKind(kind) {
-	case graph.KindString:
-		s, err := arenaString(arena, val, aux, what+" value")
-		if err != nil {
-			return graph.Value{}, err
-		}
-		return graph.String(s), nil
-	case graph.KindInt:
-		return graph.Int(int64(val)), nil
-	case graph.KindFloat:
-		return graph.Float(math.Float64frombits(val)), nil
-	case graph.KindBool:
-		return graph.Bool(val != 0), nil
-	case graph.KindBlob:
-		if val > math.MaxInt64 {
-			return graph.Value{}, fmt.Errorf("graphio: %srecs section: blob size %d overflows: %w", what, val, ErrCSRCorrupt)
-		}
-		return graph.Blob(int(val)), nil
-	default:
-		return graph.Value{}, fmt.Errorf("graphio: %srecs section: unknown value kind %d: %w", what, kind, ErrCSRCorrupt)
+	if lo != nRec {
+		return fmt.Errorf("graphio: %sidx section: ends at record %d, want the %d records: %w",
+			what, lo, nRec, ErrCSRCorrupt)
 	}
+	return nil
 }
 
 // ---- writer ---------------------------------------------------------
@@ -429,24 +373,11 @@ func WriteCSR(w io.Writer, g *graph.Graph) error {
 	add(secVBytes, bytesOfI32(d.VBytes))
 	add(secEBytes, bytesOfI32(d.EBytes))
 	add(secPartition, bytesOfI32(d.Partition))
-	pe := &propEncoder{dedup: make(map[string]uint32)}
-	if d.VProps != nil {
-		idxB, recB, err := pe.table(d.VProps)
-		if err != nil {
-			return err
-		}
-		add(secVPropIdx, idxB)
-		add(secVPropRecs, recB)
-	}
-	if d.EProps != nil {
-		idxB, recB, err := pe.table(d.EProps)
-		if err != nil {
-			return err
-		}
-		add(secEPropIdx, idxB)
-		add(secEPropRecs, recB)
-	}
-	add(secArena, pe.arena)
+	add(secVPropIdx, bytesOfU32(d.VProps.Index))
+	add(secVPropRecs, bytesOfRecs(d.VProps.Recs))
+	add(secEPropIdx, bytesOfU32(d.EProps.Index))
+	add(secEPropRecs, bytesOfRecs(d.EProps.Recs))
+	add(secArena, stringBytes(d.Arena))
 
 	// Lay sections out back to back, 8-aligned, directly after the
 	// table; record offsets and payload checksums.
@@ -662,20 +593,24 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: eproprecs section: present without an epropidx section: %w", ErrCSRCorrupt)
 	}
 
-	arena := sec[secArena]
-	var vprops, eprops []graph.Properties
-	var err error
-	if len(sec[secVPropIdx]) > 0 {
-		vprops, err = decodeProps(sliceOfU32(sec[secVPropIdx], copyMode), sec[secVPropRecs], arena, "vprop")
-		if err != nil {
-			return nil, err
+	// A table is verified record by record before its sections are
+	// reinterpreted; the arena is raw bytes and aliases in either mode.
+	column := func(idx, recs uint32, what string) (c graph.PropColumn, err error) {
+		if len(sec[idx]) == 0 {
+			return c, nil
 		}
+		if err := checkProps(sec[idx], sec[recs], sec[secArena], what); err != nil {
+			return c, err
+		}
+		return graph.PropColumn{Index: sliceOfU32(sec[idx], copyMode), Recs: sliceOfRecs(sec[recs], copyMode)}, nil
 	}
-	if len(sec[secEPropIdx]) > 0 {
-		eprops, err = decodeProps(sliceOfU32(sec[secEPropIdx], copyMode), sec[secEPropRecs], arena, "eprop")
-		if err != nil {
-			return nil, err
-		}
+	vprops, err := column(secVPropIdx, secVPropRecs, "vprop")
+	if err != nil {
+		return nil, err
+	}
+	eprops, err := column(secEPropIdx, secEPropRecs, "eprop")
+	if err != nil {
+		return nil, err
 	}
 
 	g, err := graph.FromCSR(graph.CSRData{
@@ -687,6 +622,7 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		Weights:   sliceOfF32(sec[secWeights], copyMode),
 		VProps:    vprops,
 		EProps:    eprops,
+		Arena:     byteString(sec[secArena]),
 		VBytes:    sliceOfI32[int32](sec[secVBytes], copyMode),
 		EBytes:    sliceOfI32[int32](sec[secEBytes], copyMode),
 		Partition: sliceOfI32[int32](sec[secPartition], copyMode),

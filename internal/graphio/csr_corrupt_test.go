@@ -93,6 +93,32 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 		t.Fatalf("pristine fixture does not decode: %v", err)
 	}
 
+	// The first entity of either property table owns two records (vertex
+	// 0: name, pic; edge 0: len, via). swapRecs exchanges them, dupRec
+	// copies the first over the second.
+	firstTwo := func(t *testing.T, d []byte, id uint32) (a, b []byte) {
+		e := entryFor(t, d, id)
+		return d[e.off : e.off+propRecSize], d[e.off+propRecSize : e.off+2*propRecSize]
+	}
+	swapRecs := func(id uint32) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, d []byte) []byte {
+			a, b := firstTwo(t, d, id)
+			tmp := append([]byte(nil), a...)
+			copy(a, b)
+			copy(b, tmp)
+			refreshCRCs(t, d)
+			return d
+		}
+	}
+	dupRec := func(id uint32) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, d []byte) []byte {
+			a, b := firstTwo(t, d, id)
+			copy(b, a)
+			refreshCRCs(t, d)
+			return d
+		}
+	}
+
 	cases := []struct {
 		name    string
 		mutate  func(t *testing.T, d []byte) []byte
@@ -222,6 +248,28 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 			refreshCRCs(t, d)
 			return d
 		}, ErrCSRCorrupt, "kind"},
+		{"vprop-keys-unsorted", swapRecs(secVPropRecs), ErrCSRCorrupt, "vproprecs section: keys of entity 0 not strictly ascending"},
+		{"eprop-keys-unsorted", swapRecs(secEPropRecs), ErrCSRCorrupt, "eproprecs section: keys of entity 0 not strictly ascending"},
+		{"vprop-duplicate-key", dupRec(secVPropRecs), ErrCSRCorrupt, "vproprecs section: keys of entity 0 not strictly ascending"},
+		{"eprop-duplicate-key", dupRec(secEPropRecs), ErrCSRCorrupt, "eproprecs section: keys of entity 0 not strictly ascending"},
+		{"epropidx-range-decreases", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secEPropIdx)
+			le.PutUint32(d[e.off+12:], 2) // the index reads 0,2,3,2,3,3: edge 2 owns [3,2)
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "epropidx"},
+		{"vpropidx-ends-early", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secVPropIdx)
+			le.PutUint32(d[e.off+e.ln-4:], 2) // four records, the index stops at 2
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "vpropidx"},
+		{"prop-blob-overflows", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secVPropRecs)
+			le.PutUint64(d[e.off+propRecSize+16:], 1<<63) // vertex 0's "pic"
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "blob"},
 	}
 
 	for _, tc := range cases {

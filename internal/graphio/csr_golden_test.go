@@ -78,33 +78,37 @@ func TestCSRGoldenFile(t *testing.T) {
 }
 
 // TestReadCSRAllocsPerRun is the zero-copy guard: decoding a large
-// property-free snapshot must cost a constant number of allocations
-// (the graph header plus one per section view), not O(vertices). The
-// gob path allocates per vertex and per edge; this is the measurable
-// difference the v2 format exists for.
+// snapshot — bare, or with a property on every vertex and every edge —
+// must cost a constant number of allocations (the graph header plus
+// one per section view), not O(vertices). The gob path allocates per
+// vertex and per edge; this is the measurable difference the v2 format
+// exists for.
 func TestReadCSRAllocsPerRun(t *testing.T) {
-	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
-		NumVertices: 8192, NumEdges: 32768, Exponent: 2.3, Kind: graph.Undirected, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
 	if !hostLittleEndian {
 		t.Skip("copying decode on big-endian hosts allocates per column")
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ReadCSR(data); err != nil {
+	for _, meta := range []bool{false, true} {
+		g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
+			NumVertices: 8192, NumEdges: 32768, Exponent: 2.3, Kind: graph.Undirected, Seed: 7, VertexMeta: meta,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	// One Graph struct plus O(sections) scratch — nowhere near the
-	// 8192 vertices or 32768 edges in the file.
-	if allocs > 32 {
-		t.Fatalf("ReadCSR allocated %.0f times for an 8192-vertex graph; the zero-copy contract is broken", allocs)
+		var buf bytes.Buffer
+		if err := WriteCSR(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := ReadCSR(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// One Graph struct plus O(sections) scratch — nowhere near the
+		// 8192 vertices or 32768 edges in the file.
+		if allocs > 32 {
+			t.Fatalf("meta=%v: ReadCSR allocated %.0f times for an 8192-vertex graph; the zero-copy contract is broken", meta, allocs)
+		}
+		t.Logf("meta=%v: %.0f allocations", meta, allocs)
 	}
 }

@@ -2,7 +2,9 @@ package graphio
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"subtrav/internal/graph"
@@ -91,15 +93,11 @@ func diffFixtures(t *testing.T) map[string]*graph.Graph {
 	out["weighted-directed-multi"] = wb.Build()
 
 	ab := graph.NewBuilder(graph.Undirected, 4)
-	ab.AddEdgeFull(0, 1, 0.5, graph.Properties{
-		"s": graph.String("edge-string"), "i": graph.Int(-9), "f": graph.Float(3.25),
-		"b": graph.Bool(false), "z": graph.Blob(4096),
-	})
+	ab.AddEdgeFull(0, 1, 0.5, allKindsEdge0)
 	ab.AddWeightedEdge(1, 2, 1.5)
-	ab.SetVertexProps(0, graph.Properties{
-		"name": graph.String("alice"), "": graph.String(""), "vip": graph.Bool(true),
-	})
-	ab.SetVertexProps(3, graph.Properties{"photo": graph.Blob(123456)})
+	for v, p := range allKindsVertices {
+		ab.SetVertexProps(v, p)
+	}
 	ab.SetPartition([]int32{0, 1, 0, 1})
 	out["all-value-kinds"] = ab.Build()
 
@@ -112,13 +110,39 @@ func diffFixtures(t *testing.T) map[string]*graph.Graph {
 	return out
 }
 
-func propsEqual(a, b graph.Properties) bool {
-	if len(a) != len(b) { // nil and empty are semantically identical
+// The all-value-kinds fixture's input maps, kept so a test can hold the
+// loaded views against what the builder was given.
+var (
+	allKindsEdge0 = graph.Properties{
+		"s": graph.String("edge-string"), "i": graph.Int(-9), "f": graph.Float(3.25),
+		"b": graph.Bool(false), "z": graph.Blob(4096),
+	}
+	allKindsVertices = map[graph.VertexID]graph.Properties{
+		0: {"name": graph.String("alice"), "": graph.String(""), "vip": graph.Bool(true)},
+		3: {"photo": graph.Blob(123456)},
+	}
+)
+
+// sameValue is Value.Equal, except that a NaN (which a fuzzed file may
+// carry) equals the NaN with the same bits.
+func sameValue(a, b graph.Value) bool {
+	return a.Equal(b) || a.Kind() == graph.KindFloat && b.Kind() == graph.KindFloat &&
+		math.Float64bits(a.Float64()) == math.Float64bits(b.Float64())
+}
+
+// propsEqual compares two views through everything a view offers:
+// length, size, ordered iteration and lookup by name.
+func propsEqual(a, b graph.Props) bool {
+	if a.Len() != b.Len() || a.SerializedBytes() != b.SerializedBytes() {
 		return false
 	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || !va.Equal(vb) {
+	for i := 0; i < a.Len(); i++ {
+		ka, va := a.At(i)
+		kb, vb := b.At(i)
+		if ka != kb || !sameValue(va, vb) {
+			return false
+		}
+		if got, ok := b.Get(ka); !ok || !sameValue(got, va) {
 			return false
 		}
 	}
@@ -229,8 +253,9 @@ func TestCSRGobDifferential(t *testing.T) {
 }
 
 // TestCSRDeterministicEncode pins the writer's determinism: encoding
-// the same graph twice, and re-encoding a decoded graph, are both
-// byte-identical. Tracked dataset files therefore diff cleanly.
+// the same graph twice, and re-encoding a decoded graph (either decode
+// mode), are all byte-identical. Tracked dataset files therefore diff
+// cleanly.
 func TestCSRDeterministicEncode(t *testing.T) {
 	for name, g := range diffFixtures(t) {
 		g := g
@@ -241,13 +266,14 @@ func TestCSRDeterministicEncode(t *testing.T) {
 			if !bytes.Equal(first, second) {
 				t.Fatal("two encodes of the same graph differ")
 			}
-			back, err := ReadCSR(first)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again := encodeCSR(t, back)
-			if !bytes.Equal(first, again) {
-				t.Fatal("re-encode of the decoded graph differs from the original bytes")
+			for _, copyMode := range []bool{false, true} {
+				back, err := decodeCSR(first, copyMode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(first, encodeCSR(t, back)) {
+					t.Fatalf("copyMode=%v: re-encode of the decoded graph differs from the original bytes", copyMode)
+				}
 			}
 		})
 	}
@@ -352,6 +378,31 @@ func encodeGob(t *testing.T, g *graph.Graph) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestCSRViewsMatchBuilderInput closes the loop assertGraphEqual leaves
+// open (it compares view with view): in both decode modes, the views of
+// a loaded graph convert to exactly the maps the builder was given.
+func TestCSRViewsMatchBuilderInput(t *testing.T) {
+	data := encodeCSR(t, diffFixtures(t)["all-value-kinds"])
+	for _, copyMode := range []bool{false, true} {
+		g, err := decodeCSR(data, copyMode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			id := graph.VertexID(v)
+			if got, want := g.VertexProps(id).Map(), allKindsVertices[id]; !reflect.DeepEqual(got, want) {
+				t.Errorf("copyMode=%v: vertex %d props %v, want %v", copyMode, v, got, want)
+			}
+		}
+		if got := g.EdgeProps(g.FindEdge(1, 0)).Map(); !reflect.DeepEqual(got, allKindsEdge0) {
+			t.Errorf("copyMode=%v: edge 0-1 props %v, want %v", copyMode, got, allKindsEdge0)
+		}
+		if got := g.EdgeProps(g.FindEdge(1, 2)).Map(); got != nil {
+			t.Errorf("copyMode=%v: edge 1-2 props %v, want none", copyMode, got)
+		}
+	}
 }
 
 func TestWriteCSRNilGraph(t *testing.T) {

@@ -46,8 +46,9 @@ func FuzzRead(f *testing.F) {
 // FuzzReadCSR asserts the v2 flat-CSR decoder never panics and never
 // over-allocates on arbitrary bytes: hostile headers must surface as
 // errors before any count-proportional allocation. When a decode
-// succeeds, the graph must be scannable, the copying decode path must
-// agree, and the re-encode must round-trip.
+// succeeds, the graph must be scannable — every property of every
+// entity looked up, iterated and sized through its view — the copying
+// decode path must agree, and the re-encode must round-trip.
 func FuzzReadCSR(f *testing.F) {
 	// Seed with a valid file exercising all sections, truncations at
 	// every section boundary, and per-section checksum flips.
@@ -83,25 +84,42 @@ func FuzzReadCSR(f *testing.F) {
 	le.PutUint64(hostile[16:], 1<<31) // vertex count far beyond the file
 	f.Add(hostile)
 
+	// walk reads p every way a view can be read; the copying decode's
+	// view of the same entity must agree.
+	walk := func(t *testing.T, p, copied graph.Props) {
+		if !propsEqual(p, copied) {
+			t.Fatalf("alias and copy decode disagree: %v vs %v", p, copied)
+		}
+		for i := 0; i < p.Len(); i++ {
+			k, v := p.At(i)
+			if got, ok := p.Get(k); !ok || !sameValue(got, v) {
+				t.Fatalf("Get(%q) = %v, %v; At(%d) says %v", k, got, ok, i, v)
+			}
+		}
+		if n := p.SerializedBytes(); n < 0 || n > 1<<30 {
+			t.Fatalf("SerializedBytes = %d", n)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadCSR(data)
 		if err != nil {
 			return
 		}
-		if _, err := decodeCSR(data, true); err != nil {
+		copied, err := decodeCSR(data, true)
+		if err != nil {
 			t.Fatalf("alias decode succeeded but copy decode failed: %v", err)
 		}
 		for v := 0; v < g.NumVertices(); v++ {
 			id := graph.VertexID(v)
 			_ = g.Neighbors(id)
 			_ = g.VertexBytes(id)
-			_ = g.VertexProps(id)
+			walk(t, g.VertexProps(id), copied.VertexProps(id))
 			_ = g.Partition(id)
 			lo, hi := g.EdgeSlots(id)
 			for s := lo; s < hi; s++ {
 				e := g.LogicalEdge(s)
 				_ = g.Weight(e)
-				_ = g.EdgeProps(e)
+				walk(t, g.EdgeProps(e), copied.EdgeProps(e))
 				_ = g.EdgeBytes(e)
 			}
 		}

@@ -3,8 +3,8 @@
 // Two formats coexist: the version-1 gob encoding in this file (the
 // original executable spec, kept for backward compatibility) and the
 // version-2 flat binary CSR snapshot in csr.go, which loads with one
-// read or mmap and zero per-vertex allocation. ReadGraphFile
-// auto-detects the format by magic.
+// read or mmap and zero per-vertex or per-edge allocation, properties
+// included. ReadGraphFile auto-detects the format by magic.
 package graphio
 
 import (
@@ -119,7 +119,7 @@ func encodeGraph(enc *gob.Encoder, g *graph.Graph) error {
 				fg.Weights = append(fg.Weights, g.Weight(e))
 			}
 			props := g.EdgeProps(e)
-			if props != nil {
+			if props.Len() > 0 {
 				hasEProps = true
 			}
 			fg.EProps = append(fg.EProps, propsToWire(props))
@@ -131,7 +131,7 @@ func encodeGraph(enc *gob.Encoder, g *graph.Graph) error {
 
 	fg.VProps = make(map[int32]map[string]wireValue)
 	for v := 0; v < g.NumVertices(); v++ {
-		if p := g.VertexProps(graph.VertexID(v)); p != nil {
+		if p := g.VertexProps(graph.VertexID(v)); p.Len() > 0 {
 			fg.VProps[int32(v)] = propsToWire(p)
 		}
 	}
@@ -194,12 +194,13 @@ func decodeGraph(dec *gob.Decoder) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
-func propsToWire(p graph.Properties) map[string]wireValue {
-	if p == nil {
+func propsToWire(p graph.Props) map[string]wireValue {
+	if p.Len() == 0 {
 		return nil
 	}
-	out := make(map[string]wireValue, len(p))
-	for k, v := range p {
+	out := make(map[string]wireValue, p.Len())
+	for i := 0; i < p.Len(); i++ {
+		k, v := p.At(i)
 		out[k] = toWire(v)
 	}
 	return out

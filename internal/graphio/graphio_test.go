@@ -77,16 +77,16 @@ func TestRoundTripProperties(t *testing.T) {
 	})
 	g := b.Build()
 	back := roundTrip(t, g)
-	p := back.VertexProps(0)
+	p := back.VertexProps(0).Map()
 	if p["name"].Str() != "alice" || p["age"].Int64() != 30 ||
 		p["score"].Float64() != 2.5 || !p["vip"].IsTrue() || p["photo"].BlobSize() != 1234 {
 		t.Errorf("vertex props lost: %v", p)
 	}
-	if back.VertexProps(1) != nil {
+	if back.VertexProps(1).Len() != 0 {
 		t.Error("phantom props appeared")
 	}
 	e := back.FindEdge(0, 1)
-	if ep := back.EdgeProps(e); ep == nil || ep["ts"].Int64() != 99 {
+	if ep := back.EdgeProps(e).Map(); ep["ts"] != graph.Int(99) {
 		t.Errorf("edge props lost: %v", ep)
 	}
 	// Byte accounting must survive (the storage model depends on it).

@@ -126,7 +126,7 @@ func gatedUnit(t *testing.T, g *graph.Graph, cfg Config) (r *Runtime, release fu
 	}
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	pred := func(graph.Properties) bool {
+	pred := func(graph.Props) bool {
 		once.Do(func() { close(entered) })
 		<-gate
 		return true

@@ -259,10 +259,10 @@ func Apply(g *graph.Graph, labels []int32) *graph.Graph {
 			if g.HasWeights() {
 				w = g.Weight(e)
 			}
-			b.AddEdgeFull(graph.VertexID(v), g.TargetAt(s), w, g.EdgeProps(e))
+			b.AddEdgeFull(graph.VertexID(v), g.TargetAt(s), w, g.EdgeProps(e).Map())
 		}
-		if p := g.VertexProps(graph.VertexID(v)); p != nil {
-			b.SetVertexProps(graph.VertexID(v), p)
+		if p := g.VertexProps(graph.VertexID(v)); p.Len() > 0 {
+			b.SetVertexProps(graph.VertexID(v), p.Map())
 		}
 	}
 	b.SetPartition(labels)

@@ -203,7 +203,7 @@ func TestApplyAttachesLabels(t *testing.T) {
 		}
 	}
 	// Properties survive.
-	if pg.VertexProps(0) == nil {
+	if pg.VertexProps(0).Len() == 0 {
 		t.Error("vertex props lost in Apply")
 	}
 }

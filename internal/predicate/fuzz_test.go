@@ -25,11 +25,11 @@ func FuzzCompile(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	samples := []graph.Properties{
-		nil,
+	samples := []graph.Props{
 		{},
-		{"a": graph.Int(1), "b": graph.Float(2), "name": graph.String("x")},
-		{"vip": graph.Bool(true), "photo": graph.Blob(10)},
+		viewOf(graph.Properties{}),
+		viewOf(graph.Properties{"a": graph.Int(1), "b": graph.Float(2), "name": graph.String("x")}),
+		viewOf(graph.Properties{"vip": graph.Bool(true), "photo": graph.Blob(10)}),
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		pred, err := Compile(src)

@@ -1,5 +1,5 @@
 // Package predicate compiles boolean filter expressions over property
-// maps into graph.Predicate functions — the user-defined constraints θ
+// views into graph.Predicate functions — the user-defined constraints θ
 // of Section V-C in a form that can travel over the query service's
 // wire protocol (closures cannot).
 //
@@ -67,25 +67,25 @@ func MustCompile(src string) graph.Predicate {
 // --- AST ---
 
 type node interface {
-	eval(p graph.Properties) bool
+	eval(p graph.Props) bool
 }
 
 type andNode struct{ left, right node }
 
-func (n andNode) eval(p graph.Properties) bool { return n.left.eval(p) && n.right.eval(p) }
+func (n andNode) eval(p graph.Props) bool { return n.left.eval(p) && n.right.eval(p) }
 
 type orNode struct{ left, right node }
 
-func (n orNode) eval(p graph.Properties) bool { return n.left.eval(p) || n.right.eval(p) }
+func (n orNode) eval(p graph.Props) bool { return n.left.eval(p) || n.right.eval(p) }
 
 type notNode struct{ inner node }
 
-func (n notNode) eval(p graph.Properties) bool { return !n.inner.eval(p) }
+func (n notNode) eval(p graph.Props) bool { return !n.inner.eval(p) }
 
 type hasNode struct{ name string }
 
-func (n hasNode) eval(p graph.Properties) bool {
-	_, ok := p[n.name]
+func (n hasNode) eval(p graph.Props) bool {
+	_, ok := p.Get(n.name)
 	return ok
 }
 
@@ -121,8 +121,8 @@ const (
 	litBool
 )
 
-func (n cmpNode) eval(p graph.Properties) bool {
-	v, ok := p[n.name]
+func (n cmpNode) eval(p graph.Props) bool {
+	v, ok := p.Get(n.name)
 	if !ok {
 		return false
 	}

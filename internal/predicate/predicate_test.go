@@ -8,14 +8,21 @@ import (
 	"subtrav/internal/graph"
 )
 
-var sample = graph.Properties{
+// viewOf packs p the way every graph does and returns its view.
+func viewOf(p graph.Properties) graph.Props {
+	b := graph.NewBuilder(graph.Directed, 1)
+	b.SetVertexProps(0, p)
+	return b.Build().VertexProps(0)
+}
+
+var sample = viewOf(graph.Properties{
 	"age":       graph.Int(30),
 	"score":     graph.Float(2.5),
 	"name":      graph.String("alice"),
 	"vip":       graph.Bool(true),
 	"photo":     graph.Blob(1000),
 	"followers": graph.Int(1500),
-}
+})
 
 func match(t *testing.T, src string) bool {
 	t.Helper()
@@ -86,7 +93,7 @@ func TestBooleanStructure(t *testing.T) {
 }
 
 func TestStringEscapes(t *testing.T) {
-	p := graph.Properties{"msg": graph.String(`say "hi"`)}
+	p := viewOf(graph.Properties{"msg": graph.String(`say "hi"`)})
 	pred, err := Compile(`msg == "say \"hi\""`)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +115,7 @@ func TestEmptyCompilesToNil(t *testing.T) {
 
 func TestHasNamedHas(t *testing.T) {
 	// "has" used as a plain property name still works with comparisons.
-	p := graph.Properties{"has": graph.Int(1)}
+	p := viewOf(graph.Properties{"has": graph.Int(1)})
 	pred, err := Compile(`has == 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +169,7 @@ func TestNumericAgreementQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p := graph.Properties{"x": graph.Int(int64(value))}
+		p := viewOf(graph.Properties{"x": graph.Int(int64(value))})
 		got := pred(p)
 		a, b := float64(value), float64(threshold)
 		var want bool

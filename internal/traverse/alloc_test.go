@@ -5,6 +5,7 @@ import (
 
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
+	"subtrav/internal/predicate"
 )
 
 // Allocation-regression guards: a warmed Workspace must run each
@@ -96,6 +97,43 @@ func TestExecuteInAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// A predicate reads each visited entity's properties through a view of
+// the graph's flat columns, so filtering costs no allocation: a depth-2
+// BFS with a compiled vertex and edge filter allocates exactly what the
+// same BFS allocates without them.
+func TestPredicateBFSAllocsLikePlainBFS(t *testing.T) {
+	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
+		NumVertices: 2000, NumEdges: 10000, Exponent: 2.3,
+		Kind: graph.Undirected, Seed: 7, VertexMeta: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace(g.NumVertices())
+	plain := Query{Op: OpBFS, Start: hubAndLeaf(g)[0], Depth: 2}
+	filtered := plain
+	filtered.VertexPred = predicate.MustCompile(`uid >= 0 && has(name) && !(gender == true && uid < 0)`)
+	filtered.EdgePred = predicate.MustCompile(`retweet_ts >= 0`)
+	// Both filters accept everything, so the two runs do the same work —
+	// and a filter that rejects shows they are evaluated at all.
+	want, _ := ws.BFS(g, plain)
+	if got, _ := ws.BFS(g, filtered); got.Visited != want.Visited || want.Visited < 10 {
+		t.Fatalf("accept-all filters visit %d, plain BFS %d", got.Visited, want.Visited)
+	}
+	rejecting := filtered
+	rejecting.EdgePred = predicate.MustCompile(`retweet_ts < 0`)
+	if got, _ := ws.BFS(g, rejecting); got.Visited != 1 {
+		t.Fatalf("reject-all edge filter visits %d, want only the start", got.Visited)
+	}
+	run := func(q Query) float64 {
+		ws.BFS(g, q)
+		return testing.AllocsPerRun(10, func() { ws.BFS(g, q) })
+	}
+	if p, f := run(plain), run(filtered); f != p {
+		t.Errorf("filtered BFS: %.1f allocs/op, plain BFS %.1f", f, p)
+	}
 }
 
 // The batched path runs the same wave routines over up to MaxBatch

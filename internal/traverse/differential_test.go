@@ -74,8 +74,14 @@ func hubAndLeaf(g *graph.Graph) []graph.VertexID {
 // diffQueries builds the query battery for one graph: plain, predicate
 // and MaxVisits variants of every op.
 func diffQueries(g *graph.Graph, starts []graph.VertexID) []Query {
-	vPred := func(p graph.Properties) bool { return p["uid"].Int64()%3 != 0 }
-	ePred := func(p graph.Properties) bool { return p["retweet_ts"].Int64()%2 == 0 }
+	vPred := func(p graph.Props) bool {
+		uid, _ := p.Get("uid")
+		return uid.Int64()%3 != 0
+	}
+	ePred := func(p graph.Props) bool {
+		ts, _ := p.Get("retweet_ts")
+		return ts.Int64()%2 == 0
+	}
 	var qs []Query
 	for i, s := range starts {
 		target := starts[(i+1)%len(starts)]

@@ -55,7 +55,10 @@ func TestBFSVertexPredicateBlocksExpansion(t *testing.T) {
 		b.SetVertexProps(1, graph.Properties{"blocked": graph.Bool(true)})
 		return b.Build()
 	}()
-	pred := func(p graph.Properties) bool { return !p["blocked"].IsTrue() }
+	pred := func(p graph.Props) bool {
+		blocked, _ := p.Get("blocked")
+		return !blocked.IsTrue()
+	}
 	r, tr := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 5, VertexPred: pred})
 	// Vertex 1 is touched (props loaded) but not expanded, so 2 is
 	// never reached.
@@ -78,7 +81,10 @@ func TestBFSEdgePredicate(t *testing.T) {
 	b.AddEdgeFull(0, 1, 1, graph.Properties{"ok": graph.Bool(false)})
 	b.AddEdgeFull(0, 2, 1, graph.Properties{"ok": graph.Bool(true)})
 	g := b.Build()
-	pred := func(p graph.Properties) bool { return p["ok"].IsTrue() }
+	pred := func(p graph.Props) bool {
+		ok, _ := p.Get("ok")
+		return ok.IsTrue()
+	}
 	r, _ := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 1, EdgePred: pred})
 	if r.Visited != 2 {
 		t.Errorf("visited %d, want 2 (start + vertex 2)", r.Visited)

@@ -31,7 +31,7 @@ func TestTwitterLikeTiny(t *testing.T) {
 	if g.NumVertices() != 2000 {
 		t.Errorf("V = %d", g.NumVertices())
 	}
-	if g.VertexProps(0) == nil {
+	if g.VertexProps(0).Len() == 0 {
 		t.Error("TwitterLike should carry vertex metadata")
 	}
 }
