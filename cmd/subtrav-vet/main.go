@@ -2,14 +2,11 @@
 // the invariants go vet cannot see:
 //
 //	simdet      bit-for-bit determinism in the simulator pipeline
-//	atomicmix   no mixed atomic/plain access to the same variable
 //	lockhold    no blocking ops or leaked returns under a mutex
 //	ctxplumb    no fresh context roots where a ctx is in scope
 //	metriclabel obs metric naming + bounded label cardinality
-//	lockorder   no cycles in the module-wide lock acquisition graph
 //	taintlen    no unchecked wire-decoded lengths reaching make/index
 //	allocfree   no per-call allocations in //vet:hotpath functions
-//	goroleak    every go statement's body has a termination path
 //
 // Usage:
 //
@@ -22,9 +19,8 @@
 // or the line above it; the reason is mandatory.
 //
 // -diff <git-ref> restricts the report to files changed since the
-// ref (plus untracked files) — the whole module is still analyzed,
-// because cross-package facts from unchanged packages feed the
-// diagnostics in changed ones; only the reporting is filtered.
+// ref (plus untracked files); the packages given are analyzed as
+// usual and only the reporting is filtered.
 //
 // -unused-allows switches to the stale-suppression report: every
 // well-formed //lint:allow comment that suppressed nothing across
@@ -100,7 +96,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	res, err := analysis.RunAll(pkgs, analyzers, suite.Scopes())
+	res, err := analysis.Run(pkgs, analyzers, suite.Scopes())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "subtrav-vet: %v\n", err)
 		return 2

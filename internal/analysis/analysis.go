@@ -38,11 +38,6 @@ type Analyzer struct {
 	Doc string
 	// Run performs the check. It must not retain the Pass.
 	Run func(*Pass) error
-	// Finish, if non-nil, runs once after every package's Run (in
-	// import order), with access to all facts the analyzer exported.
-	// Module-wide invariants — a cycle in the union of per-package
-	// lock graphs — are checked here.
-	Finish func(*ModulePass) error
 }
 
 // Pass carries one package's syntax and type information through an
@@ -54,7 +49,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	store *factStore
 	diags []Diagnostic
 }
 
@@ -127,11 +121,10 @@ type allowMarkerSite struct {
 // Both lines a marker covers point at the same site record.
 type suppressions map[string]map[int]map[string]*allowMarkerSite
 
-// collectSuppressions scans file comments for //lint:allow markers.
-// A marker covers its own source line and the next one, so both
-// trailing comments and comments-above-the-statement work.
-func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
-	sup := suppressions{}
+// collect adds the //lint:allow markers in files' comments. A marker
+// covers its own source line and the next one, so both trailing
+// comments and comments-above-the-statement work.
+func (sup suppressions) collect(fset *token.FileSet, files []*ast.File) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -158,7 +151,6 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
 			}
 		}
 	}
-	return sup
 }
 
 // allows reports whether d is suppressed, marking the covering
@@ -170,13 +162,6 @@ func (s suppressions) allows(d Diagnostic) bool {
 	}
 	site.used = true
 	return true
-}
-
-// merge folds o's markers into s (distinct files, so no collisions).
-func (s suppressions) merge(o suppressions) {
-	for file, byLine := range o {
-		s[file] = byLine
-	}
 }
 
 // unused returns one diagnostic per marker that never suppressed a

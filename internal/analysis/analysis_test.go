@@ -41,7 +41,9 @@ func parseOne(t *testing.T, src string) (*token.FileSet, suppressions, []Diagnos
 		t.Fatal(err)
 	}
 	files := []*ast.File{f}
-	return fset, collectSuppressions(fset, files), MalformedAllows(fset, files)
+	sup := suppressions{}
+	sup.collect(fset, files)
+	return fset, sup, MalformedAllows(fset, files)
 }
 
 func TestSuppressions(t *testing.T) {

@@ -38,7 +38,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{loaded},
+	res, err := analysis.Run([]*analysis.Package{loaded},
 		[]*analysis.Analyzer{a}, map[string]analysis.Scope{a.Name: {}})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
@@ -47,7 +47,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	wants := collectWants(t, dir)
 
 	matched := map[string]bool{}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
 		w, ok := wants[key]
 		if !ok {

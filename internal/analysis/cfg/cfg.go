@@ -1,9 +1,8 @@
 // Package cfg builds intra-function control-flow graphs over
 // go/ast statement lists and runs forward dataflow analyses over
-// them. It is the flow-aware substrate under the subtrav-vet
-// analyzers that a purely syntactic walk cannot express: "is this
-// value checked on every path before it reaches make", "can this
-// goroutine body ever reach its exit".
+// them. It is the flow-aware substrate under taintlen, the one
+// subtrav-vet question a purely syntactic walk cannot answer: "is
+// this value checked on every path before it reaches make".
 //
 // The graph is conventional: a function body is partitioned into
 // basic blocks of straight-line statements; branch statements end a
@@ -465,34 +464,6 @@ func (g *Graph) ReversePostorder() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// Divergent returns the blocks that are reachable from Entry but from
-// which Exit is unreachable — code inside an escape-free infinite
-// loop (or after a `select{}`). An empty result means every reachable
-// program point has a termination path.
-func (g *Graph) Divergent() []*Block {
-	// Blocks that can reach exit: reverse BFS over Preds.
-	canExit := make([]bool, len(g.Blocks))
-	stack := []*Block{g.Exit}
-	canExit[g.Exit.Index] = true
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range b.Preds {
-			if !canExit[p.Index] {
-				canExit[p.Index] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	var out []*Block
-	for _, b := range g.ReversePostorder() {
-		if !canExit[b.Index] {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // String renders the reachable graph in a compact deterministic form

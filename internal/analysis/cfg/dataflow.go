@@ -3,9 +3,8 @@ package cfg
 // Forward dataflow over the graph: a may-analysis with set union as
 // the join, iterated with a worklist in reverse postorder until
 // fixpoint. The lattice is a set of analyzer-defined facts (any
-// comparable key — a *types.Var for taint, a lock class string for
-// acquisition state); transfer functions are arbitrary, with a
-// gen/kill convenience for the common bit-vector shape.
+// comparable key — a *types.Var for taint); transfer functions are
+// arbitrary.
 
 // FactSet is a set of dataflow facts. Keys must be comparable.
 type FactSet map[any]bool
@@ -47,40 +46,6 @@ func (s FactSet) Equal(o FactSet) bool {
 // TransferFunc computes a block's out-set from its in-set. It must
 // treat in as read-only and return a fresh (or unaliased) set.
 type TransferFunc func(b *Block, in FactSet) FactSet
-
-// GenKill is the classic bit-vector transfer: out = (in \ Kill) ∪ Gen.
-type GenKill struct {
-	Gen  FactSet
-	Kill FactSet
-}
-
-// Transfer applies the gen/kill equation to in.
-func (gk GenKill) Transfer(in FactSet) FactSet {
-	out := make(FactSet, len(in)+len(gk.Gen))
-	for k := range in {
-		if !gk.Kill[k] {
-			out[k] = true
-		}
-	}
-	for k := range gk.Gen {
-		out[k] = true
-	}
-	return out
-}
-
-// GenKillTransfer lifts a per-block gen/kill summary into a
-// TransferFunc, computing each block's summary once and caching it.
-func GenKillTransfer(summarize func(b *Block) GenKill) TransferFunc {
-	cache := map[*Block]GenKill{}
-	return func(b *Block, in FactSet) FactSet {
-		gk, ok := cache[b]
-		if !ok {
-			gk = summarize(b)
-			cache[b] = gk
-		}
-		return gk.Transfer(in)
-	}
-}
 
 // Forward runs the transfer function to fixpoint and returns each
 // reachable block's in-set (the join over predecessors' out-sets;

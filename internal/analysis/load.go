@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,19 +13,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
 	PkgPath string
 	Name    string
-	Dir     string
-	// Imports are the package's direct imports (import paths), used
-	// by Run to analyze dependencies before their importers so facts
-	// flow downstream.
-	Imports []string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -34,53 +28,36 @@ type Package struct {
 }
 
 // Loader parses and type-checks packages of the enclosing module
-// using only the standard library: `go list -json` for metadata and
-// the go/importer source importer for dependencies. All packages
-// loaded through one Loader share a FileSet and an importer cache.
+// using only the standard library: `go list -deps -export` for
+// metadata and the compiler's export data of every dependency, and
+// the gc importer to read a dependency's types from that data. Only
+// the packages under analysis are type-checked from source; their
+// imports, standard library included, are never re-checked. All
+// packages loaded through one Loader share a FileSet and an importer
+// cache.
 type Loader struct {
-	initOnce sync.Once
-	fset     *token.FileSet
-	imp      types.ImporterFrom
-	modDir   string
-	initErr  error
+	dir     string
+	fset    *token.FileSet
+	imp     types.Importer
+	exports map[string]string // import path -> export data file
 }
 
 // NewLoader creates a Loader rooted at the module containing dir
 // (empty means the current directory).
 func NewLoader(dir string) *Loader {
-	return &Loader{modDir: dir}
+	l := &Loader{dir: dir, fset: token.NewFileSet(), exports: map[string]string{}}
+	l.imp = importer.ForCompiler(l.fset, "gc", l.lookup)
+	return l
 }
 
-func (l *Loader) init() error {
-	l.initOnce.Do(func() {
-		// The source importer resolves module import paths by
-		// shelling out to the go command from the context directory;
-		// cgo-tagged files would require running cgo, so force the
-		// pure-Go build configuration (every dependency of this repo
-		// has one).
-		build.Default.CgoEnabled = false
-		if l.modDir == "" {
-			l.modDir = "."
-		}
-		abs, err := filepath.Abs(l.modDir)
-		if err != nil {
-			l.initErr = err
-			return
-		}
-		l.modDir = abs
-		build.Default.Dir = abs
-		l.fset = token.NewFileSet()
-		imp, ok := importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-		if !ok {
-			l.initErr = fmt.Errorf("analysis: source importer does not implement ImporterFrom")
-		}
-		l.imp = imp
-	})
-	return l.initErr
+// lookup opens the export data `go list -export` reported for path.
+func (l *Loader) lookup(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("analysis: no export data for %q", path)
+	}
+	return os.Open(file)
 }
-
-// Fset returns the shared FileSet (valid after the first Load).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // listedPackage is the subset of `go list -json` output we consume.
 type listedPackage struct {
@@ -88,31 +65,27 @@ type listedPackage struct {
 	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
+	Export     string
+	DepOnly    bool
 	Standard   bool
 	Error      *struct{ Err string }
 }
 
-// Load resolves patterns (e.g. "./...", "subtrav/internal/sim") to
-// packages and type-checks each one. Test files are not loaded: the
-// suite vets production code, and wall-clock or randomness use in
-// tests is legitimate.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if err := l.init(); err != nil {
-		return nil, err
-	}
-	args := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,Imports,Standard,Error", "--"}, patterns...)
+// list runs `go list -deps -export` over patterns, records every
+// listed package's export data, and returns the packages the
+// patterns named (not the dependencies they pulled in).
+func (l *Loader) list(patterns ...string) ([]listedPackage, error) {
+	args := append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Standard,Error", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = l.modDir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	cmd.Dir = l.dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-
-	var pkgs []*Package
+	var named []listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var lp listedPackage
@@ -121,35 +94,54 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
-		if lp.Standard {
-			continue
-		}
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if lp.Export != "" {
+			l.exports[lp.ImportPath] = lp.Export
+		}
+		if !lp.DepOnly {
+			named = append(named, lp)
+		}
+	}
+	return named, nil
+}
+
+// Load resolves patterns (e.g. "./...", "subtrav/internal/sim") to
+// packages and type-checks each one. Test files are not loaded: the
+// suite vets production code, and wall-clock or randomness use in
+// tests is legitimate. Standard-library packages a pattern names are
+// skipped.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	listed, err := l.list(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	for _, lp := range listed {
+		if lp.Standard {
+			continue
 		}
 		files := make([]string, len(lp.GoFiles))
 		for i, f := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, f)
 		}
-		pkg, err := l.check(lp.ImportPath, lp.Dir, files)
+		pkg, err := l.check(lp.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
 		pkg.Name = lp.Name
-		pkg.Imports = lp.Imports
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
 // LoadDir parses and type-checks every non-test .go file directly
-// under dir as a single package named by importPath. Used by the
-// analysistest harness, whose fixture packages live in testdata
-// directories the go tool will not list.
+// under dir as a single package named by importPath. Used for fixture
+// packages, which live in testdata directories the go tool will not
+// list; their imports are listed (and compiled, if the build cache
+// lacks them) on demand.
 func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
-	if err := l.init(); err != nil {
-		return nil, err
-	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -165,24 +157,33 @@ func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
 	}
-	pkg, err := l.check(importPath, dir, files)
+	pkg, err := l.check(importPath, files)
 	if err != nil {
 		return nil, err
 	}
-	if len(pkg.Files) > 0 {
-		pkg.Name = pkg.Files[0].Name.Name
-	}
+	pkg.Name = pkg.Files[0].Name.Name
 	return pkg, nil
 }
 
-func (l *Loader) check(importPath, dir string, filenames []string) (*Package, error) {
+func (l *Loader) check(importPath string, filenames []string) (*Package, error) {
 	var files []*ast.File
+	var imports []string
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(l.fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: parsing %s: %v", fn, err)
 		}
 		files = append(files, f)
+		for _, spec := range f.Imports {
+			if path, _ := strconv.Unquote(spec.Path.Value); path != "unsafe" && l.exports[path] == "" {
+				imports = append(imports, path)
+			}
+		}
+	}
+	if len(imports) > 0 {
+		if _, err := l.list(imports...); err != nil {
+			return nil, err
+		}
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -194,7 +195,7 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: contextImporter{imp: l.imp, dir: dir},
+		Importer: l.imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(importPath, l.fset, files, info)
@@ -207,30 +208,9 @@ func (l *Loader) check(importPath, dir string, filenames []string) (*Package, er
 	}
 	return &Package{
 		PkgPath: importPath,
-		Dir:     dir,
 		Fset:    l.fset,
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
 	}, nil
-}
-
-// contextImporter pins the source importer's resolution directory to
-// the directory of the package under analysis, so relative and
-// module-internal import paths resolve the same way `go build` would
-// from that package.
-type contextImporter struct {
-	imp types.ImporterFrom
-	dir string
-}
-
-func (c contextImporter) Import(path string) (*types.Package, error) {
-	return c.imp.ImportFrom(path, c.dir, 0)
-}
-
-func (c contextImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if dir == "" {
-		dir = c.dir
-	}
-	return c.imp.ImportFrom(path, dir, mode)
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -49,29 +48,14 @@ type Result struct {
 // Run applies each analyzer to each in-scope package, filters
 // //lint:allow-suppressed findings, appends a finding for every
 // malformed allow comment, and returns the remainder in positional
-// order. Analyzer errors (not findings) abort the run.
-func Run(pkgs []*Package, analyzers []*Analyzer, scopes map[string]Scope) ([]Diagnostic, error) {
-	res, err := RunAll(pkgs, analyzers, scopes)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// RunAll is Run plus the unused-suppression report. Packages are
-// analyzed in import order (dependencies before importers) so facts
-// exported while analyzing a dependency are importable by the time
-// its dependents run; analyzers with a Finish hook then see the
-// whole module's facts at once.
-func RunAll(pkgs []*Package, analyzers []*Analyzer, scopes map[string]Scope) (Result, error) {
-	ordered := importOrder(pkgs)
-
+// order with the unused-suppression report. Every analyzer sees one
+// package at a time, so packages are analyzed in the order given.
+// Analyzer errors (not findings) abort the run.
+func Run(pkgs []*Package, analyzers []*Analyzer, scopes map[string]Scope) (Result, error) {
 	var all []Diagnostic
-	store := newFactStore()
-	allSup := suppressions{}
-	for _, pkg := range ordered {
-		sup := collectSuppressions(pkg.Fset, pkg.Files)
-		allSup.merge(sup)
+	sup := suppressions{}
+	for _, pkg := range pkgs {
+		sup.collect(pkg.Fset, pkg.Files)
 		all = append(all, MalformedAllows(pkg.Fset, pkg.Files)...)
 		for _, a := range analyzers {
 			if !scopes[a.Name].applies(pkg) {
@@ -83,7 +67,6 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer, scopes map[string]Scope) (Re
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				store:     store,
 			}
 			if err := a.Run(pass); err != nil {
 				return Result{}, fmt.Errorf("%s: %s: %v", a.Name, pkg.PkgPath, err)
@@ -95,64 +78,6 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer, scopes map[string]Scope) (Re
 			}
 		}
 	}
-
-	// Module-wide phase: analyzers that accumulate facts check their
-	// whole-module invariants now. Finish diagnostics honor the same
-	// suppression machinery, matched against the union of every
-	// package's allow markers.
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		mp := &ModulePass{Analyzer: a, store: store}
-		if err := a.Finish(mp); err != nil {
-			return Result{}, fmt.Errorf("%s: finish: %v", a.Name, err)
-		}
-		for _, d := range mp.diags {
-			if !allSup.allows(d) {
-				all = append(all, d)
-			}
-		}
-	}
-
 	sortDiagnostics(all)
-	return Result{Diagnostics: all, UnusedAllows: allSup.unused()}, nil
-}
-
-// importOrder sorts packages so every package follows all of its
-// (loaded) imports — topological order over the import graph, with
-// ties broken by import path so the order is deterministic. The
-// import graph is acyclic by Go's rules, so the recursion
-// terminates.
-func importOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	sorted := make([]*Package, 0, len(pkgs))
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		state[p.PkgPath] = 1
-		imps := append([]string(nil), p.Imports...)
-		sort.Strings(imps)
-		for _, imp := range imps {
-			if dep, ok := byPath[imp]; ok && state[imp] == 0 {
-				visit(dep)
-			}
-		}
-		state[p.PkgPath] = 2
-		sorted = append(sorted, p)
-	}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		paths = append(paths, p.PkgPath)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if state[path] == 0 {
-			visit(byPath[path])
-		}
-	}
-	return sorted
+	return Result{Diagnostics: all, UnusedAllows: sup.unused()}, nil
 }

@@ -3,12 +3,13 @@
 // synthesis must produce identical output for identical seeds, since
 // the paper's scheduler comparisons (Figures 8-12) subtract one run's
 // numbers from another's. Wall-clock reads, the process-global
-// math/rand source, and output emitted while ranging over a map all
-// break that property.
+// math/rand source, and anything a map-range body does in iteration
+// order all break that property.
 package simdet
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"subtrav/internal/analysis"
@@ -18,9 +19,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "simdet",
 	Doc: "flags wall-clock time (time.Now/Since/Until), the process-global " +
-		"math/rand source, and output emitted during map iteration in packages " +
-		"that must stay bit-for-bit deterministic; use the simulator's virtual " +
-		"clock and internal/xrand instead",
+		"math/rand source, and order-dependent work inside a map range (calls, " +
+		"unsorted appends, sends, float accumulation) in packages that must stay " +
+		"bit-for-bit deterministic; use the simulator's virtual clock, " +
+		"internal/xrand and sorted keys instead",
 	Run: run,
 }
 
@@ -47,8 +49,12 @@ func run(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkCall(pass, n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, n)
+			case *ast.BlockStmt:
+				checkMapRanges(pass, n.List)
+			case *ast.CaseClause:
+				checkMapRanges(pass, n.Body)
+			case *ast.CommClause:
+				checkMapRanges(pass, n.Body)
 			}
 			return true
 		})
@@ -73,67 +79,108 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-// checkMapRange reports map iterations whose body emits output
-// (printing, writing, or sending on a channel) during the loop: Go
-// map order is randomized, so anything observable produced inside the
-// loop is nondeterministic. Accumulating into a slice and sorting
-// after the loop is the blessed pattern and is not flagged.
-func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
-	t := pass.TypesInfo.TypeOf(rng.X)
-	if t == nil {
-		return
+// checkMapRanges checks every range over a map in one statement list
+// against the statements that follow it.
+func checkMapRanges(pass *analysis.Pass, list []ast.Stmt) {
+	for i, s := range list {
+		for {
+			l, ok := s.(*ast.LabeledStmt)
+			if !ok {
+				break
+			}
+			s = l.Stmt
+		}
+		if rng, ok := s.(*ast.RangeStmt); ok && isMap(pass, rng.X) {
+			checkMapRange(pass, rng, list[i+1:])
+		}
 	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return
+}
+
+func isMap(pass *analysis.Pass, e ast.Expr) bool {
+	t := pass.TypesInfo.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// sortFuncs put their first argument, a slice, in a fixed order.
+var sortFuncs = map[string]bool{
+	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
+	"sort.Slice": true, "sort.SliceStable": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
+}
+
+// checkMapRange reports what a map-range body does in iteration order,
+// which Go randomizes, so its effect differs between two runs of one
+// seed. The body may aggregate — assign, write a map, do integer
+// arithmetic, call builtins and conversions — and may append to a
+// slice that the statements after the loop sort (the collect, sort,
+// emit idiom). It may not call anything else: a trace record, an edge
+// insert or a print each replays the randomized order, and PR 5's
+// CollabFilter and graphgen's Barabási-Albert generator each leaked
+// map order that way. Nor may it send on a channel, or accumulate
+// floats, whose low bits depend on the order of the additions.
+func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, after []ast.Stmt) {
+	sorted := map[string]bool{}
+	for _, s := range after {
+		ast.Inspect(s, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+				if fn := pass.Callee(call); fn != nil && fn.Pkg() != nil && sortFuncs[fn.Pkg().Path()+"."+fn.Name()] {
+					sorted[types.ExprString(call.Args[0])] = true
+				}
+			}
+			return true
+		})
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// A closure is not necessarily called during iteration.
 			return false
+		case *ast.RangeStmt:
+			// A nested map range is checked on its own.
+			return !isMap(pass, n.X)
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(),
 				"channel send during map iteration: map order is randomized, so delivery order is nondeterministic; collect and sort first")
 			return false
-		case *ast.CallExpr:
-			if fn := pass.Callee(n); fn != nil && isEmit(fn) {
-				pass.Reportf(n.Pos(),
-					"%s.%s during map iteration emits in randomized map order; collect keys, sort, then emit", fn.Pkg().Path(), fn.Name())
-				return false
+		case *ast.AssignStmt:
+			switch n.Tok {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+				if isFloat(pass.TypesInfo.TypeOf(n.Lhs[0])) {
+					pass.Reportf(n.Pos(),
+						"floating-point %s during map iteration: the result's low bits depend on randomized map order; accumulate over sorted keys", n.Tok)
+				}
 			}
+		case *ast.CallExpr:
+			if tv, ok := pass.TypesInfo.Types[n.Fun]; ok && tv.IsType() {
+				return true // conversion
+			}
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+					if b.Name() == "append" && len(n.Args) > 0 && !sorted[types.ExprString(n.Args[0])] {
+						pass.Reportf(n.Pos(),
+							"append to %s during map iteration builds it in randomized map order; sort it after the loop or iterate sorted keys",
+							types.ExprString(n.Args[0]))
+					}
+					return true
+				}
+			}
+			pass.Reportf(n.Pos(),
+				"call to %s during map iteration runs in randomized map order; collect the keys, sort them, then iterate",
+				types.ExprString(n.Fun))
+			return false
 		}
 		return true
 	})
 }
 
-// isEmit reports whether fn produces externally observable output.
-func isEmit(fn *types.Func) bool {
-	if fn.Pkg() == nil {
+func isFloat(t types.Type) bool {
+	if t == nil {
 		return false
 	}
-	switch fn.Pkg().Path() {
-	case "fmt":
-		switch fn.Name() {
-		case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
-			return true
-		}
-	case "io":
-		if fn.Name() == "WriteString" || fn.Name() == "Copy" {
-			return true
-		}
-	}
-	// Method named Write/WriteString on anything (io.Writer
-	// implementations, bufio, strings.Builder excepted would be
-	// over-reach; keep to the io.Writer contract).
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if fn.Name() == "Write" || fn.Name() == "WriteString" {
-			// strings.Builder / bytes.Buffer writes stay in memory and
-			// are frequently sorted afterwards... but appending to a
-			// buffer during map iteration is exactly the
-			// Fprintf-to-builder bug simdet exists to catch. Flag
-			// them; accumulate-and-sort code uses append, not Write.
-			return true
-		}
-	}
-	return false
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }

@@ -41,11 +41,32 @@ func seededNeighbor(seed uint64, degree int) int {
 }
 
 // Flagged: emitting trace lines while ranging the visited map replays
-// in randomized order — the exact CollabFilter hop-2 bug.
+// in randomized order.
 func dumpVisited(visited map[vertexID]int, w interface{ Write([]byte) (int, error) }) {
 	for v, count := range visited {
-		fmt.Fprintf(w, "%d:%d\n", v, count) // want "during map iteration emits in randomized map order"
+		fmt.Fprintf(w, "%d:%d\n", v, count) // want "call to fmt.Fprintf during map iteration"
 	}
+}
+
+type trace struct{ accesses []access }
+
+func (t *trace) touch(v vertexID) { t.accesses = append(t.accesses, access{vertex: v}) }
+
+// Flagged: the exact CollabFilter hop-2 bug — recording the trace
+// while ranging the buyers map.
+func hop2(buyers map[vertexID]bool, tr *trace) {
+	for u := range buyers {
+		tr.touch(u) // want "call to tr.touch during map iteration"
+	}
+}
+
+// Flagged: the Barabási-Albert shape — endpoints grows in map order
+// and later draws sample from it.
+func attach(chosen map[vertexID]struct{}, endpoints []vertexID) []vertexID {
+	for t := range chosen {
+		endpoints = append(endpoints, t) // want "append to endpoints during map iteration"
+	}
+	return endpoints
 }
 
 // Flagged: streaming accesses out of a map-keyed frontier is order-

@@ -50,7 +50,7 @@ func seededXrand(seed uint64, n int) int {
 // Flagged: emitting during map iteration observes randomized order.
 func emitUnsorted(m map[string]int) {
 	for k, v := range m {
-		fmt.Printf("%s=%d\n", k, v) // want "during map iteration emits in randomized map order"
+		fmt.Printf("%s=%d\n", k, v) // want "call to fmt.Printf during map iteration runs in randomized map order"
 	}
 }
 
@@ -70,6 +70,27 @@ func emitSorted(m map[string]int) {
 	for _, k := range keys {
 		fmt.Printf("%s=%d\n", k, m[k])
 	}
+}
+
+// Flagged: float addition is not associative, so the sum's low bits
+// follow map order.
+func floatTotal(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		total += v // want "floating-point \+= during map iteration"
+	}
+	return total
+}
+
+// Allowed: integer aggregation and map writes commute.
+func intTotal(m map[string]int) (int, map[string]int) {
+	n := 0
+	out := make(map[string]int, len(m))
+	for k, v := range m {
+		n += v
+		out[k] = int(int64(v))
+	}
+	return n, out
 }
 
 // Allowed: a documented suppression swallows the finding.

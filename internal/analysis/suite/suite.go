@@ -7,30 +7,25 @@ package suite
 import (
 	"subtrav/internal/analysis"
 	"subtrav/internal/analysis/allocfree"
-	"subtrav/internal/analysis/atomicmix"
 	"subtrav/internal/analysis/ctxplumb"
-	"subtrav/internal/analysis/goroleak"
 	"subtrav/internal/analysis/lockhold"
-	"subtrav/internal/analysis/lockorder"
 	"subtrav/internal/analysis/metriclabel"
 	"subtrav/internal/analysis/simdet"
 	"subtrav/internal/analysis/taintlen"
 )
 
-// Analyzers returns the nine checks in their canonical order: the
-// five syntactic analyzers from the original suite, then the four
-// dataflow-powered ones built on the CFG engine and the facts layer.
+// Analyzers returns the six checks. Each is the only guard — not go
+// vet, staticcheck or -race — of an invariant the reproduction relies
+// on, which TestMutationAudit demonstrates by re-introducing the bug
+// class each one exists for and seeing only that analyzer fire.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		simdet.Analyzer,
-		atomicmix.Analyzer,
 		lockhold.Analyzer,
 		ctxplumb.Analyzer,
 		metriclabel.Analyzer,
-		lockorder.Analyzer,
 		taintlen.Analyzer,
 		allocfree.Analyzer,
-		goroleak.Analyzer,
 	}
 }
 
@@ -58,8 +53,6 @@ func Scopes() map[string]analysis.Scope {
 			"subtrav/internal/workload",
 			"subtrav/internal/loadgen",
 		}},
-		// Mixed atomic/plain access is a bug anywhere.
-		atomicmix.Analyzer.Name: {},
 		// The lock-hold discipline governs the hot path: runtime,
 		// scheduler, simulator, cache, storage and the metrics layer
 		// they all call into. Command wiring and the RPC service
@@ -79,9 +72,6 @@ func Scopes() map[string]analysis.Scope {
 		ctxplumb.Analyzer.Name: {SkipMain: true},
 		// Metric hygiene is a property of every registry call site.
 		metriclabel.Analyzer.Name: {},
-		// A lock-order cycle deadlocks no matter which packages the
-		// two acquisition orders live in: module-wide, no exemptions.
-		lockorder.Analyzer.Name: {},
 		// Untrusted bytes enter through the snapshot reader and the
 		// wire protocol; decoded sizes must be validated where they
 		// are decoded, before they spread.
@@ -93,8 +83,5 @@ func Scopes() map[string]analysis.Scope {
 		// the package scope is unrestricted — an unmarked function is
 		// never flagged.
 		allocfree.Analyzer.Name: {},
-		// A leaked goroutine is a leak wherever it is launched,
-		// commands included.
-		goroleak.Analyzer.Name: {},
 	}
 }

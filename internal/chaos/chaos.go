@@ -183,7 +183,7 @@ func stress(rt *live.Runtime, opts Options) (*Report, error) {
 	// Sampler: watch queue depths and in-flight while the storm runs.
 	sampleStop := make(chan struct{})
 	var sampleWg sync.WaitGroup
-	var maxQueued, maxInFlight int64
+	var maxQueued, maxInFlight atomic.Int64
 	sampleWg.Add(1)
 	go func() {
 		defer sampleWg.Done()
@@ -194,12 +194,12 @@ func stress(rt *live.Runtime, opts Options) (*Report, error) {
 			case <-time.After(200 * time.Microsecond):
 			}
 			for _, u := range rt.Stats() {
-				if int64(u.Queued) > atomic.LoadInt64(&maxQueued) {
-					atomic.StoreInt64(&maxQueued, int64(u.Queued))
+				if int64(u.Queued) > maxQueued.Load() {
+					maxQueued.Store(int64(u.Queued))
 				}
 			}
-			if n := int64(rt.InFlight()); n > atomic.LoadInt64(&maxInFlight) {
-				atomic.StoreInt64(&maxInFlight, n)
+			if n := int64(rt.InFlight()); n > maxInFlight.Load() {
+				maxInFlight.Store(n)
 			}
 		}
 	}()
@@ -272,8 +272,8 @@ func stress(rt *live.Runtime, opts Options) (*Report, error) {
 	rep.Completed = completed.Load()
 	rep.Failed = failed.Load()
 	rep.TimedOut = timedOut.Load()
-	rep.MaxQueued = int(atomic.LoadInt64(&maxQueued))
-	rep.MaxInFlight = int(atomic.LoadInt64(&maxInFlight))
+	rep.MaxQueued = int(maxQueued.Load())
+	rep.MaxInFlight = int(maxInFlight.Load())
 	violationMu.Lock()
 	defer violationMu.Unlock()
 	return rep, violation

@@ -152,6 +152,35 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 }
 
+// The generator once attached each arriving vertex in map-iteration
+// order, which reordered the endpoint list the next draws sample from:
+// one seed, a different graph per run.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	cfg := BAConfig{NumVertices: 2000, EdgesPerVertex: 4, Seed: 3}
+	g1, err := BarabasiAlbert(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 5; run++ {
+		g2, err := BarabasiAlbert(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g1.NumVertices(); v++ {
+			lo1, hi1 := g1.EdgeSlots(graph.VertexID(v))
+			lo2, hi2 := g2.EdgeSlots(graph.VertexID(v))
+			if hi1-lo1 != hi2-lo2 {
+				t.Fatalf("run %d: degree(%d) %d vs %d", run, v, hi1-lo1, hi2-lo2)
+			}
+			for i := lo1; i < hi1; i++ {
+				if a, b := g1.TargetAt(i), g2.TargetAt(lo2+(i-lo1)); a != b {
+					t.Fatalf("run %d: vertex %d slot %d: neighbor %d vs %d", run, v, i-lo1, a, b)
+				}
+			}
+		}
+	}
+}
+
 func smallCorpusConfig(seed uint64) ImageCorpusConfig {
 	return ImageCorpusConfig{
 		NumPersons:         20,

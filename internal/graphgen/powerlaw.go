@@ -12,6 +12,7 @@ package graphgen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"subtrav/internal/graph"
 	"subtrav/internal/xrand"
@@ -162,16 +163,19 @@ func BarabasiAlbert(cfg BAConfig) (*graph.Graph, error) {
 		b.AddEdge(graph.VertexID(v-1), graph.VertexID(v))
 		endpoints = append(endpoints, graph.VertexID(v-1), graph.VertexID(v))
 	}
+	// chosen keeps draw order: attaching in map order would reorder
+	// endpoints, and with it every later draw, from run to run.
+	chosen := make([]graph.VertexID, 0, m)
 	for v := seed; v < n; v++ {
-		chosen := make(map[graph.VertexID]struct{}, m)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if int(t) == v {
+			if int(t) == v || slices.Contains(chosen, t) {
 				continue
 			}
-			chosen[t] = struct{}{}
+			chosen = append(chosen, t)
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			b.AddEdge(graph.VertexID(v), t)
 			endpoints = append(endpoints, graph.VertexID(v), t)
 		}
