@@ -94,9 +94,10 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 // internal retry, then a disk slot held for the scaled transfer time
 // plus any injected latency spike — genuine cross-unit contention on
 // the shared disk. It returns how long the caller waited for a free
-// slot (the live analogue of disk queueing delay). A persistent
-// injected error is returned wrapped (not a context error); a context
-// error means ctx ended first.
+// slot (the live analogue of disk queueing delay), which is exactly
+// zero when a slot was free: only a full disk reads the clock and
+// waits under ctx. A persistent injected error is returned wrapped
+// (not a context error); a context error means ctx ended first.
 func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Duration, err error) {
 	fault := r.cfg.Faults.Eval(faultpoint.DiskRead)
 	if fault.Err != nil {
@@ -106,21 +107,23 @@ func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Dur
 			return 0, fmt.Errorf("live: disk read failed after retry: %w", fault.Err)
 		}
 	}
-	t0 := time.Now()
 	select {
 	case r.diskSlot <- struct{}{}:
-	case <-ctx.Done():
-		err = ctx.Err()
+	default:
+		t0 := time.Now()
+		select {
+		case r.diskSlot <- struct{}{}:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		slotWait = time.Since(t0)
 	}
-	slotWait = time.Since(t0)
 	r.obs.diskWaitNanos.Observe(slotWait.Nanoseconds())
 	if err != nil {
 		return slotWait, err
 	}
-	r.obs.diskSlotsInUse.Add(1)
 	service := r.cfg.Cost.Disk.SeekNanos + storage.TransferNanos(bytes, r.cfg.Cost.Disk.BytesPerSecond)
 	err = r.sleepScaled(ctx, service, fault.Delay)
-	r.obs.diskSlotsInUse.Add(-1)
 	<-r.diskSlot
 	return slotWait, err
 }

@@ -1,0 +1,181 @@
+package live
+
+import (
+	"context"
+	"errors"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"subtrav/internal/faultpoint"
+	"subtrav/internal/graph"
+	"subtrav/internal/obs"
+	"subtrav/internal/sched"
+	"subtrav/internal/traverse"
+)
+
+// TestFreeDiskSlotIsZeroWait: a unit has one read in flight at a time,
+// so with one unit every slot it asks for is free. A free slot is a
+// wait of exactly zero — the gap between two clock reads is not
+// queueing — and it is still observed once per read.
+func TestFreeDiskSlotIsZeroWait(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	const n = 12
+	cfg := fastLiveConfig(1)
+	cfg.MemoryPerUnit = 32 << 10
+	cfg.TimeScale = 1e-12 // every modelled sleep rounds to zero
+	cfg.TraceBuffer = n
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < n; i++ {
+		q := traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i * 7 % 500), Depth: 2, MaxVisits: 40}
+		if resp, err := r.Do(q); err != nil || resp.Err != nil {
+			t.Fatalf("query %d: %v / %v", i, err, resp.Err)
+		}
+	}
+	r.Close()
+
+	spans := r.Trace(n)
+	if len(spans) != n {
+		t.Fatalf("got %d spans, want %d", len(spans), n)
+	}
+	var misses int64
+	for _, s := range spans {
+		misses += int64(s.CacheMisses)
+		if s.DiskWaitNanos != 0 {
+			t.Errorf("%s: DiskWaitNanos = %d on a free slot, want 0", s, s.DiskWaitNanos)
+		}
+	}
+	if misses == 0 {
+		t.Fatal("fixture: no query missed")
+	}
+	h := r.obs.diskWaitNanos
+	if h.Sum() != 0 {
+		t.Errorf("subtrav_disk_wait_nanos sum = %d, want 0", h.Sum())
+	}
+	if h.Count() != misses {
+		t.Errorf("subtrav_disk_wait_nanos count = %d, want one per read (%d)", h.Count(), misses)
+	}
+}
+
+// TestFreeDiskSlotFetchAllocatesNothing guards the per-miss path a
+// scan-heavy query takes thousands of times: a free slot and a sleep
+// that rounds to zero.
+func TestFreeDiskSlotFetchAllocatesNothing(t *testing.T) {
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.TimeScale = 1e-12
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := r.diskFetch(ctx, 4096); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("diskFetch on a free slot: %g allocations, want 0", allocs)
+	}
+}
+
+// TestFullDiskSlotWaitsAndCancels: with one channel and two units the
+// slow path still measures real queueing, a query blocked on the slot
+// still resolves as timed out when cancelled, every wait lands in both
+// the histogram and its span, and no slot leaks.
+func TestFullDiskSlotWaitsAndCancels(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := slowLiveConfig(2) // Cost.Disk.Channels = 1
+	cfg.Cost.Disk.SeekNanos = 500_000
+	cfg.MemoryPerUnit = 32 << 10
+	cfg.TraceBuffer = 64
+	// A rule that fires on no reachable hit: its Hits count the disk
+	// reads begun.
+	cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: math.MaxInt64})
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	queries := make([]traverse.Query, 4)
+	for i := range queries {
+		queries[i] = traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i * 7 % 500), Depth: 2, MaxVisits: 20}
+	}
+	for i, resp := range doAll(t, r, queries) {
+		if resp.Err != nil {
+			t.Fatalf("query %d: %v", i, resp.Err)
+		}
+	}
+	var contended bool
+	for _, s := range r.Trace(len(queries)) {
+		contended = contended || s.DiskWaitNanos > 0
+	}
+	if !contended {
+		t.Error("two units on one channel: no span waited for the disk")
+	}
+
+	// Hold the only slot, let a query begin a read, then cancel it.
+	r.diskSlot <- struct{}{}
+	reads := cfg.Faults.Hits(faultpoint.DiskRead)
+	observed := r.obs.diskWaitNanos.Count()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := r.SubmitCtx(ctx, traverse.Query{Op: traverse.OpBFS, Start: 999, Depth: 2, MaxVisits: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cfg.Faults.Hits(faultpoint.DiskRead) == reads {
+		select {
+		case resp := <-ch:
+			t.Fatalf("fixture: query resolved without a disk read: %+v", resp)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	// The read has begun and the disk is full, so it waits until
+	// cancelled; let the wait it reports be a long one.
+	time.Sleep(time.Millisecond)
+	cancel()
+	if resp := <-ch; !errors.Is(resp.Err, context.Canceled) {
+		t.Fatalf("query cancelled on a full disk resolved with %v", resp.Err)
+	}
+	<-r.diskSlot
+	if got := r.obs.diskWaitNanos.Count(); got != observed+1 {
+		t.Errorf("cancelled wait observed %d times, want once", got-observed)
+	}
+	r.Close()
+
+	if n := len(r.diskSlot); n != 0 {
+		t.Errorf("%d disk slots held at quiescence", n)
+	}
+	var b strings.Builder
+	if err := r.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nsubtrav_disk_slots_in_use 0\n") {
+		t.Error("subtrav_disk_slots_in_use does not read 0 at quiescence")
+	}
+	if m := r.Metrics(); m.TimedOut != 1 || m.Completed != int64(len(queries)) || !m.Conserved() {
+		t.Errorf("metrics = %v", m)
+	}
+	spans := r.Trace(64)
+	var total int64
+	for _, s := range spans {
+		total += s.DiskWaitNanos
+	}
+	if sum := r.obs.diskWaitNanos.Sum(); sum != total {
+		t.Errorf("subtrav_disk_wait_nanos sum = %d, spans total %d", sum, total)
+	}
+	if s := spans[len(spans)-1]; s.Outcome != obs.OutcomeTimeout || s.DiskWaitNanos <= 0 {
+		t.Errorf("cancelled query's span: %s disk wait %dns, want a timeout that waited", s, s.DiskWaitNanos)
+	}
+}

@@ -17,12 +17,11 @@ type runtimeObs struct {
 	reg  *obs.Registry
 	ring *obs.Ring
 
-	waitNanos      *obs.Histogram
-	execNanos      *obs.Histogram
-	latencyNanos   *obs.Histogram
-	schedNanos     *obs.Histogram
-	diskWaitNanos  *obs.Histogram
-	diskSlotsInUse *obs.Gauge
+	waitNanos     *obs.Histogram
+	execNanos     *obs.Histogram
+	latencyNanos  *obs.Histogram
+	schedNanos    *obs.Histogram
+	diskWaitNanos *obs.Histogram
 
 	// Balance-affinity tradeoff telemetry: the load-imbalance factor
 	// (max/mean effective unit load, 1.0 = perfectly balanced, P =
@@ -91,8 +90,9 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 		"Scheduling-round duration, nanoseconds.")
 	o.diskWaitNanos = reg.Histogram("subtrav_disk_wait_nanos",
 		"Wall time spent waiting for a free disk channel, nanoseconds.")
-	o.diskSlotsInUse = reg.Gauge("subtrav_disk_slots_in_use",
-		"Disk channels currently held by executing queries.")
+	reg.GaugeFunc("subtrav_disk_slots_in_use",
+		"Disk channels currently held by executing queries.",
+		func() float64 { return float64(len(r.diskSlot)) })
 	o.imbalance = reg.FloatGauge("subtrav_sched_imbalance_factor",
 		"Load-imbalance factor of the latest scheduling round: max/mean effective unit load after placement (1.0 = perfectly balanced, NumUnits = fully piled).")
 	o.imbalanceMilli = reg.Histogram("subtrav_sched_imbalance_milli",
