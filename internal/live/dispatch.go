@@ -28,17 +28,20 @@ func (r *Runtime) dispatcher() {
 		case <-r.stop:
 			return
 		case <-r.wake:
-			// Give the batch window a chance to accumulate peers.
-			if !timer.Stop() {
+			// Give the batch window a chance to accumulate peers, but
+			// only when a fuller round could place them better.
+			if r.windowPays() {
+				if !timer.Stop() {
+					select {
+					case <-timer.C:
+					default:
+					}
+				}
+				timer.Reset(r.cfg.BatchWindow)
 				select {
 				case <-timer.C:
-				default:
+				case <-r.stop:
 				}
-			}
-			timer.Reset(r.cfg.BatchWindow)
-			select {
-			case <-timer.C:
-			case <-r.stop:
 			}
 			// Dispatch; when every queue is full, back off for a batch
 			// window (or a new wake) and retry rather than blocking.
@@ -53,6 +56,27 @@ func (r *Runtime) dispatcher() {
 			}
 		}
 	}
+}
+
+// windowPays reports whether waiting a batch window for peers can gain
+// anything: some task is pending, the pool holds less than a full round
+// of NumUnits, and no unit is idle (empty queue, not executing). With
+// an idle unit, a task placed now starts now; with a full round pending,
+// waiting adds nothing the round can use. Either way the simulator's
+// rule applies: schedule as soon as a task and a unit with room meet.
+func (r *Runtime) windowPays() bool {
+	r.mu.Lock()
+	n := r.pending.Len()
+	r.mu.Unlock()
+	if n == 0 || n >= len(r.units) {
+		return false
+	}
+	for _, u := range r.units {
+		if u.QueueLen() == 0 && !u.Busy() {
+			return false
+		}
+	}
+	return true
 }
 
 // dispatchBatch assigns up to NumUnits pending tasks per round until

@@ -1,0 +1,129 @@
+package live
+
+import (
+	"testing"
+	"time"
+
+	"subtrav/internal/graph"
+	"subtrav/internal/sched"
+	"subtrav/internal/traverse"
+)
+
+// The batch window exists to fill a round when waiting can improve it.
+// These tests pin both sides of that rule: a task that meets an idle
+// unit is scheduled at once, and a partial round that meets only busy
+// units waits for its peers.
+
+// TestLoneQueryIsNotHeldByTheWindow: one query on a runtime whose units
+// are all idle is scheduled on arrival, not after the window.
+func TestLoneQueryIsNotHeldByTheWindow(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(2)
+	cfg.BatchWindow = time.Second
+	cfg.TraceBuffer = 4
+	r, err := New(g, cfg, sched.NewLeastLoaded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	ch, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, MaxVisits: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case resp := <-ch:
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	case <-time.After(cfg.BatchWindow / 2):
+		t.Fatalf("a lone query on idle units was still unresolved after %v of a %v window", cfg.BatchWindow/2, cfg.BatchWindow)
+	}
+	spans := r.Trace(1)
+	if len(spans) != 1 {
+		t.Fatalf("got %d spans, want 1", len(spans))
+	}
+	if held := time.Duration(spans[0].ScheduleNanos - spans[0].SubmitNanos); held >= cfg.BatchWindow {
+		t.Errorf("submit to schedule took %v, want less than the %v window", held, cfg.BatchWindow)
+	}
+}
+
+// TestWindowFillsARoundWhenEveryUnitIsBusy: with every unit parked,
+// fewer than NumUnits tasks submitted inside the window are placed in
+// one round once it has run.
+func TestWindowFillsARoundWhenEveryUnitIsBusy(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	const units, k = 3, 2
+	cfg := fastLiveConfig(units)
+	cfg.BatchWindow = 250 * time.Millisecond
+	cfg.TraceBuffer = 16
+	// Least-loaded sends each gate to a unit no earlier gate holds.
+	r, err := New(g, cfg, sched.NewLeastLoaded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var gates []func() Response
+	for range units {
+		gates = append(gates, parkUnit(t, r))
+	}
+
+	starts := map[int32]bool{}
+	pending := make([]<-chan Response, k)
+	for i := range pending {
+		start := graph.VertexID(10 + i)
+		starts[int32(start)] = true
+		ch, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: start, Depth: 2, MaxVisits: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending[i] = ch
+	}
+	// The round has been placed once both tasks sit on unit queues.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		queued := 0
+		for _, u := range r.units {
+			queued += u.QueueLen()
+		}
+		if queued == k {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d tasks reached a unit queue", queued, k)
+		}
+	}
+	for _, release := range gates {
+		if resp := release(); resp.Err != nil {
+			t.Errorf("gate query: %v", resp.Err)
+		}
+	}
+	for _, ch := range pending {
+		if resp := <-ch; resp.Err != nil {
+			t.Error(resp.Err)
+		}
+	}
+
+	var round, firstSubmit int64
+	seen := 0
+	for _, s := range r.Trace(16) {
+		if !starts[s.Start] {
+			continue
+		}
+		seen++
+		if round == 0 {
+			round, firstSubmit = s.ScheduleNanos, s.SubmitNanos
+		}
+		if s.ScheduleNanos != round {
+			t.Errorf("task at %d scheduled at %d, want the round at %d", s.Start, s.ScheduleNanos, round)
+		}
+		firstSubmit = min(firstSubmit, s.SubmitNanos)
+	}
+	if seen != k {
+		t.Fatalf("found %d spans of the %d tasks", seen, k)
+	}
+	if waited := time.Duration(round - firstSubmit); waited < cfg.BatchWindow {
+		t.Errorf("round placed %v after the first submission, want the full %v window", waited, cfg.BatchWindow)
+	}
+}

@@ -252,9 +252,6 @@ func TestDiskFaultPersistentErrorFailsQuery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := fastLiveConfig(1)
 			cfg.BatchTraversals = tc.batchTraversals
-			// Wide enough that concurrent submissions queue together
-			// and the worker drains them as one batch.
-			cfg.BatchWindow = 2 * time.Millisecond
 			injected := errors.New("dead disk")
 			cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: 1, Err: injected})
 			r, err := New(g, cfg, sched.NewRoundRobin())
@@ -262,17 +259,25 @@ func TestDiskFaultPersistentErrorFailsQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			queries := make([]traverse.Query, tc.queries)
-			for i := range queries {
-				queries[i] = traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 40}
+			// Every query queues behind a parked gate query, so the
+			// worker drains them as one batch when the gate lifts. The
+			// gate's own charge reads the dead disk too.
+			gate := parkUnit(t, r)
+			pending := make([]<-chan Response, tc.queries)
+			for i := range pending {
+				q := traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 40}
+				pending[i] = enqueueBehind(t, r, context.Background(), q, int32(i+1))
 			}
-			for i, resp := range doAll(t, r, queries) {
-				if !errors.Is(resp.Err, injected) {
+			if resp := gate(); !errors.Is(resp.Err, injected) {
+				t.Fatalf("gate query error = %v, want injected disk error", resp.Err)
+			}
+			for i, ch := range pending {
+				if resp := <-ch; !errors.Is(resp.Err, injected) {
 					t.Fatalf("query %d error = %v, want injected disk error", i, resp.Err)
 				}
 			}
 			m := r.Metrics()
-			if n := int64(tc.queries); m.Failed != n || m.Completed != n {
+			if n := int64(tc.queries) + 1; m.Failed != n || m.Completed != n {
 				t.Errorf("metrics = %v, want every failure to count as a completion", m)
 			}
 			if !m.Conserved() {

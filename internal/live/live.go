@@ -50,8 +50,12 @@ type Config struct {
 	// virtual disk seek into a 2 µs pause — enough to create real
 	// contention without making the service crawl.
 	TimeScale float64
-	// BatchWindow is how long the dispatcher waits to accumulate a
-	// batch before scheduling it (default 200 µs).
+	// BatchWindow is the longest the dispatcher waits to accumulate a
+	// round before scheduling it (default 200 µs). It waits only when
+	// fewer than NumUnits tasks are pending and no unit is idle; a wake
+	// that finds an idle unit or a full round pending schedules at
+	// once. It is also the back-off when every unit queue is full, and
+	// the unit of the retry-after hint a rejection carries.
 	BatchWindow time.Duration
 	// QueueCap bounds each unit's queue (default 64).
 	QueueCap int

@@ -46,39 +46,41 @@ func doAll(t *testing.T, r *Runtime, queries []traverse.Query) []Response {
 func TestBatchTraversalsMatchDirectExecution(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
-	cfg := fastLiveConfig(2)
+	cfg := fastLiveConfig(1)
 	cfg.BatchTraversals = 8
 	cfg.QueueCap = 64
-	// A wide batch window so concurrent submissions land on the queues
-	// together and the workers actually drain multi-member batches.
-	cfg.BatchWindow = 2 * time.Millisecond
-	r, err := New(g, cfg, sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, release := gatedUnit(t, g, cfg)
 	defer r.Close()
 
-	// Batchable BFS and SSSP mixed with non-batchable RWR, which must
-	// ride through the drain as an ordinary carry task.
+	// Runs of eleven batchable BFS and SSSP, each closed by a
+	// non-batchable RWR. Every query is queued behind the gate before
+	// the worker wakes, so each run drains as a full batch of eight,
+	// then a batch of three that ends on the RWR, which must ride
+	// through the drain as an ordinary carry task.
 	var queries []traverse.Query
 	for i := 0; i < 36; i++ {
-		switch i % 3 {
-		case 0:
-			queries = append(queries, traverse.Query{
-				Op: traverse.OpBFS, Start: graph.VertexID(i % 20), Depth: 2, MaxVisits: 80,
-			})
-		case 1:
-			queries = append(queries, traverse.Query{
-				Op: traverse.OpSSSP, Start: graph.VertexID(i % 20), Target: graph.VertexID(500 + i), Depth: 5,
-			})
-		default:
+		switch {
+		case i%12 == 11:
 			queries = append(queries, traverse.Query{
 				Op: traverse.OpRWR, Start: graph.VertexID(i % 20), Steps: 50, RestartProb: 0.2, TopK: 3, Seed: uint64(i),
 			})
+		case i%2 == 0:
+			queries = append(queries, traverse.Query{
+				Op: traverse.OpBFS, Start: graph.VertexID(i % 20), Depth: 2, MaxVisits: 80,
+			})
+		default:
+			queries = append(queries, traverse.Query{
+				Op: traverse.OpSSSP, Start: graph.VertexID(i % 20), Target: graph.VertexID(500 + i), Depth: 5,
+			})
 		}
 	}
-	responses := doAll(t, r, queries)
-	for i, resp := range responses {
+	pending := make([]<-chan Response, len(queries))
+	for i, q := range queries {
+		pending[i] = enqueueBehind(t, r, context.Background(), q, int32(i+1))
+	}
+	release()
+	for i, ch := range pending {
+		resp := <-ch
 		if resp.Err != nil {
 			t.Fatalf("query %d (%s) failed: %v", i, queries[i].Op, resp.Err)
 		}
@@ -90,8 +92,8 @@ func TestBatchTraversalsMatchDirectExecution(t *testing.T) {
 			t.Fatalf("query %d (%s) result = %+v, want %+v", i, queries[i].Op, resp.Result, want)
 		}
 	}
-	if m := r.Metrics(); m.Completed != int64(len(queries)) || !m.Conserved() {
-		t.Errorf("metrics = %v, want %d completions, conserved", m, len(queries))
+	if m := r.Metrics(); m.Completed != int64(len(queries))+1 || !m.Conserved() {
+		t.Errorf("metrics = %v, want %d completions and the gate's, conserved", m, len(queries))
 	}
 }
 
@@ -124,6 +126,19 @@ func gatedUnit(t *testing.T, g *graph.Graph, cfg Config) (r *Runtime, release fu
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := parkUnit(t, r)
+	return r, func() {
+		if resp := gate(); resp.Err != nil {
+			t.Errorf("gate query: %v", resp.Err)
+		}
+	}
+}
+
+// parkUnit submits a gate query and returns once a worker is parked
+// inside its vertex predicate: that unit is busy until release, which
+// lets it go and returns the gate query's response.
+func parkUnit(t *testing.T, r *Runtime) (release func() Response) {
+	t.Helper()
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	pred := func(graph.Props) bool {
@@ -136,11 +151,9 @@ func gatedUnit(t *testing.T, g *graph.Graph, cfg Config) (r *Runtime, release fu
 		t.Fatal(err)
 	}
 	<-entered
-	return r, func() {
+	return func() Response {
 		close(gate)
-		if resp := <-gateResp; resp.Err != nil {
-			t.Errorf("gate query: %v", resp.Err)
-		}
+		return <-gateResp
 	}
 }
 

@@ -71,9 +71,9 @@ const DefaultCapacity = 10
 // Table stores the signature lists of all vertices. Vertex IDs are
 // dense CSR indices, so nothing here hashes one: the table is striped
 // by the low bits of the ID and each stripe keeps the lists of its
-// vertices as fixed-width rows of one flat array, indexed by the
-// remaining bits. It is safe for concurrent use: traversal engines
-// record visits while the scheduler reads affinities.
+// vertices as fixed-width rows of two flat arrays (times and procs),
+// indexed by the remaining bits. It is safe for concurrent use:
+// traversal engines record visits while the scheduler reads affinities.
 type Table struct {
 	capacity int
 	stripes  [numStripes]stripe
@@ -89,15 +89,18 @@ const (
 	stripeMask = numStripes - 1
 )
 
-// stripe holds L(v) for every v ≡ k (mod numStripes): the list of local
-// index i is rows[i*capacity : i*capacity+n[i]], oldest first. Both
-// arrays cover the same local indices and grow together, by doubling,
-// under the write lock, the first time a vertex beyond them is
+// stripe holds L(v) for every v ≡ k (mod numStripes) as a struct of
+// arrays: the list of local index i is times[i*capacity :
+// i*capacity+n[i]], oldest first, with each entry's processor at the
+// same position of procs — 12 B an entry where an Entry takes 16. The
+// arrays cover the same local indices and grow together, a quarter at
+// a time, under the write lock, the first time a vertex beyond them is
 // recorded; a vertex beyond them has an empty list.
 type stripe struct {
-	mu   sync.RWMutex
-	rows []Entry
-	n    []int32
+	mu    sync.RWMutex
+	times []int64
+	procs []int32
+	n     []int32
 	// used counts the local indices with a non-empty list.
 	used int
 	// locks counts mutex acquisitions (read or write) on this stripe's
@@ -131,24 +134,29 @@ func (t *Table) locate(v graph.VertexID) (*stripe, int) {
 	return &t.stripes[uint32(v)&stripeMask], int(uint32(v) >> stripeBits)
 }
 
-// list returns the live part of local index i's row: empty beyond the
-// grown range. The caller holds the stripe's lock.
-func (s *stripe) list(i, capacity int) []Entry {
+// list returns the live part of local index i's row, as its times and
+// procs: empty beyond the grown range. The caller holds the stripe's
+// lock.
+func (s *stripe) list(i, capacity int) ([]int64, []int32) {
 	if i >= len(s.n) {
-		return nil
+		return nil, nil
 	}
-	return s.rows[i*capacity : i*capacity+int(s.n[i])]
+	lo, hi := i*capacity, i*capacity+int(s.n[i])
+	return s.times[lo:hi], s.procs[lo:hi]
 }
 
-// grow extends the stripe to cover local index i, at least doubling it
-// (and to no fewer than 16 rows). The caller holds the write lock.
+// grow extends the stripe to cover local index i, by at least a quarter
+// (and to no fewer than 16 rows), so the slack is at most a quarter of
+// the rows in use. The caller holds the write lock.
 func (s *stripe) grow(i, capacity int) {
-	size := max(2*len(s.n), i+1, 16)
+	size := max(len(s.n)+len(s.n)/4, i+1, 16)
 	n := make([]int32, size)
 	copy(n, s.n)
-	rows := make([]Entry, size*capacity)
-	copy(rows, s.rows)
-	s.n, s.rows = n, rows
+	times := make([]int64, size*capacity)
+	copy(times, s.times)
+	procs := make([]int32, size*capacity)
+	copy(procs, s.procs)
+	s.n, s.times, s.procs = n, times, procs
 }
 
 // badVertex is the writers' panic for a negative vertex, which would
@@ -162,13 +170,15 @@ func badVertex(v graph.VertexID) {
 //
 //vet:hotpath
 func (s *stripe) insert(i, capacity int, e Entry) {
-	row := s.rows[i*capacity : (i+1)*capacity]
+	times := s.times[i*capacity : (i+1)*capacity]
+	procs := s.procs[i*capacity : (i+1)*capacity]
 	n := int(s.n[i])
 	if n == capacity {
-		if e.Time < row[0].Time {
+		if e.Time < times[0] {
 			return
 		}
-		copy(row, row[1:])
+		copy(times, times[1:])
+		copy(procs, procs[1:])
 		n--
 	} else {
 		if n == 0 {
@@ -176,10 +186,12 @@ func (s *stripe) insert(i, capacity int, e Entry) {
 		}
 		s.n[i]++
 	}
-	row[n] = e
-	for j := n; j > 0 && row[j-1].Time > row[j].Time; j-- {
-		row[j-1], row[j] = row[j], row[j-1]
+	// Shift every newer entry up one slot and drop e into the gap.
+	j := n
+	for ; j > 0 && times[j-1] > e.Time; j-- {
+		times[j], procs[j] = times[j-1], procs[j-1]
 	}
+	times[j], procs[j] = e.Time, e.Proc
 }
 
 // Record inserts the visit (now, proc) into L(v), keeping the list
@@ -292,10 +304,10 @@ func (t *Table) LatestByProc(v graph.VertexID, proc int32) (int64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.locks.Add(1)
-	list := s.list(i, t.capacity)
-	for j := len(list) - 1; j >= 0; j-- {
-		if list[j].Proc == proc {
-			return list[j].Time, true
+	times, procs := s.list(i, t.capacity)
+	for j := len(procs) - 1; j >= 0; j-- {
+		if procs[j] == proc {
+			return times[j], true
 		}
 	}
 	return 0, false
@@ -323,13 +335,14 @@ func (t *Table) LatestAll(v graph.VertexID, out []int64) bool {
 	s.mu.RLock()
 	s.locks.Add(1)
 	any := false
-	for _, e := range s.list(i, t.capacity) {
-		p := int(e.Proc)
+	times, procs := s.list(i, t.capacity)
+	for j, proc := range procs {
+		p := int(proc)
 		if p < 0 || p >= len(out) {
 			continue
 		}
-		if out[p] == NoVisit || e.Time > out[p] {
-			out[p] = e.Time
+		if out[p] == NoVisit || times[j] > out[p] {
+			out[p] = times[j]
 		}
 		any = true
 	}
@@ -355,12 +368,14 @@ func (t *Table) Visitors(v graph.VertexID) []Entry {
 	s, i := t.locate(v)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	list := s.list(i, t.capacity)
-	if len(list) == 0 {
+	times, procs := s.list(i, t.capacity)
+	if len(times) == 0 {
 		return nil
 	}
-	out := make([]Entry, len(list))
-	copy(out, list)
+	out := make([]Entry, len(times))
+	for j := range out {
+		out[j] = Entry{Time: times[j], Proc: procs[j]}
+	}
 	return out
 }
 
