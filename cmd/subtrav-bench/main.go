@@ -1,7 +1,7 @@
 // Command subtrav-bench regenerates the paper's evaluation figures
 // (Figures 8-12), the ablations and the extension studies on the
-// shared-disk simulator, and runs the four in-repo benchmark suites,
-// printing each as an aligned text table (or markdown/CSV).
+// shared-disk simulator, printing each as an aligned text table (or
+// markdown/CSV), and runs the cross-query sharing study.
 //
 // Usage:
 //
@@ -9,13 +9,11 @@
 //
 // where <experiment> is a figure or study (see studies), "all" for
 // every one of those — deterministic, checked in as
-// experiments_output.txt — or a suite built on internal/benchkit:
-// sched, traverse and graphio are wall-clock suites, which print their
-// cells and interleaved before/after ratios and write no file unless
-// -out names one; share runs in virtual time, so a full run reproduces
-// the tracked BENCH_share.json byte for byte and rewrites it. -quick
-// runs a suite in smoke mode (two calls per cell); -check fails the run
-// when a floor the suite's table declares is not met.
+// experiments_output.txt — or share, which replays the sharing
+// scenarios in virtual time, fails unless batching clears
+// sharebench.MinReadsRatio, and rewrites the tracked BENCH_share.json
+// byte for byte; with -quick it runs the reduced scenario set and
+// writes nothing.
 package main
 
 import (
@@ -23,31 +21,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"subtrav"
-	"subtrav/internal/benchkit"
 	"subtrav/internal/experiments"
-	"subtrav/internal/graphiobench"
-	"subtrav/internal/schedbench"
 	"subtrav/internal/sharebench"
-	"subtrav/internal/travbench"
 )
 
 func main() {
 	var (
-		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts); benchmark suites: smoke mode")
+		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts); share: reduced scenarios, no file written")
 		format = flag.String("format", "text", "output format: text, markdown, csv")
 		seed   = flag.Uint64("seed", 42, "master random seed")
 		scale  = flag.String("scale", "small", "graph scale: tiny, small, medium, large, paper")
 		units  = flag.String("units", "", "comma-separated unit sweep override, e.g. 1,2,4,8")
 		n      = flag.Int("queries", 0, "queries per run override")
-		out    = flag.String("out", "", "benchmark suites: write the JSON report here (default: BENCH_share.json for a full share run, no file otherwise)")
-		check  = flag.Bool("check", false, "benchmark suites: fail unless every floor the suite's table declares is met")
 	)
 	flag.Usage = func() {
-		names := []string{"all", "sched", "traverse", "graphio", "share"}
+		names := []string{"all", "share"}
 		for _, st := range studies {
 			names = append(names, st.name)
 		}
@@ -55,6 +48,11 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if !slices.Contains(formats, *format) {
+		fmt.Fprintf(os.Stderr, "subtrav-bench: unknown -format %q\n", *format)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
@@ -101,11 +99,8 @@ func main() {
 	}
 
 	target := flag.Arg(0)
-	if s, ok := suites[target]; ok {
-		run(target, func() ([]*experiments.Table, error) {
-			_, tables, err := runSuite(s, *quick, *check, *out)
-			return tables, err
-		})
+	if target == "share" {
+		run(target, func() ([]*experiments.Table, error) { return nil, runShare(*quick, shareFile) })
 		return
 	}
 	known := false
@@ -153,101 +148,35 @@ func one(f func(experiments.Config) (*experiments.Table, error)) func(experiment
 	}
 }
 
-// suite is one benchmark suite as runSuite drives it: tracked is the
-// committed, cmp-gated file a full run rewrites ("" for the wall-clock
-// suites, which commit nothing); run returns the report — what -check
-// checks and, as JSON, what -out holds.
-type suite struct {
-	tracked string
-	run     func(smoke bool, logf func(string, ...any)) (interface{ Check() error }, error)
-}
+// formats are the -format values main accepts.
+var formats = []string{"text", "markdown", "csv"}
 
-var suites = map[string]suite{
-	"sched":    suiteOf("", schedbench.Run),
-	"traverse": suiteOf("", travbench.Run),
-	"graphio":  suiteOf("", graphiobench.Run),
-	"share":    suiteOf("BENCH_share.json", sharebench.Run),
-}
+// shareFile is the tracked report a full share run rewrites.
+const shareFile = "BENCH_share.json"
 
-func suiteOf[R interface{ Check() error }](tracked string, run func(bool, func(string, ...any)) (R, error)) suite {
-	return suite{tracked, func(smoke bool, logf func(string, ...any)) (interface{ Check() error }, error) {
-		return run(smoke, logf)
-	}}
-}
-
-// runSuite executes one suite — -quick maps to smoke mode, which
-// proves the suite runs and holds its count floors while its timings
-// are noise — enforces the table's floors under -check, writes the
-// JSON report where reportPath says, and returns the report and the
-// tables to print (share prints through its log lines: what it reports
-// is counts).
-func runSuite(s suite, smoke, check bool, out string) (interface{ Check() error }, []*experiments.Table, error) {
-	rep, err := s.run(smoke, func(format string, args ...any) {
+// runShare runs the sharing study, enforces its floor, and — on a full
+// run only, so a quick run never clobbers the committed baseline —
+// writes the report to path. The scenarios print through their log
+// lines: what the study reports is counts.
+func runShare(quick bool, path string) error {
+	rep, err := sharebench.Run(quick, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
-	if err == nil && check {
-		err = rep.Check()
+	if err == nil {
+		err = rep.CheckThresholds(sharebench.MinReadsRatio)
 	}
-	if err != nil {
-		return nil, nil, err
+	if err != nil || quick {
+		return err
 	}
-	if path := reportPath(out, s.tracked, smoke); path != "" {
-		var buf bytes.Buffer
-		if err := benchkit.WriteJSON(&buf, rep); err != nil {
-			return nil, nil, err
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (smoke=%v)\n", path, smoke)
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		return err
 	}
-	if r, ok := rep.(*benchkit.Report); ok {
-		return rep, cellTables(r), nil
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
 	}
-	return rep, nil, nil
-}
-
-// reportPath resolves where a suite run writes its JSON report: -out
-// when given; else the suite's tracked file, but only on a full run —
-// a smoke run must never clobber a committed baseline; else nowhere.
-func reportPath(out, tracked string, smoke bool) string {
-	if out != "" || smoke {
-		return out
-	}
-	return tracked
-}
-
-// cellTables renders a benchkit report: one table of cells, one of the
-// interleaved baseline÷versus ratios beside the floors -check enforces.
-func cellTables(r *benchkit.Report) []*experiments.Table {
-	dash := func(zero bool, s string) string {
-		if zero {
-			return "-"
-		}
-		return s
-	}
-	x := func(v float64) string { return dash(v == 0, fmt.Sprintf("%.2f", v)) }
-	cells := &experiments.Table{
-		Title:   r.Suite + " suite: cells",
-		Columns: []string{"cell", "iters", "ns/op", "allocs/op", "B/op", "count/op", "retained B"},
-		Notes: []string{fmt.Sprintf("%s %s/%s, %d CPUs, smoke=%v; wall-clock numbers are printed, not committed",
-			r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU, r.Smoke)},
-	}
-	ratios := &experiments.Table{
-		Title: r.Suite + " suite: baseline ÷ versus (above 1: versus is the cheaper side)",
-		Columns: []string{"baseline", "versus", "ns q1", "ns median", "ns q3",
-			"allocs", "allocs floor", "count", "count floor"},
-		Notes: []string{"ns: quartiles of the per-round ratios of benchkit.Compare's alternating slices; printed, not gated"},
-	}
-	for _, res := range r.Results {
-		cells.AddRow(res.Name, res.Iters, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, x(res.CountPerOp),
-			dash(res.RetainedBytes == 0, fmt.Sprint(res.RetainedBytes)))
-		if sp, ok := r.Speedup[res.Name]; ok {
-			ratios.AddRow(res.Name, sp.Versus, x(sp.Ns.Q1), x(sp.Ns.Median), x(sp.Ns.Q3),
-				x(sp.AllocRatio), x(sp.Floor.Allocs), x(sp.CountRatio), x(sp.Floor.Count))
-		}
-	}
-	return []*experiments.Table{cells, ratios}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
 }
 
 var scales = map[string]subtrav.Scale{

@@ -1,87 +1,59 @@
 package main
 
 import (
+	"errors"
 	"os"
-	"slices"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
-
-	"subtrav/internal/benchkit"
-	"subtrav/internal/graphiobench"
-	"subtrav/internal/schedbench"
-	"subtrav/internal/sharebench"
-	"subtrav/internal/travbench"
 )
 
-// A smoke run must never clobber a committed baseline: without -out it
-// writes nowhere, whatever the suite tracks.
-func TestReportPath(t *testing.T) {
-	for _, c := range []struct {
-		out, tracked string
-		smoke        bool
-		want         string
-	}{
-		{"", "BENCH_share.json", false, "BENCH_share.json"},
-		{"", "BENCH_share.json", true, ""},
-		{"x.json", "BENCH_share.json", true, "x.json"},
-		{"", "", false, ""},
-	} {
-		if got := reportPath(c.out, c.tracked, c.smoke); got != c.want {
-			t.Errorf("reportPath(%q, %q, smoke=%v) = %q, want %q", c.out, c.tracked, c.smoke, got, c.want)
-		}
+// TestMain runs main itself when a test re-executes the test binary
+// with SUBTRAV_BENCH_MAIN set, so a test can observe its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("SUBTRAV_BENCH_MAIN") != "" {
+		main()
+		os.Exit(0)
 	}
+	os.Exit(m.Run())
 }
 
-// Each suite's cells are declared once: the names `go test -bench`
-// runs (benchkit.Bench walks the suite's Table) are the names
-// `subtrav-bench -quick <suite>` reports, in the same order — and that
-// run, given no -out, leaves no file behind.
-func TestBenchRunsTheReportedCells(t *testing.T) {
-	tables := map[string][]benchkit.Group{
-		"sched":    schedbench.Table(),
-		"traverse": travbench.Table(),
-		"graphio":  graphiobench.Table(),
-		"share":    sharebench.Table(),
-	}
-	wd, err := os.Getwd()
-	if err == nil {
-		err = os.Chdir(t.TempDir())
+// runMain runs main with args in a child process and returns its
+// stderr and exit code.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SUBTRAV_BENCH_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return stderr.String(), exit.ExitCode()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chdir(wd)
-	for name, s := range suites {
-		t.Run(name, func(t *testing.T) {
-			var bench []string
-			if err := benchkit.Each(tables[name], func(c benchkit.Cell) error {
-				bench = append(bench, c.Name)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			rep, _, err := runSuite(s, true, false, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var emitted []string
-			switch r := rep.(type) {
-			case *benchkit.Report:
-				for _, res := range r.Results {
-					emitted = append(emitted, res.Name)
-				}
-			case *sharebench.Report:
-				for _, sc := range r.Scenarios {
-					for _, m := range sc.Modes {
-						emitted = append(emitted, sc.Name+"/"+m.Mode)
-					}
-				}
-			}
-			if !slices.Equal(bench, emitted) {
-				t.Errorf("go test -bench runs %q\nsubtrav-bench %s reports %q", bench, name, emitted)
-			}
-			if left, _ := os.ReadDir("."); len(left) != 0 {
-				t.Errorf("subtrav-bench -quick %s left %v behind", name, left)
-			}
-		})
+	return stderr.String(), 0
+}
+
+// An unknown -format is a usage error, not a silent fall-back to text.
+func TestUnknownFormatIsAUsageError(t *testing.T) {
+	stderr, code := runMain(t, "-format", "json", "fig8")
+	if code != 2 || !strings.Contains(stderr, "usage:") || !strings.Contains(stderr, `"json"`) {
+		t.Errorf("-format json fig8: exit %d, stderr %q; want exit 2 with the usage line", code, stderr)
+	}
+}
+
+// A quick share run enforces the floor and writes nothing: it must
+// never clobber the committed baseline.
+func TestQuickShareWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), shareFile)
+	if err := runShare(true, path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("quick share run left %s behind (stat: %v)", path, err)
 	}
 }

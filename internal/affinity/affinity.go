@@ -224,9 +224,9 @@ func (s *Scorer) Build(starts []graph.VertexID, units []UnitView) Matrix {
 // that scores every pair independently through ScoreAnchors, paying
 // one signature-list scan per pair. BuildAnchors produces an
 // identical Matrix from per-round vertex snapshots at a fraction of
-// the cost; the differential tests and the scheduler hot-path
-// benchmarks (internal/schedbench) hold the two paths against each
-// other. Use BuildAnchors everywhere else.
+// the cost; the differential tests hold the two paths against each
+// other, and TestBuildAnchorsLockBudget pins the ≥P× lock reduction.
+// Use BuildAnchors everywhere else.
 func (s *Scorer) BuildAnchorsReference(anchors [][]graph.VertexID, units []UnitView) Matrix {
 	m := Matrix{NumUnits: len(units), Rows: make([][]Entry, len(anchors))}
 	for i, vs := range anchors {

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
+	"subtrav/internal/partition"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden v2 CSR fixture")
@@ -77,38 +79,89 @@ func TestCSRGoldenFile(t *testing.T) {
 	assertGraphEqual(t, "golden", g, back)
 }
 
-// TestReadCSRAllocsPerRun is the zero-copy guard: decoding a large
+// midSizeSnapshot is a 32768-vertex power-law graph of average degree
+// 16 carrying partition labels — and, with meta, a property set on
+// every vertex and every edge — together with its v2 encoding.
+func midSizeSnapshot(t *testing.T, meta bool) (*graph.Graph, []byte) {
+	t.Helper()
+	const n = 32768
+	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
+		NumVertices: n, NumEdges: n * 8, Exponent: 2.3, Kind: graph.Undirected, Seed: 0x6C0ADB19, VertexMeta: meta,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.Compute(g, partition.Config{NumPartitions: 8, Seed: 0x6C0ADB1A})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = partition.Apply(g, part.Labels)
+	var buf bytes.Buffer
+	if err := WriteCSR(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return g, buf.Bytes()
+}
+
+// TestReadCSRAllocsPerRun is the zero-copy guard: decoding a mid-size
 // snapshot — bare, or with a property on every vertex and every edge —
 // must cost a constant number of allocations (the graph header plus
-// one per section view), not O(vertices). The gob path allocates per
+// O(sections) scratch), not O(vertices). The gob path allocates per
 // vertex and per edge; this is the measurable difference the v2 format
 // exists for.
 func TestReadCSRAllocsPerRun(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("copying decode on big-endian hosts allocates per column")
 	}
+	const maxAllocs = 4
 	for _, meta := range []bool{false, true} {
-		g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
-			NumVertices: 8192, NumEdges: 32768, Exponent: 2.3, Kind: graph.Undirected, Seed: 7, VertexMeta: meta,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteCSR(&buf, g); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
+		_, data := midSizeSnapshot(t, meta)
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, err := ReadCSR(data); err != nil {
 				t.Fatal(err)
 			}
 		})
-		// One Graph struct plus O(sections) scratch — nowhere near the
-		// 8192 vertices or 32768 edges in the file.
-		if allocs > 32 {
-			t.Fatalf("meta=%v: ReadCSR allocated %.0f times for an 8192-vertex graph; the zero-copy contract is broken", meta, allocs)
+		if allocs > maxAllocs {
+			t.Fatalf("meta=%v: ReadCSR allocated %.0f times for a 32768-vertex graph, want at most %d; the zero-copy contract is broken", meta, allocs, maxAllocs)
 		}
 		t.Logf("meta=%v: %.0f allocations", meta, allocs)
 	}
+}
+
+// retainedHeap reports the heap held by the graph load returns,
+// measured across a forced GC with the graph still referenced.
+func retainedHeap(t *testing.T, load func() (*graph.Graph, error)) int64 {
+	t.Helper()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	g, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(g)
+	return int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+}
+
+// The v2 decode aliases its columns into the snapshot buffer, so the
+// graph it returns retains only its header; the gob decode
+// materializes every column (hundreds of bytes against megabytes). Not
+// parallel: HeapAlloc is process-wide.
+func TestReadCSRRetainsLessHeapThanGob(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("copying decode on big-endian hosts materializes the columns")
+	}
+	g, data := midSizeSnapshot(t, false)
+	var gobBuf bytes.Buffer
+	if err := Write(&gobBuf, g); err != nil {
+		t.Fatal(err)
+	}
+	gob := retainedHeap(t, func() (*graph.Graph, error) { return Read(bytes.NewReader(gobBuf.Bytes())) })
+	csr := retainedHeap(t, func() (*graph.Graph, error) { return ReadCSR(data) })
+	if csr >= gob {
+		t.Errorf("ReadCSR retains %d B, Read %d B; want the v2 decode to retain less", csr, gob)
+	}
+	t.Logf("retained heap: csr %d B, gob %d B", csr, gob)
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package sched_test
+package sched
 
 const raceDetector = false

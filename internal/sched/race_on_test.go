@@ -1,6 +1,6 @@
 //go:build race
 
-package sched_test
+package sched
 
 // raceDetector reports a -race build, under which sync.Pool drops items
 // at random (the scorer's round scratch is pooled) and an allocation

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"subtrav/internal/benchkit"
 )
 
 // TestRunSmoke is the CI smoke: the reduced suite must run clean,
@@ -38,7 +36,7 @@ func TestRunSmoke(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := benchkit.WriteJSON(&buf, rep); err != nil {
+	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var round Report
@@ -59,10 +57,10 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ab, bb bytes.Buffer
-	if err := benchkit.WriteJSON(&ab, a); err != nil {
+	if err := a.WriteJSON(&ab); err != nil {
 		t.Fatal(err)
 	}
-	if err := benchkit.WriteJSON(&bb, b); err != nil {
+	if err := b.WriteJSON(&bb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
@@ -91,7 +89,3 @@ func TestCheckThresholds(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkShare times the smoke table's replays under testing.B; CI
-// does, at -benchtime=1x.
-func BenchmarkShare(b *testing.B) { benchkit.Bench(b, Table()) }

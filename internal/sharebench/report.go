@@ -1,6 +1,10 @@
 package sharebench
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+)
 
 // MinReadsRatio is the acceptance floor enforced by CheckThresholds on
 // gated scenarios: batching must cut disk reads/query at least this
@@ -63,8 +67,13 @@ type Report struct {
 	Scenarios []ScenarioReport `json:"scenarios"`
 }
 
-// Check is CheckThresholds at the suite's own floor.
-func (r *Report) Check() error { return r.CheckThresholds(MinReadsRatio) }
+// WriteJSON writes the report as indented JSON, the tracked file's
+// format.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
 
 // CheckThresholds fails loudly when the sharing layer regresses: any
 // scenario with diverging results, or a gated scenario whose reads

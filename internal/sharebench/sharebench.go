@@ -1,11 +1,7 @@
 // Package sharebench measures the cross-query sharing layer — lockstep
 // multi-source batching (traverse.Batch) — under Zipfian
 // high-concurrency workloads, and emits the tracked BENCH_share.json
-// artifact (see report.go). Like the other suites it is one table of
-// cells on internal/benchkit (Table): a cell replays one scenario's
-// task stream under one sharing mode; `go test -bench` times the
-// replays, `subtrav-bench share` runs each once and reports what the
-// simulator counted.
+// artifact (see report.go); `subtrav-bench share` runs it.
 //
 // The suite is built on the deterministic virtual-time simulator, so
 // every number in the report is a pure function of the scenario
@@ -21,9 +17,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 
-	"subtrav/internal/benchkit"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
 	"subtrav/internal/loadgen"
@@ -214,86 +208,68 @@ func runMode(g *graph.Graph, sc Scenario, name string, batchK int, ts []*sched.T
 	return res, perTask, nil
 }
 
-// table is the suite's one table of cells: a group per scenario (its
-// task stream is the fixture), a cell per sharing mode. A cell replays
-// the stream and writes what the simulator counted into its row of
-// rep; the baseline cell also keeps every query's result, against which
-// the later modes of its scenario check theirs.
-func table(rep *Report, logf func(format string, args ...any)) []benchkit.Group {
-	fixture := sync.OnceValues(fixtureGraph)
-	var table []benchkit.Group
-	for i, sc := range Scenarios(rep.Smoke) {
-		rep.Scenarios = append(rep.Scenarios, ScenarioReport{
-			Name:       sc.Name,
-			Units:      sc.Units,
-			Queries:    sc.Queries,
-			ZipfS:      sc.ZipfS,
-			QueueDepth: sc.QueueDepth,
-			BatchK:     BatchK,
-			Gate:       sc.Gate,
-			Modes:      make([]ModeStats, len(modes)),
-		})
-		table = append(table, func() ([]benchkit.Cell, error) {
-			g, err := fixture()
-			if err != nil {
-				return nil, err
-			}
-			ts, err := tasks(sc, g)
-			if err != nil {
-				return nil, err
-			}
-			var baseline map[int64]traverse.Result
-			var cells []benchkit.Cell
-			for j, m := range modes {
-				cells = append(cells, benchkit.Cell{Name: sc.Name + "/" + m.name, Run: func() error {
-					res, perTask, err := runMode(g, sc, m.name, m.batchK, ts)
-					if err != nil {
-						return err
-					}
-					out := &rep.Scenarios[i]
-					if j == 0 {
-						baseline, out.ResultsIdentical = perTask, true
-					} else if !reflect.DeepEqual(baseline, perTask) {
-						out.ResultsIdentical = false
-					}
-					st := ModeStats{
-						Mode:              m.name,
-						QueriesPerSec:     res.ThroughputPerSec,
-						MakespanMs:        float64(res.Makespan.Nanoseconds()) / 1e6,
-						DiskRequests:      res.Disk.Requests,
-						DiskReadsPerQuery: benchkit.Ratio(float64(res.Disk.Requests), float64(res.Completed)),
-						CacheHitRate:      res.HitRate,
-					}
-					out.Modes[j] = st
-					out.ReadsRatio = benchkit.Ratio(out.Modes[0].DiskReadsPerQuery, st.DiskReadsPerQuery)
-					logf("%-14s %-9s %8.0f q/s  %6.2f reads/query  %7d reads  hit %.3f  (%.2fx fewer reads than %s, results identical: %v)",
-						sc.Name, m.name, st.QueriesPerSec, st.DiskReadsPerQuery, st.DiskRequests, st.CacheHitRate,
-						out.ReadsRatio, modes[0].name, out.ResultsIdentical)
-					return nil
-				}})
-			}
-			return cells, nil
-		})
-	}
-	return table
-}
-
-// Table is the suite's smoke table as `go test -bench` runs it.
-func Table() []benchkit.Group {
-	return table(&Report{Smoke: true}, func(string, ...any) {})
-}
-
-// Run executes the suite — every cell once, in table order, since
-// virtual time needs no repetition — and returns the report the cells
-// filled in. smoke runs the reduced scenario set (CI); a full run
-// produces the tracked baseline.
+// Run replays every scenario once under each sharing mode — virtual
+// time needs no repetition — and returns what the simulator counted.
+// smoke runs the reduced scenario set (CI); a full run produces the
+// tracked baseline.
 func Run(smoke bool, logf func(format string, args ...any)) (*Report, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	rep := &Report{Smoke: smoke, BatchK: BatchK}
-	if err := benchkit.Each(table(rep, logf), func(c benchkit.Cell) error { return c.Run() }); err != nil {
+	g, err := fixtureGraph()
+	if err != nil {
 		return nil, fmt.Errorf("sharebench: %w", err)
 	}
+	for _, sc := range Scenarios(smoke) {
+		ts, err := tasks(sc, g)
+		if err != nil {
+			return nil, err
+		}
+		out := ScenarioReport{
+			Name:             sc.Name,
+			Units:            sc.Units,
+			Queries:          sc.Queries,
+			ZipfS:            sc.ZipfS,
+			QueueDepth:       sc.QueueDepth,
+			BatchK:           BatchK,
+			Gate:             sc.Gate,
+			ResultsIdentical: true,
+		}
+		var baseline map[int64]traverse.Result
+		for j, m := range modes {
+			res, perTask, err := runMode(g, sc, m.name, m.batchK, ts)
+			if err != nil {
+				return nil, err
+			}
+			if j == 0 {
+				baseline = perTask
+			} else if !reflect.DeepEqual(baseline, perTask) {
+				out.ResultsIdentical = false
+			}
+			st := ModeStats{
+				Mode:              m.name,
+				QueriesPerSec:     res.ThroughputPerSec,
+				MakespanMs:        float64(res.Makespan.Nanoseconds()) / 1e6,
+				DiskRequests:      res.Disk.Requests,
+				DiskReadsPerQuery: ratio(float64(res.Disk.Requests), float64(res.Completed)),
+				CacheHitRate:      res.HitRate,
+			}
+			out.Modes = append(out.Modes, st)
+			out.ReadsRatio = ratio(out.Modes[0].DiskReadsPerQuery, st.DiskReadsPerQuery)
+			logf("%-14s %-9s %8.0f q/s  %6.2f reads/query  %7d reads  hit %.3f  (%.2fx fewer reads than %s, results identical: %v)",
+				sc.Name, m.name, st.QueriesPerSec, st.DiskReadsPerQuery, st.DiskRequests, st.CacheHitRate,
+				out.ReadsRatio, modes[0].name, out.ResultsIdentical)
+		}
+		rep.Scenarios = append(rep.Scenarios, out)
+	}
 	return rep, nil
+}
+
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }

@@ -21,10 +21,10 @@ type refShard struct {
 	lists map[graph.VertexID][]Entry
 	// locks counts mutex acquisitions (read or write) on this shard's
 	// hot-path operations. Per-shard atomics avoid a single contended
-	// cache line; Table.LockAcquisitions sums them. The counter feeds
-	// the scheduler hot-path benchmarks (internal/schedbench), which
-	// assert that the batched LatestAll path takes P× fewer locks than
-	// per-proc LatestByProc scans.
+	// cache line; Table.LockAcquisitions sums them. The counter mirrors
+	// the flat table's, whose budgets TestRecordTraceMatchesRecordLoop
+	// (one lock per stripe) and TestRecordAllocatesNothing (no
+	// allocation) pin.
 	locks atomic.Int64
 }
 

@@ -106,9 +106,10 @@ type stripe struct {
 	// locks counts mutex acquisitions (read or write) on this stripe's
 	// hot-path operations. Per-stripe atomics avoid a single contended
 	// cache line; Table.LockAcquisitions sums them. The counter feeds
-	// the scheduler hot-path benchmarks (internal/schedbench), which
-	// assert that the batched LatestAll path takes P× fewer locks than
-	// per-proc LatestByProc scans, and RecordTrace one per stripe.
+	// the lock-budget tests: TestRecordTraceMatchesRecordLoop holds
+	// RecordTrace to one lock per stripe (TestRecordAllocatesNothing
+	// holds it and Record to no allocation), and affinity's
+	// TestBuildAnchorsLockBudget the batched build to P× fewer locks.
 	locks atomic.Int64
 }
 
