@@ -1,23 +1,18 @@
 // Command subtrav-bench regenerates the paper's evaluation figures
 // (Figures 8-12), the ablations and the extension studies on the
 // shared-disk simulator, printing each as an aligned text table (or
-// markdown/CSV), and runs the cross-query sharing study.
+// markdown/CSV).
 //
 // Usage:
 //
 //	subtrav-bench [flags] <experiment>
 //
-// where <experiment> is a figure or study (see studies), "all" for
+// where <experiment> is a figure or study (see studies), or "all" for
 // every one of those — deterministic, checked in as
-// experiments_output.txt — or share, which replays the sharing
-// scenarios in virtual time, fails unless batching clears
-// sharebench.MinReadsRatio, and rewrites the tracked BENCH_share.json
-// byte for byte; with -quick it runs the reduced scenario set and
-// writes nothing.
+// experiments_output.txt.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -27,12 +22,11 @@ import (
 
 	"subtrav"
 	"subtrav/internal/experiments"
-	"subtrav/internal/sharebench"
 )
 
 func main() {
 	var (
-		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts); share: reduced scenarios, no file written")
+		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts; share: the gated cell only)")
 		format = flag.String("format", "text", "output format: text, markdown, csv")
 		seed   = flag.Uint64("seed", 42, "master random seed")
 		scale  = flag.String("scale", "small", "graph scale: tiny, small, medium, large, paper")
@@ -40,7 +34,7 @@ func main() {
 		n      = flag.Int("queries", 0, "queries per run override")
 	)
 	flag.Usage = func() {
-		names := []string{"all", "share"}
+		names := []string{"all"}
 		for _, st := range studies {
 			names = append(names, st.name)
 		}
@@ -99,10 +93,6 @@ func main() {
 	}
 
 	target := flag.Arg(0)
-	if target == "share" {
-		run(target, func() ([]*experiments.Table, error) { return nil, runShare(*quick, shareFile) })
-		return
-	}
 	known := false
 	for _, st := range studies {
 		if target == "all" || target == st.name {
@@ -130,9 +120,7 @@ var studies = []struct {
 	{"warmstart", one(func(c experiments.Config) (*experiments.Table, error) {
 		return experiments.WarmStartStudy(c.Seed, 48, 8)
 	})},
-	{"adaptive", one(func(c experiments.Config) (*experiments.Table, error) {
-		return experiments.AdaptiveEpsilonStudy(c.Seed, 48, 12)
-	})},
+	{"share", one(experiments.Share)},
 	{"latency", one(experiments.LatencyUnderLoad)},
 	{"heterogeneous", one(experiments.Heterogeneous)},
 	{"layout", one(experiments.PartitionedLayout)},
@@ -150,34 +138,6 @@ func one(f func(experiments.Config) (*experiments.Table, error)) func(experiment
 
 // formats are the -format values main accepts.
 var formats = []string{"text", "markdown", "csv"}
-
-// shareFile is the tracked report a full share run rewrites.
-const shareFile = "BENCH_share.json"
-
-// runShare runs the sharing study, enforces its floor, and — on a full
-// run only, so a quick run never clobbers the committed baseline —
-// writes the report to path. The scenarios print through their log
-// lines: what the study reports is counts.
-func runShare(quick bool, path string) error {
-	rep, err := sharebench.Run(quick, func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	})
-	if err == nil {
-		err = rep.CheckThresholds(sharebench.MinReadsRatio)
-	}
-	if err != nil || quick {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
 
 var scales = map[string]subtrav.Scale{
 	"tiny": subtrav.ScaleTiny, "small": subtrav.ScaleSmall, "medium": subtrav.ScaleMedium,

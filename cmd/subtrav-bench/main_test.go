@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,17 +42,5 @@ func TestUnknownFormatIsAUsageError(t *testing.T) {
 	stderr, code := runMain(t, "-format", "json", "fig8")
 	if code != 2 || !strings.Contains(stderr, "usage:") || !strings.Contains(stderr, `"json"`) {
 		t.Errorf("-format json fig8: exit %d, stderr %q; want exit 2 with the usage line", code, stderr)
-	}
-}
-
-// A quick share run enforces the floor and writes nothing: it must
-// never clobber the committed baseline.
-func TestQuickShareWritesNothing(t *testing.T) {
-	path := filepath.Join(t.TempDir(), shareFile)
-	if err := runShare(true, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("quick share run left %s behind (stat: %v)", path, err)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"subtrav/internal/graphio"
 	"subtrav/internal/live"
 	"subtrav/internal/obs"
+	"subtrav/internal/service"
 )
 
 func main() {
@@ -104,9 +105,7 @@ func main() {
 		fmt.Printf("subtrav-service: debug endpoint on http://%s (/metrics, /healthz, /debug/pprof)\n", dbg.Addr())
 	}
 
-	// The service package wraps the runtime; importing it here keeps
-	// the wiring in one place.
-	srv, err := newServer(rt)
+	srv, err := service.NewServer(rt)
 	if err != nil {
 		fatal(err)
 	}

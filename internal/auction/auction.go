@@ -74,10 +74,9 @@ func Dense(benefits [][]float64) Problem {
 // Algorithm 1 plus bookkeeping.
 //
 // Lifetime: RowToCol and ColToRow of an Assignment returned by
-// Auctioneer.Assign (and AdaptiveAuctioneer.Assign, which passes it
-// through) are the auctioneer's own matching arrays, valid until the
-// next Assign on that auctioneer — copy them to keep them longer. The
-// stateless Solve* functions return slices the caller owns.
+// Auctioneer.Assign are the auctioneer's own matching arrays, valid
+// until the next Assign on that auctioneer — copy them to keep them
+// longer. The stateless Solve* functions return slices the caller owns.
 type Assignment struct {
 	// RowToCol[i] is the column assigned to row i, or -1.
 	RowToCol []int
@@ -120,9 +119,6 @@ type Options struct {
 	// NumRows*Epsilon of optimal. Must be > 0; DefaultEpsilon is used
 	// when zero.
 	Epsilon float64
-	// Workers is the number of goroutines used by SolveParallel's bid
-	// phase (default: 1 worker per 64 rows, capped at 8).
-	Workers int
 }
 
 // DefaultEpsilon is the price increment used when Options.Epsilon is

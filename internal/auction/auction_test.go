@@ -2,6 +2,7 @@ package auction
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -227,13 +228,25 @@ func TestMoreRowsThanCols(t *testing.T) {
 	}
 }
 
+// fourBidders pins GOMAXPROCS to 4 for the rest of the test, so a
+// 256-row problem's bid phase runs on four goroutines.
+func fourBidders(t *testing.T, p Problem) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	if w := workers(p); w != 4 {
+		t.Fatalf("%d rows bid on %d goroutines, want 4", p.NumRows(), w)
+	}
+}
+
 func TestParallelDeterministic(t *testing.T) {
 	rng := xrand.New(41)
-	b := randomDense(rng, 32, 40)
+	b := randomDense(rng, 256, 288)
 	p := Dense(b)
-	first := SolveParallel(p, Options{Epsilon: 1e-3, Workers: 4})
+	fourBidders(t, p)
+	first := SolveParallel(p, Options{Epsilon: 1e-3})
 	for i := 0; i < 5; i++ {
-		again := SolveParallel(p, Options{Epsilon: 1e-3, Workers: 4})
+		again := SolveParallel(p, Options{Epsilon: 1e-3})
 		for r := range first.RowToCol {
 			if first.RowToCol[r] != again.RowToCol[r] {
 				t.Fatalf("parallel auction nondeterministic at row %d", r)

@@ -129,11 +129,14 @@ func TestResetPrices(t *testing.T) {
 // rounds, the way the Auctioneer carries it for the sequential solver.
 func TestAuctioneerParallelVariant(t *testing.T) {
 	rng := xrand.New(11)
-	prices := make([]float64, 16)
+	const n, m = 256, 288
+	prices := make([]float64, m)
 	for round := 0; round < 10; round++ {
-		n := 4 + rng.Intn(12)
-		p := Dense(randomDense(rng, n, 16))
-		res := SolveParallelPriced(p, Options{Epsilon: 1e-3, Workers: 4}, prices)
+		p := Dense(randomDense(rng, n, m))
+		if round == 0 {
+			fourBidders(t, p)
+		}
+		res := SolveParallelPriced(p, Options{Epsilon: 1e-3}, prices)
 		if res.NumAssigned() != n {
 			t.Fatalf("round %d: assigned %d of %d", round, res.NumAssigned(), n)
 		}

@@ -22,14 +22,12 @@ type bid struct {
 
 func solveParallelWithPrices(p Problem, opts Options, prices []float64) Assignment {
 	s := newState(p, prices, opts)
-	return s.result(jacobiRounds(s, opts.workers(p)))
+	return s.result(jacobiRounds(s, workers(p)))
 }
 
-// workers returns the bid-phase goroutine count for this problem.
-func (o Options) workers(p Problem) int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
+// workers returns the bid-phase goroutine count for this problem: one
+// per 64 rows, capped by GOMAXPROCS and by 8.
+func workers(p Problem) int {
 	w := (p.NumRows() + 63) / 64
 	if w < 1 {
 		w = 1

@@ -98,91 +98,6 @@ func EpsilonSweep(seed uint64, n int) (*Table, error) {
 	return t, nil
 }
 
-// AdaptiveEpsilonStudy exercises the paper's future-work direction —
-// an adaptive minimum price increment — against fixed-ε auctions on a
-// drifting problem stream: total bidding rounds and final solution
-// quality for fixed fine ε, fixed coarse ε, and the adaptive
-// controller.
-func AdaptiveEpsilonStudy(seed uint64, n, roundsCount int) (*Table, error) {
-	if n <= 0 || roundsCount <= 0 {
-		return nil, fmt.Errorf("experiments: invalid adaptive study shape %d/%d", n, roundsCount)
-	}
-	rng := xrand.New(seed)
-	base := make([][]float64, n)
-	for i := range base {
-		base[i] = make([]float64, n)
-		for j := range base[i] {
-			base[i][j] = rng.Float64()
-		}
-	}
-	nextProblem := func() ([][]float64, auction.Problem) {
-		m := make([][]float64, n)
-		for i := range m {
-			m[i] = make([]float64, n)
-			for j := range m[i] {
-				m[i][j] = base[i][j] + 0.02*rng.Float64()
-			}
-		}
-		return m, auction.Dense(m)
-	}
-
-	type variant struct {
-		name   string
-		assign func(auction.Problem) (auction.Assignment, error)
-	}
-	fixedFine, err := auction.NewAuctioneer(auction.AuctioneerConfig{NumCols: n, Options: auction.Options{Epsilon: 1e-4}})
-	if err != nil {
-		return nil, err
-	}
-	fixedCoarse, err := auction.NewAuctioneer(auction.AuctioneerConfig{NumCols: n, Options: auction.Options{Epsilon: 0.05}})
-	if err != nil {
-		return nil, err
-	}
-	adaptive, err := auction.NewAdaptiveAuctioneer(auction.AdaptiveConfig{NumCols: n, RoundsBudget: 3 * n})
-	if err != nil {
-		return nil, err
-	}
-	variants := []variant{
-		{"fixed ε=1e-4", fixedFine.Assign},
-		{"fixed ε=0.05", fixedCoarse.Assign},
-		{"adaptive ε", adaptive.Assign},
-	}
-
-	totalRounds := make([]int, len(variants))
-	totalGap := make([]float64, len(variants))
-	for r := 0; r < roundsCount; r++ {
-		m, p := nextProblem()
-		exact, err := auction.SolveExact(m)
-		if err != nil {
-			return nil, err
-		}
-		for vi, v := range variants {
-			res, err := v.assign(p)
-			if err != nil {
-				return nil, err
-			}
-			totalRounds[vi] += res.Rounds
-			totalGap[vi] += exact.Benefit - res.Benefit
-		}
-	}
-
-	t := &Table{
-		Title:   fmt.Sprintf("Adaptive ε vs fixed ε (%d×%d, %d scheduling rounds)", n, n, roundsCount),
-		Columns: []string{"variant", "total rounds", "mean optimality gap", "final ε"},
-		Notes: []string{
-			"the adaptive controller targets a bidding budget and lands between the fixed extremes",
-			"paper future work: \"finding an adaptive minimum price increment ε\"",
-		},
-	}
-	finals := []string{"1e-4", "0.05", fmt.Sprintf("%.2g", adaptive.Epsilon())}
-	for vi, v := range variants {
-		t.AddRow(v.name, totalRounds[vi],
-			fmt.Sprintf("%.4f", totalGap[vi]/float64(roundsCount)),
-			finals[vi])
-	}
-	return t, nil
-}
-
 // WarmStartStudy quantifies the incremental auction's benefit: rounds
 // needed with warm-started prices vs cold starts over a drifting
 // problem sequence — the "performed incrementally, so as to capture

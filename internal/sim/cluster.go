@@ -117,12 +117,6 @@ func (c *Cluster) Clock() signature.Clock { return c.clock }
 // NumUnits returns P.
 func (c *Cluster) NumUnits() int { return c.cfg.NumUnits }
 
-// SetDiskMetrics mirrors shared-disk activity into m — typically
-// storage.NewMetrics(reg) on an obs.Registry — so simulator runs can
-// be scraped with the same disk series as the live system. nil
-// disables; Reset keeps the wiring.
-func (c *Cluster) SetDiskMetrics(m *storage.Metrics) { c.disk.SetMetrics(m) }
-
 // Reset clears all run state — queues, caches, signatures, disk
 // occupancy, admission counts and statistics — keeping the
 // configuration and the capacity the queues and sample lists grew to,

@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"subtrav/internal/faultpoint"
-	"subtrav/internal/obs"
 )
 
 // DiskConfig parameterizes the shared-disk service model.
@@ -103,34 +100,6 @@ type Stats struct {
 	// LocalSeeks counts reads that paid the reduced same-partition
 	// seek (see DiskConfig.PartitionLocality).
 	LocalSeeks int64
-	// FaultedReads and FaultNanos count reads hit by an injected
-	// fault (see Disk.SetFaults) and the virtual latency it added.
-	FaultedReads int64
-	FaultNanos   int64
-}
-
-// Metrics mirrors disk activity into an obs registry. The counters
-// are atomic, so a concurrent scraper can watch a disk that is being
-// driven by the (single-threaded) simulator.
-type Metrics struct {
-	Requests   *obs.Counter
-	BytesRead  *obs.Counter
-	QueueNanos *obs.Counter
-	LocalSeeks *obs.Counter
-	// Depth is the instantaneous number of busy channels observed at
-	// the last request.
-	Depth *obs.Gauge
-}
-
-// NewMetrics registers the standard disk metric family on reg.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		Requests:   reg.Counter("subtrav_disk_requests_total", "Shared-disk read requests."),
-		BytesRead:  reg.Counter("subtrav_disk_bytes_read_total", "Bytes fetched from the shared disk."),
-		QueueNanos: reg.Counter("subtrav_disk_queue_nanos_total", "Virtual nanoseconds requests spent waiting for a free channel."),
-		LocalSeeks: reg.Counter("subtrav_disk_local_seeks_total", "Reads that paid the reduced same-partition seek."),
-		Depth:      reg.Gauge("subtrav_disk_queue_depth", "Busy disk channels observed at the last request."),
-	}
 }
 
 // MeanQueueNanos returns the average queueing delay per request.
@@ -152,8 +121,6 @@ type Disk struct {
 	// (-1: none).
 	lastPart []int32
 	stats    Stats
-	faults   *faultpoint.Set
-	obs      *Metrics
 }
 
 // NewDisk creates a disk; panics on invalid configuration (programmer
@@ -175,17 +142,6 @@ func NewDisk(cfg DiskConfig) *Disk {
 
 // Config returns the disk configuration.
 func (d *Disk) Config() DiskConfig { return d.cfg }
-
-// SetFaults wires a fault set into the disk: each read evaluates the
-// faultpoint.DiskRead point and pays any injected delay as extra
-// virtual service time (slow-disk chaos in the simulator). Injected
-// errors have no error path here and are counted but otherwise
-// ignored. nil disables injection.
-func (d *Disk) SetFaults(s *faultpoint.Set) { d.faults = s }
-
-// SetMetrics mirrors future activity into m (nil disables). Existing
-// totals are not replayed.
-func (d *Disk) SetMetrics(m *Metrics) { d.obs = m }
 
 // Stats returns a copy of the activity counters.
 func (d *Disk) Stats() Stats { return d.stats }
@@ -223,19 +179,12 @@ func (d *Disk) ReadPart(now, bytes int64, partition int32) (done int64) {
 		bytes = 0
 	}
 	seek := d.cfg.SeekNanos
-	localSeek := false
 	if d.cfg.PartitionLocality > 0 && d.cfg.PartitionLocality < 1 &&
 		partition >= 0 && d.lastPart[best] == partition {
 		seek = int64(float64(seek) * d.cfg.PartitionLocality)
 		d.stats.LocalSeeks++
-		localSeek = true
 	}
 	service := seek + TransferNanos(bytes, d.cfg.BytesPerSecond)
-	if f := d.faults.Eval(faultpoint.DiskRead); f.Fired() {
-		d.stats.FaultedReads++
-		d.stats.FaultNanos += f.Delay.Nanoseconds()
-		service += f.Delay.Nanoseconds()
-	}
 	done = start + service
 
 	d.freeAt[best] = done
@@ -244,21 +193,6 @@ func (d *Disk) ReadPart(now, bytes int64, partition int32) (done int64) {
 	d.stats.BytesRead += bytes
 	d.stats.BusyNanos += service
 	d.stats.QueueNanos += start - now
-	if m := d.obs; m != nil {
-		m.Requests.Inc()
-		m.BytesRead.Add(bytes)
-		m.QueueNanos.Add(start - now)
-		if localSeek {
-			m.LocalSeeks.Inc()
-		}
-		busy := int64(0)
-		for _, free := range d.freeAt {
-			if free > now {
-				busy++
-			}
-		}
-		m.Depth.Set(busy)
-	}
 	return done
 }
 

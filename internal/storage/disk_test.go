@@ -3,13 +3,8 @@ package storage
 import (
 	"math"
 	"math/big"
-	"strings"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"subtrav/internal/faultpoint"
-	"subtrav/internal/obs"
 )
 
 func testConfig(channels int) DiskConfig {
@@ -213,30 +208,6 @@ func TestPartitionLocalityValidation(t *testing.T) {
 	}
 }
 
-func TestFaultInjectionAddsServiceTime(t *testing.T) {
-	d := NewDisk(testConfig(1))
-	d.SetFaults(faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{
-		Every: 2, Delay: 5 * time.Microsecond,
-	}))
-	done1 := d.Read(0, 100) // hit 1: clean
-	if done1 != 1100 {
-		t.Errorf("clean read done = %d, want 1100", done1)
-	}
-	done2 := d.Read(done1, 100) // hit 2: +5000ns spike
-	if got := done2 - done1; got != 1100+5000 {
-		t.Errorf("faulted read service = %d, want 6100", got)
-	}
-	st := d.Stats()
-	if st.FaultedReads != 1 || st.FaultNanos != 5000 {
-		t.Errorf("fault stats = %+v", st)
-	}
-	d.SetFaults(nil) // disable again
-	done3 := d.Read(done2, 100)
-	if got := done3 - done2; got != 1100 {
-		t.Errorf("after disabling, service = %d, want 1100", got)
-	}
-}
-
 func TestPartitionLocalityPerChannel(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.PartitionLocality = 0.5
@@ -248,55 +219,6 @@ func TestPartitionLocalityPerChannel(t *testing.T) {
 	if done != 1100 {
 		t.Errorf("parallel same-partition read = %d, want full seek 1100", done)
 	}
-}
-
-// TestMetricsMirroring checks the obs mirror: every ReadPart updates
-// the registered counters in lockstep with Stats.
-func TestMetricsMirroring(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	cfg := testConfig(2)
-	cfg.PartitionLocality = 0.5
-	d := NewDisk(cfg)
-	d.SetMetrics(m)
-
-	d.ReadPart(0, 100, 1)
-	d.ReadPart(0, 200, 1) // other channel: no locality yet
-	d.ReadPart(2000, 50, 1)
-
-	st := d.Stats()
-	if got := m.Requests.Value(); got != st.Requests {
-		t.Errorf("Requests mirror = %d, stats = %d", got, st.Requests)
-	}
-	if got := m.BytesRead.Value(); got != st.BytesRead {
-		t.Errorf("BytesRead mirror = %d, stats = %d", got, st.BytesRead)
-	}
-	if got := m.QueueNanos.Value(); got != st.QueueNanos {
-		t.Errorf("QueueNanos mirror = %d, stats = %d", got, st.QueueNanos)
-	}
-	if got := m.LocalSeeks.Value(); got != st.LocalSeeks {
-		t.Errorf("LocalSeeks mirror = %d, stats = %d", got, st.LocalSeeks)
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "subtrav_disk_requests_total 3") {
-		t.Errorf("exposition missing disk requests:\n%s", b.String())
-	}
-	// Reset keeps the wiring; the counters are cumulative across runs.
-	d.Reset()
-	d.Read(0, 100)
-	if got := m.Requests.Value(); got != 4 {
-		t.Errorf("after reset, mirror = %d, want cumulative 4", got)
-	}
-}
-
-// TestMetricsNilSafe: a disk without metrics must not touch obs.
-func TestMetricsNilSafe(t *testing.T) {
-	d := NewDisk(testConfig(1))
-	d.SetMetrics(nil)
-	d.Read(0, 100) // must not panic
 }
 
 // Regression: bytes*1e9/BytesPerSecond overflowed int64 for multi-GB
