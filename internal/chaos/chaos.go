@@ -5,9 +5,11 @@
 //
 //   - exactly-once resolution: every accepted submission delivers
 //     exactly one Response — never zero, never two;
-//   - bounded queues: no unit queue ever exceeds Config.QueueCap (+1
-//     transient slot for the dispatcher's in-progress enqueue), and the
-//     in-flight count never exceeds Config.MaxPending;
+//   - bounded queues: no unit queue ever exceeds Config.QueueCap +
+//     NumUnits − 1 — rounds run only while some unit holds fewer than
+//     QueueCap tasks, and a placement on a full queue moves to the
+//     least-loaded unit — and the in-flight count never exceeds
+//     Config.MaxPending;
 //   - conservation: at quiescence,
 //     submitted = completed + rejected + timed-out holds exactly, and
 //     the client-side view of each query's fate agrees with the
@@ -27,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subtrav/internal/affinity"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
 	"subtrav/internal/live"
@@ -47,8 +50,10 @@ type Options struct {
 	// Config for the runtime under test. Zero-value fields take the
 	// live package defaults.
 	Config live.Config
-	// Scheduler for the runtime; nil uses least-loaded.
-	Scheduler sched.Scheduler
+	// Auction runs the paper's scheduler (live.NewAuction, its affinity
+	// wired to the runtime's signatures) instead of least-loaded
+	// placement.
+	Auction bool
 
 	// Submitters is the number of concurrent client goroutines
 	// (default 8).
@@ -81,9 +86,6 @@ func (o *Options) withDefaults() error {
 			return err
 		}
 		o.Graph = g
-	}
-	if o.Scheduler == nil {
-		o.Scheduler = sched.NewLeastLoaded()
 	}
 	if o.Submitters <= 0 {
 		o.Submitters = 8
@@ -140,7 +142,13 @@ func Run(opts Options) (*Report, error) {
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
-	rt, err := live.New(opts.Graph, opts.Config, opts.Scheduler)
+	var rt *live.Runtime
+	var err error
+	if opts.Auction {
+		rt, err = live.NewAuction(opts.Graph, opts.Config, affinity.DefaultConfig(), 1e-3)
+	} else {
+		rt, err = live.New(opts.Graph, opts.Config, sched.NewLeastLoaded())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -336,10 +344,8 @@ func verify(rt *live.Runtime, rep *Report, cfg live.Config, opts Options) error 
 	if m.Failed != rep.Failed {
 		return fmt.Errorf("chaos: runtime counted %d failures, submitters received %d", m.Failed, rep.Failed)
 	}
-	// Queue bound: QueueCap plus the dispatcher's single in-progress
-	// enqueue slot (queued is incremented just before the channel send).
-	if qcap := cfg.QueueCap; qcap > 0 && rep.MaxQueued > qcap+1 {
-		return fmt.Errorf("chaos: observed queue depth %d > QueueCap %d (+1 transient)", rep.MaxQueued, qcap)
+	if qcap := cfg.QueueCap; qcap > 0 && rep.MaxQueued > qcap+cfg.NumUnits-1 {
+		return fmt.Errorf("chaos: observed queue depth %d > QueueCap %d + NumUnits %d − 1", rep.MaxQueued, qcap, cfg.NumUnits)
 	}
 	if mp := cfg.MaxPending; mp > 0 && rep.MaxInFlight > mp {
 		return fmt.Errorf("chaos: observed in-flight %d > MaxPending %d", rep.MaxInFlight, mp)

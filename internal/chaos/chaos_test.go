@@ -52,8 +52,6 @@ func TestStressFaultStorm(t *testing.T) {
 	cfg.QueueCap = 8
 	cfg.MaxPending = 32
 	cfg.SchedTimeout = 500 * time.Microsecond
-	cfg.DegradeAfter = 2
-	cfg.DegradeCooldown = 4
 	cfg.Faults = faultpoint.NewSet(42).
 		Add(faultpoint.DiskRead, faultpoint.Rule{Prob: 0.05, Delay: 300 * time.Microsecond}).     // latency spikes
 		Add(faultpoint.DiskRead, faultpoint.Rule{Prob: 0.02, Err: errors.New("transient disk")}). // absorbed by the internal retry
@@ -119,6 +117,31 @@ func TestStressBackpressure(t *testing.T) {
 	}
 	if rep.GaveUp > 0 {
 		t.Errorf("%d queries gave up despite 40 retries", rep.GaveUp)
+	}
+}
+
+// TestStressOverload keeps more queries in flight than the unit queues
+// hold (NumUnits × QueueCap), under SCH and under least-loaded
+// placement: rounds wait for room, which completions make, and Run
+// holds the queue bound QueueCap + NumUnits − 1 and conservation.
+func TestStressOverload(t *testing.T) {
+	t.Parallel()
+	for _, auction := range []bool{true, false} {
+		cfg := fastConfig(2)
+		cfg.QueueCap = 2
+		cfg.MaxPending = 24
+		cfg.Cost.Disk.SeekNanos = 2_000_000 // slower queries → a standing backlog
+		rep, err := Run(Options{Seed: 5, Config: cfg, Auction: auction, Submitters: 16, Queries: 160})
+		if err != nil {
+			t.Fatalf("auction=%t: %v", auction, err)
+		}
+		t.Logf("overload, auction=%t: %+v", auction, *rep)
+		if held := cfg.NumUnits * cfg.QueueCap; rep.MaxInFlight <= held {
+			t.Errorf("auction=%t: in flight peaked at %d, not past the %d the queues hold", auction, rep.MaxInFlight, held)
+		}
+		if rep.Accepted != 160 || rep.Completed != 160 {
+			t.Errorf("auction=%t: %d accepted, %d completed of 160", auction, rep.Accepted, rep.Completed)
+		}
 	}
 }
 

@@ -47,26 +47,12 @@ func (q *Queue[T]) Pop() T {
 
 // PopN removes the n oldest elements, n <= Len, and returns them
 // oldest first as a view of the queue's own storage: the caller may
-// read, reorder and overwrite it until the next Push, PushFront or
-// Reset, and must not use it afterwards.
+// read, reorder and overwrite it until the next Push or Reset, and
+// must not use it afterwards.
 func (q *Queue[T]) PopN(n int) []T {
 	out := q.items[q.head : q.head+n : q.head+n]
 	q.head += n
 	return out
-}
-
-// PushFront puts vs back ahead of the oldest element, vs[0] becoming
-// the oldest — the undo of a PopN. vs may be (part of) that PopN's
-// view.
-func (q *Queue[T]) PushFront(vs []T) {
-	if q.head < len(vs) {
-		merged := make([]T, 0, len(vs)+q.Len())
-		merged = append(merged, vs...)
-		q.items, q.head = append(merged, q.items[q.head:]...), 0
-		return
-	}
-	q.head -= len(vs)
-	copy(q.items[q.head:], vs)
 }
 
 // Reset empties the queue, keeping its capacity.

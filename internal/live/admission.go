@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"subtrav/internal/obs"
+	"subtrav/internal/sched"
 	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
 )
@@ -94,6 +95,9 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 			ctx, cancel = context.WithTimeout(ctx, r.cfg.DefaultDeadline)
 		}
 	}
+	t := &task{ctx: ctx, cancel: cancel, submit: time.Now(), done: make(chan Response, 1)}
+	t.stask = sched.Task{Query: q, Tenant: tenant, Arrival: t.submit.UnixNano()}
+	t.Task = &t.stask
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -102,24 +106,25 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 		}
 		return nil, ErrClosed
 	}
-	r.counters.Submitted.Add(1)
-	ts := r.tenantState(tenant)
+	t.stask.ID = r.nextID
+	verdict := r.life.Arrive(t)
+	ts := r.tenantState(t.Bucket)
 	ts.submitted.Inc()
-	if verdict := r.adm.Admit(ts.bucket); verdict != sim.Admitted {
+	if verdict != sim.Admitted {
+		adm := r.life.Admission()
 		tenantLimited := verdict == sim.TenantOverShare
-		inflight := r.adm.InFlight()
+		inflight := adm.InFlight()
 		retryAfter := r.cfg.BatchWindow * time.Duration(2+inflight/len(r.units))
 		if tenantLimited {
-			inflight = r.adm.TenantInFlight(ts.bucket)
+			inflight = adm.TenantInFlight(t.Bucket)
 		}
-		label := r.adm.Label(ts.bucket)
+		label := adm.Label(t.Bucket)
 		r.mu.Unlock()
-		r.counters.Rejected.Add(1)
 		ts.rejected.Inc()
 		if cancel != nil {
 			cancel()
 		}
-		now := time.Now().UnixNano()
+		now := t.submit.UnixNano()
 		r.obs.ring.Append(obs.Span{
 			QueryID: -1, Op: q.Op.String(), Tenant: tenant, Start: int32(q.Start),
 			SubmitNanos: now, EndNanos: now, Unit: -1,
@@ -130,24 +135,11 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 			TenantLimited: tenantLimited, Tenant: label,
 		}
 	}
-	t := &task{
-		id:     r.nextID,
-		query:  q,
-		ctx:    ctx,
-		cancel: cancel,
-		submit: time.Now(),
-		done:   make(chan Response, 1),
-		tenant: tenant,
-		tstate: ts,
-	}
+	t.tstate = ts
 	t.span = r.beginSpan(t)
 	r.nextID++
-	r.pending.Push(t)
 	r.mu.Unlock()
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
+	r.wakeDispatcher()
 	return t.done, nil
 }
 
@@ -177,33 +169,56 @@ func (r *Runtime) DoCtx(ctx context.Context, q traverse.Query) (Response, error)
 	}
 }
 
-// finish resolves a task exactly once, delivering resp and recording
-// the outcome. Returns false if someone else already claimed it.
-func (r *Runtime) finish(t *task, resp Response, o outcome) bool {
-	if !t.claimed.CompareAndSwap(false, true) {
-		return false
-	}
+// resolve delivers the response of a task the lifecycle has resolved
+// — counted, its admission slot released — and records it: the
+// tenant's series, the latency histograms and the span.
+func (r *Runtime) resolve(t *task, resp Response, o outcome) {
 	if t.cancel != nil {
 		t.cancel()
 	}
-	r.mu.Lock()
-	r.adm.Release(t.tstate.bucket)
-	r.mu.Unlock()
 	switch o {
 	case outcomeTimedOut:
-		r.counters.TimedOut.Add(1)
 		t.tstate.timedOut.Inc()
 	default:
-		r.counters.Completed.Add(1)
 		t.tstate.completed.Inc()
 		if resp.Err != nil {
-			r.counters.Failed.Add(1)
+			r.life.Counts.Failed.Add(1)
 		}
 	}
 	r.obs.waitNanos.Observe(resp.Wait.Nanoseconds())
 	r.obs.execNanos.Observe(resp.Exec.Nanoseconds())
 	r.obs.latencyNanos.Observe(time.Since(t.submit).Nanoseconds())
 	r.finishSpan(t, resp, o)
+	// The lifecycle's scratch may keep t until it is overwritten; t must
+	// not keep the pooled workspace its kernel output lives in.
+	t.Result, t.Trace = traverse.Result{}, nil
 	t.done <- resp
-	return true
+}
+
+// timeOut resolves t, which the lifecycle timed out at the named stage,
+// on unit (-1 before placement).
+func (r *Runtime) timeOut(t *task, unit int32, stage string) {
+	resp := Response{Unit: unit, Err: fmt.Errorf("live: %s: %w", stage, t.ctx.Err()), Wait: time.Since(t.submit)}
+	if !t.started.IsZero() {
+		resp.Wait, resp.Exec = t.started.Sub(t.submit), time.Since(t.started)
+	}
+	r.resolve(t, resp, outcomeTimedOut)
+}
+
+// wakeDispatcher tells the dispatcher a task is pending or a unit made
+// room, without waiting: a wake already queued covers this one.
+func (r *Runtime) wakeDispatcher() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// madeRoom wakes the dispatcher when a lifecycle call that took n tasks
+// off a unit leaves tasks pending, as the simulator's release does.
+// Caller holds r.mu.
+func (r *Runtime) madeRoom(n int) {
+	if n > 0 && r.life.Pending() > 0 {
+		r.wakeDispatcher()
+	}
 }

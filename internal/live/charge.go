@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"subtrav/internal/faultpoint"
@@ -17,17 +18,17 @@ import (
 // the scaled transfer time before the cursor loads the record. Waits
 // run under ctx (see run for which one).
 //
-// Cancellation is scoped here and nowhere else. Before every wait each
-// member's own context is checked: one that has ended resolves at once
-// as timed out — its span keeping the work done on its behalf so far —
-// and its slot in members is set to nil while the survivors carry on.
-// A failed wait is followed by the same check, so a wait cut short by
-// a member's own deadline is that member's timeout; any other failure
-// (a persistent disk fault) is returned for the unresolved members.
+// Cancellation is scoped here and nowhere else. Before every wait the
+// members' own contexts are checked: one that has ended leaves the
+// lifecycle at once as timed out — its span keeping the work done on
+// its behalf so far — while the survivors carry on. A failed wait is
+// followed by the same check, so a wait cut short by a member's own
+// deadline is that member's timeout; any other failure (a persistent
+// disk fault) is returned for the survivors, which charge returns too.
 //
 // However the charge ends, what it did to the buffer is added to the
 // unit's cache counters once, on the way out.
-func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trace, members []*task, started time.Time) error {
+func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trace, members []*task) ([]*task, error) {
 	cur := sim.NewChargeCursor(&r.cfg.Cost, u.buffer, 1, replay)
 	evictedBefore := u.buffer.Stats().Evictions
 	var diskWaitNanos int64
@@ -37,31 +38,27 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 			s.DiskWaitNanos = diskWaitNanos
 		}
 	}
-	dropExpired := func() (alive int) {
-		for i, t := range members {
-			if t == nil {
-				continue
-			}
-			err := t.ctx.Err()
-			if err == nil {
-				alive++
-				continue
-			}
-			members[i] = nil
-			flushSpan(t)
-			r.finish(t, Response{
-				Unit: u.id,
-				Err:  fmt.Errorf("live: cancelled mid-traversal: %w", err),
-				Wait: started.Sub(t.submit),
-				Exec: time.Since(started),
-			}, outcomeTimedOut)
+	// expire reads the members' contexts and takes r.mu only when one
+	// has ended, to take it out of the lifecycle.
+	expire := func() (alive int) {
+		if !slices.ContainsFunc(members, func(t *task) bool { return t.Expired(0) }) {
+			return len(members)
 		}
-		return alive
+		var timedOut []*task
+		r.mu.Lock()
+		members, timedOut = r.life.Expire(int(u.id), time.Now().UnixNano(), nil)
+		r.madeRoom(len(timedOut))
+		r.mu.Unlock()
+		for _, t := range timedOut {
+			flushSpan(t)
+			r.timeOut(t, u.id, "cancelled mid-traversal")
+		}
+		return len(members)
 	}
 
 	inlineNanos := cur.RunHits()
 	var err error
-	for err == nil && dropExpired() > 0 {
+	for err == nil && expire() > 0 {
 		if cur.Done() {
 			err = r.sleepScaled(ctx, inlineNanos, 0)
 			break
@@ -75,19 +72,17 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 		}
 	}
 	if err != nil {
-		dropExpired()
+		expire()
 	}
 	for _, t := range members {
-		if t != nil {
-			flushSpan(t)
-		}
+		flushSpan(t)
 	}
 	c := u.cacheCounters
 	c.hits.Add(int64(cur.Hits))
 	c.misses.Add(int64(cur.Misses))
 	c.bytes.Add(cur.BytesRead)
 	c.evictions.Add(u.buffer.Stats().Evictions - evictedBefore)
-	return err
+	return members, err
 }
 
 // diskFetch is one shared-disk read: fault evaluation with one
@@ -101,7 +96,7 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Duration, err error) {
 	fault := r.cfg.Faults.Eval(faultpoint.DiskRead)
 	if fault.Err != nil {
-		r.counters.DiskFaultRetries.Add(1)
+		r.life.Counts.DiskFaultRetries.Add(1)
 		fault = r.cfg.Faults.Eval(faultpoint.DiskRead)
 		if fault.Err != nil {
 			return 0, fmt.Errorf("live: disk read failed after retry: %w", fault.Err)

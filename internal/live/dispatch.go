@@ -1,36 +1,40 @@
 package live
 
 import (
-	"fmt"
-	"sort"
+	"sync"
 	"time"
 
 	"subtrav/internal/faultpoint"
+	"subtrav/internal/metrics"
 	"subtrav/internal/sched"
 )
 
-// dispatcher batches pending queries and runs scheduling rounds,
-// mirroring the Figure 6 flow on wall time.
+// Scheduler degradation: after degradeAfter consecutive rounds over
+// Config.SchedTimeout (or with an injected scheduler fault), rounds use
+// the least-loaded fallback for degradeCooldown rounds.
+const (
+	degradeAfter    = 3
+	degradeCooldown = 8
+)
+
+// dispatcher runs the lifecycle's scheduling rounds on wall time,
+// mirroring the Figure 6 flow: it wakes when a task is submitted or a
+// unit makes room for pending ones, and on Close keeps placing what is
+// pending, with no window, until nothing is.
 func (r *Runtime) dispatcher() {
 	defer r.wg.Done()
-	defer func() {
-		// Final drain: schedule whatever is still pending, blocking on
-		// saturated queues (workers are still consuming them).
-		r.dispatchBatch(true)
-		for _, u := range r.units {
-			close(u.queue)
-		}
-	}()
+	defer close(r.drained)
 	timer := time.NewTimer(r.cfg.BatchWindow)
 	defer timer.Stop()
+	stop := r.stop
 	for {
 		select {
-		case <-r.stop:
-			return
+		case <-stop:
+			stop = nil
 		case <-r.wake:
 			// Give the batch window a chance to accumulate peers, but
 			// only when a fuller round could place them better.
-			if r.windowPays() {
+			if stop != nil && r.windowPays() {
 				if !timer.Stop() {
 					select {
 					case <-timer.C:
@@ -40,20 +44,12 @@ func (r *Runtime) dispatcher() {
 				timer.Reset(r.cfg.BatchWindow)
 				select {
 				case <-timer.C:
-				case <-r.stop:
+				case <-stop:
 				}
 			}
-			// Dispatch; when every queue is full, back off for a batch
-			// window (or a new wake) and retry rather than blocking.
-			for r.dispatchBatch(false) {
-				timer.Reset(r.cfg.BatchWindow)
-				select {
-				case <-r.stop:
-					return
-				case <-r.wake:
-				case <-timer.C:
-				}
-			}
+		}
+		if r.dispatch() == 0 && stop == nil {
+			return
 		}
 	}
 }
@@ -66,88 +62,64 @@ func (r *Runtime) dispatcher() {
 // rule applies: schedule as soon as a task and a unit with room meet.
 func (r *Runtime) windowPays() bool {
 	r.mu.Lock()
-	n := r.pending.Len()
-	r.mu.Unlock()
-	if n == 0 || n >= len(r.units) {
+	defer r.mu.Unlock()
+	if n := r.life.Pending(); n == 0 || n >= len(r.units) {
 		return false
 	}
-	for _, u := range r.units {
-		if u.QueueLen() == 0 && !u.Busy() {
+	for _, s := range r.life.Units() {
+		if s.QueueLen() == 0 && !s.Busy() {
 			return false
 		}
 	}
 	return true
 }
 
-// dispatchBatch assigns up to NumUnits pending tasks per round until
-// the pending pool is empty. In non-blocking mode it returns true
-// ("blocked") when unit queues are saturated, leaving the unplaced
-// tasks at the head of the pending pool.
-func (r *Runtime) dispatchBatch(block bool) (blocked bool) {
+// dispatch runs the lifecycle's rounds until the pending pool is empty
+// or no unit has room, and returns how many tasks it left pending. The
+// scheduler runs without r.mu; placing a round and taking the next
+// share one critical section, and only then are the idle units the
+// round gave work woken, so a worker's first dequeue never races the
+// dispatcher's next Take for the lock.
+func (r *Runtime) dispatch() (pending int) {
+	r.mu.Lock()
 	for {
-		r.mu.Lock()
-		if r.pending.Len() == 0 {
-			r.mu.Unlock()
-			return false
+		round, tasks, timedOut := r.life.Take(time.Now().UnixNano(), nil)
+		for i, s := range r.life.Units() {
+			r.views[i].queued, r.views[i].busy = s.QueueLen(), s.Busy()
 		}
-		n := min(len(r.units), r.pending.Len())
-		batch := append(r.batch[:0], r.pending.PopN(n)...)
-		scheduler := r.sched
+		pending = r.life.Pending()
 		r.mu.Unlock()
-
-		// Resolve tasks whose deadline already expired: their unit
-		// slot is never consumed.
-		live := batch[:0]
-		for _, t := range batch {
-			if err := t.ctx.Err(); err != nil {
-				r.finish(t, Response{
-					Unit: -1,
-					Err:  fmt.Errorf("live: dropped before dispatch: %w", err),
-					Wait: time.Since(t.submit),
-				}, outcomeTimedOut)
-				continue
+		for _, u := range r.woken {
+			select {
+			case r.units[u].wake <- struct{}{}:
+			default: // a wake is already waiting
 			}
-			live = append(live, t)
 		}
-		if len(live) == 0 {
-			continue
+		r.woken = r.woken[:0]
+		for _, t := range timedOut {
+			r.timeOut(t, -1, "dropped before dispatch")
+		}
+		if round == nil {
+			return pending
 		}
 
-		placement := r.schedule(scheduler, live)
-		for i, t := range live {
-			u := r.units[placement[i]]
-			if r.tryEnqueue(u, t) {
-				continue
+		placement := r.schedule(round, tasks)
+		r.mu.Lock()
+		now := time.Now().UnixNano()
+		for i, t := range round {
+			if u, idle := r.life.Place(t, placement[i], now); idle {
+				r.woken = append(r.woken, u)
 			}
-			// Assigned unit saturated: degrade the placement to any
-			// unit with room rather than blocking the dispatcher.
-			if r.enqueueLeastLoaded(t) {
-				continue
-			}
-			if block {
-				u.queued.Add(1)
-				u.queue <- t
-				continue
-			}
-			// Every queue is full: push the rest back and back off.
-			r.mu.Lock()
-			r.pending.PushFront(live[i:])
-			r.mu.Unlock()
-			return true
 		}
 	}
 }
 
 // schedule runs one scheduling round, measuring it against
 // SchedTimeout and degrading to the least-loaded fallback after
-// repeated overruns or injected scheduler faults. Dispatcher
+// repeated overruns or injected scheduler faults. The scheduler sees
+// the units as the round's Take left them (r.states). Dispatcher
 // goroutine only.
-func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
-	stasks, units := r.stasks[:len(batch)], r.unitStates
-	for i, t := range batch {
-		r.staskBuf[i] = sched.Task{ID: t.id, Query: t.query, Arrival: t.submit.UnixNano()}
-	}
-
+func (r *Runtime) schedule(round []*task, tasks []*sched.Task) []int {
 	fault := r.cfg.Faults.Eval(faultpoint.SchedRound)
 	if fault.Delay > 0 {
 		time.Sleep(fault.Delay) // injected stall: the round really is slow
@@ -161,12 +133,13 @@ func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
 		if r.degradeLeft > 0 {
 			r.degradeLeft--
 		}
-		r.counters.DegradedRounds.Add(1)
-		placement = r.fallback.Assign(stasks, units)
-	} else if ex, ok := scheduler.(sched.Explainer); ok {
-		placement, explain = ex.AssignExplained(stasks, units)
+		r.life.Counts.DegradedRounds.Add(1)
+		placement = r.fallback.Assign(tasks, r.states)
+	} else if ex, ok := r.sched.(sched.Explainer); ok && r.obs.ring != nil {
+		// The placement detail is only worth collecting for a span.
+		placement, explain = ex.AssignExplained(tasks, r.states)
 	} else {
-		placement = scheduler.Assign(stasks, units)
+		placement = r.sched.Assign(tasks, r.states)
 	}
 	elapsed := time.Since(start) + fault.Delay
 	r.obs.schedNanos.Observe(elapsed.Nanoseconds())
@@ -175,41 +148,29 @@ func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
 	// load (queue + busy + this round's placements). This is the
 	// balance half of the balance-affinity tradeoff; the affinity half
 	// (hit ratio, win margin) is tracked inside the scheduler.
-	loads := r.loads
-	var maxLoad, sumLoad int
-	for i, u := range r.units {
-		loads[i] = u.QueueLen()
-		if u.Busy() {
-			loads[i]++
+	for i, v := range r.views {
+		r.loads[i] = int64(v.queued)
+		if v.busy {
+			r.loads[i]++
 		}
 	}
 	for _, p := range placement {
-		loads[p]++
+		r.loads[p]++
 	}
-	for _, l := range loads {
-		sumLoad += l
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	imbalance := 1.0
-	if sumLoad > 0 {
-		imbalance = float64(maxLoad) * float64(len(loads)) / float64(sumLoad)
-	}
+	imbalance := metrics.Imbalance(r.loads)
 	r.obs.imbalance.Set(imbalance)
 	r.obs.imbalanceMilli.Observe(int64(imbalance * 1000))
 
-	// Fill the schedule phase of each task's span (dispatcher owns the
-	// tasks until they are enqueued, so this is race-free).
+	// Fill the schedule phase of each task's span (the dispatcher owns
+	// the tasks until they are placed, so this is race-free).
 	now := start.UnixNano()
-	for i, t := range batch {
+	for i, t := range round {
 		s := t.span
 		if s == nil {
 			continue
 		}
 		s.ScheduleNanos = now
-		s.Unit = int32(placement[i])
-		s.QueueLen = r.units[placement[i]].QueueLen()
+		s.QueueLen = r.views[placement[i]].queued
 		s.Degraded = degraded
 		s.Imbalance = imbalance
 		if explain != nil {
@@ -220,8 +181,8 @@ func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
 	if r.cfg.SchedTimeout > 0 {
 		if elapsed > r.cfg.SchedTimeout || fault.Err != nil {
 			r.slowRounds++
-			if r.slowRounds >= r.cfg.DegradeAfter && r.degradeLeft == 0 {
-				r.degradeLeft = r.cfg.DegradeCooldown
+			if r.slowRounds >= degradeAfter && r.degradeLeft == 0 {
+				r.degradeLeft = degradeCooldown
 				r.slowRounds = 0
 			}
 		} else if !degraded {
@@ -231,32 +192,26 @@ func (r *Runtime) schedule(scheduler sched.Scheduler, batch []*task) []int {
 	return placement
 }
 
-// tryEnqueue attempts a non-blocking enqueue on u.
-func (r *Runtime) tryEnqueue(u *liveUnit, t *task) bool {
-	u.queued.Add(1)
-	select {
-	case u.queue <- t:
-		return true
-	default:
-		u.queued.Add(-1)
-		return false
-	}
+// unitView is one unit as a scheduling round sees it: its queue length
+// and busy flag as the round's Take left them, the rest read from the
+// lifecycle's unit — its completion history under r.mu, which the
+// scheduler runs without.
+type unitView struct {
+	sched.UnitState
+	mu     *sync.Mutex
+	queued int
+	busy   bool
 }
 
-// enqueueLeastLoaded tries every unit in increasing queue-length
-// order. Returns false when all queues are full.
-func (r *Runtime) enqueueLeastLoaded(t *task) bool {
-	order := make([]int, len(r.units))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return r.units[order[a]].queued.Load() < r.units[order[b]].queued.Load()
-	})
-	for _, i := range order {
-		if r.tryEnqueue(r.units[i], t) {
-			return true
-		}
-	}
-	return false
+// QueueLen implements sched.UnitState.
+func (v *unitView) QueueLen() int { return v.queued }
+
+// Busy implements sched.UnitState.
+func (v *unitView) Busy() bool { return v.busy }
+
+// CompletedSince implements affinity.UnitView.
+func (v *unitView) CompletedSince(t int64) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.UnitState.CompletedSince(t)
 }

@@ -83,15 +83,15 @@ func TestWindowFillsARoundWhenEveryUnitIsBusy(t *testing.T) {
 	}
 	// The round has been placed once both tasks sit on unit queues.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		queued := 0
-		for _, u := range r.units {
-			queued += u.QueueLen()
+		n := 0
+		for u := range r.units {
+			n += queued(r, u)
 		}
-		if queued == k {
+		if n == k {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d tasks reached a unit queue", queued, k)
+			t.Fatalf("%d of %d tasks reached a unit queue", n, k)
 		}
 	}
 	for _, release := range gates {
@@ -125,5 +125,67 @@ func TestWindowFillsARoundWhenEveryUnitIsBusy(t *testing.T) {
 	}
 	if waited := time.Duration(round - firstSubmit); waited < cfg.BatchWindow {
 		t.Errorf("round placed %v after the first submission, want the full %v window", waited, cfg.BatchWindow)
+	}
+}
+
+// pinScheduler places every task on unit 0.
+type pinScheduler struct{}
+
+func (pinScheduler) Name() string { return "pin" }
+
+func (pinScheduler) Assign(tasks []*sched.Task, _ []sched.UnitState) []int {
+	return make([]int, len(tasks))
+}
+
+// TestFullQueuePlacementMovesToLeastLoaded: a scheduler that sends
+// everything to one parked unit fills that unit's queue to QueueCap and
+// no further; every later placement moves to the least-loaded unit,
+// which serves it.
+func TestFullQueuePlacementMovesToLeastLoaded(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(2)
+	cfg.QueueCap = 2
+	cfg.TraceBuffer = 16
+	r, err := New(g, cfg, pinScheduler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	release := parkUnit(t, r) // on unit 0, like everything else
+	const n = 6
+	chans := make([]<-chan Response, n)
+	for i := range chans {
+		if chans[i], err = r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i + 1), Depth: 2, MaxVisits: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Unit 0's queue fills to QueueCap behind the gate; the rest run on
+	// unit 1.
+	for deadline := time.Now().Add(10 * time.Second); r.Metrics().Completed != int64(n-cfg.QueueCap); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d queries completed around the parked unit", r.Metrics().Completed, n-cfg.QueueCap)
+		}
+	}
+	if q := queued(r, 0); q != cfg.QueueCap {
+		t.Errorf("parked unit queues %d tasks, want QueueCap %d", q, cfg.QueueCap)
+	}
+	if resp := release(); resp.Err != nil {
+		t.Fatalf("gate query: %v", resp.Err)
+	}
+	for i, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Errorf("query %d: %v", i, resp.Err)
+		}
+	}
+	moved := 0
+	for _, s := range r.Trace(16) {
+		if s.Unit == 1 {
+			moved++
+		}
+	}
+	if moved != n-cfg.QueueCap {
+		t.Errorf("%d queries ran on unit 1, want %d", moved, n-cfg.QueueCap)
 	}
 }

@@ -340,8 +340,6 @@ func TestSchedulerStallsDegradeToFallback(t *testing.T) {
 	g := liveGraph(t)
 	cfg := fastLiveConfig(2)
 	cfg.SchedTimeout = time.Millisecond
-	cfg.DegradeAfter = 2
-	cfg.DegradeCooldown = 4
 	cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.SchedRound, faultpoint.Rule{
 		Every: 1, Delay: 3 * time.Millisecond, // every round blows the budget
 	})
@@ -395,8 +393,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxPending = -1 },
 		func(c *Config) { c.DefaultDeadline = -time.Second },
 		func(c *Config) { c.SchedTimeout = -time.Second },
-		func(c *Config) { c.DegradeAfter = -1 },
-		func(c *Config) { c.DegradeCooldown = -2 },
 	} {
 		cfg := fastLiveConfig(1)
 		mutate(&cfg)

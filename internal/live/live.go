@@ -1,11 +1,13 @@
 // Package live is the real-concurrency counterpart of internal/sim:
-// a goroutine per processing unit, channel-based task queues, a
-// semaphore-guarded "shared disk" whose access costs are paid as
-// scaled-down sleeps, and the same signature/affinity/scheduler
-// machinery as the simulator. It backs the TCP query service
-// (internal/service) — the paper's deployment shape, where the
-// scheduler and the traversal engines run as one always-on system
-// processing a live query stream.
+// the simulator's task lifecycle (sim.Lifecycle — admission, rounds,
+// unit queues, deadline drops, completion bookkeeping) driven on the
+// wall clock by a dispatcher goroutine and a worker goroutine per
+// processing unit, a semaphore-guarded "shared disk" whose access
+// costs are paid as scaled-down sleeps, and the same
+// signature/affinity/scheduler machinery as the simulator. It backs
+// the TCP query service (internal/service) — the paper's deployment
+// shape, where the scheduler and the traversal engines run as one
+// always-on system processing a live query stream.
 //
 // Failure semantics: every admitted query resolves exactly once, as a
 // completion (possibly carrying an execution error), a timeout (its
@@ -20,13 +22,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"subtrav/internal/affinity"
 	"subtrav/internal/cache"
 	"subtrav/internal/faultpoint"
-	"subtrav/internal/fifo"
 	"subtrav/internal/graph"
 	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
@@ -54,10 +54,14 @@ type Config struct {
 	// round before scheduling it (default 200 µs). It waits only when
 	// fewer than NumUnits tasks are pending and no unit is idle; a wake
 	// that finds an idle unit or a full round pending schedules at
-	// once. It is also the back-off when every unit queue is full, and
-	// the unit of the retry-after hint a rejection carries.
+	// once. It is also the unit of the retry-after hint a rejection
+	// carries.
 	BatchWindow time.Duration
-	// QueueCap bounds each unit's queue (default 64).
+	// QueueCap is each unit's dispatch depth and queue bound (default
+	// 64): rounds run while some unit holds fewer than QueueCap tasks,
+	// queued or executing (the simulator's MaxQueuePerUnit rule), and a
+	// task placed on a unit whose queue already holds QueueCap moves to
+	// the least-loaded unit, so no queue exceeds QueueCap + NumUnits − 1.
 	QueueCap int
 
 	// MaxPending bounds admitted-but-unresolved queries (pending pool
@@ -76,18 +80,12 @@ type Config struct {
 	// DefaultDeadline, when positive, is applied to queries submitted
 	// with a context that has no deadline of its own. Zero disables.
 	DefaultDeadline time.Duration
-	// SchedTimeout is the per-round scheduling budget. After
-	// DegradeAfter consecutive rounds over budget (or with an injected
-	// scheduler fault), the dispatcher degrades to the least-loaded
-	// fallback policy for DegradeCooldown rounds — graceful
-	// degradation when the auction is stuck or slow. Zero disables
-	// degradation.
+	// SchedTimeout is the per-round scheduling budget. After three
+	// consecutive rounds over budget (or with an injected scheduler
+	// fault), the dispatcher degrades to the least-loaded fallback
+	// policy for eight rounds — graceful degradation when the auction
+	// is stuck or slow. Zero disables degradation.
 	SchedTimeout time.Duration
-	// DegradeAfter is the consecutive-slow-round threshold (default 3).
-	DegradeAfter int
-	// DegradeCooldown is how many rounds the fallback stays active
-	// once triggered (default 8).
-	DegradeCooldown int
 	// Faults optionally injects deterministic faults into disk
 	// accesses, unit dequeues and scheduler rounds (see
 	// internal/faultpoint). nil disables injection. Fault delays are
@@ -136,35 +134,28 @@ func (c *Config) validate() error {
 	if c.MaxPending < 1 {
 		return fmt.Errorf("live: MaxPending = %d, want >= 1", c.MaxPending)
 	}
-	if c.TenantShare < 0 {
-		return fmt.Errorf("live: TenantShare = %g, want >= 0", c.TenantShare)
-	}
 	if c.DefaultDeadline < 0 {
 		return fmt.Errorf("live: DefaultDeadline = %v, want >= 0", c.DefaultDeadline)
 	}
 	if c.SchedTimeout < 0 {
 		return fmt.Errorf("live: SchedTimeout = %v, want >= 0", c.SchedTimeout)
 	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 3
-	}
-	if c.DegradeCooldown == 0 {
-		c.DegradeCooldown = 8
-	}
-	if c.DegradeAfter < 1 || c.DegradeCooldown < 1 {
-		return fmt.Errorf("live: DegradeAfter = %d, DegradeCooldown = %d, want >= 1", c.DegradeAfter, c.DegradeCooldown)
-	}
 	if c.TraceBuffer < 0 {
 		return fmt.Errorf("live: TraceBuffer = %d, want >= 0", c.TraceBuffer)
 	}
-	if c.BatchTraversals < 0 || c.BatchTraversals > traverse.MaxBatch {
-		return fmt.Errorf("live: BatchTraversals = %d, want [0, %d]", c.BatchTraversals, traverse.MaxBatch)
+	lc := c.lifecycle()
+	err := lc.Validate() // the rest are the simulator's rules and defaults
+	c.Cost = lc.Cost
+	return err
+}
+
+// lifecycle is the configuration of the sim.Lifecycle the runtime
+// drives: QueueCap is its dispatch depth.
+func (c *Config) lifecycle() sim.Config {
+	return sim.Config{
+		NumUnits: c.NumUnits, MemoryPerUnit: c.MemoryPerUnit, MaxQueuePerUnit: c.QueueCap, Cost: c.Cost,
+		BatchTraversals: c.BatchTraversals, MaxPending: c.MaxPending, TenantShare: c.TenantShare,
 	}
-	zero := sim.CostModel{}
-	if c.Cost == zero {
-		c.Cost = sim.DefaultCostModel()
-	}
-	return c.Cost.Validate()
 }
 
 // Response is the outcome of one submitted query.
@@ -179,30 +170,27 @@ type Response struct {
 	Err  error
 }
 
-// task is one in-flight query.
+// task is one in-flight query: its lifecycle record, the scheduler's
+// view of it, and what resolving it takes.
 type task struct {
-	id      int64
-	query   traverse.Query
+	sim.Job
+	stask   sched.Task
 	ctx     context.Context
 	cancel  context.CancelFunc
 	submit  time.Time
 	started time.Time
 	done    chan Response
-	// tenant is the submitting tenant's name ("" when untenanted);
-	// tstate is its admission bucket, resolved once at admission so
-	// finish never re-hits the map.
-	tenant string
+	// tstate is the submitting tenant's metric series, resolved once at
+	// admission so resolution never re-hits the bucket table.
 	tstate *tenantState
-	// span is the task's trace span (nil when tracing is off). It is
-	// only ever written by the goroutine that currently owns the task
-	// — submitter, then dispatcher, then worker — with ownership
-	// handed over through channels, so access is race-free.
+	// span is the task's trace span (nil when tracing is off), written
+	// only by the goroutine that owns the task — submitter, dispatcher,
+	// then worker — which hand it over through the lifecycle under mu.
 	span *obs.Span
-	// claimed guarantees exactly-once resolution: whichever of the
-	// dispatcher, a worker, or the shutdown drain claims the task
-	// delivers its response; everyone else backs off.
-	claimed atomic.Bool
 }
+
+// Expired is a live task's expiry signal: its context has ended.
+func (t *task) Expired(int64) bool { return t.ctx.Err() != nil }
 
 // ErrClosed is returned by Submit after Close (and by the second and
 // later Close calls).
@@ -211,9 +199,8 @@ var ErrClosed = errors.New("live: runtime closed")
 // Runtime is a running live deployment. Create with New, submit with
 // Submit or Do, stop with Close.
 type Runtime struct {
-	g    *graph.Graph
-	cfg  Config
-	sigs *signature.Table
+	g   *graph.Graph
+	cfg Config
 
 	units    []*liveUnit
 	diskSlot chan struct{}
@@ -222,38 +209,39 @@ type Runtime struct {
 	// allocating per-query maps.
 	wsPool *traverse.Pool
 
-	mu      sync.Mutex
-	sched   sched.Scheduler
-	pending fifo.Queue[*task]
-	// adm decides admission and counts what is in flight, globally and
-	// per tenant bucket; tenants holds each bucket's metric series at
-	// the bucket's index.
-	adm     *sim.Admission
+	// mu guards life (but for its atomic Counts), tenants, closed and
+	// nextID. The scheduler runs outside it.
+	mu    sync.Mutex
+	life  *sim.Lifecycle[*task]
+	sched sched.Scheduler
+	// tenants holds each admission bucket's metric series at the
+	// bucket's index.
 	tenants []*tenantState
 	closed  bool
 	nextID  int64
 
-	wake chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// wake tells the dispatcher a task is pending or a unit made room;
+	// stop starts the shutdown drain; drained closes when the dispatcher
+	// will place nothing more.
+	wake    chan struct{}
+	stop    chan struct{}
+	drained chan struct{}
+	wg      sync.WaitGroup
 
-	counters metrics.Counters
-	obs      *runtimeObs
+	obs *runtimeObs
 
 	// Degradation state, owned by the dispatcher goroutine.
 	fallback    sched.Scheduler
 	slowRounds  int
 	degradeLeft int
 
-	// Per-round scratch, owned by the dispatcher goroutine and sized
-	// for a full round of NumUnits tasks: the batch taken off the
-	// pending pool, the scheduler's view of it (stasks[i] is
-	// &staskBuf[i]) and of the units, and the imbalance tally.
-	batch      []*task
-	staskBuf   []sched.Task
-	stasks     []*sched.Task
-	unitStates []sched.UnitState
-	loads      []int
+	// Per-round scratch, owned by the dispatcher goroutine: the units
+	// as its scheduler sees them (states[i] is &views[i]), the
+	// imbalance tally, and the idle units a round gave work.
+	views  []unitView
+	states []sched.UnitState
+	loads  []int64
+	woken  []int
 }
 
 // New starts a runtime: NumUnits worker goroutines plus a dispatcher.
@@ -302,22 +290,22 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 	r := &Runtime{
 		g:        g,
 		cfg:      cfg,
-		sigs:     sigs,
 		sched:    scheduler,
-		adm:      sim.NewAdmission(cfg.MaxPending, cfg.TenantShare),
+		life:     sim.NewLifecycle[*task](cfg.lifecycle(), cfg.QueueCap, sigs),
 		fallback: sched.NewLeastLoaded(),
 		diskSlot: make(chan struct{}, max(cfg.Cost.Disk.Channels, 1)),
 		wsPool:   traverse.NewPool(g.NumVertices()),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
+		drained:  make(chan struct{}),
 
-		batch:    make([]*task, 0, cfg.NumUnits),
-		staskBuf: make([]sched.Task, cfg.NumUnits),
-		stasks:   make([]*sched.Task, cfg.NumUnits),
-		loads:    make([]int, cfg.NumUnits),
+		views:  make([]unitView, cfg.NumUnits),
+		states: make([]sched.UnitState, cfg.NumUnits),
+		loads:  make([]int64, cfg.NumUnits),
 	}
-	for i := range r.stasks {
-		r.stasks[i] = &r.staskBuf[i]
+	for i, s := range r.life.Units() {
+		r.views[i] = unitView{UnitState: s, mu: &r.mu}
+		r.states[i] = &r.views[i]
 	}
 	r.obs = newRuntimeObs(r, cfg.TraceBuffer)
 	if reg, ok := scheduler.(schedulerRegistrar); ok {
@@ -327,14 +315,13 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		u := &liveUnit{
 			id:     int32(i),
 			buffer: cache.New(cfg.MemoryPerUnit),
-			queue:  make(chan *task, cfg.QueueCap),
+			wake:   make(chan struct{}, 1),
 		}
 		if cfg.BatchTraversals > 1 {
 			u.batch = traverse.NewBatch(g.NumVertices())
 		}
-		r.obs.wireUnit(u)
+		r.wireUnit(u)
 		r.units = append(r.units, u)
-		r.unitStates = append(r.unitStates, u)
 		r.wg.Add(1)
 		go r.worker(u)
 	}
@@ -345,17 +332,17 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 
 // Completed returns the number of finished queries so far (including
 // executions that returned an error; excluding timeouts/rejections).
-func (r *Runtime) Completed() int64 { return r.counters.Completed.Load() }
+func (r *Runtime) Completed() int64 { return r.life.Counts.Completed.Load() }
 
 // Metrics snapshots the query-lifecycle counters.
-func (r *Runtime) Metrics() metrics.Snapshot { return r.counters.Snapshot() }
+func (r *Runtime) Metrics() metrics.Snapshot { return r.life.Counts.Snapshot() }
 
 // InFlight returns the number of admitted-but-unresolved queries.
 // Always <= Config.MaxPending.
 func (r *Runtime) InFlight() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.adm.InFlight()
+	return r.life.Admission().InFlight()
 }
 
 // UnitStats is a point-in-time snapshot of one unit's activity.
@@ -384,23 +371,26 @@ func (s UnitStats) HitRate() float64 {
 // count and cache activity.
 func (r *Runtime) Stats() []UnitStats {
 	out := make([]UnitStats, len(r.units))
-	for i, u := range r.units {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, s := range r.life.Units() {
 		out[i] = UnitStats{
-			Unit:        u.id,
-			Queued:      u.QueueLen(),
-			Busy:        u.Busy(),
-			Completed:   int(u.completed.Load()),
-			CacheHits:   u.cacheCounters.hits.Value(),
-			CacheMisses: u.cacheCounters.misses.Value(),
+			Unit:        int32(i),
+			Queued:      s.QueueLen(),
+			Busy:        s.Busy(),
+			Completed:   int(r.life.Completed(i)),
+			CacheHits:   r.units[i].cacheCounters.hits.Value(),
+			CacheMisses: r.units[i].cacheCounters.misses.Value(),
 		}
 	}
 	return out
 }
 
 // Close drains in-flight work and stops all goroutines. Pending
-// queries are still executed; Submit after Close fails with
-// ErrClosed. The first call returns nil; concurrent or repeated calls
-// wait for the same drain and return ErrClosed.
+// queries are still placed, as units make room, and executed; Submit
+// after Close fails with ErrClosed. The first call returns nil;
+// concurrent or repeated calls wait for the same drain and return
+// ErrClosed.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
 	already := r.closed

@@ -34,10 +34,11 @@ type runtimeObs struct {
 
 // tenantState is one tenant bucket's metric series. The bucket itself —
 // which names share it, how many of its queries are in flight, whether
-// the next one is admitted — is sim.Admission's (Runtime.adm, guarded
+// the next one is admitted — is the lifecycle's sim.Admission (guarded
 // by Runtime.mu), whose MaxTenants cap bounds this series' cardinality.
 type tenantState struct {
-	// bucket is the tenant's index in Runtime.adm and Runtime.tenants.
+	// bucket is the tenant's admission bucket and its index in
+	// Runtime.tenants.
 	bucket int
 
 	submitted *obs.Counter
@@ -59,24 +60,25 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 	reg := obs.NewRegistry()
 	o := &runtimeObs{reg: reg, ring: obs.NewRing(traceBuffer)}
 
-	// Lifecycle counters read straight from metrics.Counters — one
-	// source of truth, so the conservation invariant
-	// submitted = completed + rejected + timed_out is visible on
-	// /metrics at quiescence.
+	// Lifecycle counters read straight from the lifecycle's
+	// metrics.Counters — one source of truth, so the conservation
+	// invariant submitted = completed + rejected + timed_out is visible
+	// on /metrics at quiescence.
+	c := &r.life.Counts
 	reg.CounterFunc("subtrav_queries_submitted_total",
-		"Valid queries presented for admission.", r.counters.Submitted.Load)
+		"Valid queries presented for admission.", c.Submitted.Load)
 	reg.CounterFunc("subtrav_queries_completed_total",
-		"Queries whose response was delivered after execution.", r.counters.Completed.Load)
+		"Queries whose response was delivered after execution.", c.Completed.Load)
 	reg.CounterFunc("subtrav_queries_rejected_total",
-		"Queries refused at admission (backpressure).", r.counters.Rejected.Load)
+		"Queries refused at admission (backpressure).", c.Rejected.Load)
 	reg.CounterFunc("subtrav_queries_timed_out_total",
-		"Queries dropped on deadline expiry or cancellation.", r.counters.TimedOut.Load)
+		"Queries dropped on deadline expiry or cancellation.", c.TimedOut.Load)
 	reg.CounterFunc("subtrav_queries_failed_total",
-		"Completed queries whose execution returned an error.", r.counters.Failed.Load)
+		"Completed queries whose execution returned an error.", c.Failed.Load)
 	reg.CounterFunc("subtrav_sched_degraded_rounds_total",
-		"Scheduling rounds that used the least-loaded fallback.", r.counters.DegradedRounds.Load)
+		"Scheduling rounds that used the least-loaded fallback.", c.DegradedRounds.Load)
 	reg.CounterFunc("subtrav_disk_fault_retries_total",
-		"Transient disk errors absorbed by the internal retry.", r.counters.DiskFaultRetries.Load)
+		"Transient disk errors absorbed by the internal retry.", c.DiskFaultRetries.Load)
 	reg.GaugeFunc("subtrav_queries_inflight",
 		"Admitted-but-unresolved queries.", func() float64 { return float64(r.InFlight()) })
 
@@ -101,14 +103,13 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 }
 
 // tenantState returns (registering its series on first sight) the
-// bucket a tenant is accounted in. Caller must hold r.mu.
-func (r *Runtime) tenantState(tenant string) *tenantState {
-	b := r.adm.Tenant(tenant)
+// metric series of admission bucket b. Caller must hold r.mu.
+func (r *Runtime) tenantState(b int) *tenantState {
 	if b < len(r.tenants) {
 		return r.tenants[b]
 	}
 	ts := &tenantState{bucket: b}
-	label := obs.L("tenant", r.adm.Label(b))
+	label := obs.L("tenant", r.life.Admission().Label(b))
 	ts.submitted = r.obs.reg.Counter("subtrav_tenant_submitted_total",
 		"Queries presented for admission per tenant.", label)
 	ts.completed = r.obs.reg.Counter("subtrav_tenant_completed_total",
@@ -122,7 +123,7 @@ func (r *Runtime) tenantState(tenant string) *tenantState {
 		func() float64 {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			return float64(r.adm.TenantInFlight(b))
+			return float64(r.life.Admission().TenantInFlight(b))
 		}, label)
 	r.tenants = append(r.tenants, ts)
 	return ts
@@ -145,10 +146,11 @@ func (r *Runtime) TenantStatsSnapshot() []TenantStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]TenantStats, 0, len(r.tenants))
+	adm := r.life.Admission()
 	for _, ts := range r.tenants {
 		out = append(out, TenantStats{
-			Tenant:    r.adm.Label(ts.bucket),
-			InFlight:  r.adm.TenantInFlight(ts.bucket),
+			Tenant:    adm.Label(ts.bucket),
+			InFlight:  adm.TenantInFlight(ts.bucket),
 			Submitted: ts.submitted.Value(),
 			Completed: ts.completed.Value(),
 			Rejected:  ts.rejected.Value(),
@@ -160,7 +162,8 @@ func (r *Runtime) TenantStatsSnapshot() []TenantStats {
 }
 
 // wireUnit registers one unit's per-unit series.
-func (o *runtimeObs) wireUnit(u *liveUnit) {
+func (r *Runtime) wireUnit(u *liveUnit) {
+	o := r.obs
 	label := obs.L("unit", strconv.Itoa(int(u.id)))
 	c := &unitCounters{
 		hits: o.reg.Counter("subtrav_unit_cache_hits_total",
@@ -175,10 +178,18 @@ func (o *runtimeObs) wireUnit(u *liveUnit) {
 	u.cacheCounters = c
 	o.reg.GaugeFunc("subtrav_unit_queue_len",
 		"Queued tasks per processing unit.",
-		func() float64 { return float64(u.QueueLen()) }, label)
+		func() float64 {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return float64(r.life.Units()[u.id].QueueLen())
+		}, label)
 	o.reg.CounterFunc("subtrav_unit_completed_total",
 		"Completed queries per processing unit.",
-		u.completed.Load, label)
+		func() int64 {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.life.Completed(int(u.id))
+		}, label)
 	o.reg.GaugeFunc("subtrav_unit_cache_hit_ratio",
 		"Lifetime buffer hit ratio per processing unit (0 when idle).",
 		func() float64 {
@@ -216,19 +227,18 @@ func (r *Runtime) beginSpan(t *task) *obs.Span {
 		return nil
 	}
 	return &obs.Span{
-		QueryID:     t.id,
-		Op:          t.query.Op.String(),
-		Tenant:      t.tenant,
-		Start:       int32(t.query.Start),
+		QueryID:     t.Task.ID,
+		Op:          t.Task.Query.Op.String(),
+		Tenant:      t.Task.Tenant,
+		Start:       int32(t.Task.Query.Start),
 		SubmitNanos: t.submit.UnixNano(),
 		Unit:        -1,
 	}
 }
 
 // finishSpan completes a span at resolution and appends it to the
-// ring. Called only by the goroutine that won the finish CAS, which
-// is also the goroutine that last owned the task, so span writes
-// never race.
+// ring. Called only by the goroutine that resolves the task, which is
+// also the goroutine that last owned it, so span writes never race.
 func (r *Runtime) finishSpan(t *task, resp Response, o outcome) {
 	s := t.span
 	if s == nil {

@@ -18,8 +18,9 @@ import (
 // The cross-query sharing layer must never change what a query
 // returns — only how much disk work a concurrent mix costs. These
 // tests pin live responses against direct single-source execution with
-// batching on, and cover the expiry handling of a drained batch: the
-// carried task's dequeue check and a member cancelled mid-charge.
+// batching on, and cover the expiry handling of a dequeued batch: the
+// dequeue check of the task that ends a batchable run, and a member
+// cancelled mid-charge.
 
 // doAll submits every query concurrently and returns the responses in
 // query order, failing the test on submission errors.
@@ -54,9 +55,9 @@ func TestBatchTraversalsMatchDirectExecution(t *testing.T) {
 
 	// Runs of eleven batchable BFS and SSSP, each closed by a
 	// non-batchable RWR. Every query is queued behind the gate before
-	// the worker wakes, so each run drains as a full batch of eight,
-	// then a batch of three that ends on the RWR, which must ride
-	// through the drain as an ordinary carry task.
+	// the worker wakes, so each run dequeues as a full batch of eight,
+	// then a batch of three that ends before the RWR, which runs on its
+	// own next.
 	var queries []traverse.Query
 	for i := 0; i < 36; i++ {
 		switch {
@@ -158,26 +159,33 @@ func parkUnit(t *testing.T, r *Runtime) (release func() Response) {
 }
 
 // enqueueBehind submits q and waits until it sits on unit 0's queue
-// with queued tasks in total, so queue order equals submission order.
-func enqueueBehind(t *testing.T, r *Runtime, ctx context.Context, q traverse.Query, queued int32) <-chan Response {
+// with want tasks in total, so queue order equals submission order.
+func enqueueBehind(t *testing.T, r *Runtime, ctx context.Context, q traverse.Query, want int32) <-chan Response {
 	t.Helper()
 	ch, err := r.SubmitCtx(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); r.units[0].queued.Load() != queued; {
+	for deadline := time.Now().Add(10 * time.Second); queued(r, 0) != int(want); {
 		if time.Now().After(deadline) {
-			t.Fatalf("task never reached the unit queue (queued = %d, want %d)", r.units[0].queued.Load(), queued)
+			t.Fatalf("task never reached the unit queue (queued = %d, want %d)", queued(r, 0), want)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
 	return ch
 }
 
+// queued returns how many tasks wait on unit u's queue.
+func queued(r *Runtime, u int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.life.Units()[u].QueueLen()
+}
+
 // TestCarriedTaskGetsDequeueDeadlineCheck: the non-batchable task that
-// ends a drained batch waits behind the whole batch execution, so it
-// must get the same expiry check as a task coming straight off the
-// queue — not run its kernel only to be cancelled at the first charge.
+// ends a batchable run waits behind the whole batch execution, so it
+// must get the same expiry check as any task coming off the queue — not
+// run its kernel only to be cancelled at the first charge.
 func TestCarriedTaskGetsDequeueDeadlineCheck(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
@@ -191,7 +199,7 @@ func TestCarriedTaskGetsDequeueDeadlineCheck(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	carried := enqueueBehind(t, r, ctx,
 		traverse.Query{Op: traverse.OpRWR, Start: 2, Steps: 200, RestartProb: 0.15, TopK: 5, Seed: 9}, 2)
-	cancel() // expired while queued; the worker finds it as drainBatch's carry
+	cancel() // expired while queued; the batchable head's dequeue leaves it queued
 	release()
 
 	if resp := <-head; resp.Err != nil {

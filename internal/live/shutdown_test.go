@@ -176,3 +176,53 @@ func TestCloseRacingSubmit(t *testing.T) {
 		t.Errorf("post-close Submit = %v, want ErrClosed", err)
 	}
 }
+
+// TestCloseWaitsForRoom: Close with submissions still pending behind a
+// unit at QueueCap places them as the unit frees, runs them, and only
+// then returns.
+func TestCloseWaitsForRoom(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.QueueCap = 1
+	cfg.MaxPending = 8
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := parkUnit(t, r)
+	var chans []<-chan Response
+	for i := 0; i < 4; i++ {
+		ch, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	closed := make(chan error)
+	go func() { closed <- r.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with the gate still running", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if resp := release(); resp.Err != nil {
+		t.Fatalf("gate query: %v", resp.Err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, ch := range chans {
+		select {
+		case resp := <-ch:
+			if resp.Err != nil {
+				t.Errorf("query %d: %v", i, resp.Err)
+			}
+		default:
+			t.Errorf("query %d unresolved after Close", i)
+		}
+	}
+	if m := r.Metrics(); m.Completed != 5 || !m.Conserved() {
+		t.Errorf("metrics after Close: %v", m)
+	}
+}

@@ -2,34 +2,21 @@ package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"subtrav/internal/cache"
 	"subtrav/internal/faultpoint"
-	"subtrav/internal/sched"
+	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
 )
 
-// completionWindow caps how many completion times a unit remembers for
-// CompletedSince: 512 KiB per unit for the life of an always-on
-// service instead of 8 B per query served.
-const completionWindow = 1 << 16
-
-// liveUnit is one worker goroutine's state.
+// liveUnit is what one worker goroutine keeps beside the lifecycle's
+// queue for its unit.
 type liveUnit struct {
 	id     int32
-	buffer *cache.Cache // guarded by the worker goroutine only
-	queue  chan *task
-
-	queued atomic.Int32
-	busy   atomic.Bool
-
-	// batch is the unit's lockstep multi-query executor, nil unless
+	buffer *cache.Cache // worker goroutine only
+	// batch is the unit's lockstep executor, nil unless
 	// Config.BatchTraversals enables batching. Worker goroutine only.
 	batch *traverse.Batch
 
@@ -37,225 +24,114 @@ type liveUnit struct {
 	// charge) so Stats and /metrics can read them while hot.
 	cacheCounters *unitCounters
 
-	// completions is a ring of the unit's latest completion times (unix
-	// nanos, ascending from the oldest), guarded by mu: it grows on
-	// demand to completionWindow entries, after which each completion
-	// overwrites the oldest. completed is the exact lifetime count
-	// (written under mu), which puts the oldest entry at
-	// completed % len(completions).
-	mu          sync.Mutex
-	completions []int64
-	completed   atomic.Int64
+	// wake tells the idle worker a round placed work on its queue.
+	wake chan struct{}
 }
 
-var _ sched.UnitState = (*liveUnit)(nil)
-
-// QueueLen implements sched.UnitState.
-func (u *liveUnit) QueueLen() int { return int(u.queued.Load()) }
-
-// Busy implements sched.UnitState.
-func (u *liveUnit) Busy() bool { return u.busy.Load() }
-
-// CompletedSince implements affinity.UnitView. It is exact while t
-// falls inside the completion window and saturates at
-// completionWindow for older t. Saturation is invisible to the
-// scheduler: the count only feeds affinity's churn decay
-// exp(-ChurnScale·n·AvgSubgraphBytes/M), and at the default 256 KiB
-// footprint 65 536 completions are 16 GiB churned through the buffer,
-// which pushes every score under the default η = 0.01 for any
-// per-unit budget M up to 3.4 GiB — the (task, unit) edge is already
-// dropped, and a larger n cannot drop it twice.
-func (u *liveUnit) CompletedSince(t int64) int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	n := len(u.completions)
-	if n == 0 {
-		return 0
-	}
-	oldest := int(u.completed.Load() % int64(n))
-	idx := sort.Search(n, func(i int) bool { return u.completions[(oldest+i)%n] >= t })
-	return n - idx
-}
-
-// recordCompletion notes one finished query at unix time now.
-func (u *liveUnit) recordCompletion(now int64) {
-	u.mu.Lock()
-	if len(u.completions) < completionWindow {
-		u.completions = append(u.completions, now)
-	} else {
-		u.completions[u.completed.Load()%completionWindow] = now
-	}
-	u.completed.Add(1)
-	u.mu.Unlock()
-}
-
-// MemoryBudget implements affinity.UnitView.
-func (u *liveUnit) MemoryBudget() int64 { return u.buffer.Budget() }
-
-// worker executes tasks on one unit, paying scaled access costs. With
-// batching enabled it drains runs of consecutive batchable queries off
-// the queue and advances them in lockstep.
+// worker drives one unit through the lifecycle: it dequeues the unit's
+// next members (a run of batchable queries when batching is on),
+// executes them, and completes them, sleeping while the queue is empty
+// until a round wakes it — or, once the dispatcher has drained, exits.
 func (r *Runtime) worker(u *liveUnit) {
 	defer r.wg.Done()
-	for t := range u.queue {
-		u.queued.Add(-1)
-
+	for {
+		// Read before the dequeue: once drained is closed no round
+		// places anything, so an empty queue then stays empty.
+		var drained bool
+		select {
+		case <-r.drained:
+			drained = true
+		default:
+		}
 		// Injected dequeue fault: a stalled (Delay) or transiently
-		// failing (Err) unit. Evaluated once per wake; a batch drained
-		// behind this task rides the same evaluation.
+		// failing (Err) unit. A member whose deadline passes during the
+		// stall is dropped at the dequeue.
 		fault := r.cfg.Faults.Eval(faultpoint.Dequeue)
 		if fault.Delay > 0 {
 			time.Sleep(fault.Delay)
 		}
-		if r.dropAtDequeue(u, t) {
-			continue
+		r.mu.Lock()
+		members, timedOut := r.life.Dequeue(int(u.id), time.Now().UnixNano(), nil)
+		r.madeRoom(len(timedOut))
+		r.mu.Unlock()
+		for _, t := range timedOut {
+			r.timeOut(t, u.id, "dropped at dequeue")
 		}
-		if fault.Err != nil {
-			r.finish(t, Response{
-				Unit: u.id,
-				Err:  fmt.Errorf("live: unit %d: %w", u.id, fault.Err),
-				Wait: time.Since(t.submit),
-			}, outcomeCompleted)
-			continue
-		}
-
-		if u.batch != nil && traverse.Batchable(t.query.Op) {
-			members, carry := r.drainBatch(u, t)
+		switch {
+		case members != nil && fault.Err != nil:
+			r.complete(u, members, fmt.Errorf("live: unit %d: %w", u.id, fault.Err), time.Now())
+		case members != nil:
 			r.run(u, members)
-			if carry != nil {
-				r.run(u, []*task{carry})
+		case drained:
+			return
+		default:
+			select {
+			case <-u.wake:
+			case <-r.drained:
 			}
-			continue
 		}
-		r.run(u, []*task{t})
 	}
 }
 
-// dropAtDequeue resolves t as timed out, without consuming execution,
-// if its context has already ended, and reports whether it did.
-func (r *Runtime) dropAtDequeue(u *liveUnit, t *task) bool {
-	err := t.ctx.Err()
-	if err == nil {
-		return false
-	}
-	r.finish(t, Response{
-		Unit: u.id,
-		Err:  fmt.Errorf("live: dropped at dequeue: %w", err),
-		Wait: time.Since(t.submit),
-	}, outcomeTimedOut)
-	return true
-}
-
-// run executes members — one query, or a drained run of batchable ones
-// — and resolves every one of them. A solo query is a batch of one:
-// only the kernel step depends on the width (a pooled workspace at
+// run executes members — one query, or a dequeued run of batchable
+// ones — and resolves every one of them. A solo query is a batch of
+// one: only the kernel step depends on the width (a pooled workspace at
 // width one and for non-batchable ops; above, the unit's lockstep
-// traverse.Batch, whose shared wave trace loads each wave-shared
-// record once), and per-member results are identical to independent
-// execution. The dequeue expiry check is repeated here because the
-// non-batchable task carried out of drainBatch waited behind a whole
-// batch execution first.
+// traverse.Batch, whose shared wave trace loads each wave-shared record
+// once), and per-member results are identical to independent
+// execution.
 func (r *Runtime) run(u *liveUnit, members []*task) {
-	live := members[:0]
-	for _, t := range members {
-		if !r.dropAtDequeue(u, t) {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	u.busy.Store(true)
 	started := time.Now()
-	for _, t := range live {
+	for _, t := range members {
 		t.started = started
 		if t.span != nil {
 			t.span.StartNanos = started.UnixNano()
 		}
 	}
 
-	var (
-		soloResult [1]traverse.Result
-		soloTrace  [1]*traverse.Trace
-		results    []traverse.Result
-		traces     []*traverse.Trace
-		replay     *traverse.Trace // the trace the unit pays for
-		err        error
-	)
 	// Disk waits run under the member's own context at width one — an
 	// expired deadline frees the unit within one access-service time.
 	// Above, no single member's expiry may abort a wait its peers are
 	// paying for too, and Close drains before it stops anything, so
-	// there is no context to wait under.
+	// there is no context to wait under. A solo member runs on a pooled
+	// workspace, back in the pool once its trace has been charged and
+	// signed; its Result is cloned before it escapes into the Response.
 	ctx := context.Background()
-	if len(live) == 1 {
-		t := live[0]
-		ctx = t.ctx
-		// The workspace goes back to the pool when this execution's
-		// trace has been fully charged; the Result is cloned before it
-		// escapes into the Response, which outlives the checkout.
-		ws := r.wsPool.Get()
+	var ws *traverse.Workspace
+	if len(members) == 1 {
+		ctx = members[0].ctx
+		ws = r.wsPool.Get()
 		defer r.wsPool.Put(ws)
-		soloResult[0], replay, err = traverse.ExecuteIn(ws, r.g, t.query)
-		soloTrace[0] = replay
-		results, traces = soloResult[:], soloTrace[:]
-	} else {
-		queries := make([]traverse.Query, len(live))
-		for i, t := range live {
-			queries[i] = t.query
-		}
-		results, traces, replay, err = u.batch.Run(r.g, queries)
 	}
+	replay, err := sim.Execute(r.g, ws, u.batch, members)
 	if err == nil {
-		err = r.charge(u, ctx, replay, live, started)
+		members, err = r.charge(u, ctx, replay, members)
 	}
-
-	// A wait that ended with a context error is a timeout; everything
-	// else, a failed execution included, is a completion the unit is
-	// credited with.
-	o := outcomeCompleted
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		o = outcomeTimedOut
-	}
-	u.busy.Store(false)
-	now := time.Now()
-	for i, t := range live {
-		if t == nil {
-			continue // resolved mid-charge
-		}
-		resp := Response{Unit: u.id, Err: err, Wait: started.Sub(t.submit), Exec: now.Sub(started)}
-		if err == nil {
-			r.sigs.RecordTrace(traces[i].Touched, u.id, now.UnixNano())
-			resp.Result = results[i].Clone()
-		}
-		if o == outcomeCompleted {
-			u.recordCompletion(now.UnixNano())
-		}
-		r.finish(t, resp, o)
+	if len(members) > 0 {
+		r.complete(u, members, err, time.Now())
 	}
 }
 
-// drainBatch pulls up to Config.BatchTraversals-1 more batchable tasks
-// off u's queue without blocking, starting from first. A non-batchable
-// task ends the run and is returned as carry for ordinary execution
-// (FIFO order is preserved: it queued after every member).
-func (r *Runtime) drainBatch(u *liveUnit, first *task) (members []*task, carry *task) {
-	members = append(members, first)
-	for len(members) < r.cfg.BatchTraversals {
-		select {
-		case t, ok := <-u.queue:
-			if !ok {
-				return members, nil
-			}
-			u.queued.Add(-1)
-			if !traverse.Batchable(t.query.Op) {
-				return members, t
-			}
-			members = append(members, t)
-		default:
-			return members, nil
-		}
+// complete finishes u's executing members at now through the
+// lifecycle, signs them outside r.mu, and delivers their responses. A
+// member of a failed execution (err set) completes with the error and
+// signs nothing.
+func (r *Runtime) complete(u *liveUnit, members []*task, err error, now time.Time) {
+	r.mu.Lock()
+	members = r.life.Complete(int(u.id), now.UnixNano())
+	r.madeRoom(len(members))
+	r.mu.Unlock()
+	if err == nil {
+		r.life.Sign(int(u.id), now.UnixNano(), members)
 	}
-	return members, nil
+	for _, t := range members {
+		resp := Response{Unit: u.id, Err: err, Wait: time.Since(t.submit)}
+		if !t.started.IsZero() {
+			resp.Wait, resp.Exec = t.started.Sub(t.submit), now.Sub(t.started)
+		}
+		if err == nil {
+			resp.Result = t.Result.Clone()
+		}
+		r.resolve(t, resp, outcomeCompleted)
+	}
 }

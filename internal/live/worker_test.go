@@ -1,53 +1,65 @@
 package live
 
-import "testing"
+import (
+	"testing"
+	"time"
 
-// TestCompletionWindowIsBounded: a unit that has served more queries
-// than the window holds keeps a window-sized ring, an exact lifetime
-// count, and exact CompletedSince answers for every time still inside
-// the window.
-func TestCompletionWindowIsBounded(t *testing.T) {
+	"subtrav/internal/graph"
+	"subtrav/internal/sched"
+	"subtrav/internal/traverse"
+)
+
+// pending returns how many admitted tasks no round has taken yet.
+func pending(r *Runtime) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.life.Pending()
+}
+
+// TestCompletionWakesDispatcher: with its one unit at QueueCap the
+// runtime holds submissions in the pending pool, and each completion,
+// which makes room, wakes the dispatcher to place the next: nothing
+// else would.
+func TestCompletionWakesDispatcher(t *testing.T) {
 	t.Parallel()
-	u := &liveUnit{}
-	if got := u.CompletedSince(0); got != 0 {
-		t.Fatalf("idle unit CompletedSince = %d, want 0", got)
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.QueueCap = 1
+	cfg.MaxPending = 8
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
 	}
-	const extra = 1000
-	const total = completionWindow + extra
-	// Completion i happens at time 10·i, so "since 10·i" has an exact
-	// expected answer.
-	for i := 0; i < total; i++ {
-		u.recordCompletion(int64(10 * i))
-		if i == completionWindow/2 {
-			// Still growing: exact over the whole history.
-			if got := u.CompletedSince(0); got != i+1 {
-				t.Fatalf("before wrap: CompletedSince(0) = %d, want %d", got, i+1)
+	defer r.Close()
+
+	release := parkUnit(t, r)
+	const n = 3
+	chans := make([]<-chan Response, n)
+	for i := range chans {
+		if chans[i], err = r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The dispatcher has seen the submissions; the executing gate is
+	// the unit's whole depth, so nothing may leave the pool.
+	time.Sleep(20 * time.Millisecond)
+	if p, q := pending(r), queued(r, 0); p != n || q != 0 {
+		t.Fatalf("with the unit at QueueCap: %d pending, %d queued; want %d, 0", p, q, n)
+	}
+	if resp := release(); resp.Err != nil {
+		t.Fatalf("gate query: %v", resp.Err)
+	}
+	for i, ch := range chans {
+		select {
+		case resp := <-ch:
+			if resp.Err != nil {
+				t.Errorf("query %d: %v", i, resp.Err)
 			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("query %d never placed after the unit made room", i)
 		}
 	}
-	if len(u.completions) != completionWindow || cap(u.completions) > 2*completionWindow {
-		t.Errorf("ring holds %d (cap %d) completion times, want %d", len(u.completions), cap(u.completions), completionWindow)
-	}
-	if got := u.completed.Load(); got != total {
-		t.Errorf("completed = %d, want %d", got, total)
-	}
-	for _, since := range []int{total - 1, total - 7, total - completionWindow/2, extra + 1, extra} {
-		want := total - since
-		if got := u.CompletedSince(int64(10 * since)); got != want {
-			t.Errorf("CompletedSince(completion %d) = %d, want %d", since, got, want)
-		}
-		// A time between two completions counts only the later ones.
-		if got := u.CompletedSince(int64(10*since) - 5); got != want {
-			t.Errorf("CompletedSince(just before completion %d) = %d, want %d", since, got, want)
-		}
-	}
-	if got := u.CompletedSince(int64(10*total) + 1); got != 0 {
-		t.Errorf("CompletedSince(future) = %d, want 0", got)
-	}
-	// Older than the window: saturates at the window size.
-	for _, since := range []int64{0, 10 * (extra - 1)} {
-		if got := u.CompletedSince(since); got != completionWindow {
-			t.Errorf("CompletedSince(%d) = %d, want the window size %d", since, got, completionWindow)
-		}
+	if m := r.Metrics(); m.Completed != n+1 || !m.Conserved() {
+		t.Errorf("metrics = %v", m)
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Counters tracks the lifecycle of every query presented to a live
-// runtime. The accounting is a partition: each submitted query ends in
-// exactly one of Completed, Rejected or TimedOut, so at quiescence
+// Counters tracks the lifecycle of every query presented to an
+// executor; sim.Lifecycle, which both executors drive, keeps one. The
+// accounting is a partition: each submitted query ends in exactly one
+// of Completed, Rejected or TimedOut, so at quiescence
 //
 //	Submitted = Completed + Rejected + TimedOut
 //

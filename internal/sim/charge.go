@@ -2,9 +2,34 @@ package sim
 
 import (
 	"subtrav/internal/cache"
+	"subtrav/internal/graph"
 	"subtrav/internal/obs"
 	"subtrav/internal/traverse"
 )
+
+// Execute runs the kernels of a unit's members, sets each one's Result
+// and Trace, and returns the trace the unit pays for: a solo member's
+// own, run on ws, or the shared wave trace of one lockstep batch run
+// (each wave-shared record loaded once — see traverse.Batch), whose
+// per-member results are identical to independent execution. What it
+// sets is ws's or batch's, valid until their next run.
+func Execute[T jobber](g *graph.Graph, ws *traverse.Workspace, batch *traverse.Batch, members []T) (replay *traverse.Trace, err error) {
+	if len(members) == 1 {
+		j := members[0].job()
+		j.Result, replay, err = traverse.ExecuteIn(ws, g, j.Task.Query)
+		j.Trace = replay
+		return replay, err
+	}
+	queries := make([]traverse.Query, len(members))
+	for i, t := range members {
+		queries[i] = t.job().Task.Query
+	}
+	results, traces, replay, err := batch.Run(g, queries)
+	for i, t := range members[:len(results)] {
+		t.job().Result, t.job().Trace = results[i], traces[i]
+	}
+	return replay, err
+}
 
 // ChargeCursor replays one access trace against one unit's buffer for
 // its virtual cost. It is the single copy of the paper's executor rule

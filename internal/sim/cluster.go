@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"subtrav/internal/cache"
-	"subtrav/internal/fifo"
 	"subtrav/internal/graph"
-	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/signature"
@@ -18,6 +16,13 @@ import (
 // NewCluster, wire a scheduler (whose affinity scorer should read the
 // cluster's Signatures and Clock), then drive it with Run. A cluster
 // instance runs one workload; use Reset between repetitions.
+//
+// The task lifecycle — admission, rounds, unit queues, deadline drops,
+// completion bookkeeping — is the Lifecycle the live runtime drives
+// too. What the cluster adds is virtual time: an event heap, the
+// shared disk as a virtual-time service queue, the kernels and charge
+// stepping, and one thing the live runtime does not do, signing a
+// vertex into L(v) on every miss (see step).
 type Cluster struct {
 	g     *graph.Graph
 	cfg   Config
@@ -25,20 +30,15 @@ type Cluster struct {
 	sigs  *signature.Table
 	disk  *storage.Disk
 	units []*unit
-	// unitStates is units as a scheduler is shown them.
-	unitStates []sched.UnitState
+	life  *Lifecycle[*Job]
 
 	events eventHeap
 	seq    int64
-	// adm admits or rejects each arrival and counts what is in flight;
-	// pending is the admitted pool in front of the scheduler.
-	adm     *Admission
-	pending fifo.Queue[*taskState]
-	// round is scratch for the task list of one scheduling round; it is
-	// the scheduler's only for the length of its Assign call.
-	round []*sched.Task
 	// sched is the active scheduler for the duration of Run.
 	sched sched.Scheduler
+	// dispatching is set while dispatch runs: a unit that starts and
+	// finishes at one instant releases into its rounds, not a new one.
+	dispatching bool
 	// trace receives one span per resolved task, whatever the outcome
 	// (nil: disabled).
 	trace *obs.Ring
@@ -48,12 +48,37 @@ type Cluster struct {
 	OnComplete func(*sched.Task, traverse.Result)
 
 	// run accounting
-	life         metrics.Snapshot
 	firstArrival int64
 	lastComplete int64
 	visitedTotal int64
 	latencies    []int64
 	execNanos    []int64
+}
+
+// unit is what the simulator keeps per processing unit beside the
+// lifecycle's queue: a private buffer, the kernels' workspaces, and the
+// charge of the members executing.
+type unit struct {
+	id     int32
+	buffer *cache.Cache
+	// ws is the unit's reusable traversal workspace. Its private
+	// buffers hold the executing members' traces across replay events,
+	// so they are only recycled by the unit's own next start — after
+	// complete has consumed them. The O(|V|) dense scratch inside is
+	// shared cluster-wide: the event loop runs one traversal at a time.
+	ws *traverse.Workspace
+	// batch is the unit's multi-source executor, nil unless
+	// Config.BatchTraversals enables lockstep batches. Its outputs
+	// follow the same recycle discipline as ws.
+	batch *traverse.Batch
+	// speed multiplies the unit's compute and hit costs (1 = nominal).
+	speed float64
+	// charge is the cursor over the trace the executing members pay
+	// for: a solo member's own trace, or the batch's shared wave trace
+	// (each wave-shared record loaded once — see traverse.Batch).
+	charge    ChargeCursor
+	start     int64 // when the executing members began
+	busyNanos int64
 }
 
 // NewCluster builds a cluster over the given graph.
@@ -70,9 +95,9 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 		clock:        &signature.ManualClock{},
 		sigs:         signature.NewTable(cfg.SignatureCap),
 		disk:         storage.NewDisk(cfg.Cost.Disk),
-		adm:          NewAdmission(cfg.MaxPending, cfg.TenantShare),
 		firstArrival: -1,
 	}
+	c.life = NewLifecycle[*Job](cfg, 0, c.sigs)
 	// All units borrow one dense traversal scratch: the event loop
 	// executes kernels one at a time, and sharing keeps cluster memory
 	// at O(|V|) instead of O(P·|V|) (the paper-scale graph is 11.3M
@@ -99,10 +124,15 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 			u.batch = traverse.NewBatchWithScratch(batchScratch)
 		}
 		c.units = append(c.units, u)
-		c.unitStates = append(c.unitStates, u)
 	}
 	return c, nil
 }
+
+// SetTrace makes every task append one obs.Span in virtual nanos to
+// ring when it resolves — completed, rejected at admission or timed out
+// — the record the live runtime writes, field for field (nil disables
+// tracing). Call before Run.
+func (c *Cluster) SetTrace(ring *obs.Ring) { c.trace = ring }
 
 // Graph returns the cluster's graph.
 func (c *Cluster) Graph() *graph.Graph { return c.g }
@@ -125,18 +155,13 @@ func (c *Cluster) Reset() {
 	c.clock.Reset() // same clock object: scorers wired to it stay valid
 	c.sigs.Reset()
 	c.disk.Reset()
+	c.life.Reset()
 	for _, u := range c.units {
 		u.buffer = cache.New(c.cfg.MemoryPerUnit)
-		u.queue.Reset()
-		u.cur = nil
-		u.completions = u.completions[:0]
 		u.busyNanos = 0
 	}
 	c.events = c.events[:0]
 	c.seq = 0
-	c.adm = NewAdmission(c.cfg.MaxPending, c.cfg.TenantShare)
-	c.pending.Reset()
-	c.life = metrics.Snapshot{}
 	c.firstArrival = -1
 	c.lastComplete = 0
 	c.visitedTotal = 0
@@ -159,7 +184,7 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 	}
 	c.sched = s
 	defer func() { c.sched = nil }()
-	states := make([]taskState, len(tasks))
+	jobs := make([]Job, len(tasks))
 	for i, t := range tasks {
 		if err := t.Query.Validate(c.g); err != nil {
 			return Result{}, fmt.Errorf("sim: task %d: %w", t.ID, err)
@@ -167,8 +192,8 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 		if t.Arrival < 0 {
 			return Result{}, fmt.Errorf("sim: task %d has negative arrival %d", t.ID, t.Arrival)
 		}
-		states[i].task = t
-		c.push(event{time: t.Arrival, kind: evArrival, task: &states[i]})
+		jobs[i].Task = t
+		c.push(event{time: t.Arrival, kind: evArrival, job: &jobs[i]})
 	}
 
 	for len(c.events) > 0 {
@@ -179,155 +204,94 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 			if c.firstArrival < 0 || e.time < c.firstArrival {
 				c.firstArrival = e.time
 			}
-			c.arrive(e.task, e.time)
+			// An arrival is admitted into the pending pool, or resolved on
+			// the spot as rejected: counted, traced, never scheduled.
+			if c.life.Arrive(e.job) != Admitted {
+				c.emit(obs.OutcomeRejected, e.time, nil, e.job)
+				continue
+			}
+			c.dispatch(e.time)
 		case evStep:
 			c.step(c.units[e.unit], e.time)
 		}
 	}
-	if n := c.pending.Len(); n > 0 {
+	if n := c.life.Pending(); n > 0 {
 		return Result{}, fmt.Errorf("sim: %d tasks never dispatched (scheduler stalled)", n)
 	}
-	// Nothing is in flight any more: let go of what still points into
-	// the task slab — the pool's popped prefix, each unit's last
-	// members — so that it does not outlive the run.
-	c.pending.Reset()
-	for _, u := range c.units {
-		clear(u.exec.members[:cap(u.exec.members)])
-	}
+	c.life.forget() // nothing in flight may keep the job slab alive
 	return c.result(s), nil
 }
 
 // dispatch runs scheduling rounds while pending tasks exist and some
 // unit is below the dispatch depth target (Figure 6: fetch up to P
-// tasks, auction, dispatch to unit queues).
-func (c *Cluster) dispatch(s sched.Scheduler, now int64) {
-	for c.pending.Len() > 0 && c.hasDispatchRoom() {
-		// Leaving the pool, as in the live dispatcher: a task whose
-		// deadline passed while it waited is never shown to the
-		// scheduler and consumes no unit slot. The popped view stays
-		// valid to the end of the round: the pool is only pushed to
-		// from the event loop, between rounds.
-		states := c.pending.PopN(min(len(c.units), c.pending.Len()))
-		if states = c.dropExpired(nil, states, nil, now); len(states) == 0 {
-			continue
+// tasks, auction, dispatch to unit queues), starting a unit the moment
+// a round gives it work while it idles.
+func (c *Cluster) dispatch(now int64) {
+	if c.dispatching {
+		return
+	}
+	c.dispatching = true
+	for {
+		round, tasks, timedOut := c.life.Take(now, nil)
+		c.emit(obs.OutcomeTimeout, now, nil, timedOut...)
+		if round == nil {
+			c.dispatching = false
+			return
 		}
-		tasks := c.round[:0]
-		for _, ts := range states {
-			tasks = append(tasks, ts.task)
-		}
-		c.round = tasks
-
 		// The placement detail is only worth collecting for a span; an
 		// Explainer's Assign is its AssignExplained minus the detail, so
 		// tracing cannot move a placement.
 		var placement []int
 		var explain []sched.Explain
-		if ex, ok := s.(sched.Explainer); ok && c.trace != nil {
-			placement, explain = ex.AssignExplained(tasks, c.unitStates)
+		if ex, ok := c.sched.(sched.Explainer); ok && c.trace != nil {
+			placement, explain = ex.AssignExplained(tasks, c.life.Units())
 		} else {
-			placement = s.Assign(tasks, c.unitStates)
+			placement = c.sched.Assign(tasks, c.life.Units())
 		}
-		// From here on only states, placement and explain are read:
-		// starting a task can finish it on the spot and re-enter
-		// dispatch, which reuses c.round.
-		for i, ts := range states {
-			pick := placement[i]
-			if pick < 0 || pick >= len(c.units) {
-				panic(fmt.Sprintf("sim: scheduler %q placed task %d on unit %d of %d",
-					s.Name(), ts.task.ID, pick, len(c.units)))
-			}
-			u := c.units[pick]
-			ts.scheduled = now
+		for i, j := range round {
 			if explain != nil {
-				ts.placement = explain[i].Placement
+				j.Placement = explain[i].Placement
 			}
-			u.queue.Push(ts)
-			if u.cur == nil {
-				c.startNext(u, now)
+			if u, idle := c.life.Place(j, placement[i], now); idle {
+				c.startNext(c.units[u], now)
 			}
 		}
 	}
 }
 
-func (c *Cluster) hasDispatchRoom() bool {
-	for _, u := range c.units {
-		if u.effectiveLoad() < c.cfg.MaxQueuePerUnit {
-			return true
-		}
-	}
-	return false
-}
-
-// startNext pops the unit's FCFS queue — plus, when lockstep batching
-// is on, the contiguous run of batchable queries behind a batchable
-// head — and begins trace replay. A member whose deadline passed while
-// it queued is resolved here, at dequeue, as the live worker resolves
-// it: timed out, no execution consumed; the unit moves on down its
-// queue until something starts or the queue is empty.
+// startNext starts idle unit u on its next queued members (see
+// Lifecycle.Dequeue): an expired member is resolved at dequeue, as the
+// live worker resolves it, and the rest begin trace replay.
 func (c *Cluster) startNext(u *unit, now int64) {
-	for u.queue.Len() > 0 {
-		members := append(u.exec.members[:0], u.queue.Pop())
-		if b := c.cfg.BatchTraversals; b > 1 && u.batch != nil && traverse.Batchable(members[0].task.Query.Op) {
-			for len(members) < b && u.queue.Len() > 0 && traverse.Batchable(u.queue.Front().task.Query.Op) {
-				members = append(members, u.queue.Pop())
-			}
-		}
-		if members = c.dropExpired(u, members, nil, now); len(members) > 0 {
-			c.start(u, members, now)
-			return
-		}
+	members, timedOut := c.life.Dequeue(int(u.id), now, nil)
+	c.emit(obs.OutcomeTimeout, now, nil, timedOut...)
+	if members != nil {
+		c.start(u, members, now)
 	}
 }
 
 // start begins executing members on u: their traces are computed, and
 // the one the unit pays for is replayed from now.
-func (c *Cluster) start(u *unit, members []*taskState, now int64) {
-	ex := &u.exec
-	ex.members, ex.start = members, now
-	u.cur = ex
-
+func (c *Cluster) start(u *unit, members []*Job, now int64) {
 	// The set of records a traversal touches is timing-independent
 	// (see package traverse), so the traces are computed here and then
 	// replayed against the buffer and shared disk for their cost. The
 	// unit's workspace (and batch executor) is recycled per start: by
 	// the time this runs, the unit's previous traces and results were
 	// fully consumed by complete.
-	var (
-		soloResult [1]traverse.Result
-		soloTrace  [1]*traverse.Trace
-		results    []traverse.Result
-		traces     []*traverse.Trace
-		replay     *traverse.Trace // what the cursor charges
-		err        error
-	)
-	if len(ex.members) == 1 {
-		soloResult[0], replay, err = traverse.ExecuteIn(u.ws, c.g, members[0].task.Query)
-		soloTrace[0] = replay
-		results, traces = soloResult[:], soloTrace[:]
-	} else {
-		queries := make([]traverse.Query, len(ex.members))
-		for i, m := range ex.members {
-			queries[i] = m.task.Query
-		}
-		// The shared wave trace is what a batch actually pays for:
-		// each wave-shared record loaded once.
-		results, traces, replay, err = u.batch.Run(c.g, queries)
-	}
+	replay, err := Execute(c.g, u.ws, u.batch, members)
 	if err != nil {
 		// Queries are validated at Run entry; an error here is a bug.
 		panic(fmt.Sprintf("sim: traversal failed mid-run: %v", err))
 	}
-	for i, m := range ex.members {
-		m.result = results[i]
-		if c.OnComplete != nil {
-			// The callback may retain the result past this unit's next
-			// task, which recycles the workspace-owned slices; detach
-			// them.
-			m.result = m.result.Clone()
+	if c.OnComplete != nil {
+		// The callback may retain a result past this unit's next task,
+		// which recycles the workspace-owned slices; detach them.
+		for _, m := range members {
+			m.Result = m.Result.Clone()
 		}
-		m.trace = traces[i]
 	}
-	ex.charge = NewChargeCursor(&c.cfg.Cost, u.buffer, u.speed, replay)
+	u.charge, u.start = NewChargeCursor(&c.cfg.Cost, u.buffer, u.speed, replay), now
 	c.step(u, now)
 }
 
@@ -341,128 +305,47 @@ func (c *Cluster) start(u *unit, members []*taskState, now int64) {
 // once as timed out while the others carry on; when none is left the
 // rest of the trace is abandoned and the unit freed.
 func (c *Cluster) step(u *unit, now int64) {
-	ex := u.cur
-	if hitNanos := ex.charge.RunHits(); hitNanos > 0 {
+	if hitNanos := u.charge.RunHits(); hitNanos > 0 {
 		// Hits consumed virtual time; realign before touching the
 		// shared disk so requests are issued in global time order.
 		c.push(event{time: now + hitNanos, kind: evStep, unit: u.id})
 		return
 	}
-	if ex.members = c.dropExpired(u, ex.members, ex, now); len(ex.members) == 0 {
+	members, timedOut := c.life.Expire(int(u.id), now, nil)
+	c.emit(obs.OutcomeTimeout, now, u, timedOut...)
+	if len(members) == 0 {
 		c.release(u, now)
 		return
 	}
-	if ex.charge.Done() {
+	if u.charge.Done() {
 		c.complete(u, now)
 		return
 	}
-	a := ex.charge.Miss()
+	a := u.charge.Miss()
 	done := c.disk.ReadPart(now, int64(a.Bytes), c.g.Partition(a.Vertex))
-	// The one thing this executor does per access that the live
-	// runtime does not: the paper updates L(v) as vertices are
-	// visited, so a miss signs the vertex immediately — concurrent
-	// scheduling rounds can already see the partially-built affinity.
-	// (The live runtime signs only at completion, as complete does
-	// here too; every other per-access rule is the cursor's.)
+	// The one thing this executor does that the live runtime does not:
+	// the paper updates L(v) as vertices are visited, so a miss signs
+	// the vertex immediately — concurrent scheduling rounds can already
+	// see the partially-built affinity. (The live runtime signs only at
+	// completion, as Lifecycle.Sign does here too; every other rule is
+	// the lifecycle's or the cursor's.)
 	c.sigs.Record(a.Vertex, u.id, now)
-	c.push(event{time: done + ex.charge.Fill(), kind: evStep, unit: u.id})
+	c.push(event{time: done + u.charge.Fill(), kind: evStep, unit: u.id})
 }
 
-// arrive puts one arrival to admission: an admitted task joins the
-// pending pool, a rejected one is resolved on the spot — counted,
-// traced, never seen by the scheduler.
-func (c *Cluster) arrive(ts *taskState, now int64) {
-	c.life.Submitted++
-	if c.adm.Admit(c.adm.Tenant(ts.task.Tenant)) != Admitted {
-		c.life.Rejected++
-		c.emit(obs.OutcomeRejected, now, nil, ts, nil)
-		return
-	}
-	c.pending.Push(ts)
-	c.dispatch(c.sched, now)
-}
-
-// expired reports whether t's deadline has passed at now.
-func expired(t *sched.Task, now int64) bool { return t.Deadline > 0 && now >= t.Deadline }
-
-// dropExpired resolves as timed out every member whose deadline has
-// passed at now and returns the others, compacted in place. u is the
-// unit they were placed on, nil for tasks leaving the pending pool; ex
-// is nil before execution.
-func (c *Cluster) dropExpired(u *unit, members []*taskState, ex *execState, now int64) []*taskState {
-	live := members[:0]
-	for _, ts := range members {
-		if expired(ts.task, now) {
-			c.timeOut(now, u, ts, ex)
-			continue
-		}
-		live = append(live, ts)
-	}
-	return live
-}
-
-// timeOut resolves an admitted task as timed out at now (see emit for
-// u and ex). Nothing else records it: no signature in L(v), no
-// completion credited to a unit, no latency sample.
-func (c *Cluster) timeOut(now int64, u *unit, ts *taskState, ex *execState) {
-	c.life.TimedOut++
-	c.adm.Release(c.adm.Tenant(ts.task.Tenant))
-	c.emit(obs.OutcomeTimeout, now, u, ts, ex)
-}
-
-// emit appends ts's trace span for a resolution at now, with the
-// phases defined as live.finish defines them. u and ex say how far the
-// task got: u is nil before placement (the span's Unit is -1), ex is
-// nil before execution. An executing task's span carries the charge's
-// hit, miss and byte counts so far — the whole batch's joint counts,
-// as the live runtime reports them.
-func (c *Cluster) emit(outcome string, now int64, u *unit, ts *taskState, ex *execState) {
-	if c.trace == nil {
-		return
-	}
-	t := ts.task
-	s := obs.Span{
-		QueryID:     t.ID,
-		Op:          t.Query.Op.String(),
-		Tenant:      t.Tenant,
-		Start:       int32(t.Query.Start),
-		SubmitNanos: t.Arrival,
-		EndNanos:    now,
-		Unit:        -1,
-		WaitNanos:   now - t.Arrival,
-		Outcome:     outcome,
-	}
-	if u != nil {
-		s.Unit = u.id
-		s.ScheduleNanos = ts.scheduled
-		s.Placement = ts.placement
-	}
-	if ex != nil {
-		s.StartNanos = ex.start
-		s.WaitNanos = ex.start - t.Arrival
-		s.ExecNanos = now - ex.start
-		ex.charge.FillSpan(&s)
-	}
-	c.trace.Append(s)
-}
-
-// complete finishes every member of the unit's current batch: visit
-// signatures are recorded for each member's touched vertices
-// (L(v) ← L(v) ∪ (t, p)), run statistics are updated per member, and
-// the unit is released.
+// complete finishes and signs every member of the unit's current
+// execution (see Lifecycle.Complete), samples its latency and execution
+// time, traces it, and releases the unit.
 func (c *Cluster) complete(u *unit, now int64) {
-	ex := u.cur
-	for _, ts := range ex.members {
-		c.sigs.RecordTrace(ts.trace.Touched, u.id, now)
-		u.completions = append(u.completions, now)
-		c.life.Completed++
-		c.adm.Release(c.adm.Tenant(ts.task.Tenant))
-		c.visitedTotal += int64(ts.result.Visited)
-		c.latencies = append(c.latencies, now-ts.task.Arrival)
-		c.execNanos = append(c.execNanos, now-ex.start)
-		c.emit(obs.OutcomeCompleted, now, u, ts, ex)
+	members := c.life.Complete(int(u.id), now)
+	c.life.Sign(int(u.id), now, members)
+	for _, j := range members {
+		c.visitedTotal += int64(j.Result.Visited)
+		c.latencies = append(c.latencies, now-j.Task.Arrival)
+		c.execNanos = append(c.execNanos, now-u.start)
+		c.emit(obs.OutcomeCompleted, now, u, j)
 		if c.OnComplete != nil {
-			c.OnComplete(ts.task, ts.result)
+			c.OnComplete(j.Task, j.Result)
 		}
 	}
 	if now > c.lastComplete {
@@ -471,15 +354,48 @@ func (c *Cluster) complete(u *unit, now int64) {
 	c.release(u, now)
 }
 
-// release frees u once every member of its current execution has
-// resolved — completed, or timed out with the trace abandoned — and
-// moves on: the next queued task starts, and the room this makes
-// admits pending tasks.
+// release moves u on once every member of its execution has resolved —
+// completed, or timed out with the trace abandoned: the next queued
+// task starts, and the room this makes dispatches pending tasks.
 func (c *Cluster) release(u *unit, now int64) {
-	u.busyNanos += now - u.cur.start
-	u.cur = nil
+	u.busyNanos += now - u.start
 	c.startNext(u, now)
-	if c.pending.Len() > 0 && c.sched != nil {
-		c.dispatch(c.sched, now)
+	c.dispatch(now)
+}
+
+// emit appends each job's trace span for a resolution at now, with the
+// phases defined as the live runtime defines them. u is the unit the
+// jobs were executing on, nil if they never started; j.Unit says
+// whether a round placed one (-1: the span's Unit too). An executing
+// job's span carries the charge's hit, miss and byte counts so far —
+// the whole batch's joint counts, as the live runtime reports them.
+func (c *Cluster) emit(outcome string, now int64, u *unit, jobs ...*Job) {
+	if c.trace == nil {
+		return
+	}
+	for _, j := range jobs {
+		t := j.Task
+		s := obs.Span{
+			QueryID:     t.ID,
+			Op:          t.Query.Op.String(),
+			Tenant:      t.Tenant,
+			Start:       int32(t.Query.Start),
+			SubmitNanos: t.Arrival,
+			EndNanos:    now,
+			Unit:        j.Unit,
+			WaitNanos:   now - t.Arrival,
+			Outcome:     outcome,
+		}
+		if j.Unit >= 0 {
+			s.ScheduleNanos = j.Scheduled
+			s.Placement = j.Placement
+		}
+		if u != nil {
+			s.StartNanos = u.start
+			s.WaitNanos = u.start - t.Arrival
+			s.ExecNanos = now - u.start
+			u.charge.FillSpan(&s)
+		}
+		c.trace.Append(s)
 	}
 }

@@ -9,13 +9,12 @@
 // seed fully determines every reported number — the property the
 // figure-reproduction harness relies on.
 //
-// A task's lifecycle is the live runtime's: it is admitted or rejected
-// on arrival (Admission, the rule both executors share), and once
-// admitted resolves exactly once, completed or — past its
-// sched.Task.Deadline — timed out, so Result.Lifecycle conserves as
-// the live counters do. With admission unbounded and no deadlines
-// (the defaults) nothing is ever refused or dropped: the paper's
-// model.
+// A task's lifecycle is Lifecycle, the one the live runtime drives too:
+// it is admitted or rejected on arrival (Admission), and once admitted
+// resolves exactly once, completed or — past its sched.Task.Deadline —
+// timed out, so Result.Lifecycle conserves as the live counters do.
+// With admission unbounded and no deadlines (the defaults) nothing is
+// ever refused or dropped: the paper's model.
 package sim
 
 import (
@@ -78,10 +77,11 @@ type Config struct {
 	// SignatureCap bounds each vertex's visit-signature list
 	// (default: signature.DefaultCapacity).
 	SignatureCap int
-	// MaxQueuePerUnit is the dispatch depth target: the cluster admits
-	// new tasks from the pending pool while some unit's effective load
-	// is below it. Small values keep scheduling decisions close to
-	// execution time so signatures stay fresh. Default 2.
+	// MaxQueuePerUnit is the dispatch depth target: rounds take tasks
+	// from the pending pool while some unit's effective load (queued
+	// plus executing) is below it. Small values keep scheduling
+	// decisions close to execution time so signatures stay fresh.
+	// Default 2; the live runtime runs the same rule at its QueueCap.
 	MaxQueuePerUnit int
 	// Cost is the virtual-time cost model.
 	Cost CostModel

@@ -16,7 +16,7 @@ type event struct {
 	seq  int64 // FIFO tie-break for identical timestamps → determinism
 	kind eventKind
 	unit int32 // evStep
-	task *taskState
+	job  *Job  // evArrival
 }
 
 // before is the event loop's total order: virtual time, then push
@@ -61,7 +61,7 @@ func (h *eventHeap) pop() event {
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s[n] = event{} // drop the task pointer with the slot
+	s[n] = event{} // drop the job pointer with the slot
 	s = s[:n]
 	*h = s
 	i := 0

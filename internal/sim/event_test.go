@@ -44,7 +44,7 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 		now  int64
 		pops int
 	)
-	tasks := make([]taskState, 16)
+	jobs := make([]Job, 16)
 	pop := func() {
 		got, want := h.pop(), heap.Pop(&ref).(event)
 		if got != want {
@@ -66,7 +66,7 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			seq:  seq,
 			kind: eventKind(rng.Intn(2)),
 			unit: int32(rng.Intn(8)),
-			task: &tasks[rng.Intn(len(tasks))],
+			job:  &jobs[rng.Intn(len(jobs))],
 		}
 		seq++
 		h.push(e)
@@ -84,29 +84,29 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // TestEventHeapPopDropsTheTask pins that a popped slot keeps no pointer
-// to its task: the backing array outlives the run (Reset keeps it).
+// to its job: the backing array outlives the run (Reset keeps it).
 func TestEventHeapPopDropsTheTask(t *testing.T) {
 	var h eventHeap
-	ts := new(taskState)
+	j := new(Job)
 	for i := int64(0); i < 5; i++ {
-		h.push(event{time: 5 - i, seq: i, task: ts})
+		h.push(event{time: 5 - i, seq: i, job: j})
 	}
 	for len(h) > 0 {
 		h.pop()
 	}
 	for i, e := range h[:cap(h)] {
-		if e.task != nil {
-			t.Errorf("slot %d still points at its task", i)
+		if e.job != nil {
+			t.Errorf("slot %d still points at its job", i)
 		}
 	}
 }
 
 func TestEventHeapSteadyStateAllocatesNothing(t *testing.T) {
 	var h eventHeap
-	ts := new(taskState)
+	j := new(Job)
 	var seq int64
 	push := func(at int64) {
-		h.push(event{time: at, seq: seq, task: ts})
+		h.push(event{time: at, seq: seq, job: j})
 		seq++
 	}
 	for i := int64(0); i < 1024; i++ {

@@ -157,8 +157,8 @@ func TestLifecycleConserves(t *testing.T) {
 					if bounded && life.Rejected == 0 || timeout > 0 && life.TimedOut == 0 {
 						t.Errorf("%s: %v — the fixture does not overload the cluster", name, life)
 					}
-					if c.adm.InFlight() != 0 {
-						t.Errorf("%s: %d still in flight after the run", name, c.adm.InFlight())
+					if c.life.Admission().InFlight() != 0 {
+						t.Errorf("%s: %d still in flight after the run", name, c.life.Admission().InFlight())
 					}
 
 					// Per task: exactly one span; per tenant and outcome,
@@ -216,8 +216,8 @@ func TestLifecycleConserves(t *testing.T) {
 						if !n.Conserved() || n.Submitted == 0 {
 							t.Errorf("%s: tenant %q: %v", name, tenant, n)
 						}
-						if b := c.adm.Tenant(tenant); c.adm.TenantInFlight(b) != 0 {
-							t.Errorf("%s: tenant %q has %d still in flight", name, tenant, c.adm.TenantInFlight(b))
+						if b := c.life.Admission().Tenant(tenant); c.life.Admission().TenantInFlight(b) != 0 {
+							t.Errorf("%s: tenant %q has %d still in flight", name, tenant, c.life.Admission().TenantInFlight(b))
 						}
 					}
 

@@ -59,8 +59,8 @@ func (c *Cluster) result(s sched.Scheduler) Result {
 	r := Result{
 		Scheduler:       s.Name(),
 		NumUnits:        c.cfg.NumUnits,
-		Completed:       c.life.Completed,
-		Lifecycle:       c.life,
+		Completed:       c.life.Counts.Completed.Load(),
+		Lifecycle:       c.life.Counts.Snapshot(),
 		VisitedVertices: c.visitedTotal,
 		Latency:         metrics.SummarizeLatencies(c.latencies),
 		Execution:       metrics.SummarizeLatencies(c.execNanos),
@@ -72,13 +72,13 @@ func (c *Cluster) result(s sched.Scheduler) Result {
 	r.ThroughputPerSec = metrics.Throughput(r.Completed, r.Makespan)
 
 	var busy int64
-	for _, u := range c.units {
+	for i, u := range c.units {
 		st := u.buffer.Stats()
 		r.CacheHits += st.Hits
 		r.CacheMisses += st.Misses
 		r.CacheEvictions += st.Evictions
 		r.BytesLoaded += st.BytesLoaded
-		r.TasksPerUnit = append(r.TasksPerUnit, int64(len(u.completions)))
+		r.TasksPerUnit = append(r.TasksPerUnit, c.life.Completed(i))
 		busy += u.busyNanos
 	}
 	if total := r.CacheHits + r.CacheMisses; total > 0 {

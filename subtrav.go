@@ -84,14 +84,8 @@ type Options struct {
 	// Affinity overrides the scoring parameters (zero value:
 	// affinity defaults).
 	Affinity affinity.Config
-	// Epsilon is the auction's minimum price increment (0: default).
-	Epsilon float64
 	// SchedulerSeed seeds stochastic policies (the baseline's RNG).
 	SchedulerSeed uint64
-	// MaxQueuePerUnit is the dispatch depth target (0: default 2).
-	MaxQueuePerUnit int
-	// Groups is the group count for PolicyHierarchical (0: ≈√Units).
-	Groups int
 	// ColdScore enables the auction scheduler's cold-start escape arc
 	// (see sched.AuctionConfig.ColdScore); 0 keeps the paper-faithful
 	// behaviour.
@@ -120,12 +114,11 @@ func NewSystem(g *graph.Graph, opts Options) (*System, error) {
 		return nil, fmt.Errorf("subtrav: graph is required")
 	}
 	cfg := sim.Config{
-		NumUnits:        opts.Units,
-		MemoryPerUnit:   opts.MemoryPerUnit,
-		Cost:            opts.Cost,
-		MaxQueuePerUnit: opts.MaxQueuePerUnit,
-		SpeedFactors:    opts.SpeedFactors,
-		SignatureCap:    opts.SignatureCap,
+		NumUnits:      opts.Units,
+		MemoryPerUnit: opts.MemoryPerUnit,
+		Cost:          opts.Cost,
+		SpeedFactors:  opts.SpeedFactors,
+		SignatureCap:  opts.SignatureCap,
 	}
 	clu, err := sim.NewCluster(g, cfg)
 	if err != nil {
@@ -163,20 +156,16 @@ func (s *System) NewScheduler(policy Policy) (sched.Scheduler, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Both auctions bid at auction.DefaultEpsilon (a zero Epsilon);
+		// the hierarchical one splits the units into ⌊√P⌋ groups.
 		if policy == PolicyHierarchical {
-			groups := s.opts.Groups
-			if groups <= 0 {
-				groups = isqrt(s.clu.NumUnits())
-			}
 			return sched.NewHierarchical(scorer, sched.HierarchicalConfig{
 				NumUnits:  s.clu.NumUnits(),
-				NumGroups: groups,
-				Epsilon:   s.opts.Epsilon,
+				NumGroups: isqrt(s.clu.NumUnits()),
 			})
 		}
 		return sched.NewAuction(scorer, sched.AuctionConfig{
 			NumUnits:      s.clu.NumUnits(),
-			Epsilon:       s.opts.Epsilon,
 			WorkloadAware: policy == PolicyAuction,
 			ColdScore:     s.opts.ColdScore,
 		})

@@ -207,8 +207,8 @@ func TestOptionsPassthrough(t *testing.T) {
 		t.Errorf("completed %d of 80", res.Completed)
 	}
 
-	// Hierarchical policy with explicit group count.
-	hsys, err := NewSystem(g, Options{Units: 8, MemoryPerUnit: 512 << 10, Groups: 2})
+	// Hierarchical policy: ⌊√8⌋ = 2 groups.
+	hsys, err := NewSystem(g, Options{Units: 8, MemoryPerUnit: 512 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
