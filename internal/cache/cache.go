@@ -57,9 +57,12 @@ func (s Stats) String() string {
 }
 
 // entry is one slab slot: a resident record on the recency list, or a
-// free slot on the free list (linked through next alone).
+// free slot on the free list (linked through next alone). Every field
+// is 4 bytes, so a slot is 16 (TestEntryIs16Bytes): a record's size
+// fits in an int32 like traverse.Access.Bytes, and Hit rejects one
+// that does not.
 type entry struct {
-	size       int64
+	size       int32
 	key        int32
 	prev, next int32
 }
@@ -120,18 +123,19 @@ func (c *Cache) pushFront(slot int32) {
 }
 
 func badSize(size int64) {
-	panic(fmt.Sprintf("cache: negative record size %d", size))
+	panic(fmt.Sprintf("cache: record size %d outside [0, %d]", size, math.MaxInt32))
 }
 
 // Hit is Access for a record that may only be read if it is already
 // resident: a resident record is refreshed and counted exactly as
 // Access's hit, an absent one is left absent and uncounted, and Hit
 // reports which it was. It is the single probe of a charge loop that
-// pays for a fetch before it loads.
+// pays for a fetch before it loads. Sizes outside [0, 1<<31 - 1]
+// panic, as in Access.
 //
 //vet:hotpath
 func (c *Cache) Hit(k Key, size int64) bool {
-	if size < 0 {
+	if uint64(size) > math.MaxInt32 {
 		badSize(size)
 	}
 	if k >= Key(len(c.index)) {
@@ -144,9 +148,9 @@ func (c *Cache) Hit(k Key, size int64) bool {
 	c.stats.Hits++
 	c.unlink(slot)
 	c.pushFront(slot)
-	if e := &c.entries[slot]; size != e.size {
-		c.used += size - e.size
-		e.size = size
+	if e := &c.entries[slot]; int32(size) != e.size {
+		c.used += size - int64(e.size)
+		e.size = int32(size)
 		c.evictOverBudget(slot)
 	}
 	return true
@@ -160,8 +164,9 @@ func (c *Cache) Hit(k Key, size int64) bool {
 // holds again. If absent, it is loaded — charging BytesLoaded,
 // evicting LRU records past the budget — and Access reports a miss. A
 // record larger than the whole budget is still admitted alone (the
-// unit cannot traverse without it) and evicts everything else. A
-// negative size panics, and so does loading a key beyond 1<<31 - 1.
+// unit cannot traverse without it) and evicts everything else. A size
+// outside [0, 1<<31 - 1] panics, and so does loading a key beyond
+// 1<<31 - 1.
 //
 //vet:hotpath
 func (c *Cache) Access(k Key, size int64) (hit bool) {
@@ -180,7 +185,7 @@ func (c *Cache) Access(k Key, size int64) (hit bool) {
 		c.entries = append(c.entries, entry{})
 		slot = int32(len(c.entries) - 1)
 	}
-	c.entries[slot].key, c.entries[slot].size = int32(k), size
+	c.entries[slot].key, c.entries[slot].size = int32(k), int32(size)
 	c.index[k] = slot
 	c.resident++
 	c.pushFront(slot)
@@ -213,7 +218,7 @@ func (c *Cache) evictOverBudget(keep int32) {
 		c.unlink(victim)
 		e := &c.entries[victim]
 		c.index[e.key] = 0
-		c.used -= e.size
+		c.used -= int64(e.size)
 		e.next, c.free = c.free, victim
 		c.resident--
 		c.stats.Evictions++

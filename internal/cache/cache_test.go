@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"subtrav/internal/xrand"
 )
@@ -187,6 +189,40 @@ func TestNegativeSizePanics(t *testing.T) {
 		}
 	}()
 	New(10).Access(VertexKey(1), -1)
+}
+
+// A size an entry cannot hold panics rather than wrapping in the int32
+// the entry keeps, on the probe as well as on the load.
+func TestSizeBeyondInt32Panics(t *testing.T) {
+	c := New(Unlimited)
+	c.Access(VertexKey(1), 10)
+	for _, op := range []func(){
+		func() { c.Hit(VertexKey(1), math.MaxInt32+1) },
+		func() { c.Access(VertexKey(2), math.MaxInt32+1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic on a size beyond math.MaxInt32")
+				}
+			}()
+			op()
+		}()
+	}
+	if c.Access(VertexKey(3), math.MaxInt32) {
+		t.Fatal("first access of a record hit")
+	}
+	if c.Used() != 10+math.MaxInt32 {
+		t.Fatalf("used = %d, want %d", c.Used(), 10+math.MaxInt32)
+	}
+}
+
+// The slab is what a buffer's heap is made of: one entry per resident
+// record. Keep it at four 4-byte fields.
+func TestEntryIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want 16", got)
+	}
 }
 
 // A key outside the dense range (a negative vertex ID, say) reads as

@@ -20,7 +20,7 @@ import (
 func batchableQueries(name string, g *graph.Graph, starts []graph.VertexID) []Query {
 	var out []Query
 	for _, q := range diffQueries(g, starts) {
-		if !Batchable(q.Op) || skipPredOnBipartite(name, q) {
+		if !Batchable(q.Op) || skipPredWithoutSocialProps(name, q) {
 			continue
 		}
 		out = append(out, q)

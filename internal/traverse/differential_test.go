@@ -46,12 +46,24 @@ func diffGraphs(t *testing.T) []diffGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The only weighted family: it keeps RandomWalk's general pick
+	// loop, which the unweighted graphs above skip, on the battery.
+	img, err := graphgen.Images(graphgen.ImageCorpusConfig{
+		NumPersons: 16, ImagesPerPersonMin: 6, ImagesPerPersonMax: 14,
+		DescriptorDim: 16, IntraNoise: 0.15, KNN: 8, MinSimilarity: 0.45,
+		CrossCandidates: 10, NumPartitions: 4,
+		PhotoBytesMin: 10_000, PhotoBytesMax: 50_000, Seed: 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []diffGraph{
 		{"random", rnd, []graph.VertexID{0, 7, 399}},
 		{"powerlaw", pl, hubAndLeaf(pl)},
 		{"bipartite", bip.Graph, []graph.VertexID{
 			bip.ProductVertex(0), bip.ProductVertex(5), bip.CustomerVertex(3),
 		}},
+		{"images", img.Graph, hubAndLeaf(img.Graph)},
 	}
 }
 
@@ -102,10 +114,11 @@ func diffQueries(g *graph.Graph, starts []graph.VertexID) []Query {
 }
 
 // Predicates read metadata only the social graphs carry; on the
-// bipartite purchase graph they would dereference missing keys the
-// same way in both kernels, which is fine, but skip the noise.
-func skipPredOnBipartite(name string, q Query) bool {
-	return name == "bipartite" && (q.VertexPred != nil || q.EdgePred != nil)
+// bipartite purchase graph and the image corpus they would dereference
+// missing keys the same way in both kernels, which is fine, but skip
+// the noise.
+func skipPredWithoutSocialProps(name string, q Query) bool {
+	return (name == "bipartite" || name == "images") && (q.VertexPred != nil || q.EdgePred != nil)
 }
 
 func assertSameExecution(t *testing.T, label string, g *graph.Graph, q Query, ws *Workspace) {
@@ -161,7 +174,7 @@ func TestWorkspaceKernelsMatchReference(t *testing.T) {
 		t.Run(dg.name, func(t *testing.T) {
 			ws := NewWorkspace(dg.g.NumVertices())
 			for qi, q := range diffQueries(dg.g, dg.starts) {
-				if skipPredOnBipartite(dg.name, q) {
+				if skipPredWithoutSocialProps(dg.name, q) {
 					continue
 				}
 				label := fmt.Sprintf("q%d(%s start=%d)", qi, q.Op, q.Start)
@@ -180,7 +193,7 @@ func TestWorkspaceSharedScratchMatchesReference(t *testing.T) {
 	sc := NewScratch(dg.g.NumVertices())
 	wss := []*Workspace{NewWorkspaceWithScratch(sc), NewWorkspaceWithScratch(sc)}
 	for qi, q := range diffQueries(dg.g, dg.starts) {
-		if skipPredOnBipartite(dg.name, q) {
+		if skipPredWithoutSocialProps(dg.name, q) {
 			continue
 		}
 		label := fmt.Sprintf("q%d(%s start=%d)", qi, q.Op, q.Start)
@@ -193,7 +206,7 @@ func TestWorkspaceSharedScratchMatchesReference(t *testing.T) {
 func TestOneShotWrappersMatchReference(t *testing.T) {
 	dg := diffGraphs(t)[0]
 	for qi, q := range diffQueries(dg.g, dg.starts) {
-		if skipPredOnBipartite(dg.name, q) {
+		if skipPredWithoutSocialProps(dg.name, q) {
 			continue
 		}
 		refRes, refTr, refErr := ExecuteReference(dg.g, q)

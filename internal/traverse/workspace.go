@@ -144,13 +144,19 @@ func (r *recSorter) Less(i, j int) bool {
 // rankSorter orders RWR rankings best-first, vertex ID tie-break.
 type rankSorter struct{ s []Ranked }
 
-func (r *rankSorter) Len() int      { return len(r.s) }
-func (r *rankSorter) Swap(i, j int) { r.s[i], r.s[j] = r.s[j], r.s[i] }
-func (r *rankSorter) Less(i, j int) bool {
-	if r.s[i].Score != r.s[j].Score {
-		return r.s[i].Score > r.s[j].Score
+func (r *rankSorter) Len() int           { return len(r.s) }
+func (r *rankSorter) Swap(i, j int)      { r.s[i], r.s[j] = r.s[j], r.s[i] }
+func (r *rankSorter) Less(i, j int) bool { return rankBefore(r.s[i], r.s[j]) }
+
+// rankBefore is the ranking order: higher score first, then lower
+// vertex ID.
+//
+//vet:hotpath
+func rankBefore(a, b Ranked) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return r.s[i].Vertex < r.s[j].Vertex
+	return a.Vertex < b.Vertex
 }
 
 // Pool is a concurrency-safe checkout of Workspaces, backed by
