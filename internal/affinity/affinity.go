@@ -204,21 +204,6 @@ type Matrix struct {
 	arena []Entry
 }
 
-// Build constructs the matrix for a batch of traversal start vertices
-// over the given units (indexed by position; position is the processor
-// ID used against the signature table). The starts slice is copied:
-// the anchors keep their identity even if the caller mutates starts
-// after Build returns (contract pinned by TestBuildCopiesStarts).
-func (s *Scorer) Build(starts []graph.VertexID, units []UnitView) Matrix {
-	copied := make([]graph.VertexID, len(starts))
-	copy(copied, starts)
-	anchors := make([][]graph.VertexID, len(copied))
-	for i := range copied {
-		anchors[i] = copied[i : i+1]
-	}
-	return s.BuildAnchors(anchors, units)
-}
-
 // BuildAnchorsReference is the executable specification of
 // BuildAnchors: the straightforward per-(vertex, unit) formulation
 // that scores every pair independently through ScoreAnchors, paying
@@ -256,13 +241,4 @@ func (s *Scorer) ScoreAnchors(vs []graph.VertexID, proc int32, unit UnitView) fl
 		}
 	}
 	return best
-}
-
-// WeightedAnchors is ScoreAnchors with the Eq. 4 queue weighting.
-func (s *Scorer) WeightedAnchors(vs []graph.VertexID, proc int32, unit UnitView) float64 {
-	score := s.ScoreAnchors(vs, proc, unit)
-	if score == 0 {
-		return 0
-	}
-	return score / (float64(unit.QueueLen()) + s.cfg.EpsilonTilde)
 }

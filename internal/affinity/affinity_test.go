@@ -209,7 +209,7 @@ func TestBuildAppliesEta(t *testing.T) {
 		fakeUnit{queue: 0, memory: 0},
 		fakeUnit{queue: 0, memory: 0},
 	}
-	m := s.Build([]graph.VertexID{0}, units)
+	m := s.BuildAnchors([][]graph.VertexID{{0}}, units)
 	if m.NumUnits != 3 || len(m.Rows) != 1 {
 		t.Fatalf("matrix shape %dx%d", len(m.Rows), m.NumUnits)
 	}
@@ -226,7 +226,7 @@ func TestBuildMultipleTasks(t *testing.T) {
 	sigs.Record(1, 0, 1) // unit 0 visited vertex 1
 	sigs.Record(2, 1, 1) // unit 1 visited vertex 2
 	units := []UnitView{fakeUnit{memory: 0}, fakeUnit{memory: 0}}
-	m := s.Build([]graph.VertexID{1, 2, 3}, units)
+	m := s.BuildAnchors([][]graph.VertexID{{1}, {2}, {3}}, units)
 	if len(m.Rows[0]) == 0 || m.Rows[0][0].Unit != 0 {
 		t.Errorf("task at vertex 1 should be affinitive to unit 0: %v", m.Rows[0])
 	}
@@ -306,7 +306,7 @@ func TestScoreBoundsQuick(t *testing.T) {
 	}
 }
 
-// Property: Build never emits entries at or below η, and entry benefits
+// Property: BuildAnchors never emits entries at or below η, and entry benefits
 // equal Weighted() for the same unit.
 func TestBuildConsistencyQuick(t *testing.T) {
 	g := starGraph(5)
@@ -328,13 +328,15 @@ func TestBuildConsistencyQuick(t *testing.T) {
 			fakeUnit{queue: 2, memory: 0},
 			fakeUnit{queue: 7, memory: 0},
 		}
-		m := s.Build([]graph.VertexID{0, 3}, units)
+		anchors := [][]graph.VertexID{{0}, {3}}
+		m := s.BuildAnchors(anchors, units)
 		for i, row := range m.Rows {
+			v := anchors[i][0]
 			for _, e := range row {
-				if s.Score(graph.VertexID([]int{0, 3}[i]), int32(e.Unit), units[e.Unit]) <= cfg.Eta {
+				if s.Score(v, int32(e.Unit), units[e.Unit]) <= cfg.Eta {
 					return false
 				}
-				want := s.Weighted(graph.VertexID([]int{0, 3}[i]), int32(e.Unit), units[e.Unit])
+				want := s.Weighted(v, int32(e.Unit), units[e.Unit])
 				if diff := e.Benefit - want; diff > 1e-12 || diff < -1e-12 {
 					return false
 				}

@@ -202,43 +202,3 @@ func TestBuildAnchorsConcurrentWithRecords(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-// mutatingUnit clobbers a caller-owned starts slice from inside the
-// scoring round, emulating a caller that reuses its batch buffer
-// while (or immediately after) Build runs.
-type mutatingUnit struct {
-	fakeUnit
-	starts []graph.VertexID
-}
-
-func (m mutatingUnit) QueueLen() int {
-	for i := range m.starts {
-		m.starts[i] = 0
-	}
-	return m.fakeUnit.queue
-}
-
-// Contract pin: Build copies the caller's starts slice, so anchor
-// identity is fixed at call time. Before the fix, Build aliased
-// starts (anchors[i] = starts[i:i+1]) and a mutation during the round
-// silently retargeted every task to the clobbered vertex.
-func TestBuildCopiesStarts(t *testing.T) {
-	g := starGraph(4)
-	var clock signature.ManualClock
-	s, sigs := newScorer(t, g, &clock, DefaultConfig())
-	// Unit 0 visited leaves 1 and 2 only. Tasks anchored there score
-	// 1/2 ({leaf} ∪ {center}, leaf visited); a task clobbered onto the
-	// center would score 2/5 instead, so aliasing changes the matrix.
-	sigs.Record(1, 0, 10)
-	sigs.Record(2, 0, 10)
-
-	starts := []graph.VertexID{1, 2}
-	units := []UnitView{mutatingUnit{fakeUnit: fakeUnit{memory: 0}, starts: starts}}
-	got := s.Build(starts, units)
-
-	pristine := []graph.VertexID{1, 2}
-	want := s.Build(pristine, []UnitView{fakeUnit{memory: 0}})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Build saw the mutated starts slice:\n got: %+v\nwant: %+v", got, want)
-	}
-}

@@ -11,11 +11,10 @@ import (
 // Ablation compares every scheduling policy on the BFS workload at the
 // largest unit count — isolating the paper's two ingredients: pure
 // balance (least-loaded), pure locality (affinity-only), both (SCH),
-// neither (round-robin, random baseline), plus the hierarchical
-// distributed-style variant. Two tables are produced: a uniform
-// hotspot stream, and a Zipf-skewed stream where one hotspot dominates
-// — the regime where pure affinity routing piles work onto one unit
-// and the balance half of the tradeoff earns its keep.
+// neither (round-robin, random baseline). Two tables are produced: a
+// uniform hotspot stream, and a Zipf-skewed stream where one hotspot
+// dominates — the regime where pure affinity routing piles work onto
+// one unit and the balance half of the tradeoff earns its keep.
 func Ablation(cfg Config) ([]*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"math"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"subtrav"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -197,8 +202,16 @@ func TestAblationQuick(t *testing.T) {
 		t.Fatalf("tables = %d, want uniform + skewed", len(tables))
 	}
 	tbl := tables[0]
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 policies", len(tbl.Rows))
+	var policies []string
+	for _, row := range tbl.Rows {
+		policies = append(policies, row[0])
+	}
+	var want []string
+	for _, p := range subtrav.Policies() {
+		want = append(want, string(p))
+	}
+	if !slices.Equal(policies, want) {
+		t.Fatalf("policies = %v, want subtrav.Policies() = %v", policies, want)
 	}
 	byPolicy := map[string][]string{}
 	for _, row := range tbl.Rows {
@@ -214,6 +227,51 @@ func TestAblationQuick(t *testing.T) {
 	// same hub core — the effect the paper's Figure 11 discusses), so
 	// only the headline SCH-vs-baseline claim is asserted here; the
 	// image-corpus experiments exercise the disjoint-cluster regime.
+}
+
+// TestAblationDiskBound holds the explanation the figures give for 64
+// units: the shared disk is saturated, so qps × (1 − hit rate) is the
+// same for every policy to within ±3 %, and a policy's throughput is
+// set by its hit rate. It reads the checked-in
+// experiments_output.txt, which CI keeps byte-equal to
+// `subtrav-bench all`.
+func TestAblationDiskBound(t *testing.T) {
+	out, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := 0
+	for _, block := range strings.Split(string(out), "\n\n") {
+		lines := strings.Split(block, "\n")
+		if !strings.HasPrefix(lines[0], "== Ablation (") || len(lines) < 3 {
+			continue
+		}
+		tables++
+		var rows [][]string
+		var mean float64
+		for _, line := range lines[3:] { // title, header, rule
+			if strings.HasPrefix(line, "note:") {
+				break
+			}
+			f := strings.Fields(line)
+			rows = append(rows, f)
+			mean += cellFloat(t, f[1]) * (1 - cellFloat(t, f[2]))
+		}
+		if len(rows) < 2 {
+			t.Fatalf("%s: %d rows", lines[0], len(rows))
+		}
+		mean /= float64(len(rows))
+		for _, f := range rows {
+			m := cellFloat(t, f[1]) * (1 - cellFloat(t, f[2]))
+			if dev := m/mean - 1; math.Abs(dev) > 0.03 {
+				t.Errorf("%s: %s qps × (1 − hit rate) = %.2f, %+.1f%% from the mean %.2f; want within ±3%%",
+					lines[0], f[0], m, 100*dev, mean)
+			}
+		}
+	}
+	if tables != 2 {
+		t.Fatalf("found %d ablation tables, want uniform + zipf", tables)
+	}
 }
 
 func TestEpsilonSweep(t *testing.T) {

@@ -163,7 +163,6 @@ func (a *Auction) AssignExplained(tasks []*Task, units []UnitState) ([]int, []Ex
 // assign places tasks segment by segment, describing each in the
 // zeroed expl.
 func (a *Auction) assign(tasks []*Task, units []UnitState, expl []Explain) []int {
-	validateBatch(units)
 	if len(units) != a.cfg.NumUnits {
 		panic(fmt.Sprintf("sched: %d units, auction scheduler built for %d", len(units), a.cfg.NumUnits))
 	}
@@ -219,7 +218,7 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 			benefit := e.Benefit
 			if !a.cfg.WorkloadAware {
 				// Ablation: undo Eq. 4 by restoring the raw decayed
-				// score (the Build weighting divides by w_p + ε̃).
+				// score (BuildAnchorsInto divides by w_p + ε̃).
 				benefit = e.Benefit * (float64(views[e.Unit].QueueLen()) + a.scorer.Config().EpsilonTilde)
 			}
 			arcs = append(arcs, auction.Arc{Col: e.Unit, Benefit: benefit})

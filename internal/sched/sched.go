@@ -7,8 +7,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"subtrav/internal/affinity"
 	"subtrav/internal/graph"
 	"subtrav/internal/traverse"
@@ -161,14 +159,6 @@ func (l *LeastLoaded) Assign(tasks []*Task, units []UnitState) []int {
 		extra[pick]++
 	}
 	return out
-}
-
-// validateBatch panics on empty unit sets — a programming error, the
-// cluster always has P >= 1 units.
-func validateBatch(units []UnitState) {
-	if len(units) == 0 {
-		panic(fmt.Sprintf("sched: Assign with %d units", len(units)))
-	}
 }
 
 // appendAnchors appends the affinity anchor vertices of a task to dst:

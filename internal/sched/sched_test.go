@@ -297,12 +297,16 @@ func TestAuctionConfigValidation(t *testing.T) {
 func TestAuctionPanicsOnUnitMismatch(t *testing.T) {
 	t.Parallel()
 	sch, _, _, _ := auctionFixture(t, 3, true)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unit count mismatch")
-		}
-	}()
-	sch.Assign(mkTasks(0), mkUnits(2))
+	for _, n := range []int{2, 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for %d units against 3", n)
+				}
+			}()
+			sch.Assign(mkTasks(0), mkUnits(n))
+		}()
+	}
 }
 
 func TestColdScoreEscapeArc(t *testing.T) {

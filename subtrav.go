@@ -59,16 +59,11 @@ const (
 	PolicyLeastLoaded Policy = "least-loaded"
 	// PolicyRoundRobin ignores both affinity and load.
 	PolicyRoundRobin Policy = "round-robin"
-	// PolicyHierarchical is the distributed-style two-level scheduler
-	// (the paper's future-work direction): affinity+load routing to
-	// unit groups, an independent incremental auction inside each
-	// group, no global price list.
-	PolicyHierarchical Policy = "hierarchical"
 )
 
 // Policies lists every available policy.
 func Policies() []Policy {
-	return []Policy{PolicyAuction, PolicyBaseline, PolicyAffinityOnly, PolicyLeastLoaded, PolicyRoundRobin, PolicyHierarchical}
+	return []Policy{PolicyAuction, PolicyBaseline, PolicyAffinityOnly, PolicyLeastLoaded, PolicyRoundRobin}
 }
 
 // Options configures a System.
@@ -138,7 +133,9 @@ func (s *System) Units() int { return s.clu.NumUnits() }
 func (s *System) Cluster() *sim.Cluster { return s.clu }
 
 // NewScheduler constructs a fresh scheduler instance for the policy,
-// wired to this system's signature table and clock.
+// wired to this system's signature table and clock. SCH and
+// affinity-only are one auction, with and without Eq. 4's queue
+// weighting; both bid at auction.DefaultEpsilon.
 func (s *System) NewScheduler(policy Policy) (sched.Scheduler, error) {
 	switch policy {
 	case PolicyBaseline:
@@ -147,7 +144,7 @@ func (s *System) NewScheduler(policy Policy) (sched.Scheduler, error) {
 		return sched.NewRoundRobin(), nil
 	case PolicyLeastLoaded:
 		return sched.NewLeastLoaded(), nil
-	case PolicyAuction, PolicyAffinityOnly, PolicyHierarchical:
+	case PolicyAuction, PolicyAffinityOnly:
 		affCfg := s.opts.Affinity
 		if affCfg == (affinity.Config{}) {
 			affCfg = affinity.DefaultConfig()
@@ -155,14 +152,6 @@ func (s *System) NewScheduler(policy Policy) (sched.Scheduler, error) {
 		scorer, err := affinity.NewScorer(s.g, s.clu.Signatures(), s.clu.Clock(), affCfg)
 		if err != nil {
 			return nil, err
-		}
-		// Both auctions bid at auction.DefaultEpsilon (a zero Epsilon);
-		// the hierarchical one splits the units into ⌊√P⌋ groups.
-		if policy == PolicyHierarchical {
-			return sched.NewHierarchical(scorer, sched.HierarchicalConfig{
-				NumUnits:  s.clu.NumUnits(),
-				NumGroups: isqrt(s.clu.NumUnits()),
-			})
 		}
 		return sched.NewAuction(scorer, sched.AuctionConfig{
 			NumUnits:      s.clu.NumUnits(),
@@ -172,15 +161,6 @@ func (s *System) NewScheduler(policy Policy) (sched.Scheduler, error) {
 	default:
 		return nil, fmt.Errorf("subtrav: unknown policy %q", policy)
 	}
-}
-
-// isqrt returns the integer square root, at least 1.
-func isqrt(n int) int {
-	r := 1
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }
 
 // Run resets the cluster and executes the task stream under the given

@@ -1,14 +1,16 @@
 package subtrav
 
 import (
+	"slices"
 	"testing"
 
 	"subtrav/internal/workload"
 )
 
 func TestPoliciesListed(t *testing.T) {
-	if len(Policies()) != 6 {
-		t.Fatalf("policies = %v", Policies())
+	want := []Policy{PolicyAuction, PolicyBaseline, PolicyAffinityOnly, PolicyLeastLoaded, PolicyRoundRobin}
+	if !slices.Equal(Policies(), want) {
+		t.Fatalf("policies = %v, want %v", Policies(), want)
 	}
 }
 
@@ -205,19 +207,6 @@ func TestOptionsPassthrough(t *testing.T) {
 	}
 	if res.Completed != 80 {
 		t.Errorf("completed %d of 80", res.Completed)
-	}
-
-	// Hierarchical policy: ⌊√8⌋ = 2 groups.
-	hsys, err := NewSystem(g, Options{Units: 8, MemoryPerUnit: 512 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hres, err := hsys.Run(PolicyHierarchical, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hres.Completed != 80 {
-		t.Errorf("hierarchical completed %d of 80", hres.Completed)
 	}
 }
 
