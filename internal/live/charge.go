@@ -14,9 +14,10 @@ import (
 
 // charge makes u pay for replay, the access trace of the members it is
 // executing: the shared sim.ChargeCursor consumes buffer hits into one
-// deferred sleep and stops at each miss, which holds a disk slot for
-// the scaled transfer time before the cursor loads the record. Waits
-// run under ctx (see run for which one).
+// deferred sleep and stops at each miss, which sleeps the scaled
+// transfer time (holding a disk slot when there are fewer channels than
+// units) before the cursor loads the record. Waits run under ctx (see
+// run for which one).
 //
 // Cancellation is scoped here and nowhere else. Before every wait the
 // members' own contexts are checked: one that has ended leaves the
@@ -27,11 +28,14 @@ import (
 // disk fault) is returned for the survivors, which charge returns too.
 //
 // However the charge ends, what it did to the buffer is added to the
-// unit's cache counters once, on the way out.
+// unit's cache counters once, on the way out, and so are the zero slot
+// waits of the records it read. A non-zero wait is observed at once, so
+// subtrav_disk_wait_nanos counts one wait per record read plus one per
+// slot wait that ended in no read.
 func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trace, members []*task) ([]*task, error) {
 	cur := sim.NewChargeCursor(&r.cfg.Cost, u.buffer, 1, replay)
 	evictedBefore := u.buffer.Stats().Evictions
-	var diskWaitNanos int64
+	var diskWaitNanos, zeroWaits int64
 	flushSpan := func(t *task) {
 		if s := t.span; s != nil {
 			cur.FillSpan(s)
@@ -66,6 +70,12 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 		var slotWait time.Duration
 		slotWait, err = r.diskFetch(ctx, int64(cur.Miss().Bytes))
 		diskWaitNanos += slotWait.Nanoseconds()
+		switch {
+		case slotWait != 0:
+			r.obs.diskWaitNanos.Observe(slotWait.Nanoseconds())
+		case err == nil:
+			zeroWaits++
+		}
 		if err == nil {
 			inlineNanos += cur.Fill()
 			inlineNanos += cur.RunHits()
@@ -82,16 +92,18 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 	c.misses.Add(int64(cur.Misses))
 	c.bytes.Add(cur.BytesRead)
 	c.evictions.Add(u.buffer.Stats().Evictions - evictedBefore)
+	r.obs.diskWaitNanos.ObserveN(0, zeroWaits)
 	return members, err
 }
 
 // diskFetch is one shared-disk read: fault evaluation with one
-// internal retry, then a disk slot held for the scaled transfer time
-// plus any injected latency spike — genuine cross-unit contention on
-// the shared disk. It returns how long the caller waited for a free
-// slot (the live analogue of disk queueing delay), which is exactly
-// zero when a slot was free: only a full disk reads the clock and
-// waits under ctx. A persistent injected error is returned wrapped
+// internal retry, then the scaled transfer time plus any injected
+// latency spike. With fewer channels than units the transfer holds a
+// disk slot — genuine cross-unit contention on the shared disk — and
+// diskFetch returns how long the caller waited for a free one (the
+// live analogue of disk queueing delay). The wait is exactly zero when
+// a slot was free or none is needed: only a full disk reads the clock
+// and waits under ctx. A persistent injected error is returned wrapped
 // (not a context error); a context error means ctx ended first.
 func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Duration, err error) {
 	fault := r.cfg.Faults.Eval(faultpoint.DiskRead)
@@ -101,6 +113,10 @@ func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Dur
 		if fault.Err != nil {
 			return 0, fmt.Errorf("live: disk read failed after retry: %w", fault.Err)
 		}
+	}
+	service := r.cfg.Cost.Disk.SeekNanos + storage.TransferNanos(bytes, r.cfg.Cost.Disk.BytesPerSecond)
+	if r.diskSlot == nil {
+		return 0, r.sleepScaled(ctx, service, fault.Delay)
 	}
 	select {
 	case r.diskSlot <- struct{}{}:
@@ -113,11 +129,9 @@ func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Dur
 		}
 		slotWait = time.Since(t0)
 	}
-	r.obs.diskWaitNanos.Observe(slotWait.Nanoseconds())
 	if err != nil {
 		return slotWait, err
 	}
-	service := r.cfg.Cost.Disk.SeekNanos + storage.TransferNanos(bytes, r.cfg.Cost.Disk.BytesPerSecond)
 	err = r.sleepScaled(ctx, service, fault.Delay)
 	<-r.diskSlot
 	return slotWait, err

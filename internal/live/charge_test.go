@@ -24,6 +24,7 @@ func TestFreeDiskSlotIsZeroWait(t *testing.T) {
 	g := liveGraph(t)
 	const n = 12
 	cfg := fastLiveConfig(1)
+	cfg.Cost.Disk.Channels = 0 // fewer channels than units: one slot
 	cfg.MemoryPerUnit = 32 << 10
 	cfg.TimeScale = 1e-12 // every modelled sleep rounds to zero
 	cfg.TraceBuffer = n
@@ -64,27 +65,80 @@ func TestFreeDiskSlotIsZeroWait(t *testing.T) {
 }
 
 // TestFreeDiskSlotFetchAllocatesNothing guards the per-miss path a
-// scan-heavy query takes thousands of times: a free slot and a sleep
-// that rounds to zero.
+// scan-heavy query takes thousands of times — with no slot, and with a
+// free one — and a sleep that rounds to zero.
 func TestFreeDiskSlotFetchAllocatesNothing(t *testing.T) {
 	g := liveGraph(t)
-	cfg := fastLiveConfig(1)
-	cfg.TimeScale = 1e-12
-	r, err := New(g, cfg, sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := r.diskFetch(ctx, 4096); err != nil {
+	for _, channels := range []int{16, 0} {
+		cfg := fastLiveConfig(1)
+		cfg.Cost.Disk.Channels = channels
+		cfg.TimeScale = 1e-12
+		r, err := New(g, cfg, sched.NewRoundRobin())
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("diskFetch on a free slot: %g allocations, want 0", allocs)
+		defer r.Close()
+		if (r.diskSlot == nil) != (channels > 0) {
+			t.Fatalf("%d channels, one unit: slot built = %t", channels, r.diskSlot != nil)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := r.diskFetch(ctx, 4096); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("diskFetch with %d channels for one unit: %g allocations, want 0", channels, allocs)
+		}
 	}
+}
+
+// TestDiskWithAChannelPerUnitTakesNoSlot: a unit's worker has one read
+// in flight at a time, so with a channel per unit no read can queue and
+// the runtime builds no slot; with fewer channels (none counts as one)
+// it still does. Without one every wait is exactly zero, and the zero
+// waits a charge folds into subtrav_disk_wait_nanos on its way out
+// count the records read on every way out: completion, a query
+// cancelled between two reads, and a read that fails past its retry.
+func TestDiskWithAChannelPerUnitTakesNoSlot(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	for _, c := range []struct{ units, channels, slots int }{
+		{1, 1, 0}, {4, 4, 0}, {4, 16, 0},
+		{2, 1, 1}, {17, 16, 16}, {1, 0, 1}, {3, 0, 1},
+	} {
+		cfg := fastLiveConfig(c.units)
+		cfg.Cost.Disk.Channels = c.channels
+		r, err := New(g, cfg, sched.NewRoundRobin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if got := cap(r.diskSlot); got != c.slots || (r.diskSlot == nil) != (c.slots == 0) {
+			t.Errorf("%d units, %d channels: slot of %d (nil %t), want %d",
+				c.units, c.channels, got, r.diskSlot == nil, c.slots)
+		}
+	}
+
+	chargeExits(t, func(t *testing.T, r *Runtime) {
+		t.Helper()
+		if r.diskSlot != nil {
+			t.Fatal("fixture: a slot was built")
+		}
+		for _, s := range r.Trace(r.obs.ring.Cap()) {
+			if s.DiskWaitNanos != 0 {
+				t.Errorf("%s: DiskWaitNanos = %d with no slot, want 0", s, s.DiskWaitNanos)
+			}
+		}
+		var misses int64
+		for _, u := range r.units {
+			misses += u.buffer.Stats().Misses
+		}
+		if h := r.obs.diskWaitNanos; h.Count() != misses || h.Sum() != 0 {
+			t.Errorf("subtrav_disk_wait_nanos count %d sum %d, want %d reads of 0", h.Count(), h.Sum(), misses)
+		}
+	})
 }
 
 // TestFullDiskSlotWaitsAndCancels: with one channel and two units the

@@ -202,7 +202,10 @@ type Runtime struct {
 	g   *graph.Graph
 	cfg Config
 
-	units    []*liveUnit
+	units []*liveUnit
+	// diskSlot holds one token per disk channel in use, nil when every
+	// unit has a channel: a unit's worker has one read in flight at a
+	// time, so fewer channels than units is the only way to contend.
 	diskSlot chan struct{}
 	// wsPool lends traversal workspaces to workers, one per executing
 	// query, so steady-state traversals reuse dense scratch instead of
@@ -293,7 +296,6 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		sched:    scheduler,
 		life:     sim.NewLifecycle[*task](cfg.lifecycle(), cfg.QueueCap, sigs),
 		fallback: sched.NewLeastLoaded(),
-		diskSlot: make(chan struct{}, max(cfg.Cost.Disk.Channels, 1)),
 		wsPool:   traverse.NewPool(g.NumVertices()),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -302,6 +304,9 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		views:  make([]unitView, cfg.NumUnits),
 		states: make([]sched.UnitState, cfg.NumUnits),
 		loads:  make([]int64, cfg.NumUnits),
+	}
+	if cfg.Cost.Disk.Channels < cfg.NumUnits {
+		r.diskSlot = make(chan struct{}, max(cfg.Cost.Disk.Channels, 1))
 	}
 	for i, s := range r.life.Units() {
 		r.views[i] = unitView{UnitState: s, mu: &r.mu}

@@ -93,7 +93,7 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 	o.diskWaitNanos = reg.Histogram("subtrav_disk_wait_nanos",
 		"Wall time spent waiting for a free disk channel, nanoseconds.")
 	reg.GaugeFunc("subtrav_disk_slots_in_use",
-		"Disk channels currently held by executing queries.",
+		"Disk channels currently held by executing queries; always 0 when every unit has a channel, since no slot is taken then.",
 		func() float64 { return float64(len(r.diskSlot)) })
 	o.imbalance = reg.FloatGauge("subtrav_sched_imbalance_factor",
 		"Load-imbalance factor of the latest scheduling round: max/mean effective unit load after placement (1.0 = perfectly balanced, NumUnits = fully piled).")

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -182,17 +183,11 @@ func TestStatsCacheCounters(t *testing.T) {
 // advanced once per charge from the charge cursor instead of once per
 // access from inside the buffer, so at quiescence they must still be
 // the buffer's own stats — and, at width one, the sums over the unit's
-// spans — on every way out of a charge: completion, a query cancelled
-// between two disk reads, and a disk read that fails past its retry.
+// spans — on every way out of a charge.
 func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 	t.Parallel()
-	g := liveGraph(t)
-	query := func(i int) traverse.Query {
-		return traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i * 7 % 500), Depth: 2, MaxVisits: 40}
-	}
-	check := func(t *testing.T, r *Runtime) {
+	chargeExits(t, func(t *testing.T, r *Runtime) {
 		t.Helper()
-		r.Close() // quiescence; the workers' buffers are safe to read after it
 		type sums struct{ hits, misses, bytes int64 }
 		bySpan := map[int32]sums{}
 		for _, s := range r.Trace(r.obs.ring.Cap()) {
@@ -221,13 +216,28 @@ func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 				t.Errorf("unit %d: Stats() reports %d/%d, buffer %+v", i, stats[i].CacheHits, stats[i].CacheMisses, want)
 			}
 		}
-	}
+	})
+}
 
+// chargeExits drives a runtime out of a charge every way there is —
+// completion, a query cancelled between two disk reads, and a disk read
+// that fails past its retry — and hands it to check once quiescent,
+// when the workers' buffers are safe to read. Neither runtime has fewer
+// disk channels than units.
+func chargeExits(t *testing.T, check func(*testing.T, *Runtime)) {
+	g := liveGraph(t)
+	query := func(i int) traverse.Query {
+		return traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i * 7 % 500), Depth: 2, MaxVisits: 40}
+	}
 	t.Run("completed and cancelled", func(t *testing.T) {
 		cfg := slowLiveConfig(1)
 		cfg.Cost.Disk.SeekNanos = 1_000_000
 		cfg.MemoryPerUnit = 32 << 10 // holds one query's records, not two's
 		cfg.TraceBuffer = 64
+		// A rule that fires on no reachable hit: its Hits count the disk
+		// reads begun, while subtrav_disk_wait_nanos advances only once a
+		// charge ends.
+		cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: math.MaxInt64})
 		r, err := New(g, cfg, sched.NewRoundRobin())
 		if err != nil {
 			t.Fatal(err)
@@ -240,14 +250,14 @@ func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 		}
 		// Cancel the next query once its second disk read is under way:
 		// it has filled one record and is waiting on another.
-		fetches := r.obs.diskWaitNanos.Count()
+		reads := cfg.Faults.Hits(faultpoint.DiskRead)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		ch, err := r.SubmitCtx(ctx, query(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r.obs.diskWaitNanos.Count() < fetches+2 {
+		for cfg.Faults.Hits(faultpoint.DiskRead) < reads+2 {
 			time.Sleep(100 * time.Microsecond)
 		}
 		cancel()
@@ -257,6 +267,7 @@ func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 		if resp, err := r.Do(query(1)); err != nil || resp.Err != nil {
 			t.Fatalf("query after cancellation: %v / %v", err, resp.Err)
 		}
+		r.Close()
 		check(t, r)
 		spans := r.Trace(64)
 		if s := spans[len(spans)-2]; s.Outcome != obs.OutcomeTimeout || s.CacheMisses == 0 {
@@ -287,6 +298,7 @@ func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 		if m := r.Metrics(); m.Failed == 0 || m.Failed == m.Completed {
 			t.Errorf("fixture: %d of %d queries failed, want some of each", m.Failed, m.Completed)
 		}
+		r.Close()
 		check(t, r)
 	})
 }

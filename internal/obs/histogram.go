@@ -26,9 +26,11 @@ var QuantileMaxRelativeError = math.Pow(2, 1.0/(2*histSubBuckets)) - 1
 
 // Histogram is a fixed-size log-bucketed histogram of non-negative
 // int64 observations (by convention nanoseconds, but any unit works).
-// Observe is one atomic add; Quantile and Snapshot read the buckets
-// with atomic loads and are safe to call while observers are hot,
-// yielding a slightly stale but internally consistent-enough view.
+// Observe makes three atomic adds (bucket, count, sum), and ObserveN
+// folds n equal observations into the same three; Quantile and
+// Snapshot read the buckets with atomic loads and are safe to call
+// while observers are hot, yielding a slightly stale but internally
+// consistent-enough view.
 type Histogram struct {
 	counts [histNumBuckets]atomic.Int64
 	count  atomic.Int64
@@ -73,13 +75,20 @@ func bucketMid(i int) float64 {
 }
 
 // Observe records one value. Negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records v n times, leaving the same histogram as n calls of
+// Observe(v) for the cost of one; n <= 0 records nothing.
+func (h *Histogram) ObserveN(v, n int64) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.counts[bucketIndex(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 }
 
 // Count returns the number of observations.

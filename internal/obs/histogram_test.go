@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -149,6 +150,36 @@ func TestHistogramNegativeClamps(t *testing.T) {
 	h.Observe(-5)
 	if h.Count() != 1 || h.Sum() != 0 {
 		t.Errorf("negative observation should clamp to 0: count=%d sum=%d", h.Count(), h.Sum())
+	}
+}
+
+// TestObserveNMatchesObserveLoop: ObserveN(v, n) is n calls of
+// Observe(v) — clamped negatives, the ≤1 bucket, the top of the int64
+// range (whose sum wraps the same way), and n ≤ 0 recording nothing.
+func TestObserveNMatchesObserveLoop(t *testing.T) {
+	rng := xrand.New(29)
+	values := []int64{-7, 0, 1, 2, 1000, math.MaxInt64 / 3, math.MaxInt64}
+	counts := []int64{-3, 0, 1, 2}
+	folded, looped := NewHistogram(), NewHistogram()
+	for i := 0; i < 400; i++ {
+		v := values[rng.Intn(len(values))]
+		if i%2 == 1 {
+			v = rng.Int63() >> rng.Intn(63)
+		}
+		n := counts[rng.Intn(len(counts))]
+		if i%3 == 2 {
+			n = int64(rng.Intn(50))
+		}
+		folded.ObserveN(v, n)
+		for range n {
+			looped.Observe(v)
+		}
+		if got, want := folded.Snapshot(), looped.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d, ObserveN(%d, %d): snapshot %+v, Observe loop %+v", i, v, n, got, want)
+		}
+	}
+	if folded.Count() == 0 {
+		t.Fatal("fixture: nothing observed")
 	}
 }
 
