@@ -24,7 +24,7 @@ type diffGraph struct {
 	starts []graph.VertexID
 }
 
-func diffGraphs(t *testing.T) []diffGraph {
+func diffGraphs(t testing.TB) []diffGraph {
 	t.Helper()
 	rnd, err := graphgen.Random(graphgen.RandomConfig{
 		NumVertices: 400, NumEdges: 1600, Kind: graph.Undirected, Seed: 11, VertexMeta: true,
@@ -83,24 +83,40 @@ func hubAndLeaf(g *graph.Graph) []graph.VertexID {
 	return []graph.VertexID{hub, leaf, 0}
 }
 
+// The battery's predicates: each rejects part of the social graphs'
+// vertices or edges.
+func diffVertexPred(p graph.Props) bool {
+	uid, _ := p.Get("uid")
+	return uid.Int64()%3 != 0
+}
+
+func diffEdgePred(p graph.Props) bool {
+	ts, _ := p.Get("retweet_ts")
+	return ts.Int64()%2 == 0
+}
+
 // diffQueries builds the query battery for one graph: plain, predicate
-// and MaxVisits variants of every op.
+// and MaxVisits variants of every op. The BFS caps 1, 2, 1 + deg(start)
+// and 2 + deg(start) put the expansion pass's stop (bfsWave) on the
+// start's own pop, one vertex into the depth-1 frontier, exactly at the
+// depth-1 wave's end, and one vertex past it. A capped BFS with a
+// VertexPred must not stop early; one with an EdgePred only must.
 func diffQueries(g *graph.Graph, starts []graph.VertexID) []Query {
-	vPred := func(p graph.Props) bool {
-		uid, _ := p.Get("uid")
-		return uid.Int64()%3 != 0
-	}
-	ePred := func(p graph.Props) bool {
-		ts, _ := p.Get("retweet_ts")
-		return ts.Int64()%2 == 0
-	}
+	vPred, ePred := diffVertexPred, diffEdgePred
 	var qs []Query
 	for i, s := range starts {
 		target := starts[(i+1)%len(starts)]
+		deg := g.Degree(s)
 		qs = append(qs,
 			Query{Op: OpBFS, Start: s, Depth: 3},
 			Query{Op: OpBFS, Start: s, Depth: 4, MaxVisits: 25},
 			Query{Op: OpBFS, Start: s, Depth: 3, VertexPred: vPred, EdgePred: ePred},
+			Query{Op: OpBFS, Start: s, Depth: 3, MaxVisits: 1},
+			Query{Op: OpBFS, Start: s, Depth: 3, MaxVisits: 2},
+			Query{Op: OpBFS, Start: s, Depth: 3, MaxVisits: 1 + deg},
+			Query{Op: OpBFS, Start: s, Depth: 3, MaxVisits: 2 + deg},
+			Query{Op: OpBFS, Start: s, Depth: 3, MaxVisits: 25, VertexPred: vPred},
+			Query{Op: OpBFS, Start: s, Depth: 3, MaxVisits: 25, EdgePred: ePred},
 			Query{Op: OpSSSP, Start: s, Target: target, Depth: 5},
 			Query{Op: OpSSSP, Start: s, Target: target, Depth: 6, MaxVisits: 40},
 			Query{Op: OpSSSP, Start: s, Target: target, Depth: 4, EdgePred: ePred},
@@ -314,4 +330,130 @@ func TestResultClone(t *testing.T) {
 	if !reflect.DeepEqual(clone, want) {
 		t.Fatal("clone mutated by workspace reuse")
 	}
+}
+
+// TestCappedBFSStopsAtTheNextWavesLastPop counts the edge slots a
+// capped BFS examines. With the cap inside the depth-3 frontier of the
+// power-law family's hub, the depth-2 wave's expansion must end at the
+// slot that enqueues the need-th new vertex, need being the visits the
+// cap has left; every earlier wave scans all of its frontier's slots.
+// An always-true EdgePred counts the slots, and this test's own
+// level-by-level walk says how many there should be.
+func TestCappedBFSStopsAtTheNextWavesLastPop(t *testing.T) {
+	dg := diffGraphs(t)[1]
+	g, hub := dg.g, dg.starts[0]
+
+	// The hub's levels 0–3, each in enqueue order.
+	levels := [][]graph.VertexID{{hub}}
+	depth := map[graph.VertexID]int{hub: 0}
+	for d := 0; d < 3; d++ {
+		var next []graph.VertexID
+		for _, v := range levels[d] {
+			for _, u := range g.Neighbors(v) {
+				if _, ok := depth[u]; !ok {
+					depth[u] = d + 1
+					next = append(next, u)
+				}
+			}
+		}
+		levels = append(levels, next)
+	}
+	if len(levels[3]) < 2 {
+		t.Fatalf("fixture: the hub's depth-3 frontier has %d vertices, want >= 2", len(levels[3]))
+	}
+	need := len(levels[3]) / 2
+	q := Query{Op: OpBFS, Start: hub, Depth: 3,
+		MaxVisits: len(levels[0]) + len(levels[1]) + len(levels[2]) + need}
+
+	// The slots examined: all of waves 0 and 1, then wave 2's up to and
+	// including the one that enqueues the need-th depth-3 vertex.
+	want := 0
+	for _, level := range levels[:2] {
+		for _, v := range level {
+			want += g.Degree(v)
+		}
+	}
+	enqueued := map[graph.VertexID]bool{}
+scan:
+	for _, v := range levels[2] {
+		for _, u := range g.Neighbors(v) {
+			want++
+			if depth[u] == 3 && !enqueued[u] {
+				enqueued[u] = true
+				if len(enqueued) == need {
+					break scan
+				}
+			}
+		}
+	}
+
+	var evals, refEvals int
+	counting := func(n *int) graph.Predicate {
+		return func(graph.Props) bool { *n++; return true }
+	}
+	q.EdgePred = counting(&evals)
+	got, gotTr := NewWorkspace(g.NumVertices()).BFS(g, q)
+	q.EdgePred = counting(&refEvals)
+	ref, refTr := BFSReference(g, q)
+	if evals != want {
+		t.Errorf("EdgePred evaluated %d times, want %d (the reference, which expands every popped vertex, evaluates it %d times)",
+			evals, want, refEvals)
+	}
+	if evals >= refEvals {
+		t.Errorf("the stop saved nothing: %d evaluations, reference %d", evals, refEvals)
+	}
+	if !reflect.DeepEqual(ref, got) || got.Visited != q.MaxVisits {
+		t.Fatalf("Result %+v, reference %+v, want %d visits", got, ref, q.MaxVisits)
+	}
+	if !accessesEqual(refTr.Accesses, gotTr.Accesses) || !touchedEqual(refTr.Touched, gotTr.Touched) {
+		t.Fatal("trace diverges from the reference")
+	}
+	t.Logf("levels %d/%d/%d/%d, cap %d: %d evaluations, the reference %d",
+		len(levels[0]), len(levels[1]), len(levels[2]), len(levels[3]), q.MaxVisits, evals, refEvals)
+}
+
+// FuzzBFS holds the BFS wave engine to BFSReference on the differential
+// graphs, solo and in a two-slot Batch beside a fixed capped query from
+// the family's first start. The input picks the graph, the start, Depth
+// 0–5, MaxVisits 0–64 and whether each predicate is on. The seeds under
+// testdata/fuzz/FuzzBFS include the caps 1, 2, 1 + deg(start) and
+// 2 + deg(start), where the expansion pass's stop lands on a wave's
+// edge. CI runs it for ten seconds (fuzz-smoke).
+func FuzzBFS(f *testing.F) {
+	dgs := diffGraphs(f)
+	f.Fuzz(func(t *testing.T, graphIdx uint8, start uint16, depth uint8, maxVisits uint8, withVertexPred, withEdgePred bool) {
+		dg := dgs[int(graphIdx)%len(dgs)]
+		g := dg.g
+		q := Query{
+			Op:        OpBFS,
+			Start:     graph.VertexID(int(start) % g.NumVertices()),
+			Depth:     int(depth % 6),
+			MaxVisits: int(maxVisits % 65),
+		}
+		if withVertexPred {
+			q.VertexPred = diffVertexPred
+		}
+		if withEdgePred {
+			q.EdgePred = diffEdgePred
+		}
+		fixed := Query{Op: OpBFS, Start: dg.starts[0], Depth: 3, MaxVisits: 25}
+		queries := []Query{q, fixed}
+
+		got, gotTr := NewWorkspace(g.NumVertices()).BFS(g, q)
+		results, traces, _, err := NewBatch(g.NumVertices()).Run(g, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, query := range queries {
+			want, wantTr := BFSReference(g, query)
+			if i == 0 && (!reflect.DeepEqual(want, got) ||
+				!accessesEqual(wantTr.Accesses, gotTr.Accesses) || !touchedEqual(wantTr.Touched, gotTr.Touched)) {
+				t.Fatalf("%s %+v: solo run diverges from the reference:\nref: %+v\nws:  %+v", dg.name, q, want, got)
+			}
+			if !reflect.DeepEqual(want, results[i]) ||
+				!accessesEqual(wantTr.Accesses, traces[i].Accesses) || !touchedEqual(wantTr.Touched, traces[i].Touched) {
+				t.Fatalf("%s %+v: batch slot %d diverges from the reference:\nref:   %+v\nbatch: %+v", dg.name, query, i, want, results[i])
+			}
+		}
+	})
 }

@@ -168,6 +168,16 @@ func (s *slot) bfsInit() {
 // of hundreds of vertices for a frontier nobody will pop (svc-hot's
 // Zipf-hot keys are exactly that query).
 //
+// The expansion pass also stops early, once next holds need =
+// MaxVisits − visited vertices, when the query is capped and has no
+// VertexPred. That is exact because, without a vertex predicate, every
+// pop counts one visit: the next wave pops exactly need vertices of
+// next, in the order they were enqueued, and its need-th pop sets done.
+// Nothing past index need − 1 would be touched, charged or expanded,
+// and the enqueued set is never read again. With a VertexPred, a pop
+// that fails it does not count, so how many pops the next wave makes
+// is unknown and the full pass runs.
+//
 //vet:hotpath
 func (s *slot) bfsWave(g *graph.Graph) {
 	q, a, e := &s.q, &s.a, s.e
@@ -196,10 +206,15 @@ func (s *slot) bfsWave(g *graph.Graph) {
 	}
 	e.expanders = exp
 
-	// Expansion pass: enqueue unseen targets as discovered.
+	// Expansion pass: enqueue unseen targets as discovered, up to the
+	// next wave's last pop (need; -1 when uncapped or predicated).
 	next := a.next[:0]
 	if !s.done {
-		enqueued := a.dist
+		enqueued, need := a.dist, -1
+		if q.MaxVisits > 0 && q.VertexPred == nil {
+			need = q.MaxVisits - s.visited
+		}
+	expand:
 		for _, v := range exp {
 			lo, hi := g.EdgeSlots(v)
 			for es := lo; es < hi; es++ {
@@ -209,6 +224,9 @@ func (s *slot) bfsWave(g *graph.Graph) {
 				if u := g.TargetAt(es); !enqueued.Contains(u) {
 					enqueued.Put(u, 0)
 					next = append(next, u)
+					if len(next) == need {
+						break expand
+					}
 				}
 			}
 		}
