@@ -21,18 +21,16 @@ import (
 	"subtrav"
 	"subtrav/internal/graph"
 	"subtrav/internal/graphio"
-	"subtrav/internal/partition"
 )
 
 func main() {
 	var (
-		typ        = flag.String("type", "powerlaw", "graph type: powerlaw, random")
-		scale      = flag.String("scale", "small", "scale: tiny, small, medium, large, paper")
-		seed       = flag.Uint64("seed", 42, "random seed")
-		out        = flag.String("out", "", "output file (required unless -info)")
-		info       = flag.String("info", "", "print statistics of an existing graph file and exit")
-		partitions = flag.Int("partitions", 0, "compute this many balanced partitions and attach labels")
-		format     = flag.String("format", "csr", "output format: csr (v2 flat binary, default), gob (v1)")
+		typ    = flag.String("type", "powerlaw", "graph type: powerlaw, random")
+		scale  = flag.String("scale", "small", "scale: tiny, small, medium, large, paper")
+		seed   = flag.Uint64("seed", 42, "random seed")
+		out    = flag.String("out", "", "output file (required unless -info)")
+		info   = flag.String("info", "", "print statistics of an existing graph file and exit")
+		format = flag.String("format", "csr", "output format: csr (v2 flat binary, default), gob (v1)")
 	)
 	flag.Parse()
 
@@ -89,14 +87,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if *partitions > 0 {
-		res, err := partition.Compute(g, partition.Config{NumPartitions: *partitions, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		g = partition.Apply(g, res.Labels)
-		fmt.Printf("partitioned into %d parts, edge cut %.1f%%\n", *partitions, 100*res.CutFraction)
 	}
 	if err := writeGraph(*out, g); err != nil {
 		fatal(err)

@@ -39,21 +39,6 @@ type Config struct {
 	// AvgSubgraphBytes is m of Eq. 3: the average memory footprint of
 	// one buffered subgraph.
 	AvgSubgraphBytes int64
-	// ChurnScale multiplies the decay exponent. The paper's Eq. 2
-	// decays scores by e^(-α(t-t_p)) with α from Eq. 3, but leaves the
-	// time unit of α unstated; taken literally against any fixed
-	// timescale, the decay either never fires or kills every score
-	// once task durations drift. This implementation therefore uses
-	// the *churn fraction itself* as the exponent —
-	//
-	//	decay = exp(-ChurnScale · (n_p + n')·m / M)
-	//
-	// — which tracks exactly what the unit's LRU buffer does: after
-	// the unit has loaded ≈M bytes of other subgraphs, the cached data
-	// is gone regardless of how much wall time that took. Elapsed time
-	// still matters implicitly because n' grows with it. ChurnScale
-	// (default 1) sharpens or softens the cutoff.
-	ChurnScale float64
 }
 
 // DefaultConfig returns scorer parameters tuned for the simulator's
@@ -63,7 +48,6 @@ func DefaultConfig() Config {
 		Eta:              0.01,
 		EpsilonTilde:     0.5,
 		AvgSubgraphBytes: 256 << 10, // typical bounded-traversal footprint
-		ChurnScale:       1,
 	}
 }
 
@@ -76,8 +60,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("affinity: EpsilonTilde = %g, want > 0", c.EpsilonTilde)
 	case c.AvgSubgraphBytes <= 0:
 		return fmt.Errorf("affinity: AvgSubgraphBytes = %d, want > 0", c.AvgSubgraphBytes)
-	case c.ChurnScale <= 0:
-		return fmt.Errorf("affinity: ChurnScale = %g, want > 0", c.ChurnScale)
 	}
 	return nil
 }
@@ -157,8 +139,18 @@ func (s *Scorer) Score(v graph.VertexID, proc int32, unit UnitView) float64 {
 }
 
 // decay evaluates the negative exponential of Eq. 2 with the
-// memory-pressure exponent of Eq. 3 (see Config.ChurnScale for how
-// the paper's implicit time unit is resolved).
+// memory-pressure exponent of Eq. 3. The paper's Eq. 2 decays scores
+// by e^(-α(t-t_p)) with α from Eq. 3, but leaves the time unit of α
+// unstated; taken literally against any fixed timescale, the decay
+// either never fires or kills every score once task durations drift.
+// The exponent is therefore the *churn fraction itself* —
+//
+//	decay = exp(-(n_p + n')·m / M)
+//
+// — which tracks exactly what the unit's LRU buffer does: after the
+// unit has loaded ≈M bytes of other subgraphs, the cached data is gone
+// regardless of how much wall time that took. Elapsed time still
+// matters implicitly because n' grows with it.
 func (s *Scorer) decay(tp int64, unit UnitView) float64 {
 	m := unit.MemoryBudget()
 	if m <= 0 {
@@ -171,7 +163,7 @@ func (s *Scorer) decay(tp int64, unit UnitView) float64 {
 	if churned == 0 {
 		return 1
 	}
-	exponent := s.cfg.ChurnScale * float64(churned) * float64(s.cfg.AvgSubgraphBytes) / float64(m)
+	exponent := float64(churned) * float64(s.cfg.AvgSubgraphBytes) / float64(m)
 	return math.Exp(-exponent)
 }
 

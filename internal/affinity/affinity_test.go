@@ -44,10 +44,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{Eta: -1, EpsilonTilde: 1, AvgSubgraphBytes: 1, ChurnScale: 1},
-		{Eta: 0, EpsilonTilde: 0, AvgSubgraphBytes: 1, ChurnScale: 1},
-		{Eta: 0, EpsilonTilde: 1, AvgSubgraphBytes: 0, ChurnScale: 1},
-		{Eta: 0, EpsilonTilde: 1, AvgSubgraphBytes: 1, ChurnScale: 0},
+		{Eta: -1, EpsilonTilde: 1, AvgSubgraphBytes: 1},
+		{Eta: 0, EpsilonTilde: 0, AvgSubgraphBytes: 1},
+		{Eta: 0, EpsilonTilde: 1, AvgSubgraphBytes: 0},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -143,14 +142,6 @@ func TestDecayDropsWithChurn(t *testing.T) {
 	busier := fakeUnit{queue: 8, completed: 8, memory: 8 << 20}
 	if b := s.Score(0, 0, busier); !(b < stale) {
 		t.Errorf("busier unit should decay more: %g vs %g", b, stale)
-	}
-	// A doubled ChurnScale sharpens the cutoff.
-	sharp := cfg
-	sharp.ChurnScale = 2
-	s2, sigs2 := newScorer(t, g, &clock, sharp)
-	sigs2.Record(0, 0, 0)
-	if v := s2.Score(0, 0, unit); !(v < stale) {
-		t.Errorf("ChurnScale=2 should decay harder: %g vs %g", v, stale)
 	}
 }
 

@@ -249,6 +249,6 @@ func (s *Scorer) decayAt(now, tp int64, mem int64, queue int, unit UnitView) flo
 	if churned == 0 {
 		return 1
 	}
-	exponent := s.cfg.ChurnScale * float64(churned) * float64(s.cfg.AvgSubgraphBytes) / float64(mem)
+	exponent := float64(churned) * float64(s.cfg.AvgSubgraphBytes) / float64(mem)
 	return math.Exp(-exponent)
 }

@@ -87,7 +87,8 @@ var mutants = []struct {
 	{"wallclock", "sim", []string{"simdet"}},
 	// PR 5's CollabFilter: the trace recorded in map order.
 	{"collabhop2", "traverse", []string{"simdet"}},
-	// graphgen.BarabasiAlbert until PR 25: edges attached in map order.
+	// graphgen's Barabási–Albert generator, since deleted: edges
+	// attached in map order.
 	{"baattach", "graphgen", []string{"simdet"}},
 	// A decoded count sizes a make with no check at all.
 	{"uncheckedlen", "graphio", []string{"taintlen"}},

@@ -1,7 +1,8 @@
-// Package baattach is graphgen.BarabasiAlbert before PR 25: each
-// arriving vertex attaches in map order, which reorders the endpoint
-// list every later draw samples from — one seed, a different graph
-// per run.
+// Package baattach is graphgen's Barabási–Albert generator as it once
+// was: each arriving vertex attaches in map order, which reorders the
+// endpoint list every later draw samples from — one seed, a different
+// graph per run. The generator itself has since been deleted; this
+// fixture stays as simdet's mutant.
 package baattach
 
 type builder struct{ edges [][2]int32 }

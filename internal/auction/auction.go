@@ -1,9 +1,9 @@
 // Package auction implements the assignment solvers of Section V: the
-// Bertsekas auction algorithm in sequential (Gauss-Seidel) and
-// parallel (Jacobi, goroutine-based) forms, an incremental Auctioneer
-// that warm-starts prices across scheduling rounds, and two exact
-// reference solvers (Hungarian and brute force) used by tests to
-// verify the ε-optimality guarantee.
+// Bertsekas auction algorithm in its sequential (Gauss-Seidel) form,
+// an incremental Auctioneer that warm-starts prices across scheduling
+// rounds, and two exact reference solvers (Hungarian and brute force)
+// used by tests to verify the ε-optimality guarantee. Algorithm 1's
+// parallel ("pardo") bid phase is not kept; DESIGN.md §5.1 says why.
 //
 // The primal problem is Eq. 5 of the paper: select a matching between
 // rows (subgraph traversal tasks) and columns (processing units) that
@@ -296,12 +296,6 @@ func Solve(p Problem, opts Options) Assignment {
 // final dual prices, enabling warm starts and ε-CS verification.
 func SolvePriced(p Problem, opts Options, prices []float64) Assignment {
 	return solveWithPrices(p, opts, prices)
-}
-
-// SolveParallelPriced is SolveParallel with caller-provided prices,
-// updated in place.
-func SolveParallelPriced(p Problem, opts Options, prices []float64) Assignment {
-	return solveParallelWithPrices(p, opts, prices)
 }
 
 func solveWithPrices(p Problem, opts Options, prices []float64) Assignment {

@@ -2,7 +2,6 @@ package auction
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -51,15 +50,10 @@ func TestSolveIdentityBest(t *testing.T) {
 			}
 		}
 	}
-	for _, solver := range []struct {
-		name string
-		run  func(Problem, Options) Assignment
-	}{{"sequential", Solve}, {"parallel", SolveParallel}} {
-		a := solver.run(Dense(b), Options{Epsilon: 0.01})
-		for i := 0; i < n; i++ {
-			if a.RowToCol[i] != i {
-				t.Errorf("%s: row %d -> %d, want %d", solver.name, i, a.RowToCol[i], i)
-			}
+	a := Solve(Dense(b), Options{Epsilon: 0.01})
+	for i := 0; i < n; i++ {
+		if a.RowToCol[i] != i {
+			t.Errorf("row %d -> %d, want %d", i, a.RowToCol[i], i)
 		}
 	}
 }
@@ -76,26 +70,21 @@ func TestEpsilonOptimalityVsExact(t *testing.T) {
 		}
 		p := Dense(b)
 		eps := 1e-4
-		for _, solver := range []struct {
-			name string
-			run  func(Problem, Options) Assignment
-		}{{"sequential", Solve}, {"parallel", SolveParallel}} {
-			a := solver.run(p, Options{Epsilon: eps})
-			if err := VerifyMatching(p, a); err != nil {
-				t.Fatalf("%s trial %d: %v", solver.name, trial, err)
-			}
-			if a.NumAssigned() != n {
-				t.Fatalf("%s trial %d: assigned %d of %d rows", solver.name, trial, a.NumAssigned(), n)
-			}
-			bound := exact.Benefit - float64(n)*eps
-			if a.Benefit < bound-1e-9 {
-				t.Errorf("%s trial %d: benefit %g < exact %g - nε (%g)",
-					solver.name, trial, a.Benefit, exact.Benefit, bound)
-			}
-			if a.Benefit > exact.Benefit+1e-9 {
-				t.Errorf("%s trial %d: benefit %g exceeds exact optimum %g",
-					solver.name, trial, a.Benefit, exact.Benefit)
-			}
+		a := Solve(p, Options{Epsilon: eps})
+		if err := VerifyMatching(p, a); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if a.NumAssigned() != n {
+			t.Fatalf("trial %d: assigned %d of %d rows", trial, a.NumAssigned(), n)
+		}
+		bound := exact.Benefit - float64(n)*eps
+		if a.Benefit < bound-1e-9 {
+			t.Errorf("trial %d: benefit %g < exact %g - nε (%g)",
+				trial, a.Benefit, exact.Benefit, bound)
+		}
+		if a.Benefit > exact.Benefit+1e-9 {
+			t.Errorf("trial %d: benefit %g exceeds exact optimum %g",
+				trial, a.Benefit, exact.Benefit)
 		}
 	}
 }
@@ -110,12 +99,7 @@ func TestEpsilonCSInvariant(t *testing.T) {
 		prices := make([]float64, m)
 		a := SolvePriced(p, Options{Epsilon: eps}, prices)
 		if err := VerifyEpsilonCS(p, a, prices, eps); err != nil {
-			t.Errorf("sequential trial %d: %v", trial, err)
-		}
-		prices2 := make([]float64, m)
-		a2 := SolveParallelPriced(p, Options{Epsilon: eps}, prices2)
-		if err := VerifyEpsilonCS(p, a2, prices2, eps); err != nil {
-			t.Errorf("parallel trial %d: %v", trial, err)
+			t.Errorf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -185,17 +169,12 @@ func TestInfeasibleContention(t *testing.T) {
 		{{Col: 0, Benefit: 4}},
 		{{Col: 0, Benefit: 3}},
 	}}
-	for _, solver := range []struct {
-		name string
-		run  func(Problem, Options) Assignment
-	}{{"sequential", Solve}, {"parallel", SolveParallel}} {
-		a := solver.run(p, Options{Epsilon: 0.5})
-		if a.NumAssigned() != 1 {
-			t.Errorf("%s: assigned %d, want 1", solver.name, a.NumAssigned())
-		}
-		if err := VerifyMatching(p, a); err != nil {
-			t.Errorf("%s: %v", solver.name, err)
-		}
+	a := Solve(p, Options{Epsilon: 0.5})
+	if a.NumAssigned() != 1 {
+		t.Errorf("assigned %d, want 1", a.NumAssigned())
+	}
+	if err := VerifyMatching(p, a); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -225,33 +204,6 @@ func TestMoreRowsThanCols(t *testing.T) {
 	}
 	if err := VerifyMatching(p, a); err != nil {
 		t.Error(err)
-	}
-}
-
-// fourBidders pins GOMAXPROCS to 4 for the rest of the test, so a
-// 256-row problem's bid phase runs on four goroutines.
-func fourBidders(t *testing.T, p Problem) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	if w := workers(p); w != 4 {
-		t.Fatalf("%d rows bid on %d goroutines, want 4", p.NumRows(), w)
-	}
-}
-
-func TestParallelDeterministic(t *testing.T) {
-	rng := xrand.New(41)
-	b := randomDense(rng, 256, 288)
-	p := Dense(b)
-	fourBidders(t, p)
-	first := SolveParallel(p, Options{Epsilon: 1e-3})
-	for i := 0; i < 5; i++ {
-		again := SolveParallel(p, Options{Epsilon: 1e-3})
-		for r := range first.RowToCol {
-			if first.RowToCol[r] != again.RowToCol[r] {
-				t.Fatalf("parallel auction nondeterministic at row %d", r)
-			}
-		}
 	}
 }
 
@@ -307,8 +259,8 @@ func TestSolveExactKnown(t *testing.T) {
 	}
 }
 
-// Property: on random dense feasible problems, both auction variants
-// produce valid matchings that assign min(n,m) pairs.
+// Property: on random dense feasible problems, the auction produces a
+// valid matching that assigns min(n,m) pairs.
 func TestFullCardinalityQuick(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw)%10 + 1
@@ -320,9 +272,7 @@ func TestFullCardinalityQuick(t *testing.T) {
 			want = m
 		}
 		a := Solve(p, Options{Epsilon: 0.01})
-		a2 := SolveParallel(p, Options{Epsilon: 0.01})
-		return a.NumAssigned() == want && a2.NumAssigned() == want &&
-			VerifyMatching(p, a) == nil && VerifyMatching(p, a2) == nil
+		return a.NumAssigned() == want && VerifyMatching(p, a) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

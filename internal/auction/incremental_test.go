@@ -125,27 +125,6 @@ func TestResetPrices(t *testing.T) {
 	}
 }
 
-// The Jacobi solver run incrementally: one price slice carried across
-// rounds, the way the Auctioneer carries it for the sequential solver.
-func TestAuctioneerParallelVariant(t *testing.T) {
-	rng := xrand.New(11)
-	const n, m = 256, 288
-	prices := make([]float64, m)
-	for round := 0; round < 10; round++ {
-		p := Dense(randomDense(rng, n, m))
-		if round == 0 {
-			fourBidders(t, p)
-		}
-		res := SolveParallelPriced(p, Options{Epsilon: 1e-3}, prices)
-		if res.NumAssigned() != n {
-			t.Fatalf("round %d: assigned %d of %d", round, res.NumAssigned(), n)
-		}
-		if err := VerifyMatching(p, res); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestAuctioneerValidatesProblem(t *testing.T) {
 	a, err := NewAuctioneer(AuctioneerConfig{NumCols: 2})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subtrav"
-	"subtrav/internal/partition"
 )
 
 // PartitionedLayout is an extension experiment for the shared-disk
@@ -22,22 +21,11 @@ func PartitionedLayout(cfg Config) (*Table, error) {
 	// The image corpus is the natural fit: it ships with the paper's
 	// 45 partitions (person clusters grouped), and an image query's
 	// misses land inside one cluster — exactly the run structure a
-	// partition-contiguous layout rewards. A computed partitioning of
-	// the Twitter-like graph is exercised by internal/partition's own
-	// tests; on a hub-collapsed graph its edge cut is too high to
-	// produce long same-partition runs.
+	// partition-contiguous layout rewards.
 	a := imageApp()
 	pg, tasks, err := a.build(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if pg.NumPartitions() == 0 {
-		// Fall back to a computed partitioning for graphs without one.
-		part, err := partition.Compute(pg, partition.Config{NumPartitions: units, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		pg = partition.Apply(pg, part.Labels)
 	}
 
 	t := &Table{

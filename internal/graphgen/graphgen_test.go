@@ -131,56 +131,6 @@ func TestRandomRejectsOverfull(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbert(t *testing.T) {
-	g, err := BarabasiAlbert(BAConfig{NumVertices: 3000, EdgesPerVertex: 3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := graph.ComputeStats(g)
-	if st.MinDegree < 1 {
-		t.Errorf("BA min degree = %d, want >= 1", st.MinDegree)
-	}
-	// Preferential attachment must produce hubs.
-	if st.MaxDegree < 10*int(st.MeanDegree) {
-		t.Errorf("BA max degree %d vs mean %g: no hubs formed", st.MaxDegree, st.MeanDegree)
-	}
-	if _, err := BarabasiAlbert(BAConfig{NumVertices: 0, EdgesPerVertex: 1}); err == nil {
-		t.Error("expected error for zero vertices")
-	}
-	if _, err := BarabasiAlbert(BAConfig{NumVertices: 10, EdgesPerVertex: 0}); err == nil {
-		t.Error("expected error for zero edges per vertex")
-	}
-}
-
-// The generator once attached each arriving vertex in map-iteration
-// order, which reordered the endpoint list the next draws sample from:
-// one seed, a different graph per run.
-func TestBarabasiAlbertDeterministic(t *testing.T) {
-	cfg := BAConfig{NumVertices: 2000, EdgesPerVertex: 4, Seed: 3}
-	g1, err := BarabasiAlbert(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 5; run++ {
-		g2, err := BarabasiAlbert(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g1.NumVertices(); v++ {
-			lo1, hi1 := g1.EdgeSlots(graph.VertexID(v))
-			lo2, hi2 := g2.EdgeSlots(graph.VertexID(v))
-			if hi1-lo1 != hi2-lo2 {
-				t.Fatalf("run %d: degree(%d) %d vs %d", run, v, hi1-lo1, hi2-lo2)
-			}
-			for i := lo1; i < hi1; i++ {
-				if a, b := g1.TargetAt(i), g2.TargetAt(lo2+(i-lo1)); a != b {
-					t.Fatalf("run %d: vertex %d slot %d: neighbor %d vs %d", run, v, i-lo1, a, b)
-				}
-			}
-		}
-	}
-}
-
 func smallCorpusConfig(seed uint64) ImageCorpusConfig {
 	return ImageCorpusConfig{
 		NumPersons:         20,
@@ -211,8 +161,8 @@ func TestImageCorpusStructure(t *testing.T) {
 	if len(c.Person) != n {
 		t.Fatalf("Person labels %d != vertices %d", len(c.Person), n)
 	}
-	if g.NumPartitions() > 4+1 || g.NumPartitions() < 1 {
-		t.Errorf("partitions = %d, want ~4", g.NumPartitions())
+	if g.NumPartitions() != 4 {
+		t.Errorf("partitions = %d, want 4", g.NumPartitions())
 	}
 	if !g.HasWeights() {
 		t.Error("similarity graph must be weighted")
@@ -305,6 +255,44 @@ func TestImageCorpusPaperScale(t *testing.T) {
 	}
 	if len(c.Queries) != 1024 {
 		t.Errorf("queries = %d, want 1024", len(c.Queries))
+	}
+	if p := c.Graph.NumPartitions(); p != 45 {
+		t.Errorf("partitions = %d, want 45", p)
+	}
+}
+
+// Persons are grouped into exactly NumPartitions contiguous groups
+// whose sizes differ by at most one, also when the division is not
+// even: groups of ⌈persons/partitions⌉ would leave labels unused (336
+// persons in groups of 8 make 42 partitions, not 45).
+func TestImagePartitionsExact(t *testing.T) {
+	for _, tc := range []struct{ persons, partitions int }{
+		{10, 4}, {10, 6}, {20, 8}, {7, 7}, {5, 1},
+	} {
+		cfg := smallCorpusConfig(3)
+		cfg.NumPersons, cfg.NumPartitions = tc.persons, tc.partitions
+		c, err := Images(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Graph.NumPartitions(); got != tc.partitions {
+			t.Errorf("%d persons into %d: %d partitions", tc.persons, tc.partitions, got)
+		}
+		members := make([]map[int32]bool, tc.partitions)
+		for v, p := range c.Person {
+			l := c.Graph.Partition(graph.VertexID(v))
+			if members[l] == nil {
+				members[l] = map[int32]bool{}
+			}
+			members[l][p] = true
+		}
+		lo, hi := tc.persons, 0
+		for _, m := range members {
+			lo, hi = min(lo, len(m)), max(hi, len(m))
+		}
+		if hi-lo > 1 {
+			t.Errorf("%d persons into %d: group sizes %d..%d, want within one", tc.persons, tc.partitions, lo, hi)
+		}
 	}
 }
 

@@ -216,11 +216,11 @@ func Images(cfg ImageCorpusConfig) (*ImageCorpus, error) {
 		})
 	}
 
-	// Partitions: contiguous groups of persons.
+	// Partitions: contiguous groups of persons, sizes differing by at
+	// most one, so every one of the NumPartitions labels is used.
 	part := make([]int32, n)
-	perPartition := (cfg.NumPersons + cfg.NumPartitions - 1) / cfg.NumPartitions
 	for v := 0; v < n; v++ {
-		part[v] = person[v] / int32(perPartition)
+		part[v] = int32(int(person[v]) * cfg.NumPartitions / cfg.NumPersons)
 	}
 	b.SetPartition(part)
 

@@ -12,7 +12,6 @@ package graphgen
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"subtrav/internal/graph"
 	"subtrav/internal/xrand"
@@ -125,60 +124,6 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	}
 	if cfg.VertexMeta {
 		attachUserProps(b, rng)
-	}
-	return b.Build(), nil
-}
-
-// BAConfig configures the Barabási-Albert preferential-attachment
-// generator, an alternative power-law topology used by ablations.
-type BAConfig struct {
-	NumVertices int
-	// EdgesPerVertex is the number of edges each arriving vertex
-	// attaches to existing vertices (m in the BA model).
-	EdgesPerVertex int
-	Seed           uint64
-}
-
-// BarabasiAlbert generates an undirected preferential-attachment graph.
-func BarabasiAlbert(cfg BAConfig) (*graph.Graph, error) {
-	if cfg.NumVertices <= 0 {
-		return nil, fmt.Errorf("graphgen: NumVertices = %d, want > 0", cfg.NumVertices)
-	}
-	if cfg.EdgesPerVertex <= 0 {
-		return nil, fmt.Errorf("graphgen: EdgesPerVertex = %d, want > 0", cfg.EdgesPerVertex)
-	}
-	rng := xrand.New(cfg.Seed)
-	n, m := cfg.NumVertices, cfg.EdgesPerVertex
-	b := graph.NewBuilder(graph.Undirected, n)
-
-	// "Repeated nodes" trick: the endpoints list holds every edge
-	// endpoint, so sampling uniformly from it is sampling proportional
-	// to degree.
-	endpoints := make([]graph.VertexID, 0, 2*n*m)
-	seed := m + 1
-	if seed > n {
-		seed = n
-	}
-	for v := 1; v < seed; v++ {
-		b.AddEdge(graph.VertexID(v-1), graph.VertexID(v))
-		endpoints = append(endpoints, graph.VertexID(v-1), graph.VertexID(v))
-	}
-	// chosen keeps draw order: attaching in map order would reorder
-	// endpoints, and with it every later draw, from run to run.
-	chosen := make([]graph.VertexID, 0, m)
-	for v := seed; v < n; v++ {
-		chosen = chosen[:0]
-		for len(chosen) < m {
-			t := endpoints[rng.Intn(len(endpoints))]
-			if int(t) == v || slices.Contains(chosen, t) {
-				continue
-			}
-			chosen = append(chosen, t)
-		}
-		for _, t := range chosen {
-			b.AddEdge(graph.VertexID(v), t)
-			endpoints = append(endpoints, graph.VertexID(v), t)
-		}
 	}
 	return b.Build(), nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"subtrav/internal/graph"
 	"subtrav/internal/graphgen"
-	"subtrav/internal/partition"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden v2 CSR fixture")
@@ -79,6 +78,10 @@ func TestCSRGoldenFile(t *testing.T) {
 	assertGraphEqual(t, "golden", g, back)
 }
 
+// midSizeSnapshotPartitions is how many contiguous vertex blocks
+// midSizeSnapshot labels as partitions.
+const midSizeSnapshotPartitions = 8
+
 // midSizeSnapshot is a 32768-vertex power-law graph of average degree
 // 16 carrying partition labels — and, with meta, a property set on
 // every vertex and every edge — together with its v2 encoding.
@@ -91,16 +94,43 @@ func midSizeSnapshot(t *testing.T, meta bool) (*graph.Graph, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := partition.Compute(g, partition.Config{NumPartitions: 8, Seed: 0x6C0ADB1A})
-	if err != nil {
-		t.Fatal(err)
+	labels := make([]int32, n)
+	for v := range labels {
+		labels[v] = int32(v * midSizeSnapshotPartitions / n)
 	}
-	g = partition.Apply(g, part.Labels)
+	g = withPartition(g, labels)
 	var buf bytes.Buffer
 	if err := WriteCSR(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	return g, buf.Bytes()
+}
+
+// withPartition rebuilds g — edges, weights and properties — with the
+// given partition labels attached.
+func withPartition(g *graph.Graph, labels []int32) *graph.Graph {
+	b := graph.NewBuilder(g.Kind(), g.NumVertices())
+	seen := make([]bool, g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		lo, hi := g.EdgeSlots(graph.VertexID(v))
+		for s := lo; s < hi; s++ {
+			e := g.LogicalEdge(s)
+			if seen[e] {
+				continue
+			}
+			seen[e] = true
+			w := float32(1)
+			if g.HasWeights() {
+				w = g.Weight(e)
+			}
+			b.AddEdgeFull(graph.VertexID(v), g.TargetAt(s), w, g.EdgeProps(e).Map())
+		}
+		if p := g.VertexProps(graph.VertexID(v)); p.Len() > 0 {
+			b.SetVertexProps(graph.VertexID(v), p.Map())
+		}
+	}
+	b.SetPartition(labels)
+	return b.Build()
 }
 
 // TestReadCSRAllocsPerRun is the zero-copy guard: decoding a mid-size
@@ -116,6 +146,13 @@ func TestReadCSRAllocsPerRun(t *testing.T) {
 	const maxAllocs = 4
 	for _, meta := range []bool{false, true} {
 		_, data := midSizeSnapshot(t, meta)
+		back, err := ReadCSR(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.NumPartitions(); got != midSizeSnapshotPartitions {
+			t.Fatalf("meta=%v: decoded %d partitions, want %d", meta, got, midSizeSnapshotPartitions)
+		}
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, err := ReadCSR(data); err != nil {
 				t.Fatal(err)

@@ -56,25 +56,7 @@ func diffFixtures(t *testing.T) map[string]*graph.Graph {
 	for v := range partLabels {
 		partLabels[v] = int32(v % 4)
 	}
-	bPart := graph.NewBuilder(pl.Kind(), pl.NumVertices())
-	seen := make(map[[2]graph.VertexID]bool)
-	for v := 0; v < pl.NumVertices(); v++ {
-		lo, hi := pl.EdgeSlots(graph.VertexID(v))
-		for s := lo; s < hi; s++ {
-			u := pl.TargetAt(s)
-			key := [2]graph.VertexID{graph.VertexID(v), u}
-			if u < graph.VertexID(v) {
-				key = [2]graph.VertexID{u, graph.VertexID(v)}
-			}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			bPart.AddEdge(key[0], key[1])
-		}
-	}
-	bPart.SetPartition(partLabels)
-	out["powerlaw-partitioned"] = bPart.Build()
+	out["powerlaw-partitioned"] = withPartition(pl, partLabels)
 
 	bip, err := graphgen.Purchases(graphgen.PurchaseConfig{
 		NumCustomers: 120, NumProducts: 80, PurchasesPerCustomerMean: 6,

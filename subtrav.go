@@ -13,8 +13,8 @@
 //     restart);
 //   - internal/signature, internal/affinity — vertex visit signatures
 //     and the affinity scoring of Eq. 1-4;
-//   - internal/auction — sequential, parallel and incremental auction
-//     assignment solvers;
+//   - internal/auction — the sequential auction assignment solver and
+//     its incremental, warm-started form;
 //   - internal/sched — the SCH scheduler, the paper's baseline, and
 //     ablation policies;
 //   - internal/sim — the deterministic shared-disk simulator;
