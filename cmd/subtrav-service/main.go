@@ -1,7 +1,7 @@
 // Command subtrav-service runs the concurrent subgraph traversal
 // system as a TCP query service: the live goroutine runtime (one
 // worker per processing unit, auction-based scheduling) behind the
-// gob-over-TCP protocol of internal/service.
+// length-prefixed binary frames of internal/service.
 //
 // Usage:
 //

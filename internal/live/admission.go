@@ -79,6 +79,19 @@ func (r *Runtime) SubmitCtx(ctx context.Context, q traverse.Query) (<-chan Respo
 // MaxPending (rejections then have TenantLimited set). The empty
 // tenant maps to the "default" bucket.
 func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse.Query) (<-chan Response, error) {
+	ch := make(chan Response, 1)
+	if err := r.SubmitTenantFunc(ctx, tenant, q, func(resp Response) { ch <- resp }); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// SubmitTenantFunc is SubmitTenantCtx with the Response handed to done
+// instead of a channel: done is called exactly once for an admitted
+// query, on the goroutine that resolves it (a worker or the
+// dispatcher), so it must return promptly and never block. When
+// SubmitTenantFunc returns an error, done is never called.
+func (r *Runtime) SubmitTenantFunc(ctx context.Context, tenant string, q traverse.Query, done func(Response)) error {
 	if ctx == nil {
 		// A nil ctx means the caller opted out of cancellation
 		// entirely (Submit's documented contract): there is no caller
@@ -87,7 +100,7 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 		ctx = context.Background()
 	}
 	if err := q.Validate(r.g); err != nil {
-		return nil, err
+		return err
 	}
 	var cancel context.CancelFunc
 	if r.cfg.DefaultDeadline > 0 {
@@ -95,7 +108,7 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 			ctx, cancel = context.WithTimeout(ctx, r.cfg.DefaultDeadline)
 		}
 	}
-	t := &task{ctx: ctx, cancel: cancel, submit: time.Now(), done: make(chan Response, 1)}
+	t := &task{ctx: ctx, cancel: cancel, submit: time.Now(), done: done}
 	t.stask = sched.Task{Query: q, Tenant: tenant, Arrival: t.submit.UnixNano()}
 	t.Task = &t.stask
 	r.mu.Lock()
@@ -104,7 +117,7 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 		if cancel != nil {
 			cancel()
 		}
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	t.stask.ID = r.nextID
 	verdict := r.life.Arrive(t)
@@ -130,7 +143,7 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 			SubmitNanos: now, EndNanos: now, Unit: -1,
 			Outcome: obs.OutcomeRejected,
 		})
-		return nil, &RejectedError{
+		return &RejectedError{
 			InFlight: inflight, RetryAfter: retryAfter,
 			TenantLimited: tenantLimited, Tenant: label,
 		}
@@ -140,7 +153,7 @@ func (r *Runtime) SubmitTenantCtx(ctx context.Context, tenant string, q traverse
 	r.nextID++
 	r.mu.Unlock()
 	r.wakeDispatcher()
-	return t.done, nil
+	return nil
 }
 
 // Do submits a query and waits for its response.
@@ -192,7 +205,7 @@ func (r *Runtime) resolve(t *task, resp Response, o outcome) {
 	// The lifecycle's scratch may keep t until it is overwritten; t must
 	// not keep the pooled workspace its kernel output lives in.
 	t.Result, t.Trace = traverse.Result{}, nil
-	t.done <- resp
+	t.done(resp)
 }
 
 // timeOut resolves t, which the lifecycle timed out at the named stage,

@@ -64,11 +64,11 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 	var err error
 	for err == nil && expire() > 0 {
 		if cur.Done() {
-			err = r.sleepScaled(ctx, inlineNanos, 0)
+			err = r.sleepScaled(u, ctx, inlineNanos, 0)
 			break
 		}
 		var slotWait time.Duration
-		slotWait, err = r.diskFetch(ctx, int64(cur.Miss().Bytes))
+		slotWait, err = r.diskFetch(u, ctx, int64(cur.Miss().Bytes))
 		diskWaitNanos += slotWait.Nanoseconds()
 		switch {
 		case slotWait != 0:
@@ -105,7 +105,7 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 // a slot was free or none is needed: only a full disk reads the clock
 // and waits under ctx. A persistent injected error is returned wrapped
 // (not a context error); a context error means ctx ended first.
-func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Duration, err error) {
+func (r *Runtime) diskFetch(u *liveUnit, ctx context.Context, bytes int64) (slotWait time.Duration, err error) {
 	fault := r.cfg.Faults.Eval(faultpoint.DiskRead)
 	if fault.Err != nil {
 		r.life.Counts.DiskFaultRetries.Add(1)
@@ -116,7 +116,7 @@ func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Dur
 	}
 	service := r.cfg.Cost.Disk.SeekNanos + storage.TransferNanos(bytes, r.cfg.Cost.Disk.BytesPerSecond)
 	if r.diskSlot == nil {
-		return 0, r.sleepScaled(ctx, service, fault.Delay)
+		return 0, r.sleepScaled(u, ctx, service, fault.Delay)
 	}
 	select {
 	case r.diskSlot <- struct{}{}:
@@ -132,24 +132,37 @@ func (r *Runtime) diskFetch(ctx context.Context, bytes int64) (slotWait time.Dur
 	if err != nil {
 		return slotWait, err
 	}
-	err = r.sleepScaled(ctx, service, fault.Delay)
+	err = r.sleepScaled(u, ctx, service, fault.Delay)
 	<-r.diskSlot
 	return slotWait, err
 }
 
 // sleepScaled sleeps virtualNanos compressed by Config.TimeScale, plus
-// extra, or until ctx ends.
-func (r *Runtime) sleepScaled(ctx context.Context, virtualNanos int64, extra time.Duration) error {
+// extra, or until ctx ends, on u's timer: one per unit, reset for each
+// sleep, so a sleep allocates nothing.
+func (r *Runtime) sleepScaled(u *liveUnit, ctx context.Context, virtualNanos int64, extra time.Duration) error {
 	d := time.Duration(float64(virtualNanos)*r.cfg.TimeScale) + extra
 	if d <= 0 {
-		return ctx.Err()
+		if ctxDone(ctx) {
+			return ctx.Err()
+		}
+		return nil
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	if u.timer == nil {
+		u.timer = time.NewTimer(d)
+	} else {
+		u.timer.Reset(d)
+	}
 	select {
-	case <-timer.C:
+	case <-u.timer.C:
 		return nil
 	case <-ctx.Done():
+		// Under go 1.22's asynchronous timer channel a timer that has
+		// fired holds its value until received; leave the channel
+		// empty for the next Reset.
+		if !u.timer.Stop() {
+			<-u.timer.C
+		}
 		return ctx.Err()
 	}
 }

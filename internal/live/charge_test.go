@@ -84,13 +84,50 @@ func TestFreeDiskSlotFetchAllocatesNothing(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		allocs := testing.AllocsPerRun(1000, func() {
-			if _, err := r.diskFetch(ctx, 4096); err != nil {
+			if _, err := r.diskFetch(r.units[0], ctx, 4096); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
 			t.Errorf("diskFetch with %d channels for one unit: %g allocations, want 0", channels, allocs)
 		}
+	}
+}
+
+// TestChargeSleepAllocatesNothing guards the sleep a charge ends on:
+// with the query's records already in the unit's buffer, the charge is
+// hits alone, and at TimeScale 1 they add up to a real sleep, taken on
+// the unit's own timer.
+func TestChargeSleepAllocatesNothing(t *testing.T) {
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.TimeScale = 1
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	q := traverse.Query{Op: traverse.OpBFS, Start: 3, Depth: 2, MaxVisits: 20}
+	if resp, err := r.Do(q); err != nil || resp.Err != nil {
+		t.Fatalf("warm-up: %v / %v", err, resp.Err)
+	}
+	_, replay, err := traverse.Execute(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := r.units[0]
+	members := []*task{{ctx: context.Background()}}
+	misses := u.cacheCounters.misses.Value()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := r.charge(u, members[0].ctx, replay, members); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := u.cacheCounters.misses.Value(); got != misses {
+		t.Fatalf("fixture: %d charges missed the warm buffer", got-misses)
+	}
+	if allocs != 0 {
+		t.Errorf("a charge of buffer hits and one sleep: %g allocations, want 0", allocs)
 	}
 }
 

@@ -179,7 +179,9 @@ type task struct {
 	cancel  context.CancelFunc
 	submit  time.Time
 	started time.Time
-	done    chan Response
+	// done receives the Response when the task resolves (see
+	// SubmitTenantFunc).
+	done func(Response)
 	// tstate is the submitting tenant's metric series, resolved once at
 	// admission so resolution never re-hits the bucket table.
 	tstate *tenantState
@@ -189,8 +191,21 @@ type task struct {
 	span *obs.Span
 }
 
-// Expired is a live task's expiry signal: its context has ended.
-func (t *task) Expired(int64) bool { return t.ctx.Err() != nil }
+// Expired is a live task's expiry signal: its context has ended. It
+// receives from Done rather than calling Err, which locks the context:
+// every query of a service connection shares one, and a charge asks
+// before every read.
+func (t *task) Expired(int64) bool { return ctxDone(t.ctx) }
+
+// ctxDone reports whether ctx has ended, without taking its lock.
+func ctxDone(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
 
 // ErrClosed is returned by Submit after Close (and by the second and
 // later Close calls).

@@ -26,6 +26,9 @@ type liveUnit struct {
 
 	// wake tells the idle worker a round placed work on its queue.
 	wake chan struct{}
+	// timer times the unit's sleeps (sleepScaled). Worker goroutine
+	// only.
+	timer *time.Timer
 }
 
 // worker drives one unit through the lifecycle: it dequeues the unit's

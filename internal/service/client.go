@@ -1,7 +1,7 @@
 package service
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -27,14 +27,18 @@ var ErrDeadline = errors.New("service: deadline exceeded")
 type Client struct {
 	conn net.Conn
 
-	encMu sync.Mutex
-	enc   *gob.Encoder
+	// wmu serializes request frames onto the connection; wbuf holds
+	// the frame being written.
+	wmu  sync.Mutex
+	wbuf []byte
 
 	mu      sync.Mutex
 	pending map[uint64]chan Reply
-	nextID  uint64
-	err     error // terminal connection error
-	closed  bool
+	// free holds reply channels of finished calls, for reuse.
+	free   []chan Reply
+	nextID uint64
+	err    error // terminal connection error
+	closed bool
 
 	retries atomic.Int64
 	jitter  atomic.Uint64
@@ -48,17 +52,25 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
-		enc:     gob.NewEncoder(conn),
 		pending: make(map[uint64]chan Reply),
 	}
-	go c.readLoop(gob.NewDecoder(conn))
+	go c.readLoop()
 	return c, nil
 }
 
-func (c *Client) readLoop(dec *gob.Decoder) {
+// readLoop decodes replies and hands each to the call waiting for it,
+// until the connection fails.
+func (c *Client) readLoop() {
+	r := bufio.NewReader(c.conn)
+	var buf []byte
 	for {
+		p, err := readFrame(r, buf, maxReplyFrame)
 		var reply Reply
-		if err := dec.Decode(&reply); err != nil {
+		if err == nil {
+			buf = p
+			reply, err = decodeReply(p)
+		}
+		if err != nil {
 			c.fail(fmt.Errorf("service: connection lost: %w", err))
 			return
 		}
@@ -200,19 +212,35 @@ func (c *Client) roundTrip(req Request) (Reply, error) {
 	}
 	id := c.nextID
 	c.nextID++
-	ch := make(chan Reply, 1)
+	var ch chan Reply
+	if n := len(c.free); n > 0 {
+		ch, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		ch = make(chan Reply, 1)
+	}
 	c.pending[id] = ch
 	c.mu.Unlock()
 
 	req.ID = id
-	c.encMu.Lock()
-	err := c.enc.Encode(req)
-	c.encMu.Unlock()
+	c.wmu.Lock()
+	frame, err := appendRequest(c.wbuf[:0], &req)
+	if err == nil {
+		c.wbuf = frame
+		if _, err = c.conn.Write(frame); err != nil {
+			err = fmt.Errorf("service: send: %w", err)
+		}
+	}
+	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		delete(c.pending, id)
+		// A channel fail took has been closed; only one still pending
+		// may be reused.
+		if _, ok := c.pending[id]; ok {
+			delete(c.pending, id)
+			c.free = append(c.free, ch)
+		}
 		c.mu.Unlock()
-		return Reply{}, fmt.Errorf("service: send: %w", err)
+		return Reply{}, err
 	}
 
 	reply, ok := <-ch
@@ -225,6 +253,9 @@ func (c *Client) roundTrip(req Request) (Reply, error) {
 		}
 		return Reply{}, err
 	}
+	c.mu.Lock()
+	c.free = append(c.free, ch)
+	c.mu.Unlock()
 	switch reply.Code {
 	case CodeRejected:
 		return reply, fmt.Errorf("service: remote: %s: %w", reply.Err, ErrRejected)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,22 @@ import (
 // startSaturableService runs a deliberately tiny deployment — one slow
 // unit, MaxPending 2 — so a handful of concurrent queries saturates it.
 func startSaturableService(t *testing.T, cfg live.Config) (*Client, *live.Runtime, func()) {
+	t.Helper()
+	srv, rt, addr := startServer(t, cfg)
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, rt, func() {
+		client.Close()
+		srv.Close()
+		rt.Close()
+	}
+}
+
+// startServer serves a runtime with cfg on the 500-vertex test graph
+// and returns the address it listens on.
+func startServer(t *testing.T, cfg live.Config) (*Server, *live.Runtime, string) {
 	t.Helper()
 	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
 		NumVertices: 500, NumEdges: 2500, Exponent: 2.3,
@@ -36,14 +53,36 @@ func startSaturableService(t *testing.T, cfg live.Config) (*Client, *live.Runtim
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(addr.String())
+	return srv, rt, addr.String()
+}
+
+// dialRaw opens a connection that speaks frames by hand.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, rt, func() {
-		client.Close()
-		srv.Close()
-		rt.Close()
+	return c
+}
+
+// frameOf encodes a query request.
+func frameOf(t *testing.T, id uint64, q WireQuery) []byte {
+	t.Helper()
+	frame, err := appendRequest(nil, &Request{ID: id, Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
 	}
 }
 
@@ -204,5 +243,149 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	p := RetryPolicy{}.withDefaults()
 	if p.MaxAttempts != 4 || p.BaseDelay != time.Millisecond || p.MaxDelay != 100*time.Millisecond {
 		t.Errorf("defaults = %+v", p)
+	}
+}
+
+// TestDisconnectCancelsQuery: a client that drops its connection while
+// its query executes cancels that query. The runtime counts it timed
+// out, and its unit serves the next connection.
+func TestDisconnectCancelsQuery(t *testing.T) {
+	t.Parallel()
+	srv, rt, addr := startServer(t, slowServiceConfig())
+	defer rt.Close()
+	defer srv.Close()
+
+	// Hundreds of misses at 2 ms each: seconds, were it not cancelled.
+	raw := dialRaw(t, addr)
+	if _, err := raw.Write(frameOf(t, 1, WireQuery{Op: "bfs", Start: 0, Depth: 3, MaxVisits: 400})); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the query executes", func() bool { return rt.Stats()[0].Busy })
+	raw.Close()
+	waitFor(t, "the query times out", func() bool { return rt.Metrics().TimedOut == 1 })
+
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Do(WireQuery{Op: "bfs", Start: 0, Depth: 1, MaxVisits: 5}); err != nil {
+		t.Fatalf("the unit is not free after the disconnect: %v", err)
+	}
+	if m := rt.Metrics(); !m.Conserved() || m.Completed != 1 || m.TimedOut != 1 {
+		t.Errorf("counters %v, want one completion and one timeout, conserved", m)
+	}
+}
+
+// TestSlowReaderClosedAtBacklog: a client that sends queries and never
+// reads their replies is closed once it owes maxBacklog bytes, while
+// the workers that complete its queries keep serving another
+// connection.
+func TestSlowReaderClosedAtBacklog(t *testing.T) {
+	t.Parallel()
+	srv, rt, addr := startServer(t, live.Config{
+		NumUnits: 2, MemoryPerUnit: 1 << 20, TimeScale: 1e-6, BatchWindow: 50 * time.Microsecond,
+		MaxPending: 1 << 16,
+	})
+	defer rt.Close()
+	defer srv.Close()
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// Each reply recommends a few hundred products: ≈ 5 KiB.
+	heavy := WireQuery{Op: "collab", Start: 3}
+	raw := dialRaw(t, addr)
+	defer raw.Close()
+	raw.(*net.TCPConn).SetReadBuffer(4 << 10)
+	frame := frameOf(t, 1, heavy) // the replies are never read, so one ID will do
+	// 64 MiB of replies, far past the backlog and any socket buffers:
+	// a server that lets the debt grow is caught before it grows far.
+	const unread = 64 << 20 / (5 << 10)
+	flooded := make(chan error, 1)
+	go func() {
+		for i := 0; i < unread; i++ {
+			// Keep the queues short, so the other connection's queries
+			// do not wait behind thousands of these.
+			for rt.InFlight() > 64 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if _, err := raw.Write(frame); err != nil {
+				flooded <- err
+				return
+			}
+		}
+		flooded <- nil
+	}()
+
+	served := 0
+	for done := false; !done; {
+		select {
+		case err := <-flooded:
+			if err == nil {
+				t.Fatalf("a client that never reads was not closed after %d unread replies", unread)
+			}
+			done = true
+		default:
+			if _, err := client.Do(WireQuery{Op: "bfs", Start: int32(served % 500), Depth: 1}); err != nil {
+				t.Fatalf("the other connection is not served: %v", err)
+			}
+			served++
+		}
+	}
+	if served == 0 {
+		t.Error("no query of the other connection was served during the flood")
+	}
+	waitFor(t, "the runtime drains", func() bool { return rt.InFlight() == 0 })
+	if m := rt.Metrics(); !m.Conserved() {
+		t.Errorf("not conserved: %v", m)
+	}
+}
+
+// TestHalfOpenClientDoesNotBlockClose: a client that sends part of a
+// frame and stalls holds its connection's reader in a read; Close
+// still returns, and the query another connection has in flight is
+// cancelled and counted.
+func TestHalfOpenClientDoesNotBlockClose(t *testing.T) {
+	t.Parallel()
+	srv, rt, addr := startServer(t, slowServiceConfig())
+	defer rt.Close()
+
+	raw := dialRaw(t, addr)
+	defer raw.Close()
+	frame := frameOf(t, 1, WireQuery{Op: "bfs", Start: 0, Depth: 1})
+	if _, err := raw.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	replied := make(chan error, 1)
+	go func() {
+		_, err := client.Do(WireQuery{Op: "bfs", Start: 0, Depth: 3, MaxVisits: 400})
+		replied <- err
+	}()
+	waitFor(t, "the query executes", func() bool { return rt.Stats()[0].Busy })
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close blocked on a half-open connection")
+	}
+	if err := <-replied; err == nil {
+		t.Error("a query cut off by Close reported success")
+	}
+	waitFor(t, "the query is resolved", func() bool { return rt.InFlight() == 0 })
+	if m := rt.Metrics(); !m.Conserved() || m.TimedOut != 1 {
+		t.Errorf("counters %v, want the cut-off query timed out, conserved", m)
 	}
 }

@@ -1,27 +1,42 @@
 package service
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subtrav/internal/live"
+	"subtrav/internal/traverse"
 )
 
 // Server serves traversal queries from a live runtime over TCP.
+//
+// Each connection has one reader goroutine, which decodes requests and
+// submits queries, and one writer goroutine, which writes the replies
+// the connection owes. No goroutine runs per request: the goroutine
+// that resolves a query appends its reply to the connection's buffer
+// and never waits on the socket. A connection's context is the parent
+// of its queries' contexts, so a connection that ends, however it ends,
+// cancels the queries it still has in flight.
 type Server struct {
 	rt *live.Runtime
+	// ctx is the parent of every connection's context; Close cancels
+	// it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu     sync.Mutex
 	ln     net.Listener
-	conns  map[net.Conn]struct{}
 	closed bool
-	wg     sync.WaitGroup
+	// wg counts the accept loop and every connection's reader and
+	// writer.
+	wg sync.WaitGroup
 }
 
 // NewServer wraps a runtime. The caller retains ownership of the
@@ -30,7 +45,8 @@ func NewServer(rt *live.Runtime) (*Server, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("service: runtime is required")
 	}
-	return &Server{rt: rt, conns: make(map[net.Conn]struct{})}, nil
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Server{rt: rt, ctx: ctx, cancel: cancel}, nil
 }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:7070"; port 0 picks
@@ -48,9 +64,9 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		return nil, errors.New("service: server closed")
 	}
 	s.ln = ln
+	s.wg.Add(1)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr(), nil
 }
@@ -58,141 +74,224 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
-		conn, err := ln.Accept()
+		nc, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		s.wg.Add(2)
 		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
+		c := &conn{s: s, nc: nc, wake: make(chan struct{}, 1)}
+		c.ctx, c.cancel = context.WithCancel(s.ctx)
+		// Whatever ends the connection closes its socket, which is what
+		// unblocks a reader waiting for a request and a writer stuck
+		// on a peer that does not read.
+		context.AfterFunc(c.ctx, func() { nc.Close() })
+		go c.read()
+		go c.write()
 	}
 }
 
-// serveConn decodes a stream of Requests, executes each on the
-// runtime, and writes Replies as they finish (responses may be out of
-// order; the client matches by ID).
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-
-	send := func(r Reply) {
-		encMu.Lock()
-		defer encMu.Unlock()
-		// Encode errors mean the connection is gone; the deferred
-		// close handles cleanup.
-		_ = enc.Encode(r)
-	}
-
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF {
-				// Malformed stream: drop the connection.
-				_ = err
-			}
-			return
-		}
-		if req.Kind == KindStats {
-			send(Reply{
-				ID:             req.ID,
-				TotalCompleted: s.rt.Completed(),
-				Counters:       s.rt.Metrics(),
-				Units:          s.rt.Stats(),
-			})
-			continue
-		}
-		if req.Kind == KindTrace {
-			send(Reply{ID: req.ID, Spans: s.rt.Trace(req.TraceN)})
-			continue
-		}
-		query, err := req.Query.ToQuery()
-		if err != nil {
-			send(Reply{ID: req.ID, Code: CodeError, Err: err.Error()})
-			continue
-		}
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if req.TimeoutNanos > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNanos))
-		}
-		ch, err := s.rt.SubmitTenantCtx(ctx, req.Query.Tenant, query)
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			var rej *live.RejectedError
-			if errors.As(err, &rej) {
-				send(Reply{
-					ID: req.ID, Code: CodeRejected, Err: err.Error(),
-					RetryAfterNanos: rej.RetryAfter.Nanoseconds(),
-				})
-				continue
-			}
-			send(Reply{ID: req.ID, Code: CodeError, Err: err.Error()})
-			continue
-		}
-		inflight.Add(1)
-		go func(id uint64, ch <-chan live.Response, ctx context.Context, cancel context.CancelFunc) {
-			defer inflight.Done()
-			if cancel != nil {
-				defer cancel()
-			}
-			var resp live.Response
-			select {
-			case resp = <-ch:
-			case <-ctx.Done():
-				// Deadline hit while the query is queued or executing:
-				// answer the client now; the runtime resolves (and
-				// counts) the abandoned query when it reaches it.
-				send(Reply{ID: id, Code: CodeDeadline, Err: ctx.Err().Error()})
-				return
-			}
-			switch {
-			case resp.Err == nil:
-				send(replyFrom(id, resp.Result, resp.Unit, resp.Wait.Nanoseconds(), resp.Exec.Nanoseconds()))
-			case errors.Is(resp.Err, context.DeadlineExceeded) || errors.Is(resp.Err, context.Canceled):
-				send(Reply{ID: id, Code: CodeDeadline, Err: resp.Err.Error()})
-			default:
-				send(Reply{ID: id, Code: CodeError, Err: resp.Err.Error()})
-			}
-		}(req.ID, ch, ctx, cancel)
-	}
-}
-
-// Close stops the listener and all connections and waits for handlers
-// to finish. The runtime is not closed.
+// Close stops the listener, ends every connection — cancelling the
+// queries they have in flight, whose replies are dropped — and waits
+// for the connections' goroutines to exit. The runtime is not closed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	for conn := range s.conns {
-		conn.Close()
-	}
 	s.mu.Unlock()
+	s.cancel()
 	s.wg.Wait()
+}
+
+// conn is one client connection.
+type conn struct {
+	s      *Server
+	nc     net.Conn
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// mu guards out and closed. out holds the encoded replies the
+	// writer has not yet taken.
+	mu     sync.Mutex
+	out    []byte
+	closed bool
+	// wake tells the writer out has become non-empty.
+	wake chan struct{}
+}
+
+// read decodes the connection's requests and serves each one. A frame
+// that does not decode ends the connection.
+func (c *conn) read() {
+	defer c.s.wg.Done()
+	defer c.shut()
+	r := bufio.NewReader(c.nc)
+	var buf []byte
+	for {
+		p, err := readFrame(r, buf, maxRequestFrame)
+		if err != nil {
+			return
+		}
+		buf = p
+		req, err := decodeRequest(p)
+		if err != nil {
+			return
+		}
+		c.serve(&req)
+	}
+}
+
+// write hands what the connection owes to the socket, all of it in one
+// write, until the connection ends.
+func (c *conn) write() {
+	defer c.s.wg.Done()
+	defer c.shut()
+	var buf []byte
+	for {
+		select {
+		case <-c.wake:
+		case <-c.ctx.Done():
+			return
+		}
+		c.mu.Lock()
+		buf, c.out = c.out, buf[:0]
+		c.mu.Unlock()
+		if _, err := c.nc.Write(buf); err != nil {
+			return
+		}
+		if cap(buf) > maxRequestFrame {
+			buf = nil // a large diagnostics reply does not pin its buffer
+		}
+	}
+}
+
+// shut ends the connection: the replies it still owes are dropped, and
+// its context ends, which cancels its queries and closes its socket.
+func (c *conn) shut() {
+	c.mu.Lock()
+	c.closed, c.out = true, nil
+	c.mu.Unlock()
+	c.cancel()
+}
+
+// send appends a reply (see appendReply) to what the connection owes
+// and wakes the writer. It never blocks on the socket: a connection
+// that already owes maxBacklog bytes is shut instead, and a reply over
+// the frame cap is replaced by an error.
+func (c *conn) send(h replyHead, resp *live.Response, diag []byte) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	n0 := len(c.out)
+	if n0 >= maxBacklog {
+		c.mu.Unlock()
+		c.shut()
+		return
+	}
+	c.out = appendReply(c.out, h, resp, diag)
+	if len(c.out)-n0-4 > maxReplyFrame {
+		c.out = appendReply(c.out[:n0], replyHead{ID: h.ID, Code: CodeError, Err: "service: reply over the frame cap"}, nil, nil)
+	}
+	c.mu.Unlock()
+	if n0 == 0 {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// serve answers a diagnostics request at once and submits a query.
+func (c *conn) serve(req *Request) {
+	switch req.Kind {
+	case KindStats:
+		rt := c.s.rt
+		c.sendDiag(req.ID, diagnostics{TotalCompleted: rt.Completed(), Counters: rt.Metrics(), Units: rt.Stats()})
+		return
+	case KindTrace:
+		c.sendDiag(req.ID, diagnostics{Spans: c.s.rt.Trace(req.TraceN)})
+		return
+	}
+	id := req.ID
+	q, err := req.Query.ToQuery()
+	if err != nil {
+		c.send(replyHead{ID: id, Code: CodeError, Err: err.Error()}, nil, nil)
+		return
+	}
+	if req.TimeoutNanos > 0 {
+		c.submitBy(id, time.Duration(req.TimeoutNanos), req.Query.Tenant, q)
+		return
+	}
+	if err := c.s.rt.SubmitTenantFunc(c.ctx, req.Query.Tenant, q, func(resp live.Response) { c.reply(id, &resp) }); err != nil {
+		c.refuse(id, err)
+	}
+}
+
+// submitBy submits a query that must be answered within timeout.
+// Whichever comes first claims the reply: the runtime resolving the
+// query, or its deadline, which answers CodeDeadline at once; the
+// runtime still resolves (and counts) the query when it reaches it.
+func (c *conn) submitBy(id uint64, timeout time.Duration, tenant string, q traverse.Query) {
+	ctx, cancel := context.WithTimeout(c.ctx, timeout)
+	var claimed atomic.Bool
+	stop := context.AfterFunc(ctx, func() {
+		if claimed.CompareAndSwap(false, true) {
+			c.send(replyHead{ID: id, Code: CodeDeadline, Err: ctx.Err().Error()}, nil, nil)
+		}
+	})
+	err := c.s.rt.SubmitTenantFunc(ctx, tenant, q, func(resp live.Response) {
+		stop()
+		cancel()
+		if claimed.CompareAndSwap(false, true) {
+			c.reply(id, &resp)
+		}
+	})
+	if err != nil {
+		stop()
+		cancel()
+		if claimed.CompareAndSwap(false, true) {
+			c.refuse(id, err)
+		}
+	}
+}
+
+// reply answers a query the runtime resolved.
+func (c *conn) reply(id uint64, resp *live.Response) {
+	switch {
+	case resp.Err == nil:
+		c.send(replyHead{ID: id}, resp, nil)
+	case errors.Is(resp.Err, context.DeadlineExceeded) || errors.Is(resp.Err, context.Canceled):
+		c.send(replyHead{ID: id, Code: CodeDeadline, Err: resp.Err.Error()}, nil, nil)
+	default:
+		c.send(replyHead{ID: id, Code: CodeError, Err: resp.Err.Error()}, nil, nil)
+	}
+}
+
+// refuse answers a query the runtime did not admit.
+func (c *conn) refuse(id uint64, err error) {
+	h := replyHead{ID: id, Code: CodeError, Err: err.Error()}
+	var rej *live.RejectedError
+	if errors.As(err, &rej) {
+		h.Code, h.RetryAfterNanos = CodeRejected, rej.RetryAfter.Nanoseconds()
+	}
+	c.send(h, nil, nil)
+}
+
+// sendDiag answers a diagnostics request with body as JSON.
+func (c *conn) sendDiag(id uint64, body diagnostics) {
+	diag, err := json.Marshal(body)
+	if err != nil {
+		c.send(replyHead{ID: id, Code: CodeError, Err: fmt.Sprintf("service: diagnostics: %v", err)}, nil, nil)
+		return
+	}
+	c.send(replyHead{ID: id}, nil, diag)
 }

@@ -155,6 +155,9 @@ func TestRemoteErrors(t *testing.T) {
 	if _, err := client.Do(WireQuery{Op: "bfs", Start: 99999, Depth: 1}); err == nil {
 		t.Error("invalid start vertex accepted")
 	}
+	if _, err := client.Do(WireQuery{Op: "bfs", Start: 0, VertexFilter: strings.Repeat(" ", maxRequestFrame)}); err == nil || !strings.Contains(err.Error(), "frame cap") {
+		t.Errorf("request over the frame cap: error %v", err)
+	}
 	// The connection survives bad requests.
 	if _, err := client.Do(WireQuery{Op: "bfs", Start: 0, Depth: 1}); err != nil {
 		t.Errorf("connection broken after bad request: %v", err)
@@ -202,7 +205,7 @@ func TestPredicatesOverWire(t *testing.T) {
 
 	reply, err := client.Do(WireQuery{
 		Op: "bfs", Start: 0, Depth: 5,
-		VertexPropName: "kind", VertexPropValue: "good",
+		VertexFilter: `kind == "good"`,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +356,7 @@ func TestAllOpsOverWire(t *testing.T) {
 	}
 	if _, err := client.Do(WireQuery{
 		Op: "bfs", Start: 0, Depth: 1,
-		EdgePropName: "nope", EdgePropValue: "x",
-		EdgeFilter:   "has(nothing)",
+		EdgeFilter:   `nope == "x" && has(nothing)`,
 		VertexFilter: "has(anything) || true == true",
 	}); err == nil {
 		// VertexFilter "true == true": "true" parses as ident then
