@@ -3,14 +3,12 @@
 //
 // Usage:
 //
-//	graphgen -type powerlaw -scale small -seed 42 -out twitter.g
-//	graphgen -type random   -scale small -seed 42 -out random.g
-//	graphgen -info twitter.g
+//	graphgen -type powerlaw -scale small -seed 42 -out twitter.csr2
+//	graphgen -type random   -scale small -seed 42 -out random.csr2
+//	graphgen -info twitter.csr2
 //
-// Graphs are written in the version-2 flat binary CSR format by
-// default (-format csr), which loads with one read or mmap; pass
-// -format gob for the version-1 encoding. -info auto-detects the
-// format by magic, so files from either version open transparently.
+// Graphs are written as flat binary CSR snapshots (internal/graphio),
+// which load with one read or mmap. -info refuses any other file.
 package main
 
 import (
@@ -25,25 +23,13 @@ import (
 
 func main() {
 	var (
-		typ    = flag.String("type", "powerlaw", "graph type: powerlaw, random")
-		scale  = flag.String("scale", "small", "scale: tiny, small, medium, large, paper")
-		seed   = flag.Uint64("seed", 42, "random seed")
-		out    = flag.String("out", "", "output file (required unless -info)")
-		info   = flag.String("info", "", "print statistics of an existing graph file and exit")
-		format = flag.String("format", "csr", "output format: csr (v2 flat binary, default), gob (v1)")
+		typ   = flag.String("type", "powerlaw", "graph type: powerlaw, random")
+		scale = flag.String("scale", "small", "scale: tiny, small, medium, large, paper")
+		seed  = flag.Uint64("seed", 42, "random seed")
+		out   = flag.String("out", "", "output file (required unless -info)")
+		info  = flag.String("info", "", "print statistics of an existing graph file and exit")
 	)
 	flag.Parse()
-
-	writeGraph := func(path string, g *graph.Graph) error {
-		switch *format {
-		case "csr":
-			return graphio.WriteCSRFile(path, g)
-		case "gob":
-			return graphio.WriteFile(path, g)
-		default:
-			return fmt.Errorf("unknown format %q (want csr or gob)", *format)
-		}
-	}
 
 	if *info != "" {
 		g, err := graphio.ReadGraphFile(*info)
@@ -88,7 +74,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := writeGraph(*out, g); err != nil {
+	if err := graphio.WriteCSRFile(*out, g); err != nil {
 		fatal(err)
 	}
 	printStats(*out, g)

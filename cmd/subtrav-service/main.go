@@ -6,8 +6,8 @@
 // Usage:
 //
 //	subtrav-service -addr 127.0.0.1:7070 -units 8 -mem 64
-//	subtrav-service -graph twitter.g -units 16
-//	subtrav-service -graph twitter.g -mmap       # serve a v2 csr file in place
+//	subtrav-service -graph twitter.csr2 -units 16
+//	subtrav-service -graph twitter.csr2 -mmap    # serve the snapshot in place
 //	subtrav-service -debug-addr 127.0.0.1:6060   # /metrics, /healthz, pprof
 package main
 
@@ -32,8 +32,8 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
 		units     = flag.Int("units", 8, "processing units (worker goroutines)")
 		memMB     = flag.Int64("mem", 64, "per-unit buffer budget in MiB (0 = unlimited)")
-		graphFile = flag.String("graph", "", "graph file to serve, v1 gob or v2 csr auto-detected (default: generated power-law)")
-		useMmap   = flag.Bool("mmap", false, "serve a v2 csr -graph file out of a read-only memory map instead of loading it on the heap")
+		graphFile = flag.String("graph", "", "graph snapshot to serve, as graphgen writes it (default: generated power-law)")
+		useMmap   = flag.Bool("mmap", false, "serve the -graph snapshot out of a read-only memory map instead of loading it on the heap")
 		scale     = flag.String("scale", "small", "generated graph scale when -graph is not given")
 		seed      = flag.Uint64("seed", 42, "seed for the generated graph")
 		epsilon   = flag.Float64("epsilon", 1e-3, "auction minimum price increment")
@@ -48,6 +48,9 @@ func main() {
 		traceBuffer = flag.Int("trace-buffer", 4096, "per-query trace spans retained for KindTrace / subtrav-client -trace (0 = tracing off)")
 	)
 	flag.Parse()
+	if *useMmap && *graphFile == "" {
+		fatal(fmt.Errorf("-mmap needs -graph"))
+	}
 
 	var (
 		g   *graph.Graph

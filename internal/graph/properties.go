@@ -297,43 +297,3 @@ func (p Props) String() string { return p.Map().String() }
 // edge properties during traversal (Section V-C). A nil Predicate
 // matches everything.
 type Predicate func(Props) bool
-
-// MatchAll returns a predicate that is satisfied only when every given
-// predicate is satisfied.
-func MatchAll(preds ...Predicate) Predicate {
-	return func(p Props) bool {
-		for _, pred := range preds {
-			if pred != nil && !pred(p) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// HasProp returns a predicate matching property sets that contain the
-// named property.
-func HasProp(name string) Predicate {
-	return func(p Props) bool {
-		_, ok := p.Get(name)
-		return ok
-	}
-}
-
-// PropEquals returns a predicate matching property sets whose named
-// property equals want.
-func PropEquals(name string, want Value) Predicate {
-	return func(p Props) bool {
-		got, ok := p.Get(name)
-		return ok && got.Equal(want)
-	}
-}
-
-// IntPropAtLeast returns a predicate matching property sets whose
-// named integer property is >= min.
-func IntPropAtLeast(name string, min int64) Predicate {
-	return func(p Props) bool {
-		got, ok := p.Get(name)
-		return ok && got.Kind() == KindInt && got.Int64() >= min
-	}
-}

@@ -162,32 +162,6 @@ func TestPropertiesStringDeterministic(t *testing.T) {
 	}
 }
 
-func TestPredicates(t *testing.T) {
-	p := viewOf(Properties{"age": Int(30), "name": String("bob")})
-	if !HasProp("age")(p) || HasProp("ghost")(p) {
-		t.Error("HasProp wrong")
-	}
-	if !PropEquals("name", String("bob"))(p) || PropEquals("name", String("eve"))(p) {
-		t.Error("PropEquals wrong")
-	}
-	if !IntPropAtLeast("age", 30)(p) || IntPropAtLeast("age", 31)(p) {
-		t.Error("IntPropAtLeast wrong")
-	}
-	if IntPropAtLeast("name", 0)(p) {
-		t.Error("IntPropAtLeast should reject non-int kinds")
-	}
-	all := MatchAll(HasProp("age"), PropEquals("name", String("bob")))
-	if !all(p) {
-		t.Error("MatchAll should accept")
-	}
-	if MatchAll(HasProp("age"), HasProp("ghost"))(p) {
-		t.Error("MatchAll should reject when one predicate fails")
-	}
-	if !MatchAll()(p) {
-		t.Error("empty MatchAll should accept")
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	if Directed.String() != "directed" || Undirected.String() != "undirected" {
 		t.Error("Kind.String wrong")

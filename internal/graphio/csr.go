@@ -1,9 +1,10 @@
-package graphio
-
-// Flat binary CSR snapshot — the version-2 on-disk graph format.
+// Package graphio persists property graphs as flat binary CSR
+// snapshots, so the CLI tools can generate a dataset once and reuse it
+// across experiment runs.
 //
-// A v2 file is a single contiguous buffer laid out as a fixed 64-byte
-// header, a section table, and up to twelve 8-aligned sections:
+// A snapshot (format version 2, magic "STRVCSR2") is a single
+// contiguous buffer laid out as a fixed 64-byte header, a section
+// table, and up to twelve 8-aligned sections:
 //
 //	header     magic "STRVCSR2", version, kind, counts, crc
 //	table      one 32-byte entry per present section: id, offset,
@@ -21,11 +22,8 @@ package graphio
 //	eproprecs  n × 24 bytes    fixed-size edge property records
 //	arena      raw bytes       all keys and string values, deduplicated
 //
-// Older builds could append three more sections (ids 13–15: inoffsets,
-// insources, inslots) holding a reverse-CSR view that nothing reads any
-// more. This writer never emits them; the reader still accepts them in
-// the table and verifies their geometry and checksums like any other
-// section's, but does not decode the payload.
+// The reader accepts exactly the sections WriteCSR writes: a table
+// listing any other id is corrupt.
 //
 // All scalars are little-endian. Because every section is 8-aligned
 // and already in the graph package's native column layout (the property
@@ -42,9 +40,9 @@ package graphio
 // Ownership: a graph decoded by ReadCSR borrows the input buffer for
 // its whole lifetime. Mutating the buffer (or unmapping it, for
 // MappedCSR) while the graph is in use is undefined behavior.
+package graphio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,13 +56,12 @@ import (
 )
 
 const (
-	csrMagic       = "STRVCSR2"
-	csrVersion     = 2
-	csrHeaderSize  = 64
-	csrEntrySize   = 32
-	csrAlign       = 8
-	csrMaxSections = 16
-	propRecSize    = 24
+	csrMagic      = "STRVCSR2"
+	csrVersion    = 2
+	csrHeaderSize = 64
+	csrEntrySize  = 32
+	csrAlign      = 8
+	propRecSize   = 24
 )
 
 // Section ids in canonical file order. The table lists present
@@ -83,17 +80,14 @@ const (
 	secEPropIdx
 	secEPropRecs
 	secArena
-	// Reserved: the reverse-CSR sections of older builds (see the format
-	// comment above). The ids are never reused.
-	secInOffsets
-	secInSources
-	secInSlots
+	// Ids 13–15 once held a reverse-CSR view that older builds wrote; a
+	// table listing them is refused, and they are never reused.
 	secEnd // one past the largest id a table may list
 )
 
 // secNames is indexed by section id.
 var secNames = [secEnd]string{"", "offsets", "targets", "edgeidx", "weights", "vbytes", "ebytes", "partition",
-	"vpropidx", "vproprecs", "epropidx", "eproprecs", "arena", "inoffsets", "insources", "inslots"}
+	"vpropidx", "vproprecs", "epropidx", "eproprecs", "arena"}
 
 func secName(id uint32) string {
 	if id == 0 || id >= secEnd {
@@ -445,11 +439,6 @@ func WriteCSRFile(path string, g *graph.Graph) error {
 
 // ---- reader ---------------------------------------------------------
 
-// IsCSR reports whether data begins with the v2 magic.
-func IsCSR(data []byte) bool {
-	return len(data) >= len(csrMagic) && string(data[:len(csrMagic)]) == csrMagic
-}
-
 // ReadCSR decodes a v2 flat CSR snapshot from data without copying:
 // the returned graph's columns alias data, which the caller must keep
 // immutable (and mapped) for the graph's lifetime. On hosts where
@@ -474,7 +463,7 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: csr header: %d bytes, want at least %d: %w",
 			len(data), csrHeaderSize, ErrCSRTruncated)
 	}
-	if !IsCSR(data) {
+	if string(data[:len(csrMagic)]) != csrMagic {
 		return nil, fmt.Errorf("graphio: csr header: bad magic %q: %w", data[:len(csrMagic)], ErrCSRMagic)
 	}
 	if v := le.Uint32(data[8:]); v != csrVersion {
@@ -499,9 +488,9 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: csr header: counts (%d vertices, %d slots) impossible for a %d-byte file: %w",
 			nV, nSlots, len(data), ErrCSRTruncated)
 	}
-	if nSec > csrMaxSections {
+	if nSec >= secEnd {
 		return nil, fmt.Errorf("graphio: csr section table: %d sections, at most %d defined: %w",
-			nSec, csrMaxSections, ErrCSRCorrupt)
+			nSec, secEnd-1, ErrCSRCorrupt)
 	}
 	tabLen := int(nSec) * csrEntrySize
 	if len(data) < csrHeaderSize+tabLen {
@@ -637,62 +626,15 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 	return g, nil
 }
 
-// ReadCSRFile loads a v2 snapshot with a single ReadFile; the graph
+// ReadGraphFile loads a snapshot with a single ReadFile; the graph
 // aliases the returned buffer, so time-to-first-query is one read
 // plus validation.
-func ReadCSRFile(path string) (*graph.Graph, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ReadCSR(data)
-}
-
-// ---- format auto-detection ------------------------------------------
-
-// Format identifies an on-disk graph snapshot encoding.
-type Format uint8
-
-const (
-	// FormatGob is the version-1 gob encoding (Write/Read).
-	FormatGob Format = iota + 1
-	// FormatCSR is the version-2 flat binary CSR snapshot.
-	FormatCSR
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatGob:
-		return "gob-v1"
-	case FormatCSR:
-		return "csr-v2"
-	default:
-		return fmt.Sprintf("Format(%d)", uint8(f))
-	}
-}
-
-// SniffFormat classifies a snapshot by its leading bytes: the v2 magic
-// marks a flat CSR file, anything else is assumed to be the v1 gob
-// stream (gob has no fixed magic of its own).
-func SniffFormat(data []byte) Format {
-	if IsCSR(data) {
-		return FormatCSR
-	}
-	return FormatGob
-}
-
-// ReadGraphFile loads a graph from either format, auto-detected by
-// magic: v2 flat CSR files decode zero-copy, anything else goes
-// through the v1 gob decoder.
 func ReadGraphFile(path string) (*graph.Graph, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if IsCSR(data) {
-		return ReadCSR(data)
-	}
-	return Read(bytes.NewReader(data))
+	return ReadCSR(data)
 }
 
 // ---- mmap-backed loading --------------------------------------------
@@ -708,11 +650,11 @@ type MappedCSR struct {
 }
 
 // OpenCSRFile maps path and decodes it in place. On platforms without
-// mmap support it falls back to ReadCSRFile. The returned graph
+// mmap support it falls back to ReadGraphFile. The returned graph
 // aliases the mapping: it must not be used after Close.
 func OpenCSRFile(path string) (*MappedCSR, error) {
 	if !mmapSupported {
-		g, err := ReadCSRFile(path)
+		g, err := ReadGraphFile(path)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -43,7 +42,7 @@ type tableEntry struct {
 	pos     int // entry start within the file
 }
 
-func parseTable(t *testing.T, data []byte) []tableEntry {
+func parseTable(t testing.TB, data []byte) []tableEntry {
 	t.Helper()
 	nSec := int(le.Uint32(data[44:]))
 	out := make([]tableEntry, nSec)
@@ -69,7 +68,7 @@ func entryFor(t *testing.T, data []byte, id uint32) tableEntry {
 // refreshCRCs recomputes every payload checksum and the header
 // checksum after a test mutated the file, so the mutation reaches the
 // structural validation it targets instead of tripping a checksum.
-func refreshCRCs(t *testing.T, data []byte) {
+func refreshCRCs(t testing.TB, data []byte) {
 	t.Helper()
 	for _, e := range parseTable(t, data) {
 		if e.off+e.ln > uint64(len(data)) {
@@ -119,6 +118,10 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 		}
 	}
 
+	retired := func(id uint32) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, d []byte) []byte { return relabelLast(t, d, id) }
+	}
+
 	cases := []struct {
 		name    string
 		mutate  func(t *testing.T, d []byte) []byte
@@ -155,7 +158,7 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 			return d
 		}, ErrCSRTruncated, "impossible"},
 		{"too-many-sections", func(t *testing.T, d []byte) []byte {
-			le.PutUint32(d[44:], csrMaxSections+1)
+			le.PutUint32(d[44:], uint32(secEnd))
 			return d
 		}, ErrCSRCorrupt, "section table"},
 		{"table-truncated", func(t *testing.T, d []byte) []byte { return d[:csrHeaderSize+csrEntrySize] },
@@ -170,6 +173,9 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 			refreshCRCs(t, d)
 			return d
 		}, ErrCSRCorrupt, "out of order"},
+		{"retired-id-13", retired(13), ErrCSRCorrupt, "id 13 after 11"},
+		{"retired-id-14", retired(14), ErrCSRCorrupt, "id 14 after 11"},
+		{"retired-id-15", retired(15), ErrCSRCorrupt, "id 15 after 11"},
 		{"section-misaligned", func(t *testing.T, d []byte) []byte {
 			e := entryFor(t, d, secTargets)
 			le.PutUint64(d[e.pos+8:], e.off+4)
@@ -293,11 +299,11 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 }
 
 // TestReadCSRSectionChecksums flips one payload byte inside every
-// section — the twelve the writer emits and the three reserved ones an
-// older build's file carries — and asserts the decoder reports a
-// checksum failure naming exactly that section.
+// section and asserts the decoder reports a checksum failure naming
+// exactly that section.
 func TestReadCSRSectionChecksums(t *testing.T) {
-	check := func(pristine []byte, e tableEntry) {
+	pristine := corruptFixture(t)
+	for _, e := range parseTable(t, pristine) {
 		t.Run(secName(e.id), func(t *testing.T) {
 			data := append([]byte(nil), pristine...)
 			data[e.off] ^= 0x40
@@ -309,14 +315,6 @@ func TestReadCSRSectionChecksums(t *testing.T) {
 				t.Fatalf("error %q does not name the %s section", err, secName(e.id))
 			}
 		})
-	}
-	pristine := corruptFixture(t)
-	for _, e := range parseTable(t, pristine) {
-		check(pristine, e)
-	}
-	old := readInEdgeFixture(t)
-	for _, e := range reservedEntries(t, old) {
-		check(old, e)
 	}
 }
 
@@ -344,78 +342,31 @@ func TestReadCSRTruncatedAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// inEdgeFixturePath is the golden snapshot as the last build that wrote
-// the reverse-CSR sections (ids 13–15) encoded it: goldenGraph plus
-// inoffsets, insources and inslots. Never regenerated — no writer can
-// produce it any more.
-const inEdgeFixturePath = "testdata/golden_inedges.csr2"
-
-func readInEdgeFixture(t testing.TB) []byte {
+// relabelLast gives the last section in data's table the given id and
+// refreshes the checksums, so only the id is wrong.
+func relabelLast(t testing.TB, data []byte, id uint32) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.FromSlash(inEdgeFixturePath))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := parseTable(t, data)
+	le.PutUint32(data[tab[len(tab)-1].pos:], id)
+	refreshCRCs(t, data)
 	return data
 }
 
-// reservedEntries returns the table rows of data's reserved sections.
-func reservedEntries(t *testing.T, data []byte) []tableEntry {
-	t.Helper()
-	var out []tableEntry
-	for _, e := range parseTable(t, data) {
-		if e.id > secArena {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// TestReadCSRInEdgeSections pins backward compatibility with snapshots
-// that carry the reserved reverse-CSR sections: such a file loads, the
-// graph equals the one its section-free twin (the current golden file)
-// decodes to column for column, the reserved payload is checksummed
-// but otherwise ignored, and writing the graph back drops the sections.
+// TestReadCSRInEdgeSections pins the retirement of section ids 13–15,
+// which held a reverse-CSR view: the golden snapshot as the last build
+// that wrote them encoded it (testdata/golden_inedges.csr2, never
+// regenerated — no writer can produce it any more) is refused as
+// corrupt, and the corruption table refuses a table listing any one of
+// them.
 func TestReadCSRInEdgeSections(t *testing.T) {
-	old := readInEdgeFixture(t)
-	if n := len(reservedEntries(t, old)); n != 3 {
-		t.Fatalf("compatibility fixture lists %d reserved sections, want 3", n)
-	}
-	got, err := ReadCSR(old)
-	if err != nil {
-		t.Fatalf("snapshot with in-edge sections does not load: %v", err)
-	}
-	twin, err := os.ReadFile(filepath.FromSlash(goldenPath))
+	old, err := os.ReadFile(filepath.FromSlash("testdata/golden_inedges.csr2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReadCSR(twin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.CSRView(), want.CSRView()) {
-		t.Errorf("graph loaded with in-edge sections differs from its twin:\n got %+v\nwant %+v",
-			got.CSRView(), want.CSRView())
-	}
-	var back bytes.Buffer
-	if err := WriteCSR(&back, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back.Bytes(), twin) {
-		t.Errorf("re-encoding the loaded graph gives %d bytes, want the twin's %d", back.Len(), len(twin))
-	}
-
-	// The payload is not decoded: damage that keeps the checksums valid
-	// is invisible, where it used to fail the content cross-checks.
-	scribbled := append([]byte(nil), old...)
-	for _, e := range reservedEntries(t, scribbled) {
-		scribbled[e.off] ^= 0x40
-	}
-	refreshCRCs(t, scribbled)
-	if g, err := ReadCSR(scribbled); err != nil {
-		t.Errorf("reserved payload was decoded: %v", err)
-	} else if !reflect.DeepEqual(g.CSRView(), want.CSRView()) {
-		t.Error("reserved payload leaked into the graph")
+	for _, mode := range []bool{false, true} {
+		if _, err := decodeCSR(old, mode); !errors.Is(err, ErrCSRCorrupt) {
+			t.Fatalf("copyMode=%v: snapshot with in-edge sections: err = %v, want ErrCSRCorrupt", mode, err)
+		}
 	}
 }
 

@@ -136,9 +136,7 @@ func withPartition(g *graph.Graph, labels []int32) *graph.Graph {
 // TestReadCSRAllocsPerRun is the zero-copy guard: decoding a mid-size
 // snapshot — bare, or with a property on every vertex and every edge —
 // must cost a constant number of allocations (the graph header plus
-// O(sections) scratch), not O(vertices). The gob path allocates per
-// vertex and per edge; this is the measurable difference the v2 format
-// exists for.
+// O(sections) scratch), not O(vertices).
 func TestReadCSRAllocsPerRun(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("copying decode on big-endian hosts allocates per column")
@@ -165,40 +163,30 @@ func TestReadCSRAllocsPerRun(t *testing.T) {
 	}
 }
 
-// retainedHeap reports the heap held by the graph load returns,
-// measured across a forced GC with the graph still referenced.
-func retainedHeap(t *testing.T, load func() (*graph.Graph, error)) int64 {
-	t.Helper()
+// TestReadCSRRetainedHeap: the decode aliases its columns into the
+// snapshot buffer, so the graph it returns retains only its header —
+// hundreds of bytes against the megabytes of the columns. The heap is
+// measured across a forced GC with the graph still referenced. Not
+// parallel: HeapAlloc is process-wide.
+func TestReadCSRRetainedHeap(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("copying decode on big-endian hosts materializes the columns")
+	}
+	const maxRetained = 4 << 10
+	_, data := midSizeSnapshot(t, false)
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	g, err := load()
+	g, err := ReadCSR(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(g)
-	return int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
-}
-
-// The v2 decode aliases its columns into the snapshot buffer, so the
-// graph it returns retains only its header; the gob decode
-// materializes every column (hundreds of bytes against megabytes). Not
-// parallel: HeapAlloc is process-wide.
-func TestReadCSRRetainsLessHeapThanGob(t *testing.T) {
-	if !hostLittleEndian {
-		t.Skip("copying decode on big-endian hosts materializes the columns")
+	got := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	if got > maxRetained {
+		t.Errorf("ReadCSR retains %d B of a %d-byte snapshot, want at most %d", got, len(data), maxRetained)
 	}
-	g, data := midSizeSnapshot(t, false)
-	var gobBuf bytes.Buffer
-	if err := Write(&gobBuf, g); err != nil {
-		t.Fatal(err)
-	}
-	gob := retainedHeap(t, func() (*graph.Graph, error) { return Read(bytes.NewReader(gobBuf.Bytes())) })
-	csr := retainedHeap(t, func() (*graph.Graph, error) { return ReadCSR(data) })
-	if csr >= gob {
-		t.Errorf("ReadCSR retains %d B, Read %d B; want the v2 decode to retain less", csr, gob)
-	}
-	t.Logf("retained heap: csr %d B, gob %d B", csr, gob)
+	t.Logf("retained heap: %d B", got)
 }

@@ -2,7 +2,10 @@ package graphio
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -89,6 +92,10 @@ func diffFixtures(t *testing.T) map[string]*graph.Graph {
 	ib.SetVertexProps(2, graph.Properties{"lonely": graph.Bool(true)})
 	out["isolated-vertices"] = ib.Build()
 
+	eb := graph.NewBuilder(graph.Directed, 4)
+	eb.SetPartition([]int32{0, 0, 1, 2})
+	out["partitioned-edgeless"] = eb.Build()
+
 	return out
 }
 
@@ -133,9 +140,7 @@ func propsEqual(a, b graph.Props) bool {
 
 // assertGraphEqual is the full structural-equality oracle: kind,
 // counts, per-vertex adjacency/slots/bytes/partition/props, per-slot
-// targets, and logical-edge payloads. Logical edge IDs are compared up
-// to bijection because the v1 gob codec renumbers edges into
-// first-slot-encounter order while v2 preserves them exactly.
+// targets, and logical-edge IDs and payloads.
 func assertGraphEqual(t *testing.T, label string, a, b *graph.Graph) {
 	t.Helper()
 	if a.Kind() != b.Kind() || a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
@@ -148,8 +153,6 @@ func assertGraphEqual(t *testing.T, label string, a, b *graph.Graph) {
 	if a.HasWeights() != b.HasWeights() {
 		t.Fatalf("%s: weighted %v vs %v", label, a.HasWeights(), b.HasWeights())
 	}
-	a2b := make(map[graph.EdgeID]graph.EdgeID)
-	b2a := make(map[graph.EdgeID]graph.EdgeID)
 	for v := 0; v < a.NumVertices(); v++ {
 		id := graph.VertexID(v)
 		if a.Degree(id) != b.Degree(id) {
@@ -167,22 +170,18 @@ func assertGraphEqual(t *testing.T, label string, a, b *graph.Graph) {
 			}
 		}
 		for s := alo; s < ahi; s++ {
-			ea, eb := a.LogicalEdge(s), b.LogicalEdge(s)
-			if prev, ok := a2b[ea]; ok && prev != eb {
-				t.Fatalf("%s: slot %d maps edge %d to both %d and %d", label, s, ea, prev, eb)
+			e := a.LogicalEdge(s)
+			if eb := b.LogicalEdge(s); e != eb {
+				t.Fatalf("%s: slot %d edge %d vs %d", label, s, e, eb)
 			}
-			if prev, ok := b2a[eb]; ok && prev != ea {
-				t.Fatalf("%s: slot %d maps edge %d back to both %d and %d", label, s, eb, prev, ea)
+			if a.Weight(e) != b.Weight(e) {
+				t.Fatalf("%s: slot %d weight %g vs %g", label, s, a.Weight(e), b.Weight(e))
 			}
-			a2b[ea], b2a[eb] = eb, ea
-			if a.Weight(ea) != b.Weight(eb) {
-				t.Fatalf("%s: slot %d weight %g vs %g", label, s, a.Weight(ea), b.Weight(eb))
+			if !propsEqual(a.EdgeProps(e), b.EdgeProps(e)) {
+				t.Fatalf("%s: slot %d edge props %v vs %v", label, s, a.EdgeProps(e), b.EdgeProps(e))
 			}
-			if !propsEqual(a.EdgeProps(ea), b.EdgeProps(eb)) {
-				t.Fatalf("%s: slot %d edge props %v vs %v", label, s, a.EdgeProps(ea), b.EdgeProps(eb))
-			}
-			if a.EdgeBytes(ea) != b.EdgeBytes(eb) {
-				t.Fatalf("%s: slot %d edge bytes %d vs %d", label, s, a.EdgeBytes(ea), b.EdgeBytes(eb))
+			if a.EdgeBytes(e) != b.EdgeBytes(e) {
+				t.Fatalf("%s: slot %d edge bytes %d vs %d", label, s, a.EdgeBytes(e), b.EdgeBytes(e))
 			}
 		}
 		if !propsEqual(a.VertexProps(id), b.VertexProps(id)) {
@@ -206,30 +205,19 @@ func encodeCSR(t *testing.T, g *graph.Graph) []byte {
 	return buf.Bytes()
 }
 
-// TestCSRGobDifferential is the heart of the test wall: on every
-// fixture class, the v1 gob decode and the v2 flat-CSR decode of the
-// same graph must be structurally equal — and both equal to the
-// original.
-func TestCSRGobDifferential(t *testing.T) {
+// TestCSRRoundTripDifferential is the heart of the test wall: on every
+// fixture class, the decode of the graph's encoding is structurally
+// equal to the graph, logical edge IDs included.
+func TestCSRRoundTripDifferential(t *testing.T) {
 	for name, g := range diffFixtures(t) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			var gobBuf bytes.Buffer
-			if err := Write(&gobBuf, g); err != nil {
-				t.Fatal(err)
-			}
-			v1, err := Read(&gobBuf)
+			back, err := ReadCSR(encodeCSR(t, g))
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := ReadCSR(encodeCSR(t, g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertGraphEqual(t, "v2 vs original", g, v2)
-			assertGraphEqual(t, "v1 vs original", g, v1)
-			assertGraphEqual(t, "v1 vs v2", v1, v2)
+			assertGraphEqual(t, "decoded vs original", g, back)
 		})
 	}
 }
@@ -298,11 +286,110 @@ func TestCSRFileRoundTrip(t *testing.T) {
 	if err := WriteCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSRFile(path)
+	back, err := ReadGraphFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertGraphEqual(t, "file round-trip", g, back)
+}
+
+func roundTrip(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	back, err := ReadCSR(encodeCSR(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+func TestRoundTripPlain(t *testing.T) {
+	b := graph.NewBuilder(graph.Directed, 4)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 0)
+	g := b.Build()
+	assertGraphEqual(t, "plain", g, roundTrip(t, g))
+}
+
+func TestRoundTripWeightedUndirected(t *testing.T) {
+	b := graph.NewBuilder(graph.Undirected, 3)
+	b.AddWeightedEdge(0, 1, 0.25)
+	b.AddWeightedEdge(1, 2, 0.75)
+	g := b.Build()
+	back := roundTrip(t, g)
+	assertGraphEqual(t, "weighted undirected", g, back)
+	if !back.HasWeights() {
+		t.Fatal("weights lost")
+	}
+	if w := back.Weight(back.FindEdge(1, 0)); w != 0.25 {
+		t.Errorf("weight = %g, want 0.25", w)
+	}
+}
+
+func TestRoundTripProperties(t *testing.T) {
+	b := graph.NewBuilder(graph.Undirected, 2)
+	b.AddEdgeFull(0, 1, 1, graph.Properties{"ts": graph.Int(99)})
+	b.SetVertexProps(0, graph.Properties{
+		"name":  graph.String("alice"),
+		"age":   graph.Int(30),
+		"score": graph.Float(2.5),
+		"vip":   graph.Bool(true),
+		"photo": graph.Blob(1234),
+	})
+	g := b.Build()
+	back := roundTrip(t, g)
+	p := back.VertexProps(0).Map()
+	if p["name"].Str() != "alice" || p["age"].Int64() != 30 ||
+		p["score"].Float64() != 2.5 || !p["vip"].IsTrue() || p["photo"].BlobSize() != 1234 {
+		t.Errorf("vertex props lost: %v", p)
+	}
+	if back.VertexProps(1).Len() != 0 {
+		t.Error("phantom props appeared")
+	}
+	if ep := back.EdgeProps(back.FindEdge(0, 1)).Map(); ep["ts"] != graph.Int(99) {
+		t.Errorf("edge props lost: %v", ep)
+	}
+	// Byte accounting must survive (the storage model depends on it).
+	if back.VertexBytes(0) != g.VertexBytes(0) {
+		t.Errorf("vertex bytes %d vs %d", back.VertexBytes(0), g.VertexBytes(0))
+	}
+}
+
+func TestRoundTripGenerated(t *testing.T) {
+	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
+		NumVertices: 500, NumEdges: 2000, Exponent: 2.2,
+		Kind: graph.Undirected, Seed: 5, VertexMeta: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphEqual(t, "generated", g, roundTrip(t, g))
+}
+
+// TestFileRoundTrip goes through the file loaders rather than ReadCSR:
+// WriteCSRFile, then both ReadGraphFile and OpenCSRFile.
+func TestFileRoundTrip(t *testing.T) {
+	g, err := graphgen.Random(graphgen.RandomConfig{
+		NumVertices: 100, NumEdges: 300, Kind: graph.Undirected, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.csr2")
+	if err := WriteCSRFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadGraphFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphEqual(t, "ReadGraphFile", g, back)
+	m, err := OpenCSRFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	assertGraphEqual(t, "OpenCSRFile", g, m.Graph)
 }
 
 func TestOpenCSRFileMmap(t *testing.T) {
@@ -324,42 +411,40 @@ func TestOpenCSRFileMmap(t *testing.T) {
 	}
 }
 
-// TestReadGraphFileAutoDetect loads the same graph from a v1 gob file
-// and a v2 CSR file through the sniffing entry point.
-func TestReadGraphFileAutoDetect(t *testing.T) {
-	g := diffFixtures(t)["random-undirected-props"]
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "g.gob")
-	csrPath := filepath.Join(dir, "g.csr2")
-	if err := WriteFile(gobPath, g); err != nil {
+// TestReadGraphFileRefusesNonSnapshot: both loaders refuse a file long
+// enough to hold a header but not a snapshot by its magic.
+func TestReadGraphFileRefusesNonSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "notes.txt")
+	text := bytes.Repeat([]byte("not a graph, just some text. "), 4)
+	if err := os.WriteFile(path, text, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSRFile(csrPath, g); err != nil {
-		t.Fatal(err)
+	if _, err := ReadGraphFile(path); !errors.Is(err, ErrCSRMagic) {
+		t.Errorf("ReadGraphFile: err = %v, want ErrCSRMagic", err)
 	}
-	fromGob, err := ReadGraphFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCSR, err := ReadGraphFile(csrPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphEqual(t, "auto-detect gob vs csr", fromGob, fromCSR)
-
-	gobBytes, csrBytes := encodeGob(t, g), encodeCSR(t, g)
-	if SniffFormat(gobBytes) != FormatGob || SniffFormat(csrBytes) != FormatCSR {
-		t.Fatalf("sniff: gob=%v csr=%v", SniffFormat(gobBytes), SniffFormat(csrBytes))
+	if m, err := OpenCSRFile(path); !errors.Is(err, ErrCSRMagic) {
+		t.Errorf("OpenCSRFile: err = %v, want ErrCSRMagic", err)
+		if m != nil {
+			m.Close()
+		}
 	}
 }
 
-func encodeGob(t *testing.T, g *graph.Graph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatal(err)
+// TestReadErrors: input too short to hold a header is refused, and a
+// missing file is reported as such by both loaders.
+func TestReadErrors(t *testing.T) {
+	for _, data := range [][]byte{nil, []byte("garbage")} {
+		if _, err := ReadCSR(data); err == nil {
+			t.Errorf("ReadCSR(%q) accepted", data)
+		}
 	}
-	return buf.Bytes()
+	missing := filepath.Join(t.TempDir(), "missing.csr2")
+	if _, err := ReadGraphFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("ReadGraphFile(missing): err = %v, want fs.ErrNotExist", err)
+	}
+	if _, err := OpenCSRFile(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("OpenCSRFile(missing): err = %v, want fs.ErrNotExist", err)
+	}
 }
 
 // TestCSRViewsMatchBuilderInput closes the loop assertGraphEqual leaves

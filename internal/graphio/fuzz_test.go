@@ -2,56 +2,23 @@ package graphio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"subtrav/internal/graph"
 )
 
-// FuzzRead asserts the graph decoder never panics on arbitrary bytes —
-// corrupt files must surface as errors.
-func FuzzRead(f *testing.F) {
-	// Seed with a valid encoding plus mutations.
-	b := graph.NewBuilder(graph.Undirected, 4)
-	b.AddWeightedEdge(0, 1, 0.5)
-	b.AddEdge(2, 3)
-	b.SetVertexProps(0, graph.Properties{"k": graph.Int(7)})
-	var buf bytes.Buffer
-	if err := Write(&buf, b.Build()); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-	if len(valid) > 10 {
-		truncated := valid[:len(valid)/2]
-		f.Add(truncated)
-		flipped := append([]byte(nil), valid...)
-		flipped[len(flipped)/3] ^= 0xff
-		f.Add(flipped)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Decoded graphs must be internally consistent enough to scan.
-		for v := 0; v < g.NumVertices(); v++ {
-			_ = g.Neighbors(graph.VertexID(v))
-			_ = g.VertexBytes(graph.VertexID(v))
-		}
-	})
-}
-
-// FuzzReadCSR asserts the v2 flat-CSR decoder never panics and never
+// FuzzReadCSR asserts the flat-CSR decoder never panics and never
 // over-allocates on arbitrary bytes: hostile headers must surface as
 // errors before any count-proportional allocation. When a decode
 // succeeds, the graph must be scannable — every property of every
 // entity looked up, iterated and sized through its view — the copying
 // decode path must agree, and the re-encode must round-trip.
 func FuzzReadCSR(f *testing.F) {
-	// Seed with a valid file exercising all sections, truncations at
-	// every section boundary, and per-section checksum flips.
+	// Seed with two valid files exercising all sections, truncations at
+	// every section boundary, per-section checksum flips, retired ids
+	// and hostile header counts.
 	b := graph.NewBuilder(graph.Undirected, 5)
 	b.AddEdgeFull(0, 1, 0.5, graph.Properties{"k": graph.String("v")})
 	b.AddWeightedEdge(1, 2, 2)
@@ -63,12 +30,14 @@ func FuzzReadCSR(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
+	golden, err := os.ReadFile(filepath.FromSlash(goldenPath))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add([]byte(csrMagic))
 	f.Add([]byte("garbage that is long enough to not be a header"))
-	// The second file is an older build's, so the fuzzer still reaches
-	// the reserved-section path.
-	for _, file := range [][]byte{valid, readInEdgeFixture(f)} {
+	for _, file := range [][]byte{valid, golden} {
 		f.Add(file)
 		nSec := int(le.Uint32(file[44:]))
 		for i := 0; i < nSec; i++ {
@@ -80,9 +49,21 @@ func FuzzReadCSR(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
-	hostile := append([]byte(nil), valid...)
-	le.PutUint64(hostile[16:], 1<<31) // vertex count far beyond the file
-	f.Add(hostile)
+	// A table listing a retired section id, checksums intact.
+	for id := uint32(13); id <= 15; id++ {
+		f.Add(relabelLast(f, append([]byte(nil), valid...), id))
+	}
+	// Header counts each guard must refuse before allocating.
+	for _, forge := range []func(h []byte){
+		func(h []byte) { le.PutUint64(h[16:], 1<<31) }, // vertices beyond the int32 id space
+		func(h []byte) { le.PutUint64(h[16:], 1<<30) }, // vertices beyond the file
+		func(h []byte) { le.PutUint64(h[32:], 1<<40) }, // slots beyond the file
+		func(h []byte) { le.PutUint32(h[44:], 1<<31) }, // sections beyond the defined ids
+	} {
+		hostile := append([]byte(nil), valid...)
+		forge(hostile)
+		f.Add(hostile)
+	}
 
 	// walk reads p every way a view can be read; the copying decode's
 	// view of the same entity must agree.
