@@ -44,14 +44,6 @@ func (e *RejectedError) Error() string {
 // Unwrap makes errors.Is(err, ErrQueueFull) work.
 func (e *RejectedError) Unwrap() error { return ErrQueueFull }
 
-// outcome classifies how a task resolved, for metrics accounting.
-type outcome int
-
-const (
-	outcomeCompleted outcome = iota
-	outcomeTimedOut
-)
-
 // Submit enqueues a query and returns a channel that will receive its
 // Response exactly once. Equivalent to SubmitCtx with a background
 // context (Config.DefaultDeadline still applies).
@@ -108,8 +100,8 @@ func (r *Runtime) SubmitTenantFunc(ctx context.Context, tenant string, q travers
 			ctx, cancel = context.WithTimeout(ctx, r.cfg.DefaultDeadline)
 		}
 	}
-	t := &task{ctx: ctx, cancel: cancel, submit: time.Now(), done: done}
-	t.stask = sched.Task{Query: q, Tenant: tenant, Arrival: t.submit.UnixNano()}
+	t := &task{ctx: ctx, cancel: cancel, done: done}
+	t.stask = sched.Task{Query: q, Tenant: tenant, Arrival: time.Now().UnixNano()}
 	t.Task = &t.stask
 	r.mu.Lock()
 	if r.closed {
@@ -137,19 +129,16 @@ func (r *Runtime) SubmitTenantFunc(ctx context.Context, tenant string, q travers
 		if cancel != nil {
 			cancel()
 		}
-		now := t.submit.UnixNano()
-		r.obs.ring.Append(obs.Span{
-			QueryID: -1, Op: q.Op.String(), Tenant: tenant, Start: int32(q.Start),
-			SubmitNanos: now, EndNanos: now, Unit: -1,
-			Outcome: obs.OutcomeRejected,
-		})
+		if r.obs.ring != nil {
+			t.stask.ID = -1 // a rejected query gets no ID
+			r.obs.ring.Append(t.Span(obs.OutcomeRejected, t.stask.Arrival))
+		}
 		return &RejectedError{
 			InFlight: inflight, RetryAfter: retryAfter,
 			TenantLimited: tenantLimited, Tenant: label,
 		}
 	}
 	t.tstate = ts
-	t.span = r.beginSpan(t)
 	r.nextID++
 	r.mu.Unlock()
 	r.wakeDispatcher()
@@ -183,39 +172,49 @@ func (r *Runtime) DoCtx(ctx context.Context, q traverse.Query) (Response, error)
 }
 
 // resolve delivers the response of a task the lifecycle has resolved
-// — counted, its admission slot released — and records it: the
-// tenant's series, the latency histograms and the span.
-func (r *Runtime) resolve(t *task, resp Response, o outcome) {
+// at end — counted, its admission slot released — timed out, or
+// completed with err, and records it: the tenant's series, the latency
+// histograms and the span, whose stamps the response's durations are.
+func (r *Runtime) resolve(t *task, timedOut bool, err error, end int64) {
 	if t.cancel != nil {
 		t.cancel()
 	}
-	switch o {
-	case outcomeTimedOut:
+	outcome := obs.OutcomeCompleted
+	switch {
+	case timedOut:
 		t.tstate.timedOut.Inc()
+		outcome = obs.OutcomeTimeout
+	case err != nil:
+		t.tstate.completed.Inc()
+		r.life.Counts.Failed.Add(1)
+		outcome = obs.OutcomeFailed
 	default:
 		t.tstate.completed.Inc()
-		if resp.Err != nil {
-			r.life.Counts.Failed.Add(1)
-		}
 	}
-	r.obs.waitNanos.Observe(resp.Wait.Nanoseconds())
-	r.obs.execNanos.Observe(resp.Exec.Nanoseconds())
-	r.obs.latencyNanos.Observe(time.Since(t.submit).Nanoseconds())
-	r.finishSpan(t, resp, o)
+	s := t.Span(outcome, end)
+	r.obs.waitNanos.Observe(s.WaitNanos)
+	r.obs.execNanos.Observe(s.ExecNanos)
+	r.obs.latencyNanos.Observe(end - s.SubmitNanos)
+	resp := Response{Unit: t.Unit, Wait: time.Duration(s.WaitNanos), Exec: time.Duration(s.ExecNanos), Err: err}
+	if err == nil {
+		resp.Result = t.Result.Clone()
+	}
+	if r.obs.ring != nil {
+		s.Degraded, s.DiskWaitNanos = t.degraded, t.diskWait
+		if err != nil {
+			s.Err = err.Error()
+		}
+		r.obs.ring.Append(s)
+	}
 	// The lifecycle's scratch may keep t until it is overwritten; t must
 	// not keep the pooled workspace its kernel output lives in.
 	t.Result, t.Trace = traverse.Result{}, nil
 	t.done(resp)
 }
 
-// timeOut resolves t, which the lifecycle timed out at the named stage,
-// on unit (-1 before placement).
-func (r *Runtime) timeOut(t *task, unit int32, stage string) {
-	resp := Response{Unit: unit, Err: fmt.Errorf("live: %s: %w", stage, t.ctx.Err()), Wait: time.Since(t.submit)}
-	if !t.started.IsZero() {
-		resp.Wait, resp.Exec = t.started.Sub(t.submit), time.Since(t.started)
-	}
-	r.resolve(t, resp, outcomeTimedOut)
+// timeOut resolves t, which the lifecycle timed out at the named stage.
+func (r *Runtime) timeOut(t *task, stage string) {
+	r.resolve(t, true, fmt.Errorf("live: %s: %w", stage, t.ctx.Err()), time.Now().UnixNano())
 }
 
 // wakeDispatcher tells the dispatcher a task is pending or a unit made

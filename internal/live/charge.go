@@ -21,11 +21,13 @@ import (
 //
 // Cancellation is scoped here and nowhere else. Before every wait the
 // members' own contexts are checked: one that has ended leaves the
-// lifecycle at once as timed out — its span keeping the work done on
-// its behalf so far — while the survivors carry on. A failed wait is
-// followed by the same check, so a wait cut short by a member's own
-// deadline is that member's timeout; any other failure (a persistent
-// disk fault) is returned for the survivors, which charge returns too.
+// lifecycle at once as timed out — its job keeping the counts of the
+// work done on its behalf so far — while the survivors carry on. A
+// failed wait is followed by the same check, so a wait cut short by a
+// member's own deadline is that member's timeout; any other failure (a
+// persistent disk fault) is returned for the survivors, which charge
+// returns too. Every member leaves with the charge's counts and disk
+// slot wait on its task.
 //
 // However the charge ends, what it did to the buffer is added to the
 // unit's cache counters once, on the way out, and so are the zero slot
@@ -36,12 +38,6 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 	cur := sim.NewChargeCursor(&r.cfg.Cost, u.buffer, 1, replay)
 	evictedBefore := u.buffer.Stats().Evictions
 	var diskWaitNanos, zeroWaits int64
-	flushSpan := func(t *task) {
-		if s := t.span; s != nil {
-			cur.FillSpan(s)
-			s.DiskWaitNanos = diskWaitNanos
-		}
-	}
 	// expire reads the members' contexts and takes r.mu only when one
 	// has ended, to take it out of the lifecycle.
 	expire := func() (alive int) {
@@ -54,8 +50,8 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 		r.madeRoom(len(timedOut))
 		r.mu.Unlock()
 		for _, t := range timedOut {
-			flushSpan(t)
-			r.timeOut(t, u.id, "cancelled mid-traversal")
+			t.Charge, t.diskWait = cur.Charge, diskWaitNanos
+			r.timeOut(t, "cancelled mid-traversal")
 		}
 		return len(members)
 	}
@@ -85,7 +81,7 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 		expire()
 	}
 	for _, t := range members {
-		flushSpan(t)
+		t.Charge, t.diskWait = cur.Charge, diskWaitNanos
 	}
 	c := u.cacheCounters
 	c.hits.Add(int64(cur.Hits))

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"subtrav/internal/faultpoint"
-	"subtrav/internal/metrics"
 	"subtrav/internal/sched"
+	"subtrav/internal/sim"
 )
 
 // Scheduler degradation: after degradeAfter consecutive rounds over
@@ -97,86 +97,52 @@ func (r *Runtime) dispatch() (pending int) {
 		}
 		r.woken = r.woken[:0]
 		for _, t := range timedOut {
-			r.timeOut(t, -1, "dropped before dispatch")
+			r.timeOut(t, "dropped before dispatch")
 		}
 		if round == nil {
 			return pending
 		}
 
-		placement := r.schedule(round, tasks)
+		placement, start, degraded := r.schedule(round, tasks)
 		r.mu.Lock()
-		now := time.Now().UnixNano()
 		for i, t := range round {
-			if u, idle := r.life.Place(t, placement[i], now); idle {
+			t.degraded = degraded
+			if u, idle := r.life.Place(t, placement[i], start); idle {
 				r.woken = append(r.woken, u)
 			}
 		}
+		// The balance half of the balance-affinity tradeoff; the
+		// affinity half (hit ratio, win margin) is the scheduler's own.
+		r.obs.imbalance.Set(round[0].Imbalance)
+		r.obs.imbalanceMilli.Observe(int64(round[0].Imbalance * 1000))
 	}
 }
 
 // schedule runs one scheduling round, measuring it against
 // SchedTimeout and degrading to the least-loaded fallback after
-// repeated overruns or injected scheduler faults. The scheduler sees
-// the units as the round's Take left them (r.states). Dispatcher
-// goroutine only.
-func (r *Runtime) schedule(round []*task, tasks []*sched.Task) []int {
+// repeated overruns or injected scheduler faults, and returns the
+// placement, when the round started and whether it was degraded. The
+// scheduler sees the units as the round's Take left them (r.states).
+// Dispatcher goroutine only.
+func (r *Runtime) schedule(round []*task, tasks []*sched.Task) (placement []int, start int64, degraded bool) {
 	fault := r.cfg.Faults.Eval(faultpoint.SchedRound)
 	if fault.Delay > 0 {
 		time.Sleep(fault.Delay) // injected stall: the round really is slow
 	}
 
-	degraded := r.degradeLeft > 0 || fault.Err != nil
-	start := time.Now()
-	var placement []int
-	var explain []sched.Explain
+	degraded = r.degradeLeft > 0 || fault.Err != nil
+	began := time.Now()
+	s := r.sched
 	if degraded {
 		if r.degradeLeft > 0 {
 			r.degradeLeft--
 		}
 		r.life.Counts.DegradedRounds.Add(1)
-		placement = r.fallback.Assign(tasks, r.states)
-	} else if ex, ok := r.sched.(sched.Explainer); ok && r.obs.ring != nil {
-		// The placement detail is only worth collecting for a span.
-		placement, explain = ex.AssignExplained(tasks, r.states)
-	} else {
-		placement = r.sched.Assign(tasks, r.states)
+		s = r.fallback
 	}
-	elapsed := time.Since(start) + fault.Delay
+	placement = sim.Assign(s, round, tasks, r.states)
+	elapsed := time.Since(began) + fault.Delay
 	r.obs.schedNanos.Observe(elapsed.Nanoseconds())
-
-	// Post-placement load-imbalance factor: max/mean effective unit
-	// load (queue + busy + this round's placements). This is the
-	// balance half of the balance-affinity tradeoff; the affinity half
-	// (hit ratio, win margin) is tracked inside the scheduler.
-	for i, v := range r.views {
-		r.loads[i] = int64(v.queued)
-		if v.busy {
-			r.loads[i]++
-		}
-	}
-	for _, p := range placement {
-		r.loads[p]++
-	}
-	imbalance := metrics.Imbalance(r.loads)
-	r.obs.imbalance.Set(imbalance)
-	r.obs.imbalanceMilli.Observe(int64(imbalance * 1000))
-
-	// Fill the schedule phase of each task's span (the dispatcher owns
-	// the tasks until they are placed, so this is race-free).
-	now := start.UnixNano()
-	for i, t := range round {
-		s := t.span
-		if s == nil {
-			continue
-		}
-		s.ScheduleNanos = now
-		s.QueueLen = r.views[placement[i]].queued
-		s.Degraded = degraded
-		s.Imbalance = imbalance
-		if explain != nil {
-			s.Placement = explain[i].Placement
-		}
-	}
 
 	if r.cfg.SchedTimeout > 0 {
 		if elapsed > r.cfg.SchedTimeout || fault.Err != nil {
@@ -189,7 +155,7 @@ func (r *Runtime) schedule(round []*task, tasks []*sched.Task) []int {
 			r.slowRounds = 0
 		}
 	}
-	return placement
+	return placement, began.UnixNano(), degraded
 }
 
 // unitView is one unit as a scheduling round sees it: its queue length

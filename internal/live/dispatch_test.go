@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -140,7 +141,9 @@ func (pinScheduler) Assign(tasks []*sched.Task, _ []sched.UnitState) []int {
 // TestFullQueuePlacementMovesToLeastLoaded: a scheduler that sends
 // everything to one parked unit fills that unit's queue to QueueCap and
 // no further; every later placement moves to the least-loaded unit,
-// which serves it.
+// which serves it. Each span describes the placement the lifecycle
+// made, not the scheduler's pick: the queue the task joined and the
+// units' imbalance after its round.
 func TestFullQueuePlacementMovesToLeastLoaded(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
@@ -155,17 +158,18 @@ func TestFullQueuePlacementMovesToLeastLoaded(t *testing.T) {
 
 	release := parkUnit(t, r) // on unit 0, like everything else
 	const n = 6
-	chans := make([]<-chan Response, n)
-	for i := range chans {
-		if chans[i], err = r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i + 1), Depth: 2, MaxVisits: 40}); err != nil {
-			t.Fatal(err)
-		}
+	query := func(i int) traverse.Query {
+		return traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i + 1), Depth: 2, MaxVisits: 40}
 	}
 	// Unit 0's queue fills to QueueCap behind the gate; the rest run on
-	// unit 1.
-	for deadline := time.Now().Add(10 * time.Second); r.Metrics().Completed != int64(n-cfg.QueueCap); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d queries completed around the parked unit", r.Metrics().Completed, n-cfg.QueueCap)
+	// unit 1, one round each, so every one of them finds unit 1 idle.
+	var chans []<-chan Response
+	for i := 0; i < cfg.QueueCap; i++ {
+		chans = append(chans, enqueueBehind(t, r, context.Background(), query(i), int32(i+1)))
+	}
+	for i := cfg.QueueCap; i < n; i++ {
+		if resp, err := r.Do(query(i)); err != nil || resp.Err != nil || resp.Unit != 1 {
+			t.Fatalf("query %d: unit %d, %v / %v, want unit 1", i, resp.Unit, err, resp.Err)
 		}
 	}
 	if q := queued(r, 0); q != cfg.QueueCap {
@@ -181,8 +185,22 @@ func TestFullQueuePlacementMovesToLeastLoaded(t *testing.T) {
 	}
 	moved := 0
 	for _, s := range r.Trace(16) {
-		if s.Unit == 1 {
+		i := int(s.Start) - 1
+		if i < 0 {
+			continue // the gate
+		}
+		// Unit 0 executes the gate and queues the first QueueCap, so
+		// its effective load is i+1 after placing query i there. A
+		// moved query joins unit 1's empty queue beside unit 0's full
+		// one: loads QueueCap+1 and 1.
+		wantUnit, wantQueue, wantImbalance := int32(0), i, 2.0
+		if i >= cfg.QueueCap {
 			moved++
+			wantUnit, wantQueue, wantImbalance = 1, 0, float64(cfg.QueueCap+1)/(float64(cfg.QueueCap+2)/2)
+		}
+		if s.Unit != wantUnit || s.QueueLen != wantQueue || s.Imbalance != wantImbalance {
+			t.Errorf("query %d: span reads unit %d, queue %d, imbalance %g; placed on unit %d behind %d, imbalance %g",
+				i, s.Unit, s.QueueLen, s.Imbalance, wantUnit, wantQueue, wantImbalance)
 		}
 	}
 	if moved != n-cfg.QueueCap {

@@ -29,7 +29,6 @@ import (
 	"subtrav/internal/faultpoint"
 	"subtrav/internal/graph"
 	"subtrav/internal/metrics"
-	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/signature"
 	"subtrav/internal/sim"
@@ -164,31 +163,33 @@ type Response struct {
 	// Unit is the processing unit that executed the query, or -1 if
 	// the query was resolved (e.g. timed out) before placement.
 	Unit int32
-	// Wait and Exec are the real queueing and execution durations.
+	// Wait and Exec are the real queueing and execution durations,
+	// the query's span's WaitNanos and ExecNanos.
 	Wait time.Duration
 	Exec time.Duration
 	Err  error
 }
 
 // task is one in-flight query: its lifecycle record, the scheduler's
-// view of it, and what resolving it takes.
+// view of it, what resolving it takes, and the span fields only the
+// live runtime fills. Each field is written only by the goroutine that
+// owns the task — submitter, dispatcher, then worker — which hand it
+// over through the lifecycle under mu.
 type task struct {
 	sim.Job
-	stask   sched.Task
-	ctx     context.Context
-	cancel  context.CancelFunc
-	submit  time.Time
-	started time.Time
+	stask  sched.Task
+	ctx    context.Context
+	cancel context.CancelFunc
 	// done receives the Response when the task resolves (see
 	// SubmitTenantFunc).
 	done func(Response)
 	// tstate is the submitting tenant's metric series, resolved once at
 	// admission so resolution never re-hits the bucket table.
 	tstate *tenantState
-	// span is the task's trace span (nil when tracing is off), written
-	// only by the goroutine that owns the task — submitter, dispatcher,
-	// then worker — which hand it over through the lifecycle under mu.
-	span *obs.Span
+	// degraded marks placement by a degraded round's fallback;
+	// diskWait sums the charge's disk slot waits.
+	degraded bool
+	diskWait int64
 }
 
 // Expired is a live task's expiry signal: its context has ended. It
@@ -254,11 +255,10 @@ type Runtime struct {
 	degradeLeft int
 
 	// Per-round scratch, owned by the dispatcher goroutine: the units
-	// as its scheduler sees them (states[i] is &views[i]), the
-	// imbalance tally, and the idle units a round gave work.
+	// as its scheduler sees them (states[i] is &views[i]) and the idle
+	// units a round gave work.
 	views  []unitView
 	states []sched.UnitState
-	loads  []int64
 	woken  []int
 }
 
@@ -318,7 +318,6 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 
 		views:  make([]unitView, cfg.NumUnits),
 		states: make([]sched.UnitState, cfg.NumUnits),
-		loads:  make([]int64, cfg.NumUnits),
 	}
 	if cfg.Cost.Disk.Channels < cfg.NumUnits {
 		r.diskSlot = make(chan struct{}, max(cfg.Cost.Disk.Channels, 1))

@@ -3,7 +3,6 @@ package live
 import (
 	"sort"
 	"strconv"
-	"time"
 
 	"subtrav/internal/obs"
 )
@@ -219,45 +218,3 @@ func (r *Runtime) Trace(n int) []obs.Span { return r.obs.ring.Last(n) }
 
 // TraceEnabled reports whether span capture is on.
 func (r *Runtime) TraceEnabled() bool { return r.obs.ring != nil }
-
-// beginSpan builds the submit-phase span for an admitted task; nil
-// when tracing is off.
-func (r *Runtime) beginSpan(t *task) *obs.Span {
-	if r.obs.ring == nil {
-		return nil
-	}
-	return &obs.Span{
-		QueryID:     t.Task.ID,
-		Op:          t.Task.Query.Op.String(),
-		Tenant:      t.Task.Tenant,
-		Start:       int32(t.Task.Query.Start),
-		SubmitNanos: t.submit.UnixNano(),
-		Unit:        -1,
-	}
-}
-
-// finishSpan completes a span at resolution and appends it to the
-// ring. Called only by the goroutine that resolves the task, which is
-// also the goroutine that last owned it, so span writes never race.
-func (r *Runtime) finishSpan(t *task, resp Response, o outcome) {
-	s := t.span
-	if s == nil {
-		return
-	}
-	s.EndNanos = time.Now().UnixNano()
-	s.Unit = resp.Unit
-	s.WaitNanos = resp.Wait.Nanoseconds()
-	s.ExecNanos = resp.Exec.Nanoseconds()
-	switch {
-	case o == outcomeTimedOut:
-		s.Outcome = obs.OutcomeTimeout
-	case resp.Err != nil:
-		s.Outcome = obs.OutcomeFailed
-	default:
-		s.Outcome = obs.OutcomeCompleted
-	}
-	if resp.Err != nil {
-		s.Err = resp.Err.Error()
-	}
-	r.obs.ring.Append(*s)
-}

@@ -58,7 +58,7 @@ func (r *Runtime) worker(u *liveUnit) {
 		r.madeRoom(len(timedOut))
 		r.mu.Unlock()
 		for _, t := range timedOut {
-			r.timeOut(t, u.id, "dropped at dequeue")
+			r.timeOut(t, "dropped at dequeue")
 		}
 		switch {
 		case members != nil && fault.Err != nil:
@@ -84,14 +84,6 @@ func (r *Runtime) worker(u *liveUnit) {
 // once), and per-member results are identical to independent
 // execution.
 func (r *Runtime) run(u *liveUnit, members []*task) {
-	started := time.Now()
-	for _, t := range members {
-		t.started = started
-		if t.span != nil {
-			t.span.StartNanos = started.UnixNano()
-		}
-	}
-
 	// Disk waits run under the member's own context at width one — an
 	// expired deadline frees the unit within one access-service time.
 	// Above, no single member's expiry may abort a wait its peers are
@@ -128,13 +120,6 @@ func (r *Runtime) complete(u *liveUnit, members []*task, err error, now time.Tim
 		r.life.Sign(int(u.id), now.UnixNano(), members)
 	}
 	for _, t := range members {
-		resp := Response{Unit: u.id, Err: err, Wait: time.Since(t.submit)}
-		if !t.started.IsZero() {
-			resp.Wait, resp.Exec = t.started.Sub(t.submit), now.Sub(t.started)
-		}
-		if err == nil {
-			resp.Result = t.Result.Clone()
-		}
-		r.resolve(t, resp, outcomeCompleted)
+		r.resolve(t, false, err, now.UnixNano())
 	}
 }

@@ -16,8 +16,9 @@ const (
 )
 
 // Placement is how the scheduler placed one task of a batch: the part
-// of a span only the scheduler knows. sched.Explain produces it and
-// both executors copy it into the span whole.
+// of a span only the scheduler knows. sched.Auction describes each
+// task of its last round with one (Explained), which both executors
+// copy whole into the task's sim.Job.
 type Placement struct {
 	// Affinity is the workload-weighted affinity benefit of the chosen
 	// arc (0 when the task had no affinitive unit).
@@ -38,9 +39,12 @@ type Placement struct {
 
 // Span is one query's trace through the system: submit →
 // admit/reject → schedule → queue wait → execute → resolve. Both
-// executors write it — the live runtime in wall-clock nanos, the
-// simulator in virtual nanos (sim.Cluster.SetTrace) — with the same
-// meaning field for field.
+// executors build it from the one record of the query's passage,
+// sim.Job.Span — the live runtime in wall-clock nanos, the simulator in
+// virtual nanos (sim.Cluster.SetTrace) — with the same meaning field
+// for field, but for what only the live runtime knows: Degraded,
+// DiskWaitNanos and Err are zero in a simulated span, and QueryID is -1
+// on a query the live runtime rejected.
 //
 // Zero-valued fields mean "not reached": a rejected span has no
 // schedule or execution phase; a query dropped before dispatch has
@@ -68,27 +72,30 @@ type Span struct {
 	// placement).
 	Unit int32
 
-	// Scheduling detail, filled at the schedule step: the scheduler's
-	// own account of the decision (Placement), plus what the executor
-	// saw around it. QueueLen is the chosen unit's queue length at
-	// placement. Degraded marks placement by the least-loaded fallback
-	// during a degraded round. Imbalance is the round's load-imbalance
-	// factor (max/mean effective unit load) right after this task's
-	// placement — with Placement.Preferred it locates the decision on
-	// the balance-affinity curve.
+	// Scheduling detail: the scheduler's own account of the decision
+	// (Placement), plus what the lifecycle did with it. QueueLen is how
+	// many tasks were queued ahead of this one on Unit when it joined.
+	// Imbalance is the load-imbalance factor (max/mean effective unit
+	// load, queued plus one executing) once the task's round was placed
+	// — with Placement.Preferred it locates the decision on the
+	// balance-affinity curve. Degraded (live only) marks placement by
+	// the least-loaded fallback during a degraded round.
 	Placement
 	Imbalance float64
 	QueueLen  int
 	Degraded  bool
 
-	// Execution detail, filled by the executing unit.
+	// Execution detail, filled by the executing unit: the charge's
+	// counts and (live only) its disk slot waits.
 	CacheHits     int
 	CacheMisses   int
 	BytesRead     int64
 	DiskWaitNanos int64
 
 	// WaitNanos and ExecNanos are the queueing and execution
-	// durations; Outcome and Err describe the resolution.
+	// durations, StartNanos − SubmitNanos and EndNanos − StartNanos
+	// (EndNanos − SubmitNanos and 0 for a query that never started);
+	// Outcome and Err (live only) describe the resolution.
 	WaitNanos int64
 	ExecNanos int64
 	Outcome   string

@@ -71,9 +71,9 @@ func allocFixture(t *testing.T, p int) (*Auction, []*Task, []UnitState) {
 }
 
 // TestAssignAllocatesOnlyWhatItReturns: on a warmed scheduler a round
-// costs the allocator the placement slice the caller keeps (and the
-// []Explain, when asked for) — the unit views, anchors, affinity
-// matrix, auction problem and matching are all scratch.
+// costs the allocator the placement slice the caller keeps — the unit
+// views, anchors, affinity matrix, auction problem, matching and the
+// placement detail Explained returns are all scratch.
 func TestAssignAllocatesOnlyWhatItReturns(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops items under -race")
@@ -81,16 +81,11 @@ func TestAssignAllocatesOnlyWhatItReturns(t *testing.T) {
 	for _, p := range []int{4, 64} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			auc, tasks, units := allocFixture(t, p)
-			auc.AssignExplained(tasks, units) // warm-up
+			auc.Assign(tasks, units) // warm-up
 			if allocs := testing.AllocsPerRun(50, func() {
 				auc.Assign(tasks, units)
 			}); allocs > 1 {
 				t.Errorf("Assign: %v allocs, want at most the 1 slice it returns", allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				auc.AssignExplained(tasks, units)
-			}); allocs > 2 {
-				t.Errorf("AssignExplained: %v allocs, want at most the 2 slices it returns", allocs)
 			}
 		})
 	}

@@ -63,7 +63,7 @@ type Auction struct {
 	matrix    affinity.Matrix
 	arcs      []auction.Arc   // every row's arcs, flat
 	rows      [][]auction.Arc // rows[i] sub-slices arcs
-	expl      []Explain       // where Assign lets the placement detail fall
+	expl      []Explain       // the last Assign's placement detail (Explained)
 
 	// Stats are atomic so a concurrent observer (obs registry scrape)
 	// can read them while the dispatcher is scheduling.
@@ -137,44 +137,26 @@ type Explain struct {
 	WinMargin float64
 }
 
-// Explainer is a Scheduler that can report per-task placement detail.
-type Explainer interface {
-	Scheduler
-	// AssignExplained is Assign plus one Explain per task.
-	AssignExplained(tasks []*Task, units []UnitState) ([]int, []Explain)
-}
-
-var _ Explainer = (*Auction)(nil)
-
-// Assign implements Scheduler: AssignExplained with the detail written
-// to scratch and dropped.
+// Assign implements Scheduler, describing each task's placement in
+// scratch that Explained returns.
 func (a *Auction) Assign(tasks []*Task, units []UnitState) []int {
-	a.expl = slices.Grow(a.expl[:0], len(tasks))[:len(tasks)]
-	clear(a.expl)
-	return a.assign(tasks, units, a.expl)
-}
-
-// AssignExplained implements Explainer.
-func (a *Auction) AssignExplained(tasks []*Task, units []UnitState) ([]int, []Explain) {
-	expl := make([]Explain, len(tasks))
-	return a.assign(tasks, units, expl), expl
-}
-
-// assign places tasks segment by segment, describing each in the
-// zeroed expl.
-func (a *Auction) assign(tasks []*Task, units []UnitState, expl []Explain) []int {
 	if len(units) != a.cfg.NumUnits {
 		panic(fmt.Sprintf("sched: %d units, auction scheduler built for %d", len(units), a.cfg.NumUnits))
 	}
 	out := make([]int, len(tasks))
+	a.expl = slices.Grow(a.expl[:0], len(tasks))[:len(tasks)]
+	clear(a.expl)
 	clear(a.extra)
-
 	for lo := 0; lo < len(tasks); lo += len(units) {
 		hi := min(lo+len(units), len(tasks))
-		a.assignSegment(tasks[lo:hi], units, out[lo:hi], expl[lo:hi])
+		a.assignSegment(tasks[lo:hi], units, out[lo:hi], a.expl[lo:hi])
 	}
 	return out
 }
+
+// Explained returns how the last Assign placed each of its tasks, in
+// task order: scratch, valid until the next Assign.
+func (a *Auction) Explained() []Explain { return a.expl }
 
 // assignSegment auctions one segment of at most P tasks.
 func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, expl []Explain) {

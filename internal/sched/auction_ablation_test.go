@@ -42,11 +42,11 @@ func ablationLeakFixture(t *testing.T, workloadAware bool) (*Auction, []UnitStat
 }
 
 // fellBackPlacements returns the units chosen by the lost-auction
-// fallback in one AssignExplained round over the fixture's three
+// fallback in one Assign round over the fixture's three
 // tasks, asserting exactly one task fell back.
 func fellBackPlacements(t *testing.T, sch *Auction, units []UnitState) []int {
 	t.Helper()
-	out, expl := sch.AssignExplained(mkTasks(5, 5, 1), units)
+	out, expl := sch.Assign(mkTasks(5, 5, 1), units), sch.Explained()
 	var fellBack []int
 	for i, e := range expl {
 		if e.EmptyRow {

@@ -46,11 +46,11 @@ type UnitState interface {
 // scratch), so a Scheduler instance must not be shared between
 // concurrent clusters, and Assign is never called concurrently.
 //
-// Ownership: the returned slice (and an Explainer's []Explain) is
-// freshly allocated and the caller's to keep — an executor may still
-// be reading one round's placement when it starts the next. The tasks
-// are the scheduler's to read only until Assign returns: callers
-// rebuild the list in place for their next round.
+// Ownership: the returned slice is freshly allocated and the caller's
+// to keep — an executor may still be reading one round's placement
+// when it starts the next. The tasks are the scheduler's to read only
+// until Assign returns: callers rebuild the list in place for their
+// next round.
 type Scheduler interface {
 	Name() string
 	Assign(tasks []*Task, units []UnitState) []int

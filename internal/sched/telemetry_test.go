@@ -23,7 +23,7 @@ func TestAffinityHitTelemetry(t *testing.T) {
 	sigs.Record(4, 1, 1)
 	units := []UnitState{&stubUnit{}, &stubUnit{}, &stubUnit{}}
 
-	out, expl := sch.AssignExplained(mkTasks(5), units)
+	out, expl := sch.Assign(mkTasks(5), units), sch.Explained()
 	if out[0] != 0 {
 		t.Fatalf("task placed on unit %d, want best-affinity unit 0", out[0])
 	}
@@ -38,7 +38,8 @@ func TestAffinityHitTelemetry(t *testing.T) {
 	}
 
 	// A start vertex no unit has ever visited: empty row, not eligible.
-	_, expl = sch.AssignExplained(mkTasks(9), units)
+	sch.Assign(mkTasks(9), units)
+	expl = sch.Explained()
 	if !expl[0].EmptyRow {
 		t.Fatalf("expected an empty affinity row for an unvisited start")
 	}

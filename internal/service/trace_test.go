@@ -57,6 +57,40 @@ func TestTraceRPC(t *testing.T) {
 	}
 }
 
+// TestReplyDurationsAreItsSpans: a reply's wait and exec are its span's
+// to the nanosecond, so a trace joins to the replies it describes on
+// (Unit, WaitNanos, ExecNanos). One query in flight at a time puts the
+// spans in reply order.
+func TestReplyDurationsAreItsSpans(t *testing.T) {
+	t.Parallel()
+	client, stop := startService(t)
+	defer stop()
+
+	var replies []Reply
+	for i := 0; i < 8; i++ {
+		op := []string{"bfs", "sssp", "collab", "rwr"}[i%4]
+		r, err := client.Do(WireQuery{Op: op, Start: int32(i), Target: int32(i + 9), Depth: 3, MaxVisits: 60, Steps: 40, TopK: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, r)
+	}
+	spans, err := client.Trace(len(replies))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != len(replies) {
+		t.Fatalf("got %d spans for %d replies", len(spans), len(replies))
+	}
+	for i, r := range replies {
+		s := spans[i]
+		if r.Unit != s.Unit || r.WaitNanos != s.WaitNanos || r.ExecNanos != s.ExecNanos || r.ExecNanos <= 0 {
+			t.Errorf("query %d: reply unit %d wait %d exec %d, span unit %d wait %d exec %d",
+				i, r.Unit, r.WaitNanos, r.ExecNanos, s.Unit, s.WaitNanos, s.ExecNanos)
+		}
+	}
+}
+
 // TestTenantTravelsOverWire checks WireQuery.Tenant reaches the
 // runtime's per-tenant accounting and comes back on trace spans with
 // the scheduling detail beside it.

@@ -76,22 +76,14 @@ type WireQuery struct {
 	Seed        uint64
 }
 
-// ops numbers the operations on the wire; index 0 is the empty op of
-// a request that carries no query.
-var ops = [...]string{"", "bfs", "sssp", "collab", "rwr"}
-
-func opCode(op string) (uint8, error) {
-	for i, name := range ops {
-		if name == op {
-			return uint8(i), nil
-		}
-	}
-	return 0, fmt.Errorf("service: unknown op %q", op)
-}
-
 // ToQuery converts the wire form into an executable query.
 func (w WireQuery) ToQuery() (traverse.Query, error) {
+	op, err := traverse.ParseOp(w.Op)
+	if err != nil {
+		return traverse.Query{}, fmt.Errorf("service: %w", err)
+	}
 	q := traverse.Query{
+		Op:                  op,
 		Start:               graph.VertexID(w.Start),
 		Target:              graph.VertexID(w.Target),
 		Depth:               w.Depth,
@@ -102,19 +94,6 @@ func (w WireQuery) ToQuery() (traverse.Query, error) {
 		TopK:                w.TopK,
 		Seed:                w.Seed,
 	}
-	switch w.Op {
-	case "bfs":
-		q.Op = traverse.OpBFS
-	case "sssp":
-		q.Op = traverse.OpSSSP
-	case "collab":
-		q.Op = traverse.OpCollab
-	case "rwr":
-		q.Op = traverse.OpRWR
-	default:
-		return traverse.Query{}, fmt.Errorf("service: unknown op %q", w.Op)
-	}
-	var err error
 	if q.VertexPred, err = predicate.Compile(w.VertexFilter); err != nil {
 		return traverse.Query{}, fmt.Errorf("service: vertex filter: %w", err)
 	}
@@ -263,9 +242,15 @@ func endFrame(b []byte, start int) []byte {
 // or a frame over maxRequestFrame, is an error, and b is returned
 // unchanged.
 func appendRequest(b []byte, r *Request) ([]byte, error) {
-	op, err := opCode(r.Query.Op)
-	if err != nil {
-		return b, err
+	// An op travels as uint8(traverse.Op)+1; 0 is the empty op of a
+	// request that carries no query.
+	var op uint8
+	if r.Query.Op != "" {
+		o, err := traverse.ParseOp(r.Query.Op)
+		if err != nil {
+			return b, fmt.Errorf("service: %w", err)
+		}
+		op = uint8(o) + 1
 	}
 	q := &r.Query
 	b0 := b
@@ -461,10 +446,12 @@ func decodeRequest(p []byte) (Request, error) {
 	if r.Kind > KindTrace {
 		return Request{}, fmt.Errorf("%w: unknown request kind %d", errMalformed, r.Kind)
 	}
-	if int(op) >= len(ops) {
-		return Request{}, fmt.Errorf("%w: unknown op %d", errMalformed, op)
+	if op > 0 {
+		q.Op = traverse.Op(op - 1).String()
+		if _, err := traverse.ParseOp(q.Op); err != nil {
+			return Request{}, fmt.Errorf("%w: unknown op %d", errMalformed, op)
+		}
 	}
-	q.Op = ops[op]
 	return r, nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"subtrav/internal/traverse"
 )
 
 // Offsets into a request frame (length prefix included) of the fields
@@ -35,6 +37,30 @@ func corruptRequestFixture(t *testing.T) []byte {
 		t.Fatalf("fixture: tenant length at offset %d reads %d, want 4", tenantAt, n)
 	}
 	return frame
+}
+
+// TestRequestOpRoundTrip: every op travels as uint8(op)+1 and decodes
+// back to its name, and the empty op of a query-less request as 0.
+func TestRequestOpRoundTrip(t *testing.T) {
+	for _, op := range []traverse.Op{traverse.OpBFS, traverse.OpSSSP, traverse.OpCollab, traverse.OpRWR} {
+		frame := corruptRequestFixture(t)
+		frame[opAt] = uint8(op) + 1
+		req, err := decodeFrame(frame)
+		if err != nil || req.Query.Op != op.String() {
+			t.Fatalf("op code %d decodes to %q, %v, want %q", uint8(op)+1, req.Query.Op, err, op)
+		}
+		again, err := appendRequest(nil, &req)
+		if err != nil || !bytes.Equal(again, frame) {
+			t.Errorf("op %s: re-encoded frame differs (%v)", op, err)
+		}
+	}
+	frame, err := appendRequest(nil, &Request{Kind: KindStats})
+	if err != nil || frame[opAt] != 0 {
+		t.Fatalf("a request without a query encodes op %d, %v, want 0", frame[opAt], err)
+	}
+	if req, err := decodeFrame(frame); err != nil || req.Query.Op != "" {
+		t.Errorf("op 0 decodes to %q, %v, want the empty op", req.Query.Op, err)
+	}
 }
 
 // decodeFrame decodes one request frame held in data.
@@ -70,7 +96,7 @@ func TestDecodeRequestCorruptionTable(t *testing.T) {
 		{"string length at 4 GiB", func(d []byte) []byte { le.PutUint32(d[tenantAt:], 1<<32-1); return d }, true},
 		{"trailing bytes", func(d []byte) []byte { return setLen(append(d, 0), uint32(len(d)-3)) }, true},
 		{"unknown kind", func(d []byte) []byte { d[kindAt] = uint8(KindTrace) + 1; return d }, true},
-		{"unknown op", func(d []byte) []byte { d[opAt] = uint8(len(ops)); return d }, true},
+		{"unknown op", func(d []byte) []byte { d[opAt] = uint8(traverse.OpRWR) + 2; return d }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data := c.corrupt(append([]byte(nil), pristine...))

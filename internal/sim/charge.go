@@ -3,7 +3,6 @@ package sim
 import (
 	"subtrav/internal/cache"
 	"subtrav/internal/graph"
-	"subtrav/internal/obs"
 	"subtrav/internal/traverse"
 )
 
@@ -53,8 +52,13 @@ type ChargeCursor struct {
 	accesses []traverse.Access
 	pos      int
 
-	// Hits and Misses count the accesses consumed so far; BytesRead is
-	// the total size of the records filled.
+	Charge // what the cursor has consumed so far
+}
+
+// Charge counts what a charge did on behalf of the members paying it:
+// Hits and Misses the accesses consumed, BytesRead the total size of
+// the records filled.
+type Charge struct {
 	Hits, Misses int
 	BytesRead    int64
 }
@@ -114,12 +118,4 @@ func (c *ChargeCursor) Fill() (virtualNanos int64) {
 	c.pos++
 	localWork := float64(c.cpuNanos(a)) + c.cost.CPUMissByteNanos*float64(a.Bytes)
 	return int64(localWork * c.speed)
-}
-
-// FillSpan copies the counts so far into s's execution detail — the
-// one place either executor turns a charge into span fields.
-func (c *ChargeCursor) FillSpan(s *obs.Span) {
-	s.CacheHits = c.Hits
-	s.CacheMisses = c.Misses
-	s.BytesRead = c.BytesRead
 }

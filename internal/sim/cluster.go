@@ -128,10 +128,10 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// SetTrace makes every task append one obs.Span in virtual nanos to
+// SetTrace makes every task append its Job.Span in virtual nanos to
 // ring when it resolves — completed, rejected at admission or timed out
-// — the record the live runtime writes, field for field (nil disables
-// tracing). Call before Run.
+// — the record the live runtime writes (nil disables tracing). Call
+// before Run.
 func (c *Cluster) SetTrace(ring *obs.Ring) { c.trace = ring }
 
 // Graph returns the cluster's graph.
@@ -238,20 +238,8 @@ func (c *Cluster) dispatch(now int64) {
 			c.dispatching = false
 			return
 		}
-		// The placement detail is only worth collecting for a span; an
-		// Explainer's Assign is its AssignExplained minus the detail, so
-		// tracing cannot move a placement.
-		var placement []int
-		var explain []sched.Explain
-		if ex, ok := c.sched.(sched.Explainer); ok && c.trace != nil {
-			placement, explain = ex.AssignExplained(tasks, c.life.Units())
-		} else {
-			placement = c.sched.Assign(tasks, c.life.Units())
-		}
+		placement := Assign(c.sched, round, tasks, c.life.Units())
 		for i, j := range round {
-			if explain != nil {
-				j.Placement = explain[i].Placement
-			}
 			if u, idle := c.life.Place(j, placement[i], now); idle {
 				c.startNext(c.units[u], now)
 			}
@@ -363,39 +351,18 @@ func (c *Cluster) release(u *unit, now int64) {
 	c.dispatch(now)
 }
 
-// emit appends each job's trace span for a resolution at now, with the
-// phases defined as the live runtime defines them. u is the unit the
-// jobs were executing on, nil if they never started; j.Unit says
-// whether a round placed one (-1: the span's Unit too). An executing
-// job's span carries the charge's hit, miss and byte counts so far —
-// the whole batch's joint counts, as the live runtime reports them.
+// emit appends each job's trace span for a resolution at now. u is the
+// unit the jobs were executing on, nil if they never started: an
+// executing job's span carries the charge's hit, miss and byte counts so
+// far — the whole batch's joint counts, as the live runtime reports them.
 func (c *Cluster) emit(outcome string, now int64, u *unit, jobs ...*Job) {
 	if c.trace == nil {
 		return
 	}
 	for _, j := range jobs {
-		t := j.Task
-		s := obs.Span{
-			QueryID:     t.ID,
-			Op:          t.Query.Op.String(),
-			Tenant:      t.Tenant,
-			Start:       int32(t.Query.Start),
-			SubmitNanos: t.Arrival,
-			EndNanos:    now,
-			Unit:        j.Unit,
-			WaitNanos:   now - t.Arrival,
-			Outcome:     outcome,
-		}
-		if j.Unit >= 0 {
-			s.ScheduleNanos = j.Scheduled
-			s.Placement = j.Placement
-		}
 		if u != nil {
-			s.StartNanos = u.start
-			s.WaitNanos = u.start - t.Arrival
-			s.ExecNanos = now - u.start
-			u.charge.FillSpan(&s)
+			j.Charge = u.charge.Charge
 		}
-		c.trace.Append(s)
+		c.trace.Append(j.Span(outcome, now))
 	}
 }

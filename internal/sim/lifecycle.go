@@ -18,19 +18,34 @@ import (
 // for any per-unit budget up to 3.4 GiB (DESIGN.md §6.14).
 const completionWindow = 1 << 16
 
-// Job is one task's passage through a Lifecycle. An executor embeds it
-// in its own task type (the simulator uses it as is) and fills Task,
-// Result and Trace — the kernel's output, Trace what Sign signs into
-// L(v) — and Placement, when it asks a scheduler for one.
-// Arrive sets Bucket; Place sets Unit (-1 before) and Scheduled.
+// Job is one task's passage through a Lifecycle, and the one record
+// either executor traces it from (Span). An executor embeds it in its
+// own task type (the simulator uses it as is) and fills Task; Execute
+// sets Result and Trace — the kernel's output, Trace what Sign signs
+// into L(v) — Assign the Placement, and the executor leaves its
+// charge's counts in Charge. The lifecycle stamps the rest: Arrive sets
+// Bucket, and Unit and Started to -1; Place sets Unit, Scheduled,
+// QueueLen, and, once the round is placed, Imbalance; Dequeue sets
+// Started.
 type Job struct {
 	Task      *sched.Task
 	Result    traverse.Result
 	Trace     *traverse.Trace
 	Placement obs.Placement
-	Bucket    int
-	Unit      int32
+	Charge
+	Bucket int
+	// Unit is the unit the task was queued on, and QueueLen how many
+	// tasks were queued ahead of it there.
+	Unit     int32
+	QueueLen int32
+	// Scheduled is the start of the round that placed the task, and
+	// Started when its unit began executing it.
 	Scheduled int64
+	Started   int64
+	// Imbalance is the load-imbalance factor of the units right after
+	// the round that placed the task: max/mean effective load (queued,
+	// plus one when executing), 1 when balanced.
+	Imbalance float64
 }
 
 func (j *Job) job() *Job { return j }
@@ -38,6 +53,27 @@ func (j *Job) job() *Job { return j }
 // Expired is a Job's expiry signal: the clock has reached its task's
 // deadline.
 func (j *Job) Expired(now int64) bool { return j.Task.Deadline > 0 && now >= j.Task.Deadline }
+
+// Span is the job's trace span for its resolution at end with outcome:
+// the one place either executor turns a task's passage into an
+// obs.Span. A stage the job never reached leaves its fields zero (Unit
+// -1). The live runtime adds what only it knows.
+func (j *Job) Span(outcome string, end int64) obs.Span {
+	t := j.Task
+	s := obs.Span{
+		QueryID: t.ID, Op: t.Query.Op.String(), Tenant: t.Tenant, Start: int32(t.Query.Start),
+		SubmitNanos: t.Arrival, EndNanos: end, Unit: j.Unit,
+		CacheHits: j.Hits, CacheMisses: j.Misses, BytesRead: j.BytesRead,
+		WaitNanos: end - t.Arrival, Outcome: outcome,
+	}
+	if j.Unit >= 0 {
+		s.ScheduleNanos, s.Placement, s.QueueLen, s.Imbalance = j.Scheduled, j.Placement, int(j.QueueLen), j.Imbalance
+	}
+	if j.Started >= 0 {
+		s.StartNanos, s.WaitNanos, s.ExecNanos = j.Started, j.Started-t.Arrival, end-j.Started
+	}
+	return s
+}
 
 // jobber is a *Job, or a pointer to an executor's task that embeds one.
 // Its Expired is the task's expiry signal at a clock reading: the Job's
@@ -75,6 +111,8 @@ type Lifecycle[T jobber] struct {
 	pending fifo.Queue[T]
 	round   []T // the last Take's round and its scheduler view
 	tasks   []*sched.Task
+	placed  int     // how many of round Place has queued
+	loads   []int64 // the units' effective loads, for Imbalance
 }
 
 // lifeUnit is one unit's queue, executing members and completion
@@ -100,6 +138,7 @@ func NewLifecycle[T jobber](cfg Config, queueCap int, sigs *signature.Table) *Li
 		sigs:  sigs,
 		adm:   NewAdmission(cfg.MaxPending, cfg.TenantShare),
 		units: make([]lifeUnit[T], cfg.NumUnits),
+		loads: make([]int64, cfg.NumUnits),
 	}
 	for i := range l.units {
 		l.units[i].budget = cfg.MemoryPerUnit
@@ -145,7 +184,7 @@ func (l *Lifecycle[T]) Completed(u int) int64 { return l.units[u].completed }
 // Arrive puts t to admission: admitted, it joins the pending pool.
 func (l *Lifecycle[T]) Arrive(t T) Verdict {
 	j := t.job()
-	j.Bucket, j.Unit = l.adm.Tenant(j.Task.Tenant), -1
+	j.Bucket, j.Unit, j.Started = l.adm.Tenant(j.Task.Tenant), -1, -1
 	l.Counts.Submitted.Add(1)
 	v := l.adm.Admit(j.Bucket)
 	if v != Admitted {
@@ -172,7 +211,7 @@ func (l *Lifecycle[T]) Take(now int64, timedOut []T) (round []T, tasks []*sched.
 			for _, t := range round {
 				tasks = append(tasks, t.job().Task)
 			}
-			l.tasks = tasks
+			l.tasks, l.placed = tasks, 0
 			return round, tasks, timedOut
 		}
 	}
@@ -188,10 +227,25 @@ func (l *Lifecycle[T]) hasRoom() bool {
 	return false
 }
 
-// Place queues t on the unit its scheduler picked (or, past the queue
-// bound, the least-loaded one) and returns that unit and whether it
-// idles, in which case the executor starts it.
-func (l *Lifecycle[T]) Place(t T, pick int, now int64) (unit int, idle bool) {
+// Assign asks s to place round, whose scheduler view is tasks, on units,
+// and copies into each job the placement detail the auction scheduler
+// keeps; another scheduler's jobs keep a zero Placement.
+func Assign[T jobber](s sched.Scheduler, round []T, tasks []*sched.Task, units []sched.UnitState) []int {
+	picks := s.Assign(tasks, units)
+	if a, ok := s.(*sched.Auction); ok {
+		for i, e := range a.Explained() {
+			round[i].job().Placement = e.Placement
+		}
+	}
+	return picks
+}
+
+// Place queues t, a task of the last Take's round, on the unit its
+// scheduler picked (or, past the queue bound, the least-loaded one) in
+// the round that started at start, and returns that unit and whether it
+// idles, in which case the executor starts it. Placing the round's last
+// task stamps every task of the round with the units' imbalance.
+func (l *Lifecycle[T]) Place(t T, pick int, start int64) (unit int, idle bool) {
 	j := t.job()
 	if pick < 0 || pick >= len(l.units) {
 		panic(fmt.Sprintf("sim: task %d placed on unit %d of %d", j.Task.ID, pick, len(l.units)))
@@ -203,16 +257,29 @@ func (l *Lifecycle[T]) Place(t T, pick int, now int64) (unit int, idle bool) {
 			}
 		}
 	}
-	j.Unit, j.Scheduled = int32(pick), now
-	l.units[pick].queue.Push(t)
+	q := &l.units[pick].queue
+	j.Unit, j.Scheduled, j.QueueLen = int32(pick), start, int32(q.Len())
+	q.Push(t)
+	if l.placed++; l.placed == len(l.round) {
+		for i := range l.units {
+			l.loads[i] = int64(l.units[i].QueueLen())
+			if l.units[i].Busy() {
+				l.loads[i]++
+			}
+		}
+		imbalance := metrics.Imbalance(l.loads)
+		for _, t := range l.round {
+			t.job().Imbalance = imbalance
+		}
+	}
 	return pick, len(l.units[pick].exec) == 0
 }
 
 // Dequeue starts idle unit u on its queue's head and, at a batch width
 // above one, the batchable run behind a batchable head. Members whose
 // expiry signal has fired are timed out unexecuted (appended to
-// timedOut) until something starts; members is what u executes until
-// its next Dequeue, nil if the queue ran out.
+// timedOut) until something starts; members, started at now, is what u
+// executes until its next Dequeue, nil if the queue ran out.
 func (l *Lifecycle[T]) Dequeue(u int, now int64, timedOut []T) (members, _ []T) {
 	lu := &l.units[u]
 	for lu.queue.Len() > 0 {
@@ -224,6 +291,9 @@ func (l *Lifecycle[T]) Dequeue(u int, now int64, timedOut []T) (members, _ []T) 
 		}
 		members, timedOut = l.dropExpired(members, now, timedOut)
 		if lu.exec = members; len(members) > 0 {
+			for _, t := range members {
+				t.job().Started = now
+			}
 			return members, timedOut
 		}
 	}

@@ -48,19 +48,25 @@ const (
 	OpRWR
 )
 
+// opNames names the operations, indexed by Op: String and ParseOp read
+// this one table.
+var opNames = [...]string{OpBFS: "bfs", OpSSSP: "sssp", OpCollab: "collab", OpRWR: "rwr"}
+
 func (o Op) String() string {
-	switch o {
-	case OpBFS:
-		return "bfs"
-	case OpSSSP:
-		return "sssp"
-	case OpCollab:
-		return "collab"
-	case OpRWR:
-		return "rwr"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
+}
+
+// ParseOp returns the operation String names.
+func ParseOp(name string) (Op, error) {
+	for op, n := range opNames {
+		if n == name {
+			return Op(op), nil
+		}
+	}
+	return 0, fmt.Errorf("traverse: unknown op %q", name)
 }
 
 // Query is one subgraph traversal task: a starting vertex, a depth

@@ -339,10 +339,20 @@ func TestExecuteDispatchAndValidation(t *testing.T) {
 	}
 }
 
+// TestOpString: String names every op, and ParseOp is its inverse,
+// refusing a name no op has.
 func TestOpString(t *testing.T) {
 	for op, want := range map[Op]string{OpBFS: "bfs", OpSSSP: "sssp", OpCollab: "collab", OpRWR: "rwr"} {
 		if op.String() != want {
 			t.Errorf("Op(%d).String() = %q", op, op.String())
+		}
+		if got, err := ParseOp(want); err != nil || got != op {
+			t.Errorf("ParseOp(%q) = %v, %v, want %v", want, got, err, op)
+		}
+	}
+	for _, name := range []string{"", "BFS", "Op(4)", Op(4).String()} {
+		if op, err := ParseOp(name); err == nil {
+			t.Errorf("ParseOp(%q) = %v, want an error", name, op)
 		}
 	}
 }
