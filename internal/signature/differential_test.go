@@ -79,7 +79,7 @@ func checkVertex(t testing.TB, flat *Table, ref *refTable, v graph.VertexID) {
 func runTableOps(t testing.TB, data []byte) {
 	t.Helper()
 	b := &opBytes{data: data}
-	capacity := b.next() % 13 // 0 is DefaultCapacity
+	capacity := b.next() % 21 // 0 is DefaultCapacity; the L(v) sweep runs 1–20
 	flat, ref := NewTable(capacity), newRefTable(capacity)
 	if flat.Capacity() != ref.capacity {
 		t.Fatalf("capacity %d, reference %d", flat.Capacity(), ref.capacity)
@@ -343,8 +343,17 @@ func TestRecordAllocatesNothing(t *testing.T) {
 // BenchmarkSignTrace signs completions of uniformly drawn vertices —
 // the sizes of the benchmark's two service workloads — three ways: the
 // reference map table and the flat table one Record at a time, and
-// RecordTrace. ns/vertex is the figure EXPERIMENTS.md quotes.
+// RecordTrace. ns/vertex is the figure EXPERIMENTS.md quotes. The
+// in-order clock stamps completion i with i, as the simulator does; the
+// racing one stamps it up to 63 completions early, as live units racing
+// the wall clock do, so a record often lands behind a row's newest
+// entries and walks back through the ring.
 func BenchmarkSignTrace(b *testing.B) {
+	rng := xrand.New(2)
+	lag := make([]int64, 1000)
+	for i := range lag {
+		lag[i] = int64(rng.Intn(64))
+	}
 	for _, size := range []struct{ touched, vertices int }{{360, 20_000}, {4000, 100_000}} {
 		rng := xrand.New(1)
 		traces := make([][]graph.VertexID, 64)
@@ -354,34 +363,42 @@ func BenchmarkSignTrace(b *testing.B) {
 				traces[i][j] = graph.VertexID(rng.Intn(size.vertices))
 			}
 		}
-		ref, looped, traced := newRefTable(0), NewTable(0), NewTable(0)
-		for _, side := range []struct {
-			name string
-			sign func([]graph.VertexID, int32, int64)
+		for _, clock := range []struct {
+			name  string
+			stamp func(i int) int64
 		}{
-			{"map", func(trace []graph.VertexID, proc int32, now int64) {
-				for _, v := range trace {
-					ref.Record(v, proc, now)
-				}
-			}},
-			{"flat", func(trace []graph.VertexID, proc int32, now int64) {
-				for _, v := range trace {
-					looped.Record(v, proc, now)
-				}
-			}},
-			{"trace", traced.RecordTrace},
+			{"", func(i int) int64 { return int64(i) }},
+			{"-racing", func(i int) int64 { return int64(i) - lag[i%len(lag)] }},
 		} {
-			sign := side.sign
-			b.Run(fmt.Sprintf("%s/%dof%d", side.name, size.touched, size.vertices), func(b *testing.B) {
-				for i := 0; i < 4*len(traces); i++ { // fill the rows first
-					sign(traces[i%len(traces)], int32(i%4), int64(i))
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sign(traces[i%len(traces)], int32(i%4), int64(i))
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size.touched), "ns/vertex")
-			})
+			ref, looped, traced := newRefTable(0), NewTable(0), NewTable(0)
+			for _, side := range []struct {
+				name string
+				sign func([]graph.VertexID, int32, int64)
+			}{
+				{"map", func(trace []graph.VertexID, proc int32, now int64) {
+					for _, v := range trace {
+						ref.Record(v, proc, now)
+					}
+				}},
+				{"flat", func(trace []graph.VertexID, proc int32, now int64) {
+					for _, v := range trace {
+						looped.Record(v, proc, now)
+					}
+				}},
+				{"trace", traced.RecordTrace},
+			} {
+				sign, stamp := side.sign, clock.stamp
+				b.Run(fmt.Sprintf("%s%s/%dof%d", side.name, clock.name, size.touched, size.vertices), func(b *testing.B) {
+					for i := 0; i < 4*len(traces); i++ { // fill the rows first
+						sign(traces[i%len(traces)], int32(i%4), stamp(i))
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						sign(traces[i%len(traces)], int32(i%4), stamp(i))
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size.touched), "ns/vertex")
+				})
+			}
 		}
 	}
 }

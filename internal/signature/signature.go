@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"subtrav/internal/graph"
 )
@@ -70,13 +71,16 @@ const DefaultCapacity = 10
 
 // Table stores the signature lists of all vertices. Vertex IDs are
 // dense CSR indices, so nothing here hashes one: the table is striped
-// by the low bits of the ID and each stripe keeps the lists of its
-// vertices as fixed-width rows of two flat arrays (times and procs),
-// indexed by the remaining bits. It is safe for concurrent use:
-// traversal engines record visits while the scheduler reads affinities.
+// by the low bits of the ID and each stripe keeps the list of each of
+// its vertices as one fixed-stride record of a flat slab, indexed by the
+// remaining bits. It is safe for concurrent use: traversal engines
+// record visits while the scheduler reads affinities.
 type Table struct {
 	capacity int
-	stripes  [numStripes]stripe
+	// stride is the 8 B words of one record: an 8 B header, capacity
+	// 8 B timestamps and capacity 4 B procs, rounded up.
+	stride  int
+	stripes [numStripes]stripe
 	// scratch pools RecordTrace's bucketing buffers: *[]int32, the
 	// local indices of one trace grouped by stripe.
 	scratch sync.Pool
@@ -89,18 +93,21 @@ const (
 	stripeMask = numStripes - 1
 )
 
-// stripe holds L(v) for every v ≡ k (mod numStripes) as a struct of
-// arrays: the list of local index i is times[i*capacity :
-// i*capacity+n[i]], oldest first, with each entry's processor at the
-// same position of procs — 12 B an entry where an Entry takes 16. The
-// arrays cover the same local indices and grow together, a quarter at
-// a time, under the write lock, the first time a vertex beyond them is
-// recorded; a vertex beyond them has an empty list.
+// stripe holds L(v) for every v ≡ k (mod numStripes) in one slab of
+// records, local index i's at words [i*stride, (i+1)*stride). A record
+// is a header word (the list's length n in the low half, the ring's
+// head in the high half), then capacity 8 B timestamps, then capacity
+// 4 B procs: 8 + 12·capacity bytes rounded up to a word, so 128 B, two
+// cache lines, at DefaultCapacity. Slot j holds one entry, times[j] and
+// procs[j] (fields). The list, oldest first, is the n slots from head
+// on, wrapping. head moves only once the ring is full, and n falls only
+// when Reset clears the whole header, so a ring that is not full has
+// head 0: the live slots are always the first n. The slab grows a
+// quarter at a time, under the write lock, the first time a vertex
+// beyond it is recorded; a vertex beyond it has an empty list.
 type stripe struct {
-	mu    sync.RWMutex
-	times []int64
-	procs []int32
-	n     []int32
+	mu   sync.RWMutex
+	slab []int64
 	// used counts the local indices with a non-empty list.
 	used int
 	// locks counts mutex acquisitions (read or write) on this stripe's
@@ -120,7 +127,7 @@ func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	t := &Table{capacity: capacity}
+	t := &Table{capacity: capacity, stride: (8 + 12*capacity + 7) / 8}
 	t.scratch.New = func() any { return new([]int32) }
 	return t
 }
@@ -135,29 +142,40 @@ func (t *Table) locate(v graph.VertexID) (*stripe, int) {
 	return &t.stripes[uint32(v)&stripeMask], int(uint32(v) >> stripeBits)
 }
 
-// list returns the live part of local index i's row, as its times and
-// procs: empty beyond the grown range. The caller holds the stripe's
-// lock.
-func (s *stripe) list(i, capacity int) ([]int64, []int32) {
-	if i >= len(s.n) {
-		return nil, nil
+// header unpacks a record's list length and ring head.
+func header(rec []int64) (n, head int) {
+	return int(uint32(rec[0])), int(rec[0] >> 32)
+}
+
+// fields splits a record into its timestamps and its procs, the procs
+// viewed as the int32s they are: a slot's write stores 12 B and reads
+// nothing.
+func fields(rec []int64, capacity int) (times []int64, procs []int32) {
+	return rec[1 : 1+capacity], unsafe.Slice((*int32)(unsafe.Pointer(&rec[1+capacity])), capacity)
+}
+
+// list returns local index i's ring head and the timestamps and procs
+// of its live slots, the record's first n: empty beyond the grown
+// range. The caller holds the stripe's lock.
+func (s *stripe) list(i, capacity, stride int) (head int, times []int64, procs []int32) {
+	lo := i * stride
+	if lo >= len(s.slab) {
+		return 0, nil, nil
 	}
-	lo, hi := i*capacity, i*capacity+int(s.n[i])
-	return s.times[lo:hi], s.procs[lo:hi]
+	rec := s.slab[lo : lo+stride : lo+stride]
+	n, head := header(rec)
+	times, procs = fields(rec, capacity)
+	return head, times[:n], procs[:n]
 }
 
 // grow extends the stripe to cover local index i, by at least a quarter
-// (and to no fewer than 16 rows), so the slack is at most a quarter of
-// the rows in use. The caller holds the write lock.
-func (s *stripe) grow(i, capacity int) {
-	size := max(len(s.n)+len(s.n)/4, i+1, 16)
-	n := make([]int32, size)
-	copy(n, s.n)
-	times := make([]int64, size*capacity)
-	copy(times, s.times)
-	procs := make([]int32, size*capacity)
-	copy(procs, s.procs)
-	s.n, s.times, s.procs = n, times, procs
+// (and to no fewer than 16 records), so the slack is at most a quarter
+// of the records in use. The caller holds the write lock.
+func (s *stripe) grow(i, stride int) {
+	rows := len(s.slab) / stride
+	slab := make([]int64, max(rows+rows/4, i+1, 16)*stride)
+	copy(slab, s.slab)
+	s.slab = slab
 }
 
 // badVertex is the writers' panic for a negative vertex, which would
@@ -166,33 +184,60 @@ func badVertex(v graph.VertexID) {
 	panic(fmt.Sprintf("signature: negative vertex %d", v))
 }
 
-// insert runs Record's list update on local index i's row in place.
+// insert runs Record's list update on local index i's record in place.
 // The caller holds the write lock and has grown the stripe to cover i.
+// An entry no older than the newest (the in-order case) lands in the
+// slot after the newest, which on a full ring is the oldest's, and
+// nothing moves; an older one walks back from there past every newer
+// entry.
 //
 //vet:hotpath
-func (s *stripe) insert(i, capacity int, e Entry) {
-	times := s.times[i*capacity : (i+1)*capacity]
-	procs := s.procs[i*capacity : (i+1)*capacity]
-	n := int(s.n[i])
+func (s *stripe) insert(i, capacity, stride int, e Entry) {
+	rec := s.slab[i*stride : (i+1)*stride : (i+1)*stride]
+	// Load the record's last word before its header, so that its last
+	// cache line is already on the way when the header names the slot.
+	atomic.LoadInt64(&rec[stride-1])
+	times, procs := fields(rec, capacity)
+	n, head := header(rec)
+	slot := head + n
+	if slot >= capacity {
+		slot -= capacity
+	}
+	newest := slot - 1
+	if newest < 0 {
+		newest = capacity - 1
+	}
+	inOrder := n == 0 || times[newest] <= e.Time
 	if n == capacity {
-		if e.Time < times[0] {
+		if !inOrder && e.Time < times[head] {
 			return
 		}
-		copy(times, times[1:])
-		copy(procs, procs[1:])
-		n--
+		// The oldest entry's slot is e's; the next one is the oldest.
+		if head++; head == capacity {
+			head = 0
+		}
 	} else {
 		if n == 0 {
 			s.used++
 		}
-		s.n[i]++
+		n++
 	}
-	// Shift every newer entry up one slot and drop e into the gap.
-	j := n
-	for ; j > 0 && times[j-1] > e.Time; j-- {
-		times[j], procs[j] = times[j-1], procs[j-1]
+	if !inOrder {
+		// Shift every newer entry up one slot and drop e into the gap.
+		for slot != head {
+			prev := slot - 1
+			if prev < 0 {
+				prev = capacity - 1
+			}
+			if times[prev] <= e.Time {
+				break
+			}
+			times[slot], procs[slot] = times[prev], procs[prev]
+			slot = prev
+		}
 	}
-	times[j], procs[j] = e.Time, e.Proc
+	times[slot], procs[slot] = e.Time, e.Proc
+	rec[0] = int64(n) | int64(head)<<32
 }
 
 // Record inserts the visit (now, proc) into L(v), keeping the list
@@ -200,12 +245,12 @@ func (s *stripe) insert(i, capacity int, e Entry) {
 // global clock is steady, but live-runtime units race on reading it,
 // so records for one vertex can arrive slightly out of order; a new
 // record therefore insertion-sorts into the tail (lists hold at most
-// capacity ≈ 10 entries, so this is O(capacity)). Keeping the list
-// time-ordered is what lets LatestByProc's newest-first scan return
-// the true maximum — the t_p of Eq. 2 — instead of a stale timestamp.
-// A record older than every entry of a full list is already outside
-// the "capacity most recent visits" window and is dropped. A negative
-// v panics.
+// capacity ≈ 10 entries, so this is O(capacity)); an in-order one, the
+// simulator's every record, moves nothing. Keeping the list time-ordered
+// is what makes the full list's eviction drop the oldest visit. A
+// record older than every entry of a full list is already outside the
+// "capacity most recent visits" window and is dropped. A negative v
+// panics.
 func (t *Table) Record(v graph.VertexID, proc int32, now int64) {
 	if v < 0 {
 		badVertex(v)
@@ -213,10 +258,10 @@ func (t *Table) Record(v graph.VertexID, proc int32, now int64) {
 	s, i := t.locate(v)
 	s.mu.Lock()
 	s.locks.Add(1)
-	if i >= len(s.n) {
-		s.grow(i, t.capacity)
+	if i*t.stride >= len(s.slab) {
+		s.grow(i, t.stride)
 	}
-	s.insert(i, t.capacity, Entry{Time: now, Proc: proc})
+	s.insert(i, t.capacity, t.stride, Entry{Time: now, Proc: proc})
 	s.mu.Unlock()
 }
 
@@ -247,7 +292,9 @@ func (t *Table) RecordTrace(touched []graph.VertexID, proc int32, now int64) {
 }
 
 // recordBucketed counting-sorts touched's local indices by stripe into
-// local (stable) and inserts e stripe by stripe.
+// local (stable) and inserts e stripe by stripe, each stripe's bucket in
+// two passes: one grows the stripe and loads the records, the other
+// inserts.
 //
 //vet:hotpath
 func (t *Table) recordBucketed(touched []graph.VertexID, local []int32, e Entry) {
@@ -280,11 +327,21 @@ func (t *Table) recordBucketed(touched []graph.VertexID, local []int32, e Entry)
 		s := &t.stripes[k]
 		s.mu.Lock()
 		s.locks.Add(1)
+		// Load the first and the last word of every record the bucket
+		// signs before inserting into any. The loads are independent, so
+		// their cache misses overlap, where each insert would wait on its
+		// own record's in turn. Go has no prefetch; an atomic load is a
+		// load the compiler keeps though its value goes unused.
 		for _, i := range bucket {
-			if int(i) >= len(s.n) {
-				s.grow(int(i), t.capacity)
+			lo := int(i) * t.stride
+			if lo >= len(s.slab) {
+				s.grow(int(i), t.stride)
 			}
-			s.insert(int(i), t.capacity, e)
+			atomic.LoadInt64(&s.slab[lo])
+			atomic.LoadInt64(&s.slab[lo+t.stride-1])
+		}
+		for _, i := range bucket {
+			s.insert(int(i), t.capacity, t.stride, e)
 		}
 		s.mu.Unlock()
 	}
@@ -298,20 +355,20 @@ func (t *Table) VisitedBy(v graph.VertexID, proc int32) bool {
 }
 
 // LatestByProc returns the most recent timestamp at which proc visited
-// v, scanning L(v) newest-first (Record keeps the list time-ordered,
-// so the first match is the maximum).
+// v: the maximum over proc's entries in L(v).
 func (t *Table) LatestByProc(v graph.VertexID, proc int32) (int64, bool) {
 	s, i := t.locate(v)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	s.locks.Add(1)
-	times, procs := s.list(i, t.capacity)
-	for j := len(procs) - 1; j >= 0; j-- {
-		if procs[j] == proc {
-			return times[j], true
+	_, times, procs := s.list(i, t.capacity, t.stride)
+	latest, ok := int64(0), false
+	for j, p := range procs {
+		if p == proc && (!ok || times[j] > latest) {
+			latest, ok = times[j], true
 		}
 	}
-	return 0, false
+	s.mu.RUnlock()
+	return latest, ok
 }
 
 // NoVisit is the sentinel timestamp LatestAll writes for processors
@@ -336,7 +393,7 @@ func (t *Table) LatestAll(v graph.VertexID, out []int64) bool {
 	s.mu.RLock()
 	s.locks.Add(1)
 	any := false
-	times, procs := s.list(i, t.capacity)
+	_, times, procs := s.list(i, t.capacity, t.stride)
 	for j, proc := range procs {
 		p := int(proc)
 		if p < 0 || p >= len(out) {
@@ -369,13 +426,17 @@ func (t *Table) Visitors(v graph.VertexID) []Entry {
 	s, i := t.locate(v)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	times, procs := s.list(i, t.capacity)
+	j, times, procs := s.list(i, t.capacity, t.stride)
 	if len(times) == 0 {
 		return nil
 	}
+	// The list wraps only once the ring is full, at len(times).
 	out := make([]Entry, len(times))
-	for j := range out {
-		out[j] = Entry{Time: times[j], Proc: procs[j]}
+	for k := range out {
+		out[k] = Entry{Time: times[j], Proc: procs[j]}
+		if j++; j == len(times) {
+			j = 0
+		}
 	}
 	return out
 }
@@ -393,12 +454,15 @@ func (t *Table) Len() int {
 	return total
 }
 
-// Reset drops all signature lists; the rows stay allocated.
+// Reset drops all signature lists by clearing every record's header;
+// the records stay allocated.
 func (t *Table) Reset() {
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.Lock()
-		clear(s.n)
+		for lo := 0; lo < len(s.slab); lo += t.stride {
+			s.slab[lo] = 0
+		}
 		s.used = 0
 		s.mu.Unlock()
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"subtrav/internal/graph"
 )
@@ -106,6 +107,27 @@ func TestLenAndReset(t *testing.T) {
 	tbl.Reset()
 	if tbl.Len() != 0 {
 		t.Errorf("Len after reset = %d, want 0", tbl.Len())
+	}
+}
+
+// A record is what a table's heap is made of: an 8 B header, then 12 B
+// an entry (its time and its proc), rounded up to a word, for every
+// capacity the L(v) sweep runs (1–20), and 128 B, two cache lines, at
+// DefaultCapacity. Recording one vertex grows its stripe to 16 records.
+func TestRecordStride(t *testing.T) {
+	for c := 1; c <= 20; c++ {
+		tbl := NewTable(c)
+		tbl.Record(0, 0, 1)
+		s := &tbl.stripes[0]
+		word := int(unsafe.Sizeof(s.slab[0]))
+		if got, want := len(s.slab)*word, 16*((8+12*c+7)/8)*8; got != want {
+			t.Errorf("capacity %d: 16 records take %d B, want %d", c, got, want)
+		}
+	}
+	tbl := NewTable(0)
+	tbl.Record(0, 0, 1)
+	if got := len(tbl.stripes[0].slab) * 8 / 16; got != 128 {
+		t.Errorf("a record at DefaultCapacity takes %d B, want 128", got)
 	}
 }
 
