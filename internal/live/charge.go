@@ -14,20 +14,26 @@ import (
 
 // charge makes u pay for replay, the access trace of the members it is
 // executing: the shared sim.ChargeCursor consumes buffer hits into one
-// deferred sleep and stops at each miss, which sleeps the scaled
-// transfer time (holding a disk slot when there are fewer channels than
-// units) before the cursor loads the record. Waits run under ctx (see
-// run for which one).
+// deferred sleep and stops at each miss, whose read passes its fault
+// evaluation (see diskRead) before the cursor loads the record. The
+// wait is split at a read only where something else can observe the
+// split: a disk slot, held for that one read's scaled service time
+// when there are fewer channels than units, or a batch peer, which a
+// cancelled member must not keep waiting on its behalf. Otherwise — a
+// solo member on a disk with a channel per unit — every read's service
+// time and injected delay join the hits in the one deferred sleep.
+// Waits run under ctx (see run for which one).
 //
-// Cancellation is scoped here and nowhere else. Before every wait the
-// members' own contexts are checked: one that has ended leaves the
-// lifecycle at once as timed out — its job keeping the counts of the
-// work done on its behalf so far — while the survivors carry on. A
-// failed wait is followed by the same check, so a wait cut short by a
-// member's own deadline is that member's timeout; any other failure (a
-// persistent disk fault) is returned for the survivors, which charge
-// returns too. Every member leaves with the charge's counts and disk
-// slot wait on its task.
+// Cancellation is scoped here and nowhere else. At each split wait,
+// and once before the deferred sleep, the members' own contexts are
+// checked: one that has ended leaves the lifecycle at once as timed
+// out — its job keeping the counts of the work done on its behalf so
+// far — while the survivors carry on. A failed wait is followed by the
+// same check, so a wait cut short by a member's own deadline is that
+// member's timeout; any other failure (a persistent disk fault) is
+// returned for the survivors, which charge returns too, and the
+// deferred time is not slept. Every member leaves with the charge's
+// counts and disk slot wait on its task.
 //
 // However the charge ends, what it did to the buffer is added to the
 // unit's cache counters once, on the way out, and so are the zero slot
@@ -56,15 +62,19 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 		return len(members)
 	}
 
-	inlineNanos := cur.RunHits()
+	split := r.diskSlot != nil || len(members) > 1
+	inlineNanos, extra := cur.RunHits(), time.Duration(0)
 	var err error
-	for err == nil && expire() > 0 {
-		if cur.Done() {
-			err = r.sleepScaled(u, ctx, inlineNanos, 0)
-			break
+	for err == nil && !cur.Done() && (!split || expire() > 0) {
+		var service int64
+		var delay, slotWait time.Duration
+		service, delay, err = r.diskRead(int64(cur.Miss().Bytes))
+		switch {
+		case err == nil && split:
+			slotWait, err = r.diskFetch(u, ctx, service, delay)
+		case err == nil:
+			inlineNanos, extra = inlineNanos+service, extra+delay
 		}
-		var slotWait time.Duration
-		slotWait, err = r.diskFetch(u, ctx, int64(cur.Miss().Bytes))
 		diskWaitNanos += slotWait.Nanoseconds()
 		switch {
 		case slotWait != 0:
@@ -76,6 +86,9 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 			inlineNanos += cur.Fill()
 			inlineNanos += cur.RunHits()
 		}
+	}
+	if err == nil && expire() > 0 {
+		err = r.sleepScaled(u, ctx, inlineNanos, extra)
 	}
 	if err != nil {
 		expire()
@@ -92,27 +105,32 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 	return members, err
 }
 
-// diskFetch is one shared-disk read: fault evaluation with one
-// internal retry, then the scaled transfer time plus any injected
-// latency spike. With fewer channels than units the transfer holds a
-// disk slot — genuine cross-unit contention on the shared disk — and
-// diskFetch returns how long the caller waited for a free one (the
-// live analogue of disk queueing delay). The wait is exactly zero when
-// a slot was free or none is needed: only a full disk reads the clock
-// and waits under ctx. A persistent injected error is returned wrapped
-// (not a context error); a context error means ctx ended first.
-func (r *Runtime) diskFetch(u *liveUnit, ctx context.Context, bytes int64) (slotWait time.Duration, err error) {
+// diskRead is one shared-disk read's fault evaluation, with one
+// internal retry, and its modelled cost: the virtual service time of
+// bytes (seek plus transfer) and any injected latency spike. A
+// persistent injected error is returned wrapped.
+func (r *Runtime) diskRead(bytes int64) (serviceNanos int64, delay time.Duration, err error) {
 	fault := r.cfg.Faults.Eval(faultpoint.DiskRead)
 	if fault.Err != nil {
 		r.life.Counts.DiskFaultRetries.Add(1)
 		fault = r.cfg.Faults.Eval(faultpoint.DiskRead)
 		if fault.Err != nil {
-			return 0, fmt.Errorf("live: disk read failed after retry: %w", fault.Err)
+			return 0, 0, fmt.Errorf("live: disk read failed after retry: %w", fault.Err)
 		}
 	}
-	service := r.cfg.Cost.Disk.SeekNanos + storage.TransferNanos(bytes, r.cfg.Cost.Disk.BytesPerSecond)
+	return r.cfg.Cost.Disk.SeekNanos + storage.TransferNanos(bytes, r.cfg.Cost.Disk.BytesPerSecond), fault.Delay, nil
+}
+
+// diskFetch sleeps one read's scaled service time plus delay as a wait
+// of its own, holding a disk slot when there are fewer channels than
+// units — genuine cross-unit contention on the shared disk — and
+// returns how long the caller waited for a free one (the live analogue
+// of disk queueing delay). The wait is exactly zero when a slot was
+// free or none is needed: only a full disk reads the clock and waits
+// under ctx. A context error means ctx ended first.
+func (r *Runtime) diskFetch(u *liveUnit, ctx context.Context, serviceNanos int64, delay time.Duration) (slotWait time.Duration, err error) {
 	if r.diskSlot == nil {
-		return 0, r.sleepScaled(u, ctx, service, fault.Delay)
+		return 0, r.sleepScaled(u, ctx, serviceNanos, delay)
 	}
 	select {
 	case r.diskSlot <- struct{}{}:
@@ -128,7 +146,7 @@ func (r *Runtime) diskFetch(u *liveUnit, ctx context.Context, bytes int64) (slot
 	if err != nil {
 		return slotWait, err
 	}
-	err = r.sleepScaled(u, ctx, service, fault.Delay)
+	err = r.sleepScaled(u, ctx, serviceNanos, delay)
 	<-r.diskSlot
 	return slotWait, err
 }

@@ -8,10 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"subtrav/internal/cache"
 	"subtrav/internal/faultpoint"
 	"subtrav/internal/graph"
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
+	"subtrav/internal/sim"
+	"subtrav/internal/storage"
 	"subtrav/internal/traverse"
 )
 
@@ -64,14 +67,49 @@ func TestFreeDiskSlotIsZeroWait(t *testing.T) {
 	}
 }
 
-// TestFreeDiskSlotFetchAllocatesNothing guards the per-miss path a
-// scan-heavy query takes thousands of times — with no slot, and with a
-// free one — and a sleep that rounds to zero.
+// TestFreeDiskSlotFetchAllocatesNothing guards the per-miss wait a
+// query takes on a disk with fewer channels than units: a free slot,
+// and a sleep that rounds to zero.
 func TestFreeDiskSlotFetchAllocatesNothing(t *testing.T) {
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.Cost.Disk.Channels = 0
+	cfg.TimeScale = 1e-12
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.diskSlot == nil {
+		t.Fatal("0 channels, one unit: no slot built")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	service, _, err := r.diskRead(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := r.diskFetch(r.units[0], ctx, service, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("diskFetch on a free slot: %g allocations, want 0", allocs)
+	}
+}
+
+// TestColdChargeAllocatesNothing guards the charge a scan-heavy query
+// takes thousands of misses through, with no slot (every read folded
+// into the one sleep) and with a free one (every read a wait of its
+// own): the buffer is flushed before each charge and holds less than
+// the trace, so every record misses and the charge evicts.
+func TestColdChargeAllocatesNothing(t *testing.T) {
 	g := liveGraph(t)
 	for _, channels := range []int{16, 0} {
 		cfg := fastLiveConfig(1)
 		cfg.Cost.Disk.Channels = channels
+		cfg.MemoryPerUnit = 16 << 10
 		cfg.TimeScale = 1e-12
 		r, err := New(g, cfg, sched.NewRoundRobin())
 		if err != nil {
@@ -81,16 +119,87 @@ func TestFreeDiskSlotFetchAllocatesNothing(t *testing.T) {
 		if (r.diskSlot == nil) != (channels > 0) {
 			t.Fatalf("%d channels, one unit: slot built = %t", channels, r.diskSlot != nil)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		allocs := testing.AllocsPerRun(1000, func() {
-			if _, err := r.diskFetch(r.units[0], ctx, 4096); err != nil {
+		_, replay, err := traverse.Execute(g, traverse.Query{Op: traverse.OpBFS, Start: 3, Depth: 3, MaxVisits: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := r.units[0]
+		members := []*task{{ctx: context.Background()}}
+		const runs = 50
+		misses, evictions := u.cacheCounters.misses.Value(), u.cacheCounters.evictions.Value()
+		allocs := testing.AllocsPerRun(runs, func() {
+			u.buffer.Flush()
+			if _, err := r.charge(u, members[0].ctx, replay, members); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("diskFetch with %d channels for one unit: %g allocations, want 0", channels, allocs)
+		// AllocsPerRun makes one warm-up run besides the measured ones.
+		perCharge := (u.cacheCounters.misses.Value() - misses) / (runs + 1)
+		if perCharge < 20 || u.cacheCounters.evictions.Value() == evictions {
+			t.Fatalf("fixture: %d misses a charge, %d evictions", perCharge, u.cacheCounters.evictions.Value()-evictions)
 		}
+		if allocs != 0 {
+			t.Errorf("a cold charge of %d misses with %d channels for one unit: %g allocations, want 0", perCharge, channels, allocs)
+		}
+	}
+}
+
+// TestFoldedChargeSleepsEveryRead: a solo query on a disk with a
+// channel per unit sleeps once for its whole trace, and that sleep
+// must still hold every read's modelled service time beside its hits'
+// and fills' cost. A sleep can only overrun, so the span's execution
+// time is held to that sum from below. No read waited for a slot, and
+// each is still observed in subtrav_disk_wait_nanos.
+func TestFoldedChargeSleepsEveryRead(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.Cost.Disk.SeekNanos = 1_000_000
+	cfg.MemoryPerUnit = 16 << 10
+	cfg.TimeScale = 1
+	cfg.TraceBuffer = 1
+	r, err := New(g, cfg, sched.NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.diskSlot != nil {
+		t.Fatal("fixture: a slot was built")
+	}
+	q := traverse.Query{Op: traverse.OpRWR, Start: 3, Steps: 120, RestartProb: 0.15, TopK: 5, Seed: 9}
+	if resp, err := r.Do(q); err != nil || resp.Err != nil {
+		t.Fatalf("%v / %v", err, resp.Err)
+	}
+	r.Close()
+
+	// The same trace against a cold buffer of the same size, priced
+	// read by read as a split charge would sleep it.
+	_, replay, err := traverse.Execute(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := sim.NewChargeCursor(&cfg.Cost, cache.New(cfg.MemoryPerUnit), 1, replay)
+	modelled := cur.RunHits()
+	for !cur.Done() {
+		modelled += cfg.Cost.Disk.SeekNanos + storage.TransferNanos(int64(cur.Miss().Bytes), cfg.Cost.Disk.BytesPerSecond)
+		modelled += cur.Fill() + cur.RunHits()
+	}
+	s := r.Trace(1)[0]
+	if s.CacheMisses != cur.Misses || s.CacheHits != cur.Hits {
+		t.Fatalf("span charged %d hits and %d misses, the replay %d and %d", s.CacheHits, s.CacheMisses, cur.Hits, cur.Misses)
+	}
+	if cur.Misses < 20 || cur.Hits == 0 {
+		t.Fatalf("fixture: %d misses and %d hits, want at least 20 and some", cur.Misses, cur.Hits)
+	}
+	if s.ExecNanos < modelled {
+		t.Errorf("execution took %v, less than the %v modelled for %d reads and %d hits",
+			time.Duration(s.ExecNanos), time.Duration(modelled), cur.Misses, cur.Hits)
+	}
+	if s.DiskWaitNanos != 0 {
+		t.Errorf("DiskWaitNanos = %d with no slot, want 0", s.DiskWaitNanos)
+	}
+	if h := r.obs.diskWaitNanos; h.Count() != int64(cur.Misses) || h.Sum() != 0 {
+		t.Errorf("subtrav_disk_wait_nanos count %d sum %d, want %d reads of 0", h.Count(), h.Sum(), cur.Misses)
 	}
 }
 
@@ -137,7 +246,8 @@ func TestChargeSleepAllocatesNothing(t *testing.T) {
 // it still does. Without one every wait is exactly zero, and the zero
 // waits a charge folds into subtrav_disk_wait_nanos on its way out
 // count the records read on every way out: completion, a query
-// cancelled between two reads, and a read that fails past its retry.
+// cancelled in the one wait its charge takes, and a read that fails
+// past its retry.
 func TestDiskWithAChannelPerUnitTakesNoSlot(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)

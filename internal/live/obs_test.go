@@ -220,10 +220,10 @@ func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 }
 
 // chargeExits drives a runtime out of a charge every way there is —
-// completion, a query cancelled between two disk reads, and a disk read
+// completion, a query cancelled in its charge's wait, and a disk read
 // that fails past its retry — and hands it to check once quiescent,
 // when the workers' buffers are safe to read. Neither runtime has fewer
-// disk channels than units.
+// disk channels than units, so a solo charge waits once.
 func chargeExits(t *testing.T, check func(*testing.T, *Runtime)) {
 	g := liveGraph(t)
 	query := func(i int) traverse.Query {
@@ -248,8 +248,10 @@ func chargeExits(t *testing.T, check func(*testing.T, *Runtime)) {
 				t.Fatalf("query %d: %v / %v", i, err, resp.Err)
 			}
 		}
-		// Cancel the next query once its second disk read is under way:
-		// it has filled one record and is waiting on another.
+		// Cancel the next query once its disk reads have begun. Nothing
+		// splits a solo charge on a disk with a channel per unit, so it
+		// loads every record of its trace and is cancelled in the one
+		// sleep that holds their service time, or just before it.
 		reads := cfg.Faults.Hits(faultpoint.DiskRead)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -270,8 +272,13 @@ func chargeExits(t *testing.T, check func(*testing.T, *Runtime)) {
 		r.Close()
 		check(t, r)
 		spans := r.Trace(64)
-		if s := spans[len(spans)-2]; s.Outcome != obs.OutcomeTimeout || s.CacheMisses == 0 {
-			t.Errorf("cancelled query's span: %s, want a timeout that had already missed", s)
+		_, trace, err := traverse.Execute(g, query(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := spans[len(spans)-2]; s.Outcome != obs.OutcomeTimeout || s.CacheMisses == 0 ||
+			s.CacheHits+s.CacheMisses != len(trace.Accesses) {
+			t.Errorf("cancelled query's span: %s, want a timeout that had charged all %d accesses", s, len(trace.Accesses))
 		}
 		if st := r.units[0].buffer.Stats(); st.Evictions == 0 || st.Hits == 0 {
 			t.Errorf("fixture too easy: %+v", st)

@@ -84,11 +84,12 @@ func (r *Runtime) worker(u *liveUnit) {
 // once), and per-member results are identical to independent
 // execution.
 func (r *Runtime) run(u *liveUnit, members []*task) {
-	// Disk waits run under the member's own context at width one — an
-	// expired deadline frees the unit within one access-service time.
+	// Waits run under the member's own context at width one, so an
+	// expired deadline ends the wait it expires in and frees the unit.
 	// Above, no single member's expiry may abort a wait its peers are
 	// paying for too, and Close drains before it stops anything, so
-	// there is no context to wait under. A solo member runs on a pooled
+	// there is no context to wait under (charge splits such a wait at
+	// every read instead). A solo member runs on a pooled
 	// workspace, back in the pool once its trace has been charged and
 	// signed; its Result is cloned before it escapes into the Response.
 	ctx := context.Background()

@@ -295,18 +295,31 @@ func TestSlowReaderClosedAtBacklog(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Each reply recommends a few hundred products: ≈ 5 KiB.
-	heavy := WireQuery{Op: "collab", Start: 3}
+	// Each reply recommends a few hundred products: ≈ 5 KiB. The flood
+	// has a tenant of its own, so its replies can be counted.
+	heavy := WireQuery{Op: "collab", Start: 3, Tenant: "flood"}
 	raw := dialRaw(t, addr)
 	defer raw.Close()
 	raw.(*net.TCPConn).SetReadBuffer(4 << 10)
 	frame := frameOf(t, 1, heavy) // the replies are never read, so one ID will do
 	// 64 MiB of replies, far past the backlog and any socket buffers:
 	// a server that lets the debt grow is caught before it grows far.
+	// The bound counts replies the runtime completed, not frames
+	// written: the socket buffers hold thousands of frames the server
+	// has not read yet, so a flood can write all of them before the
+	// server has owed anything.
 	const unread = 64 << 20 / (5 << 10)
+	replied := func() int64 {
+		for _, ts := range rt.TenantStatsSnapshot() {
+			if ts.Tenant == heavy.Tenant {
+				return ts.Completed
+			}
+		}
+		return 0
+	}
 	flooded := make(chan error, 1)
 	go func() {
-		for i := 0; i < unread; i++ {
+		for replied() < unread {
 			// Keep the queues short, so the other connection's queries
 			// do not wait behind thousands of these.
 			for rt.InFlight() > 64 {
