@@ -17,7 +17,7 @@ func fastConfig(units int) live.Config {
 	cost.Disk.SeekNanos = 100_000
 	return live.Config{
 		NumUnits: units, MemoryPerUnit: 256 << 10, Cost: cost,
-		TimeScale: 1e-3, BatchWindow: 50 * time.Microsecond,
+		TimeScale: 1e-3,
 	}
 }
 

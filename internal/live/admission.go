@@ -16,6 +16,11 @@ import (
 // errors.Is(err, ErrQueueFull).
 var ErrQueueFull = errors.New("live: queue full")
 
+// retryUnit is the unit of the retry-after hint a rejection carries:
+// the hint is retryUnit × (2 + in-flight queries per unit), so it
+// grows with the backlog each unit must drain before a slot frees.
+const retryUnit = 200 * time.Microsecond
+
 // RejectedError is returned by Submit when admission control refuses
 // a query: the number of admitted-but-unresolved queries reached
 // Config.MaxPending. The caller should back off and retry no sooner
@@ -119,7 +124,7 @@ func (r *Runtime) SubmitTenantFunc(ctx context.Context, tenant string, q travers
 		adm := r.life.Admission()
 		tenantLimited := verdict == sim.TenantOverShare
 		inflight := adm.InFlight()
-		retryAfter := r.cfg.BatchWindow * time.Duration(2+inflight/len(r.units))
+		retryAfter := retryUnit * time.Duration(2+inflight/len(r.units))
 		if tenantLimited {
 			inflight = adm.TenantInFlight(t.Bucket)
 		}

@@ -18,60 +18,24 @@ const (
 )
 
 // dispatcher runs the lifecycle's scheduling rounds on wall time,
-// mirroring the Figure 6 flow: it wakes when a task is submitted or a
-// unit makes room for pending ones, and on Close keeps placing what is
-// pending, with no window, until nothing is.
+// mirroring the Figure 6 flow and sim.Cluster.dispatch: it wakes when a
+// task is submitted or a unit makes room for pending ones, and each
+// wake runs rounds until nothing is pending or no unit has room. On
+// Close it keeps placing what is pending until nothing is.
 func (r *Runtime) dispatcher() {
 	defer r.wg.Done()
 	defer close(r.drained)
-	timer := time.NewTimer(r.cfg.BatchWindow)
-	defer timer.Stop()
 	stop := r.stop
 	for {
 		select {
 		case <-stop:
 			stop = nil
 		case <-r.wake:
-			// Give the batch window a chance to accumulate peers, but
-			// only when a fuller round could place them better.
-			if stop != nil && r.windowPays() {
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(r.cfg.BatchWindow)
-				select {
-				case <-timer.C:
-				case <-stop:
-				}
-			}
 		}
 		if r.dispatch() == 0 && stop == nil {
 			return
 		}
 	}
-}
-
-// windowPays reports whether waiting a batch window for peers can gain
-// anything: some task is pending, the pool holds less than a full round
-// of NumUnits, and no unit is idle (empty queue, not executing). With
-// an idle unit, a task placed now starts now; with a full round pending,
-// waiting adds nothing the round can use. Either way the simulator's
-// rule applies: schedule as soon as a task and a unit with room meet.
-func (r *Runtime) windowPays() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := r.life.Pending(); n == 0 || n >= len(r.units) {
-		return false
-	}
-	for _, s := range r.life.Units() {
-		if s.QueueLen() == 0 && !s.Busy() {
-			return false
-		}
-	}
-	return true
 }
 
 // dispatch runs the lifecycle's rounds until the pending pool is empty

@@ -10,18 +10,17 @@ import (
 	"subtrav/internal/traverse"
 )
 
-// The batch window exists to fill a round when waiting can improve it.
-// These tests pin both sides of that rule: a task that meets an idle
-// unit is scheduled at once, and a partial round that meets only busy
-// units waits for its peers.
+// The dispatcher follows the simulator's rule: every wake runs rounds
+// until nothing is pending or no unit has room, so no task waits for a
+// peer. These tests pin it with idle units and with busy ones.
 
-// TestLoneQueryIsNotHeldByTheWindow: one query on a runtime whose units
-// are all idle is scheduled on arrival, not after the window.
-func TestLoneQueryIsNotHeldByTheWindow(t *testing.T) {
+// TestLoneQueryIsScheduledPromptly: one query on a runtime whose units
+// are all idle is scheduled and resolved on arrival.
+func TestLoneQueryIsScheduledPromptly(t *testing.T) {
 	t.Parallel()
+	const prompt = time.Second // generous: the path holds no timer
 	g := liveGraph(t)
 	cfg := fastLiveConfig(2)
-	cfg.BatchWindow = time.Second
 	cfg.TraceBuffer = 4
 	r, err := New(g, cfg, sched.NewLeastLoaded())
 	if err != nil {
@@ -38,30 +37,28 @@ func TestLoneQueryIsNotHeldByTheWindow(t *testing.T) {
 		if resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
-	case <-time.After(cfg.BatchWindow / 2):
-		t.Fatalf("a lone query on idle units was still unresolved after %v of a %v window", cfg.BatchWindow/2, cfg.BatchWindow)
+	case <-time.After(prompt):
+		t.Fatalf("a lone query on idle units was still unresolved after %v", prompt)
 	}
 	spans := r.Trace(1)
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
-	if held := time.Duration(spans[0].ScheduleNanos - spans[0].SubmitNanos); held >= cfg.BatchWindow {
-		t.Errorf("submit to schedule took %v, want less than the %v window", held, cfg.BatchWindow)
+	if held := time.Duration(spans[0].ScheduleNanos - spans[0].SubmitNanos); held >= prompt {
+		t.Errorf("submit to schedule took %v, want less than %v", held, prompt)
 	}
 }
 
-// TestWindowFillsARoundWhenEveryUnitIsBusy: with every unit parked,
-// fewer than NumUnits tasks submitted inside the window are placed in
-// one round once it has run.
-func TestWindowFillsARoundWhenEveryUnitIsBusy(t *testing.T) {
+// TestBusyUnitsTakeAPartialRound: with every unit parked, each of k <
+// NumUnits queries submitted one at a time reaches a unit queue before
+// the next is submitted: a round does not wait for peers when no unit
+// is idle.
+func TestBusyUnitsTakeAPartialRound(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
 	const units, k = 3, 2
-	cfg := fastLiveConfig(units)
-	cfg.BatchWindow = 250 * time.Millisecond
-	cfg.TraceBuffer = 16
 	// Least-loaded sends each gate to a unit no earlier gate holds.
-	r, err := New(g, cfg, sched.NewLeastLoaded())
+	r, err := New(g, fastLiveConfig(units), sched.NewLeastLoaded())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,28 +68,29 @@ func TestWindowFillsARoundWhenEveryUnitIsBusy(t *testing.T) {
 		gates = append(gates, parkUnit(t, r))
 	}
 
-	starts := map[int32]bool{}
-	pending := make([]<-chan Response, k)
-	for i := range pending {
-		start := graph.VertexID(10 + i)
-		starts[int32(start)] = true
-		ch, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: start, Depth: 2, MaxVisits: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pending[i] = ch
-	}
-	// The round has been placed once both tasks sit on unit queues.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		n := 0
+	// Each query must sit on a unit queue before the next is submitted.
+	// A failure still releases the gates below, so Close can drain.
+	total := func() (n int) {
 		for u := range r.units {
 			n += queued(r, u)
 		}
-		if n == k {
+		return n
+	}
+	var pending []<-chan Response
+	for i := 0; i < k; i++ {
+		ch, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(10 + i), Depth: 2, MaxVisits: 40})
+		if err != nil {
+			t.Error(err)
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d tasks reached a unit queue", n, k)
+		pending = append(pending, ch)
+		deadline := time.Now().Add(10 * time.Second)
+		for total() != i+1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := total(); n != i+1 {
+			t.Errorf("query %d alone: %d of %d tasks reached a unit queue", i, n, i+1)
+			break
 		}
 	}
 	for _, release := range gates {
@@ -104,28 +102,6 @@ func TestWindowFillsARoundWhenEveryUnitIsBusy(t *testing.T) {
 		if resp := <-ch; resp.Err != nil {
 			t.Error(resp.Err)
 		}
-	}
-
-	var round, firstSubmit int64
-	seen := 0
-	for _, s := range r.Trace(16) {
-		if !starts[s.Start] {
-			continue
-		}
-		seen++
-		if round == 0 {
-			round, firstSubmit = s.ScheduleNanos, s.SubmitNanos
-		}
-		if s.ScheduleNanos != round {
-			t.Errorf("task at %d scheduled at %d, want the round at %d", s.Start, s.ScheduleNanos, round)
-		}
-		firstSubmit = min(firstSubmit, s.SubmitNanos)
-	}
-	if seen != k {
-		t.Fatalf("found %d spans of the %d tasks", seen, k)
-	}
-	if waited := time.Duration(round - firstSubmit); waited < cfg.BatchWindow {
-		t.Errorf("round placed %v after the first submission, want the full %v window", waited, cfg.BatchWindow)
 	}
 }
 

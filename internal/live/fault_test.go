@@ -24,7 +24,6 @@ func slowLiveConfig(units int) Config {
 		MemoryPerUnit: 256 << 10,
 		Cost:          cost,
 		TimeScale:     1,
-		BatchWindow:   50 * time.Microsecond,
 	}
 }
 

@@ -49,13 +49,6 @@ type Config struct {
 	// virtual disk seek into a 2 µs pause — enough to create real
 	// contention without making the service crawl.
 	TimeScale float64
-	// BatchWindow is the longest the dispatcher waits to accumulate a
-	// round before scheduling it (default 200 µs). It waits only when
-	// fewer than NumUnits tasks are pending and no unit is idle; a wake
-	// that finds an idle unit or a full round pending schedules at
-	// once. It is also the unit of the retry-after hint a rejection
-	// carries.
-	BatchWindow time.Duration
 	// QueueCap is each unit's dispatch depth and queue bound (default
 	// 64): rounds run while some unit holds fewer than QueueCap tasks,
 	// queued or executing (the simulator's MaxQueuePerUnit rule), and a
@@ -117,9 +110,6 @@ func (c *Config) validate() error {
 	}
 	if c.TimeScale < 0 {
 		return fmt.Errorf("live: TimeScale = %g, want >= 0", c.TimeScale)
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 64

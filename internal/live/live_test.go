@@ -33,7 +33,6 @@ func fastLiveConfig(units int) Config {
 		MemoryPerUnit: 256 << 10,
 		Cost:          cost,
 		TimeScale:     1e-4,
-		BatchWindow:   50 * time.Microsecond,
 	}
 }
 
@@ -212,6 +211,9 @@ func TestInvalidQueryRejected(t *testing.T) {
 	defer r.Close()
 	if _, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: -1}); err == nil {
 		t.Error("invalid query accepted")
+	}
+	if _, err := r.Submit(traverse.Query{Op: traverse.OpRWR, Start: 0, Steps: traverse.MaxSteps + 1, RestartProb: 0.2}); err == nil {
+		t.Error("RWR over the step bound accepted")
 	}
 	if c := r.Metrics(); c.Submitted != 0 {
 		t.Errorf("rejected-at-validation query counted as submitted: %+v", c)

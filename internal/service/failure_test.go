@@ -92,8 +92,7 @@ func slowServiceConfig() live.Config {
 	cost.Disk.Channels = 1
 	return live.Config{
 		NumUnits: 1, MemoryPerUnit: 256 << 10, Cost: cost,
-		TimeScale: 1, BatchWindow: 50 * time.Microsecond,
-		QueueCap: 1, MaxPending: 2,
+		TimeScale: 1, QueueCap: 1, MaxPending: 2,
 	}
 }
 
@@ -284,7 +283,7 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 func TestSlowReaderClosedAtBacklog(t *testing.T) {
 	t.Parallel()
 	srv, rt, addr := startServer(t, live.Config{
-		NumUnits: 2, MemoryPerUnit: 1 << 20, TimeScale: 1e-6, BatchWindow: 50 * time.Microsecond,
+		NumUnits: 2, MemoryPerUnit: 1 << 20, TimeScale: 1e-6,
 		MaxPending: 1 << 16,
 	})
 	defer rt.Close()

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"subtrav/internal/affinity"
 	"subtrav/internal/graph"
@@ -36,8 +36,7 @@ func startServiceRuntime(t *testing.T) (*live.Runtime, *Client, func()) {
 	cost.Disk.SeekNanos = 50_000
 	rt, err := live.NewAuction(g, live.Config{
 		NumUnits: 4, MemoryPerUnit: 256 << 10, Cost: cost,
-		TimeScale: 1e-4, BatchWindow: 50 * time.Microsecond,
-		TraceBuffer: 128,
+		TimeScale: 1e-4, TraceBuffer: 128,
 	}, affinity.DefaultConfig(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +156,14 @@ func TestRemoteErrors(t *testing.T) {
 	}
 	if _, err := client.Do(WireQuery{Op: "bfs", Start: 0, VertexFilter: strings.Repeat(" ", maxRequestFrame)}); err == nil || !strings.Contains(err.Error(), "frame cap") {
 		t.Errorf("request over the frame cap: error %v", err)
+	}
+	// A frame may carry any step count; one over the bound is refused
+	// before it reaches a worker.
+	for _, steps := range []int{traverse.MaxSteps + 1, math.MaxInt64} {
+		reply, err := client.Do(WireQuery{Op: "rwr", Start: 3, Steps: steps, RestartProb: 0.2})
+		if err == nil || reply.Code != CodeError || !strings.Contains(err.Error(), "RWR steps") {
+			t.Errorf("%d steps: code %d, error %v; want CodeError on the step bound", steps, reply.Code, err)
+		}
 	}
 	// The connection survives bad requests.
 	if _, err := client.Do(WireQuery{Op: "bfs", Start: 0, Depth: 1}); err != nil {

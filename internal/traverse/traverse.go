@@ -103,6 +103,13 @@ type Query struct {
 	Seed        uint64
 }
 
+// MaxSteps bounds an RWR query's walk. RandomWalk reads no context and
+// appends one 12-byte Access per step, so the step count is all that
+// bounds the worker time and the trace a single query takes: 1<<20
+// steps is a 12 MiB trace, far above any walk the workloads ask for
+// (hundreds to a few thousand steps).
+const MaxSteps = 1 << 20
+
 // Validate checks query parameters against a graph.
 func (q Query) Validate(g *graph.Graph) error {
 	if !g.Valid(q.Start) {
@@ -125,8 +132,8 @@ func (q Query) Validate(g *graph.Graph) error {
 			return fmt.Errorf("traverse: similarity threshold %g, want [0,1]", q.SimilarityThreshold)
 		}
 	case OpRWR:
-		if q.Steps <= 0 {
-			return fmt.Errorf("traverse: RWR steps %d, want > 0", q.Steps)
+		if q.Steps <= 0 || q.Steps > MaxSteps {
+			return fmt.Errorf("traverse: RWR steps %d, want in [1, %d]", q.Steps, MaxSteps)
 		}
 		if q.RestartProb < 0 || q.RestartProb >= 1 {
 			return fmt.Errorf("traverse: restart probability %g, want [0,1)", q.RestartProb)

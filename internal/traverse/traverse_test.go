@@ -18,6 +18,34 @@ func pathGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
+func TestQueryValidate(t *testing.T) {
+	g := pathGraph(4)
+	for _, c := range []struct {
+		name string
+		q    Query
+		ok   bool
+	}{
+		{"bfs", Query{Op: OpBFS, Start: 0, Depth: 2}, true},
+		{"bfs start out of range", Query{Op: OpBFS, Start: 4, Depth: 2}, false},
+		{"bfs negative depth", Query{Op: OpBFS, Start: 0, Depth: -1}, false},
+		{"sssp", Query{Op: OpSSSP, Start: 0, Target: 3, Depth: 3}, true},
+		{"sssp target out of range", Query{Op: OpSSSP, Start: 0, Target: -1, Depth: 3}, false},
+		{"sssp zero bound", Query{Op: OpSSSP, Start: 0, Target: 3}, false},
+		{"collab", Query{Op: OpCollab, Start: 0, SimilarityThreshold: 0.5}, true},
+		{"collab threshold over 1", Query{Op: OpCollab, Start: 0, SimilarityThreshold: 1.5}, false},
+		{"rwr", Query{Op: OpRWR, Start: 0, Steps: 300, RestartProb: 0.15}, true},
+		{"rwr zero steps", Query{Op: OpRWR, Start: 0, RestartProb: 0.15}, false},
+		{"rwr at the step bound", Query{Op: OpRWR, Start: 0, Steps: MaxSteps, RestartProb: 0.15}, true},
+		{"rwr over the step bound", Query{Op: OpRWR, Start: 0, Steps: MaxSteps + 1, RestartProb: 0.15}, false},
+		{"rwr restart 1", Query{Op: OpRWR, Start: 0, Steps: 300, RestartProb: 1}, false},
+		{"unknown op", Query{Op: OpRWR + 1, Start: 0}, false},
+	} {
+		if err := c.q.Validate(g); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestBFSDepthBound(t *testing.T) {
 	g := pathGraph(10)
 	for depth, want := range map[int]int{0: 1, 1: 2, 2: 3, 9: 10, 20: 10} {
