@@ -92,9 +92,6 @@ func New(budgetBytes int64) *Cache {
 	return &Cache{budget: budgetBytes, entries: make([]entry, 1)}
 }
 
-// Budget returns the configured byte budget (<= 0 when unlimited).
-func (c *Cache) Budget() int64 { return c.budget }
-
 // Used returns the bytes currently resident.
 func (c *Cache) Used() int64 { return c.used }
 

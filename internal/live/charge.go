@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"subtrav/internal/faultpoint"
@@ -12,66 +11,44 @@ import (
 	"subtrav/internal/traverse"
 )
 
-// charge makes u pay for replay, the access trace of the members it is
-// executing: the shared sim.ChargeCursor consumes buffer hits into one
-// deferred sleep and stops at each miss, whose read passes its fault
-// evaluation (see diskRead) before the cursor loads the record. The
-// wait is split at a read only where something else can observe the
-// split: a disk slot, held for that one read's scaled service time
-// when there are fewer channels than units, or a batch peer, which a
-// cancelled member must not keep waiting on its behalf. Otherwise — a
-// solo member on a disk with a channel per unit — every read's service
+// charge makes u pay for replay, the access trace of t, the one query
+// it is executing: the shared sim.ChargeCursor consumes buffer hits
+// into one deferred sleep and stops at each miss, whose read passes its
+// fault evaluation (see diskRead) before the cursor loads the record.
+// The wait is split at a read only where another unit can observe the
+// split: a disk slot, held for that one read's scaled service time when
+// there are fewer channels than units. Otherwise every read's service
 // time and injected delay join the hits in the one deferred sleep.
-// Waits run under ctx (see run for which one).
+// Waits run under t's own context, so an expired deadline ends the
+// wait it expires in and frees the unit.
 //
-// Cancellation is scoped here and nowhere else. At each split wait,
-// and once before the deferred sleep, the members' own contexts are
-// checked: one that has ended leaves the lifecycle at once as timed
-// out — its job keeping the counts of the work done on its behalf so
-// far — while the survivors carry on. A failed wait is followed by the
-// same check, so a wait cut short by a member's own deadline is that
-// member's timeout; any other failure (a persistent disk fault) is
-// returned for the survivors, which charge returns too, and the
-// deferred time is not slept. Every member leaves with the charge's
-// counts and disk slot wait on its task.
+// Cancellation is scoped here and nowhere else. Before each read on the
+// slot path, once before the deferred sleep, and after a failed wait,
+// t's context is checked: once it has ended, t leaves the lifecycle as
+// timed out on the way out — keeping the counts of the work done on its
+// behalf so far — and charge reports timedOut. Any other failure (a
+// persistent disk fault) is returned, and the deferred time is not
+// slept. Either way t leaves with the charge's counts and disk slot
+// wait.
 //
 // However the charge ends, what it did to the buffer is added to the
 // unit's cache counters once, on the way out, and so are the zero slot
 // waits of the records it read. A non-zero wait is observed at once, so
 // subtrav_disk_wait_nanos counts one wait per record read plus one per
 // slot wait that ended in no read.
-func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trace, members []*task) ([]*task, error) {
+func (r *Runtime) charge(u *liveUnit, t *task, replay *traverse.Trace) (timedOut bool, err error) {
 	cur := sim.NewChargeCursor(&r.cfg.Cost, u.buffer, 1, replay)
 	evictedBefore := u.buffer.Stats().Evictions
 	var diskWaitNanos, zeroWaits int64
-	// expire reads the members' contexts and takes r.mu only when one
-	// has ended, to take it out of the lifecycle.
-	expire := func() (alive int) {
-		if !slices.ContainsFunc(members, func(t *task) bool { return t.Expired(0) }) {
-			return len(members)
-		}
-		var timedOut []*task
-		r.mu.Lock()
-		members, timedOut = r.life.Expire(int(u.id), time.Now().UnixNano(), nil)
-		r.madeRoom(len(timedOut))
-		r.mu.Unlock()
-		for _, t := range timedOut {
-			t.Charge, t.diskWait = cur.Charge, diskWaitNanos
-			r.timeOut(t, "cancelled mid-traversal")
-		}
-		return len(members)
-	}
-
-	split := r.diskSlot != nil || len(members) > 1
+	slot := r.diskSlot != nil
 	inlineNanos, extra := cur.RunHits(), time.Duration(0)
-	var err error
-	for err == nil && !cur.Done() && (!split || expire() > 0) {
+	for err == nil && !cur.Done() && !(slot && t.Expired(0)) {
 		var service int64
 		var delay, slotWait time.Duration
 		service, delay, err = r.diskRead(int64(cur.Miss().Bytes))
 		switch {
-		case err == nil && split:
-			slotWait, err = r.diskFetch(u, ctx, service, delay)
+		case err == nil && slot:
+			slotWait, err = r.diskFetch(u, t.ctx, service, delay)
 		case err == nil:
 			inlineNanos, extra = inlineNanos+service, extra+delay
 		}
@@ -87,22 +64,29 @@ func (r *Runtime) charge(u *liveUnit, ctx context.Context, replay *traverse.Trac
 			inlineNanos += cur.RunHits()
 		}
 	}
-	if err == nil && expire() > 0 {
-		err = r.sleepScaled(u, ctx, inlineNanos, extra)
+	timedOut = t.Expired(0)
+	if err == nil && !timedOut {
+		err = r.sleepScaled(u, t.ctx, inlineNanos, extra)
+		timedOut = err != nil && t.Expired(0)
 	}
-	if err != nil {
-		expire()
-	}
-	for _, t := range members {
-		t.Charge, t.diskWait = cur.Charge, diskWaitNanos
-	}
+	t.Charge, t.diskWait = cur.Charge, diskWaitNanos
 	c := u.cacheCounters
 	c.hits.Add(int64(cur.Hits))
 	c.misses.Add(int64(cur.Misses))
 	c.bytes.Add(cur.BytesRead)
 	c.evictions.Add(u.buffer.Stats().Evictions - evictedBefore)
 	r.obs.diskWaitNanos.ObserveN(0, zeroWaits)
-	return members, err
+	if !timedOut {
+		return false, err
+	}
+	r.mu.Lock()
+	_, expired := r.life.Expire(int(u.id), time.Now().UnixNano(), nil)
+	r.madeRoom(len(expired))
+	r.mu.Unlock()
+	for _, x := range expired {
+		r.timeOut(x, "cancelled mid-traversal")
+	}
+	return true, nil
 }
 
 // diskRead is one shared-disk read's fault evaluation, with one
@@ -122,16 +106,13 @@ func (r *Runtime) diskRead(bytes int64) (serviceNanos int64, delay time.Duration
 }
 
 // diskFetch sleeps one read's scaled service time plus delay as a wait
-// of its own, holding a disk slot when there are fewer channels than
-// units — genuine cross-unit contention on the shared disk — and
-// returns how long the caller waited for a free one (the live analogue
-// of disk queueing delay). The wait is exactly zero when a slot was
-// free or none is needed: only a full disk reads the clock and waits
-// under ctx. A context error means ctx ended first.
+// of its own, holding a disk slot — there are fewer channels than
+// units, so this is genuine cross-unit contention on the shared disk —
+// and returns how long the caller waited for a free one (the live
+// analogue of disk queueing delay). The wait is exactly zero when a
+// slot was free: only a full disk reads the clock and waits under ctx.
+// A context error means ctx ended first.
 func (r *Runtime) diskFetch(u *liveUnit, ctx context.Context, serviceNanos int64, delay time.Duration) (slotWait time.Duration, err error) {
-	if r.diskSlot == nil {
-		return 0, r.sleepScaled(u, ctx, serviceNanos, delay)
-	}
 	select {
 	case r.diskSlot <- struct{}{}:
 	default:

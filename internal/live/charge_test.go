@@ -124,12 +124,12 @@ func TestColdChargeAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := r.units[0]
-		members := []*task{{ctx: context.Background()}}
+		tk := &task{ctx: context.Background()}
 		const runs = 50
 		misses, evictions := u.cacheCounters.misses.Value(), u.cacheCounters.evictions.Value()
 		allocs := testing.AllocsPerRun(runs, func() {
 			u.buffer.Flush()
-			if _, err := r.charge(u, members[0].ctx, replay, members); err != nil {
+			if _, err := r.charge(u, tk, replay); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -225,10 +225,10 @@ func TestChargeSleepAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := r.units[0]
-	members := []*task{{ctx: context.Background()}}
+	tk := &task{ctx: context.Background()}
 	misses := u.cacheCounters.misses.Value()
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.charge(u, members[0].ctx, replay, members); err != nil {
+		if _, err := r.charge(u, tk, replay); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -268,7 +268,7 @@ func TestDiskWithAChannelPerUnitTakesNoSlot(t *testing.T) {
 		}
 	}
 
-	chargeExits(t, func(t *testing.T, r *Runtime) {
+	chargeExits(t, false, func(t *testing.T, r *Runtime) {
 		t.Helper()
 		if r.diskSlot != nil {
 			t.Fatal("fixture: a slot was built")

@@ -58,18 +58,13 @@ func TestBusyUnitsTakeAPartialRound(t *testing.T) {
 	g := liveGraph(t)
 	const units, k = 3, 2
 	// Least-loaded sends each gate to a unit no earlier gate holds.
-	r, err := New(g, fastLiveConfig(units), sched.NewLeastLoaded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRuntime(t, g, fastLiveConfig(units), sched.NewLeastLoaded())
 	var gates []func() Response
 	for range units {
 		gates = append(gates, parkUnit(t, r))
 	}
 
 	// Each query must sit on a unit queue before the next is submitted.
-	// A failure still releases the gates below, so Close can drain.
 	total := func() (n int) {
 		for u := range r.units {
 			n += queued(r, u)
@@ -80,8 +75,7 @@ func TestBusyUnitsTakeAPartialRound(t *testing.T) {
 	for i := 0; i < k; i++ {
 		ch, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(10 + i), Depth: 2, MaxVisits: 40})
 		if err != nil {
-			t.Error(err)
-			break
+			t.Fatal(err)
 		}
 		pending = append(pending, ch)
 		deadline := time.Now().Add(10 * time.Second)
@@ -89,8 +83,7 @@ func TestBusyUnitsTakeAPartialRound(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if n := total(); n != i+1 {
-			t.Errorf("query %d alone: %d of %d tasks reached a unit queue", i, n, i+1)
-			break
+			t.Fatalf("query %d alone: %d of %d tasks reached a unit queue", i, n, i+1)
 		}
 	}
 	for _, release := range gates {
@@ -126,25 +119,24 @@ func TestFullQueuePlacementMovesToLeastLoaded(t *testing.T) {
 	cfg := fastLiveConfig(2)
 	cfg.QueueCap = 2
 	cfg.TraceBuffer = 16
-	r, err := New(g, cfg, pinScheduler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
+	r := newRuntime(t, g, cfg, pinScheduler{})
 	release := parkUnit(t, r) // on unit 0, like everything else
 	const n = 6
 	query := func(i int) traverse.Query {
 		return traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i + 1), Depth: 2, MaxVisits: 40}
 	}
 	// Unit 0's queue fills to QueueCap behind the gate; the rest run on
-	// unit 1, one round each, so every one of them finds unit 1 idle.
+	// unit 1, one round each, so every one of them finds unit 1 idle. A
+	// query left on the parked unit would wait for good: it gets a
+	// deadline instead.
 	var chans []<-chan Response
 	for i := 0; i < cfg.QueueCap; i++ {
 		chans = append(chans, enqueueBehind(t, r, context.Background(), query(i), int32(i+1)))
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	for i := cfg.QueueCap; i < n; i++ {
-		if resp, err := r.Do(query(i)); err != nil || resp.Err != nil || resp.Unit != 1 {
+		if resp, err := r.DoCtx(ctx, query(i)); err != nil || resp.Err != nil || resp.Unit != 1 {
 			t.Fatalf("query %d: unit %d, %v / %v, want unit 1", i, resp.Unit, err, resp.Err)
 		}
 	}

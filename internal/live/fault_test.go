@@ -235,22 +235,23 @@ func TestDiskFaultTransientErrorIsRetried(t *testing.T) {
 }
 
 // TestDiskFaultPersistentErrorFailsQuery: a disk read that fails past
-// its internal retry fails every query the charge was paying for,
-// exactly once each, at width one and for a drained batch alike.
+// its internal retry fails the query it was read for, exactly once,
+// whether its charge folds every read into one sleep (a channel per
+// unit: "solo") or waits on a disk slot for each, and the unit goes on
+// to the next query.
 func TestDiskFaultPersistentErrorFailsQuery(t *testing.T) {
 	t.Parallel()
 	g := liveGraph(t)
 	for _, tc := range []struct {
-		name            string
-		batchTraversals int
-		queries         int
+		name     string
+		channels int
 	}{
-		{"solo", 0, 1},
-		{"batched", 4, 4},
+		{"solo", 16},
+		{"disk slot", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := fastLiveConfig(1)
-			cfg.BatchTraversals = tc.batchTraversals
+			cfg.Cost.Disk.Channels = tc.channels
 			injected := errors.New("dead disk")
 			cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: 1, Err: injected})
 			r, err := New(g, cfg, sched.NewRoundRobin())
@@ -258,25 +259,18 @@ func TestDiskFaultPersistentErrorFailsQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			// Every query queues behind a parked gate query, so the
-			// worker drains them as one batch when the gate lifts. The
-			// gate's own charge reads the dead disk too.
-			gate := parkUnit(t, r)
-			pending := make([]<-chan Response, tc.queries)
-			for i := range pending {
+			if (r.diskSlot != nil) != (tc.channels == 0) {
+				t.Fatalf("fixture: %d channels for one unit, slot built = %t", tc.channels, r.diskSlot != nil)
+			}
+			const n = 2
+			for i := 0; i < n; i++ {
 				q := traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 40}
-				pending[i] = enqueueBehind(t, r, context.Background(), q, int32(i+1))
-			}
-			if resp := gate(); !errors.Is(resp.Err, injected) {
-				t.Fatalf("gate query error = %v, want injected disk error", resp.Err)
-			}
-			for i, ch := range pending {
-				if resp := <-ch; !errors.Is(resp.Err, injected) {
-					t.Fatalf("query %d error = %v, want injected disk error", i, resp.Err)
+				if resp, err := r.Do(q); err != nil || !errors.Is(resp.Err, injected) {
+					t.Fatalf("query %d error = %v / %v, want injected disk error", i, err, resp.Err)
 				}
 			}
 			m := r.Metrics()
-			if n := int64(tc.queries) + 1; m.Failed != n || m.Completed != n {
+			if m.Failed != n || m.Completed != n {
 				t.Errorf("metrics = %v, want every failure to count as a completion", m)
 			}
 			if !m.Conserved() {

@@ -89,16 +89,6 @@ type Config struct {
 	// (see Runtime.Trace). Zero disables span capture; the metrics
 	// registry (Runtime.Registry) is always on.
 	TraceBuffer int
-
-	// BatchTraversals, when > 1, lets a worker drain up to that many
-	// consecutive batchable queries (BFS/SSSP) off its queue and
-	// advance them in lockstep, loading each wave-shared record once
-	// (traverse.Batch). Per-query results stay identical to
-	// independent execution. At most traverse.MaxBatch; 0 or 1
-	// disables. Each unit owns a private batch executor, so memory
-	// grows by O(BatchTraversals·|V|) per unit in the worst (SSSP)
-	// case.
-	BatchTraversals int
 }
 
 func (c *Config) validate() error {
@@ -139,11 +129,12 @@ func (c *Config) validate() error {
 }
 
 // lifecycle is the configuration of the sim.Lifecycle the runtime
-// drives: QueueCap is its dispatch depth.
+// drives: QueueCap is its dispatch depth, and it sets no batch width,
+// so each Dequeue hands a worker one query.
 func (c *Config) lifecycle() sim.Config {
 	return sim.Config{
 		NumUnits: c.NumUnits, MemoryPerUnit: c.MemoryPerUnit, MaxQueuePerUnit: c.QueueCap, Cost: c.Cost,
-		BatchTraversals: c.BatchTraversals, MaxPending: c.MaxPending, TenantShare: c.TenantShare,
+		MaxPending: c.MaxPending, TenantShare: c.TenantShare,
 	}
 }
 
@@ -325,9 +316,6 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 			id:     int32(i),
 			buffer: cache.New(cfg.MemoryPerUnit),
 			wake:   make(chan struct{}, 1),
-		}
-		if cfg.BatchTraversals > 1 {
-			u.batch = traverse.NewBatch(g.NumVertices())
 		}
 		r.wireUnit(u)
 		r.units = append(r.units, u)

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +35,93 @@ func fastLiveConfig(units int) Config {
 		Cost:          cost,
 		TimeScale:     1e-4,
 	}
+}
+
+// newRuntime starts a runtime the test closes once it has ended, in a
+// cleanup: registered before any gate parkUnit hands out, it runs after
+// the gates have lifted, so Close can drain.
+func newRuntime(t *testing.T, g *graph.Graph, cfg Config, s sched.Scheduler) *Runtime {
+	t.Helper()
+	r, err := New(g, cfg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// parkUnit submits a gate query and returns once a worker is parked
+// inside its vertex predicate: that unit is busy until release, which
+// lets it go and returns the gate query's response. The gate also lifts
+// when the test ends, however it ends; a deferred Close would run
+// before that and wait on the parked worker for good, so a test that
+// parks a unit closes its runtime through newRuntime.
+func parkUnit(t *testing.T, r *Runtime) (release func() Response) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var enter, lift sync.Once
+	pred := func(graph.Props) bool {
+		enter.Do(func() { close(entered) })
+		<-gate
+		return true
+	}
+	gateResp, err := r.Submit(traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 0, VertexPred: pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() { lift.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	<-entered
+	return func() Response {
+		open()
+		return <-gateResp
+	}
+}
+
+// enqueueBehind submits q and waits until it sits on unit 0's queue
+// with want tasks in total, so queue order equals submission order.
+func enqueueBehind(t *testing.T, r *Runtime, ctx context.Context, q traverse.Query, want int32) <-chan Response {
+	t.Helper()
+	ch, err := r.SubmitCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); queued(r, 0) != int(want); {
+		if time.Now().After(deadline) {
+			t.Fatalf("task never reached the unit queue (queued = %d, want %d)", queued(r, 0), want)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return ch
+}
+
+// queued returns how many tasks wait on unit u's queue.
+func queued(r *Runtime, u int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.life.Units()[u].QueueLen()
+}
+
+// doAll submits every query concurrently and returns the responses in
+// query order, failing the test on submission errors.
+func doAll(t *testing.T, r *Runtime, queries []traverse.Query) []Response {
+	t.Helper()
+	out := make([]Response, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q traverse.Query) {
+			defer wg.Done()
+			resp, err := r.Do(q)
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+				return
+			}
+			out[i] = resp
+		}(i, q)
+	}
+	wg.Wait()
+	return out
 }
 
 func TestDoExecutesQuery(t *testing.T) {

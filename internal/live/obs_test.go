@@ -182,11 +182,11 @@ func TestStatsCacheCounters(t *testing.T) {
 // TestUnitCacheCountersAtQuiescence: the per-unit cache series are
 // advanced once per charge from the charge cursor instead of once per
 // access from inside the buffer, so at quiescence they must still be
-// the buffer's own stats — and, at width one, the sums over the unit's
-// spans — on every way out of a charge.
+// the buffer's own stats and the sums over the unit's spans on every
+// way out of a charge, a disk slot's included.
 func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 	t.Parallel()
-	chargeExits(t, func(t *testing.T, r *Runtime) {
+	chargeExits(t, true, func(t *testing.T, r *Runtime) {
 		t.Helper()
 		type sums struct{ hits, misses, bytes int64 }
 		bySpan := map[int32]sums{}
@@ -223,8 +223,10 @@ func TestUnitCacheCountersAtQuiescence(t *testing.T) {
 // completion, a query cancelled in its charge's wait, and a disk read
 // that fails past its retry — and hands it to check once quiescent,
 // when the workers' buffers are safe to read. Neither runtime has fewer
-// disk channels than units, so a solo charge waits once.
-func chargeExits(t *testing.T, check func(*testing.T, *Runtime)) {
+// disk channels than units, so a charge waits once. With slot set, a
+// third runtime, with one disk slot, cancels a query between the reads
+// it waits on the slot for.
+func chargeExits(t *testing.T, slot bool, check func(*testing.T, *Runtime)) {
 	g := liveGraph(t)
 	query := func(i int) traverse.Query {
 		return traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i * 7 % 500), Depth: 2, MaxVisits: 40}
@@ -307,5 +309,56 @@ func chargeExits(t *testing.T, check func(*testing.T, *Runtime)) {
 		}
 		r.Close()
 		check(t, r)
+	})
+	if !slot {
+		return
+	}
+	t.Run("cancelled on a disk slot", func(t *testing.T) {
+		cfg := slowLiveConfig(1)
+		cfg.Cost.Disk.Channels = 0 // one slot, which every read waits on
+		cfg.Cost.Disk.SeekNanos = 1_000_000
+		cfg.MemoryPerUnit = 32 << 10
+		cfg.TraceBuffer = 64
+		cfg.Faults = faultpoint.NewSet(1).Add(faultpoint.DiskRead, faultpoint.Rule{Every: math.MaxInt64})
+		r, err := New(g, cfg, sched.NewRoundRobin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.diskSlot == nil {
+			t.Fatal("fixture: no slot was built")
+		}
+		if resp, err := r.Do(query(0)); err != nil || resp.Err != nil {
+			t.Fatalf("query 0: %v / %v", err, resp.Err)
+		}
+		// Cancel the next query once its second read has begun: its first
+		// record is loaded, so its span must carry that work.
+		reads := cfg.Faults.Hits(faultpoint.DiskRead)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ch, err := r.SubmitCtx(ctx, query(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cfg.Faults.Hits(faultpoint.DiskRead) < reads+2 {
+			select {
+			case resp := <-ch:
+				t.Fatalf("fixture: query resolved before its second read: %+v", resp)
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		cancel()
+		if resp := <-ch; !errors.Is(resp.Err, context.Canceled) || !strings.Contains(resp.Err.Error(), "cancelled mid-traversal") {
+			t.Fatalf("cancelled query resolved with %v, want cancelled mid-traversal", resp.Err)
+		}
+		if resp, err := r.Do(query(1)); err != nil || resp.Err != nil {
+			t.Fatalf("query after cancellation: %v / %v", err, resp.Err)
+		}
+		r.Close()
+		check(t, r)
+		spans := r.Trace(64)
+		if s := spans[len(spans)-2]; s.Outcome != obs.OutcomeTimeout || s.CacheMisses == 0 {
+			t.Errorf("cancelled query's span: %s, want a timeout that kept the records it loaded", s)
+		}
 	})
 }

@@ -26,16 +26,12 @@ func TestCompletionWakesDispatcher(t *testing.T) {
 	cfg := fastLiveConfig(1)
 	cfg.QueueCap = 1
 	cfg.MaxPending = 8
-	r, err := New(g, cfg, sched.NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
+	r := newRuntime(t, g, cfg, sched.NewRoundRobin())
 	release := parkUnit(t, r)
 	const n = 3
 	chans := make([]<-chan Response, n)
 	for i := range chans {
+		var err error
 		if chans[i], err = r.Submit(traverse.Query{Op: traverse.OpBFS, Start: graph.VertexID(i), Depth: 2, MaxVisits: 40}); err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,9 @@ import (
 // own, run on ws, or the shared wave trace of one lockstep batch run
 // (each wave-shared record loaded once — see traverse.Batch), whose
 // per-member results are identical to independent execution. What it
-// sets is ws's or batch's, valid until their next run.
+// sets is ws's or batch's, valid until their next run. batch is read
+// only for more than one member: the live runtime, which dequeues one
+// query at a time, passes nil.
 func Execute[T jobber](g *graph.Graph, ws *traverse.Workspace, batch *traverse.Batch, members []T) (replay *traverse.Trace, err error) {
 	if len(members) == 1 {
 		j := members[0].job()

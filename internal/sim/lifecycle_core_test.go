@@ -30,6 +30,12 @@ type lifecycleRun struct {
 	executed map[*testJob]bool   // returned by Dequeue and not resolved since
 	tenants  map[string]*metrics.Snapshot
 	round    []*testJob // a round taken and not yet placed
+
+	// carried holds the non-batchable tasks a dequeued batchable run
+	// left at the front of their queue, to wait out the run's
+	// execution; carriedDrops counts those the next dequeue timed out.
+	carried      map[*testJob]bool
+	carriedDrops int
 }
 
 // testJob is a task embedding a Job as the live runtime's does: its
@@ -56,8 +62,11 @@ func (j *testJob) Expired(now int64) bool {
 // + in flight, globally and per tenant; in flight never above
 // MaxPending and equal to what the pool, queues and units hold; no job
 // resolved twice; every queue within QueueCap + NumUnits − 1 under the
-// bound. At the end, after a drain, nothing is in flight.
+// bound. At the end, after a drain, nothing is in flight. Among the
+// inputs: a non-batchable task that expires while the batchable run
+// ahead of it executes, which its own dequeue must then drop.
 func TestLifecycleProperties(t *testing.T) {
+	carriedDrops := 0
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := xrand.New(seed)
 		cfg := Config{
@@ -83,6 +92,7 @@ func TestLifecycleProperties(t *testing.T) {
 			outcome:  map[*testJob]string{},
 			executed: map[*testJob]bool{},
 			tenants:  map[string]*metrics.Snapshot{},
+			carried:  map[*testJob]bool{},
 		}
 		for step := 0; step < 300; step++ {
 			r.now += int64(rng.Intn(3))
@@ -111,6 +121,10 @@ func TestLifecycleProperties(t *testing.T) {
 		for _, cancel := range r.cancels {
 			cancel()
 		}
+		carriedDrops += r.carriedDrops
+	}
+	if carriedDrops == 0 {
+		t.Error("no dequeue dropped an expired task carried behind a batchable run: that input never arose")
 	}
 }
 
@@ -177,7 +191,16 @@ func (r *lifecycleRun) dequeue(u int) {
 		return
 	}
 	members, timedOut := r.l.Dequeue(u, r.now, nil)
+	for _, j := range timedOut {
+		if r.carried[j] {
+			r.carriedDrops++
+		}
+	}
 	r.timedOut(timedOut)
+	if q := &r.l.units[u].queue; len(members) > 0 && traverse.Batchable(members[0].Task.Query.Op) &&
+		r.cfg.BatchTraversals > 1 && q.Len() > 0 && !traverse.Batchable(q.Front().Task.Query.Op) {
+		r.carried[q.Front()] = true
+	}
 	if len(members) > max(r.cfg.BatchTraversals, 1) {
 		r.t.Errorf("%s: unit %d dequeued %d members, batch width %d", r.name, u, len(members), r.cfg.BatchTraversals)
 	}
