@@ -1,8 +1,10 @@
 // Package affinity implements the subgraph-to-processor affinity
 // scoring of Section IV: the structural score from visit signatures
-// (Eq. 1), its exponential time decay driven by memory pressure
-// (Eq. 2-3), and the workload-aware weighting (Eq. 4) that produces
-// the benefit matrix consumed by the auction scheduler.
+// (Eq. 1) and its exponential time decay driven by memory pressure
+// (Eq. 2-3), thresholded by η into the sparse score matrix the auction
+// scheduler consumes. The package holds the evidence only: dividing a
+// score by its unit's load (Eq. 4) is the scheduler's decision, priced
+// once in sched.Auction.
 package affinity
 
 import (
@@ -15,10 +17,11 @@ import (
 )
 
 // UnitView is the scheduler's read-only view of one processing unit,
-// supplying the quantities of Eq. 3 and Eq. 4.
+// supplying the quantities of Eq. 3.
 type UnitView interface {
 	// QueueLen is the number of subgraph tasks queued but not yet
-	// executed on the unit — both w_p of Eq. 4 and n_p of Eq. 3.
+	// executed on the unit — n_p of Eq. 3 (and the w_p the scheduler
+	// prices Eq. 4 with).
 	QueueLen() int
 	// CompletedSince returns how many subgraph traversals the unit
 	// has finished since virtual time t — n'_{t,t_p} of Eq. 3.
@@ -33,9 +36,6 @@ type Config struct {
 	// Eta is the threshold η: a bipartite edge (G, p) exists only when
 	// the decayed affinity score s exceeds it.
 	Eta float64
-	// EpsilonTilde is the small positive ε̃ of Eq. 4 that keeps the
-	// reciprocal workload weight finite on idle units.
-	EpsilonTilde float64
 	// AvgSubgraphBytes is m of Eq. 3: the average memory footprint of
 	// one buffered subgraph.
 	AvgSubgraphBytes int64
@@ -46,7 +46,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Eta:              0.01,
-		EpsilonTilde:     0.5,
 		AvgSubgraphBytes: 256 << 10, // typical bounded-traversal footprint
 	}
 }
@@ -56,8 +55,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.Eta < 0:
 		return fmt.Errorf("affinity: Eta = %g, want >= 0", c.Eta)
-	case c.EpsilonTilde <= 0:
-		return fmt.Errorf("affinity: EpsilonTilde = %g, want > 0", c.EpsilonTilde)
 	case c.AvgSubgraphBytes <= 0:
 		return fmt.Errorf("affinity: AvgSubgraphBytes = %d, want > 0", c.AvgSubgraphBytes)
 	}
@@ -91,9 +88,6 @@ func NewScorer(g *graph.Graph, sigs *signature.Table, clock signature.Clock, cfg
 	s.scratch.New = func() any { return newRoundScratch(g.NumVertices()) }
 	return s, nil
 }
-
-// Config returns the scorer configuration.
-func (s *Scorer) Config() Config { return s.cfg }
 
 // Structural computes s'_{v→p} of Eq. 1: the fraction of {v} ∪ Γ(v)
 // recently visited by processor proc.
@@ -167,26 +161,17 @@ func (s *Scorer) decay(tp int64, unit UnitView) float64 {
 	return math.Exp(-exponent)
 }
 
-// Weighted computes the workload-aware entry of Eq. 4:
-// a_{v,p} = s_{v→p} / (w_p + ε̃).
-func (s *Scorer) Weighted(v graph.VertexID, proc int32, unit UnitView) float64 {
-	score := s.Score(v, proc, unit)
-	if score == 0 {
-		return 0
-	}
-	return score / (float64(unit.QueueLen()) + s.cfg.EpsilonTilde)
-}
-
-// Entry is one admissible unit for a task row, with its workload-aware
-// benefit.
+// Entry is one admissible unit for a task row. Benefit is the task's
+// decayed Eq. 2-3 score s on that unit, unweighted by load: the
+// scheduler prices it by w_p (Eq. 4).
 type Entry struct {
 	Unit    int
 	Benefit float64
 }
 
-// Matrix is the sparse workload-aware affinity matrix A of Eq. 4 for
-// one scheduling round: Rows[i] lists the units whose *decayed* score
-// for task i exceeded η, weighted per Eq. 4.
+// Matrix is the sparse affinity evidence of one scheduling round:
+// Rows[i] lists the units whose decayed score for task i exceeded η,
+// with that score.
 type Matrix struct {
 	NumUnits int
 	Rows     [][]Entry
@@ -213,10 +198,7 @@ func (s *Scorer) BuildAnchorsReference(anchors [][]graph.VertexID, units []UnitV
 			if score <= s.cfg.Eta {
 				continue
 			}
-			row = append(row, Entry{
-				Unit:    p,
-				Benefit: score / (float64(unit.QueueLen()) + s.cfg.EpsilonTilde),
-			})
+			row = append(row, Entry{Unit: p, Benefit: score})
 		}
 		m.Rows[i] = row
 	}

@@ -44,9 +44,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{Eta: -1, EpsilonTilde: 1, AvgSubgraphBytes: 1},
-		{Eta: 0, EpsilonTilde: 0, AvgSubgraphBytes: 1},
-		{Eta: 0, EpsilonTilde: 1, AvgSubgraphBytes: 0},
+		{Eta: -1, AvgSubgraphBytes: 1},
+		{Eta: 0, AvgSubgraphBytes: 0},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -157,31 +156,6 @@ func TestDecayIdleUnitHoldsCache(t *testing.T) {
 	}
 }
 
-func TestWeightedEq4(t *testing.T) {
-	g := starGraph(2)
-	var clock signature.ManualClock
-	cfg := DefaultConfig()
-	cfg.EpsilonTilde = 0.5
-	s, sigs := newScorer(t, g, &clock, cfg)
-	sigs.Record(0, 0, 0)
-	sigs.Record(1, 0, 0)
-	sigs.Record(2, 0, 0)
-
-	idle := fakeUnit{queue: 0, memory: 0}
-	busy := fakeUnit{queue: 9, memory: 0}
-	wIdle := s.Weighted(0, 0, idle)
-	wBusy := s.Weighted(0, 0, busy)
-	if math.Abs(wIdle-1/0.5) > 1e-12 {
-		t.Errorf("idle weighted = %g, want 2 (score 1 / (0+0.5))", wIdle)
-	}
-	if math.Abs(wBusy-1/9.5) > 1e-12 {
-		t.Errorf("busy weighted = %g, want 1/9.5", wBusy)
-	}
-	if !(wIdle > wBusy) {
-		t.Error("busier unit must be less attractive")
-	}
-}
-
 func TestBuildAppliesEta(t *testing.T) {
 	g := starGraph(4)
 	var clock signature.ManualClock
@@ -252,8 +226,7 @@ func TestScoreUsesFreshestVisit(t *testing.T) {
 }
 
 // Property: scores are always within [0, 1] (Eq. 1 is a fraction and
-// the decay coefficient is in (0, 1]); Eq. 4 weighted scores are
-// bounded by score/ε̃ and shrink as the queue grows.
+// the decay coefficient is in (0, 1]).
 func TestScoreBoundsQuick(t *testing.T) {
 	g := starGraph(6)
 	var clock signature.ManualClock
@@ -281,14 +254,6 @@ func TestScoreBoundsQuick(t *testing.T) {
 			if score < 0 || score > 1 {
 				return false
 			}
-			weighted := s.Weighted(0, proc, unit)
-			if weighted < 0 || weighted > score/cfg.EpsilonTilde+1e-12 {
-				return false
-			}
-			busier := fakeUnit{queue: unit.queue + 5, completed: unit.completed, memory: unit.memory}
-			if s.Weighted(0, proc, busier) > weighted+1e-12 {
-				return false
-			}
 		}
 		return true
 	}
@@ -297,8 +262,9 @@ func TestScoreBoundsQuick(t *testing.T) {
 	}
 }
 
-// Property: BuildAnchors never emits entries at or below η, and entry benefits
-// equal Weighted() for the same unit.
+// Property: BuildAnchors never emits entries at or below η, and each
+// entry carries the unweighted ScoreAnchors of its unit, bit for bit,
+// whatever the unit's queue.
 func TestBuildConsistencyQuick(t *testing.T) {
 	g := starGraph(5)
 	var clock signature.ManualClock
@@ -322,13 +288,9 @@ func TestBuildConsistencyQuick(t *testing.T) {
 		anchors := [][]graph.VertexID{{0}, {3}}
 		m := s.BuildAnchors(anchors, units)
 		for i, row := range m.Rows {
-			v := anchors[i][0]
 			for _, e := range row {
-				if s.Score(v, int32(e.Unit), units[e.Unit]) <= cfg.Eta {
-					return false
-				}
-				want := s.Weighted(v, int32(e.Unit), units[e.Unit])
-				if diff := e.Benefit - want; diff > 1e-12 || diff < -1e-12 {
+				want := s.ScoreAnchors(anchors[i], int32(e.Unit), units[e.Unit])
+				if want <= cfg.Eta || e.Benefit != want {
 					return false
 				}
 			}

@@ -40,11 +40,9 @@ type roundScratch struct {
 	snapBuf []int64
 
 	// Per-unit quantities hoisted once per round: queue lengths and
-	// memory budgets feed Eq. 3's churn exponent, wdenom is Eq. 4's
-	// denominator w_p + ε̃.
+	// memory budgets feed Eq. 3's churn exponent.
 	queues []int
 	mems   []int64
-	wdenom []float64
 
 	// row is the scoring scratch of the task row being built.
 	row rowScratch
@@ -76,7 +74,6 @@ func (sc *roundScratch) reset(p int) {
 	sc.snapBuf = sc.snapBuf[:0]
 	sc.queues = growSlice(sc.queues, p)
 	sc.mems = growSlice(sc.mems, p)
-	sc.wdenom = growSlice(sc.wdenom, p)
 	sc.row.resize(p)
 	sc.spans = sc.spans[:0]
 }
@@ -118,8 +115,8 @@ func (sc *roundScratch) snapshot(sigs *signature.Table, v graph.VertexID, p int)
 	return out
 }
 
-// BuildAnchors builds the sparse workload-aware affinity matrix for
-// tasks identified by their anchor vertex sets: a task's score against
+// BuildAnchors builds the sparse affinity matrix for tasks identified
+// by their anchor vertex sets: a task's score against
 // a unit is the best Eq. 2 score over its anchors (bounded
 // bidirectional SSSP anchors on both endpoints — its footprint is two
 // balls, one around each endpoint). Each distinct vertex in the
@@ -153,7 +150,6 @@ func (s *Scorer) BuildAnchorsInto(m *Matrix, anchors [][]graph.VertexID, units [
 	for p, unit := range units {
 		sc.queues[p] = unit.QueueLen()
 		sc.mems[p] = unit.MemoryBudget()
-		sc.wdenom[p] = float64(sc.queues[p]) + s.cfg.EpsilonTilde
 	}
 	s.buildRows(m, anchors, units, sc, now)
 	s.scratch.Put(sc)
@@ -172,7 +168,7 @@ func (s *Scorer) buildRows(m *Matrix, anchors [][]graph.VertexID, units []UnitVi
 		start := len(entries)
 		for u := 0; u < p; u++ {
 			if sc.row.best[u] > s.cfg.Eta {
-				entries = append(entries, Entry{Unit: u, Benefit: sc.row.best[u] / sc.wdenom[u]})
+				entries = append(entries, Entry{Unit: u, Benefit: sc.row.best[u]})
 			}
 		}
 		sc.spans = append(sc.spans, [2]int{start, len(entries)})

@@ -20,8 +20,9 @@ const (
 // task of its last round with one (Explained), which both executors
 // copy whole into the task's sim.Job.
 type Placement struct {
-	// Affinity is the workload-weighted affinity benefit of the chosen
-	// arc (0 when the task had no affinitive unit).
+	// Affinity is the benefit of the chosen arc as the auction compared
+	// it: the score priced by Eq. 4 under SCH, the raw score under
+	// affinity-only (0 when the task had no affinitive unit).
 	Affinity float64
 	// AuctionRounds is the bidding-round count of the auction segment
 	// that placed the task.

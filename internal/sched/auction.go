@@ -19,12 +19,13 @@ type AuctionConfig struct {
 	NumUnits int
 	// Epsilon is the auction's minimum price increment.
 	Epsilon float64
-	// WorkloadAware applies the Eq. 4 reciprocal queue weighting;
-	// disabling it yields the affinity-only ablation.
+	// WorkloadAware prices every arc by Eq. 4, dividing its affinity
+	// score by the unit's load w_p + ε̃; disabling it bids the raw
+	// scores, the affinity-only ablation.
 	WorkloadAware bool
 	// ColdScore, when positive, gives every task an additional arc to
 	// the currently least-loaded unit with affinity score ColdScore
-	// (Eq. 4-weighted like any other arc). It is the escape valve the
+	// (priced by Eq. 4 like any other arc). It is the escape valve the
 	// paper leaves implicit: when a task's affinitive units are all
 	// deep in queue, an idle unit offering a cold cache becomes the
 	// better deal, which bounds queueing latency at light load.
@@ -34,14 +35,19 @@ type AuctionConfig struct {
 	ColdScore float64
 }
 
+// epsilonTilde is the small positive ε̃ of Eq. 4 that keeps an idle
+// unit's price finite.
+const epsilonTilde = 0.5
+
 // Auction is the balance-affinity scheduler of Sections IV-V. Each
 // Assign call runs the Figure 6 pipeline: it segments the batch to at
 // most P tasks (Algorithm 1 assigns at most one subgraph per unit per
-// auction), builds the workload-aware affinity matrix from the visit
-// signatures and current queue lengths, and runs the incremental
-// auction, warm-starting prices from previous rounds. Tasks whose
-// affinity row is empty (no unit above η) or that the auction leaves
-// unassigned fall back to the least-loaded unit.
+// auction), scores the tasks' affinities from the visit signatures,
+// prices each score by its unit's queue length (Eq. 4), and runs the
+// incremental auction, warm-starting prices from previous rounds.
+// Tasks whose affinity row is empty (no unit above η) fall back to the
+// least-loaded unit; tasks the auction leaves unassigned, to their
+// highest-benefit unit.
 //
 // Everything a round builds on the way — unit views, anchors, the
 // affinity matrix, the auction problem and its matching — lives in
@@ -164,7 +170,7 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 	extra, views := a.extra, a.views
 
 	// Views that fold in the tasks already placed in this batch, so
-	// Eq. 4's w_p reflects in-flight placements.
+	// Eq. 3's n_p and Eq. 4's w_p reflect in-flight placements.
 	for i, u := range units {
 		a.overlays[i] = batchView{UnitState: u, extra: extra[i]}
 	}
@@ -180,7 +186,7 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 	a.scorer.BuildAnchorsInto(matrix, anchors, views)
 
 	if a.cfg.ColdScore > 0 {
-		a.addColdArcs(matrix, units, extra, views)
+		a.addColdArcs(matrix, units, extra)
 	}
 
 	numArcs := 0
@@ -198,10 +204,10 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 		lo := len(arcs)
 		for _, e := range row {
 			benefit := e.Benefit
-			if !a.cfg.WorkloadAware {
-				// Ablation: undo Eq. 4 by restoring the raw decayed
-				// score (BuildAnchorsInto divides by w_p + ε̃).
-				benefit = e.Benefit * (float64(views[e.Unit].QueueLen()) + a.scorer.Config().EpsilonTilde)
+			if a.cfg.WorkloadAware {
+				// Eq. 4: a = s / (w_p + ε̃), w_p counting this batch's
+				// placements so far.
+				benefit /= float64(views[e.Unit].QueueLen()) + epsilonTilde
 			}
 			arcs = append(arcs, auction.Arc{Col: e.Unit, Benefit: benefit})
 		}
@@ -224,14 +230,23 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 
 	for i := range tasks {
 		expl[i].AuctionRounds = assignment.Rounds
+		// Every judgment below is on the benefits the auction
+		// compared: priced under SCH, raw under the ablation, so no
+		// balance information leaks into affinity-only.
+		arcs := problem.Rows[i]
+		best, bestBenefit := -1, math.Inf(-1) // the row's first highest-benefit arc
+		for _, e := range arcs {
+			if e.Benefit > bestBenefit {
+				best, bestBenefit = e.Col, e.Benefit
+			}
+		}
 		unit := assignment.RowToCol[i]
 		switch {
 		case unit >= 0:
 			a.auctioned.Add(1)
 			// Win margin: how decisively the chosen arc beat the
-			// task's best alternative, on the same benefits the
-			// auction compared.
-			if arcs := problem.Rows[i]; len(arcs) >= 2 {
+			// task's best alternative.
+			if len(arcs) >= 2 {
 				var chosen, bestOther float64
 				bestOther = math.Inf(-1)
 				for _, e := range arcs {
@@ -247,26 +262,14 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 				// negative observations to zero.
 				a.winMargin.Observe(int64(margin * 1e6))
 			}
-		case len(matrix.Rows[i]) > 0:
+		case best >= 0:
 			// The auction assigns at most one task per unit per
 			// segment; a task that lost its unit to a same-affinity
 			// sibling should still follow its data (the sibling will
 			// have warmed exactly the records it needs), so it queues
 			// on its best unit rather than scattering to the
-			// least-loaded one. "Best" is judged on the same benefits
-			// the auction compared — problem.Rows, where the
-			// affinity-only ablation has already undone the Eq. 4
-			// queue weighting. Picking from the workload-weighted
-			// matrix row here would leak balance information into the
-			// ablation.
-			arcs := problem.Rows[i]
-			best := arcs[0]
-			for _, e := range arcs[1:] {
-				if e.Benefit > best.Benefit {
-					best = e
-				}
-			}
-			unit = best.Col
+			// least-loaded one.
+			unit = best
 			a.fellBack.Add(1)
 			expl[i].FellBack = true
 		default:
@@ -274,25 +277,18 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 			a.emptyRowTasks.Add(1)
 			expl[i].EmptyRow = true
 		}
-		for _, e := range matrix.Rows[i] {
-			if e.Unit == unit {
+		for _, e := range arcs {
+			if e.Col == unit {
 				expl[i].Affinity = e.Benefit
 				break
 			}
 		}
 		// Affinity hit accounting: a task with any affinitive unit
 		// either landed on its highest-benefit arc (a hit) or was
-		// traded away for balance. Judged on problem.Rows so the
-		// ablation's un-weighted benefits are compared consistently.
-		if arcs := problem.Rows[i]; len(arcs) > 0 {
+		// traded away for balance.
+		if best >= 0 {
 			a.affinityEligible.Add(1)
-			best := arcs[0]
-			for _, e := range arcs[1:] {
-				if e.Benefit > best.Benefit {
-					best = e
-				}
-			}
-			if unit == best.Col {
+			if unit == best {
 				a.affinityHits.Add(1)
 				expl[i].Preferred = true
 			}
@@ -303,11 +299,11 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 }
 
 // addColdArcs appends the cold-start escape arc (see
-// AuctionConfig.ColdScore) to every non-empty row that does not
-// already reach the least-loaded unit.
-func (a *Auction) addColdArcs(matrix *affinity.Matrix, units []UnitState, extra []int, views []affinity.UnitView) {
+// AuctionConfig.ColdScore), unpriced like the rest of the matrix, to
+// every non-empty row that does not already reach the least-loaded
+// unit.
+func (a *Auction) addColdArcs(matrix *affinity.Matrix, units []UnitState, extra []int) {
 	cold := leastLoadedIndex(units, extra)
-	benefit := a.cfg.ColdScore / (float64(views[cold].QueueLen()) + a.scorer.Config().EpsilonTilde)
 	for i, row := range matrix.Rows {
 		if len(row) == 0 {
 			continue // empty rows already fall back to least-loaded
@@ -320,7 +316,7 @@ func (a *Auction) addColdArcs(matrix *affinity.Matrix, units []UnitState, extra 
 			}
 		}
 		if !present {
-			matrix.Rows[i] = append(row, affinity.Entry{Unit: cold, Benefit: benefit})
+			matrix.Rows[i] = append(row, affinity.Entry{Unit: cold, Benefit: a.cfg.ColdScore})
 		}
 	}
 }

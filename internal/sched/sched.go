@@ -1,9 +1,9 @@
 // Package sched implements the task-placement policies compared in
 // the paper: the proposed auction-based balance-affinity scheduler
-// (Figure 6 pipeline: signatures → workload-aware affinity matrix →
-// incremental auction → dispatch), the paper's baseline (random unit,
-// FCFS queues), and ablation policies that isolate each ingredient
-// (affinity-only, balance-only, round-robin).
+// (Figure 6 pipeline: signatures → affinity matrix → Eq. 4 pricing by
+// queue length → incremental auction → dispatch), the paper's baseline
+// (random unit, FCFS queues), and ablation policies that isolate each
+// ingredient (affinity-only, balance-only, round-robin).
 package sched
 
 import (

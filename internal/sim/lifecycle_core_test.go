@@ -68,64 +68,76 @@ func (j *testJob) Expired(now int64) bool {
 func TestLifecycleProperties(t *testing.T) {
 	carriedDrops := 0
 	for seed := uint64(1); seed <= 300; seed++ {
-		rng := xrand.New(seed)
-		cfg := Config{
-			NumUnits:        1 + rng.Intn(4),
-			MemoryPerUnit:   1 << 20,
-			MaxQueuePerUnit: 1 + rng.Intn(3),
-			BatchTraversals: []int{0, 2, 4}[rng.Intn(3)],
-			MaxPending:      []int{0, 3, 8}[rng.Intn(3)],
-			TenantShare:     []float64{0, 0.3, 0.5}[rng.Intn(3)],
+		// Each seed is a subtest: a failure is reported under the seed
+		// that caused it, and it stops the test.
+		if !t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			carriedDrops += runLifecycleSeed(t, seed)
+		}) {
+			return
 		}
-		qcap := 0
-		if rng.Intn(2) == 0 {
-			qcap = cfg.MaxQueuePerUnit // the live runtime's configuration
-		}
-		r := &lifecycleRun{
-			t: t,
-			name: fmt.Sprintf("seed %d (%d units, depth %d, batch %d, MaxPending %d, share %g, cap %d)", seed,
-				cfg.NumUnits, cfg.MaxQueuePerUnit, cfg.BatchTraversals, cfg.MaxPending, cfg.TenantShare, qcap),
-			rng:      rng,
-			cfg:      cfg,
-			qcap:     qcap,
-			l:        NewLifecycle[*testJob](cfg, qcap, signature.NewTable(0)),
-			outcome:  map[*testJob]string{},
-			executed: map[*testJob]bool{},
-			tenants:  map[string]*metrics.Snapshot{},
-			carried:  map[*testJob]bool{},
-		}
-		for step := 0; step < 300; step++ {
-			r.now += int64(rng.Intn(3))
-			switch rng.Intn(7) {
-			case 0, 1:
-				r.arrive()
-			case 2:
-				r.takeOrPlace()
-			case 3:
-				r.dequeue(rng.Intn(cfg.NumUnits))
-			case 4:
-				r.expire(rng.Intn(cfg.NumUnits))
-			case 5:
-				r.complete(rng.Intn(cfg.NumUnits))
-			case 6:
-				if len(r.cancels) > 0 {
-					r.cancels[rng.Intn(len(r.cancels))]()
-				}
-			}
-			r.check()
-			if t.Failed() {
-				t.Fatalf("%s: failed at step %d", r.name, step)
-			}
-		}
-		r.drain()
-		for _, cancel := range r.cancels {
-			cancel()
-		}
-		carriedDrops += r.carriedDrops
 	}
 	if carriedDrops == 0 {
 		t.Error("no dequeue dropped an expired task carried behind a batchable run: that input never arose")
 	}
+}
+
+// runLifecycleSeed runs one seed of TestLifecycleProperties and returns
+// how many carried tasks its dequeues dropped.
+func runLifecycleSeed(t *testing.T, seed uint64) int {
+	rng := xrand.New(seed)
+	cfg := Config{
+		NumUnits:        1 + rng.Intn(4),
+		MemoryPerUnit:   1 << 20,
+		MaxQueuePerUnit: 1 + rng.Intn(3),
+		BatchTraversals: []int{0, 2, 4}[rng.Intn(3)],
+		MaxPending:      []int{0, 3, 8}[rng.Intn(3)],
+		TenantShare:     []float64{0, 0.3, 0.5}[rng.Intn(3)],
+	}
+	qcap := 0
+	if rng.Intn(2) == 0 {
+		qcap = cfg.MaxQueuePerUnit // the live runtime's configuration
+	}
+	r := &lifecycleRun{
+		t: t,
+		name: fmt.Sprintf("seed %d (%d units, depth %d, batch %d, MaxPending %d, share %g, cap %d)", seed,
+			cfg.NumUnits, cfg.MaxQueuePerUnit, cfg.BatchTraversals, cfg.MaxPending, cfg.TenantShare, qcap),
+		rng:      rng,
+		cfg:      cfg,
+		qcap:     qcap,
+		l:        NewLifecycle[*testJob](cfg, qcap, signature.NewTable(0)),
+		outcome:  map[*testJob]string{},
+		executed: map[*testJob]bool{},
+		tenants:  map[string]*metrics.Snapshot{},
+		carried:  map[*testJob]bool{},
+	}
+	for step := 0; step < 300; step++ {
+		r.now += int64(rng.Intn(3))
+		switch rng.Intn(7) {
+		case 0, 1:
+			r.arrive()
+		case 2:
+			r.takeOrPlace()
+		case 3:
+			r.dequeue(rng.Intn(cfg.NumUnits))
+		case 4:
+			r.expire(rng.Intn(cfg.NumUnits))
+		case 5:
+			r.complete(rng.Intn(cfg.NumUnits))
+		case 6:
+			if len(r.cancels) > 0 {
+				r.cancels[rng.Intn(len(r.cancels))]()
+			}
+		}
+		r.check()
+		if t.Failed() {
+			t.Fatalf("%s: failed at step %d", r.name, step)
+		}
+	}
+	r.drain()
+	for _, cancel := range r.cancels {
+		cancel()
+	}
+	return r.carriedDrops
 }
 
 func (r *lifecycleRun) arrive() {

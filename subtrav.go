@@ -12,11 +12,11 @@
 //     bidirectional SSSP, collaborative filtering, random walk with
 //     restart);
 //   - internal/signature, internal/affinity — vertex visit signatures
-//     and the affinity scoring of Eq. 1-4;
+//     and the affinity scoring of Eq. 1-3;
 //   - internal/auction — the sequential auction assignment solver and
 //     its incremental, warm-started form;
-//   - internal/sched — the SCH scheduler, the paper's baseline, and
-//     ablation policies;
+//   - internal/sched — the SCH scheduler (which prices affinity by
+//     load, Eq. 4), the paper's baseline, and ablation policies;
 //   - internal/sim — the deterministic shared-disk simulator;
 //   - internal/live, internal/service — a goroutine runtime and a TCP
 //     query service for live deployments.
@@ -45,14 +45,14 @@ type Policy string
 
 const (
 	// PolicyAuction is the paper's proposed scheduler (SCH): the
-	// Figure 6 pipeline of visit signatures, workload-aware affinity
-	// matrix and incremental auction.
+	// Figure 6 pipeline of visit signatures, affinity scores priced by
+	// queue length (Eq. 4) and incremental auction.
 	PolicyAuction Policy = "sch"
 	// PolicyBaseline is the paper's comparison system: random unit
 	// selection with FCFS queues.
 	PolicyBaseline Policy = "baseline"
-	// PolicyAffinityOnly is the ablation that drops the Eq. 4
-	// workload weighting (pure locality).
+	// PolicyAffinityOnly is the ablation that bids the raw affinity
+	// scores, without Eq. 4's division by queue length (pure locality).
 	PolicyAffinityOnly Policy = "affinity-only"
 	// PolicyLeastLoaded is the ablation that drops affinity (pure
 	// balance: join the shortest queue).
