@@ -88,6 +88,10 @@ type Assignment struct {
 	Rounds int
 	// Bids is the total number of individual bids placed.
 	Bids int64
+	// Capped reports that bidding stopped at the solver's round cap
+	// with rows still bidding: the cap, not the auction, decided which
+	// of them stayed unassigned.
+	Capped bool
 }
 
 // Unassigned returns the rows left without a column.
@@ -136,14 +140,28 @@ type state struct {
 	prices   []float64
 	rowToCol []int
 	colToRow []int
-	// ring is the sequential solver's bidder FIFO (see bidders).
+	// ring is the sequential solver's bidder FIFO (see sequentialRounds).
 	ring []int
+
+	// Admission scratch (see admit): each row's best and worst benefit,
+	// the rows in admission order, and the stamp of the augmenting-path
+	// search that last visited each column.
+	rowBest, rowWorst []float64
+	order             []int
+	seen              []int
+	stamp             int
 
 	eps float64
 	// maxRounds caps bidding rounds, the safety net against
-	// pathological inputs. Theoretical round bounds are O(n²·C/ε); the
-	// cap is generous and in practice never reached on feasible inputs.
+	// pathological inputs. Theoretical round bounds are O(n²·C/ε).
+	// Admission leaves only rows that a matching can hold, so the
+	// bidding is feasible and does not reach the cap; before admission,
+	// rounds where k rows reached fewer than k units did, ending a war
+	// that only the cap could settle.
 	maxRounds int
+	// capped records that the last bidding run stopped at maxRounds
+	// with bidders still queued.
+	capped bool
 	// profitFloor is the "second-best profit" used when a row has a
 	// single admissible column, standing in for -∞ without producing
 	// unbounded prices.
@@ -153,49 +171,145 @@ type state struct {
 
 func newState(p Problem, prices []float64, opts Options) *state {
 	s := new(state)
-	s.reset(p, prices, opts)
+	s.reset(p, prices, opts, false)
 	return s
 }
 
 // reset points s at a new problem with nothing matched, reusing the
-// matching arrays and the ring when they are large enough.
-func (s *state) reset(p Problem, prices []float64, opts Options) {
-	s.p, s.prices, s.bids = p, prices, 0
-	s.rowToCol = unmatched(s.rowToCol, p.NumRows())
-	s.colToRow = unmatched(s.colToRow, p.NumCols)
+// matching arrays, the ring and the admission scratch when they are
+// large enough, and admits the rows that bid (see admit). With
+// capCarried set, each price is first lowered to at most the cheapest
+// price plus the admitted rows' benefit range plus one (see
+// Auctioneer.Assign).
+func (s *state) reset(p Problem, prices []float64, opts Options, capCarried bool) {
+	s.p, s.prices, s.bids, s.capped = p, prices, 0, false
 	s.eps = opts.Epsilon
 	if s.eps <= 0 {
 		s.eps = DefaultEpsilon
 	}
-	maxPrice := 0.0
-	for _, pr := range prices {
-		if pr > maxPrice {
-			maxPrice = pr
-		}
-	}
-	minBenefit, maxBenefit := math.Inf(1), math.Inf(-1)
-	for _, arcs := range p.Rows {
+	n := p.NumRows()
+	s.rowBest = slices.Grow(s.rowBest[:0], n)[:n]
+	s.rowWorst = slices.Grow(s.rowWorst[:0], n)[:n]
+	for i, arcs := range p.Rows {
+		best, worst := math.Inf(-1), math.Inf(1)
 		for _, a := range arcs {
-			if a.Benefit < minBenefit {
-				minBenefit = a.Benefit
-			}
-			if a.Benefit > maxBenefit {
-				maxBenefit = a.Benefit
-			}
+			best, worst = max(best, a.Benefit), min(worst, a.Benefit)
 		}
+		s.rowBest[i], s.rowWorst[i] = best, worst
 	}
-	spread := 0.0 // C, the benefit range; 0 for a problem without arcs
+	s.admit()
+	// The benefit range C of the admitted rows, the problem the bidding
+	// solves; 0 when no row is admitted.
+	minBenefit, maxBenefit := math.Inf(1), math.Inf(-1)
+	for _, i := range s.ring {
+		minBenefit, maxBenefit = min(minBenefit, s.rowWorst[i]), max(maxBenefit, s.rowBest[i])
+	}
+	spread := 0.0
 	if maxBenefit < minBenefit {
 		minBenefit = 0
 	} else {
 		spread = maxBenefit - minBenefit
 	}
+	if capCarried && len(prices) > 0 {
+		ceiling := slices.Min(prices) + spread + 1
+		for j, pr := range prices {
+			prices[j] = min(pr, ceiling)
+		}
+	}
+	maxPrice := 0.0
+	for _, pr := range prices {
+		maxPrice = max(maxPrice, pr)
+	}
 	// Infeasibility detection depth: a row is declared unassignable
 	// only after prices have risen far enough that no augmenting chain
 	// could still assign it (Bertsekas' (2n-1)·C bound, padded).
-	depth := float64(2*p.NumRows()+1) * (spread + 1)
+	depth := float64(2*n+1) * (spread + 1)
 	s.profitFloor = minBenefit - maxPrice - depth
-	s.maxRounds = 1000 + 10*(p.NumRows()+p.NumCols+1) + int(depth/s.eps)
+	s.maxRounds = 1000 + 10*(n+p.NumCols+1) + int(depth/s.eps)
+}
+
+// admit leaves in the bidder ring (see sequentialRounds) only the rows
+// that a matching can hold: the rows of a maximum-cardinality matching
+// built greedily, a row at a time in descending order of its best
+// benefit (ties by row index), each admitted if an augmenting path
+// reaches it.
+// The rows a matching can hold together are the independent sets of a
+// matroid, so this greedy order admits the set of rows with the
+// largest total best benefit among those that can all be placed. A row
+// outside it — one with no arcs, or one of k rows that reach fewer
+// than k columns, which bidding could only price out through a war of
+// depth/ε bids — is left unassigned before any bid. The admission
+// matching is built in rowToCol and colToRow, which are cleared for
+// the bidding.
+func (s *state) admit() {
+	n, m := s.p.NumRows(), s.p.NumCols
+	s.rowToCol = unmatched(s.rowToCol, n)
+	s.colToRow = unmatched(s.colToRow, m)
+	s.seen = slices.Grow(s.seen[:0], m)[:m]
+	clear(s.seen)
+	s.stamp = 0
+	s.order = s.order[:0]
+	for i, arcs := range s.p.Rows {
+		if len(arcs) > 0 {
+			s.order = append(s.order, i)
+		}
+	}
+	best := s.rowBest
+	slices.SortFunc(s.order, func(a, b int) int {
+		switch {
+		case best[a] > best[b]:
+			return -1
+		case best[a] < best[b]:
+			return 1
+		}
+		return a - b
+	})
+	admitted := 0
+	for _, i := range s.order {
+		if admitted == m {
+			break // every column is taken: no path can reach a free one
+		}
+		s.stamp++
+		if s.augment(i) {
+			admitted++
+		}
+	}
+	s.ring = slices.Grow(s.ring[:0], admitted)
+	for i, j := range s.rowToCol {
+		if j >= 0 {
+			s.ring = append(s.ring, i)
+			s.rowToCol[i] = -1
+		}
+	}
+	for j := range s.colToRow {
+		s.colToRow[j] = -1
+	}
+}
+
+// augment extends the admission matching by an augmenting path from the
+// unmatched row i, Kuhn's search: a free column of i's if there is one,
+// else a column whose row can itself move on. It reports whether it
+// found one. The caller bumps stamp once per row.
+func (s *state) augment(i int) bool {
+	arcs := s.p.Rows[i]
+	for _, a := range arcs {
+		if s.colToRow[a.Col] < 0 {
+			s.colToRow[a.Col], s.rowToCol[i] = i, a.Col
+			return true
+		}
+	}
+	for _, a := range arcs {
+		j := a.Col
+		if s.seen[j] == s.stamp {
+			continue
+		}
+		s.seen[j] = s.stamp
+		if s.augment(s.colToRow[j]) {
+			s.colToRow[j], s.rowToCol[i] = i, j
+			return true
+		}
+	}
+	return false
 }
 
 // unmatched returns m with length n and every entry -1, on m's backing
@@ -206,20 +320,6 @@ func unmatched(m []int, n int) []int {
 		m[i] = -1
 	}
 	return m
-}
-
-// bidders returns the sequential solver's FIFO of unassigned rows as a
-// ring of capacity NumRows holding every row in index order. The
-// capacity is exact: a row enters the ring at the start or when it is
-// displaced, it can only be displaced after it was popped and
-// assigned, so no row is ever in the ring twice.
-func (s *state) bidders() []int {
-	n := s.p.NumRows()
-	s.ring = slices.Grow(s.ring[:0], n)[:n]
-	for i := range s.ring {
-		s.ring[i] = i
-	}
-	return s.ring
 }
 
 // bestTwo computes the best and second-best profit a_ij - p_j over
@@ -271,6 +371,7 @@ func (s *state) result(rounds int) Assignment {
 		ColToRow: s.colToRow,
 		Rounds:   rounds,
 		Bids:     s.bids,
+		Capped:   s.capped,
 	}
 	for i, j := range s.rowToCol {
 		if j >= 0 {
@@ -308,9 +409,13 @@ func solveWithPrices(p Problem, opts Options, prices []float64) Assignment {
 //
 //vet:hotpath
 func sequentialRounds(s *state) int {
-	// FIFO of unassigned rows, oldest at head; rows found unassignable
-	// (no arcs, or priced out) are dropped.
-	ring := s.bidders()
+	// FIFO of unassigned admitted rows, oldest at head, which admit
+	// fills in index order; a row found unassignable (priced out) is
+	// dropped. Its capacity, the number of admitted rows, is exact: a
+	// row enters the ring at the start or when it is displaced, it can
+	// only be displaced after it was popped and assigned, so no row is
+	// ever in the ring twice.
+	ring := s.ring
 	head, queued := 0, len(ring)
 	rounds := 0
 	for queued > 0 && rounds < s.maxRounds {
@@ -340,5 +445,6 @@ func sequentialRounds(s *state) int {
 			queued++
 		}
 	}
+	s.capped = queued > 0
 	return rounds
 }

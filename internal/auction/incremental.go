@@ -46,6 +46,14 @@ func NewAuctioneer(cfg AuctioneerConfig) (*Auctioneer, error) {
 // NumCols columns. The retained prices are the warm start, and the
 // post-round prices are retained for the next call. The returned
 // matching is valid until then too (see Assignment).
+//
+// Before bidding, each retained price is lowered to at most the
+// cheapest one plus C + 1, C being this round's benefit range (of the
+// rows admitted to bid). No row that reaches the cheapest column
+// prefers one priced more than C above it at the round's start, so the
+// cap bounds contention memory to one benefit range; above it, a stale
+// price — a column lifted by a single-arc row's bid against the profit
+// floor — only makes the other columns climb to it ε at a time.
 func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 	if p.NumCols != a.numCols {
 		return Assignment{}, fmt.Errorf("auction: problem has %d columns, auctioneer has %d", p.NumCols, a.numCols)
@@ -53,7 +61,7 @@ func (a *Auctioneer) Assign(p Problem) (Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return Assignment{}, err
 	}
-	a.s.reset(p, a.prices, a.opts)
+	a.s.reset(p, a.prices, a.opts, true)
 	result := a.s.result(sequentialRounds(&a.s))
 	a.assignRuns++
 	a.roundsRun += result.Rounds

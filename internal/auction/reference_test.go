@@ -1,6 +1,10 @@
 package auction
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // The sequential solver as it was before the Auctioneer owned its
 // state, kept unchanged as the oracle of differential_test.go: the
@@ -150,4 +154,81 @@ func refSolvePriced(p Problem, eps float64, prices []float64) (Assignment, *refS
 	s := newRefState(p, prices)
 	rounds := refSequentialRounds(s, eps, refMaxRounds(p, eps))
 	return Assignment{RowToCol: s.rowToCol, ColToRow: s.colToRow, Rounds: rounds, Bids: s.bids}, s
+}
+
+// refAdmitted is admission (state.admit) computed from its definition:
+// rows in descending order of their best benefit, ties by index, each
+// kept if some matching covers it and every row kept before it — a
+// plain Kuhn matching built from scratch for every row tried. It
+// returns p with every other row emptied, the problem the bidding
+// solves, and how many rows are empty there.
+func refAdmitted(p Problem) (Problem, int) {
+	best := func(i int) float64 {
+		b := math.Inf(-1)
+		for _, a := range p.Rows[i] {
+			b = math.Max(b, a.Benefit)
+		}
+		return b
+	}
+	order := make([]int, 0, p.NumRows())
+	for i, arcs := range p.Rows {
+		if len(arcs) > 0 {
+			order = append(order, i)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(best(b), best(a)) })
+	var kept []int
+	for _, i := range order {
+		if refMatchingSize(p, append(kept, i)) == len(kept)+1 {
+			kept = append(kept, i)
+		}
+	}
+	out := Problem{NumCols: p.NumCols, Rows: make([][]Arc, p.NumRows())}
+	for _, i := range kept {
+		out.Rows[i] = p.Rows[i]
+	}
+	return out, p.NumRows() - len(kept)
+}
+
+// refMatchingSize is the cardinality of a maximum matching of the given
+// rows of p: Kuhn's algorithm, one augmenting search per row.
+func refMatchingSize(p Problem, rows []int) int {
+	owner := make([]int, p.NumCols)
+	for j := range owner {
+		owner[j] = -1
+	}
+	var try func(i int, seen []bool) bool
+	try = func(i int, seen []bool) bool {
+		for _, a := range p.Rows[i] {
+			if seen[a.Col] {
+				continue
+			}
+			seen[a.Col] = true
+			if owner[a.Col] < 0 || try(owner[a.Col], seen) {
+				owner[a.Col] = i
+				return true
+			}
+		}
+		return false
+	}
+	size := 0
+	for _, i := range rows {
+		if try(i, make([]bool, p.NumCols)) {
+			size++
+		}
+	}
+	return size
+}
+
+// refCapPrices is the Auctioneer's carried-price cap: every price
+// lowered to at most the cheapest plus the admitted problem's benefit
+// range plus one.
+func refCapPrices(admitted Problem, prices []float64) {
+	if len(prices) == 0 {
+		return
+	}
+	ceiling := slices.Min(prices) + refBenefitRange(admitted) + 1
+	for j := range prices {
+		prices[j] = math.Min(prices[j], ceiling)
+	}
 }

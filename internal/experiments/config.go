@@ -43,6 +43,10 @@ type Config struct {
 	Locality workload.Locality
 	// Cost is the virtual-time cost model shared by all runs.
 	Cost sim.CostModel
+
+	// observe, when set, is shown every scheduler once its run is over
+	// (tests read their counters).
+	observe func(sched.Scheduler)
 }
 
 // Default returns the full experiment configuration used to produce
@@ -201,5 +205,13 @@ func (c Config) runOnOpts(g *graph.Graph, tasks []*sched.Task, policy subtrav.Po
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return sys.Run(policy, tasks)
+	s, err := sys.NewScheduler(policy)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	res, err := sys.Cluster().Run(s, tasks)
+	if c.observe != nil {
+		c.observe(s)
+	}
+	return res, err
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"subtrav"
+	"subtrav/internal/obs"
+	"subtrav/internal/sched"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -456,4 +458,73 @@ func TestParameterSweepsQuick(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQuickSweepNeverCapsAnAuction runs every study of subtrav-bench's
+// quick sweep that schedules through sched.Auction and reads each
+// scheduler's subtrav_sched_auction_capped_total when its run is over:
+// admission leaves every auction a problem a matching can hold, so none
+// stops at the round cap. (Before admission the ε-war over rows that
+// reach too few units ran to the cap.)
+func TestQuickSweepNeverCapsAnAuction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick sweep")
+	}
+	cfg := Quick()
+	var auctions, capped, bidRounds int64
+	cfg.observe = func(s sched.Scheduler) {
+		a, ok := s.(*sched.Auction)
+		if !ok {
+			return
+		}
+		reg := obs.NewRegistry()
+		a.Register(reg)
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		auctions++
+		capped += counterValue(t, b.String(), "subtrav_sched_auction_capped_total")
+		bidRounds += counterValue(t, b.String(), "subtrav_sched_auction_bid_rounds_total")
+	}
+	for _, study := range []func(Config) ([]*Table, error){
+		Fig8, Fig9, one(Fig10), one(Fig11), one(Fig12), Ablation, one(Share),
+		one(LatencyUnderLoad), one(Heterogeneous), one(PartitionedLayout),
+		one(SignatureCapacity), one(EtaThreshold),
+	} {
+		if _, err := study(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if auctions == 0 || bidRounds == 0 {
+		t.Fatalf("%d auction schedulers ran %d bidding rounds: the sweep reached no auction", auctions, bidRounds)
+	}
+	if capped != 0 {
+		t.Errorf("%d auctions across %d schedulers stopped at the round cap, want 0", capped, auctions)
+	}
+	t.Logf("%d auction schedulers, %d bidding rounds, %d capped", auctions, bidRounds, capped)
+}
+
+// one adapts a single-table study to the sweep's signature.
+func one(f func(Config) (*Table, error)) func(Config) ([]*Table, error) {
+	return func(c Config) ([]*Table, error) {
+		t, err := f(c)
+		return []*Table{t}, err
+	}
+}
+
+// counterValue reads an unlabelled counter from a Prometheus exposition.
+func counterValue(t *testing.T, exposition, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("exposition has no %s:\n%s", name, exposition)
+	return 0
 }

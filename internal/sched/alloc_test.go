@@ -16,8 +16,9 @@ import (
 // queues and budgets over a seeded 4096-vertex random graph of average
 // degree 8, a signature table pre-warmed the way a running cluster
 // leaves it, and p tasks with locality-clustered starts, every fourth a
-// bidirectional SSSP that adds a second affinity anchor.
-func allocFixture(t *testing.T, p int) (*Auction, []*Task, []UnitState) {
+// bidirectional SSSP that adds a second affinity anchor. coldScore is
+// the scheduler's AuctionConfig.ColdScore.
+func allocFixture(t *testing.T, p int, coldScore float64) (*Auction, []*Task, []UnitState) {
 	t.Helper()
 	const n = 4096
 	g, err := graphgen.Random(graphgen.RandomConfig{NumVertices: n, NumEdges: n * 4, Kind: graph.Undirected, Seed: 0x5EDBE7C4})
@@ -46,7 +47,7 @@ func allocFixture(t *testing.T, p int) (*Auction, []*Task, []UnitState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auc, err := NewAuction(scorer, AuctionConfig{NumUnits: p, Epsilon: 1e-3, WorkloadAware: true})
+	auc, err := NewAuction(scorer, AuctionConfig{NumUnits: p, Epsilon: 1e-3, WorkloadAware: true, ColdScore: coldScore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +74,24 @@ func allocFixture(t *testing.T, p int) (*Auction, []*Task, []UnitState) {
 // TestAssignAllocatesOnlyWhatItReturns: on a warmed scheduler a round
 // costs the allocator the placement slice the caller keeps — the unit
 // views, anchors, affinity matrix, auction problem, matching and the
-// placement detail Explained returns are all scratch.
+// placement detail Explained returns are all scratch. With ColdScore
+// set, the cold arc joins its row as the row is copied into the auction
+// problem; appended to the matrix row, whose capacity BuildAnchorsInto
+// caps, it cost a new row each round.
 func TestAssignAllocatesOnlyWhatItReturns(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	for _, p := range []int{4, 64} {
-		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			auc, tasks, units := allocFixture(t, p)
+	for _, tc := range []struct {
+		p    int
+		cold float64
+	}{{4, 0}, {64, 0}, {4, 0.3}, {64, 0.3}} {
+		name := fmt.Sprintf("P=%d", tc.p)
+		if tc.cold > 0 {
+			name += fmt.Sprintf(",ColdScore=%g", tc.cold)
+		}
+		t.Run(name, func(t *testing.T) {
+			auc, tasks, units := allocFixture(t, tc.p, tc.cold)
 			auc.Assign(tasks, units) // warm-up
 			if allocs := testing.AllocsPerRun(50, func() {
 				auc.Assign(tasks, units)

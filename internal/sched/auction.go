@@ -79,6 +79,7 @@ type Auction struct {
 	emptyRowTasks atomic.Int64
 	bidRounds     atomic.Int64
 	bids          atomic.Int64
+	capped        atomic.Int64
 
 	// Balance-affinity tradeoff telemetry: affinityEligible counts
 	// tasks that had at least one affinitive unit, affinityHits the
@@ -185,31 +186,45 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 	matrix := &a.matrix
 	a.scorer.BuildAnchorsInto(matrix, anchors, views)
 
+	// The cold-start escape arc (see AuctionConfig.ColdScore) goes to
+	// the end of every non-empty row that does not already reach the
+	// least-loaded unit, priced like the rest; empty rows already fall
+	// back to least-loaded.
+	cold := -1
 	if a.cfg.ColdScore > 0 {
-		a.addColdArcs(matrix, units, extra)
+		cold = leastLoadedIndex(units, extra)
 	}
-
 	numArcs := 0
 	for _, row := range matrix.Rows {
 		numArcs += len(row)
+		if cold >= 0 && len(row) > 0 {
+			numArcs++ // room for the cold arc
+		}
 	}
 	arcs := slices.Grow(a.arcs[:0], numArcs) // no append below moves it
 	a.arcs = arcs
 	problem := auction.Problem{NumCols: len(units), Rows: a.rows[:len(tasks)]}
+	price := func(unit int, score float64) auction.Arc {
+		if a.cfg.WorkloadAware {
+			// Eq. 4: a = s / (w_p + ε̃), w_p counting this batch's
+			// placements so far.
+			score /= float64(views[unit].QueueLen()) + epsilonTilde
+		}
+		return auction.Arc{Col: unit, Benefit: score}
+	}
 	for i, row := range matrix.Rows {
 		if len(row) == 0 {
 			problem.Rows[i] = nil
 			continue
 		}
 		lo := len(arcs)
+		reachesCold := false
 		for _, e := range row {
-			benefit := e.Benefit
-			if a.cfg.WorkloadAware {
-				// Eq. 4: a = s / (w_p + ε̃), w_p counting this batch's
-				// placements so far.
-				benefit /= float64(views[e.Unit].QueueLen()) + epsilonTilde
-			}
-			arcs = append(arcs, auction.Arc{Col: e.Unit, Benefit: benefit})
+			arcs = append(arcs, price(e.Unit, e.Benefit))
+			reachesCold = reachesCold || e.Unit == cold
+		}
+		if cold >= 0 && !reachesCold {
+			arcs = append(arcs, price(cold, a.cfg.ColdScore))
 		}
 		problem.Rows[i] = arcs[lo:len(arcs):len(arcs)]
 	}
@@ -227,6 +242,9 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 	}
 	a.bidRounds.Add(int64(assignment.Rounds))
 	a.bids.Add(assignment.Bids)
+	if assignment.Capped {
+		a.capped.Add(1)
+	}
 
 	for i := range tasks {
 		expl[i].AuctionRounds = assignment.Rounds
@@ -298,29 +316,6 @@ func (a *Auction) assignSegment(tasks []*Task, units []UnitState, out []int, exp
 	}
 }
 
-// addColdArcs appends the cold-start escape arc (see
-// AuctionConfig.ColdScore), unpriced like the rest of the matrix, to
-// every non-empty row that does not already reach the least-loaded
-// unit.
-func (a *Auction) addColdArcs(matrix *affinity.Matrix, units []UnitState, extra []int) {
-	cold := leastLoadedIndex(units, extra)
-	for i, row := range matrix.Rows {
-		if len(row) == 0 {
-			continue // empty rows already fall back to least-loaded
-		}
-		present := false
-		for _, e := range row {
-			if e.Unit == cold {
-				present = true
-				break
-			}
-		}
-		if !present {
-			matrix.Rows[i] = append(row, affinity.Entry{Unit: cold, Benefit: a.cfg.ColdScore})
-		}
-	}
-}
-
 // batchView overlays in-batch placements on a live unit view.
 type batchView struct {
 	UnitState
@@ -339,7 +334,8 @@ func (a *Auction) Stats() (rounds int, auctioned, followedAffinity, emptyRows in
 
 // Register exposes the scheduler's counters on an obs registry:
 // segment rounds, placements by category, and the auction's internal
-// bidding rounds and bids (the ε-convergence cost of Algorithm 1).
+// bidding rounds and bids (the ε-convergence cost of Algorithm 1), and
+// the auctions that ended at the round cap instead of converging.
 func (a *Auction) Register(reg *obs.Registry) {
 	reg.CounterFunc("subtrav_sched_rounds_total",
 		"Auction scheduling segments run.", a.rounds.Load)
@@ -353,6 +349,8 @@ func (a *Auction) Register(reg *obs.Registry) {
 		"Bidding rounds executed across all auctions.", a.bidRounds.Load)
 	reg.CounterFunc("subtrav_sched_auction_bids_total",
 		"Individual bids placed across all auctions.", a.bids.Load)
+	reg.CounterFunc("subtrav_sched_auction_capped_total",
+		"Auctions whose bidding stopped at the solver's round cap with rows still bidding.", a.capped.Load)
 	reg.CounterFunc("subtrav_sched_affinity_eligible_total",
 		"Tasks that had at least one affinitive unit when placed.", a.affinityEligible.Load)
 	reg.CounterFunc("subtrav_sched_affinity_hits_total",

@@ -159,11 +159,14 @@ func TestFlatTableMatchesReference(t *testing.T) {
 }
 
 // RecordTrace is the Record loop, on both of its paths and whatever the
-// stripes have grown to.
+// stripes have grown to; so is Flush, fed the same vertices as visits
+// that each carry their own proc and time, some out of order.
 func TestRecordTraceMatchesRecordLoop(t *testing.T) {
 	rng := xrand.New(0x7ACE)
 	for _, n := range []int{0, 1, bucketMin - 1, bucketMin, bucketMin + 1, 1000, 5000} {
 		traced, looped, ref := NewTable(4), NewTable(4), newRefTable(4)
+		flushed, mixed := NewTable(4), NewTable(4)
+		var log Log
 		trace := make([]graph.VertexID, n)
 		for completion := 0; completion < 12; completion++ {
 			// Each completion reaches further out than the last, and a
@@ -187,14 +190,36 @@ func TestRecordTraceMatchesRecordLoop(t *testing.T) {
 				looped.Record(v, proc, now)
 				ref.Record(v, proc, now)
 			}
+			// The same vertices as visits of mixed procs and times: a
+			// clock that mostly advances and now and then steps back.
+			for i, v := range trace {
+				vproc, vnow := int32(rng.Intn(6)), int64(200*completion+i/4-rng.Intn(8))
+				log.Add(v, vproc, vnow)
+				mixed.Record(v, vproc, vnow)
+			}
+			if log.Len() != n {
+				t.Fatalf("n=%d: log holds %d visits", n, log.Len())
+			}
+			before = flushed.LockAcquisitions()
+			flushed.Flush(&log)
+			if locks := flushed.LockAcquisitions() - before; n >= bucketMin && locks > numStripes {
+				t.Fatalf("n=%d: Flush took %d locks, want at most one per stripe", n, locks)
+			}
+			if log.Len() != 0 {
+				t.Fatalf("n=%d: Flush left %d visits in the log", n, log.Len())
+			}
 			for _, v := range trace {
 				if got, want := traced.Visitors(v), looped.Visitors(v); !slices.Equal(got, want) {
 					t.Fatalf("n=%d completion %d: L(%d) = %v traced, %v looped", n, completion, v, got, want)
 				}
+				if got, want := flushed.Visitors(v), mixed.Visitors(v); !slices.Equal(got, want) {
+					t.Fatalf("n=%d completion %d: L(%d) = %v flushed, %v looped", n, completion, v, got, want)
+				}
 				checkVertex(t, traced, ref, v)
 			}
-			if traced.Len() != looped.Len() || traced.Len() != ref.Len() {
-				t.Fatalf("n=%d: Len = %d traced, %d looped, %d reference", n, traced.Len(), looped.Len(), ref.Len())
+			if traced.Len() != looped.Len() || traced.Len() != ref.Len() || flushed.Len() != mixed.Len() {
+				t.Fatalf("n=%d: Len = %d traced, %d looped, %d reference, %d flushed, %d mixed looped",
+					n, traced.Len(), looped.Len(), ref.Len(), flushed.Len(), mixed.Len())
 			}
 		}
 	}
@@ -210,6 +235,13 @@ func TestNegativeVertexPanics(t *testing.T) {
 		"Record":               func() { tbl.Record(-1, 0, 1) },
 		"RecordTrace/short":    func() { tbl.RecordTrace([]graph.VertexID{3, -2}, 0, 1) },
 		"RecordTrace/bucketed": func() { tbl.RecordTrace(long, 0, 1) },
+		"Flush/bucketed": func() {
+			var log Log
+			for _, v := range long {
+				log.Add(v, 1, 2)
+			}
+			tbl.Flush(&log)
+		},
 	} {
 		func() {
 			defer func() {

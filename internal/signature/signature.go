@@ -81,8 +81,7 @@ type Table struct {
 	// 8 B timestamps and capacity 4 B procs, rounded up.
 	stride  int
 	stripes [numStripes]stripe
-	// scratch pools RecordTrace's bucketing buffers: *[]int32, the
-	// local indices of one trace grouped by stripe.
+	// scratch pools the bulk writer's bucketing buffers (*bulk).
 	scratch sync.Pool
 }
 
@@ -128,7 +127,7 @@ func NewTable(capacity int) *Table {
 		capacity = DefaultCapacity
 	}
 	t := &Table{capacity: capacity, stride: (8 + 12*capacity + 7) / 8}
-	t.scratch.New = func() any { return new([]int32) }
+	t.scratch.New = func() any { return new(bulk) }
 	return t
 }
 
@@ -265,9 +264,9 @@ func (t *Table) Record(v graph.VertexID, proc int32, now int64) {
 	s.mu.Unlock()
 }
 
-// bucketMin is the shortest trace RecordTrace buckets by stripe: two
-// vertices per stripe, below which one lock per stripe saves too few
-// acquisitions to pay for the counting sort.
+// bucketMin is the shortest batch of visits the bulk writers bucket by
+// stripe: two visits per stripe, below which one lock per stripe saves
+// too few acquisitions to pay for the counting sort.
 const bucketMin = 2 * numStripes
 
 // RecordTrace signs one completed traversal into the table: it is
@@ -275,33 +274,92 @@ const bucketMin = 2 * numStripes
 // stripe's lock taken once instead of once per vertex. Lists are per
 // vertex and a stripe's vertices keep their order, so the table ends
 // up exactly as the loop would leave it (a vertex listed twice is
-// recorded twice).
+// recorded twice). It is the bulk writer's case of one proc and one
+// time for every visit.
 func (t *Table) RecordTrace(touched []graph.VertexID, proc int32, now int64) {
-	if len(touched) < bucketMin {
-		for _, v := range touched {
-			t.Record(v, proc, now)
+	e := [1]Entry{{Time: now, Proc: proc}}
+	t.record(touched, e[:])
+}
+
+// Log collects visits, each with its own proc and time, for one bulk
+// write (Table.Flush). The zero Log is empty and ready to use; it keeps
+// its capacity across flushes. Not safe for concurrent use.
+type Log struct {
+	vs []graph.VertexID
+	es []Entry
+}
+
+// Add appends the visit (now, proc) to v.
+func (l *Log) Add(v graph.VertexID, proc int32, now int64) {
+	l.vs = append(l.vs, v)
+	l.es = append(l.es, Entry{Time: now, Proc: proc})
+}
+
+// Len returns the number of visits waiting in the log.
+func (l *Log) Len() int { return len(l.vs) }
+
+// Reset drops the log's visits unsigned.
+func (l *Log) Reset() { l.vs, l.es = l.vs[:0], l.es[:0] }
+
+// Flush signs the log's visits in the order they were added and empties
+// it: Record for each, with each stripe's lock taken once, so the table
+// ends up exactly as the Record loop would leave it.
+func (t *Table) Flush(l *Log) {
+	t.record(l.vs, l.es)
+	l.Reset()
+}
+
+// record is the one bulk writer: Record(vs[k], e.Proc, e.Time) for
+// every k in order, where e is es[k], or es[0] for every k when es holds
+// one entry. A batch shorter than bucketMin is the Record loop.
+func (t *Table) record(vs []graph.VertexID, es []Entry) {
+	step := 1
+	if len(es) == 1 {
+		step = 0
+	}
+	if len(vs) < bucketMin {
+		for k, v := range vs {
+			e := es[k*step]
+			t.Record(v, e.Proc, e.Time)
 		}
 		return
 	}
-	buf := t.scratch.Get().(*[]int32)
-	if cap(*buf) < len(touched) {
-		*buf = make([]int32, len(touched))
+	b := t.scratch.Get().(*bulk)
+	if cap(b.local) < len(vs) {
+		b.local = make([]int32, len(vs))
 	}
-	t.recordBucketed(touched, (*buf)[:len(touched)], Entry{Time: now, Proc: proc})
-	t.scratch.Put(buf)
+	ents := es
+	if step == 1 {
+		if cap(b.ents) < len(vs) {
+			b.ents = make([]Entry, len(vs))
+		}
+		ents = b.ents[:len(vs)]
+	}
+	t.recordBucketed(vs, es, step, b.local[:len(vs)], ents)
+	t.scratch.Put(b)
 }
 
-// recordBucketed counting-sorts touched's local indices by stripe into
-// local (stable) and inserts e stripe by stripe, each stripe's bucket in
-// two passes: one grows the stripe and loads the records, the other
-// inserts.
+// bulk is the bulk writer's bucketing scratch.
+type bulk struct {
+	// local and ents hold one batch's visits grouped by stripe: each
+	// visit's local index, and, when the visits carry their own entries,
+	// its entry.
+	local []int32
+	ents  []Entry
+}
+
+// recordBucketed counting-sorts the visits by stripe (stably) — local
+// indices into local and, at step 1, their entries es[k] into ents —
+// and inserts them stripe by stripe, each stripe's bucket in two
+// passes: one grows the stripe and loads the records, the other
+// inserts. At step 0 every visit's entry is es[0], and ents is es.
 //
 //vet:hotpath
-func (t *Table) recordBucketed(touched []graph.VertexID, local []int32, e Entry) {
+func (t *Table) recordBucketed(vs []graph.VertexID, es []Entry, step int, local []int32, ents []Entry) {
 	// end[k] is first the size of stripe k's bucket, then its start,
 	// and once the scatter has filled the bucket, its end.
 	var end [numStripes]int32
-	for _, v := range touched {
+	for _, v := range vs {
 		if v < 0 {
 			badVertex(v)
 		}
@@ -312,16 +370,19 @@ func (t *Table) recordBucketed(touched []graph.VertexID, local []int32, e Entry)
 		end[k] = sum
 		sum += size
 	}
-	for _, v := range touched {
-		k := uint32(v) & stripeMask
-		local[end[k]] = int32(uint32(v) >> stripeBits)
-		end[k]++
+	for k, v := range vs {
+		s := uint32(v) & stripeMask
+		local[end[s]] = int32(uint32(v) >> stripeBits)
+		if step == 1 {
+			ents[end[s]] = es[k]
+		}
+		end[s]++
 	}
 	start := int32(0)
 	for k := range t.stripes {
-		bucket := local[start:end[k]]
-		start = end[k]
-		if len(bucket) == 0 {
+		lo, hi := start, end[k]
+		start = hi
+		if lo == hi {
 			continue
 		}
 		s := &t.stripes[k]
@@ -332,16 +393,16 @@ func (t *Table) recordBucketed(touched []graph.VertexID, local []int32, e Entry)
 		// their cache misses overlap, where each insert would wait on its
 		// own record's in turn. Go has no prefetch; an atomic load is a
 		// load the compiler keeps though its value goes unused.
-		for _, i := range bucket {
-			lo := int(i) * t.stride
-			if lo >= len(s.slab) {
+		for _, i := range local[lo:hi] {
+			rec := int(i) * t.stride
+			if rec >= len(s.slab) {
 				s.grow(int(i), t.stride)
 			}
-			atomic.LoadInt64(&s.slab[lo])
-			atomic.LoadInt64(&s.slab[lo+t.stride-1])
+			atomic.LoadInt64(&s.slab[rec])
+			atomic.LoadInt64(&s.slab[rec+t.stride-1])
 		}
-		for _, i := range bucket {
-			s.insert(int(i), t.capacity, t.stride, e)
+		for b := lo; b < hi; b++ {
+			s.insert(int(local[b]), t.capacity, t.stride, ents[int(b)*step])
 		}
 		s.mu.Unlock()
 	}

@@ -22,15 +22,21 @@ import (
 // too. What the cluster adds is virtual time: an event heap, the
 // shared disk as a virtual-time service queue, the kernels and charge
 // stepping, and one thing the live runtime does not do, signing a
-// vertex into L(v) on every miss (see step).
+// vertex into L(v) on every miss (see step and visits).
 type Cluster struct {
 	g     *graph.Graph
 	cfg   Config
 	clock *signature.ManualClock
 	sigs  *signature.Table
-	disk  *storage.Disk
-	units []*unit
-	life  *Lifecycle[*Job]
+	// visits logs the per-miss signatures step has not yet written to
+	// sigs. They are flushed, in order, before anything reads or writes
+	// the table — a round's Assign, a completion's Sign — and before
+	// Run returns, so the table every reader sees is the one per-miss
+	// Record calls would have left.
+	visits signature.Log
+	disk   *storage.Disk
+	units  []*unit
+	life   *Lifecycle[*Job]
 
 	events eventHeap
 	seq    int64
@@ -154,6 +160,7 @@ func (c *Cluster) NumUnits() int { return c.cfg.NumUnits }
 func (c *Cluster) Reset() {
 	c.clock.Reset() // same clock object: scorers wired to it stay valid
 	c.sigs.Reset()
+	c.visits.Reset()
 	c.disk.Reset()
 	c.life.Reset()
 	for _, u := range c.units {
@@ -183,7 +190,10 @@ func (c *Cluster) Run(s sched.Scheduler, tasks []*sched.Task) (Result, error) {
 		return Result{}, fmt.Errorf("sim: scheduler is required")
 	}
 	c.sched = s
-	defer func() { c.sched = nil }()
+	defer func() {
+		c.sched = nil
+		c.sigs.Flush(&c.visits)
+	}()
 	jobs := make([]Job, len(tasks))
 	for i, t := range tasks {
 		if err := t.Query.Validate(c.g); err != nil {
@@ -238,6 +248,7 @@ func (c *Cluster) dispatch(now int64) {
 			c.dispatching = false
 			return
 		}
+		c.sigs.Flush(&c.visits) // the scheduler reads L(v)
 		placement := Assign(c.sched, round, tasks, c.life.Units())
 		for i, j := range round {
 			if u, idle := c.life.Place(j, placement[i], now); idle {
@@ -313,11 +324,13 @@ func (c *Cluster) step(u *unit, now int64) {
 	done := c.disk.ReadPart(now, int64(a.Bytes), c.g.Partition(a.Vertex))
 	// The one thing this executor does that the live runtime does not:
 	// the paper updates L(v) as vertices are visited, so a miss signs
-	// the vertex immediately — concurrent scheduling rounds can already
-	// see the partially-built affinity. (The live runtime signs only at
-	// completion, as Lifecycle.Sign does here too; every other rule is
-	// the lifecycle's or the cursor's.)
-	c.sigs.Record(a.Vertex, u.id, now)
+	// the vertex at once — the next scheduling round already sees the
+	// partially-built affinity. The signature goes into the visits log,
+	// which is flushed before the table is next read or written, so the
+	// rounds see exactly what a Record here would have shown them. (The
+	// live runtime signs only at completion, as Lifecycle.Sign does here
+	// too; every other rule is the lifecycle's or the cursor's.)
+	c.visits.Add(a.Vertex, u.id, now)
 	c.push(event{time: done + u.charge.Fill(), kind: evStep, unit: u.id})
 }
 
@@ -326,6 +339,7 @@ func (c *Cluster) step(u *unit, now int64) {
 // time, traces it, and releases the unit.
 func (c *Cluster) complete(u *unit, now int64) {
 	members := c.life.Complete(int(u.id), now)
+	c.sigs.Flush(&c.visits) // the misses before the completion sign first
 	c.life.Sign(int(u.id), now, members)
 	for _, j := range members {
 		c.visitedTotal += int64(j.Result.Visited)
