@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	graphgen -type powerlaw -scale small -seed 42 -out twitter.csr2
-//	graphgen -type random   -scale small -seed 42 -out random.csr2
-//	graphgen -info twitter.csr2
+//	graphgen -type powerlaw -scale small -seed 42 -out twitter.csr
+//	graphgen -type random   -scale small -seed 42 -out random.csr
+//	graphgen -info twitter.csr
 //
 // Graphs are written as flat binary CSR snapshots (internal/graphio),
 // which load with one read or mmap. -info refuses any other file.

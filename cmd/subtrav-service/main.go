@@ -6,8 +6,8 @@
 // Usage:
 //
 //	subtrav-service -addr 127.0.0.1:7070 -units 8 -mem 64
-//	subtrav-service -graph twitter.csr2 -units 16
-//	subtrav-service -graph twitter.csr2 -mmap    # serve the snapshot in place
+//	subtrav-service -graph twitter.csr -units 16
+//	subtrav-service -graph twitter.csr -mmap    # serve the snapshot in place
 //	subtrav-service -debug-addr 127.0.0.1:6060   # /metrics, /healthz, pprof
 package main
 

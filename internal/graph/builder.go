@@ -95,7 +95,9 @@ func (b *Builder) SetPartition(part []int32) {
 // Build finalizes the CSR structure and packs the property maps into
 // flat columns. The builder must not be reused afterwards. It panics if
 // the distinct property strings exceed the arena's 4 GiB offset space
-// or one table holds more than 2³² records.
+// or one table holds more than 2³² records, and with
+// ErrTooManyPropKeys if the properties use more than MaxPropKeys
+// distinct keys.
 func (b *Builder) Build() *Graph {
 	if b.finished {
 		panic("graph: Build called twice")
@@ -165,14 +167,14 @@ func (b *Builder) Build() *Graph {
 	}
 	// Canonical packing order — vertices, then edges — is what makes a
 	// snapshot of the graph byte-deterministic.
-	pk := propPacker{dedup: make(map[string]uint32)}
+	pk := propPacker{dedup: make(map[string]uint32), keyID: make(map[string]uint16)}
 	if len(b.vprops) > 0 {
 		g.vprops = pk.column(b.n, func(v int) Properties { return b.vprops[VertexID(v)] })
 	}
 	if b.hasEProp {
 		g.eprops = pk.column(m, func(e int) Properties { return b.eprops[e] })
 	}
-	g.arena = pk.arena.String()
+	g.strs = propStrings{keys: pk.keyTable(&g.vprops, &g.eprops), arena: pk.arena.String()}
 	if b.hasEProp {
 		g.ebytes = g.computeEdgeBytes()
 	}
@@ -197,12 +199,15 @@ func (b *Builder) Build() *Graph {
 
 // propPacker packs property maps into flat columns over one shared
 // string arena. Strings are interned at first occurrence, which both
-// deduplicates keys repeated across millions of entities and keeps the
-// packing deterministic.
+// deduplicates strings repeated across millions of entities and keeps
+// the packing deterministic. Keys are numbered in first-occurrence
+// order while packing and renumbered in key order by keyTable.
 type propPacker struct {
-	arena strings.Builder
-	dedup map[string]uint32
-	keys  []string // per-entity sort scratch
+	arena  strings.Builder
+	dedup  map[string]uint32 // arena offset of every interned string
+	keyID  map[string]uint16 // first-occurrence id of every key
+	keys   []string          // keys by first-occurrence id
+	sorted []string          // per-entity sort scratch
 }
 
 func (pk *propPacker) intern(s string) uint32 {
@@ -218,6 +223,20 @@ func (pk *propPacker) intern(s string) uint32 {
 	return uint32(off)
 }
 
+func (pk *propPacker) key(k string) uint16 {
+	if id, ok := pk.keyID[k]; ok {
+		return id
+	}
+	if len(pk.keys) == MaxPropKeys {
+		panic(ErrTooManyPropKeys)
+	}
+	pk.intern(k)
+	id := uint16(len(pk.keys))
+	pk.keyID[k] = id
+	pk.keys = append(pk.keys, k)
+	return id
+}
+
 // column packs n rows as one table. Keys within an entity are sorted,
 // so the packing is independent of map iteration order and a lookup
 // has one answer.
@@ -225,12 +244,12 @@ func (pk *propPacker) column(n int, row func(i int) Properties) PropColumn {
 	c := PropColumn{Index: make([]uint32, n+1)}
 	for i := 0; i < n; i++ {
 		p := row(i)
-		pk.keys = pk.keys[:0]
+		pk.sorted = pk.sorted[:0]
 		for k := range p {
-			pk.keys = append(pk.keys, k)
+			pk.sorted = append(pk.sorted, k)
 		}
-		sort.Strings(pk.keys)
-		for _, k := range pk.keys {
+		sort.Strings(pk.sorted)
+		for _, k := range pk.sorted {
 			c.Recs = append(c.Recs, pk.record(k, p[k]))
 		}
 		if uint64(len(c.Recs)) > math.MaxUint32 {
@@ -242,7 +261,7 @@ func (pk *propPacker) column(n int, row func(i int) Properties) PropColumn {
 }
 
 func (pk *propPacker) record(key string, v Value) PropRecord {
-	r := PropRecord{KeyOff: pk.intern(key), KeyLen: uint32(len(key)), Kind: uint32(v.kind)}
+	r := PropRecord{Key: pk.key(key), Kind: v.kind}
 	switch v.kind {
 	case KindString:
 		r.Aux, r.Val = uint32(len(v.str)), uint64(pk.intern(v.str))
@@ -252,6 +271,33 @@ func (pk *propPacker) record(key string, v Value) PropRecord {
 		r.Val = uint64(v.num)
 	}
 	return r
+}
+
+// keyTable sorts the keys by their bytes, renumbers the columns'
+// records to the sorted ids — an entity's records, packed in key
+// order, keep their ids strictly ascending — and returns the key table.
+func (pk *propPacker) keyTable(cols ...*PropColumn) []PropKey {
+	if len(pk.keys) == 0 {
+		return nil
+	}
+	order := make([]uint16, len(pk.keys)) // sorted position → first-occurrence id
+	for i := range order {
+		order[i] = uint16(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return pk.keys[order[a]] < pk.keys[order[b]] })
+	renum := make([]uint16, len(order))
+	table := make([]PropKey, len(order))
+	for id, first := range order {
+		renum[first] = uint16(id)
+		k := pk.keys[first]
+		table[id] = PropKey{Off: pk.dedup[k], Len: uint32(len(k))}
+	}
+	for _, c := range cols {
+		for i := range c.Recs {
+			c.Recs[i].Key = renum[c.Recs[i].Key]
+		}
+	}
+	return table
 }
 
 // sortSlotsWithIdx co-sorts a target segment and its parallel edge

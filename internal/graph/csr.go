@@ -7,7 +7,7 @@ import (
 
 // CSRData is the raw columnar form of a Graph: the exact parallel
 // slices its accessors serve from. It is the interchange type between
-// this package and flat on-disk snapshots (internal/graphio's v2 CSR
+// this package and flat on-disk snapshots (internal/graphio's v3 CSR
 // format): CSRView exposes a graph's columns without copying, and
 // FromCSR assembles a Graph around existing columns — for example
 // slices aliasing a file read into one buffer or mapped into memory —
@@ -37,13 +37,16 @@ type CSRData struct {
 	// Weights is indexed by logical edge; nil when unweighted.
 	Weights []float32
 
-	// Property tables (zero when absent) over one shared string Arena:
-	// VProps by vertex, EProps by logical edge. FromCSR checks their
-	// shape only; PropColumn's record invariants are the producer's
-	// contract (Builder packs them so, graphio verifies every record of
-	// a file before it calls FromCSR).
+	// Property tables (zero when absent) over one key table and one
+	// shared string Arena: VProps by vertex, EProps by logical edge;
+	// Keys lists every key once, sorted by key bytes, as (offset,
+	// length) into the Arena. FromCSR checks their shape only; the key
+	// table's order and PropColumn's record invariants are the
+	// producer's contract (Builder packs them so, graphio verifies every
+	// key and record of a file before it calls FromCSR).
 	VProps PropColumn
 	EProps PropColumn
+	Keys   []PropKey
 	Arena  string
 
 	// Serialized record sizes for the storage cost model. VBytes may
@@ -70,7 +73,8 @@ func (g *Graph) CSRView() CSRData {
 		Weights:   g.weights,
 		VProps:    g.vprops,
 		EProps:    g.eprops,
-		Arena:     g.arena,
+		Keys:      g.strs.keys,
+		Arena:     g.strs.arena,
 		VBytes:    g.vbytes,
 		EBytes:    g.ebytes,
 		Partition: g.part,
@@ -157,6 +161,9 @@ func FromCSR(d CSRData) (*Graph, error) {
 	if err := d.EProps.checkShape(d.NumEdges, "edge property rows", "edges"); err != nil {
 		return nil, err
 	}
+	if len(d.Keys) > MaxPropKeys {
+		return nil, fmt.Errorf("graph: csr %d property keys, at most %d", len(d.Keys), MaxPropKeys)
+	}
 	if d.VBytes != nil && len(d.VBytes) != n {
 		return nil, fmt.Errorf("graph: csr %d vertex byte sizes for %d vertices", len(d.VBytes), n)
 	}
@@ -173,7 +180,7 @@ func FromCSR(d CSRData) (*Graph, error) {
 		weights:  d.Weights,
 		vprops:   d.VProps,
 		eprops:   d.EProps,
-		arena:    d.Arena,
+		strs:     propStrings{keys: d.Keys, arena: d.Arena},
 		vbytes:   d.VBytes,
 		ebytes:   d.EBytes,
 	}

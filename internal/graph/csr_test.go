@@ -148,6 +148,7 @@ func TestFromCSRRejectsCorruptColumns(t *testing.T) {
 		{"eprops mismatch", func(d *CSRData) { d.EProps.Index = d.EProps.Index[:1] }, "edge property rows"},
 		{"vprops open", func(d *CSRData) { d.VProps.Recs = d.VProps.Recs[:1] }, "vertex property rows"},
 		{"eprops without index", func(d *CSRData) { d.EProps.Index = nil }, "edge property rows"},
+		{"too many keys", func(d *CSRData) { d.Keys = make([]PropKey, MaxPropKeys+1) }, "property keys"},
 		{"vbytes mismatch", func(d *CSRData) { d.VBytes = d.VBytes[:1] }, "vertex byte sizes"},
 		{"ebytes mismatch", func(d *CSRData) { d.EBytes = d.EBytes[:1] }, "edge byte sizes"},
 		{"partition mismatch", func(d *CSRData) { d.Partition = d.Partition[:3] }, "partition"},

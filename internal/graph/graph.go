@@ -75,11 +75,12 @@ type Graph struct {
 	// Optional edge weights, indexed by logical edge index.
 	weights []float32
 
-	// Property tables in flat form (zero when absent) and the string
-	// arena both point into. Nothing is held per entity.
+	// Property tables in flat form (zero when absent) and the key
+	// table and string arena both point into. Nothing is held per
+	// entity.
 	vprops PropColumn
 	eprops PropColumn
-	arena  string
+	strs   propStrings
 
 	// Serialized payload sizes used by the storage cost model.
 	vbytes []int32
@@ -161,10 +162,10 @@ func (g *Graph) FindEdge(v, u VertexID) EdgeID {
 
 // VertexProps returns a view of v's properties, empty when the graph
 // has no vertex properties or v has none.
-func (g *Graph) VertexProps(v VertexID) Props { return g.vprops.of(int(v), g.arena) }
+func (g *Graph) VertexProps(v VertexID) Props { return g.vprops.of(int(v), &g.strs) }
 
 // EdgeProps returns a view of logical edge e's properties.
-func (g *Graph) EdgeProps(e EdgeID) Props { return g.eprops.of(int(e), g.arena) }
+func (g *Graph) EdgeProps(e EdgeID) Props { return g.eprops.of(int(e), &g.strs) }
 
 // VertexBytes returns the serialized size of v's record as stored on
 // the shared disk: vertex header, vertex properties, and the adjacency

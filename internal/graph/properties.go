@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -165,42 +166,66 @@ func (p Properties) String() string {
 	return b.String()
 }
 
-// PropRecord is one fixed-size record of a property column: a key and
-// a tagged value, with strings held as (offset, length) into the
-// graph's arena. The field layout is the STRVCSR2 record's, so on a
-// little-endian host a file's record section is served as
-// []PropRecord without copying.
+// PropKey is one entry of a graph's key table: a property key held as
+// (offset, length) into the arena. The table lists every key once,
+// sorted by key bytes, so key-id order is key order.
+type PropKey struct {
+	Off, Len uint32
+}
+
+// MaxPropKeys is how many distinct property keys one graph can hold: a
+// record names its key by a 16-bit id.
+const MaxPropKeys = 1 << 16
+
+// ErrTooManyPropKeys is what Builder.Build panics with when the graph's
+// properties use more than MaxPropKeys distinct keys.
+var ErrTooManyPropKeys = errors.New("graph: more than 65536 distinct property keys")
+
+// PropRecord is one 16-byte record of a property column: a key id into
+// the graph's key table and a tagged value, with strings held as
+// (offset, length) into the graph's arena. The field layout is the
+// snapshot record's (format version 3), so on a little-endian host a
+// file's record section is served as []PropRecord without copying.
 type PropRecord struct {
-	KeyOff, KeyLen uint32
-	Kind           uint32 // a ValueKind
-	Aux            uint32 // string length; zero for the other kinds
-	Val            uint64 // arena offset, integer, float bits, 0/1, or blob size
+	Key  uint16 // index into the key table
+	Kind ValueKind
+	_    uint8  // always zero
+	Aux  uint32 // string length; zero for the other kinds
+	Val  uint64 // arena offset, integer, float bits, 0/1, or blob size
 }
 
 // PropColumn is one property table in flat form: entity i owns
-// Recs[Index[i]:Index[i+1]] (ranges never decrease), its keys strictly
-// ascending, every kind known and every string inside the arena. Index
-// has one entry more than there are entities; nil means no table.
+// Recs[Index[i]:Index[i+1]] (ranges never decrease), its key ids
+// strictly ascending and inside the key table, every kind known and
+// every string inside the arena. Index has one entry more than there
+// are entities; nil means no table.
 type PropColumn struct {
 	Index []uint32
 	Recs  []PropRecord
 }
 
+// propStrings is what a graph's property records point into: the key
+// table and the arena holding every key and string value.
+type propStrings struct {
+	keys  []PropKey
+	arena string
+}
+
 // of returns entity i's view; the empty view when there is no table.
-func (c PropColumn) of(i int, arena string) Props {
+func (c PropColumn) of(i int, strs *propStrings) Props {
 	if c.Index == nil {
 		return Props{}
 	}
-	return Props{recs: c.Recs[c.Index[i]:c.Index[i+1]], arena: arena}
+	return Props{recs: c.Recs[c.Index[i]:c.Index[i+1]], strs: strs}
 }
 
 // Props is a read-only view of one entity's properties: its record
-// range in a PropColumn plus the arena the records point into. It is a
-// small value, allocates nothing, and stays valid as long as the graph
-// it came from. The zero Props is the empty property set.
+// range in a PropColumn plus the key table and arena the records point
+// into. It is a small value, allocates nothing, and stays valid as long
+// as the graph it came from. The zero Props is the empty property set.
 type Props struct {
-	recs  []PropRecord
-	arena string
+	recs []PropRecord
+	strs *propStrings
 }
 
 // Len returns the number of properties.
@@ -228,13 +253,14 @@ func (p Props) Get(name string) (Value, bool) {
 }
 
 func (p Props) key(r *PropRecord) string {
-	return p.arena[r.KeyOff : uint64(r.KeyOff)+uint64(r.KeyLen)]
+	k := p.strs.keys[r.Key]
+	return p.strs.arena[k.Off : uint64(k.Off)+uint64(k.Len)]
 }
 
 func (p Props) value(r *PropRecord) Value {
-	switch ValueKind(r.Kind) {
+	switch r.Kind {
 	case KindString:
-		return String(p.arena[r.Val : r.Val+uint64(r.Aux)])
+		return String(p.strs.arena[r.Val : r.Val+uint64(r.Aux)])
 	case KindInt:
 		return Int(int64(r.Val))
 	case KindFloat:
@@ -257,8 +283,8 @@ func (p Props) SerializedBytes() int {
 	total := uint64(0)
 	for i := range p.recs {
 		r := &p.recs[i]
-		total += uint64(r.KeyLen) + 1
-		switch ValueKind(r.Kind) {
+		total += uint64(p.strs.keys[r.Key].Len) + 1
+		switch r.Kind {
 		case KindString:
 			total += uint64(r.Aux)
 		case KindInt, KindFloat:

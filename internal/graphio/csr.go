@@ -2,11 +2,11 @@
 // snapshots, so the CLI tools can generate a dataset once and reuse it
 // across experiment runs.
 //
-// A snapshot (format version 2, magic "STRVCSR2") is a single
+// A snapshot (format version 3, magic "STRVCSR3") is a single
 // contiguous buffer laid out as a fixed 64-byte header, a section
-// table, and up to twelve 8-aligned sections:
+// table, and up to thirteen 8-aligned sections:
 //
-//	header     magic "STRVCSR2", version, kind, counts, crc
+//	header     magic "STRVCSR3", version, kind, counts, crc
 //	table      one 32-byte entry per present section: id, offset,
 //	           length, crc32c of the payload
 //	offsets    (V+1) × int64   CSR row offsets
@@ -17,13 +17,22 @@
 //	ebytes     E × int32       serialized edge payload sizes (optional)
 //	partition  V × int32       partition labels (optional)
 //	vpropidx   (V+1) × uint32  vertex → property record range
-//	vproprecs  n × 24 bytes    fixed-size vertex property records
+//	vproprecs  n × 16 bytes    vertex property records
 //	epropidx   (E+1) × uint32  edge → property record range
-//	eproprecs  n × 24 bytes    fixed-size edge property records
+//	eproprecs  n × 16 bytes    edge property records
 //	arena      raw bytes       all keys and string values, deduplicated
+//	keys       k × 8 bytes     key table: arena offset and length of
+//	           every distinct key, sorted by key bytes (id 16)
+//
+// A property record is a 16-bit key id into the key table, a one-byte
+// value kind, a zero byte, a 32-bit string length and a 64-bit value
+// (arena offset, integer, float bits, 0/1 or blob size): each key is
+// stored once, in the key table, not once per record.
 //
 // The reader accepts exactly the sections WriteCSR writes: a table
-// listing any other id is corrupt.
+// listing any other id is corrupt. A file of another format version is
+// refused with ErrCSRVersion: every snapshot is written by the build
+// that reads it, so no reader keeps an older layout.
 //
 // All scalars are little-endian. Because every section is 8-aligned
 // and already in the graph package's native column layout (the property
@@ -56,12 +65,13 @@ import (
 )
 
 const (
-	csrMagic      = "STRVCSR2"
-	csrVersion    = 2
+	csrMagic      = "STRVCSR3" // the last byte is the version digit
+	csrVersion    = 3
 	csrHeaderSize = 64
 	csrEntrySize  = 32
 	csrAlign      = 8
-	propRecSize   = 24
+	propRecSize   = 16
+	propKeySize   = 8
 )
 
 // Section ids in canonical file order. The table lists present
@@ -82,21 +92,24 @@ const (
 	secArena
 	// Ids 13–15 once held a reverse-CSR view that older builds wrote; a
 	// table listing them is refused, and they are never reused.
-	secEnd // one past the largest id a table may list
+	secKeys uint32 = 16
+	secEnd  uint32 = 17 // one past the largest id a table may list
+
+	numSections = 13 // the ids a table may list
 )
 
-// secNames is indexed by section id.
+// secNames is indexed by section id; retired ids have no name.
 var secNames = [secEnd]string{"", "offsets", "targets", "edgeidx", "weights", "vbytes", "ebytes", "partition",
-	"vpropidx", "vproprecs", "epropidx", "eproprecs", "arena"}
+	"vpropidx", "vproprecs", "epropidx", "eproprecs", "arena", "", "", "", "keys"}
 
 func secName(id uint32) string {
-	if id == 0 || id >= secEnd {
+	if id >= secEnd || secNames[id] == "" {
 		return fmt.Sprintf("section#%d", id)
 	}
 	return secNames[id]
 }
 
-// Sentinel error classes for v2 decode failures; every decode error
+// Sentinel error classes for decode failures; every decode error
 // wraps exactly one of them (and names the offending section).
 var (
 	ErrCSRMagic     = errors.New("not a csr graph file")
@@ -251,8 +264,8 @@ func sliceOfRecs(b []byte, copyMode bool) []graph.PropRecord {
 	out := make([]graph.PropRecord, len(b)/propRecSize)
 	for i := range out {
 		rec := b[i*propRecSize:]
-		out[i] = graph.PropRecord{KeyOff: le.Uint32(rec), KeyLen: le.Uint32(rec[4:]),
-			Kind: le.Uint32(rec[8:]), Aux: le.Uint32(rec[12:]), Val: le.Uint64(rec[16:])}
+		out[i] = graph.PropRecord{Key: le.Uint16(rec), Kind: graph.ValueKind(rec[2]),
+			Aux: le.Uint32(rec[4:]), Val: le.Uint64(rec[8:])}
 	}
 	return out
 }
@@ -264,11 +277,34 @@ func bytesOfRecs(s []graph.PropRecord) []byte {
 	out := make([]byte, propRecSize*len(s))
 	for i, r := range s {
 		rec := out[i*propRecSize:]
-		le.PutUint32(rec, r.KeyOff)
-		le.PutUint32(rec[4:], r.KeyLen)
-		le.PutUint32(rec[8:], r.Kind)
-		le.PutUint32(rec[12:], r.Aux)
-		le.PutUint64(rec[16:], r.Val)
+		le.PutUint16(rec, r.Key)
+		rec[2] = uint8(r.Kind)
+		le.PutUint32(rec[4:], r.Aux)
+		le.PutUint64(rec[8:], r.Val)
+	}
+	return out
+}
+
+// sliceOfKeys views the key table section as graph.PropKey values.
+func sliceOfKeys(b []byte, copyMode bool) []graph.PropKey {
+	if !copyMode || len(b) == 0 {
+		return aliasSlice[graph.PropKey](b)
+	}
+	out := make([]graph.PropKey, len(b)/propKeySize)
+	for i := range out {
+		out[i] = graph.PropKey{Off: le.Uint32(b[i*propKeySize:]), Len: le.Uint32(b[i*propKeySize+4:])}
+	}
+	return out
+}
+
+func bytesOfKeys(s []graph.PropKey) []byte {
+	if hostLittleEndian {
+		return aliasBytes(s)
+	}
+	out := make([]byte, propKeySize*len(s))
+	for i, k := range s {
+		le.PutUint32(out[i*propKeySize:], k.Off)
+		le.PutUint32(out[i*propKeySize+4:], k.Len)
 	}
 	return out
 }
@@ -285,13 +321,40 @@ func arenaString(arena []byte, off uint64, ln uint32, table, role string) (strin
 	return byteString(arena[off : off+uint64(ln)]), nil
 }
 
+// checkKeys verifies the key table before it is trusted: at most
+// graph.MaxPropKeys entries, each inside the arena, and the keys
+// strictly ascending by their bytes, so key-id order is key order and
+// no key is listed twice. It allocates nothing.
+func checkKeys(keys, arena []byte) error {
+	n := len(keys) / propKeySize
+	if n > graph.MaxPropKeys {
+		return fmt.Errorf("graphio: keys section: %d keys, at most %d: %w", n, graph.MaxPropKeys, ErrCSRCorrupt)
+	}
+	prev := ""
+	for i := 0; i < n; i++ {
+		e := keys[i*propKeySize:]
+		key, err := arenaString(arena, uint64(le.Uint32(e)), le.Uint32(e[4:]), "key table", "entry")
+		if err != nil {
+			return err
+		}
+		if i > 0 && key <= prev {
+			return fmt.Errorf("graphio: keys section: key %d %q not after %q (keys unsorted or listed twice): %w",
+				i, key, prev, ErrCSRCorrupt)
+		}
+		prev = key
+	}
+	return nil
+}
+
 // checkProps is the one pass over a property table before its sections
 // are trusted: record ranges start at 0, never decrease and end at the
-// last record; every key and string value lies inside the arena; every
-// kind is known and no blob size overflows; and an entity's keys ascend
-// strictly, so a lookup has one answer. It reads the raw little-endian
-// bytes, whatever the host, and allocates nothing.
-func checkProps(idx, recs, arena []byte, what string) error {
+// last record; every key id is inside the nKeys-entry key table, every
+// string value inside the arena; every kind is known, the reserved byte
+// is zero and no blob size overflows; and an entity's key ids ascend
+// strictly — with the key table sorted, its keys do — so a lookup has
+// one answer. It reads the raw little-endian bytes, whatever the host,
+// and allocates nothing.
+func checkProps(idx, recs []byte, nKeys int, arena []byte, what string) error {
 	n := len(idx)/4 - 1
 	nRec := uint32(len(recs) / propRecSize)
 	lo := le.Uint32(idx)
@@ -304,21 +367,26 @@ func checkProps(idx, recs, arena []byte, what string) error {
 			return fmt.Errorf("graphio: %sidx section: record range [%d,%d) of entity %d decreases or passes the %d records: %w",
 				what, lo, hi, i, nRec, ErrCSRCorrupt)
 		}
-		prev := ""
+		prev := uint16(0)
 		for r := lo; r < hi; r++ {
 			rec := recs[int(r)*propRecSize : int(r)*propRecSize+propRecSize]
-			key, err := arenaString(arena, uint64(le.Uint32(rec)), le.Uint32(rec[4:]), what, "key")
-			if err != nil {
-				return err
+			key := le.Uint16(rec)
+			if int(key) >= nKeys {
+				return fmt.Errorf("graphio: %srecs section: key id %d of entity %d past the %d-key table: %w",
+					what, key, i, nKeys, ErrCSRCorrupt)
 			}
 			if r > lo && key <= prev {
-				return fmt.Errorf("graphio: %srecs section: keys of entity %d not strictly ascending (%q after %q): %w",
+				return fmt.Errorf("graphio: %srecs section: keys of entity %d not strictly ascending (key id %d after %d): %w",
 					what, i, key, prev, ErrCSRCorrupt)
 			}
 			prev = key
-			switch kind, val := le.Uint32(rec[8:]), le.Uint64(rec[16:]); graph.ValueKind(kind) {
+			if rec[3] != 0 {
+				return fmt.Errorf("graphio: %srecs section: reserved byte %#x of entity %d not zero: %w",
+					what, rec[3], i, ErrCSRCorrupt)
+			}
+			switch kind, val := graph.ValueKind(rec[2]), le.Uint64(rec[8:]); kind {
 			case graph.KindString:
-				if _, err := arenaString(arena, val, le.Uint32(rec[12:]), what, "value"); err != nil {
+				if _, err := arenaString(arena, val, le.Uint32(rec[4:]), what, "value"); err != nil {
 					return err
 				}
 			case graph.KindInt, graph.KindFloat, graph.KindBool:
@@ -341,7 +409,7 @@ func checkProps(idx, recs, arena []byte, what string) error {
 
 // ---- writer ---------------------------------------------------------
 
-// WriteCSR encodes the graph in the v2 flat binary CSR format. The
+// WriteCSR encodes the graph in the v3 flat binary CSR format. The
 // encoding is deterministic: the same graph always yields identical
 // bytes, so tracked snapshot files diff cleanly.
 func WriteCSR(w io.Writer, g *graph.Graph) error {
@@ -372,6 +440,7 @@ func WriteCSR(w io.Writer, g *graph.Graph) error {
 	add(secEPropIdx, bytesOfU32(d.EProps.Index))
 	add(secEPropRecs, bytesOfRecs(d.EProps.Recs))
 	add(secArena, stringBytes(d.Arena))
+	add(secKeys, bytesOfKeys(d.Keys))
 
 	// Lay sections out back to back, 8-aligned, directly after the
 	// table; record offsets and payload checksums.
@@ -424,7 +493,7 @@ func WriteCSR(w io.Writer, g *graph.Graph) error {
 	return nil
 }
 
-// WriteCSRFile writes the graph to path in the v2 format.
+// WriteCSRFile writes the graph to path in the v3 format.
 func WriteCSRFile(path string, g *graph.Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -439,7 +508,7 @@ func WriteCSRFile(path string, g *graph.Graph) error {
 
 // ---- reader ---------------------------------------------------------
 
-// ReadCSR decodes a v2 flat CSR snapshot from data without copying:
+// ReadCSR decodes a v3 flat CSR snapshot from data without copying:
 // the returned graph's columns alias data, which the caller must keep
 // immutable (and mapped) for the graph's lifetime. On hosts where
 // aliasing is impossible (big-endian, or a misaligned buffer) it
@@ -452,7 +521,7 @@ func ReadCSR(data []byte) (*graph.Graph, error) {
 	return decodeCSR(data, copyMode)
 }
 
-// decodeCSR validates and decodes a v2 buffer. Validation order
+// decodeCSR validates and decodes a v3 buffer. Validation order
 // matters for hostility: magic, version, header checksum, section
 // geometry and per-section checksums all pass before any header count
 // is trusted, and every count is cross-checked against a section
@@ -463,11 +532,14 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: csr header: %d bytes, want at least %d: %w",
 			len(data), csrHeaderSize, ErrCSRTruncated)
 	}
-	if string(data[:len(csrMagic)]) != csrMagic {
+	// The magic's first seven bytes name the format, its last the
+	// version: a snapshot of another version is refused by version.
+	if string(data[:len(csrMagic)-1]) != csrMagic[:len(csrMagic)-1] {
 		return nil, fmt.Errorf("graphio: csr header: bad magic %q: %w", data[:len(csrMagic)], ErrCSRMagic)
 	}
-	if v := le.Uint32(data[8:]); v != csrVersion {
-		return nil, fmt.Errorf("graphio: csr header: version %d, this reader speaks %d: %w", v, csrVersion, ErrCSRVersion)
+	if v := le.Uint32(data[8:]); v != csrVersion || data[len(csrMagic)-1] != csrMagic[len(csrMagic)-1] {
+		return nil, fmt.Errorf("graphio: csr header: version %d (magic %q), this reader speaks %d: %w",
+			v, data[:len(csrMagic)], csrVersion, ErrCSRVersion)
 	}
 	kind := data[12]
 	if kind > uint8(graph.Undirected) {
@@ -488,9 +560,9 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: csr header: counts (%d vertices, %d slots) impossible for a %d-byte file: %w",
 			nV, nSlots, len(data), ErrCSRTruncated)
 	}
-	if nSec >= secEnd {
+	if nSec > numSections {
 		return nil, fmt.Errorf("graphio: csr section table: %d sections, at most %d defined: %w",
-			nSec, secEnd-1, ErrCSRCorrupt)
+			nSec, numSections, ErrCSRCorrupt)
 	}
 	tabLen := int(nSec) * csrEntrySize
 	if len(data) < csrHeaderSize+tabLen {
@@ -517,6 +589,9 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		if id <= prevID || id >= secEnd {
 			return nil, fmt.Errorf("graphio: csr section table: id %d after %d (unknown or out of order): %w",
 				id, prevID, ErrCSRCorrupt)
+		}
+		if secNames[id] == "" {
+			return nil, fmt.Errorf("graphio: csr section table: id %d after %d (retired): %w", id, prevID, ErrCSRCorrupt)
 		}
 		prevID = id
 		if off%csrAlign != 0 {
@@ -569,10 +644,13 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 			return nil, err
 		}
 	}
-	for _, id := range []uint32{secVPropRecs, secEPropRecs} {
-		if len(sec[id])%propRecSize != 0 {
-			return nil, fmt.Errorf("graphio: %s section: %d bytes, not a multiple of the %d-byte record: %w",
-				secName(id), len(sec[id]), propRecSize, ErrCSRCorrupt)
+	for _, s := range []struct {
+		id   uint32
+		size int
+	}{{secVPropRecs, propRecSize}, {secEPropRecs, propRecSize}, {secKeys, propKeySize}} {
+		if len(sec[s.id])%s.size != 0 {
+			return nil, fmt.Errorf("graphio: %s section: %d bytes, not a multiple of the %d-byte entry: %w",
+				secName(s.id), len(sec[s.id]), s.size, ErrCSRCorrupt)
 		}
 	}
 	if len(sec[secVPropRecs]) > 0 && len(sec[secVPropIdx]) == 0 {
@@ -582,13 +660,18 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: eproprecs section: present without an epropidx section: %w", ErrCSRCorrupt)
 	}
 
-	// A table is verified record by record before its sections are
-	// reinterpreted; the arena is raw bytes and aliases in either mode.
+	// The key table and each property table are verified entry by entry
+	// before their sections are reinterpreted; the arena is raw bytes
+	// and aliases in either mode.
+	if err := checkKeys(sec[secKeys], sec[secArena]); err != nil {
+		return nil, err
+	}
+	nKeys := len(sec[secKeys]) / propKeySize
 	column := func(idx, recs uint32, what string) (c graph.PropColumn, err error) {
 		if len(sec[idx]) == 0 {
 			return c, nil
 		}
-		if err := checkProps(sec[idx], sec[recs], sec[secArena], what); err != nil {
+		if err := checkProps(sec[idx], sec[recs], nKeys, sec[secArena], what); err != nil {
 			return c, err
 		}
 		return graph.PropColumn{Index: sliceOfU32(sec[idx], copyMode), Recs: sliceOfRecs(sec[recs], copyMode)}, nil
@@ -611,6 +694,7 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		Weights:   sliceOfF32(sec[secWeights], copyMode),
 		VProps:    vprops,
 		EProps:    eprops,
+		Keys:      sliceOfKeys(sec[secKeys], copyMode),
 		Arena:     byteString(sec[secArena]),
 		VBytes:    sliceOfI32[int32](sec[secVBytes], copyMode),
 		EBytes:    sliceOfI32[int32](sec[secEBytes], copyMode),
@@ -639,7 +723,7 @@ func ReadGraphFile(path string) (*graph.Graph, error) {
 
 // ---- mmap-backed loading --------------------------------------------
 
-// MappedCSR is a graph served directly out of a memory-mapped v2
+// MappedCSR is a graph served directly out of a memory-mapped v3
 // file: the kernel pages adjacency in on demand and the process
 // resident set is the touched part of the graph, nothing more.
 type MappedCSR struct {

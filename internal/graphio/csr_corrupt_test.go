@@ -13,9 +13,10 @@ import (
 	"subtrav/internal/graph"
 )
 
-// corruptFixture builds a graph that exercises every one of the twelve
-// v2 sections the writer emits: undirected (edgeidx), weighted, vertex
-// + edge props (idx, recs, arena), explicit partition.
+// corruptFixture builds a graph that exercises every one of the
+// thirteen sections the writer emits: undirected (edgeidx), weighted,
+// vertex + edge props (idx, recs, arena, keys), explicit partition.
+// Its key table is len, name, ok, pic, score, via (ids 0–5).
 func corruptFixture(t *testing.T) []byte {
 	t.Helper()
 	b := graph.NewBuilder(graph.Undirected, 6)
@@ -133,10 +134,15 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 		{"bad-magic", func(t *testing.T, d []byte) []byte { d[0] ^= 0xff; return d },
 			ErrCSRMagic, "magic"},
 		{"future-version", func(t *testing.T, d []byte) []byte {
-			le.PutUint32(d[8:], 3)
+			le.PutUint32(d[8:], 4)
 			refreshCRCs(t, d)
 			return d
-		}, ErrCSRVersion, "version 3"},
+		}, ErrCSRVersion, "version 4"},
+		{"magic-names-another-version", func(t *testing.T, d []byte) []byte {
+			d[7] = '2'
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRVersion, `"STRVCSR2"`},
 		{"invalid-kind", func(t *testing.T, d []byte) []byte {
 			d[12] = 7
 			refreshCRCs(t, d)
@@ -173,9 +179,9 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 			refreshCRCs(t, d)
 			return d
 		}, ErrCSRCorrupt, "out of order"},
-		{"retired-id-13", retired(13), ErrCSRCorrupt, "id 13 after 11"},
-		{"retired-id-14", retired(14), ErrCSRCorrupt, "id 14 after 11"},
-		{"retired-id-15", retired(15), ErrCSRCorrupt, "id 15 after 11"},
+		{"retired-id-13", retired(13), ErrCSRCorrupt, "id 13 after 12"},
+		{"retired-id-14", retired(14), ErrCSRCorrupt, "id 14 after 12"},
+		{"retired-id-15", retired(15), ErrCSRCorrupt, "id 15 after 12"},
 		{"section-misaligned", func(t *testing.T, d []byte) []byte {
 			e := entryFor(t, d, secTargets)
 			le.PutUint64(d[e.pos+8:], e.off+4)
@@ -243,17 +249,62 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 			return d
 		}, ErrCSRCorrupt, "without"},
 		{"prop-key-past-arena", func(t *testing.T, d []byte) []byte {
-			e := entryFor(t, d, secVPropRecs)
-			le.PutUint32(d[e.off+4:], ^uint32(0)) // first record's key length
+			e := entryFor(t, d, secKeys)
+			le.PutUint32(d[e.off+4:], ^uint32(0)) // the first key's length
 			refreshCRCs(t, d)
 			return d
-		}, ErrCSRCorrupt, "arena"},
+		}, ErrCSRCorrupt, "arena section: key table entry string"},
+		{"prop-key-id-past-table", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secEPropRecs)
+			le.PutUint16(d[e.off+propRecSize:], 6) // edge 0's "via"; the table holds 6 keys
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "eproprecs section: key id 6 of entity 0 past the 6-key table"},
+		{"keys-unsorted", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secKeys)
+			a, b := d[e.off:e.off+propKeySize], d[e.off+propKeySize:e.off+2*propKeySize]
+			tmp := append([]byte(nil), a...)
+			copy(a, b)
+			copy(b, tmp)
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, `keys section: key 1 "len" not after "name"`},
+		{"keys-duplicate", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secKeys)
+			copy(d[e.off+propKeySize:e.off+2*propKeySize], d[e.off:e.off+propKeySize])
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, `keys section: key 1 "len" not after "len"`},
+		{"keys-not-entry-multiple", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secKeys)
+			le.PutUint64(d[e.pos+16:], e.ln-4)
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "keys section"},
+		{"keys-past-id-limit", func(t *testing.T, d []byte) []byte {
+			// The key table is the last section: grow it in place to one
+			// entry more than a 16-bit id can name.
+			e := entryFor(t, d, secKeys)
+			if e.off+e.ln != uint64(len(d)) {
+				t.Fatal("the key table is not the file's last section")
+			}
+			d = append(d, make([]byte, (graph.MaxPropKeys+1)*propKeySize-int(e.ln))...)
+			le.PutUint64(d[e.pos+16:], (graph.MaxPropKeys+1)*propKeySize)
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "keys section: 65537 keys, at most 65536"},
 		{"prop-unknown-value-kind", func(t *testing.T, d []byte) []byte {
 			e := entryFor(t, d, secEPropRecs)
-			le.PutUint32(d[e.off+8:], 99)
+			d[e.off+2] = 99
 			refreshCRCs(t, d)
 			return d
-		}, ErrCSRCorrupt, "kind"},
+		}, ErrCSRCorrupt, "unknown value kind 99"},
+		{"prop-reserved-byte-set", func(t *testing.T, d []byte) []byte {
+			e := entryFor(t, d, secVPropRecs)
+			d[e.off+3] = 1
+			refreshCRCs(t, d)
+			return d
+		}, ErrCSRCorrupt, "vproprecs section: reserved byte"},
 		{"vprop-keys-unsorted", swapRecs(secVPropRecs), ErrCSRCorrupt, "vproprecs section: keys of entity 0 not strictly ascending"},
 		{"eprop-keys-unsorted", swapRecs(secEPropRecs), ErrCSRCorrupt, "eproprecs section: keys of entity 0 not strictly ascending"},
 		{"vprop-duplicate-key", dupRec(secVPropRecs), ErrCSRCorrupt, "vproprecs section: keys of entity 0 not strictly ascending"},
@@ -272,7 +323,7 @@ func TestReadCSRCorruptionTable(t *testing.T) {
 		}, ErrCSRCorrupt, "vpropidx"},
 		{"prop-blob-overflows", func(t *testing.T, d []byte) []byte {
 			e := entryFor(t, d, secVPropRecs)
-			le.PutUint64(d[e.off+propRecSize+16:], 1<<63) // vertex 0's "pic"
+			le.PutUint64(d[e.off+propRecSize+8:], 1<<63) // vertex 0's "pic"
 			refreshCRCs(t, d)
 			return d
 		}, ErrCSRCorrupt, "blob"},
@@ -355,17 +406,46 @@ func relabelLast(t testing.TB, data []byte, id uint32) []byte {
 // TestReadCSRInEdgeSections pins the retirement of section ids 13–15,
 // which held a reverse-CSR view: the golden snapshot as the last build
 // that wrote them encoded it (testdata/golden_inedges.csr2, never
-// regenerated — no writer can produce it any more) is refused as
-// corrupt, and the corruption table refuses a table listing any one of
-// them.
+// regenerated — no writer can produce it any more) is refused, by its
+// version as it stands and as corrupt once its header is stamped with
+// this version, and the corruption table refuses a table listing any
+// one of them.
 func TestReadCSRInEdgeSections(t *testing.T) {
 	old, err := os.ReadFile(filepath.FromSlash("testdata/golden_inedges.csr2"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	stamped := append([]byte(nil), old...)
+	copy(stamped, csrMagic)
+	le.PutUint32(stamped[8:], csrVersion)
+	refreshCRCs(t, stamped)
 	for _, mode := range []bool{false, true} {
-		if _, err := decodeCSR(old, mode); !errors.Is(err, ErrCSRCorrupt) {
-			t.Fatalf("copyMode=%v: snapshot with in-edge sections: err = %v, want ErrCSRCorrupt", mode, err)
+		if _, err := decodeCSR(old, mode); !errors.Is(err, ErrCSRVersion) {
+			t.Fatalf("copyMode=%v: snapshot with in-edge sections: err = %v, want ErrCSRVersion", mode, err)
+		}
+		if _, err := decodeCSR(stamped, mode); !errors.Is(err, ErrCSRCorrupt) {
+			t.Fatalf("copyMode=%v: snapshot with in-edge sections, stamped v%d: err = %v, want ErrCSRCorrupt",
+				mode, csrVersion, err)
+		}
+	}
+}
+
+// TestReadCSRRefusesV2 pins the format version: a snapshot in the v2
+// layout (24-byte records, each carrying its key) — the golden fixture
+// as the last v2 build wrote it, testdata/golden.csr2 — is refused as
+// an unsupported version, not mistaken for another kind of file.
+func TestReadCSRRefusesV2(t *testing.T) {
+	v2, err := os.ReadFile(filepath.FromSlash("testdata/golden.csr2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []bool{false, true} {
+		_, err := decodeCSR(v2, mode)
+		if !errors.Is(err, ErrCSRVersion) || errors.Is(err, ErrCSRMagic) {
+			t.Fatalf("copyMode=%v: v2 snapshot: err = %v, want ErrCSRVersion", mode, err)
+		}
+		if !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("copyMode=%v: error %q does not name version 2", mode, err)
 		}
 	}
 }
@@ -380,9 +460,9 @@ func TestReadCSRArenaOffsetOverflow(t *testing.T) {
 	found := false
 	for pos := int(e.off); pos < int(e.off+e.ln); pos += propRecSize {
 		rec := data[pos : pos+propRecSize]
-		if graph.ValueKind(le.Uint32(rec[8:])) == graph.KindString {
-			le.PutUint32(rec[12:], 2)              // claimed string length
-			le.PutUint64(rec[16:], math.MaxUint64) // offset that wraps the naive check
+		if graph.ValueKind(rec[2]) == graph.KindString {
+			le.PutUint32(rec[4:], 2)              // claimed string length
+			le.PutUint64(rec[8:], math.MaxUint64) // offset that wraps the naive check
 			found = true
 			break
 		}

@@ -12,13 +12,16 @@ import (
 	"subtrav/internal/graphgen"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden v2 CSR fixture")
+var updateGolden = flag.Bool("update", false, "rewrite the golden v3 CSR fixture")
 
-const goldenPath = "testdata/golden.csr2"
+// goldenPath is the golden fixture in this version's layout;
+// testdata/golden.csr2 is the same graph as the last v2 build wrote it,
+// kept as the refused-version case.
+const goldenPath = "testdata/golden.csr3"
 
 // goldenGraph is the handcrafted fixture pinned in testdata: small
-// enough to eyeball in a hex dump, rich enough to exercise all twelve
-// sections the writer emits.
+// enough to eyeball in a hex dump, rich enough to exercise all
+// thirteen sections the writer emits.
 func goldenGraph() *graph.Graph {
 	b := graph.NewBuilder(graph.Undirected, 8)
 	b.AddEdgeFull(0, 1, 1.5, graph.Properties{"kind": graph.String("follows")})
@@ -33,7 +36,7 @@ func goldenGraph() *graph.Graph {
 	return b.Build()
 }
 
-// TestCSRGoldenFile pins the exact v2 bytes of the golden fixture. Any
+// TestCSRGoldenFile pins the exact v3 bytes of the golden fixture. Any
 // change to the wire format — layout, ordering, interning, checksums —
 // shows up here as a diff against the tracked file, forcing a
 // conscious format-version decision rather than a silent break.
@@ -84,7 +87,7 @@ const midSizeSnapshotPartitions = 8
 
 // midSizeSnapshot is a 32768-vertex power-law graph of average degree
 // 16 carrying partition labels — and, with meta, a property set on
-// every vertex and every edge — together with its v2 encoding.
+// every vertex and every edge — together with its v3 encoding.
 func midSizeSnapshot(t *testing.T, meta bool) (*graph.Graph, []byte) {
 	t.Helper()
 	const n = 32768

@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"math"
 	"os"
@@ -280,9 +281,38 @@ func TestCSRMisalignedBuffer(t *testing.T) {
 	assertGraphEqual(t, "misaligned", g, back)
 }
 
+// TestCSRKeyTableAtLimit round-trips a graph with the most distinct
+// property keys a 16-bit key id can name, so the largest id, 65535,
+// survives the encoding in both decode modes.
+func TestCSRKeyTableAtLimit(t *testing.T) {
+	b := graph.NewBuilder(graph.Directed, 256)
+	for v := 0; v < 256; v++ {
+		p := graph.Properties{}
+		for i := 0; i < graph.MaxPropKeys/256; i++ {
+			p[fmt.Sprintf("k%03d-%03d", v, i)] = graph.Int(int64(v*1000 + i))
+		}
+		b.SetVertexProps(graph.VertexID(v), p)
+	}
+	g := b.Build()
+	data := encodeCSR(t, g)
+	for _, copyMode := range []bool{false, true} {
+		back, err := decodeCSR(data, copyMode)
+		if err != nil {
+			t.Fatalf("copyMode=%v: %v", copyMode, err)
+		}
+		if got := len(back.CSRView().Keys); got != graph.MaxPropKeys {
+			t.Fatalf("copyMode=%v: %d keys decoded, want %d", copyMode, got, graph.MaxPropKeys)
+		}
+		if v, ok := back.VertexProps(255).Get("k255-255"); !ok || v.Int64() != 255255 {
+			t.Fatalf("copyMode=%v: the key with the largest id reads %v, %v", copyMode, v, ok)
+		}
+		assertGraphEqual(t, fmt.Sprintf("copyMode=%v", copyMode), g, back)
+	}
+}
+
 func TestCSRFileRoundTrip(t *testing.T) {
 	g := diffFixtures(t)["powerlaw-undirected-props"]
-	path := filepath.Join(t.TempDir(), "g.csr2")
+	path := filepath.Join(t.TempDir(), "g.csr")
 	if err := WriteCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +405,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "g.csr2")
+	path := filepath.Join(t.TempDir(), "g.csr")
 	if err := WriteCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +424,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestOpenCSRFileMmap(t *testing.T) {
 	g := diffFixtures(t)["all-value-kinds"]
-	path := filepath.Join(t.TempDir(), "g.csr2")
+	path := filepath.Join(t.TempDir(), "g.csr")
 	if err := WriteCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +468,7 @@ func TestReadErrors(t *testing.T) {
 			t.Errorf("ReadCSR(%q) accepted", data)
 		}
 	}
-	missing := filepath.Join(t.TempDir(), "missing.csr2")
+	missing := filepath.Join(t.TempDir(), "missing.csr")
 	if _, err := ReadGraphFile(missing); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("ReadGraphFile(missing): err = %v, want fs.ErrNotExist", err)
 	}

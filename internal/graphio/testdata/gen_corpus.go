@@ -1,41 +1,34 @@
 //go:build ignore
 
 // gen_corpus regenerates the seed corpus under testdata/fuzz/ for the
-// graphio fuzz target FuzzReadCSR. Run from internal/graphio:
+// graphio fuzz target FuzzReadCSR from the golden snapshot
+// (testdata/golden.csr3, pinned by TestCSRGoldenFile). Run from
+// internal/graphio:
 //
 //	go run testdata/gen_corpus.go
 //
 // The seeds mirror the f.Add cases (valid file, truncation, bit flip)
 // so `go test -fuzz` starts from interesting inputs even with an empty
 // fuzz cache, and plain `go test` replays them as regression inputs.
+// Seeds are named by section index: the golden's last section, index
+// 12, is the key table.
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-
-	"subtrav/internal/graph"
-	"subtrav/internal/graphio"
 )
 
 func main() {
-	// A snapshot with all sections, truncations at every section
-	// boundary, per-section bit flips, and a hostile header.
-	b := graph.NewBuilder(graph.Undirected, 5)
-	b.AddEdgeFull(0, 1, 0.5, graph.Properties{"k": graph.String("v")})
-	b.AddWeightedEdge(1, 2, 2)
-	b.AddEdge(3, 4)
-	b.SetVertexProps(0, graph.Properties{"n": graph.Int(7), "b": graph.Blob(64)})
-	b.SetPartition([]int32{0, 0, 1, 1, 1})
-	var buf bytes.Buffer
-	if err := graphio.WriteCSR(&buf, b.Build()); err != nil {
+	// The golden snapshot with all sections, truncations at every
+	// section boundary, per-section bit flips, and a hostile header.
+	valid, err := os.ReadFile(filepath.Join("testdata", "golden.csr3"))
+	if err != nil {
 		log.Fatal(err)
 	}
-	valid := buf.Bytes()
 	write("FuzzReadCSR", "valid", valid)
 	write("FuzzReadCSR", "empty", nil)
 	write("FuzzReadCSR", "magic_only", valid[:8])

@@ -31,7 +31,8 @@ type WallClock struct{}
 func (WallClock) Now() int64 { return time.Now().UnixNano() }
 
 // ManualClock is an explicitly advanced clock, used by the simulator
-// and by tests. Safe for concurrent use.
+// and by tests. Readers may call Now from any goroutine; Set has a
+// single writer (see Set).
 type ManualClock struct {
 	t atomic.Int64
 }
@@ -39,13 +40,14 @@ type ManualClock struct {
 // Now returns the current virtual time.
 func (c *ManualClock) Now() int64 { return c.t.Load() }
 
-// Set moves the clock to t; it never moves backwards.
+// Set moves the clock to t; it never moves backwards. Set has a single
+// writer: the one goroutine driving virtual time (a simulator's event
+// loop, a replay) calls it, so a load and a store keep the clock
+// monotone; two goroutines calling Set at once could each pass the load
+// and the smaller time could land last.
 func (c *ManualClock) Set(t int64) {
-	for {
-		cur := c.t.Load()
-		if t <= cur || c.t.CompareAndSwap(cur, t) {
-			return
-		}
+	if t > c.t.Load() {
+		c.t.Store(t)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"subtrav/internal/graphgen"
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
+	"subtrav/internal/signature"
+	"subtrav/internal/storage"
 	"subtrav/internal/traverse"
 	"subtrav/internal/workload"
 )
@@ -544,4 +547,57 @@ func TestTraceSpans(t *testing.T) {
 			t.Errorf("installing the ring moved the run:\n   traced %+v\n untraced %+v", traced, untraced)
 		}
 	})
+}
+
+// byID places task i on unit i mod P, whatever the units' state.
+type byID struct{}
+
+func (byID) Name() string { return "by-id" }
+
+func (byID) Assign(tasks []*sched.Task, units []sched.UnitState) []int {
+	out := make([]int, len(tasks))
+	for i, t := range tasks {
+		out[i] = int(t.ID) % len(units)
+	}
+	return out
+}
+
+// TestCompletionSignsAfterEarlierMisses pins the flush in complete: the
+// misses logged before a completion are written to L(v) before the
+// completion signs its trace, as a Record per miss would have written
+// them. Costs are zero, so every event of the run happens at virtual
+// instant 0 and only the order of the writes tells them apart. On the
+// path 0–1–…–7, task 0 (BFS to depth 7) runs on unit 0 and task 1 (BFS
+// to depth 1) on unit 1; their misses alternate, 0 then 1, so unit 0
+// has missed vertex 1 before unit 1 completes and signs it. Each of
+// vertices 0 and 1 must then list unit 0's miss, unit 1's miss, unit
+// 1's completion and, last, unit 0's completion.
+func TestCompletionSignsAfterEarlierMisses(t *testing.T) {
+	b := graph.NewBuilder(graph.Undirected, 8)
+	for v := graph.VertexID(0); v < 7; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.Build()
+	zero := CostModel{Disk: storage.DiskConfig{BytesPerSecond: math.MaxInt64, Channels: 2}}
+	c, err := NewCluster(g, Config{NumUnits: 2, Cost: zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(byID{}, []*sched.Task{
+		{ID: 0, Query: traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 7}},
+		{ID: 1, Query: traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 2 || res.Makespan != 0 || !reflect.DeepEqual(res.TasksPerUnit, []int64{1, 1}) {
+		t.Fatalf("run: %d completed in %v, per unit %v; want 2 at instant 0, one per unit",
+			res.Completed, res.Makespan, res.TasksPerUnit)
+	}
+	want := []signature.Entry{{Proc: 0}, {Proc: 1}, {Proc: 1}, {Proc: 0}}
+	for _, v := range []graph.VertexID{0, 1} {
+		if got := c.Signatures().Visitors(v); !reflect.DeepEqual(got, want) {
+			t.Errorf("L(%d) = %v, want %v", v, got, want)
+		}
+	}
 }
