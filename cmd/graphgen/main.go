@@ -43,26 +43,12 @@ func main() {
 		fatal(fmt.Errorf("-out is required"))
 	}
 
-	var sc subtrav.Scale
-	switch *scale {
-	case "tiny":
-		sc = subtrav.ScaleTiny
-	case "small":
-		sc = subtrav.ScaleSmall
-	case "medium":
-		sc = subtrav.ScaleMedium
-	case "large":
-		sc = subtrav.ScaleLarge
-	case "paper":
-		sc = subtrav.ScalePaper
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
+	sc, err := subtrav.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 
-	var (
-		g   *graph.Graph
-		err error
-	)
+	var g *graph.Graph
 	switch *typ {
 	case "powerlaw":
 		g, err = subtrav.TwitterLike(sc, *seed)

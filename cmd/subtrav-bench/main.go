@@ -57,11 +57,11 @@ func main() {
 		cfg = experiments.Quick()
 	}
 	cfg.Seed = *seed
-	if s, ok := scales[*scale]; ok {
-		cfg.Scale = s
-	} else {
-		fatal(fmt.Errorf("unknown scale %q", *scale))
+	sc, err := subtrav.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
+	cfg.Scale = sc
 	if *units != "" {
 		sweep, err := parseUnits(*units)
 		if err != nil {
@@ -138,11 +138,6 @@ func one(f func(experiments.Config) (*experiments.Table, error)) func(experiment
 
 // formats are the -format values main accepts.
 var formats = []string{"text", "markdown", "csv"}
-
-var scales = map[string]subtrav.Scale{
-	"tiny": subtrav.ScaleTiny, "small": subtrav.ScaleSmall, "medium": subtrav.ScaleMedium,
-	"large": subtrav.ScaleLarge, "paper": subtrav.ScalePaper,
-}
 
 func parseUnits(s string) ([]int, error) {
 	var out []int

@@ -34,7 +34,7 @@ func main() {
 		memMB     = flag.Int64("mem", 64, "per-unit buffer budget in MiB (0 = unlimited)")
 		graphFile = flag.String("graph", "", "graph snapshot to serve, as graphgen writes it (default: generated power-law)")
 		useMmap   = flag.Bool("mmap", false, "serve the -graph snapshot out of a read-only memory map instead of loading it on the heap")
-		scale     = flag.String("scale", "small", "generated graph scale when -graph is not given")
+		scale     = flag.String("scale", "small", "generated graph scale when -graph is not given: tiny, small, medium")
 		seed      = flag.Uint64("seed", 42, "seed for the generated graph")
 		epsilon   = flag.Float64("epsilon", 1e-3, "auction minimum price increment")
 		timeScale = flag.Float64("timescale", 1e-3, "virtual-cost to wall-time scale for simulated I/O")
@@ -68,17 +68,12 @@ func main() {
 		}
 	} else {
 		var sc subtrav.Scale
-		switch *scale {
-		case "tiny":
-			sc = subtrav.ScaleTiny
-		case "small":
-			sc = subtrav.ScaleSmall
-		case "medium":
-			sc = subtrav.ScaleMedium
-		default:
-			fatal(fmt.Errorf("unknown scale %q", *scale))
+		if sc, err = subtrav.ParseScale(*scale); err == nil && sc > subtrav.ScaleMedium {
+			err = fmt.Errorf("scale %q is too large to generate at startup: want tiny, small or medium", *scale)
 		}
-		g, err = subtrav.TwitterLike(sc, *seed)
+		if err == nil {
+			g, err = subtrav.TwitterLike(sc, *seed)
+		}
 	}
 	if err != nil {
 		fatal(err)

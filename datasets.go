@@ -44,6 +44,16 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale returns the scale whose String is name.
+func ParseScale(name string) (Scale, error) {
+	for s := ScaleTiny; s <= ScalePaper; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q", name)
+}
+
 // size returns (vertices, edges) preserving the paper graph's
 // edge/vertex ratio of ≈7.5.
 func (s Scale) size() (int, int) {

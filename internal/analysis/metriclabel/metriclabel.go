@@ -52,7 +52,7 @@ var (
 	// req.ID, qid... Tenant and user identity (tenantName, userID)
 	// counts too: clients mint those freely, so a label fed straight
 	// from one grows the registry without bound — fold through a
-	// capped bucket table first (see live's tenantState). The unit
+	// capped bucket table first (see sim.Admission.Tenant). The unit
 	// index (u.id, bounded by the unit count) deliberately does not
 	// match.
 	unboundedRef = regexp.MustCompile(`(?i)(query|task|request|req)[a-zA-Z_]*id|\bqid\b|(?i)(tenant|user)[a-zA-Z_]*(id|name)\b`)

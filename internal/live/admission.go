@@ -118,19 +118,17 @@ func (r *Runtime) SubmitTenantFunc(ctx context.Context, tenant string, q travers
 	}
 	t.stask.ID = r.nextID
 	verdict := r.life.Arrive(t)
-	ts := r.tenantState(t.Bucket)
-	ts.submitted.Inc()
+	r.registerTenant()
 	if verdict != sim.Admitted {
 		adm := r.life.Admission()
 		tenantLimited := verdict == sim.TenantOverShare
 		inflight := adm.InFlight()
 		retryAfter := retryUnit * time.Duration(2+inflight/len(r.units))
 		if tenantLimited {
-			inflight = adm.TenantInFlight(t.Bucket)
+			inflight = int(adm.TenantCounts(t.Bucket).InFlight())
 		}
 		label := adm.Label(t.Bucket)
 		r.mu.Unlock()
-		ts.rejected.Inc()
 		if cancel != nil {
 			cancel()
 		}
@@ -143,7 +141,6 @@ func (r *Runtime) SubmitTenantFunc(ctx context.Context, tenant string, q travers
 			TenantLimited: tenantLimited, Tenant: label,
 		}
 	}
-	t.tstate = ts
 	r.nextID++
 	r.mu.Unlock()
 	r.wakeDispatcher()
@@ -178,7 +175,7 @@ func (r *Runtime) DoCtx(ctx context.Context, q traverse.Query) (Response, error)
 
 // resolve delivers the response of a task the lifecycle has resolved
 // at end — counted, its admission slot released — timed out, or
-// completed with err, and records it: the tenant's series, the latency
+// completed with err, and records it: the failure count, the latency
 // histograms and the span, whose stamps the response's durations are.
 func (r *Runtime) resolve(t *task, timedOut bool, err error, end int64) {
 	if t.cancel != nil {
@@ -187,14 +184,10 @@ func (r *Runtime) resolve(t *task, timedOut bool, err error, end int64) {
 	outcome := obs.OutcomeCompleted
 	switch {
 	case timedOut:
-		t.tstate.timedOut.Inc()
 		outcome = obs.OutcomeTimeout
 	case err != nil:
-		t.tstate.completed.Inc()
-		r.life.Counts.Failed.Add(1)
+		r.obs.failed.Inc()
 		outcome = obs.OutcomeFailed
-	default:
-		t.tstate.completed.Inc()
 	}
 	s := t.Span(outcome, end)
 	r.obs.waitNanos.Observe(s.WaitNanos)

@@ -96,7 +96,7 @@ func (r *Runtime) charge(u *liveUnit, t *task, replay *traverse.Trace) (timedOut
 func (r *Runtime) diskRead(bytes int64) (serviceNanos int64, delay time.Duration, err error) {
 	fault := r.cfg.Faults.Eval(faultpoint.DiskRead)
 	if fault.Err != nil {
-		r.life.Counts.DiskFaultRetries.Add(1)
+		r.obs.diskFaultRetries.Inc()
 		fault = r.cfg.Faults.Eval(faultpoint.DiskRead)
 		if fault.Err != nil {
 			return 0, 0, fmt.Errorf("live: disk read failed after retry: %w", fault.Err)

@@ -101,7 +101,7 @@ func (r *Runtime) schedule(round []*task, tasks []*sched.Task) (placement []int,
 		if r.degradeLeft > 0 {
 			r.degradeLeft--
 		}
-		r.life.Counts.DegradedRounds.Add(1)
+		r.obs.degradedRounds.Inc()
 		s = r.fallback
 	}
 	placement = sim.Assign(s, round, tasks, r.states)

@@ -13,8 +13,9 @@
 // completion (possibly carrying an execution error), a timeout (its
 // context expired before execution finished), or — at admission — a
 // rejection when the in-flight bound is hit. The partition is recorded
-// in metrics.Counters, so at quiescence
-// submitted = completed + rejected + timed-out holds exactly.
+// once, per tenant and in total, in the lifecycle's sim.Admission
+// ledger, so at quiescence submitted = completed + rejected + timed-out
+// holds exactly.
 package live
 
 import (
@@ -164,9 +165,6 @@ type task struct {
 	// done receives the Response when the task resolves (see
 	// SubmitTenantFunc).
 	done func(Response)
-	// tstate is the submitting tenant's metric series, resolved once at
-	// admission so resolution never re-hits the bucket table.
-	tstate *tenantState
 	// degraded marks placement by a degraded round's fallback;
 	// diskWait sums the charge's disk slot waits.
 	degraded bool
@@ -209,16 +207,16 @@ type Runtime struct {
 	// allocating per-query maps.
 	wsPool *traverse.Pool
 
-	// mu guards life (but for its atomic Counts), tenants, closed and
-	// nextID. The scheduler runs outside it.
+	// mu guards life, tenantSeries, closed and nextID. The scheduler
+	// runs outside it.
 	mu    sync.Mutex
 	life  *sim.Lifecycle[*task]
 	sched sched.Scheduler
-	// tenants holds each admission bucket's metric series at the
-	// bucket's index.
-	tenants []*tenantState
-	closed  bool
-	nextID  int64
+	// tenantSeries counts the admission buckets whose metric series are
+	// registered: buckets 0 to tenantSeries − 1.
+	tenantSeries int
+	closed       bool
+	nextID       int64
 
 	// wake tells the dispatcher a task is pending or a unit made room;
 	// stop starts the shutdown drain; drained closes when the dispatcher
@@ -329,18 +327,19 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 
 // Completed returns the number of finished queries so far (including
 // executions that returned an error; excluding timeouts/rejections).
-func (r *Runtime) Completed() int64 { return r.life.Counts.Completed.Load() }
+func (r *Runtime) Completed() int64 { return r.ledger(-1).Completed }
 
-// Metrics snapshots the query-lifecycle counters.
-func (r *Runtime) Metrics() metrics.Snapshot { return r.life.Counts.Snapshot() }
+// Metrics snapshots the query-lifecycle counters: the ledger's total
+// and the runtime's own side-channels.
+func (r *Runtime) Metrics() metrics.Snapshot {
+	s := r.ledger(-1)
+	s.Failed, s.DegradedRounds, s.DiskFaultRetries = r.obs.failed.Value(), r.obs.degradedRounds.Value(), r.obs.diskFaultRetries.Value()
+	return s
+}
 
 // InFlight returns the number of admitted-but-unresolved queries.
 // Always <= Config.MaxPending.
-func (r *Runtime) InFlight() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.life.Admission().InFlight()
-}
+func (r *Runtime) InFlight() int { return int(r.ledger(-1).InFlight()) }
 
 // UnitStats is a point-in-time snapshot of one unit's activity.
 type UnitStats struct {

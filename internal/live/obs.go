@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 
+	"subtrav/internal/metrics"
 	"subtrav/internal/obs"
 )
 
@@ -29,21 +30,10 @@ type runtimeObs struct {
 	// margin) is registered by the scheduler itself via Register.
 	imbalance      *obs.FloatGauge
 	imbalanceMilli *obs.Histogram
-}
 
-// tenantState is one tenant bucket's metric series. The bucket itself —
-// which names share it, how many of its queries are in flight, whether
-// the next one is admitted — is the lifecycle's sim.Admission (guarded
-// by Runtime.mu), whose MaxTenants cap bounds this series' cardinality.
-type tenantState struct {
-	// bucket is the tenant's admission bucket and its index in
-	// Runtime.tenants.
-	bucket int
-
-	submitted *obs.Counter
-	completed *obs.Counter
-	rejected  *obs.Counter
-	timedOut  *obs.Counter
+	// The live runtime's side-channels beside the ledger's fates (see
+	// metrics.Snapshot), each written only here.
+	failed, degradedRounds, diskFaultRetries *obs.Counter
 }
 
 // unitCounters are one unit's cache counters: atomic shadows of the
@@ -59,25 +49,24 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 	reg := obs.NewRegistry()
 	o := &runtimeObs{reg: reg, ring: obs.NewRing(traceBuffer)}
 
-	// Lifecycle counters read straight from the lifecycle's
-	// metrics.Counters — one source of truth, so the conservation
-	// invariant submitted = completed + rejected + timed_out is visible
-	// on /metrics at quiescence.
-	c := &r.life.Counts
+	// Lifecycle counters read straight from the lifecycle's ledger —
+	// one source of truth, so the conservation invariant submitted =
+	// completed + rejected + timed_out is visible on /metrics at
+	// quiescence.
 	reg.CounterFunc("subtrav_queries_submitted_total",
-		"Valid queries presented for admission.", c.Submitted.Load)
+		"Valid queries presented for admission.", func() int64 { return r.ledger(-1).Submitted })
 	reg.CounterFunc("subtrav_queries_completed_total",
-		"Queries whose response was delivered after execution.", c.Completed.Load)
+		"Queries whose response was delivered after execution.", func() int64 { return r.ledger(-1).Completed })
 	reg.CounterFunc("subtrav_queries_rejected_total",
-		"Queries refused at admission (backpressure).", c.Rejected.Load)
+		"Queries refused at admission (backpressure).", func() int64 { return r.ledger(-1).Rejected })
 	reg.CounterFunc("subtrav_queries_timed_out_total",
-		"Queries dropped on deadline expiry or cancellation.", c.TimedOut.Load)
-	reg.CounterFunc("subtrav_queries_failed_total",
-		"Completed queries whose execution returned an error.", c.Failed.Load)
-	reg.CounterFunc("subtrav_sched_degraded_rounds_total",
-		"Scheduling rounds that used the least-loaded fallback.", c.DegradedRounds.Load)
-	reg.CounterFunc("subtrav_disk_fault_retries_total",
-		"Transient disk errors absorbed by the internal retry.", c.DiskFaultRetries.Load)
+		"Queries dropped on deadline expiry or cancellation.", func() int64 { return r.ledger(-1).TimedOut })
+	o.failed = reg.Counter("subtrav_queries_failed_total",
+		"Completed queries whose execution returned an error.")
+	o.degradedRounds = reg.Counter("subtrav_sched_degraded_rounds_total",
+		"Scheduling rounds that used the least-loaded fallback.")
+	o.diskFaultRetries = reg.Counter("subtrav_disk_fault_retries_total",
+		"Transient disk errors absorbed by the internal retry.")
 	reg.GaugeFunc("subtrav_queries_inflight",
 		"Admitted-but-unresolved queries.", func() float64 { return float64(r.InFlight()) })
 
@@ -101,31 +90,39 @@ func newRuntimeObs(r *Runtime, traceBuffer int) *runtimeObs {
 	return o
 }
 
-// tenantState returns (registering its series on first sight) the
-// metric series of admission bucket b. Caller must hold r.mu.
-func (r *Runtime) tenantState(b int) *tenantState {
-	if b < len(r.tenants) {
-		return r.tenants[b]
+// ledger returns the lifecycle's counts of admission bucket b, or at
+// b < 0 their total.
+func (r *Runtime) ledger(b int) metrics.Snapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b < 0 {
+		return r.life.Admission().Counts()
 	}
-	ts := &tenantState{bucket: b}
-	label := obs.L("tenant", r.life.Admission().Label(b))
-	ts.submitted = r.obs.reg.Counter("subtrav_tenant_submitted_total",
-		"Queries presented for admission per tenant.", label)
-	ts.completed = r.obs.reg.Counter("subtrav_tenant_completed_total",
-		"Completed queries per tenant.", label)
-	ts.rejected = r.obs.reg.Counter("subtrav_tenant_rejected_total",
-		"Queries refused at admission per tenant (global or per-tenant backpressure).", label)
-	ts.timedOut = r.obs.reg.Counter("subtrav_tenant_timed_out_total",
-		"Queries dropped on deadline expiry per tenant.", label)
+	return r.life.Admission().TenantCounts(b)
+}
+
+// registerTenant registers the metric series of the admission bucket
+// the last Arrive created, if it did: one per bucket, whose MaxTenants
+// cap bounds their cardinality. Caller must hold r.mu.
+func (r *Runtime) registerTenant() {
+	adm := r.life.Admission()
+	if r.tenantSeries == adm.Buckets() {
+		return
+	}
+	b := r.tenantSeries
+	r.tenantSeries++
+	label := obs.L("tenant", adm.Label(b))
+	r.obs.reg.CounterFunc("subtrav_tenant_submitted_total",
+		"Queries presented for admission per tenant.", func() int64 { return r.ledger(b).Submitted }, label)
+	r.obs.reg.CounterFunc("subtrav_tenant_completed_total",
+		"Completed queries per tenant.", func() int64 { return r.ledger(b).Completed }, label)
+	r.obs.reg.CounterFunc("subtrav_tenant_rejected_total",
+		"Queries refused at admission per tenant (global or per-tenant backpressure).", func() int64 { return r.ledger(b).Rejected }, label)
+	r.obs.reg.CounterFunc("subtrav_tenant_timed_out_total",
+		"Queries dropped on deadline expiry per tenant.", func() int64 { return r.ledger(b).TimedOut }, label)
 	r.obs.reg.GaugeFunc("subtrav_tenant_inflight",
 		"Admitted-but-unresolved queries per tenant.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return float64(r.life.Admission().TenantInFlight(b))
-		}, label)
-	r.tenants = append(r.tenants, ts)
-	return ts
+		func() float64 { return float64(r.ledger(b).InFlight()) }, label)
 }
 
 // TenantStats is one tenant's lifecycle accounting snapshot.
@@ -144,16 +141,13 @@ type TenantStats struct {
 func (r *Runtime) TenantStatsSnapshot() []TenantStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TenantStats, 0, len(r.tenants))
 	adm := r.life.Admission()
-	for _, ts := range r.tenants {
+	out := make([]TenantStats, 0, adm.Buckets())
+	for b := range adm.Buckets() {
+		c := adm.TenantCounts(b)
 		out = append(out, TenantStats{
-			Tenant:    adm.Label(ts.bucket),
-			InFlight:  adm.TenantInFlight(ts.bucket),
-			Submitted: ts.submitted.Value(),
-			Completed: ts.completed.Value(),
-			Rejected:  ts.rejected.Value(),
-			TimedOut:  ts.timedOut.Value(),
+			Tenant: adm.Label(b), InFlight: int(c.InFlight()),
+			Submitted: c.Submitted, Completed: c.Completed, Rejected: c.Rejected, TimedOut: c.TimedOut,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })

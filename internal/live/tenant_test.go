@@ -1,11 +1,14 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"subtrav/internal/metrics"
 	"subtrav/internal/sched"
 	"subtrav/internal/sim"
 	"subtrav/internal/traverse"
@@ -95,6 +98,69 @@ func TestTenantShareCapsFloodingTenant(t *testing.T) {
 	m := r.Metrics()
 	if m.Submitted != m.Completed+m.Rejected+m.TimedOut {
 		t.Errorf("global conservation violated: %+v", m)
+	}
+}
+
+// TestTenantRowsSumToMetrics: with two tenants, one refused past its
+// share while the only unit is parked and one whose queries time out,
+// the TenantStatsSnapshot rows at quiescence are the lifecycle's ledger
+// per bucket, and they sum to Metrics().
+func TestTenantRowsSumToMetrics(t *testing.T) {
+	t.Parallel()
+	g := liveGraph(t)
+	cfg := fastLiveConfig(1)
+	cfg.MaxPending = 6
+	cfg.TenantShare = 0.5 // per-tenant cap = 3
+	r := newRuntime(t, g, cfg, sched.NewLeastLoaded())
+	release := parkUnit(t, r)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := traverse.Query{Op: traverse.OpBFS, Start: 0, Depth: 2, MaxVisits: 20}
+	var chans []<-chan Response
+	for range 2 {
+		ch, err := r.SubmitTenantCtx(cancelled, "bronze", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	for i := range 5 {
+		ch, err := r.SubmitTenantCtx(context.Background(), "gold", q)
+		switch {
+		case i < 3 && err != nil:
+			t.Fatalf("gold query %d refused under its share: %v", i, err)
+		case i >= 3 && !errors.Is(err, ErrQueueFull):
+			t.Fatalf("gold query %d past its share: err %v", i, err)
+		case err == nil:
+			chans = append(chans, ch)
+		}
+	}
+	if resp := release(); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	for _, ch := range chans {
+		<-ch
+	}
+
+	want := []TenantStats{
+		{Tenant: "bronze", Submitted: 2, TimedOut: 2},
+		{Tenant: sim.DefaultTenant, Submitted: 1, Completed: 1},
+		{Tenant: "gold", Submitted: 5, Completed: 3, Rejected: 2},
+	}
+	rows := r.TenantStatsSnapshot()
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("tenant rows %+v, want %+v", rows, want)
+	}
+	var sum metrics.Snapshot
+	for _, ts := range rows {
+		sum.Submitted += ts.Submitted
+		sum.Completed += ts.Completed
+		sum.Rejected += ts.Rejected
+		sum.TimedOut += ts.TimedOut
+	}
+	if m := r.Metrics(); m != sum {
+		t.Errorf("tenant rows sum to %v, Metrics() is %v", sum, m)
 	}
 }
 

@@ -168,8 +168,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 
 // CounterFunc registers a counter whose value is read from fn at
 // scrape time — for exposing counters that already live elsewhere
-// (e.g. metrics.Counters atomics) without double accounting. fn must
-// be safe for concurrent use and monotone.
+// (e.g. the live runtime's admission ledger, read under its lock)
+// without double accounting. fn must be safe for concurrent use and
+// monotone.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	f := r.getFamily(name, help, kindCounter)
 	f.addSeries(&series{labels: labels, collect: func() float64 { return float64(fn()) }})

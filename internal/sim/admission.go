@@ -1,12 +1,16 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"subtrav/internal/metrics"
+)
 
 // MaxTenants bounds how many distinct tenants an Admission tracks
 // under their own name; later arrivals share the OverflowTenant bucket
 // for both quota and accounting, so a client minting tenant names can
-// grow neither the quota table nor whatever its owner keys by bucket
-// (the live runtime's per-tenant metric series).
+// grow neither the ledger nor whatever its owner keys by bucket (the
+// live runtime's per-tenant metric series).
 const MaxTenants = 32
 
 // Bucket labels that are not a tenant's own name.
@@ -32,26 +36,29 @@ const (
 )
 
 // Admission is the accept/reject rule in front of the pending pool,
-// the single copy under both executors: the live runtime consults it
-// under its mutex in SubmitTenantCtx, the simulator at each arrival
-// event. The decision is a function of in-flight counts only — never
-// of a clock — which is what lets one implementation serve wall time
-// and virtual time. A query is in flight from Admit until the Release
-// its owner calls when it resolves (completed or timed out).
+// and the one ledger of what became of the queries shown to it: the
+// single copy under both executors. The live runtime consults it under
+// its mutex in SubmitTenantCtx, the simulator at each arrival event.
+// Each bucket counts its submitted, completed, rejected and timed-out
+// queries, a running total counts them all, and in flight is the
+// difference: a query is in flight from Admit until the Release its
+// owner calls when it resolves (completed or timed out). The decision
+// is a function of in-flight counts only — never of a clock — which is
+// what lets one implementation serve wall time and virtual time.
 //
 // Not safe for concurrent use; the owner serializes access.
 type Admission struct {
 	maxPending int // 0: unbounded
 	tenantCap  int // 0: no per-tenant cap
 
-	inflight int
-	index    map[string]int
-	buckets  []bucket
+	total   metrics.Snapshot
+	index   map[string]int
+	buckets []bucket
 }
 
 type bucket struct {
-	label    string
-	inflight int
+	label  string
+	counts metrics.Snapshot
 }
 
 // NewAdmission builds the rule for a global bound of maxPending
@@ -70,8 +77,7 @@ func NewAdmission(maxPending int, tenantShare float64) *Admission {
 // Tenant returns the bucket a tenant name is accounted in, creating it
 // on first sight: its own while fewer than MaxTenants buckets exist,
 // the overflow bucket after. The empty name is DefaultTenant. Buckets
-// are dense indices from 0 in creation order, so an owner can keep
-// per-tenant state in a slice beside them.
+// are dense indices from 0 in creation order.
 func (a *Admission) Tenant(name string) int {
 	if name == "" {
 		name = DefaultTenant
@@ -90,35 +96,55 @@ func (a *Admission) Tenant(name string) int {
 	return len(a.buckets) - 1
 }
 
+// Buckets returns how many buckets exist.
+func (a *Admission) Buckets() int { return len(a.buckets) }
+
 // Label returns the bucket's bounded-cardinality name: the tenant's
 // own, DefaultTenant or OverflowTenant.
 func (a *Admission) Label(bucket int) string { return a.buckets[bucket].label }
 
+// Counts returns the running total over every bucket. Its Failed,
+// DegradedRounds and DiskFaultRetries are zero: the ledger counts
+// fates, and those are not.
+func (a *Admission) Counts() metrics.Snapshot { return a.total }
+
+// TenantCounts returns the bucket's counts.
+func (a *Admission) TenantCounts(bucket int) metrics.Snapshot { return a.buckets[bucket].counts }
+
 // InFlight returns the admitted-but-unresolved count.
-func (a *Admission) InFlight() int { return a.inflight }
+func (a *Admission) InFlight() int { return int(a.total.InFlight()) }
 
-// TenantInFlight returns the bucket's admitted-but-unresolved count.
-func (a *Admission) TenantInFlight(bucket int) int { return a.buckets[bucket].inflight }
-
-// Admit decides one arrival for the bucket and, when it is Admitted,
-// counts it in flight. The global bound is checked first, so a full
-// pool reports QueueFull even for a tenant that is also over its
-// share.
+// Admit counts one arrival for the bucket and decides it: Admitted, it
+// is in flight until Release; refused, it is counted rejected. The
+// global bound is checked first, so a full pool reports QueueFull even
+// for a tenant that is also over its share.
 func (a *Admission) Admit(bucket int) Verdict {
-	b := &a.buckets[bucket]
+	b := &a.buckets[bucket].counts
+	v := Admitted
 	switch {
-	case a.maxPending > 0 && a.inflight >= a.maxPending:
-		return QueueFull
-	case a.tenantCap > 0 && b.inflight >= a.tenantCap:
-		return TenantOverShare
+	case a.maxPending > 0 && a.total.InFlight() >= int64(a.maxPending):
+		v = QueueFull
+	case a.tenantCap > 0 && b.InFlight() >= int64(a.tenantCap):
+		v = TenantOverShare
 	}
-	a.inflight++
-	b.inflight++
-	return Admitted
+	a.total.Submitted++
+	b.Submitted++
+	if v != Admitted {
+		a.total.Rejected++
+		b.Rejected++
+	}
+	return v
 }
 
-// Release ends the in-flight interval of one admitted query.
-func (a *Admission) Release(bucket int) {
-	a.inflight--
-	a.buckets[bucket].inflight--
+// Release ends the in-flight interval of one admitted query of the
+// bucket, counting it timed out or completed.
+func (a *Admission) Release(bucket int, timedOut bool) {
+	b := &a.buckets[bucket].counts
+	if timedOut {
+		a.total.TimedOut++
+		b.TimedOut++
+	} else {
+		a.total.Completed++
+		b.Completed++
+	}
 }

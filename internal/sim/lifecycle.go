@@ -88,20 +88,18 @@ type jobber interface {
 // tasks placed onto per-unit FCFS queues, the dequeue that starts a
 // unit on its next task or batchable run, deadline drops at each step
 // and during execution, and completion — per-unit completion times,
-// admission release, counts, and (Sign) visit signatures. The
+// admission release, and (Sign) visit signatures. Its Admission is the
+// ledger of every query Arrive was shown: submitted = completed +
+// rejected + timed-out once nothing is in flight, per tenant and in
+// total. The
 // simulator drives it from its event loop; the live runtime under its
 // mutex, scheduling between Take and Place without the lock. Executors
 // supply the clock reading each call takes, each job's expiry signal,
 // and their disk, which the lifecycle never sees. An admitted job
 // resolves exactly once: timed out by Take, Dequeue or Expire, which
 // return it for the executor to report, or by Complete. Not safe for
-// concurrent use, but for the atomic Counts and Sign.
+// concurrent use, but for Sign.
 type Lifecycle[T jobber] struct {
-	// Counts partitions what Arrive was shown: submitted = completed +
-	// rejected + timed-out once nothing is in flight. Failed,
-	// DegradedRounds and DiskFaultRetries are the live runtime's.
-	Counts metrics.Counters
-
 	cfg     Config
 	qcap    int
 	sigs    *signature.Table
@@ -150,7 +148,6 @@ func NewLifecycle[T jobber](cfg Config, queueCap int, sigs *signature.Table) *Li
 // Reset empties the lifecycle for another run, keeping what its queues
 // grew to.
 func (l *Lifecycle[T]) Reset() {
-	l.Counts = metrics.Counters{}
 	l.adm = NewAdmission(l.cfg.MaxPending, l.cfg.TenantShare)
 	l.pending.Reset()
 	for i := range l.units {
@@ -169,7 +166,7 @@ func (l *Lifecycle[T]) forget() {
 	}
 }
 
-// Admission returns the accept/reject rule and its in-flight counts.
+// Admission returns the accept/reject rule and its ledger.
 func (l *Lifecycle[T]) Admission() *Admission { return l.adm }
 
 // Units returns the units as a scheduler is shown them.
@@ -185,10 +182,7 @@ func (l *Lifecycle[T]) Completed(u int) int64 { return l.units[u].completed }
 func (l *Lifecycle[T]) Arrive(t T) Verdict {
 	j := t.job()
 	j.Bucket, j.Unit, j.Started = l.adm.Tenant(j.Task.Tenant), -1, -1
-	l.Counts.Submitted.Add(1)
-	v := l.adm.Admit(j.Bucket)
-	if v != Admitted {
-		l.Counts.Rejected.Add(1)
+	if v := l.adm.Admit(j.Bucket); v != Admitted {
 		return v
 	}
 	l.pending.Push(t)
@@ -309,15 +303,14 @@ func (l *Lifecycle[T]) Expire(u int, now int64, timedOut []T) (members, _ []T) {
 }
 
 // Complete finishes u's executing members — completions credited to
-// u, admission slots released — and returns them, valid until u's next
+// u, admission slots released as completed — and returns them, valid until u's next
 // Dequeue, for Sign. u idles.
 func (l *Lifecycle[T]) Complete(u int, now int64) []T {
 	lu := &l.units[u]
 	members := lu.exec
 	for _, t := range members {
 		lu.recordCompletion(now)
-		l.Counts.Completed.Add(1)
-		l.adm.Release(t.job().Bucket)
+		l.adm.Release(t.job().Bucket, false)
 	}
 	lu.exec = lu.exec[:0]
 	return members
@@ -337,13 +330,13 @@ func (l *Lifecycle[T]) Sign(u int, now int64, members []T) {
 }
 
 // dropExpired times out the members whose expiry signal has fired at
-// now, unsigned and uncredited, and returns the rest compacted.
+// now, unsigned, uncredited and released as timed out, and returns the
+// rest compacted.
 func (l *Lifecycle[T]) dropExpired(members []T, now int64, timedOut []T) (live, _ []T) {
 	live = members[:0]
 	for _, t := range members {
 		if t.Expired(now) {
-			l.Counts.TimedOut.Add(1)
-			l.adm.Release(t.job().Bucket)
+			l.adm.Release(t.job().Bucket, true)
 			timedOut = append(timedOut, t)
 		} else {
 			live = append(live, t)

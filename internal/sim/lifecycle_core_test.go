@@ -58,9 +58,9 @@ func (j *testJob) Expired(now int64) bool {
 // runtime schedules without its lock), dequeue, expire, complete — on a
 // fake clock, across admission bounds, tenant shares, deadlines and
 // context expiry, batch widths, and with and without the live queue
-// bound. After every call: submitted = completed + rejected + timed-out
-// + in flight, globally and per tenant; in flight never above
-// MaxPending and equal to what the pool, queues and units hold; no job
+// bound. After every call: the lifecycle's ledger counts per tenant
+// what the test saw happen, and their sum in total; in flight never
+// above MaxPending and equal to what the pool, queues and units hold; no job
 // resolved twice; every queue within QueueCap + NumUnits − 1 under the
 // bound. At the end, after a drain, nothing is in flight. Among the
 // inputs: a non-batchable task that expires while the batchable run
@@ -291,26 +291,26 @@ func (r *lifecycleRun) check() {
 			r.t.Errorf("%s: unit %d queues %d tasks, bound %d + %d − 1", r.name, i, u.queue.Len(), r.qcap, r.cfg.NumUnits)
 		}
 	}
-	c := r.l.Counts.Snapshot()
 	switch {
-	case c.InFlight() != inflight || held != inflight:
-		r.t.Errorf("%s: counts %v, %d in flight, %d held", r.name, c, inflight, held)
+	case held != inflight:
+		r.t.Errorf("%s: %v counted, %d held", r.name, adm.Counts(), held)
 	case r.cfg.MaxPending > 0 && inflight > int64(r.cfg.MaxPending):
 		r.t.Errorf("%s: %d in flight, MaxPending %d", r.name, inflight, r.cfg.MaxPending)
+	case adm.Buckets() != len(r.tenants):
+		r.t.Errorf("%s: %d buckets for %d tenants", r.name, adm.Buckets(), len(r.tenants))
 	}
 	var total metrics.Snapshot
 	for name, n := range r.tenants {
-		b := adm.Tenant(name)
-		if n.InFlight() != int64(adm.TenantInFlight(b)) {
-			r.t.Errorf("%s: tenant %q: %v, %d in flight", r.name, name, *n, adm.TenantInFlight(b))
+		if c := adm.TenantCounts(adm.Tenant(name)); c != *n {
+			r.t.Errorf("%s: tenant %q: the test saw %v, the ledger counted %v", r.name, name, *n, c)
 		}
 		total.Submitted += n.Submitted
 		total.Completed += n.Completed
 		total.Rejected += n.Rejected
 		total.TimedOut += n.TimedOut
 	}
-	if total != c {
-		r.t.Errorf("%s: the test saw %v, the lifecycle counted %v", r.name, total, c)
+	if c := adm.Counts(); c != total {
+		r.t.Errorf("%s: the test saw %v in total, the ledger counted %v", r.name, total, c)
 	}
 }
 
@@ -337,7 +337,7 @@ func (r *lifecycleRun) drain() {
 			r.t.Errorf("%s: task %d never resolved", r.name, j.Task.ID)
 		}
 	}
-	if c := r.l.Counts.Snapshot(); !c.Conserved() || c.Submitted != int64(len(r.jobs)) {
+	if c := r.l.Admission().Counts(); !c.Conserved() || c.Submitted != int64(len(r.jobs)) {
 		r.t.Errorf("%s: %v after the drain, %d tasks shown", r.name, c, len(r.jobs))
 	}
 }

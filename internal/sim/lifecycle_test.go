@@ -19,7 +19,8 @@ import (
 // TestAdmissionRule is the table of the one accept/reject rule both
 // executors call. Each row replays arrivals ("name") and resolutions
 // ("-name") against one Admission and lists the verdict of every
-// arrival.
+// arrival; the ledger counts each arrival submitted, each refusal
+// rejected and each resolution completed.
 func TestAdmissionRule(t *testing.T) {
 	many := make([]string, 0, MaxTenants+3)
 	for i := 0; i < MaxTenants; i++ {
@@ -55,15 +56,24 @@ func TestAdmissionRule(t *testing.T) {
 	} {
 		a := NewAdmission(tc.maxPending, tc.tenantShare)
 		var got []Verdict
+		var want metrics.Snapshot
 		for _, step := range tc.steps {
 			if len(step) > 0 && step[0] == '-' {
-				a.Release(a.Tenant(step[1:]))
+				a.Release(a.Tenant(step[1:]), false)
+				want.Completed++
 				continue
 			}
-			got = append(got, a.Admit(a.Tenant(step)))
+			v := a.Admit(a.Tenant(step))
+			got = append(got, v)
+			if want.Submitted++; v != Admitted {
+				want.Rejected++
+			}
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: verdicts %v, want %v", tc.name, got, tc.want)
+		}
+		if a.Counts() != want {
+			t.Errorf("%s: ledger %v, want %v", tc.name, a.Counts(), want)
 		}
 	}
 
@@ -216,8 +226,8 @@ func TestLifecycleConserves(t *testing.T) {
 						if !n.Conserved() || n.Submitted == 0 {
 							t.Errorf("%s: tenant %q: %v", name, tenant, n)
 						}
-						if b := c.life.Admission().Tenant(tenant); c.life.Admission().TenantInFlight(b) != 0 {
-							t.Errorf("%s: tenant %q has %d still in flight", name, tenant, c.life.Admission().TenantInFlight(b))
+						if adm := c.life.Admission(); adm.TenantCounts(adm.Tenant(tenant)) != *n {
+							t.Errorf("%s: tenant %q: spans partition as %v, the ledger as %v", name, tenant, n, adm.TenantCounts(adm.Tenant(tenant)))
 						}
 					}
 

@@ -59,8 +59,8 @@ func (c *Cluster) result(s sched.Scheduler) Result {
 	r := Result{
 		Scheduler:       s.Name(),
 		NumUnits:        c.cfg.NumUnits,
-		Completed:       c.life.Counts.Completed.Load(),
-		Lifecycle:       c.life.Counts.Snapshot(),
+		Completed:       c.life.Admission().Counts().Completed,
+		Lifecycle:       c.life.Admission().Counts(),
 		VisitedVertices: c.visitedTotal,
 		Latency:         metrics.SummarizeLatencies(c.latencies),
 		Execution:       metrics.SummarizeLatencies(c.execNanos),

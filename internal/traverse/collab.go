@@ -15,11 +15,8 @@ import (
 //
 // exceeds q.SimilarityThreshold. The traversal is a two-hop BFS over
 // the customer-product bipartite graph.
-func CollabFilter(g *graph.Graph, q Query) (Result, *Trace) {
-	return NewWorkspace(g.NumVertices()).CollabFilter(g, q)
-}
-
-// CollabFilter is the dense-scratch kernel: buyers and co-purchased
+//
+// It is the dense-scratch kernel: buyers and co-purchased
 // products live in epoch-stamped maps plus insertion-ordered compact
 // side lists, so hop-2 iteration — and therefore the emitted trace,
 // the visit signatures, and the cache eviction order — happens in

@@ -129,13 +129,7 @@ func (s *slot) chargeScan(acc int, v graph.VertexID, edges int) {
 // evaluate θ) but not expanded; an edge failing EdgePred is scanned
 // (inline in the source record, CPU only) but not followed.
 //
-// This one-shot form allocates a private Workspace; executors on the
-// hot path reuse one through Workspace.BFS / ExecuteIn instead.
-func BFS(g *graph.Graph, q Query) (Result, *Trace) {
-	return NewWorkspace(g.NumVertices()).BFS(g, q)
-}
-
-// BFS is the zero-steady-state-allocation kernel: the engine's BFS
+// It is the zero-steady-state-allocation kernel: the engine's BFS
 // waves run to completion on the workspace's one slot.
 //
 //vet:hotpath
@@ -250,11 +244,8 @@ func (s *slot) bfsWave(g *graph.Graph) {
 // vertices are labeled (throughput services bound hub explosions this
 // way); a capped search is best-effort — Found may be false for
 // connected pairs, and PathLen may exceed the true shortest length.
-func BoundedSSSP(g *graph.Graph, q Query) (Result, *Trace) {
-	return NewWorkspace(g.NumVertices()).BoundedSSSP(g, q)
-}
-
-// BoundedSSSP is the dense-scratch kernel: the engine's SSSP waves run
+//
+// It is the dense-scratch kernel: the engine's SSSP waves run
 // to completion on the workspace's one slot. Per-side labels and access
 // indices live in epoch-stamped maps, frontiers in double-buffered
 // reusable slices.

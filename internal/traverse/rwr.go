@@ -19,11 +19,8 @@ import (
 // refined matches.
 //
 // The walk is deterministic given q.Seed.
-func RandomWalk(g *graph.Graph, q Query) (Result, *Trace) {
-	return NewWorkspace(g.NumVertices()).RandomWalk(g, q)
-}
-
-// RandomWalk is the dense-scratch kernel: visit counts accumulate in
+//
+// It is the dense-scratch kernel: visit counts accumulate in
 // an epoch-stamped map plus a first-visit-ordered side list, the RNG
 // lives on the stack (Reseed, no per-query generator allocation), and
 // the ranking is built in the pooled result buffer. On an unweighted

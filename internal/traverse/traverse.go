@@ -19,8 +19,8 @@
 // The *Reference kernels (reference.go) are the original map-based
 // implementations, retained as the executable specification:
 // differential tests pin the two bit-for-bit on every Result and
-// Trace. The package-level one-shot functions (BFS, Execute, ...)
-// allocate a private Workspace per call.
+// Trace. Execute, the one-shot form, allocates a private Workspace per
+// call.
 package traverse
 
 import (

@@ -49,7 +49,7 @@ func TestQueryValidate(t *testing.T) {
 func TestBFSDepthBound(t *testing.T) {
 	g := pathGraph(10)
 	for depth, want := range map[int]int{0: 1, 1: 2, 2: 3, 9: 10, 20: 10} {
-		r, tr := BFS(g, Query{Op: OpBFS, Start: 0, Depth: depth})
+		r, tr := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 0, Depth: depth})
 		if r.Visited != want {
 			t.Errorf("depth %d: visited %d, want %d", depth, r.Visited, want)
 		}
@@ -67,10 +67,10 @@ func TestBFSVisitsNeighborhood(t *testing.T) {
 		b.AddEdge(0, graph.VertexID(i))
 	}
 	g := b.Build()
-	if r, _ := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 1}); r.Visited != 6 {
+	if r, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 0, Depth: 1}); r.Visited != 6 {
 		t.Errorf("center depth1: %d, want 6", r.Visited)
 	}
-	if r, _ := BFS(g, Query{Op: OpBFS, Start: 3, Depth: 1}); r.Visited != 2 {
+	if r, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 3, Depth: 1}); r.Visited != 2 {
 		t.Errorf("leaf depth1: %d, want 2", r.Visited)
 	}
 }
@@ -87,7 +87,7 @@ func TestBFSVertexPredicateBlocksExpansion(t *testing.T) {
 		blocked, _ := p.Get("blocked")
 		return !blocked.IsTrue()
 	}
-	r, tr := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 5, VertexPred: pred})
+	r, tr := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 0, Depth: 5, VertexPred: pred})
 	// Vertex 1 is touched (props loaded) but not expanded, so 2 is
 	// never reached.
 	if r.Visited != 1 {
@@ -113,7 +113,7 @@ func TestBFSEdgePredicate(t *testing.T) {
 		ok, _ := p.Get("ok")
 		return ok.IsTrue()
 	}
-	r, _ := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 1, EdgePred: pred})
+	r, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 0, Depth: 1, EdgePred: pred})
 	if r.Visited != 2 {
 		t.Errorf("visited %d, want 2 (start + vertex 2)", r.Visited)
 	}
@@ -121,7 +121,7 @@ func TestBFSEdgePredicate(t *testing.T) {
 
 func TestBFSMaxVisits(t *testing.T) {
 	g := pathGraph(100)
-	r, _ := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 99, MaxVisits: 5})
+	r, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 0, Depth: 99, MaxVisits: 5})
 	if r.Visited != 5 {
 		t.Errorf("visited %d, want capped 5", r.Visited)
 	}
@@ -129,7 +129,7 @@ func TestBFSMaxVisits(t *testing.T) {
 
 func TestBFSTraceAccounting(t *testing.T) {
 	g := pathGraph(3)
-	_, tr := BFS(g, Query{Op: OpBFS, Start: 0, Depth: 2})
+	_, tr := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: 0, Depth: 2})
 	// Vertices 0,1,2 each expanded once → 3 record accesses. Vertex 0
 	// scans 1 adjacency entry, vertex 1 scans 2, vertex 2 sits at the
 	// depth bound and scans nothing → 3 scanned edges total.
@@ -171,7 +171,7 @@ func TestSSSPOnPath(t *testing.T) {
 		{9, 8, false, 0},
 	}
 	for _, c := range cases {
-		r, _ := BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: c.target, Depth: c.bound})
+		r, _ := NewWorkspace(g.NumVertices()).BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: c.target, Depth: c.bound})
 		if r.Found != c.found {
 			t.Errorf("target %d bound %d: found=%t, want %t", c.target, c.bound, r.Found, c.found)
 			continue
@@ -189,7 +189,7 @@ func TestSSSPFindsShortestNotJustAny(t *testing.T) {
 		b.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%6))
 	}
 	g := b.Build()
-	r, _ := BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 4, Depth: 6})
+	r, _ := NewWorkspace(g.NumVertices()).BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 4, Depth: 6})
 	if !r.Found || r.PathLen != 2 {
 		t.Errorf("found=%t len=%d, want true/2", r.Found, r.PathLen)
 	}
@@ -219,7 +219,7 @@ func TestSSSPAgainstReferenceBFS(t *testing.T) {
 	}
 	const bound = 6
 	for target := graph.VertexID(1); target < 60; target++ {
-		r, _ := BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: target, Depth: bound})
+		r, _ := NewWorkspace(g.NumVertices()).BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: target, Depth: bound})
 		wantFound := dist[target] >= 0 && dist[target] <= bound
 		if r.Found != wantFound {
 			t.Errorf("target %d: found=%t, want %t (dist %d)", target, r.Found, wantFound, dist[target])
@@ -245,7 +245,7 @@ func TestCollabFilterKnown(t *testing.T) {
 	b.AddEdge(5, 2)
 	g := b.Build()
 
-	r, tr := CollabFilter(g, Query{Op: OpCollab, Start: 0, SimilarityThreshold: 0.9})
+	r, tr := NewWorkspace(g.NumVertices()).CollabFilter(g, Query{Op: OpCollab, Start: 0, SimilarityThreshold: 0.9})
 	if len(r.Recommendations) != 2 {
 		t.Fatalf("recommendations = %v, want B and C", r.Recommendations)
 	}
@@ -255,7 +255,7 @@ func TestCollabFilterKnown(t *testing.T) {
 		}
 	}
 	// Threshold excludes partial overlap.
-	r2, _ := CollabFilter(g, Query{Op: OpCollab, Start: 1, SimilarityThreshold: 0.99})
+	r2, _ := NewWorkspace(g.NumVertices()).CollabFilter(g, Query{Op: OpCollab, Start: 1, SimilarityThreshold: 0.99})
 	// From B: buyers x,y; co-products: A with shared 2, min(2,3)=2 → 1.0.
 	if len(r2.Recommendations) != 1 || r2.Recommendations[0].Product != 0 {
 		t.Errorf("recs from B = %v, want [A]", r2.Recommendations)
@@ -272,7 +272,7 @@ func TestCollabFilterIsolatedProduct(t *testing.T) {
 	// Vertex with no buyers in a separate component.
 	b2 := graph.NewBuilder(graph.Undirected, 1)
 	iso := b2.Build()
-	r, _ := CollabFilter(iso, Query{Op: OpCollab, Start: 0, SimilarityThreshold: 0.5})
+	r, _ := NewWorkspace(iso.NumVertices()).CollabFilter(iso, Query{Op: OpCollab, Start: 0, SimilarityThreshold: 0.5})
 	if len(r.Recommendations) != 0 || r.Visited != 1 {
 		t.Errorf("isolated: %+v", r)
 	}
@@ -282,8 +282,8 @@ func TestCollabFilterIsolatedProduct(t *testing.T) {
 func TestRWRDeterministicAndLocal(t *testing.T) {
 	g := pathGraph(50)
 	q := Query{Op: OpRWR, Start: 25, Steps: 500, RestartProb: 0.3, TopK: 5, Seed: 99}
-	r1, _ := RandomWalk(g, q)
-	r2, _ := RandomWalk(g, q)
+	r1, _ := NewWorkspace(g.NumVertices()).RandomWalk(g, q)
+	r2, _ := NewWorkspace(g.NumVertices()).RandomWalk(g, q)
 	if len(r1.Ranking) != len(r2.Ranking) {
 		t.Fatal("RWR nondeterministic length")
 	}
@@ -309,7 +309,7 @@ func TestRWRFollowsWeights(t *testing.T) {
 	b.AddWeightedEdge(0, 1, 0.99)
 	b.AddWeightedEdge(0, 2, 0.01)
 	g := b.Build()
-	r, _ := RandomWalk(g, Query{Op: OpRWR, Start: 0, Steps: 2000, RestartProb: 0.5, Seed: 5})
+	r, _ := NewWorkspace(g.NumVertices()).RandomWalk(g, Query{Op: OpRWR, Start: 0, Steps: 2000, RestartProb: 0.5, Seed: 5})
 	var s1, s2 float64
 	for _, rk := range r.Ranking {
 		switch rk.Vertex {
@@ -328,7 +328,7 @@ func TestRWRDeadEnd(t *testing.T) {
 	// Isolated start: every step dead-ends and restarts; no crash.
 	b := graph.NewBuilder(graph.Undirected, 1)
 	g := b.Build()
-	r, _ := RandomWalk(g, Query{Op: OpRWR, Start: 0, Steps: 100, RestartProb: 0.1, Seed: 1})
+	r, _ := NewWorkspace(g.NumVertices()).RandomWalk(g, Query{Op: OpRWR, Start: 0, Steps: 100, RestartProb: 0.1, Seed: 1})
 	if len(r.Ranking) != 0 {
 		t.Errorf("ranking on isolated vertex = %v", r.Ranking)
 	}
@@ -395,13 +395,13 @@ func TestSSSPMaxVisitsCapsWork(t *testing.T) {
 	g := b.Build()
 
 	// Uncapped: finds 0-1 directly but labels the whole hub fan.
-	full, _ := BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 1, Depth: 2})
+	full, _ := NewWorkspace(g.NumVertices()).BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 1, Depth: 2})
 	if !full.Found || full.PathLen != 1 {
 		t.Fatalf("uncapped: %+v", full)
 	}
 	// Capped: visits bounded; may or may not find, but must not
 	// explode.
-	capped, tr := BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 1, Depth: 2, MaxVisits: 50})
+	capped, tr := NewWorkspace(g.NumVertices()).BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 1, Depth: 2, MaxVisits: 50})
 	if capped.Visited > 55 {
 		t.Errorf("capped search visited %d, want <= ~50", capped.Visited)
 	}
@@ -412,7 +412,7 @@ func TestSSSPMaxVisitsCapsWork(t *testing.T) {
 
 func TestSSSPCapStillFindsEasyPaths(t *testing.T) {
 	g := pathGraph(20)
-	r, _ := BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 3, Depth: 4, MaxVisits: 100})
+	r, _ := NewWorkspace(g.NumVertices()).BoundedSSSP(g, Query{Op: OpSSSP, Start: 0, Target: 3, Depth: 4, MaxVisits: 100})
 	if !r.Found || r.PathLen != 3 {
 		t.Errorf("capped easy path: %+v", r)
 	}
@@ -429,12 +429,12 @@ func TestBFSMonotoneQuick(t *testing.T) {
 		start := graph.VertexID(int(startRaw) % 300)
 		depth := int(depthRaw) % 5
 		cap := int(capRaw)%60 + 1
-		shallow, _ := BFS(g, Query{Op: OpBFS, Start: start, Depth: depth})
-		deep, _ := BFS(g, Query{Op: OpBFS, Start: start, Depth: depth + 1})
+		shallow, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: start, Depth: depth})
+		deep, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: start, Depth: depth + 1})
 		if deep.Visited < shallow.Visited {
 			return false
 		}
-		capped, _ := BFS(g, Query{Op: OpBFS, Start: start, Depth: depth, MaxVisits: cap})
+		capped, _ := NewWorkspace(g.NumVertices()).BFS(g, Query{Op: OpBFS, Start: start, Depth: depth, MaxVisits: cap})
 		return capped.Visited <= cap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

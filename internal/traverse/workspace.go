@@ -70,9 +70,9 @@ func NewScratch(numVertices int) *Scratch {
 // the Recommendations/Ranking slices inside its Result, are owned by
 // the Workspace and remain valid only until its next kernel call (or
 // Pool.Put). Callers that retain a Result across executions must
-// Clone it; callers that retain the Trace must copy its slices. The
-// one-shot package functions (BFS, Execute, ...) allocate a private
-// Workspace per call and are exempt — their outputs are never reused.
+// Clone it; callers that retain the Trace must copy its slices.
+// Execute allocates a private Workspace per call and is exempt — its
+// outputs are never reused.
 //
 // Not safe for concurrent use; use a Pool to share across goroutines.
 type Workspace struct {

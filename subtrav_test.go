@@ -25,6 +25,19 @@ func TestScaleStrings(t *testing.T) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for s := ScaleTiny; s <= ScalePaper; s++ {
+		if got, err := ParseScale(s.String()); got != s || err != nil {
+			t.Errorf("ParseScale(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, name := range []string{"", "Tiny", "huge", "Scale(5)"} {
+		if _, err := ParseScale(name); err == nil {
+			t.Errorf("ParseScale(%q) accepted", name)
+		}
+	}
+}
+
 func TestTwitterLikeTiny(t *testing.T) {
 	g, err := TwitterLike(ScaleTiny, 1)
 	if err != nil {
