@@ -7,8 +7,8 @@
 //
 //	subtrav-bench [flags] <experiment>
 //
-// where <experiment> is a figure or study (see studies), or "all" for
-// every one of those — deterministic, checked in as
+// where <experiment> is a figure or study (see experiments.Studies),
+// or "all" for every one of those — deterministic, checked in as
 // experiments_output.txt.
 package main
 
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -35,8 +36,8 @@ func main() {
 	)
 	flag.Usage = func() {
 		names := []string{"all"}
-		for _, st := range studies {
-			names = append(names, st.name)
+		for _, st := range experiments.Studies {
+			names = append(names, st.Name)
 		}
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] %s\n", os.Args[0], strings.Join(names, "|"))
 		flag.PrintDefaults()
@@ -73,9 +74,19 @@ func main() {
 		cfg.Queries = *n
 	}
 
-	run := func(name string, tables func() ([]*experiments.Table, error)) {
+	grid, err := experiments.NewGrid(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	target := flag.Arg(0)
+	known := false
+	for _, st := range experiments.Studies {
+		if target != "all" && target != st.Name {
+			continue
+		}
+		known = true
 		start := time.Now()
-		ts, err := tables()
+		ts, err := st.Run(grid)
 		if err != nil {
 			fatal(err)
 		}
@@ -89,50 +100,10 @@ func main() {
 				fmt.Println(t.Text())
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	target := flag.Arg(0)
-	known := false
-	for _, st := range studies {
-		if target == "all" || target == st.name {
-			known = true
-			run(st.name, func() ([]*experiments.Table, error) { return st.run(cfg) })
-		}
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", st.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if !known {
 		fatal(fmt.Errorf("unknown experiment %q", target))
-	}
-}
-
-// studies are the simulator experiments, in the order "all" runs them.
-var studies = []struct {
-	name string
-	run  func(experiments.Config) ([]*experiments.Table, error)
-}{
-	{"fig8", experiments.Fig8},
-	{"fig9", experiments.Fig9},
-	{"fig10", one(experiments.Fig10)},
-	{"fig11", one(experiments.Fig11)},
-	{"fig12", one(experiments.Fig12)},
-	{"ablation", experiments.Ablation},
-	{"epsilon", one(func(c experiments.Config) (*experiments.Table, error) { return experiments.EpsilonSweep(c.Seed, 64) })},
-	{"warmstart", one(func(c experiments.Config) (*experiments.Table, error) {
-		return experiments.WarmStartStudy(c.Seed, 48, 8)
-	})},
-	{"share", one(experiments.Share)},
-	{"latency", one(experiments.LatencyUnderLoad)},
-	{"heterogeneous", one(experiments.Heterogeneous)},
-	{"layout", one(experiments.PartitionedLayout)},
-	{"signature", one(experiments.SignatureCapacity)},
-	{"eta", one(experiments.EtaThreshold)},
-}
-
-// one adapts a single-table study to the studies signature.
-func one(f func(experiments.Config) (*experiments.Table, error)) func(experiments.Config) ([]*experiments.Table, error) {
-	return func(c experiments.Config) ([]*experiments.Table, error) {
-		t, err := f(c)
-		return []*experiments.Table{t}, err
 	}
 }
 
@@ -142,8 +113,8 @@ var formats = []string{"text", "markdown", "csv"}
 func parseUnits(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var u int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &u); err != nil || u <= 0 {
+		u, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || u <= 0 {
 			return nil, fmt.Errorf("bad unit count %q", part)
 		}
 		out = append(out, u)

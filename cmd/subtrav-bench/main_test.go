@@ -44,3 +44,14 @@ func TestUnknownFormatIsAUsageError(t *testing.T) {
 		t.Errorf("-format json fig8: exit %d, stderr %q; want exit 2 with the usage line", code, stderr)
 	}
 }
+
+// A -units entry that is not a whole positive number is refused, not
+// read up to its first non-digit.
+func TestMalformedUnitsExitNonZero(t *testing.T) {
+	for _, units := range []string{"8x", "4.5", "1e3", "0", "-1", "1,,2"} {
+		stderr, code := runMain(t, "-units="+units, "fig10")
+		if code == 0 || !strings.Contains(stderr, "bad unit count") {
+			t.Errorf("-units=%s: exit %d, stderr %q; want a non-zero exit naming the bad unit count", units, code, stderr)
+		}
+	}
+}

@@ -15,46 +15,37 @@ import (
 // uniform hotspot stream, and a Zipf-skewed stream where one hotspot
 // dominates — the regime where pure affinity routing piles work onto
 // one unit and the balance half of the tradeoff earns its keep.
-func Ablation(cfg Config) ([]*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	units := cfg.maxUnits()
-	var tables []*Table
-	for _, stream := range []struct {
-		name string
-		skew float64
-	}{
-		{"uniform hotspots", 0},
-		{"zipf-skewed hotspots", 1.2},
-	} {
-		streamCfg := cfg
-		streamCfg.Locality.HotspotSkew = stream.skew
-		a := bfsApp()
-		g, tasks, err := a.build(streamCfg)
-		if err != nil {
-			return nil, err
-		}
-		t := &Table{
-			Title:   fmt.Sprintf("Ablation (%s): policies on BFS at %d units", stream.name, units),
-			Columns: []string{"policy", "throughput (q/s)", "hit rate", "imbalance", "p95 latency"},
-			Notes: []string{
-				"SCH combines affinity and balance; affinity-only risks imbalance, least-loaded forfeits locality",
-			},
-		}
-		for _, policy := range subtrav.Policies() {
-			res, err := streamCfg.runOn(g, tasks, units, a.memory(streamCfg), policy)
-			if err != nil {
-				return nil, err
+func Ablation(g *Grid) ([]*Table, error) {
+	units := g.cfg.maxUnits()
+	return view(g, func(r results) []*Table {
+		var tables []*Table
+		for _, stream := range []struct {
+			name string
+			skew float64
+		}{
+			{"uniform hotspots", 0},
+			{"zipf-skewed hotspots", 1.2},
+		} {
+			w := bfs
+			w.skew = stream.skew
+			t := &Table{
+				Title:   fmt.Sprintf("Ablation (%s): policies on BFS at %d units", stream.name, units),
+				Columns: []string{"policy", "throughput (q/s)", "hit rate", "imbalance", "p95 latency"},
+				Notes: []string{
+					"SCH combines affinity and balance; affinity-only risks imbalance, least-loaded forfeits locality",
+				},
 			}
-			t.AddRow(string(policy), res.ThroughputPerSec,
-				fmt.Sprintf("%.3f", res.HitRate),
-				fmt.Sprintf("%.2f", res.Imbalance),
-				res.Latency.P95.String())
+			for _, policy := range subtrav.Policies() {
+				res := r(g.at(w, units).with(policy))
+				t.AddRow(string(policy), res.ThroughputPerSec,
+					fmt.Sprintf("%.3f", res.HitRate),
+					fmt.Sprintf("%.2f", res.Imbalance),
+					res.Latency.P95.String())
+			}
+			tables = append(tables, t)
 		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+		return tables
+	})
 }
 
 // EpsilonSweep examines the auction's minimum price increment ε

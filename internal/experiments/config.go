@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"subtrav"
-	"subtrav/internal/graph"
-	"subtrav/internal/graphgen"
 	"subtrav/internal/sched"
 	"subtrav/internal/sim"
 	"subtrav/internal/workload"
@@ -39,13 +38,15 @@ type Config struct {
 	RWRRestart    float64
 	// SmallCorpus selects the reduced image corpus (tests).
 	SmallCorpus bool
-	// Locality shapes the query streams.
+	// Locality shapes the query streams; each workload sets its own
+	// HotspotSkew.
 	Locality workload.Locality
-	// Cost is the virtual-time cost model shared by all runs.
+	// Cost is the virtual-time cost model shared by all runs; each cell
+	// sets its own Disk.PartitionLocality.
 	Cost sim.CostModel
 
-	// observe, when set, is shown every scheduler once its run is over
-	// (tests read their counters).
+	// observe, when set, is shown every scheduler once its run is over,
+	// one run at a time (tests read their counters).
 	observe func(sched.Scheduler)
 }
 
@@ -107,111 +108,12 @@ func (c Config) Validate() error {
 
 // maxUnits returns the largest swept unit count (the paper uses it for
 // Figures 9, 11, 12 detail).
-func (c Config) maxUnits() int {
-	max := c.UnitsSweep[0]
-	for _, u := range c.UnitsSweep {
-		if u > max {
-			max = u
-		}
-	}
-	return max
-}
+func (c Config) maxUnits() int { return slices.Max(c.UnitsSweep) }
 
-// app identifies one of the paper's three applications.
-type app struct {
-	name string
-	// build returns the graph (or corpus graph) and the task stream.
-	build func(c Config) (*graph.Graph, []*sched.Task, error)
-	// memory returns the per-unit budget for this app.
-	memory func(c Config) int64
-}
-
-func bfsApp() app {
-	return app{
-		name: "BFS",
-		build: func(c Config) (*graph.Graph, []*sched.Task, error) {
-			g, err := subtrav.TwitterLike(c.Scale, c.Seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			tasks, err := workload.BFS(g, c.stream(c.Seed+1), c.BFSDepth, c.BFSMaxVisits)
-			return g, tasks, err
-		},
-		memory: func(c Config) int64 { return c.MemoryPerUnit },
+// memory returns the per-unit buffer budget of w's application.
+func (c Config) memory(w workloadKey) int64 {
+	if w.app == image.app {
+		return c.ImageMemoryPerUnit
 	}
-}
-
-func ssspApp() app {
-	return app{
-		name: "SSSP",
-		build: func(c Config) (*graph.Graph, []*sched.Task, error) {
-			g, err := subtrav.TwitterLike(c.Scale, c.Seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			tasks, err := workload.SSSP(g, c.stream(c.Seed+2), c.SSSPBound, c.SSSPMaxVisits)
-			return g, tasks, err
-		},
-		memory: func(c Config) int64 { return c.MemoryPerUnit },
-	}
-}
-
-func imageApp() app {
-	return app{
-		name: "ImageSearch",
-		build: func(c Config) (*graph.Graph, []*sched.Task, error) {
-			corpus, err := c.corpus()
-			if err != nil {
-				return nil, nil, err
-			}
-			n := len(corpus.Queries)
-			if c.Queries < n {
-				n = c.Queries
-			}
-			tasks, err := workload.ImageSearch(corpus, workload.StreamConfig{
-				NumQueries: n, Seed: c.Seed + 3,
-			}, c.RWRSteps, c.RWRRestart, 10)
-			return corpus.Graph, tasks, err
-		},
-		memory: func(c Config) int64 { return c.ImageMemoryPerUnit },
-	}
-}
-
-func (c Config) corpus() (*graphgen.ImageCorpus, error) {
-	if c.SmallCorpus {
-		return subtrav.SmallImageCorpus(c.Seed)
-	}
-	return subtrav.ImageCorpus(c.Seed)
-}
-
-func (c Config) stream(seed uint64) workload.StreamConfig {
-	return workload.StreamConfig{NumQueries: c.Queries, Seed: seed, Locality: c.Locality}
-}
-
-// runOn measures one (graph, tasks, units, memory, policy) cell.
-func (c Config) runOn(g *graph.Graph, tasks []*sched.Task, units int, memory int64, policy subtrav.Policy) (sim.Result, error) {
-	return c.runOnOpts(g, tasks, policy, subtrav.Options{
-		Units:         units,
-		MemoryPerUnit: memory,
-	})
-}
-
-// runOnOpts is runOn with caller-controlled system options (cost model
-// and seed are always taken from the experiment config).
-func (c Config) runOnOpts(g *graph.Graph, tasks []*sched.Task, policy subtrav.Policy, opts subtrav.Options) (sim.Result, error) {
-	opts.Cost = c.Cost
-	opts.SchedulerSeed = c.Seed + 99
-	sys, err := subtrav.NewSystem(g, opts)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	s, err := sys.NewScheduler(policy)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	res, err := sys.Cluster().Run(s, tasks)
-	if c.observe != nil {
-		c.observe(s)
-	}
-	return res, err
+	return c.MemoryPerUnit
 }

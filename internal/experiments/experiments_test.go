@@ -3,9 +3,11 @@ package experiments
 import (
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +15,16 @@ import (
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 )
+
+// quickGrid is one grid over Quick() that the sweep tests share, so
+// each quick cell is simulated once per test binary.
+var quickGrid = sync.OnceValue(func() *Grid {
+	g, err := NewGrid(Quick())
+	if err != nil {
+		panic(err)
+	}
+	return g
+})
 
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{
@@ -79,7 +91,7 @@ func TestFig8Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tables, err := Fig8(Quick())
+	tables, err := Fig8(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestFig9Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tables, err := Fig9(Quick())
+	tables, err := Fig9(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +145,7 @@ func TestFig10Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tbl, err := Fig10(Quick())
+	tbl, err := Fig10(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +170,7 @@ func TestFig11Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tbl, err := Fig11(Quick())
+	tbl, err := Fig11(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestFig12Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tbl, err := Fig12(Quick())
+	tbl, err := Fig12(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +208,7 @@ func TestAblationQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tables, err := Ablation(Quick())
+	tables, err := Ablation(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +335,7 @@ func TestWarmStartStudy(t *testing.T) {
 // on the gated hot cell lockstep batching issues at least 2x fewer disk
 // reads, and every query answers the same in both modes.
 func TestShareSmoke(t *testing.T) {
-	tbl, err := Share(Quick())
+	tbl, err := Share(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +357,11 @@ func TestShareSmoke(t *testing.T) {
 // TestShareDeterministic holds that the sharing table is a pure function
 // of the fixture: the figures drift gate cmps it byte for byte.
 func TestShareDeterministic(t *testing.T) {
-	tbl, err := Share(Quick())
+	tbl, err := Share(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Share(Quick())
+	again, err := Share(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +374,7 @@ func TestLatencyUnderLoadQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tbl, err := LatencyUnderLoad(Quick())
+	tbl, err := LatencyUnderLoad(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +400,7 @@ func TestHeterogeneousQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tbl, err := Heterogeneous(Quick())
+	tbl, err := Heterogeneous(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +424,7 @@ func TestPartitionedLayoutQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	tbl, err := PartitionedLayout(Quick())
+	tbl, err := PartitionedLayout(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,14 +448,14 @@ func TestParameterSweepsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")
 	}
-	sig, err := SignatureCapacity(Quick())
+	sig, err := SignatureCapacity(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sig.Rows) != 5 {
 		t.Fatalf("signature rows = %d", len(sig.Rows))
 	}
-	eta, err := EtaThreshold(Quick())
+	eta, err := EtaThreshold(quickGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +473,10 @@ func TestParameterSweepsQuick(t *testing.T) {
 }
 
 // TestQuickSweepNeverCapsAnAuction runs every study of subtrav-bench's
-// quick sweep that schedules through sched.Auction and reads each
-// scheduler's subtrav_sched_auction_capped_total when its run is over:
-// admission leaves every auction a problem a matching can hold, so none
-// stops at the round cap. (Before admission the ε-war over rows that
+// quick sweep and reads each sched.Auction scheduler's
+// subtrav_sched_auction_capped_total when its run is over: admission
+// leaves every auction a problem a matching can hold, so none stops at
+// the round cap. (Before admission the ε-war over rows that
 // reach too few units ran to the cap.)
 func TestQuickSweepNeverCapsAnAuction(t *testing.T) {
 	if testing.Short() {
@@ -487,13 +499,13 @@ func TestQuickSweepNeverCapsAnAuction(t *testing.T) {
 		capped += counterValue(t, b.String(), "subtrav_sched_auction_capped_total")
 		bidRounds += counterValue(t, b.String(), "subtrav_sched_auction_bid_rounds_total")
 	}
-	for _, study := range []func(Config) ([]*Table, error){
-		Fig8, Fig9, one(Fig10), one(Fig11), one(Fig12), Ablation, one(Share),
-		one(LatencyUnderLoad), one(Heterogeneous), one(PartitionedLayout),
-		one(SignatureCapacity), one(EtaThreshold),
-	} {
-		if _, err := study(cfg); err != nil {
-			t.Fatal(err)
+	g, err := NewGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range Studies {
+		if _, err := st.Run(g); err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
 		}
 	}
 	if auctions == 0 || bidRounds == 0 {
@@ -505,11 +517,77 @@ func TestQuickSweepNeverCapsAnAuction(t *testing.T) {
 	t.Logf("%d auction schedulers, %d bidding rounds, %d capped", auctions, bidRounds, capped)
 }
 
-// one adapts a single-table study to the sweep's signature.
-func one(f func(Config) (*Table, error)) func(Config) ([]*Table, error) {
-	return func(c Config) ([]*Table, error) {
-		t, err := f(c)
-		return []*Table{t}, err
+// TestStudiesIndependentOfWorkerCount holds that no table depends on
+// how many workers simulated its cells: every quick study renders the
+// same bytes at GOMAXPROCS 1 and 4.
+func TestStudiesIndependentOfWorkerCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick sweep twice")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var text [2]strings.Builder
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		g, err := NewGrid(Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range Studies {
+			tables, err := st.Run(g)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", st.Name, procs, err)
+			}
+			for _, tbl := range tables {
+				text[i].WriteString(tbl.Text())
+			}
+		}
+	}
+	if a, b := text[0].String(), text[1].String(); a != b {
+		t.Errorf("studies differ between GOMAXPROCS 1 and 4:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestGridSimulatesEachCellOnce holds the memo: Figures 10 and 12 are
+// views over Figure 8's cells, so after Figure 8 they simulate nothing.
+func TestGridSimulatesEachCellOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep in -short mode")
+	}
+	cfg := Quick()
+	simulated := 0
+	cfg.observe = func(sched.Scheduler) { simulated++ }
+	g, err := NewGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig8(g); err != nil {
+		t.Fatal(err)
+	}
+	// 3 applications × 3 unit counts × {baseline, SCH}.
+	if simulated != 18 {
+		t.Fatalf("Fig8 simulated %d cells, want 18", simulated)
+	}
+	if _, err := Fig10(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig12(g); err != nil {
+		t.Fatal(err)
+	}
+	if simulated != 18 {
+		t.Errorf("Fig10 and Fig12 after Fig8 simulated %d new cells, want 0", simulated-18)
+	}
+}
+
+// A cell whose simulation fails fails the study that declared it.
+func TestFailingCellFailsItsStudy(t *testing.T) {
+	cfg := Quick()
+	cfg.Cost.MemHitNanos = -1 // sim.NewCluster refuses a negative cost
+	g, err := NewGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig10(g); err == nil || !strings.Contains(err.Error(), "negative cost") {
+		t.Errorf("Fig10 over cells that cannot be built: err = %v, want the cluster's negative-cost error", err)
 	}
 }
 

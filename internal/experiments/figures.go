@@ -2,47 +2,41 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"subtrav"
-	"subtrav/internal/workload"
+	"subtrav/internal/sim"
 )
+
+// versus reads c under the baseline and under SCH.
+func versus(r results, c cell) (base, sch sim.Result) {
+	return r(c.with(subtrav.PolicyBaseline)), r(c.with(subtrav.PolicyAuction))
+}
 
 // Fig8 reproduces Figure 8: throughput of BFS, SSSP and image search
 // for baseline vs the proposed scheduler (SCH), sweeping the number of
 // processing units. Returns one table per application.
-func Fig8(cfg Config) ([]*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var tables []*Table
-	for _, a := range []app{bfsApp(), ssspApp(), imageApp()} {
-		g, tasks, err := a.build(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fig8 %s: %w", a.name, err)
-		}
-		t := &Table{
-			Title:   fmt.Sprintf("Figure 8 (%s): throughput vs processing units", a.name),
-			Columns: []string{"units", "baseline (q/s)", "SCH (q/s)", "speedup"},
-			Notes: []string{
-				fmt.Sprintf("%d queries, per-unit memory %d MiB", len(tasks), a.memory(cfg)>>20),
+func Fig8(g *Grid) ([]*Table, error) {
+	return view(g, func(r results) []*Table {
+		var tables []*Table
+		for _, w := range apps {
+			t := &Table{
+				Title:   fmt.Sprintf("Figure 8 (%s): throughput vs processing units", w.app),
+				Columns: []string{"units", "baseline (q/s)", "SCH (q/s)", "speedup"},
+			}
+			var base, sch sim.Result
+			for _, units := range g.cfg.UnitsSweep {
+				base, sch = versus(r, g.at(w, units))
+				t.AddRow(units, base.ThroughputPerSec, sch.ThroughputPerSec, speedup(sch, base))
+			}
+			t.Notes = []string{
+				fmt.Sprintf("%d queries, per-unit memory %d MiB", base.Lifecycle.Submitted, g.cfg.memory(w)>>20),
 				"paper shape: both scale with units; SCH ≥ baseline, peak ≈1.6x (BFS), ≈1.5x (SSSP), ≈2.1x (image)",
-			},
-		}
-		for _, units := range cfg.UnitsSweep {
-			base, err := cfg.runOn(g, tasks, units, a.memory(cfg), subtrav.PolicyBaseline)
-			if err != nil {
-				return nil, err
 			}
-			sch, err := cfg.runOn(g, tasks, units, a.memory(cfg), subtrav.PolicyAuction)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(units, base.ThroughputPerSec, sch.ThroughputPerSec,
-				fmt.Sprintf("%.2fx", ratio(sch.ThroughputPerSec, base.ThroughputPerSec)))
+			tables = append(tables, t)
 		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+		return tables
+	})
 }
 
 // Fig9 reproduces Figure 9: memory-capacity sensitivity at the largest
@@ -50,197 +44,122 @@ func Fig8(cfg Config) ([]*Table, error) {
 // buffers; the simulator sweeps {½×, 1×, 2×, unlimited} of the
 // configured budget — the same four-point shape with a documented
 // scale factor.
-func Fig9(cfg Config) ([]*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	units := cfg.maxUnits()
-	var tables []*Table
-	for _, a := range []app{bfsApp(), ssspApp(), imageApp()} {
-		g, tasks, err := a.build(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fig9 %s: %w", a.name, err)
-		}
-		base := a.memory(cfg)
-		points := []struct {
-			label  string
-			memory int64
-		}{
-			{"0.5x", base / 2},
-			{"1x", base},
-			{"2x", base * 2},
-			{"unlimited", 0},
-		}
-		t := &Table{
-			Title:   fmt.Sprintf("Figure 9 (%s): memory sensitivity at %d units", a.name, units),
-			Columns: []string{"memory", "baseline (q/s)", "SCH (q/s)", "baseline/max", "SCH/max"},
-			Notes: []string{
-				fmt.Sprintf("memory points map the paper's 4/8/16GB/unlimited sweep; 1x = %d MiB per unit", base>>20),
-				"paper shape: baseline gains >100% from unlimited memory; SCH reaches ≈80% of max at the 8GB-equivalent point",
-			},
-		}
-		var rows []struct {
-			label     string
-			base, sch float64
-		}
-		for _, pt := range points {
-			b, err := cfg.runOn(g, tasks, units, pt.memory, subtrav.PolicyBaseline)
-			if err != nil {
-				return nil, err
+func Fig9(g *Grid) ([]*Table, error) {
+	units := g.cfg.maxUnits()
+	return view(g, func(r results) []*Table {
+		var tables []*Table
+		for _, w := range apps {
+			c := g.at(w, units)
+			labels := []string{"0.5x", "1x", "2x", "unlimited"}
+			memories := []int64{c.memory / 2, c.memory, c.memory * 2, 0}
+			t := &Table{
+				Title:   fmt.Sprintf("Figure 9 (%s): memory sensitivity at %d units", w.app, units),
+				Columns: []string{"memory", "baseline (q/s)", "SCH (q/s)", "baseline/max", "SCH/max"},
+				Notes: []string{
+					fmt.Sprintf("memory points map the paper's 4/8/16GB/unlimited sweep; 1x = %d MiB per unit", memories[1]>>20),
+					"paper shape: baseline gains >100% from unlimited memory; SCH reaches ≈80% of max at the 8GB-equivalent point",
+				},
 			}
-			s, err := cfg.runOn(g, tasks, units, pt.memory, subtrav.PolicyAuction)
-			if err != nil {
-				return nil, err
+			var base, sch []float64
+			for _, memory := range memories {
+				c.memory = memory
+				b, s := versus(r, c)
+				base, sch = append(base, b.ThroughputPerSec), append(sch, s.ThroughputPerSec)
 			}
-			rows = append(rows, struct {
-				label     string
-				base, sch float64
-			}{pt.label, b.ThroughputPerSec, s.ThroughputPerSec})
-		}
-		maxBase, maxSch := 0.0, 0.0
-		for _, r := range rows {
-			if r.base > maxBase {
-				maxBase = r.base
+			for i, label := range labels {
+				t.AddRow(label, base[i], sch[i],
+					fmt.Sprintf("%.0f%%", 100*ratio(base[i], slices.Max(base))),
+					fmt.Sprintf("%.0f%%", 100*ratio(sch[i], slices.Max(sch))))
 			}
-			if r.sch > maxSch {
-				maxSch = r.sch
-			}
+			tables = append(tables, t)
 		}
-		for _, r := range rows {
-			t.AddRow(r.label, r.base, r.sch,
-				fmt.Sprintf("%.0f%%", 100*ratio(r.base, maxBase)),
-				fmt.Sprintf("%.0f%%", 100*ratio(r.sch, maxSch)))
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+		return tables
+	})
 }
 
 // Fig10 reproduces Figure 10: speedup of concurrent BFS under SCH over
 // the single-unit run, against the linear ideal.
-func Fig10(cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	a := bfsApp()
-	g, tasks, err := a.build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   "Figure 10: BFS speedup vs sequential (SCH)",
-		Columns: []string{"units", "throughput (q/s)", "speedup", "linear"},
-		Notes: []string{
-			"paper shape: sublinear but monotonically increasing (partitioned memory + shared-disk contention)",
-		},
-	}
-	var single float64
-	for _, units := range cfg.UnitsSweep {
-		res, err := cfg.runOn(g, tasks, units, a.memory(cfg), subtrav.PolicyAuction)
-		if err != nil {
-			return nil, err
+func Fig10(g *Grid) (*Table, error) {
+	return view(g, func(r results) *Table {
+		t := &Table{
+			Title:   "Figure 10: BFS speedup vs sequential (SCH)",
+			Columns: []string{"units", "throughput (q/s)", "speedup", "linear"},
+			Notes: []string{
+				"paper shape: sublinear but monotonically increasing (partitioned memory + shared-disk contention)",
+			},
 		}
-		if single == 0 {
-			single = res.ThroughputPerSec
+		var single float64
+		for _, units := range g.cfg.UnitsSweep {
+			res := r(g.at(bfs, units).with(subtrav.PolicyAuction))
+			if single == 0 {
+				single = res.ThroughputPerSec
+			}
+			t.AddRow(units, res.ThroughputPerSec,
+				fmt.Sprintf("%.2fx", ratio(res.ThroughputPerSec, single)),
+				fmt.Sprintf("%dx", units))
 		}
-		t.AddRow(units, res.ThroughputPerSec,
-			fmt.Sprintf("%.2fx", ratio(res.ThroughputPerSec, single)),
-			fmt.Sprintf("%dx", units))
-	}
-	return t, nil
+		return t
+	})
 }
 
 // Fig11 reproduces Figure 11: the impact of topology — the Twitter-like
 // power-law graph vs the degree-balanced random graph — on BFS
 // throughput, for both schedulers at the largest unit count.
-func Fig11(cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	units := cfg.maxUnits()
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 11: topology impact on BFS throughput at %d units", units),
-		Columns: []string{"graph", "baseline (q/s)", "SCH (q/s)", "SCH/baseline"},
-		Notes: []string{
-			"paper shape: power-law throughput > random-graph throughput; improvement over baseline larger on the random graph",
-		},
-	}
-	tw, err := subtrav.TwitterLike(cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	er, err := subtrav.RandomGraph(cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, gr := range []struct {
-		name string
-	}{{"twitter-like"}, {"random"}} {
-		g := tw
-		if gr.name == "random" {
-			g = er
+func Fig11(g *Grid) (*Table, error) {
+	units := g.cfg.maxUnits()
+	return view(g, func(r results) *Table {
+		t := &Table{
+			Title:   fmt.Sprintf("Figure 11: topology impact on BFS throughput at %d units", units),
+			Columns: []string{"graph", "baseline (q/s)", "SCH (q/s)", "SCH/baseline"},
+			Notes: []string{
+				"paper shape: power-law throughput > random-graph throughput; improvement over baseline larger on the random graph",
+			},
 		}
-		tasks, err := workload.BFS(g, cfg.stream(cfg.Seed+11), cfg.BFSDepth, cfg.BFSMaxVisits)
-		if err != nil {
-			return nil, err
+		for _, name := range []string{"twitter-like", "random"} {
+			c := g.at(workloadKey{app: bfs.app, random: name == "random", seed: 11}, units)
+			base, sch := versus(r, c)
+			t.AddRow(name, base.ThroughputPerSec, sch.ThroughputPerSec, speedup(sch, base))
 		}
-		base, err := cfg.runOn(g, tasks, units, cfg.MemoryPerUnit, subtrav.PolicyBaseline)
-		if err != nil {
-			return nil, err
-		}
-		sch, err := cfg.runOn(g, tasks, units, cfg.MemoryPerUnit, subtrav.PolicyAuction)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(gr.name, base.ThroughputPerSec, sch.ThroughputPerSec,
-			fmt.Sprintf("%.2fx", ratio(sch.ThroughputPerSec, base.ThroughputPerSec)))
-	}
-	return t, nil
+		return t
+	})
 }
 
 // Fig12 reproduces Figure 12: the percentage improvement of SCH over
 // the baseline per application across the unit sweep, with the
 // worst/mean/best summary the paper quotes (BFS up to 51.9%, SSSP
 // ≈50%, image search >2x on average).
-func Fig12(cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   "Figure 12: improvement of SCH over baseline",
-		Columns: []string{"app", "min", "mean", "max"},
-		Notes: []string{
-			"improvement = (SCH - baseline) / baseline, across the multi-unit sweep",
-			"paper: BFS up to 51.9% (worst 48%), SSSP up to 50% (worst 46%), image search >2x mean",
-		},
-	}
-	for _, a := range []app{bfsApp(), ssspApp(), imageApp()} {
-		g, tasks, err := a.build(cfg)
-		if err != nil {
-			return nil, err
+func Fig12(g *Grid) (*Table, error) {
+	return view(g, func(r results) *Table {
+		t := &Table{
+			Title:   "Figure 12: improvement of SCH over baseline",
+			Columns: []string{"app", "min", "mean", "max"},
+			Notes: []string{
+				"improvement = (SCH - baseline) / baseline, across the multi-unit sweep",
+				"paper: BFS up to 51.9% (worst 48%), SSSP up to 50% (worst 46%), image search >2x mean",
+			},
 		}
-		var imps []float64
-		for _, units := range cfg.UnitsSweep {
-			if units == 1 {
-				continue // no scheduling freedom with one unit
+		for _, w := range apps {
+			var imps []float64
+			for _, units := range g.cfg.UnitsSweep {
+				if units == 1 {
+					continue // no scheduling freedom with one unit
+				}
+				base, sch := versus(r, g.at(w, units))
+				imps = append(imps, 100*(ratio(sch.ThroughputPerSec, base.ThroughputPerSec)-1))
 			}
-			base, err := cfg.runOn(g, tasks, units, a.memory(cfg), subtrav.PolicyBaseline)
-			if err != nil {
-				return nil, err
-			}
-			sch, err := cfg.runOn(g, tasks, units, a.memory(cfg), subtrav.PolicyAuction)
-			if err != nil {
-				return nil, err
-			}
-			imps = append(imps, 100*(ratio(sch.ThroughputPerSec, base.ThroughputPerSec)-1))
+			min, mean, max := summarize(imps)
+			t.AddRow(w.app,
+				fmt.Sprintf("%.1f%%", min),
+				fmt.Sprintf("%.1f%%", mean),
+				fmt.Sprintf("%.1f%%", max))
 		}
-		min, mean, max := summarize(imps)
-		t.AddRow(a.name,
-			fmt.Sprintf("%.1f%%", min),
-			fmt.Sprintf("%.1f%%", mean),
-			fmt.Sprintf("%.1f%%", max))
-	}
-	return t, nil
+		return t
+	})
+}
+
+// speedup formats a's throughput over b's.
+func speedup(a, b sim.Result) string {
+	return fmt.Sprintf("%.2fx", ratio(a.ThroughputPerSec, b.ThroughputPerSec))
 }
 
 func ratio(a, b float64) float64 {

@@ -38,13 +38,10 @@ const (
 // traversal per query, replaying one open-loop BFS/SSSP stream through
 // sim.Cluster in both modes. The hot cell draws its start keys
 // Zipf-skewed, so its frontiers overlap; the uniform cell is the
-// control. Every query's answer is compared across the two modes. A
-// Config with fewer queries than the fixture (Quick) runs the hot cell
-// alone at its own query count.
-func Share(cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// control. Every query's answer is compared across the two modes. Of
+// the grid it reads only Config.Queries: fewer than the fixture's
+// (Quick) run the hot cell alone at that query count.
+func Share(grid *Grid) (*Table, error) {
 	cells := []struct {
 		name  string
 		zipfS float64
@@ -53,8 +50,8 @@ func Share(cfg Config) (*Table, error) {
 		{"uniform/P=8", 0},
 	}
 	queries := shareQueries
-	if cfg.Queries < shareQueries {
-		cells, queries = cells[:1], cfg.Queries
+	if grid.cfg.Queries < shareQueries {
+		cells, queries = cells[:1], grid.cfg.Queries
 	}
 	g, err := graphgen.PowerLaw(graphgen.PowerLawConfig{
 		NumVertices: shareVertices,

@@ -1,7 +1,9 @@
 // Package experiments regenerates every evaluation figure of the
 // paper (Figures 8-12) plus the ablations called out in DESIGN.md.
-// Each experiment returns a Table that renders as aligned text,
-// markdown, or CSV; cmd/subtrav-bench prints them and EXPERIMENTS.md
+// The simulations behind them are the cells of one Grid, each run at
+// most once; an experiment declares its cells and projects its columns
+// from their results into Tables that render as aligned text,
+// markdown, or CSV. cmd/subtrav-bench prints them and EXPERIMENTS.md
 // records paper-vs-measured shapes.
 package experiments
 
