@@ -26,14 +26,7 @@ import (
 )
 
 func main() {
-	var (
-		quick  = flag.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts; share: the gated cell only)")
-		format = flag.String("format", "text", "output format: text, markdown, csv")
-		seed   = flag.Uint64("seed", 42, "master random seed")
-		scale  = flag.String("scale", "small", "graph scale: tiny, small, medium, large, paper")
-		units  = flag.String("units", "", "comma-separated unit sweep override, e.g. 1,2,4,8")
-		n      = flag.Int("queries", 0, "queries per run override")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Usage = func() {
 		names := []string{"all"}
 		for _, st := range experiments.Studies {
@@ -43,8 +36,8 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if !slices.Contains(formats, *format) {
-		fmt.Fprintf(os.Stderr, "subtrav-bench: unknown -format %q\n", *format)
+	if !slices.Contains(formats, *f.format) {
+		fmt.Fprintf(os.Stderr, "subtrav-bench: unknown -format %q\n", *f.format)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -52,26 +45,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	cfg := experiments.Default()
-	if *quick {
-		cfg = experiments.Quick()
-	}
-	cfg.Seed = *seed
-	sc, err := subtrav.ParseScale(*scale)
+	cfg, err := f.config()
 	if err != nil {
 		fatal(err)
-	}
-	cfg.Scale = sc
-	if *units != "" {
-		sweep, err := parseUnits(*units)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.UnitsSweep = sweep
-	}
-	if *n > 0 {
-		cfg.Queries = *n
 	}
 
 	grid, err := experiments.NewGrid(cfg)
@@ -91,7 +67,7 @@ func main() {
 			fatal(err)
 		}
 		for _, t := range ts {
-			switch *format {
+			switch *f.format {
 			case "markdown":
 				fmt.Println(t.Markdown())
 			case "csv":
@@ -105,6 +81,56 @@ func main() {
 	if !known {
 		fatal(fmt.Errorf("unknown experiment %q", target))
 	}
+}
+
+// benchFlags are the command line's flags, defined on one flag set.
+type benchFlags struct {
+	fs                   *flag.FlagSet
+	quick                *bool
+	format, scale, units *string
+	seed                 *uint64
+	queries              *int
+}
+
+func defineFlags(fs *flag.FlagSet) *benchFlags {
+	return &benchFlags{
+		fs:      fs,
+		quick:   fs.Bool("quick", false, "reduced sweep (tiny graph, 3 unit counts; share: the gated cell only)"),
+		format:  fs.String("format", "text", "output format: text, markdown, csv"),
+		seed:    fs.Uint64("seed", 42, "master random seed"),
+		scale:   fs.String("scale", "small", "graph scale: tiny, small, medium, large, paper (-quick alone: tiny)"),
+		units:   fs.String("units", "", "comma-separated unit sweep override, e.g. 1,2,4,8"),
+		queries: fs.Int("queries", 0, "queries per run override"),
+	}
+}
+
+// config builds the experiment configuration the parsed flags ask for:
+// -quick starts from experiments.Quick, and -scale replaces the starting
+// configuration's scale only when the command line gives it.
+func (f *benchFlags) config() (experiments.Config, error) {
+	cfg := experiments.Default()
+	if *f.quick {
+		cfg = experiments.Quick()
+	}
+	cfg.Seed = *f.seed
+	var err error
+	f.fs.Visit(func(fl *flag.Flag) {
+		if fl.Name == "scale" {
+			cfg.Scale, err = subtrav.ParseScale(*f.scale)
+		}
+	})
+	if err != nil {
+		return cfg, err
+	}
+	if *f.units != "" {
+		if cfg.UnitsSweep, err = parseUnits(*f.units); err != nil {
+			return cfg, err
+		}
+	}
+	if *f.queries > 0 {
+		cfg.Queries = *f.queries
+	}
+	return cfg, nil
 }
 
 // formats are the -format values main accepts.

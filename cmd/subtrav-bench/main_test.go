@@ -2,10 +2,13 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"subtrav"
 )
 
 // TestMain runs main itself when a test re-executes the test binary
@@ -52,6 +55,32 @@ func TestMalformedUnitsExitNonZero(t *testing.T) {
 		stderr, code := runMain(t, "-units="+units, "fig10")
 		if code == 0 || !strings.Contains(stderr, "bad unit count") {
 			t.Errorf("-units=%s: exit %d, stderr %q; want a non-zero exit naming the bad unit count", units, code, stderr)
+		}
+	}
+}
+
+// -quick runs the tiny graph it promises, and -scale replaces it only
+// when the command line gives it.
+func TestQuickKeepsItsScaleUnlessScaleIsGiven(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want subtrav.Scale
+	}{
+		{[]string{"-quick", "fig11"}, subtrav.ScaleTiny},
+		{[]string{"-quick", "-scale", "small", "fig11"}, subtrav.ScaleSmall},
+		{[]string{"fig11"}, subtrav.ScaleSmall},
+		{[]string{"-scale", "tiny", "fig11"}, subtrav.ScaleTiny},
+	} {
+		f := defineFlags(flag.NewFlagSet("subtrav-bench", flag.ContinueOnError))
+		if err := f.fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.config()
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if cfg.Scale != c.want {
+			t.Errorf("%v: scale %v, want %v", c.args, cfg.Scale, c.want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"subtrav"
 	"subtrav/internal/sched"
 	"subtrav/internal/sim"
-	"subtrav/internal/workload"
 )
 
 // Config parameterizes the experiment suite. The zero value is not
@@ -28,19 +27,11 @@ type Config struct {
 	// ImageMemoryPerUnit is the per-unit budget for the image corpus,
 	// whose records are photos, not metadata.
 	ImageMemoryPerUnit int64
-	// BFSDepth / BFSMaxVisits / SSSPBound / RWRSteps / RWRRestart
-	// parameterize the three applications.
-	BFSDepth      int
-	BFSMaxVisits  int
-	SSSPBound     int
-	SSSPMaxVisits int
-	RWRSteps      int
-	RWRRestart    float64
+	// RWRSteps is the image search's walk length; the other
+	// applications' parameters are the constants below.
+	RWRSteps int
 	// SmallCorpus selects the reduced image corpus (tests).
 	SmallCorpus bool
-	// Locality shapes the query streams; each workload sets its own
-	// HotspotSkew.
-	Locality workload.Locality
 	// Cost is the virtual-time cost model shared by all runs; each cell
 	// sets its own Disk.PartitionLocality.
 	Cost sim.CostModel
@@ -49,6 +40,16 @@ type Config struct {
 	// one run at a time (tests read their counters).
 	observe func(sched.Scheduler)
 }
+
+// The applications' parameters, the same in every cell; the streams
+// take workload.DefaultLocality with each workload's HotspotSkew.
+const (
+	bfsDepth      = 2
+	bfsMaxVisits  = 100
+	ssspBound     = 4
+	ssspMaxVisits = 200
+	rwrRestart    = 0.2
+)
 
 // Default returns the full experiment configuration used to produce
 // EXPERIMENTS.md: units 1..64 as in the paper, a scaled-down graph,
@@ -61,13 +62,7 @@ func Default() Config {
 		Queries:            3000,
 		MemoryPerUnit:      2 << 20,  // ≈15% of the metadata working set
 		ImageMemoryPerUnit: 64 << 20, // ≈6 person-clusters of a ~3 GB corpus
-		BFSDepth:           2,
-		BFSMaxVisits:       100,
-		SSSPBound:          4,
-		SSSPMaxVisits:      200,
 		RWRSteps:           400,
-		RWRRestart:         0.2,
-		Locality:           workload.DefaultLocality(),
 		Cost:               sim.DefaultCostModel(),
 	}
 }

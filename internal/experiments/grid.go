@@ -229,7 +229,7 @@ func (g *Grid) workload(w workloadKey) error {
 		return err
 	}
 	cfg := g.cfg
-	sc := workload.StreamConfig{NumQueries: cfg.Queries, Seed: cfg.Seed + w.seed, RatePerSec: w.rate, Locality: cfg.Locality}
+	sc := workload.StreamConfig{NumQueries: cfg.Queries, Seed: cfg.Seed + w.seed, RatePerSec: w.rate, Locality: workload.DefaultLocality()}
 	sc.Locality.HotspotSkew = w.skew
 	if w.rate > 0 {
 		sc.Arrival = workload.Poisson
@@ -237,12 +237,12 @@ func (g *Grid) workload(w workloadKey) error {
 	var tasks []*sched.Task
 	switch w.app {
 	case bfs.app:
-		tasks, err = workload.BFS(gr, sc, cfg.BFSDepth, cfg.BFSMaxVisits)
+		tasks, err = workload.BFS(gr, sc, bfsDepth, bfsMaxVisits)
 	case sssp.app:
-		tasks, err = workload.SSSP(gr, sc, cfg.SSSPBound, cfg.SSSPMaxVisits)
+		tasks, err = workload.SSSP(gr, sc, ssspBound, ssspMaxVisits)
 	default:
 		sc.NumQueries = min(sc.NumQueries, len(g.corpus.Queries))
-		tasks, err = workload.ImageSearch(g.corpus, sc, cfg.RWRSteps, cfg.RWRRestart, 10)
+		tasks, err = workload.ImageSearch(g.corpus, sc, cfg.RWRSteps, rwrRestart, 10)
 	}
 	if err != nil {
 		return err

@@ -52,6 +52,7 @@
 package graphio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,7 +130,7 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // ---- zero-copy slice reinterpretation -------------------------------
 
 // aliasSlice reinterprets b as a []T without copying. Callers must
-// have verified alignment and host byte order (see sliceOf*).
+// have verified alignment and host byte order (see sliceOf).
 func aliasSlice[T any](b []byte) []T {
 	var z T
 	if len(b) == 0 {
@@ -160,153 +161,39 @@ func stringBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// sliceOfI32 views a little-endian byte section as 32-bit signed
-// elements: a zero-copy alias on aligned little-endian hosts, an
-// explicit decode otherwise.
-func sliceOfI32[T ~int32](b []byte, copyMode bool) []T {
+// sliceOf views a little-endian section as a []T whose fields are the
+// section's layout (graph.PropRecord's blank field is the reserved
+// byte): a zero-copy alias unless copyMode (big-endian host or
+// misaligned buffer), else a fresh slice decoded by encoding/binary,
+// which skips blank fields.
+func sliceOf[T any](b []byte, copyMode bool) []T {
 	if !copyMode || len(b) == 0 {
 		return aliasSlice[T](b)
 	}
-	out := make([]T, len(b)/4)
-	for i := range out {
-		out[i] = T(int32(le.Uint32(b[i*4:])))
+	out := make([]T, len(b)/binary.Size(*new(T)))
+	if err := binary.Read(bytes.NewReader(b), le, out); err != nil {
+		panic(fmt.Sprintf("graphio: decode %d-byte section: %v", len(b), err)) // T is fixed-size, b long enough
 	}
 	return out
 }
 
-func sliceOfU32(b []byte, copyMode bool) []uint32 {
-	if !copyMode || len(b) == 0 {
-		return aliasSlice[uint32](b)
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = le.Uint32(b[i*4:])
-	}
-	return out
-}
-
-func sliceOfI64(b []byte, copyMode bool) []int64 {
-	if !copyMode || len(b) == 0 {
-		return aliasSlice[int64](b)
-	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(le.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func sliceOfF32(b []byte, copyMode bool) []float32 {
-	if !copyMode || len(b) == 0 {
-		return aliasSlice[float32](b)
-	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(le.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// bytesOfI32 is the write-side inverse of sliceOfI32: alias on
-// little-endian hosts, explicit little-endian encode otherwise.
-func bytesOfI32[T ~int32](s []T) []byte {
+// bytesOf is the write-side inverse of sliceOf: an alias on
+// little-endian hosts, encodeLE otherwise.
+func bytesOf[T any](s []T) []byte {
 	if hostLittleEndian {
 		return aliasBytes(s)
 	}
-	out := make([]byte, 4*len(s))
-	for i, v := range s {
-		le.PutUint32(out[i*4:], uint32(int32(v)))
-	}
-	return out
+	return encodeLE(s)
 }
 
-func bytesOfU32(s []uint32) []byte {
-	if hostLittleEndian {
-		return aliasBytes(s)
+// encodeLE encodes s in the section layout with encoding/binary, which
+// writes blank fields as zero.
+func encodeLE[T any](s []T) []byte {
+	var buf bytes.Buffer
+	if err := binary.Write(&buf, le, s); err != nil {
+		panic(fmt.Sprintf("graphio: encode %T: %v", s, err)) // T is fixed-size
 	}
-	out := make([]byte, 4*len(s))
-	for i, v := range s {
-		le.PutUint32(out[i*4:], v)
-	}
-	return out
-}
-
-func bytesOfI64(s []int64) []byte {
-	if hostLittleEndian {
-		return aliasBytes(s)
-	}
-	out := make([]byte, 8*len(s))
-	for i, v := range s {
-		le.PutUint64(out[i*8:], uint64(v))
-	}
-	return out
-}
-
-func bytesOfF32(s []float32) []byte {
-	if hostLittleEndian {
-		return aliasBytes(s)
-	}
-	out := make([]byte, 4*len(s))
-	for i, v := range s {
-		le.PutUint32(out[i*4:], math.Float32bits(v))
-	}
-	return out
-}
-
-// ---- property columns ------------------------------------------------
-
-// sliceOfRecs views a record section as graph.PropRecord values, whose
-// field layout is the record's: alias or explicit decode as above.
-func sliceOfRecs(b []byte, copyMode bool) []graph.PropRecord {
-	if !copyMode || len(b) == 0 {
-		return aliasSlice[graph.PropRecord](b)
-	}
-	out := make([]graph.PropRecord, len(b)/propRecSize)
-	for i := range out {
-		rec := b[i*propRecSize:]
-		out[i] = graph.PropRecord{Key: le.Uint16(rec), Kind: graph.ValueKind(rec[2]),
-			Aux: le.Uint32(rec[4:]), Val: le.Uint64(rec[8:])}
-	}
-	return out
-}
-
-func bytesOfRecs(s []graph.PropRecord) []byte {
-	if hostLittleEndian {
-		return aliasBytes(s)
-	}
-	out := make([]byte, propRecSize*len(s))
-	for i, r := range s {
-		rec := out[i*propRecSize:]
-		le.PutUint16(rec, r.Key)
-		rec[2] = uint8(r.Kind)
-		le.PutUint32(rec[4:], r.Aux)
-		le.PutUint64(rec[8:], r.Val)
-	}
-	return out
-}
-
-// sliceOfKeys views the key table section as graph.PropKey values.
-func sliceOfKeys(b []byte, copyMode bool) []graph.PropKey {
-	if !copyMode || len(b) == 0 {
-		return aliasSlice[graph.PropKey](b)
-	}
-	out := make([]graph.PropKey, len(b)/propKeySize)
-	for i := range out {
-		out[i] = graph.PropKey{Off: le.Uint32(b[i*propKeySize:]), Len: le.Uint32(b[i*propKeySize+4:])}
-	}
-	return out
-}
-
-func bytesOfKeys(s []graph.PropKey) []byte {
-	if hostLittleEndian {
-		return aliasBytes(s)
-	}
-	out := make([]byte, propKeySize*len(s))
-	for i, k := range s {
-		le.PutUint32(out[i*propKeySize:], k.Off)
-		le.PutUint32(out[i*propKeySize+4:], k.Len)
-	}
-	return out
+	return buf.Bytes()
 }
 
 // arenaString aliases arena[off:off+ln]; table and role word the error.
@@ -428,19 +315,19 @@ func WriteCSR(w io.Writer, g *graph.Graph) error {
 			secs = append(secs, section{id, b})
 		}
 	}
-	add(secOffsets, bytesOfI64(d.Offsets))
-	add(secTargets, bytesOfI32(d.Targets))
-	add(secEdgeIdx, bytesOfI32(d.EdgeIdx))
-	add(secWeights, bytesOfF32(d.Weights))
-	add(secVBytes, bytesOfI32(d.VBytes))
-	add(secEBytes, bytesOfI32(d.EBytes))
-	add(secPartition, bytesOfI32(d.Partition))
-	add(secVPropIdx, bytesOfU32(d.VProps.Index))
-	add(secVPropRecs, bytesOfRecs(d.VProps.Recs))
-	add(secEPropIdx, bytesOfU32(d.EProps.Index))
-	add(secEPropRecs, bytesOfRecs(d.EProps.Recs))
+	add(secOffsets, bytesOf(d.Offsets))
+	add(secTargets, bytesOf(d.Targets))
+	add(secEdgeIdx, bytesOf(d.EdgeIdx))
+	add(secWeights, bytesOf(d.Weights))
+	add(secVBytes, bytesOf(d.VBytes))
+	add(secEBytes, bytesOf(d.EBytes))
+	add(secPartition, bytesOf(d.Partition))
+	add(secVPropIdx, bytesOf(d.VProps.Index))
+	add(secVPropRecs, bytesOf(d.VProps.Recs))
+	add(secEPropIdx, bytesOf(d.EProps.Index))
+	add(secEPropRecs, bytesOf(d.EProps.Recs))
 	add(secArena, stringBytes(d.Arena))
-	add(secKeys, bytesOfKeys(d.Keys))
+	add(secKeys, bytesOf(d.Keys))
 
 	// Lay sections out back to back, 8-aligned, directly after the
 	// table; record offsets and payload checksums.
@@ -674,7 +561,7 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 		if err := checkProps(sec[idx], sec[recs], nKeys, sec[secArena], what); err != nil {
 			return c, err
 		}
-		return graph.PropColumn{Index: sliceOfU32(sec[idx], copyMode), Recs: sliceOfRecs(sec[recs], copyMode)}, nil
+		return graph.PropColumn{Index: sliceOf[uint32](sec[idx], copyMode), Recs: sliceOf[graph.PropRecord](sec[recs], copyMode)}, nil
 	}
 	vprops, err := column(secVPropIdx, secVPropRecs, "vprop")
 	if err != nil {
@@ -688,17 +575,17 @@ func decodeCSR(data []byte, copyMode bool) (*graph.Graph, error) {
 	g, err := graph.FromCSR(graph.CSRData{
 		Kind:      graph.Kind(kind),
 		NumEdges:  int(nE),
-		Offsets:   sliceOfI64(sec[secOffsets], copyMode),
-		Targets:   sliceOfI32[graph.VertexID](sec[secTargets], copyMode),
-		EdgeIdx:   sliceOfI32[graph.EdgeID](sec[secEdgeIdx], copyMode),
-		Weights:   sliceOfF32(sec[secWeights], copyMode),
+		Offsets:   sliceOf[int64](sec[secOffsets], copyMode),
+		Targets:   sliceOf[graph.VertexID](sec[secTargets], copyMode),
+		EdgeIdx:   sliceOf[graph.EdgeID](sec[secEdgeIdx], copyMode),
+		Weights:   sliceOf[float32](sec[secWeights], copyMode),
 		VProps:    vprops,
 		EProps:    eprops,
-		Keys:      sliceOfKeys(sec[secKeys], copyMode),
+		Keys:      sliceOf[graph.PropKey](sec[secKeys], copyMode),
 		Arena:     byteString(sec[secArena]),
-		VBytes:    sliceOfI32[int32](sec[secVBytes], copyMode),
-		EBytes:    sliceOfI32[int32](sec[secEBytes], copyMode),
-		Partition: sliceOfI32[int32](sec[secPartition], copyMode),
+		VBytes:    sliceOf[int32](sec[secVBytes], copyMode),
+		EBytes:    sliceOf[int32](sec[secEBytes], copyMode),
+		Partition: sliceOf[int32](sec[secPartition], copyMode),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("graphio: %w: %w", err, ErrCSRCorrupt)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"subtrav/internal/graph"
@@ -265,6 +266,43 @@ func TestCSRCopyModeDifferential(t *testing.T) {
 		}
 		assertGraphEqual(t, name+": alias vs copy", aliased, copied)
 	}
+}
+
+// TestEncodeLEMatchesAlias pins the encoder that only big-endian hosts
+// run: for every column of every fixture, encodeLE yields the bytes the
+// little-endian writer aliases, and the copying decode reads them back.
+func TestEncodeLEMatchesAlias(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("aliasBytes is the section layout only on little-endian hosts")
+	}
+	for name, g := range diffFixtures(t) {
+		d := g.CSRView()
+		for col, err := range map[string]error{
+			"offsets": sameEncoding(d.Offsets), "targets": sameEncoding(d.Targets),
+			"edgeidx": sameEncoding(d.EdgeIdx), "weights": sameEncoding(d.Weights),
+			"vbytes": sameEncoding(d.VBytes), "ebytes": sameEncoding(d.EBytes),
+			"partition": sameEncoding(d.Partition), "keys": sameEncoding(d.Keys),
+			"vpropidx": sameEncoding(d.VProps.Index), "vproprecs": sameEncoding(d.VProps.Recs),
+			"epropidx": sameEncoding(d.EProps.Index), "eproprecs": sameEncoding(d.EProps.Recs),
+		} {
+			if err != nil {
+				t.Errorf("%s: %s column: %v", name, col, err)
+			}
+		}
+	}
+}
+
+// sameEncoding reports whether encodeLE(col) is col's memory image and
+// decodes back to col.
+func sameEncoding[T comparable](col []T) error {
+	enc := encodeLE(col)
+	if !bytes.Equal(enc, aliasBytes(col)) {
+		return fmt.Errorf("encodeLE's %d bytes differ from the %d-byte memory image", len(enc), len(aliasBytes(col)))
+	}
+	if !slices.Equal(sliceOf[T](enc, true), col) {
+		return fmt.Errorf("the copying decode of encodeLE's bytes differs from the column")
+	}
+	return nil
 }
 
 // TestCSRMisalignedBuffer proves ReadCSR survives a buffer whose base

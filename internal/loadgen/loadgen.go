@@ -39,13 +39,22 @@ const (
 const (
 	// ShapeConstant offers a flat QPS (homogeneous Poisson arrivals).
 	ShapeConstant = "constant"
-	// ShapeBurst alternates a quiet base rate with periodic bursts at
-	// BurstFactor times the base; the time-averaged rate is still QPS.
+	// ShapeBurst alternates a quiet base rate with a burst at
+	// burstFactor times the base for burstLenNanos of every
+	// burstEveryNanos; the time-averaged rate is still QPS.
 	ShapeBurst = "burst"
 	// ShapeDiurnal modulates the rate sinusoidally around QPS with
-	// amplitude DiurnalAmp over DiurnalPeriodNanos — a compressed
-	// day/night cycle.
+	// amplitude diurnalAmp over the plan's whole duration — a
+	// compressed day/night cycle.
 	ShapeDiurnal = "diurnal"
+)
+
+// The shapes' parameters.
+const (
+	burstFactor     = 4
+	burstEveryNanos = 1_000_000_000
+	burstLenNanos   = 100_000_000
+	diurnalAmp      = 0.8
 )
 
 // OpMix weights the four traversal ops in the generated stream. Zero
@@ -78,17 +87,6 @@ type Config struct {
 	QPS float64
 	// Shape selects the arrival process (default ShapeConstant).
 	Shape string
-	// BurstFactor (ShapeBurst) is the peak/base rate ratio (default 4).
-	BurstFactor float64
-	// BurstEveryNanos / BurstLenNanos (ShapeBurst) set the burst period
-	// and width (defaults 1s / 100ms).
-	BurstEveryNanos int64
-	BurstLenNanos   int64
-	// DiurnalAmp (ShapeDiurnal) is the relative modulation amplitude in
-	// [0, 1) (default 0.8); DiurnalPeriodNanos is the cycle length
-	// (default: the whole duration, one day per run).
-	DiurnalAmp         float64
-	DiurnalPeriodNanos int64
 
 	// Mix weights the traversal ops (default DefaultOpMix).
 	Mix OpMix
@@ -130,33 +128,6 @@ func (c *Config) validate() error {
 	case ShapeConstant, ShapeBurst, ShapeDiurnal:
 	default:
 		return fmt.Errorf("loadgen: unknown shape %q", c.Shape)
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 4
-	}
-	if c.BurstFactor < 1 {
-		return fmt.Errorf("loadgen: BurstFactor = %g, want >= 1", c.BurstFactor)
-	}
-	if c.BurstEveryNanos == 0 {
-		c.BurstEveryNanos = 1_000_000_000
-	}
-	if c.BurstLenNanos == 0 {
-		c.BurstLenNanos = 100_000_000
-	}
-	if c.BurstLenNanos <= 0 || c.BurstEveryNanos <= c.BurstLenNanos {
-		return fmt.Errorf("loadgen: burst window %d/%d, want 0 < len < every", c.BurstLenNanos, c.BurstEveryNanos)
-	}
-	if c.DiurnalAmp == 0 {
-		c.DiurnalAmp = 0.8
-	}
-	if c.DiurnalAmp < 0 || c.DiurnalAmp >= 1 {
-		return fmt.Errorf("loadgen: DiurnalAmp = %g, want [0, 1)", c.DiurnalAmp)
-	}
-	if c.DiurnalPeriodNanos == 0 {
-		c.DiurnalPeriodNanos = c.DurationNanos
-	}
-	if c.DiurnalPeriodNanos < 0 {
-		return fmt.Errorf("loadgen: DiurnalPeriodNanos = %d, want > 0", c.DiurnalPeriodNanos)
 	}
 	zero := OpMix{}
 	if c.Mix == zero {
@@ -215,15 +186,15 @@ func (c *Config) rate(t int64) float64 {
 	perNano := c.QPS / 1e9
 	switch c.Shape {
 	case ShapeBurst:
-		frac := float64(c.BurstLenNanos) / float64(c.BurstEveryNanos)
-		base := perNano / ((1 - frac) + c.BurstFactor*frac)
-		if t%c.BurstEveryNanos < c.BurstLenNanos {
-			return base * c.BurstFactor
+		frac := float64(burstLenNanos) / float64(burstEveryNanos)
+		base := perNano / ((1 - frac) + burstFactor*frac)
+		if t%burstEveryNanos < burstLenNanos {
+			return base * burstFactor
 		}
 		return base
 	case ShapeDiurnal:
-		phase := 2 * math.Pi * float64(t) / float64(c.DiurnalPeriodNanos)
-		return perNano * (1 + c.DiurnalAmp*math.Sin(phase))
+		phase := 2 * math.Pi * float64(t) / float64(c.DurationNanos)
+		return perNano * (1 + diurnalAmp*math.Sin(phase))
 	default:
 		return perNano
 	}
@@ -234,10 +205,10 @@ func (c *Config) peakRate() float64 {
 	perNano := c.QPS / 1e9
 	switch c.Shape {
 	case ShapeBurst:
-		frac := float64(c.BurstLenNanos) / float64(c.BurstEveryNanos)
-		return perNano / ((1 - frac) + c.BurstFactor*frac) * c.BurstFactor
+		frac := float64(burstLenNanos) / float64(burstEveryNanos)
+		return perNano / ((1 - frac) + burstFactor*frac) * burstFactor
 	case ShapeDiurnal:
-		return perNano * (1 + c.DiurnalAmp)
+		return perNano * (1 + diurnalAmp)
 	default:
 		return perNano
 	}

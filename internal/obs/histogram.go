@@ -7,7 +7,7 @@ import (
 )
 
 // Histogram buckets are logarithmic with 4 sub-buckets per power of
-// two: bucket i covers (2^((i-1)/4), 2^(i/4)]. Quantile answers the
+// two: bucket i covers (2^((i-1)/4), 2^(i/4)]. Quantiles answers the
 // geometric midpoint of the selected bucket, so the worst-case
 // relative error of a quantile estimate is 2^(1/8)-1 ≈ 9.05% — a
 // bounded-error digest that replaces sorting whole latency sample
@@ -20,14 +20,14 @@ const (
 )
 
 // QuantileMaxRelativeError is the worst-case relative error of
-// Histogram.Quantile: the geometric midpoint of a γ=2^(1/4) bucket is
+// Histogram.Quantiles: the geometric midpoint of a γ=2^(1/4) bucket is
 // within a factor 2^(1/8) of every value in it.
 var QuantileMaxRelativeError = math.Pow(2, 1.0/(2*histSubBuckets)) - 1
 
 // Histogram is a fixed-size log-bucketed histogram of non-negative
 // int64 observations (by convention nanoseconds, but any unit works).
 // Observe makes three atomic adds (bucket, count, sum), and ObserveN
-// folds n equal observations into the same three; Quantile and
+// folds n equal observations into the same three; Quantiles and
 // Snapshot read the buckets with atomic loads and are safe to call
 // while observers are hot, yielding a slightly stale but internally
 // consistent-enough view.
@@ -66,7 +66,7 @@ func bucketUpper(i int) float64 {
 }
 
 // bucketMid returns the geometric midpoint of bucket i — the value
-// Quantile reports for observations landing in it.
+// Quantiles reports for observations landing in it.
 func bucketMid(i int) float64 {
 	if i == 0 {
 		return 1
@@ -106,47 +106,13 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) with relative error
-// bounded by QuantileMaxRelativeError. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Load the buckets once; total is derived from the loaded values so
-	// the rank target is consistent with the scan even while hot.
-	var counts [histNumBuckets]int64
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return bucketMid(i)
-		}
-	}
-	return bucketMid(histNumBuckets - 1)
-}
-
-// Quantiles estimates several quantiles at once: the buckets are
-// loaded once and a single cumulative walk answers every requested
-// quantile, instead of one full scan per Quantile call — the report
-// path computes p50/p99/p999 in one pass. Each answer carries the
-// same QuantileMaxRelativeError bound as Quantile, and the two agree
-// exactly on the same loaded view. Out-of-range qs clamp to [0, 1];
-// an empty histogram yields all zeros.
+// Quantiles estimates the q-quantile of each q, each with relative
+// error bounded by QuantileMaxRelativeError: the buckets are loaded
+// once, total is derived from the loaded values so the ranks are
+// consistent with the scan even while hot, and a single cumulative walk
+// answers every requested quantile — the report path computes
+// p50/p99/p999 in one pass. Out-of-range qs clamp to [0, 1]; an empty
+// histogram yields all zeros.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(qs) == 0 {

@@ -40,8 +40,11 @@ func TestBucketIndexBounds(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if q := h.Quantiles(0.5, 0.999); h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || q[0] != 0 || q[1] != 0 {
 		t.Error("empty histogram should report zeros")
+	}
+	if out := h.Quantiles(); len(out) != 0 {
+		t.Errorf("Quantiles() with no args = %v, want empty", out)
 	}
 	if snap := h.Snapshot(); snap.Count != 0 || len(snap.Buckets) != 0 {
 		t.Errorf("empty snapshot: %+v", snap)
@@ -83,8 +86,9 @@ func TestHistogramQuantileRelativeError(t *testing.T) {
 		sorted := append([]int64(nil), samples...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-		for _, q := range []float64{0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0} {
-			got := h.Quantile(q)
+		qs := []float64{0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0}
+		for i, got := range h.Quantiles(qs...) {
+			q := qs[i]
 			exact := float64(metrics.QuantileSorted(sorted, q))
 			// The histogram answers a bucket midpoint; the exact
 			// nearest-rank answer lives in the same bucket, so the
@@ -103,19 +107,31 @@ func TestHistogramQuantileRelativeError(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileMonotone: answers never decrease with q, one
+// batch in any order answers each q as a call of its own would, and
+// out-of-range qs clamp to [0, 1].
 func TestHistogramQuantileMonotone(t *testing.T) {
 	h := NewHistogram()
 	rng := xrand.New(3)
 	for i := 0; i < 1000; i++ {
 		h.Observe(int64(rng.Intn(1 << 30)))
 	}
-	prev := 0.0
+	var qs []float64
 	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("Quantile(%g) = %g < previous %g", q, v, prev)
+		qs = append(qs, q)
+	}
+	ascending := h.Quantiles(qs...)
+	for i := 1; i < len(ascending); i++ {
+		if ascending[i] < ascending[i-1] {
+			t.Fatalf("Quantiles(%g) = %g < Quantiles(%g) = %g", qs[i], ascending[i], qs[i-1], ascending[i-1])
 		}
-		prev = v
+	}
+	mixed := []float64{0.999, 0.5, 0.99, -0.5, 1.5, 0, 1, 0.25}
+	want := []float64{0.999, 0.5, 0.99, 0, 1, 0, 1, 0.25}
+	for i, got := range h.Quantiles(mixed...) {
+		if one := h.Quantiles(want[i])[0]; got != one {
+			t.Errorf("Quantiles(%v)[%d] = %g, want Quantiles(%g) = %g", mixed, i, got, want[i], one)
+		}
 	}
 }
 
@@ -195,36 +211,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestHistogramQuantilesMatchQuantile pins the batch accessor to the
-// single-quantile path: on a quiescent histogram the two must agree
-// exactly, including unsorted and out-of-range inputs.
-func TestHistogramQuantilesMatchQuantile(t *testing.T) {
-	h := NewHistogram()
-	rng := xrand.New(11)
-	for i := 0; i < 5000; i++ {
-		h.Observe(int64(math.Pow(10, 1+6*rng.Float64())))
-	}
-	qs := []float64{0.999, 0.5, 0.99, -0.5, 1.5, 0, 1, 0.25}
-	got := h.Quantiles(qs...)
-	if len(got) != len(qs) {
-		t.Fatalf("Quantiles returned %d values for %d inputs", len(got), len(qs))
-	}
-	for i, q := range qs {
-		if want := h.Quantile(q); got[i] != want {
-			t.Errorf("Quantiles()[%d] (q=%g) = %g, want Quantile = %g", i, q, got[i], want)
-		}
-	}
-	if out := h.Quantiles(); len(out) != 0 {
-		t.Errorf("Quantiles() with no args = %v, want empty", out)
-	}
-	var empty Histogram
-	for i, v := range empty.Quantiles(0.5, 0.999) {
-		if v != 0 {
-			t.Errorf("empty histogram Quantiles[%d] = %g, want 0", i, v)
-		}
-	}
 }
 
 // TestHistogramQuantilesTailErrorBound is the documented ≈9% bound

@@ -131,12 +131,12 @@ func (n cmpNode) eval(p graph.Props) bool {
 		if v.Kind() != graph.KindInt && v.Kind() != graph.KindFloat {
 			return false
 		}
-		return compareFloats(v.Float64(), n.lit.num, n.op)
+		return compare(v.Float64(), n.lit.num, n.op)
 	case litStr:
 		if v.Kind() != graph.KindString {
 			return false
 		}
-		return compareStrings(v.Str(), n.lit.str, n.op)
+		return compare(v.Str(), n.lit.str, n.op)
 	case litBool:
 		if v.Kind() != graph.KindBool {
 			return false
@@ -153,25 +153,9 @@ func (n cmpNode) eval(p graph.Props) bool {
 	return false
 }
 
-func compareFloats(a, b float64, op cmpOp) bool {
-	switch op {
-	case opEq:
-		return a == b
-	case opNe:
-		return a != b
-	case opLt:
-		return a < b
-	case opLe:
-		return a <= b
-	case opGt:
-		return a > b
-	case opGe:
-		return a >= b
-	}
-	return false
-}
-
-func compareStrings(a, b string, op cmpOp) bool {
+// compare applies op with Go's own operators, so a NaN equals nothing
+// and orders against nothing.
+func compare[T float64 | string](a, b T, op cmpOp) bool {
 	switch op {
 	case opEq:
 		return a == b
